@@ -16,13 +16,12 @@ from .moments import (BoundReport, CorollaryCase, bound_scan,
                       char_functional_exact, char_functional_mc,
                       corollary_case_moment, exact_stable_moment,
                       exp_moment_equivalence, gamma_fn, mc_moment)
-from .spde import (ControllerResult, DiagonalQ, GalerkinSystem, MatrixQ,
-                   SolutionPath, advance, constant_diagonal_q,
-                   conditional_maximal_check, convolution_moment_scan,
-                   galerkin_error, longrun_moment_scan,
+from .spde import (ControllerResult, DiagonalQ, GalerkinSystem, SolutionPath,
+                   advance, conditional_maximal_check, constant_diagonal_q,
+                   convolution_moment_scan, galerkin_error, longrun_moment_scan,
                    maximal_inequality_scan, simulate, small_ball,
                    synthesize_null_controller, truncate_system,
                    validate_system, zero_drift, zero_q)
 from .subordinator import (GridPath, SubordinatorPath, evaluate,
-                           geometric_grid, inverse_time, simulate_gamma,
-                           simulate_general, simulate_stable, time_grid)
+                           geometric_grid, inverse_time, simulate_general,
+                           simulate_stable, time_grid)

@@ -77,11 +77,6 @@ class BernsteinFunction:
         return float(out) if np.isscalar(s) or arr.ndim == 0 else out
 
 
-def eval_phi(phi: BernsteinFunction, s):
-    """Evaluate phi(s); domain error for s <= 0."""
-    return phi(s)
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------

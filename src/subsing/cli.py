@@ -17,11 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, moments, spde
-from .bernstein import doubling_indices, inverse, parse_phi
-from .errors import (CapabilityError, DomainError, GateViolation,
+from .bernstein import Catalog, doubling_indices, inverse, parse_phi
+from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
-from .integrate import parse_integrand, stieltjes_increments
-from .mc import run_mc
+from .integrate import parse_integrand
+from .mc import Moments, run_mc
 from .rng import stream
 from .subordinator import grid_increments, simulate_general, simulate_stable, time_grid
 
@@ -69,6 +69,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _bound_rows(rep, columns: str):
+    """CSV body of a BoundReport: one row per horizon."""
+    rows = zip(rep.T_grid, rep.estimates, rep.bound_rhs, rep.ratios)
+    return [columns] + [",".join(_fmt(v) for v in (T, est.mean, est.std_error, rhs, r))
+                        for T, est, rhs, r in rows]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -94,7 +101,7 @@ def cmd_sim(args):
     times = time_grid(args.T, args.dt)
     lines = _header(args)
     if args.export_path:
-        if phi.name.startswith("stable"):
+        if phi.kind is Catalog.STABLE:
             path = simulate_stable(phi.params[0], args.T, dt=args.dt, seed=args.seed)
             lines.append("t,S_t")
             lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(path.times, path.values)]
@@ -122,21 +129,19 @@ def cmd_sim(args):
 def cmd_integrate(args):
     phi = parse_phi(args.phi)
     f = parse_integrand(args.f)
-    times = moments._default_times(f, args.T, args.dt)
-
-    def sampler(rng, m):
-        inc = grid_increments(phi, times, rng, m, eps=args.eps)
-        return stieltjes_increments(f, times, inc)
-
+    if args.paths < 1:
+        raise DomainError("--paths must be positive")
+    times = moments._default_times(f, args.T, args.dt, phi)
+    sampler, chunk = moments._integral_sampler(phi, f, times, args.eps)
     rng = stream(args.seed, 0)
-    vals = sampler(rng, args.paths)
-    finite = np.isfinite(vals)
+    vals = np.concatenate([sampler(rng, min(chunk, args.paths - i))
+                           for i in range(0, args.paths, chunk)])
+    est = Moments.of(vals).estimates()[0]
     lines = _header(args)
     lines.append("n,finite_fraction,mean,se,median")
-    mean = float(vals.mean()) if finite.all() else float("inf")
-    se = float(vals.std() / np.sqrt(len(vals))) if finite.all() else float("inf")
     lines.append(",".join(_fmt(v) for v in (
-        len(vals), float(finite.mean()), mean, se, float(np.median(vals)))))
+        len(vals), float(np.isfinite(vals).mean()), est.mean, est.std_error,
+        float(np.median(vals)))))
     return lines
 
 
@@ -188,12 +193,7 @@ def cmd_moment(args):
                                  args.seed, theta=args.theta, lam=args.lam,
                                  dt=args.dt, eps=args.eps)
         lines.append(f"# clause={rep.clause}")
-        lines.append("T,mc_mean,mc_se,rhs,ratio")
-        for T, est, rhs, ratio in zip(rep.T_grid, rep.estimates, rep.bound_rhs,
-                                      rep.ratios):
-            lines.append(",".join(_fmt(v)
-                                  for v in (T, est.mean, est.std_error, rhs, ratio)))
-        return lines
+        return lines + _bound_rows(rep, "T,mc_mean,mc_se,rhs,ratio")
     if args.mode == "equiv":
         _need(args, "phi", "lam")
         phi = parse_phi(args.phi)
@@ -261,22 +261,12 @@ def cmd_spde(args):
         rep = spde.convolution_moment_scan(system, phi, args.p, args.theta,
                                            args.t_grid, args.paths, args.seed,
                                            dt=args.dt, eps=args.eps)
-        lines.append("t,statistic,se,rhs,ratio")
-        for T, est, rhs, ratio in zip(rep.T_grid, rep.estimates, rep.bound_rhs,
-                                      rep.ratios):
-            lines.append(",".join(_fmt(v)
-                                  for v in (T, est.mean, est.std_error, rhs, ratio)))
-        return lines
+        return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "maximal":
         rep = spde.maximal_inequality_scan(system, phi, args.p, args.t_grid,
                                            args.paths, args.seed, dt=args.dt,
                                            eps=args.eps)
-        lines.append("t,statistic,se,rhs,ratio")
-        for T, est, rhs, ratio in zip(rep.T_grid, rep.estimates, rep.bound_rhs,
-                                      rep.ratios):
-            lines.append(",".join(_fmt(v)
-                                  for v in (T, est.mean, est.std_error, rhs, ratio)))
-        return lines
+        return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "smallball":
         res = spde.small_ball(system, phi, args.delta, args.T, args.paths,
                               args.seed, dt=args.dt, eps=args.eps)
@@ -435,19 +425,23 @@ def _apply_config(parser: _Parser, argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("argument --config: expected a file name")
     path = argv[i + 1]
     cp = configparser.ConfigParser()
-    cp.read(path)
-    if cp.has_section("run"):
-        pairs = []
-        for key, val in cp.items("run"):
-            flag = "--" + key.replace("_", "-")
-            if flag not in argv:   # explicit flags win
-                pairs += [flag, val]
-        argv = argv[:i] + argv[i + 2:] + pairs
-    else:
-        argv = argv[:i] + argv[i + 2:]
-    return argv
+    try:
+        found = cp.read(path)
+        items = cp.items("run") if cp.has_section("run") else []
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        parser.error(f"config file {path!r}: {exc}")
+    if not found:
+        parser.error(f"config file {path!r} cannot be read")
+    pairs = []
+    for key, val in items:
+        flag = "--" + key.replace("_", "-")
+        if flag not in argv:   # explicit flags win
+            pairs += [flag, val]
+    return argv[:i] + argv[i + 2:] + pairs
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -464,7 +458,7 @@ def main(argv: Optional[list] = None) -> int:
     except (GateViolation, PreconditionError, CapabilityError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return REFUSAL_EXIT
-    except (DomainError, RangeError) as exc:
+    except (DomainError, RangeError, NumericError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(args, lines, time.perf_counter() - start)

@@ -244,12 +244,9 @@ def stieltjes(f: Integrand, path) -> float:
         total = drift_part + jump_part
         return math.inf if total > OVERFLOW_GUARD or math.isnan(total) else total
     if isinstance(path, GridPath):
-        nodes = path.times[:-1].copy()
-        if nodes[0] == 0.0 and not math.isfinite(_value_at_zero(f)):
-            nodes[0] = path.times[1]
-        weights = np.diff(path.values)
-        total = float(np.dot(f.fn(nodes), weights))
-        return math.inf if total > OVERFLOW_GUARD or math.isnan(total) else total
+        total = float(stieltjes_increments(f, path.times,
+                                           np.diff(path.values)[None, :])[0])
+        return math.inf if math.isnan(total) else total
     raise DomainError(f"unsupported path type {type(path)!r}")
 
 

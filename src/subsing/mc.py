@@ -8,10 +8,11 @@ doubles as the median-of-means partition for heavy-tailed integrands.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +25,9 @@ DEFAULT_BLOCKS = 32
 class MCEstimate:
     """A Monte Carlo statistic with its uncertainty and tail diagnostics.
 
-    ``std_error`` is sample-sd/sqrt(n) for a plain mean; for median-of-means it
-    is sqrt(pi/(2B)) * sd(block means), the asymptotic SE of a median of B
+    ``std_error`` is sample-sd/sqrt(n) for a plain mean, from merged
+    (count, mean, M2) partials; for median-of-means it is
+    sqrt(pi/(2B)) * sd(block means), the asymptotic SE of a median of B
     nearly Gaussian block means.  ``heavy_tail_flag`` is set when the empirical
     second moment keeps growing across doubling sample sizes.
     """
@@ -50,73 +52,112 @@ def _worker_count() -> int:
         return 1
 
 
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and centred sum of squares (M2) of a sample, per column.
+
+    Partials of disjoint samples combine exactly by the pairwise update of
+    Chan, Golub & LeVeque (1979), so variances never come from the
+    cancellation-prone E[x^2] - mean^2.  ``mean`` and ``m2`` are arrays of
+    the sample's column shape (0-d for a sample of scalars).
+    """
+
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def of(cls, values) -> "Moments":
+        """Partials of the rows of ``values``, shape (m,) or (m, d), m >= 1."""
+        v = np.asarray(values, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # centring on the first row keeps a constant sample at M2 == 0
+            # exactly; a non-finite column keeps the plain mean (+inf, nan)
+            d = v - v[0]
+            dm = d.mean(axis=0)
+            mean = np.where(np.isfinite(dm), v[0] + dm, v.mean(axis=0))
+            m2 = ((d - dm) ** 2).sum(axis=0)
+        return cls(len(v), mean, m2)
+
+    def merge(self, other: "Moments") -> "Moments":
+        n = self.count + other.count
+        with np.errstate(invalid="ignore", over="ignore"):
+            delta = other.mean - self.mean
+            mean = np.where(np.isfinite(delta),
+                            self.mean + delta * (other.count / n),
+                            self.mean + other.mean)
+            m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / n)
+        return Moments(n, mean, m2)
+
+    def estimates(self) -> list:
+        """Plain-mean estimate per column, with SE sqrt(M2 / n) / sqrt(n)."""
+        n = self.count
+        return [MCEstimate(n, float(mu), math.sqrt(m2) / n) if math.isfinite(mu)
+                else MCEstimate(n, float(mu), math.inf, True)
+                for mu, m2 in zip(np.ravel(self.mean), np.ravel(self.m2))]
+
+
+def merge_all(parts) -> Moments:
+    """Fold partials left to right, so the result depends only on their order."""
+    return functools.reduce(Moments.merge, parts)
+
+
 def block_values(sampler, n_samples: int, seed: int, *, blocks: int = DEFAULT_BLOCKS,
-                 max_chunk: int = 4096):
+                 max_chunk: int = 4096) -> list:
     """Run ``sampler(rng, m) -> (m,) array`` over ``blocks`` derived streams.
 
-    Returns (block_sums, block_sumsq, block_counts) in block order.  Within a
-    block the stream is consumed sequentially, so the chunk size does not
-    affect the values drawn.
+    Returns one :class:`Moments` per block, in block order.  Within a block
+    the stream is consumed sequentially, so the chunk size does not affect
+    the values drawn.
     """
     counts = np.full(blocks, n_samples // blocks, dtype=np.int64)
     counts[: n_samples % blocks] += 1
 
-    def run_block(b: int):
+    def run_block(b: int) -> Moments:
         rng = stream(seed, b)
         left = int(counts[b])
-        s = 0.0
-        s2 = 0.0
+        parts = []
         while left > 0:
             m = min(left, max_chunk)
-            v = np.asarray(sampler(rng, m), dtype=float)
-            s += float(np.sum(v))
-            s2 += float(np.sum(v * v))
+            parts.append(Moments.of(sampler(rng, m)))
             left -= m
-        return s, s2
+        return merge_all(parts)
 
     width = _worker_count()
     if width > 1:
         with ThreadPoolExecutor(max_workers=width) as pool:
-            out = list(pool.map(run_block, range(blocks)))
-    else:
-        out = [run_block(b) for b in range(blocks)]
-    sums = np.array([o[0] for o in out])
-    sumsq = np.array([o[1] for o in out])
-    return sums, sumsq, counts
+            return list(pool.map(run_block, range(blocks)))
+    return [run_block(b) for b in range(blocks)]
 
 
-def _heavy_tail(sums: np.ndarray, sumsq: np.ndarray, counts: np.ndarray) -> bool:
+def _heavy_tail(blocks: list) -> bool:
     # second moment over the first quarter, half and all blocks; non-stabilizing
     # growth marks an (effectively) infinite-variance integrand
-    b = len(sums)
+    b = len(blocks)
     if b < 4:
         return False
-    marks = [b // 4, b // 2, b]
     m2 = []
-    for k in marks:
-        n = counts[:k].sum()
-        m2.append(sumsq[:k].sum() / n if n else math.nan)
+    for k in (b // 4, b // 2, b):
+        acc = merge_all(blocks[:k])
+        m2.append(float(acc.m2 / acc.count + acc.mean * acc.mean))
     if any(not math.isfinite(v) for v in m2):
         return True
     return bool(m2[0] < m2[1] < m2[2] and m2[2] > 1.5 * m2[0])
 
 
-def estimate_from_blocks(sums, sumsq, counts, method: str = "plain") -> MCEstimate:
-    n = int(counts.sum())
-    flag = _heavy_tail(sums, sumsq, counts)
+def estimate_from_blocks(blocks: list, method: str = "plain") -> MCEstimate:
+    """Plain mean or median of means of per-block :class:`Moments`."""
+    flag = _heavy_tail(blocks)
     if method == "median_of_means":
-        means = sums / counts
+        n = sum(blk.count for blk in blocks)
+        means = np.array([float(blk.mean) for blk in blocks])
         mom = float(np.median(means))
         se = math.sqrt(math.pi / (2 * len(means))) * float(np.std(means, ddof=1))
         if not np.all(np.isfinite(means)):
             flag = True
         return MCEstimate(n, mom, se, flag, "median_of_means")
-    mean = float(sums.sum()) / n
-    if not math.isfinite(mean):
-        return MCEstimate(n, mean, math.inf, True, "plain")
-    var = max(float(sumsq.sum()) / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
-    return MCEstimate(n, mean, se, flag, "plain")
+    est = merge_all(blocks).estimates()[0]
+    return replace(est, heavy_tail_flag=est.heavy_tail_flag or flag)
 
 
 def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
@@ -124,9 +165,8 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
     if n_samples <= 0:
         raise ValueError("need a positive sample count")
     blocks = min(blocks, n_samples)
-    sums, sumsq, counts = block_values(sampler, n_samples, seed,
-                                       blocks=blocks, max_chunk=max_chunk)
-    return estimate_from_blocks(sums, sumsq, counts, method)
+    return estimate_from_blocks(block_values(sampler, n_samples, seed, blocks=blocks,
+                                             max_chunk=max_chunk), method)
 
 
 def wilson_interval(successes: int, n: int, z: float = 2.5758293035489004):

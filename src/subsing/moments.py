@@ -19,10 +19,10 @@ import numpy as np
 
 from . import mc
 from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
-                        doubling_indices, inverse, log_growth_liminf,
+                        doubling_indices, inverse, log_growth_liminf, stable,
                         _endpoint_limit)
 from .errors import CapabilityError, DomainError, GateViolation, NumericError
-from .integrate import (Finiteness, Integrand, IntegrandKind, Verdict,
+from .integrate import (Integrand, IntegrandKind, Verdict, _value_at_zero,
                         constant, exponential, finiteness_criterion,
                         improper_integral, power_singular,
                         stieltjes_increments)
@@ -43,34 +43,6 @@ def gamma_fn(x: float) -> float:
 # exact stable formulas
 # ---------------------------------------------------------------------------
 
-def _falpha_integral(alpha: float, f: Integrand, domain) -> Finiteness:
-    """Time integral of f^alpha over the domain (the stable scale factor)."""
-    if f.kind is IntegrandKind.POWER_SINGULAR:
-        theta = f.params[0]
-        a, b = domain
-        q = alpha * theta
-        if (a == 0.0 and q >= 1.0) or (math.isinf(b) and q <= 1.0):
-            return Finiteness(Verdict.INFINITE)
-        lo = a ** (1.0 - q) if a > 0 else 0.0
-        hi = b ** (1.0 - q) if math.isfinite(b) else 0.0
-        return Finiteness(Verdict.FINITE, (hi - lo) / (1.0 - q))
-    if f.kind is IntegrandKind.CONSTANT:
-        c = f.params[0]
-        a, b = domain
-        if c == 0.0:
-            return Finiteness(Verdict.FINITE, 0.0)
-        if math.isinf(b):
-            return Finiteness(Verdict.INFINITE)
-        return Finiteness(Verdict.FINITE, (b - a) * c ** alpha)
-
-    def g(t):
-        v = f.fn(np.asarray(t, dtype=float))
-        return v ** alpha
-
-    a, b = domain
-    return improper_integral(g, a, b, singular_lo=(a == 0.0 and f.singular_at_zero))
-
-
 def exact_stable_moment(alpha: float, p: float, f: Integrand, domain) -> float:
     """p-th moment of the integral of f against a stable subordinator.
 
@@ -82,7 +54,8 @@ def exact_stable_moment(alpha: float, p: float, f: Integrand, domain) -> float:
         raise DomainError("stable index must lie in (0, 1)")
     if f.kind is IntegrandKind.CONSTANT and f.params[0] == 0.0:
         raise DomainError("f vanishes a.e.; the moment formula requires Leb{f>0} > 0")
-    scale = _falpha_integral(alpha, f, domain)
+    # the stable scale: the integral of f^alpha is the criterion for phi = s^alpha
+    scale = finiteness_criterion(f, stable(alpha), domain)
     if scale.verdict is Verdict.UNDETERMINED:
         raise NumericError("scale integral undetermined")
     if scale.verdict is Verdict.FINITE and scale.value == 0.0:
@@ -171,13 +144,8 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
         return power_graded_grid(T, q, n_nodes=n)
     step = dt if dt is not None else min(T / 250, 4e-3)
     step = T / max(1, int(round(T / step)))     # force an exact division
-    graded = not math.isfinite(_value_at_zero_safe(f))
+    graded = not math.isfinite(_value_at_zero(f))
     return time_grid(T, step, graded=graded)
-
-
-def _value_at_zero_safe(f: Integrand) -> float:
-    with np.errstate(all="ignore"):
-        return f(0.0)
 
 
 def _integral_sampler(phi, f, times, eps):

@@ -21,7 +21,7 @@ import numpy as np
 from .bernstein import BernsteinFunction, DoublingIndices, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
                      PreconditionError)
-from .mc import MCEstimate, wilson_interval
+from .mc import Moments, merge_all, wilson_interval
 from .moments import BoundReport
 from .rng import as_generator, stream
 from .subordinator import grid_increments, time_grid
@@ -64,36 +64,6 @@ class DiagonalQ:
                          self.hs_bound, self.lip, self.invertible)
 
 
-class MatrixQ:
-    """General matrix diffusion: ``matrix`` maps (..., n) -> (..., n, n)."""
-
-    def __init__(self, matrix: Callable, hs_bound: float, lip: float,
-                 invertible: bool = False):
-        self.matrix = matrix
-        self.hs_bound = hs_bound
-        self.lip = lip
-        self.invertible = invertible
-
-    def apply_noise(self, y, dw):
-        return np.einsum("...ij,...j->...i", self.matrix(y), dw)
-
-    def hs_norm(self, y):
-        return np.linalg.norm(self.matrix(y), axis=(-2, -1))
-
-    def inverse_apply(self, y, v):
-        if not self.invertible:
-            raise CapabilityError("diffusion is not declared invertible")
-        return np.linalg.solve(self.matrix(y), v[..., None])[..., 0]
-
-    def inv_semigroup_norm(self, y, decay):
-        m = np.linalg.inv(self.matrix(y)) * decay[None, :]
-        return float(np.linalg.norm(m, 2))
-
-    def truncate(self, m: int, pad):
-        return MatrixQ(lambda y: self.matrix(pad(y))[..., :m, :m],
-                       self.hs_bound, self.lip, self.invertible)
-
-
 def constant_diagonal_q(values, invertible: bool = False) -> DiagonalQ:
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     hs = float(np.linalg.norm(vals))
@@ -117,7 +87,7 @@ class GalerkinSystem:
     """Finite spectral truncation: state dynamics on the first n eigenmodes.
 
     ``drift`` is the bounded Lipschitz nonlinearity (batched (..., n) ->
-    (..., n)); ``diffusion`` a DiagonalQ or MatrixQ.  The declared bounds are
+    (..., n)); ``diffusion`` a DiagonalQ.  The declared bounds are
     contracts, checkable on random probes via :func:`validate_system`.
     ``a4_constants`` optionally declares (C, delta) dominating the inverse
     diffusion against the semigroup, needed by the controller.
@@ -245,36 +215,28 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
                         {"driver": driver.name, "T": T, "dt": dt, "seed": seed})
 
 
-def _mc_paths(system, driver, times, N, seed, reducer, *, eps=1e-4,
-              chunk: int = 256):
+def _mc_paths(system, driver, times, N, seed, reducer, *, eps=1e-4):
     """Chunked two-stage Monte Carlo over replicas; reducer maps the chunk's
-    (times, X, Z) to per-replica statistic rows (m, n_out)."""
-    done = 0
-    sums = None
-    sumsq = None
-    idx = 0
+    (X, Z) to per-replica statistic rows (m,) or (m, n_out).
+
+    ``driver`` is an exponent to draw subordinator increments from, or one
+    frozen (K,) vector of increments shared by every replica.  Chunk j draws
+    from stream (seed, j).  Returns one MCEstimate per statistic column.
+    """
     K = len(times) - 1
-    chunk = max(1, min(chunk, max(1, 4_000_000 // (K * system.n + 1))))
-    while done < N:
-        m = min(chunk, N - done)
+    chunk = max(1, min(256, 4_000_000 // (K * system.n + 1)))
+    parts = []
+    for idx, start in enumerate(range(0, N, chunk)):
+        m = min(chunk, N - start)
         rng = stream(seed, idx)
-        d_sub = grid_increments(driver, times, rng, m, eps=eps)
+        if isinstance(driver, np.ndarray):
+            d_sub = np.broadcast_to(driver, (m, K))
+        else:
+            d_sub = grid_increments(driver, times, rng, m, eps=eps)
         dw = rng.standard_normal((m, K, system.n))
         X, Z = advance(system, times, d_sub, dw)
-        vals = np.asarray(reducer(times, X, Z))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if sums is None:
-            sums = np.zeros(vals.shape[1])
-            sumsq = np.zeros(vals.shape[1])
-        sums += vals.sum(axis=0)
-        sumsq += (vals * vals).sum(axis=0)
-        done += m
-        idx += 1
-    mean = sums / N
-    var = np.maximum(sumsq / N - mean * mean, 0.0)
-    se = np.sqrt(var / N)
-    return [MCEstimate(N, float(mu), float(s)) for mu, s in zip(mean, se)]
+        parts.append(Moments.of(reducer(X, Z)))
+    return merge_all(parts).estimates()
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +314,8 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
         cols.append(j)
     gam = system.eigenvalues
 
-    def reducer(ts, X, Z, cols=cols):
-        vals = fractional_power_norm(gam, theta, Z[:, cols, :]) ** p
-        return vals
+    def reducer(X, Z, cols=cols):
+        return fractional_power_norm(gam, theta, Z[:, cols, :]) ** p
 
     ests = _mc_paths(system, driver, times, N, seed, reducer, eps=eps)
     if mode == "small_time":
@@ -388,7 +349,7 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
     for i, T in enumerate(T_grid):
         times = time_grid(T, dt)
 
-        def reducer(ts, X, Z):
+        def reducer(X, Z):
             return np.linalg.norm(Z, axis=-1).max(axis=1) ** p
 
         est = _mc_paths(system, driver, times, N, seed + 7919 * i, reducer,
@@ -406,26 +367,14 @@ def conditional_maximal_check(system: GalerkinSystem, times: np.ndarray,
     Returns (estimate, bound).
     """
     d_sub = np.asarray(d_sub, dtype=float)
-    K = len(times) - 1
-    if d_sub.shape != (K,):
+    if d_sub.shape != (len(times) - 1,):
         raise DomainError("frozen increments must match the grid")
-    ell_T = float(d_sub.sum())
-    bound = 9.0 * system.diffusion.hs_bound ** 2 * ell_T
-    rng = stream(seed, 0)
-    sums = sumsq = 0.0
-    done = 0
-    chunk = max(1, 2_000_000 // (K * system.n + 1))
-    while done < N:
-        m = min(chunk, N - done)
-        dw = rng.standard_normal((m, K, system.n))
-        _, Z = advance(system, times, np.tile(d_sub, (m, 1)), dw)
-        v = np.linalg.norm(Z, axis=-1).max(axis=1) ** 2
-        sums += v.sum()
-        sumsq += (v * v).sum()
-        done += m
-    mean = sums / N
-    se = math.sqrt(max(sumsq / N - mean * mean, 0.0) / N)
-    return MCEstimate(N, mean, se), bound
+    bound = 9.0 * system.diffusion.hs_bound ** 2 * float(d_sub.sum())
+
+    def reducer(X, Z):
+        return np.linalg.norm(Z, axis=-1).max(axis=1) ** 2
+
+    return _mc_paths(system, d_sub, times, N, seed, reducer)[0], bound
 
 
 @dataclass(frozen=True)
@@ -447,7 +396,7 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
         raise DomainError("delta must lie in (0, 1)")
     times = time_grid(T, dt)
 
-    def reducer(ts, X, Z):
+    def reducer(X, Z):
         return (np.linalg.norm(Z, axis=-1).max(axis=1) < delta).astype(float)
 
     est = _mc_paths(system, driver, times, N, seed, reducer, eps=eps)[0]
@@ -491,7 +440,7 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
         if abs(times[j0] - 1.0) > 1e-9:
             raise DomainError("dt must divide t = 1")
 
-        def reducer(ts, X, Z, j0=j0, T=T):
+        def reducer(X, Z, j0=j0, T=T):
             vals = fractional_power_norm(gam, theta, X[:, j0:, :]) ** p
             return np.trapezoid(vals, dx=dt, axis=1) / T
 
@@ -648,35 +597,23 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
     times = time_grid(T, dt)
     K = len(times) - 1
     subsystems = [truncate_system(system, m) for m in truncations]
-    done = 0
-    idx = 0
-    nsub = len(truncations)
-    sums = np.zeros(nsub)
-    sumsq = np.zeros(nsub)
-    counts = np.zeros(nsub, dtype=int)
+    parts = []
+    exceed = np.zeros(len(truncations), dtype=int)
     chunk = max(1, min(128, 2_000_000 // (K * system.n + 1)))
-    while done < N:
-        m_rep = min(chunk, N - done)
+    for idx, start in enumerate(range(0, N, chunk)):
+        m_rep = min(chunk, N - start)
         rng = stream(seed, idx)
         d_sub = grid_increments(driver, times, rng, m_rep, eps=eps)
         dw = rng.standard_normal((m_rep, K, system.n))
         X_ref, _ = advance(system, times, d_sub, dw)
+        sup = np.empty((m_rep, len(truncations)))
         for j, (m, sysm) in enumerate(zip(truncations, subsystems)):
             Xm, _ = advance(sysm, times, d_sub, dw[..., :m])
             diff = X_ref.copy()
             diff[..., :m] -= Xm
-            sup = np.linalg.norm(diff, axis=-1).max(axis=1)
-            sums[j] += (sup ** 2).sum()
-            sumsq[j] += (sup ** 4).sum()
-            counts[j] += (sup > delta).sum()
-        done += m_rep
-        idx += 1
-    ests, probs = [], []
-    for j in range(nsub):
-        mean = sums[j] / N
-        se = math.sqrt(max(sumsq[j] / N - mean * mean, 0.0) / N)
-        ests.append(MCEstimate(N, mean, se))
-        lo, hi = wilson_interval(int(counts[j]), N)
-        probs.append((counts[j] / N, lo, hi))
-    return GalerkinReport(tuple(int(m) for m in truncations), tuple(ests),
-                          tuple(probs), delta)
+            sup[:, j] = np.linalg.norm(diff, axis=-1).max(axis=1)
+        parts.append(Moments.of(sup ** 2))
+        exceed += (sup > delta).sum(axis=0)
+    probs = [(k / N, *wilson_interval(int(k), N)) for k in exceed]
+    return GalerkinReport(tuple(int(m) for m in truncations),
+                          tuple(merge_all(parts).estimates()), tuple(probs), delta)

@@ -176,19 +176,6 @@ def simulate_stable(alpha: float, T: float, *, dt: Optional[float] = None,
     return GridPath(times, values, f"ExactStable(alpha={alpha:g})")
 
 
-def simulate_gamma(T: float, *, dt: Optional[float] = None,
-                   times: Optional[np.ndarray] = None, seed=0) -> GridPath:
-    rng = as_generator(seed)
-    if times is None:
-        if dt is None:
-            raise DomainError("give either dt or times")
-        times = time_grid(T, dt)
-    times = np.asarray(times, dtype=float)
-    inc = gamma_grid_increments(times, rng, 1)[0]
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    return GridPath(times, values, "ExactGamma")
-
-
 # ---------------------------------------------------------------------------
 # compound Poisson sampling of a general simulable exponent
 # ---------------------------------------------------------------------------

@@ -174,3 +174,47 @@ def test_spde_galerkin_subcommand(capsys):
     assert rows[0].startswith("n,mean_sq_sup")
     means = [float(r.split(",")[1]) for r in rows[1:]]
     assert means[0] > means[-1]
+
+
+def test_path_export_refuses_a_driver_without_jumps(capsys):
+    # stablelog has no jump measure: it must not fall back to a stable path
+    assert run(["sim", "--phi", "stablelog:0.5,0.3", "--export-path"]) == 2
+    assert "refused" in capsys.readouterr().err
+
+
+def test_config_errors_are_usage_errors(tmp_path, capsys):
+    assert run(["bf", "--phi", "stable:0.5", "--config"]) == 64
+    missing = tmp_path / "absent.ini"
+    assert run(["bf", "--phi", "stable:0.5", "--config", str(missing)]) == 64
+    assert str(missing) in capsys.readouterr().err
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[run]\nphi = stable:0.5%\n")
+    assert run(["bf", "--config", str(bad)]) == 64
+
+
+def test_numeric_error_exit_code(monkeypatch, capsys):
+    from subsing import moments
+    from subsing.errors import NumericError
+
+    def fail(*args, **kwargs):
+        raise NumericError("did not converge")
+
+    monkeypatch.setattr(moments, "exact_stable_moment", fail)
+    assert run(["moment", "exact", "--alpha", "0.5", "--p", "0.25",
+                "--f", "const:1"]) == 1
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_integrate_draws_in_chunks(capsys):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        assert run(["integrate", "--f", "pow:0.5", "--phi", "stable:0.5",
+                    "--paths", "4000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
+    assert capsys.readouterr().out.splitlines()[-1].startswith("4000,1.0,")
+    assert run(["integrate", "--f", "pow:0.5", "--phi", "stable:0.5",
+                "--paths", "0"]) == 1

@@ -228,21 +228,21 @@ def test_worker_pool_preserves_results(monkeypatch):
 
 
 def test_heavy_tail_flag_from_partials():
-    from subsing.mc import estimate_from_blocks
-    counts = np.full(32, 100)
-    sums = np.linspace(1.0, 2.0, 32) * 100
-    growing = np.geomspace(1.0, 64.0, 32) * 100
-    flat = np.full(32, 150.0)
-    assert estimate_from_blocks(sums, growing, counts).heavy_tail_flag
-    assert not estimate_from_blocks(sums, flat, counts).heavy_tail_flag
+    from subsing.mc import Moments, estimate_from_blocks
+    means = np.linspace(1.0, 2.0, 32)
+
+    def blocks(second):     # 32 blocks of 100 with these raw second moments
+        return [Moments(100, m, 100 * (s - m * m)) for m, s in zip(means, second)]
+
+    assert estimate_from_blocks(blocks(np.geomspace(1.0, 64.0, 32))).heavy_tail_flag
+    assert not estimate_from_blocks(blocks(np.full(32, 4.5))).heavy_tail_flag
 
 
 def test_median_of_means_se_definition():
-    from subsing.mc import estimate_from_blocks
-    counts = np.full(32, 10)
-    sums = np.arange(32, dtype=float) * 10
-    est = estimate_from_blocks(sums, sums ** 2 / 10, counts, "median_of_means")
-    means = sums / counts
+    from subsing.mc import Moments, estimate_from_blocks
+    means = np.arange(32, dtype=float)
+    est = estimate_from_blocks([Moments(10, m, 0.0) for m in means],
+                               "median_of_means")
     assert est.mean == pytest.approx(float(np.median(means)))
     assert est.std_error == pytest.approx(
         math.sqrt(math.pi / 64) * float(np.std(means, ddof=1)))
