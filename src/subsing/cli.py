@@ -36,6 +36,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+# attributes of the parsed arguments that are not configuration; ``manifest``
+# collects how a command made its result, for the .manifest sidecar only
+_NOT_CONFIG = ("func", "out", "manifest")
+
+
 def _emit(args, lines, wall: float):
     text = "".join(line + "\n" for line in lines)
     if args.out:
@@ -44,15 +49,17 @@ def _emit(args, lines, wall: float):
         with open(args.out + ".manifest", "w") as fh:
             fh.write(f"version={__version__}\nwall_seconds={wall:.3f}\n")
             for k, v in sorted(vars(args).items()):
-                if k not in ("func", "out"):
+                if k not in _NOT_CONFIG:
                     fh.write(f"{k}={v}\n")
+            for k, v in args.manifest.items():
+                fh.write(f"{k}={_fmt(v)}\n")
     else:
         sys.stdout.write(text)
 
 
 def _header(args, extra=()):
     items = sorted((k, v) for k, v in vars(args).items()
-                   if k not in ("func", "out") and v is not None)
+                   if k not in _NOT_CONFIG and v is not None)
     lines = [f"# subsing {__version__}"]
     lines += [f"# {k}={v}" for k, v in items]
     lines += [f"# {e}" for e in extra]
@@ -132,6 +139,8 @@ def cmd_integrate(args):
     if args.paths < 1:
         raise DomainError("--paths must be positive")
     times = moments._default_times(f, args.T, args.dt, phi)
+    args.manifest["grid_nodes"] = len(times)
+    args.manifest["grid_bias"] = moments.grid_bias(phi, f, times)
     sampler, chunk = moments._integral_sampler(phi, f, times, args.eps)
     rng = stream(args.seed, 0)
     vals = np.concatenate([sampler(rng, min(chunk, args.paths - i))
@@ -422,12 +431,16 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv):
-    if "--config" not in argv:
+    i = next((i for i, tok in enumerate(argv)
+              if tok == "--config" or tok.startswith("--config=")), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        parser.error("argument --config: expected a file name")
-    path = argv[i + 1]
+    if argv[i] == "--config":
+        if i + 1 == len(argv):
+            parser.error("argument --config: expected a file name")
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
+        path, rest = argv[i].partition("=")[2], argv[:i] + argv[i + 1:]
     cp = configparser.ConfigParser()
     try:
         found = cp.read(path)
@@ -436,12 +449,13 @@ def _apply_config(parser: _Parser, argv):
         parser.error(f"config file {path!r}: {exc}")
     if not found:
         parser.error(f"config file {path!r} cannot be read")
+    given = {tok.partition("=")[0] for tok in rest}
     pairs = []
     for key, val in items:
         flag = "--" + key.replace("_", "-")
-        if flag not in argv:   # explicit flags win
+        if flag not in given:   # explicit flags win, "--flag=value" included
             pairs += [flag, val]
-    return argv[:i] + argv[i + 2:] + pairs
+    return rest + pairs
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -452,6 +466,7 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
+    args.manifest = {}
     start = time.perf_counter()
     try:
         lines = args.func(args)

@@ -221,8 +221,8 @@ def stieltjes(f: Integrand, path) -> float:
     Jump paths integrate the drift by quadrature and add f(jump time) * size,
     the left-point convention at the jump time itself (f is deterministic, so
     a jump landing exactly on a singularity has probability zero).  Grid paths
-    use a left-point sum over cells; when f blows up at 0 the first evaluation
-    node is moved to the first interior grid point.
+    weight each cell's increment by the average of f over the cell, see
+    :func:`cell_means`.
     """
     if isinstance(path, SubordinatorPath):
         drift_part = 0.0
@@ -250,21 +250,59 @@ def stieltjes(f: Integrand, path) -> float:
     raise DomainError(f"unsupported path type {type(path)!r}")
 
 
-def _value_at_zero(f: Integrand) -> float:
-    with np.errstate(all="ignore"):
-        v = f(0.0)
-    return v
+def cell_means(f: Integrand, times: np.ndarray) -> np.ndarray:
+    """Average of f over each cell of ``times``: (1/h_k) * int_cell f dt.
+
+    Every integrand kind has a closed form (product integration).  A first
+    cell at 0 on which f is not integrable (``pow`` with theta >= 1) takes
+    the inward value f(times[1]) instead.
+    """
+    t = np.asarray(times, dtype=float)
+    a, h = t[:-1], np.diff(t)
+    kind = f.kind
+    if kind is IntegrandKind.CONSTANT:
+        return np.full(h.shape, float(f.params[0]))
+    if kind is IntegrandKind.EXPONENTIAL:
+        lam = f.params[0]
+        return np.exp(-lam * a) * (-np.expm1(-lam * h) / (lam * h))
+    if kind is IntegrandKind.POWER_SINGULAR:
+        return _power_cell_means(f.params[0], t)
+    if kind is IntegrandKind.TIME_REVERSED:
+        inner, T = f.params
+        if t[-1] > T:
+            raise DomainError("a time-reversed integrand lives on (0, T)")
+        return cell_means(inner, T - t[::-1])[::-1]
+    if kind is IntegrandKind.TABULATED:
+        # the interpolant is linear between knots, so the trapezoid rule on
+        # the grid merged with the inner knots is exact
+        knots, values = np.asarray(f.params[0]), np.asarray(f.params[1])
+        u = np.union1d(t, knots[(knots > t[0]) & (knots < t[-1])])
+        fu = np.interp(u, knots, values)
+        pieces = 0.5 * (fu[1:] + fu[:-1]) * np.diff(u)
+        return np.add.reduceat(pieces, np.searchsorted(u, a)) / h
+    raise DomainError(f"no cell-mean rule for integrand kind {kind!r}")
+
+
+def _power_cell_means(theta: float, t: np.ndarray) -> np.ndarray:
+    b, h = t[1:], np.diff(t)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_ratio = np.log1p(h / t[:-1])        # log(b / a); inf when a = 0
+        if theta == 1.0:
+            out = log_ratio / h
+        else:
+            # (b^(1-theta) - a^(1-theta)) / ((1-theta) h) without cancellation
+            out = -b ** (1.0 - theta) * np.expm1((theta - 1.0) * log_ratio) \
+                / ((1.0 - theta) * h)
+    if t[0] == 0.0 and theta >= 1.0:
+        out[0] = t[1] ** -theta
+    return out
 
 
 def stieltjes_increments(f: Integrand, times: np.ndarray,
                          increments: np.ndarray) -> np.ndarray:
-    """Vectorized left-point sums over replica increment arrays (R, K)."""
-    nodes = np.asarray(times, dtype=float)[:-1].copy()
-    if nodes[0] == 0.0 and not math.isfinite(_value_at_zero(f)):
-        nodes[0] = times[1]
+    """Sums of cell averages of f times the increments, per replica row (R, K)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = f.fn(nodes)
-        out = increments @ vals
+        out = increments @ cell_means(f, times)
     out[out > OVERFLOW_GUARD] = np.inf
     return out
 

@@ -22,12 +22,16 @@ from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
                         doubling_indices, inverse, log_growth_liminf, stable,
                         _endpoint_limit)
 from .errors import CapabilityError, DomainError, GateViolation, NumericError
-from .integrate import (Integrand, IntegrandKind, Verdict, _value_at_zero,
+from .integrate import (Integrand, IntegrandKind, Verdict, cell_means,
                         constant, exponential, finiteness_criterion,
                         improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
 from .subordinator import grid_increments, power_graded_grid, time_grid
+
+GRID_BIAS_TOL = 1e-5    # |bias| a default grid must certify, see grid_bias
+FIRST_CELLS = 32        # the default grids double from here ...
+MAX_CELLS = 8000        # ... up to this cap
 
 
 def gamma_fn(x: float) -> float:
@@ -128,24 +132,70 @@ def char_functional_exact(phi: BernsteinFunction, f: Integrand, domain) -> float
     return math.exp(-res.value)
 
 
+def _grid_exponent(phi: BernsteinFunction, f: Integrand, times: np.ndarray) -> float:
+    """sum_k h_k phi(w_k) over the cell averages w_k of f."""
+    w = cell_means(f, times)
+    vals = np.zeros_like(w)
+    pos = w > 0
+    vals[pos] = phi.fn(w[pos])
+    return float(np.dot(np.diff(times), vals))
+
+
+def _exact_exponent(phi: BernsteinFunction, f: Integrand, times: np.ndarray) -> float:
+    """Integral of phi(f) over the grid's span; +inf if divergent, nan if
+    undetermined."""
+    res = finiteness_criterion(f, phi, (float(times[0]), float(times[-1])))
+    if res.verdict is Verdict.FINITE:
+        return res.value
+    return math.inf if res.verdict is Verdict.INFINITE else math.nan
+
+
+def grid_bias(phi: BernsteinFunction, f: Integrand, times: np.ndarray,
+              exact: Optional[float] = None) -> float:
+    """Bias exp(-sum h_k phi(w_k)) - exp(-int phi(f)) of the grid Laplace
+    functional, with w_k the cell averages of f.
+
+    The increments of stable, gamma and drift-only subordinators are exact
+    in law, so E exp(-sum_k w_k dS_k) = exp(-sum_k h_k phi(w_k)) and this is
+    the exact discretization bias of the Monte Carlo target; nan when the
+    criterion integral is undetermined.  ``exact`` is int phi(f) if known.
+    """
+    times = np.asarray(times, dtype=float)
+    if exact is None:
+        exact = _exact_exponent(phi, f, times)
+    return math.exp(-_grid_exponent(phi, f, times)) - math.exp(-exact)
+
+
 def _default_times(f: Integrand, T: float, dt: Optional[float],
-                   phi: Optional[BernsteinFunction] = None) -> np.ndarray:
+                   phi: BernsteinFunction) -> np.ndarray:
+    """Grid on [0, T]: from ``dt`` if given, else the coarsest of 32, 64, ...
+    cells (at most MAX_CELLS) whose :func:`grid_bias` is within GRID_BIAS_TOL."""
     if f.kind is IntegrandKind.CONSTANT:
         return np.array([0.0, T])
     if f.kind is IntegrandKind.POWER_SINGULAR and f.params[0] > 0:
         # grading exponent: decay rate of phi(f(t)) near zero, stable worst case
         theta = f.params[0]
-        q = phi.params[0] * theta if phi is not None and phi.kind is Catalog.STABLE \
+        q = phi.params[0] * theta if phi.kind is Catalog.STABLE \
             else theta / (1.0 + theta)
         q = min(q, 0.95)
-        # node budget keeps the left-point scheme bias under typical MC noise
-        n = min(8000, 1200 + int(16000 * q * q)) if dt is None \
-            else max(16, int(round(T / dt)))
-        return power_graded_grid(T, q, n_nodes=n)
-    step = dt if dt is not None else min(T / 250, 4e-3)
-    step = T / max(1, int(round(T / step)))     # force an exact division
-    graded = not math.isfinite(_value_at_zero(f))
-    return time_grid(T, step, graded=graded)
+
+        def grid(n):
+            return power_graded_grid(T, q, n_nodes=n)
+        fewest = 16
+    else:
+        def grid(n):
+            return time_grid(T, T / n)
+        fewest = 1
+    if dt is not None:
+        return grid(max(fewest, int(round(T / dt))))
+    exact = _exact_exponent(phi, f, np.array([0.0, T]))
+    n = FIRST_CELLS
+    times = grid(n)
+    # written so that a nan bias (undetermined criterion) never certifies
+    while n < MAX_CELLS and not abs(grid_bias(phi, f, times, exact)) <= GRID_BIAS_TOL:
+        n = min(2 * n, MAX_CELLS)
+        times = grid(n)
+    return times
 
 
 def _integral_sampler(phi, f, times, eps):

@@ -10,7 +10,9 @@ drift (SubordinatorPath); that keeps every path nondecreasing.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -78,24 +80,14 @@ class SubordinatorPath:
 # time grids
 # ---------------------------------------------------------------------------
 
-def time_grid(T: float, dt: float, *, graded: bool = False, t_min: float = 1e-8,
-              per_decade: int = 16) -> np.ndarray:
-    """Uniform grid on [0, T], optionally refined geometrically near 0.
-
-    Grading inserts log-spaced nodes on [t_min, dt] so that integrands with a
-    power singularity at 0 are resolved without an excessive uniform step.
-    """
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """Uniform grid on [0, T] with step dt, which must divide T."""
     if T <= 0 or dt <= 0 or dt > T:
         raise DomainError("need 0 < dt <= T")
     n = int(round(T / dt))
     if abs(n * dt - T) > 1e-9 * T:
         raise DomainError(f"dt = {dt:g} does not divide T = {T:g}")
-    uniform = np.linspace(0.0, T, n + 1)
-    if not graded or t_min >= dt:
-        return uniform
-    decades = math.log10(dt / t_min)
-    fine = np.geomspace(t_min, dt, max(2, int(decades * per_decade) + 1))
-    return np.concatenate(([0.0], fine[:-1], uniform[1:]))
+    return np.linspace(0.0, T, n + 1)
 
 
 def geometric_grid(t_start: float, t_end: float, ratio: float = 1.01) -> np.ndarray:
@@ -108,10 +100,11 @@ def geometric_grid(t_start: float, t_end: float, ratio: float = 1.01) -> np.ndar
 
 def power_graded_grid(T: float, q: float, n_nodes: int = 3000,
                       t_min: float = 1e-10) -> np.ndarray:
-    """Grid tuned for left-point sums of t^(-q) weights, 0 <= q < 1.
+    """Grid of n_nodes cells on [0, T] graded toward a t^(-q) singularity at 0,
+    0 <= q < 1.
 
-    Node spacing grows like t^((1+q)/2), which equalizes the per-cell error
-    of the left-point rule; the total error then falls like 1/n_nodes.
+    Nodes sit at equal steps of t^((1-q)/2), so the spacing grows like
+    t^((1+q)/2): fine where t^(-q) varies fast, coarse where it is flat.
     """
     if not 0 <= q < 1:
         raise DomainError("grading exponent must lie in [0, 1)")
@@ -221,6 +214,24 @@ class _JumpSampler:
         return np.interp(u, self._cdf, self._knots)
 
 
+_TABLE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_jump_sampler(phi: BernsteinFunction, eps: float) -> _JumpSampler:
+    return _JumpSampler(phi, eps)
+
+
+def jump_sampler(phi: BernsteinFunction, eps: float) -> _JumpSampler:
+    """The jump sampler of (phi, eps), built once and then shared.
+
+    The lock makes concurrent Monte Carlo blocks wait for the first build
+    instead of building the same table again.
+    """
+    with _TABLE_LOCK:
+        return _cached_jump_sampler(phi, eps)
+
+
 def simulate_general(phi: BernsteinFunction, T: float, eps: float,
                      seed=0) -> SubordinatorPath:
     """Compound Poisson approximation of a simulable subordinator.
@@ -238,7 +249,7 @@ def simulate_general(phi: BernsteinFunction, T: float, eps: float,
         raise CapabilityError(f"{phi.name}: no jump structure attached")
     rng = as_generator(seed)
     trip = phi.triplet
-    sampler = _JumpSampler(phi, eps)
+    sampler = jump_sampler(phi, eps)
     n = rng.poisson(sampler.rate * T)
     times = np.sort(rng.uniform(0.0, T, n))
     sizes = sampler.draw(rng, n)
@@ -267,7 +278,7 @@ def cp_jump_batch(phi: BernsteinFunction, T: float, eps: float,
     if not phi.simulable:
         raise CapabilityError(f"{phi.name}: no jump structure attached")
     trip = phi.triplet
-    sampler = _JumpSampler(phi, eps)
+    sampler = jump_sampler(phi, eps)
     counts = rng.poisson(sampler.rate * T, n_paths)
     total = int(counts.sum())
     times = rng.uniform(0.0, T, total)

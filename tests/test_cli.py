@@ -91,6 +91,40 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "AS_FINITE" in capsys.readouterr().out
 
 
+def test_config_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nf = pow:2\nphi = stable:0.5\n")
+    assert run(["zeroone", f"--config={cfg}"]) == 0
+    assert "AS_INFINITE" in capsys.readouterr().out
+    assert run(["zeroone", "--config="]) == 64
+
+
+def test_config_loses_to_explicit_equals_flag(tmp_path, capsys):
+    # exp:1 under gamma is finite; pow:2 under stable(1/2) would not be
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nf = pow:2\nphi = stable:0.5\n")
+    assert run(["zeroone", "--config", str(cfg), "--phi=gamma",
+                "--f=exp:1"]) == 0
+    out = capsys.readouterr().out
+    assert "# phi=gamma" in out and "AS_FINITE" in out
+
+
+def test_integrate_manifest_records_grid(tmp_path):
+    from subsing import bernstein as bf
+    from subsing import integrate as itg
+    from subsing import moments
+    out = tmp_path / "i.csv"
+    assert run(["integrate", "--f", "pow:0.5", "--phi", "stable:0.5",
+                "--paths", "200", "--out", str(out)]) == 0
+    facts = dict(line.split("=", 1)
+                 for line in (tmp_path / "i.csv.manifest").read_text().splitlines())
+    times = moments._default_times(itg.power_singular(0.5), 1.0, None,
+                                   bf.stable(0.5))
+    assert int(facts["grid_nodes"]) == len(times)
+    assert 0 < -float(facts["grid_bias"]) <= moments.GRID_BIAS_TOL
+    assert "grid" not in out.read_text()
+
+
 def test_sim_certification_columns(tmp_path):
     out = tmp_path / "c.csv"
     assert run(["sim", "--phi", "gamma", "--T", "1", "--dt", "0.05",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as si
 
@@ -34,12 +34,21 @@ class TestStieltjes:
         gp = sub.simulate_stable(0.5, 1.0, dt=0.125, seed=2)
         assert itg.stieltjes(itg.constant(1.0), gp) == pytest.approx(gp.total_mass)
 
-    def test_grid_singular_uses_first_interior_node(self):
+    def test_grid_singular_uses_cell_averages(self):
+        # cell means of t^-1/2: 2 sqrt(2) on (0, .5], 4 (1 - sqrt(.5)) on (.5, 1]
         times = np.array([0.0, 0.5, 1.0])
         gp = sub.GridPath(times, np.array([0.0, 1.0, 1.5]), "t")
-        f = itg.power_singular(0.5)
-        expected = f(0.5) * 1.0 + f(0.5) * 0.5
-        assert itg.stieltjes(f, gp) == pytest.approx(expected)
+        expected = 2 * math.sqrt(2) * 1.0 + 4 * (1 - math.sqrt(0.5)) * 0.5
+        assert expected == pytest.approx(3.4142, abs=1e-4)
+        assert itg.stieltjes(itg.power_singular(0.5), gp) == pytest.approx(expected)
+
+    def test_grid_nonintegrable_first_cell_uses_first_interior_node(self):
+        # t^-1.2 is not integrable at 0: the first weight stays f(times[1])
+        times = np.array([0.0, 0.5, 1.0])
+        f = itg.power_singular(1.2)
+        w = itg.cell_means(f, times)
+        assert w[0] == f(0.5)
+        assert w[1] == pytest.approx(si.quad(f, 0.5, 1.0)[0] / 0.5, rel=1e-12)
 
     def test_overflow_maps_to_inf(self):
         p = jump_path([1e-280], [1e280], T=1.0)
@@ -66,6 +75,86 @@ class TestStieltjes:
         part1 = itg.stieltjes(f, jump_path(ts[:k], szs[:k], b1))
         part2 = itg.stieltjes(f, jump_path(ts[k:], szs[k:], b2))
         assert whole == pytest.approx(part1 + part2, rel=1e-9, abs=1e-12)
+
+
+def _cell_grid(data, lo, hi):
+    """Random grid in [lo, hi], 2 to 12 nodes, cells at least 1e-3 wide and
+    nodes other than 0 at least 1e-12."""
+    pts = data.draw(st.lists(st.floats(lo, hi), min_size=2, max_size=12,
+                             unique=True))
+    ts = np.unique(np.asarray(pts))
+    assume(len(ts) >= 2 and np.all(np.diff(ts) > 1e-3))
+    assume(ts[0] == 0.0 or ts[0] >= 1e-12)
+    return ts
+
+
+def _quad_means(f, ts, points=()):
+    """Per-cell quad averages.  A cell away from 0 is cut at the given points
+    and at four points per decade, summing quad over the pieces, so that a
+    singularity near its left end is resolved."""
+    means = []
+    for a, b in zip(ts[:-1], ts[1:]):
+        cuts = {a, b, *(p for p in points if a < p < b)}
+        if a > 0 and b > 2 * a:
+            cuts.update(np.geomspace(a, b, int(4 * math.log10(b / a)) + 2))
+        edges = sorted(cuts)
+        val = math.fsum(si.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12,
+                                limit=200)[0]
+                        for lo, hi in zip(edges[:-1], edges[1:]))
+        means.append(val / (b - a))
+    return np.array(means)
+
+
+class TestCellMeans:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([-1.0, 0.5, 1.0]))
+    def test_power_matches_quad(self, data, theta):
+        # theta = 1 is not integrable at 0, so its cells stay away from 0
+        ts = _cell_grid(data, 0.01 if theta == 1.0 else 0.0, 3.0)
+        f = itg.power_singular(theta)
+        np.testing.assert_allclose(itg.cell_means(f, ts), _quad_means(f, ts),
+                                   rtol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.floats(0.1, 5.0))
+    def test_exponential_matches_quad(self, data, lam):
+        ts = _cell_grid(data, 0.0, 3.0)
+        f = itg.exponential(lam)
+        np.testing.assert_allclose(itg.cell_means(f, ts), _quad_means(f, ts),
+                                   rtol=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), st.floats(0.0, 4.0, allow_subnormal=False))
+    def test_constant_matches_quad(self, data, c):
+        ts = _cell_grid(data, 0.0, 3.0)
+        f = itg.constant(c)
+        np.testing.assert_allclose(itg.cell_means(f, ts), _quad_means(f, ts),
+                                   rtol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_time_reversed_matches_quad(self, data):
+        # the singular end of (T - t)^-1/2 sits at t = T = 3; cells stay
+        # away from it unless they end exactly there
+        ts = _cell_grid(data, 0.0, 2.9)
+        if data.draw(st.booleans()):
+            ts = np.append(ts, 3.0)
+        for inner in (itg.power_singular(0.5), itg.exponential(2.0)):
+            f = itg.time_reversed(inner, 3.0)
+            np.testing.assert_allclose(itg.cell_means(f, ts),
+                                       _quad_means(f, ts), rtol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_tabulated_matches_quad(self, data):
+        knots = [0.0, 0.4, 1.1, 2.0, 2.5]
+        values = data.draw(st.lists(st.floats(0.0, 5.0, allow_subnormal=False),
+                                    min_size=5, max_size=5))
+        ts = _cell_grid(data, 0.0, 3.0)
+        f = itg.tabulated(knots, values)
+        np.testing.assert_allclose(itg.cell_means(f, ts),
+                                   _quad_means(f, ts, knots),
+                                   rtol=1e-10, atol=1e-12)
 
 
 class TestFiniteness:

@@ -220,6 +220,52 @@ class TestEquivalence:
             mo.exp_moment_equivalence(ST5, 1.5, 1.0)
 
 
+class TestDefaultGrid:
+    @pytest.mark.parametrize("phi_id", ["stable:0.3", "stable:0.5",
+                                        "stable:0.7", "gamma"])
+    @pytest.mark.parametrize("f_id", ["pow:0.5", "exp:1"])
+    def test_certified_within_256_cells(self, phi_id, f_id):
+        phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
+        times = mo._default_times(f, 1.0, None, phi)
+        assert len(times) - 1 <= 256
+        assert abs(mo.grid_bias(phi, f, times)) <= mo.GRID_BIAS_TOL
+
+    def test_bias_of_one_cell(self):
+        # t^-1/2 on (0, 1]: the cell mean is 2, and int phi(f) = 4/3 for
+        # phi = s^(1/2)
+        bias = mo.grid_bias(ST5, itg.power_singular(0.5), np.array([0.0, 1.0]))
+        assert bias == pytest.approx(math.exp(-math.sqrt(2)) - math.exp(-4 / 3),
+                                     rel=1e-12)
+
+    def test_explicit_dt_is_honoured(self):
+        assert len(mo._default_times(itg.exponential(1.0), 1.0, 1 / 200, ST5)) == 201
+        assert len(mo._default_times(itg.power_singular(0.5), 1.0, 1 / 300,
+                                     ST5)) == 301
+
+    def test_uncertifiable_grid_stops_at_the_cap(self):
+        # t^-0.9 under stable(0.7) needs more than MAX_CELLS for the tolerance
+        phi, f = bf.stable(0.7), itg.power_singular(0.9)
+        times = mo._default_times(f, 1.0, None, phi)
+        assert len(times) - 1 == mo.MAX_CELLS
+        assert abs(mo.grid_bias(phi, f, times)) > mo.GRID_BIAS_TOL
+
+
+def test_jump_table_built_once_per_run(monkeypatch):
+    from subsing import subordinator as sub
+    phi = bf.parse_phi("tempered:0.5,1")
+    f = itg.exponential(1.0)
+    sub._cached_jump_sampler.cache_clear()
+    cold = mo.char_functional_mc(phi, f, 1.0, 2000, 3)
+    assert sub._cached_jump_sampler.cache_info().misses == 1
+    warm = mo.char_functional_mc(phi, f, 1.0, 2000, 3)
+    assert warm == cold
+    # concurrent blocks wait for the first build instead of repeating it
+    sub._cached_jump_sampler.cache_clear()
+    monkeypatch.setenv("SUBSING_WORKERS", "4")
+    assert mo.char_functional_mc(phi, f, 1.0, 2000, 3) == cold
+    assert sub._cached_jump_sampler.cache_info().misses == 1
+
+
 def test_worker_pool_preserves_results(monkeypatch):
     est1 = mo.mc_moment(ST5, 0.25, UNIT, 1.0, 8000, 5)
     monkeypatch.setenv("SUBSING_WORKERS", "4")
