@@ -239,8 +239,9 @@ def stieltjes(f: Integrand, path) -> float:
             if res.verdict is Verdict.UNDETERMINED:
                 raise DomainError("drift quadrature did not resolve")
             drift_part = res.value
-        jump_part = float(np.dot(f.fn(path.jump_times), path.jump_sizes)) \
-            if len(path.jump_times) else 0.0
+        with np.errstate(over="ignore"):    # overflow to +inf is the result
+            jump_part = float(np.dot(f.fn(path.jump_times), path.jump_sizes)) \
+                if len(path.jump_times) else 0.0
         total = drift_part + jump_part
         return math.inf if total > OVERFLOW_GUARD or math.isnan(total) else total
     if isinstance(path, GridPath):

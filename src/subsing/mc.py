@@ -107,8 +107,10 @@ def block_values(sampler, n_samples: int, seed: int, *, blocks: int = DEFAULT_BL
     """Run ``sampler(rng, m) -> (m,) array`` over ``blocks`` derived streams.
 
     Returns one :class:`Moments` per block, in block order.  Within a block
-    the stream is consumed sequentially, so the chunk size does not affect
-    the values drawn.
+    the stream is consumed chunk by chunk, so the values are fixed by
+    (seed, blocks, max_chunk) and do not depend on the worker count; a
+    sampler that draws more than once per call sees a different split of
+    its stream under another ``max_chunk``.
     """
     counts = np.full(blocks, n_samples // blocks, dtype=np.int64)
     counts[: n_samples % blocks] += 1

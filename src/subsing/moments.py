@@ -22,8 +22,8 @@ from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
                         doubling_indices, inverse, log_growth_liminf, stable,
                         _endpoint_limit)
 from .errors import CapabilityError, DomainError, GateViolation, NumericError
-from .integrate import (Integrand, IntegrandKind, Verdict, cell_means,
-                        constant, exponential, finiteness_criterion,
+from .integrate import (OVERFLOW_GUARD, Integrand, IntegrandKind, Verdict,
+                        cell_means, constant, exponential, finiteness_criterion,
                         improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
@@ -177,7 +177,13 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
         theta = f.params[0]
         q = phi.params[0] * theta if phi.kind is Catalog.STABLE \
             else theta / (1.0 + theta)
-        q = min(q, 0.95)
+        if theta >= 1 and q < 1:
+            # a convergent integral whose first cell takes the inward weight
+            # t_1^-theta (cell_means): grade no finer than keeps that weight
+            # below OVERFLOW_GUARD at MAX_CELLS cells on [0, 1]
+            q = min(q, 1.0 - 2.0 * theta * math.log(MAX_CELLS)
+                    / math.log(OVERFLOW_GUARD))
+        q = min(max(q, 0.0), 0.95)
 
         def grid(n):
             return power_graded_grid(T, q, n_nodes=n)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .bernstein import BernsteinFunction, DoublingIndices, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
@@ -215,16 +216,18 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
                         {"driver": driver.name, "T": T, "dt": dt, "seed": seed})
 
 
-def _mc_paths(system, driver, times, N, seed, reducer, *, eps=1e-4):
-    """Chunked two-stage Monte Carlo over replicas; reducer maps the chunk's
-    (X, Z) to per-replica statistic rows (m,) or (m, n_out).
+def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
+    """Chunked two-stage Monte Carlo over replicas; ``statistic`` maps the
+    chunk's subordinator increments (m, K) and standard normals (m, K, n) to
+    per-replica statistic rows (m,) or (m, n_out), stepping them with
+    :func:`advance` itself.
 
     ``driver`` is an exponent to draw subordinator increments from, or one
     frozen (K,) vector of increments shared by every replica.  Chunk j draws
     from stream (seed, j).  Returns one MCEstimate per statistic column.
     """
     K = len(times) - 1
-    chunk = max(1, min(256, 4_000_000 // (K * system.n + 1)))
+    chunk = max(1, min(256, 2_000_000 // (K * system.n + 1)))
     parts = []
     for idx, start in enumerate(range(0, N, chunk)):
         m = min(chunk, N - start)
@@ -234,9 +237,29 @@ def _mc_paths(system, driver, times, N, seed, reducer, *, eps=1e-4):
         else:
             d_sub = grid_increments(driver, times, rng, m, eps=eps)
         dw = rng.standard_normal((m, K, system.n))
-        X, Z = advance(system, times, d_sub, dw)
-        parts.append(Moments.of(reducer(X, Z)))
+        parts.append(Moments.of(statistic(d_sub, dw)))
     return merge_all(parts).estimates()
+
+
+def _horizons(ts: Sequence[float]) -> list:
+    """The horizons of a scan in ascending order; at least one, all positive
+    and finite."""
+    hs = sorted(float(t) for t in ts)
+    if not hs or not all(0 < t < math.inf for t in hs):
+        raise DomainError("need one or more positive, finite horizons")
+    return hs
+
+
+def _grid_columns(times: np.ndarray, ts: Sequence[float]) -> list:
+    """Column of each time of ``ts`` on the grid ``times``."""
+    cols = []
+    for t in ts:
+        j = int(np.abs(times - t).argmin())
+        if abs(times[j] - t) > 1e-9 * max(1.0, t):
+            raise DomainError(f"t = {t:g} is not a time of the grid of step "
+                              f"{times[1] - times[0]:g}")
+        cols.append(j)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -303,21 +326,16 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     """Monte Carlo fractional-power moments of the convolution at several
     times, against the small-time right side (or raw, in stationary mode)."""
     gate_convolution(driver, p, theta, mode, indices)
-    t_grid = sorted(float(t) for t in t_grid)
-    T = t_grid[-1]
-    times = time_grid(T, dt)
-    cols = []
-    for t in t_grid:
-        j = int(round(t / dt))
-        if abs(times[j] - t) > 1e-9 * max(1.0, t):
-            raise DomainError(f"t = {t} is not on the dt = {dt} grid")
-        cols.append(j)
+    t_grid = _horizons(t_grid)
+    times = time_grid(t_grid[-1], dt)
+    cols = _grid_columns(times, t_grid)
     gam = system.eigenvalues
 
-    def reducer(X, Z, cols=cols):
+    def statistic(d_sub, dw):
+        Z = advance(system, times, d_sub, dw)[1]
         return fractional_power_norm(gam, theta, Z[:, cols, :]) ** p
 
-    ests = _mc_paths(system, driver, times, N, seed, reducer, eps=eps)
+    ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
     if mode == "small_time":
         rhs = tuple(t ** (-p * theta) * inverse(driver, 1.0 / t) ** (-p / 2)
                     for t in t_grid)
@@ -330,12 +348,16 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
                             p: float, T_grid: Sequence[float], N: int,
                             seed: int, *, dt: float, eps: float = 1e-4,
                             indices=None) -> BoundReport:
-    """Grid-maximum moments of |Z| per horizon against the maximal bound."""
+    """Grid-maximum moments of |Z| per horizon against the maximal bound.
+
+    One run on the grid of the largest horizon serves every horizon: each
+    reads the running maximum of the same paths at its own column.
+    """
     idx = indices if indices is not None else doubling_indices(driver)
     if p <= 0:
         raise DomainError("moment order must be positive")
-    T_grid = sorted(float(T) for T in T_grid)
-    if min(T_grid) >= 1:
+    T_grid = _horizons(T_grid)
+    if T_grid[0] >= 1:
         if idx.at_zero is None or p >= 2 * idx.at_zero:
             raise GateViolation(
                 "0 < p < 2 log2(liminf_{s->0} phi(2s)/phi(s))",
@@ -345,18 +367,17 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
             raise GateViolation(
                 "0 < p < 2 log2(inf_{s>0} phi(2s)/phi(s))",
                 f"p = {p}, log2 inf = {idx.global_inf}")
-    ests, rhs = [], []
-    for i, T in enumerate(T_grid):
-        times = time_grid(T, dt)
+    times = time_grid(T_grid[-1], dt)
+    cols = _grid_columns(times, T_grid)
 
-        def reducer(X, Z):
-            return np.linalg.norm(Z, axis=-1).max(axis=1) ** p
+    def statistic(d_sub, dw):
+        Z = advance(system, times, d_sub, dw)[1]
+        running = np.maximum.accumulate(np.linalg.norm(Z, axis=-1), axis=1)
+        return running[:, cols] ** p
 
-        est = _mc_paths(system, driver, times, N, seed + 7919 * i, reducer,
-                        eps=eps)[0]
-        ests.append(est)
-        rhs.append(inverse(driver, 1.0 / T) ** (-p / 2))
-    return BoundReport(tuple(T_grid), tuple(ests), tuple(rhs), "maximal")
+    ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
+    rhs = tuple(inverse(driver, 1.0 / T) ** (-p / 2) for T in T_grid)
+    return BoundReport(tuple(T_grid), tuple(ests), rhs, "maximal")
 
 
 def conditional_maximal_check(system: GalerkinSystem, times: np.ndarray,
@@ -371,10 +392,11 @@ def conditional_maximal_check(system: GalerkinSystem, times: np.ndarray,
         raise DomainError("frozen increments must match the grid")
     bound = 9.0 * system.diffusion.hs_bound ** 2 * float(d_sub.sum())
 
-    def reducer(X, Z):
+    def statistic(d_sub, dw):
+        Z = advance(system, times, d_sub, dw)[1]
         return np.linalg.norm(Z, axis=-1).max(axis=1) ** 2
 
-    return _mc_paths(system, d_sub, times, N, seed, reducer)[0], bound
+    return _mc_paths(system, d_sub, times, N, seed, statistic)[0], bound
 
 
 @dataclass(frozen=True)
@@ -396,10 +418,11 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
         raise DomainError("delta must lie in (0, 1)")
     times = time_grid(T, dt)
 
-    def reducer(X, Z):
+    def statistic(d_sub, dw):
+        Z = advance(system, times, d_sub, dw)[1]
         return (np.linalg.norm(Z, axis=-1).max(axis=1) < delta).astype(float)
 
-    est = _mc_paths(system, driver, times, N, seed, reducer, eps=eps)[0]
+    est = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)[0]
     k = int(round(est.mean * N))
     lo, hi = wilson_interval(k, N)
     idx = doubling_indices(driver)
@@ -429,24 +452,25 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     """Time-averaged moments of |Lambda^theta X_t| over [1, T+1] per horizon.
 
     Bounded output across growing horizons is the tightness evidence for the
-    long-run behaviour of the state.
+    long-run behaviour of the state.  One run on [0, max T + 1] serves every
+    horizon: each reads the running trapezoid integral from t = 1 at its own
+    column.
     """
     gate_convolution(driver, p, theta, "stationary", indices)
     gam = system.eigenvalues
-    out = []
-    for i, T in enumerate(sorted(float(h) for h in horizons)):
-        times = time_grid(T + 1.0, dt)
-        j0 = int(round(1.0 / dt))
-        if abs(times[j0] - 1.0) > 1e-9:
-            raise DomainError("dt must divide t = 1")
+    Ts = _horizons(horizons)
+    times = time_grid(Ts[-1] + 1.0, dt)
+    j0, *cols = _grid_columns(times, [1.0] + [T + 1.0 for T in Ts])
+    offsets = np.array(cols) - j0
 
-        def reducer(X, Z, j0=j0, T=T):
-            vals = fractional_power_norm(gam, theta, X[:, j0:, :]) ** p
-            return np.trapezoid(vals, dx=dt, axis=1) / T
+    def statistic(d_sub, dw):
+        X = advance(system, times, d_sub, dw)[0]
+        vals = fractional_power_norm(gam, theta, X[:, j0:, :]) ** p
+        running = cumulative_trapezoid(vals, dx=dt, axis=1, initial=0.0)
+        return running[:, offsets] / np.array(Ts)
 
-        out.append(_mc_paths(system, driver, times, N, seed + 104729 * i,
-                             reducer, eps=eps)[0])
-    return LongRunReport(tuple(sorted(float(h) for h in horizons)), tuple(out))
+    out = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
+    return LongRunReport(tuple(Ts), tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -595,25 +619,24 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
         if m > system.n:
             raise DomainError("truncation dimension above the reference")
     times = time_grid(T, dt)
-    K = len(times) - 1
     subsystems = [truncate_system(system, m) for m in truncations]
-    parts = []
-    exceed = np.zeros(len(truncations), dtype=int)
-    chunk = max(1, min(128, 2_000_000 // (K * system.n + 1)))
-    for idx, start in enumerate(range(0, N, chunk)):
-        m_rep = min(chunk, N - start)
-        rng = stream(seed, idx)
-        d_sub = grid_increments(driver, times, rng, m_rep, eps=eps)
-        dw = rng.standard_normal((m_rep, K, system.n))
-        X_ref, _ = advance(system, times, d_sub, dw)
-        sup = np.empty((m_rep, len(truncations)))
+
+    def statistic(d_sub, dw):
+        # sup-errors squared, then the exceedances as 0/1 columns
+        X_ref = advance(system, times, d_sub, dw)[0]
+        sup = np.empty((len(d_sub), len(truncations)))
         for j, (m, sysm) in enumerate(zip(truncations, subsystems)):
-            Xm, _ = advance(sysm, times, d_sub, dw[..., :m])
+            Xm = advance(sysm, times, d_sub, dw[..., :m])[0]
             diff = X_ref.copy()
             diff[..., :m] -= Xm
             sup[:, j] = np.linalg.norm(diff, axis=-1).max(axis=1)
-        parts.append(Moments.of(sup ** 2))
-        exceed += (sup > delta).sum(axis=0)
-    probs = [(k / N, *wilson_interval(int(k), N)) for k in exceed]
+        return np.hstack([sup ** 2, sup > delta])
+
+    ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
+    J = len(truncations)
+    probs = []
+    for est in ests[J:]:
+        k = int(round(est.mean * N))
+        probs.append((k / N, *wilson_interval(k, N)))
     return GalerkinReport(tuple(int(m) for m in truncations),
-                          tuple(merge_all(parts).estimates()), tuple(probs), delta)
+                          tuple(ests[:J]), tuple(probs), delta)

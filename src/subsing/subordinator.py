@@ -98,23 +98,19 @@ def geometric_grid(t_start: float, t_end: float, ratio: float = 1.01) -> np.ndar
     return t_start * ratio ** np.arange(n + 1)
 
 
-def power_graded_grid(T: float, q: float, n_nodes: int = 3000,
-                      t_min: float = 1e-10) -> np.ndarray:
+def power_graded_grid(T: float, q: float, n_nodes: int = 3000) -> np.ndarray:
     """Grid of n_nodes cells on [0, T] graded toward a t^(-q) singularity at 0,
     0 <= q < 1.
 
     Nodes sit at equal steps of t^((1-q)/2), so the spacing grows like
-    t^((1+q)/2): fine where t^(-q) varies fast, coarse where it is flat.
+    t^((1+q)/2): fine where t^(-q) varies fast, coarse where it is flat.  The
+    first positive node, T n_nodes^(-2/(1-q)), shrinks as cells are added.
     """
     if not 0 <= q < 1:
         raise DomainError("grading exponent must lie in [0, 1)")
-    if T <= t_min:
-        raise DomainError("horizon below the cutoff")
-    beta = (1.0 - q) / 2.0
-    u = np.linspace(t_min ** beta, T ** beta, n_nodes)
-    grid = u ** (1.0 / beta)
-    grid[-1] = T
-    return np.concatenate(([0.0], grid))
+    if T <= 0:
+        raise DomainError("horizon must be positive")
+    return T * np.linspace(0.0, 1.0, n_nodes + 1) ** (2.0 / (1.0 - q))
 
 
 # ---------------------------------------------------------------------------

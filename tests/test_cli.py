@@ -1,3 +1,5 @@
+import pytest
+
 from subsing.cli import main
 
 
@@ -69,6 +71,30 @@ def test_byte_identity(tmp_path):
     assert run(args + ["--out", str(out2)]) == 0
     assert read(out1) == read(out2)
     assert (tmp_path / "a.csv.manifest").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spde", "maximal", "--phi", "stable:0.6", "--n", "4", "--p", "0.5",
+     "--t-grid", "0.5,1,2", "--dt", "0.0625", "--paths", "300"],
+    ["spde", "galerkin", "--phi", "gamma", "--n", "16", "--truncations",
+     "2,4,8", "--T", "0.5", "--dt", "0.03125", "--paths", "300"]],
+    ids=["maximal", "galerkin"])
+def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv):
+    outs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SUBSING_WORKERS", workers)
+        out = tmp_path / f"w{workers}.csv"
+        assert run(argv + ["--seed", "5", "--out", str(out)]) == 0
+        outs.append(read(out))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("mode", ["maximal", "longrun"])
+def test_spde_off_grid_horizon_exit_code(mode, capsys):
+    assert run(["spde", mode, "--phi", "stable:0.6", "--n", "4", "--p", "0.5",
+                "--theta", "0.25", "--t-grid", "1.3,2", "--dt", "0.0625",
+                "--paths", "10"]) == 1
+    assert "not a time of the grid" in capsys.readouterr().err
 
 
 def test_seed_changes_output(tmp_path):

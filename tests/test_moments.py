@@ -223,12 +223,14 @@ class TestEquivalence:
 class TestDefaultGrid:
     @pytest.mark.parametrize("phi_id", ["stable:0.3", "stable:0.5",
                                         "stable:0.7", "gamma"])
-    @pytest.mark.parametrize("f_id", ["pow:0.5", "exp:1"])
+    @pytest.mark.parametrize("f_id", ["pow:0.5", "pow:0.9", "exp:1"])
     def test_certified_within_256_cells(self, phi_id, f_id):
         phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
         times = mo._default_times(f, 1.0, None, phi)
         assert len(times) - 1 <= 256
         assert abs(mo.grid_bias(phi, f, times)) <= mo.GRID_BIAS_TOL
+        if f_id == "pow:0.5":
+            assert len(times) - 1 <= 128
 
     def test_bias_of_one_cell(self):
         # t^-1/2 on (0, 1]: the cell mean is 2, and int phi(f) = 4/3 for
@@ -242,12 +244,31 @@ class TestDefaultGrid:
         assert len(mo._default_times(itg.power_singular(0.5), 1.0, 1 / 300,
                                      ST5)) == 301
 
-    def test_uncertifiable_grid_stops_at_the_cap(self):
-        # t^-0.9 under stable(0.7) needs more than MAX_CELLS for the tolerance
+    def test_uncertifiable_grid_stops_at_the_cap(self, monkeypatch):
+        # no grid certifies a zero tolerance
+        monkeypatch.setattr(mo, "GRID_BIAS_TOL", 0.0)
         phi, f = bf.stable(0.7), itg.power_singular(0.9)
         times = mo._default_times(f, 1.0, None, phi)
         assert len(times) - 1 == mo.MAX_CELLS
         assert abs(mo.grid_bias(phi, f, times)) > mo.GRID_BIAS_TOL
+
+    @pytest.mark.parametrize("phi_id,f_id,cells", [
+        ("stable:0.7", "pow:1.2", 256), ("stable:0.5", "pow:1.5", 512)])
+    def test_nonintegrable_first_cell_certified(self, phi_id, f_id, cells):
+        # theta >= 1: the first cell takes the inward weight f(times[1])
+        phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
+        times = mo._default_times(f, 1.0, None, phi)
+        assert len(times) - 1 <= cells
+        assert abs(mo.grid_bias(phi, f, times)) <= mo.GRID_BIAS_TOL
+
+    def test_inward_weight_stays_finite_at_the_cap(self):
+        # alpha theta = 0.975 < 1: the integral converges, and the weight
+        # t_1^-6.5 of the finest graded grid must not overflow
+        phi, f = bf.stable(0.15), itg.power_singular(6.5)
+        times = mo._default_times(f, 1.0, 1.0 / mo.MAX_CELLS, phi)
+        assert len(times) - 1 == mo.MAX_CELLS
+        assert np.all(np.isfinite(itg.cell_means(f, times)))
+        assert math.isfinite(mo.grid_bias(phi, f, times))
 
 
 def test_jump_table_built_once_per_run(monkeypatch):

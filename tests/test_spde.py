@@ -139,6 +139,33 @@ class TestMaximalAndSmallBall:
                                          dt=1 / 16)
         assert "liminf" in str(err.value)
 
+    def test_maximal_scan_nondecreasing_in_horizon(self):
+        # every horizon reads the running maximum of the same paths, so even
+        # horizons one step apart give ordered means
+        system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
+        rep = spde.maximal_inequality_scan(system, ST6, 0.5,
+                                           [0.75, 0.5, 0.625, 0.5625, 0.6875],
+                                           100, 3, dt=1 / 16)
+        assert rep.T_grid == (0.5, 0.5625, 0.625, 0.6875, 0.75)
+        means = [e.mean for e in rep.estimates]
+        assert all(b >= a for a, b in zip(means, means[1:]))
+
+    @pytest.mark.parametrize("scan", ["maximal", "longrun", "convmom"])
+    @pytest.mark.parametrize("horizons", [[1.5, 2.0], [0.0, 2.0], [-1.0, 2.0],
+                                          [], [math.nan, 2.0]])
+    def test_bad_horizon_is_a_domain_error(self, scan, horizons):
+        system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
+        with pytest.raises(DomainError):
+            if scan == "maximal":
+                spde.maximal_inequality_scan(system, ST6, 0.5, horizons, 10, 5,
+                                             dt=1 / 3)
+            elif scan == "longrun":
+                spde.longrun_moment_scan(system, ST6, 0.5, 0.25, horizons, 10,
+                                         5, dt=1 / 3)
+            else:
+                spde.convolution_moment_scan(system, ST6, 0.5, 0.25, horizons,
+                                             10, 5, dt=1 / 3)
+
     def test_small_ball_zero_diffusion(self):
         system = diagonal_system(3)
         res = spde.small_ball(system, bf.stable(0.5), 0.5, 0.25, 500, 7,
@@ -198,16 +225,19 @@ class TestConvolutionScan:
 
 class TestLongRun:
     def test_deterministic_average_matches_quadrature(self):
+        from scipy.integrate import quad
         gam = np.array([1.0, 2.0])
         x0 = np.array([1.0, 0.5])
         system = diagonal_system(2, gam, x0=x0)
-        p, theta, T = 0.5, 0.25, 2.0
-        rep = spde.longrun_moment_scan(system, ST6, p, theta, [T], 1, 3,
-                                       dt=2 ** -10)
-        from scipy.integrate import quad
-        oracle, _ = quad(lambda t: np.linalg.norm(
-            gam ** theta * np.exp(-t * gam) * x0) ** p, 1.0, T + 1.0)
-        assert rep.averages[0].mean == pytest.approx(oracle / T, abs=1e-6)
+        p, theta = 0.5, 0.25
+        for horizons in ([2.0], [1.0, 2.0, 3.0]):
+            rep = spde.longrun_moment_scan(system, ST6, p, theta, horizons, 1,
+                                           3, dt=2 ** -10)
+            assert rep.horizons == tuple(horizons)
+            for T, est in zip(rep.horizons, rep.averages):
+                oracle, _ = quad(lambda t: np.linalg.norm(
+                    gam ** theta * np.exp(-t * gam) * x0) ** p, 1.0, T + 1.0)
+                assert est.mean == pytest.approx(oracle / T, abs=1e-6)
 
     def test_bounded_over_growing_horizons(self):
         system = diagonal_system(3, q=spde.constant_diagonal_q([0.4, 0.2, 0.1]))
