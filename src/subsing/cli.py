@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 import time
 from typing import Optional
@@ -20,10 +21,12 @@ from . import __version__, moments, spde
 from .bernstein import Catalog, doubling_indices, inverse, parse_phi
 from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
-from .integrate import parse_integrand
+from .integrate import (ZeroOne, finiteness_criterion, parse_integrand,
+                        zero_one_verdict)
 from .mc import Moments, run_mc
 from .rng import stream
-from .subordinator import grid_increments, simulate_general, simulate_stable, time_grid
+from .subordinator import (EXACT_GRID_KINDS, grid_increments, jump_sampler,
+                           simulate_general, simulate_stable, time_grid)
 
 USAGE_EXIT = 64
 REFUSAL_EXIT = 2
@@ -138,6 +141,15 @@ def cmd_integrate(args):
     f = parse_integrand(args.f)
     if args.paths < 1:
         raise DomainError("--paths must be positive")
+    verdict = zero_one_verdict(f, phi, (0.0, args.T))
+    args.manifest["verdict"] = verdict.name
+    lines = _header(args)
+    lines.append("n,finite_fraction,mean,se,median")
+    if verdict is ZeroOne.AS_INFINITE:
+        # every path is +inf almost surely; no finite grid sum can show it
+        lines.append(",".join(_fmt(v) for v in (
+            args.paths, 0.0, math.inf, math.inf, math.inf)))
+        return lines
     times = moments._default_times(f, args.T, args.dt, phi)
     args.manifest["grid_nodes"] = len(times)
     args.manifest["grid_bias"] = moments.grid_bias(phi, f, times)
@@ -145,9 +157,9 @@ def cmd_integrate(args):
     rng = stream(args.seed, 0)
     vals = np.concatenate([sampler(rng, min(chunk, args.paths - i))
                            for i in range(0, args.paths, chunk)])
+    if phi.kind not in EXACT_GRID_KINDS:
+        args.manifest.update(jump_sampler(phi, args.eps).record())
     est = Moments.of(vals).estimates()[0]
-    lines = _header(args)
-    lines.append("n,finite_fraction,mean,se,median")
     lines.append(",".join(_fmt(v) for v in (
         len(vals), float(np.isfinite(vals).mean()), est.mean, est.std_error,
         float(np.median(vals)))))
@@ -158,7 +170,6 @@ def cmd_zeroone(args):
     phi = parse_phi(args.phi)
     f = parse_integrand(args.f)
     domain = (args.domain[0], args.domain[1])
-    from .integrate import finiteness_criterion, zero_one_verdict
     res = finiteness_criterion(f, phi, domain)
     verdict = zero_one_verdict(f, phi, domain)
     lines = _header(args)
@@ -222,6 +233,8 @@ def _build_system(args) -> spde.GalerkinSystem:
     tanh(y_{k-1}) (zero when f_scale is 0).
     """
     n = args.n
+    if n < 1:
+        raise DomainError("--n must be positive")
     k = np.arange(1, n + 1, dtype=float)
     gammas = args.gamma0 * k ** args.gamma_exp
     x0 = args.x_scale * k ** -args.x_decay

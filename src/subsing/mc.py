@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DomainError
 from .rng import stream
 
 DEFAULT_BLOCKS = 32
@@ -165,7 +166,7 @@ def estimate_from_blocks(blocks: list, method: str = "plain") -> MCEstimate:
 def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
            blocks: int = DEFAULT_BLOCKS, max_chunk: int = 4096) -> MCEstimate:
     if n_samples <= 0:
-        raise ValueError("need a positive sample count")
+        raise DomainError("need a positive sample count")
     blocks = min(blocks, n_samples)
     return estimate_from_blocks(block_values(sampler, n_samples, seed, blocks=blocks,
                                              max_chunk=max_chunk), method)

@@ -104,6 +104,8 @@ class GalerkinSystem:
     a4_constants: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError("need at least one eigenmode")
         ev = np.asarray(self.eigenvalues, dtype=float)
         if ev.shape != (self.n,) or ev[0] <= 0 or np.any(np.diff(ev) < 0):
             raise DomainError("eigenvalues must be ascending with a positive gap")
@@ -226,6 +228,8 @@ def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
     frozen (K,) vector of increments shared by every replica.  Chunk j draws
     from stream (seed, j).  Returns one MCEstimate per statistic column.
     """
+    if N < 1:
+        raise DomainError("need a positive number of paths")
     K = len(times) - 1
     chunk = max(1, min(256, 2_000_000 // (K * system.n + 1)))
     parts = []

@@ -23,6 +23,13 @@ from .errors import CapabilityError, DomainError, RangeError
 from .rng import as_generator
 
 INV_CDF_KNOTS = 1 << 14
+# equal cells of u in the guide table of the jump-size inversion, and the
+# number of uniforms inverted per pass (bounds the temporaries of a draw)
+GUIDE_CELLS = 16 * INV_CDF_KNOTS
+LOOKUP_SLICE = 8192
+# drivers whose increments grid_increments draws exactly; every other
+# simulable exponent takes the compound Poisson route through its jump table
+EXACT_GRID_KINDS = frozenset({Catalog.STABLE, Catalog.GAMMA, Catalog.DRIFT_ONLY})
 
 
 @dataclass(frozen=True)
@@ -173,8 +180,12 @@ class _JumpSampler:
     """Inverse-CDF sampler for the jump measure restricted to [eps, inf).
 
     The restricted tail CDF is tabulated on log-spaced knots and inverted by
-    monotone interpolation; catalogs with an exact Pareto tail (stable) use
-    the closed form instead of the table.
+    linear interpolation; catalogs with an exact Pareto tail (stable) use
+    the closed form instead of the table.  The interpolation segment of a
+    uniform u is found by indexed search (Chen & Asau 1974; Devroye 1986,
+    section III.2.4): a guide table over GUIDE_CELLS equal cells of u names
+    the segment of every u in a cell that no knot splits, and only the few
+    split cells fall back to a binary search.
     """
 
     def __init__(self, phi: BernsteinFunction, eps: float):
@@ -183,6 +194,7 @@ class _JumpSampler:
         self.rate = trip.tail_mass(eps)
         self.alpha = phi.params[0] if phi.kind is Catalog.STABLE else None
         self.table_gap = 0.0
+        self.knot_count = 0
         if self.alpha is not None or self.rate == 0.0:
             return
         if trip.density is None:
@@ -200,14 +212,64 @@ class _JumpSampler:
         self._cdf = cdf
         self._knots = knots
         self.table_gap = float(np.max(np.diff(cdf)))
+        self.knot_count = INV_CDF_KNOTS
+        # the same slopes np.interp uses; a flat CDF step gives inf, and no
+        # u < 1 ever lands on such a step
+        with np.errstate(divide="ignore"):
+            self._slope = np.diff(knots) / np.diff(cdf)
+        # segment of each cell's left end (the last segment at u = 1), built
+        # in slices to keep the temporaries small; then -1 marks a cell whose
+        # two ends lie in different segments
+        seg = np.empty(GUIDE_CELLS + 1, dtype=np.int32)
+        for a in range(0, GUIDE_CELLS + 1, LOOKUP_SLICE):
+            edges = np.arange(a, min(a + LOOKUP_SLICE, GUIDE_CELLS + 1)) / GUIDE_CELLS
+            seg[a:a + edges.size] = np.searchsorted(cdf, edges, side="right") - 1
+        np.minimum(seg, INV_CDF_KNOTS - 2, out=seg)
+        split = seg[:-1] != seg[1:]
+        self._guide = seg[:-1]
+        self._guide[split] = -1
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.rate == 0.0:
             return np.empty(size)
-        u = rng.uniform(0.0, 1.0, size)
+        return self.quantile(rng.uniform(0.0, 1.0, size))
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Jump sizes at uniforms ``u`` in [0, 1).
+
+        On the table this equals ``np.interp(u, cdf, knots)`` bit for bit:
+        the same segment, the same slope and arithmetic, the exact value at
+        a knot, and np.interp's fallback from the segment's right end.
+        """
+        u = np.asarray(u, dtype=float)
         if self.alpha is not None:
             return self.eps * (1.0 - u) ** (-1.0 / self.alpha)
-        return np.interp(u, self._cdf, self._knots)
+        cdf, knots, slope = self._cdf, self._knots, self._slope
+        flat = u.reshape(-1)
+        out = np.empty(flat.size)
+        for a in range(0, flat.size, LOOKUP_SLICE):
+            us = flat[a:a + LOOKUP_SLICE]
+            # u * GUIDE_CELLS is exact (a power of two), so the cell is too
+            i = self._guide[(us * GUIDE_CELLS).astype(np.int32)]
+            split = np.flatnonzero(i < 0)
+            i[split] = np.searchsorted(cdf, us[split], side="right") - 1
+            r = slope[i] * (us - cdf[i]) + knots[i]
+            # np.interp returns the knot value at a knot; slope * 0 does the
+            # same unless the slope overflowed, which gives nan like the
+            # cases np.interp retries from the segment's right end
+            bad = np.flatnonzero(np.isnan(r))
+            if bad.size:
+                ib, ub = i[bad], us[bad]
+                r[bad] = np.where(ub == cdf[ib], knots[ib],
+                                  slope[ib] * (ub - cdf[ib + 1]) + knots[ib + 1])
+            out[a:a + LOOKUP_SLICE] = r
+        return out.reshape(u.shape)
+
+    def record(self) -> dict:
+        """Table facts for a run record: knot count (0 without a table) and
+        the largest CDF step between knots."""
+        return {"inv_cdf_knots": self.knot_count,
+                "inv_cdf_max_gap": self.table_gap}
 
 
 _TABLE_LOCK = threading.Lock()
@@ -254,8 +316,7 @@ def simulate_general(phi: BernsteinFunction, T: float, eps: float,
         "eps": eps,
         "jump_rate": sampler.rate,
         "small_jump_drift": trip.small_jump_mean(eps),
-        "inv_cdf_knots": INV_CDF_KNOTS if sampler.alpha is None else 0,
-        "inv_cdf_max_gap": sampler.table_gap,
+        **sampler.record(),
     }
     provenance = "DriftOnly" if phi.kind is Catalog.DRIFT_ONLY \
         else f"CompoundPoisson(eps={eps:g})"

@@ -135,6 +135,11 @@ def test_config_loses_to_explicit_equals_flag(tmp_path, capsys):
     assert "# phi=gamma" in out and "AS_FINITE" in out
 
 
+def _manifest(path):
+    with open(str(path) + ".manifest") as fh:
+        return dict(line.split("=", 1) for line in fh.read().splitlines())
+
+
 def test_integrate_manifest_records_grid(tmp_path):
     from subsing import bernstein as bf
     from subsing import integrate as itg
@@ -142,13 +147,55 @@ def test_integrate_manifest_records_grid(tmp_path):
     out = tmp_path / "i.csv"
     assert run(["integrate", "--f", "pow:0.5", "--phi", "stable:0.5",
                 "--paths", "200", "--out", str(out)]) == 0
-    facts = dict(line.split("=", 1)
-                 for line in (tmp_path / "i.csv.manifest").read_text().splitlines())
+    facts = _manifest(out)
     times = moments._default_times(itg.power_singular(0.5), 1.0, None,
                                    bf.stable(0.5))
     assert int(facts["grid_nodes"]) == len(times)
     assert 0 < -float(facts["grid_bias"]) <= moments.GRID_BIAS_TOL
     assert "grid" not in out.read_text()
+
+
+def test_integrate_records_jump_table(tmp_path):
+    from subsing import bernstein as bf
+    from subsing.subordinator import jump_sampler
+    out = tmp_path / "cp.csv"
+    assert run(["integrate", "--f", "exp:1", "--phi", "tempered:0.5,1",
+                "--paths", "300", "--seed", "4", "--out", str(out)]) == 0
+    facts = _manifest(out)
+    sampler = jump_sampler(bf.tempered_stable(0.5, 1.0), 1e-4)
+    assert int(facts["inv_cdf_knots"]) == sampler._knots.size
+    assert float(facts["inv_cdf_max_gap"]) == sampler.table_gap > 0
+    # the record goes to the manifest only; the result row is unchanged
+    assert out.read_text().splitlines()[-1] == \
+        "300,1.0,0.2961171695052116,0.014387288484346259,0.21764001452588536"
+    exact = tmp_path / "st.csv"
+    assert run(["integrate", "--f", "exp:1", "--phi", "stable:0.5",
+                "--paths", "100", "--out", str(exact)]) == 0
+    assert "inv_cdf_knots" not in _manifest(exact)
+
+
+def test_integrate_reports_infinite_integral(tmp_path):
+    # pow:2 under stable:0.7 diverges a.s. (alpha theta = 1.4 >= 1)
+    out = tmp_path / "inf.csv"
+    assert run(["integrate", "--f", "pow:2", "--phi", "stable:0.7",
+                "--paths", "100", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "100,0.0,inf,inf,inf"
+    facts = _manifest(out)
+    assert facts["verdict"] == "AS_INFINITE"
+    assert "grid_nodes" not in facts
+
+
+@pytest.mark.parametrize("argv", [
+    ["spde", "maximal", "--paths", "0"],
+    ["spde", "smallball", "--paths", "0"],
+    ["moment", "bound", "--phi", "tempered:0.5,1", "--p", "0.5",
+     "--theta", "0", "--paths", "0"],
+    ["sim", "--phi", "tempered:0.5,1", "--paths", "0"],
+    ["spde", "maximal", "--n", "0"],
+])
+def test_bad_size_exit_code(argv, capsys):
+    assert run(argv) == 1
+    assert "positive" in capsys.readouterr().err
 
 
 def test_sim_certification_columns(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from subsing.errors import DomainError
 from subsing.mc import Moments, merge_all, run_mc
 
 
@@ -29,3 +30,8 @@ def test_merge_does_not_depend_on_chunking():
         assert merged.count == whole.count
         np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
         np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-12)
+
+
+def test_no_samples_is_a_domain_error():
+    with pytest.raises(DomainError):
+        run_mc(lambda r, m: r.standard_normal(m), 0, 1)

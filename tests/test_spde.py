@@ -177,6 +177,10 @@ class TestMaximalAndSmallBall:
         with pytest.raises(DomainError):
             spde.small_ball(system, ST6, 1.5, 1.0, 10, 3, dt=1 / 16)
 
+    def test_no_paths_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            spde.small_ball(diagonal_system(2), ST6, 0.5, 1.0, 0, 3, dt=1 / 16)
+
     def test_small_ball_monotone_in_horizon(self):
         # the event is over a shrinking window, so the frequency grows as the
         # horizon shrinks; couple the runs through one simulation
@@ -393,6 +397,12 @@ class TestGalerkin:
         system = self.coupled_system()
         with pytest.raises(DomainError):
             spde.galerkin_error(system, [16], GAMMA, 0.5, 1 / 64, 4, seed=3)
+
+
+def test_empty_system_is_a_domain_error():
+    with pytest.raises(DomainError):
+        spde.GalerkinSystem(0, np.empty(0), spde.zero_drift, 0.0, 0.0,
+                            spde.zero_q(0), np.empty(0))
 
 
 def test_validate_system_flags_bad_bounds():

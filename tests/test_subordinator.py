@@ -241,3 +241,34 @@ def test_inverse_time_is_right_inverse(data):
     assert sub.evaluate(path, min(s, 1.0)) >= t - 1e-12
     if s > 1e-9:
         assert sub.evaluate(path, s * (1 - 1e-9)) <= t + 1e-9 * path.total_mass
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["tempered:0.5,1", "tempered:0.3,2", "gamma"])
+def test_jump_lookup_equals_linear_interpolation(name):
+    # the guide-table inversion is np.interp on the table, bit for bit
+    sampler = sub.jump_sampler(bf.parse_phi(name), 1e-4)
+    cdf, knots = sampler._cdf, sampler._knots
+    assert np.any(np.diff(cdf) == 0.0)   # the table has flat steps to cover
+    edges = np.arange(sub.GUIDE_CELLS) / sub.GUIDE_CELLS
+    cases = [stream(3, 0).uniform(0.0, 1.0, 100_000), np.array([0.0]),
+             cdf[cdf < 1.0], np.array([np.nextafter(1.0, 0.0)]),
+             edges, np.nextafter(edges, 1.0)]
+    for u in cases:
+        assert _same_bits(sampler.quantile(u), np.interp(u, cdf, knots))
+    for size in (0, 1, 3 * sub.LOOKUP_SLICE + 17):
+        u = stream(4, size).uniform(0.0, 1.0, size)
+        assert _same_bits(sampler.draw(stream(4, size), size),
+                          np.interp(u, cdf, knots))
+
+
+def test_compound_poisson_estimate_pinned():
+    # fixed by the streams and the inversion; moves if either changes
+    from subsing import integrate as itg
+    from subsing import moments as mo
+    est = mo.char_functional_mc(bf.parse_phi("tempered:0.5,1"),
+                                itg.parse_integrand("exp:1"), 1.0, 4000, seed=11)
+    assert (est.mean, est.std_error) == (0.756973022413373, 0.0027170850468114967)
