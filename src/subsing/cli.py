@@ -21,8 +21,8 @@ from . import __version__, moments, spde
 from .bernstein import Catalog, doubling_indices, inverse, parse_phi
 from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
-from .integrate import (ZeroOne, finiteness_criterion, parse_integrand,
-                        zero_one_verdict)
+from .integrate import (ZeroOne, as_zero_one, finiteness_criterion,
+                        parse_integrand, zero_one_verdict)
 from .mc import Moments, run_mc
 from .rng import stream
 from .subordinator import (EXACT_GRID_KINDS, grid_increments, jump_sampler,
@@ -171,7 +171,7 @@ def cmd_zeroone(args):
     f = parse_integrand(args.f)
     domain = (args.domain[0], args.domain[1])
     res = finiteness_criterion(f, phi, domain)
-    verdict = zero_one_verdict(f, phi, domain)
+    verdict = as_zero_one(res)
     lines = _header(args)
     lines.append(f"verdict={verdict.name}")
     lines.append(f"criterion={res.verdict.value}")
@@ -269,6 +269,12 @@ def _build_system(args) -> spde.GalerkinSystem:
 def cmd_spde(args):
     phi = parse_phi(args.phi) if args.phi else None
     system = _build_system(args)
+    if args.truncations is None:
+        # galerkin's default is the powers of two below --n; the other modes
+        # ignore the flag and echo its former default, so their outputs
+        # stay byte-identical
+        args.truncations = ([2 ** j for j in range((args.n - 1).bit_length())]
+                            if args.mode == "galerkin" else [4, 8, 16, 32])
     lines = _header(args)
     if args.mode == "sim":
         path = spde.simulate(system, phi, args.T, args.dt, args.seed, eps=args.eps)
@@ -327,8 +333,9 @@ def cmd_spde(args):
             lines.append(",".join(_fmt(v) for v in (t, l, float(np.linalg.norm(u)))))
         return lines
     if args.mode == "galerkin":
-        if any(m >= args.n for m in args.truncations):
-            raise PreconditionError("truncation must be < reference dimension")
+        if not args.truncations or any(m >= args.n for m in args.truncations):
+            raise PreconditionError(
+                "need one or more truncations, each < reference dimension")
         rep = spde.galerkin_error(system, args.truncations, phi, args.T,
                                   args.dt, args.paths, args.seed,
                                   delta=args.delta, eps=args.eps)
@@ -437,7 +444,9 @@ def build_parser() -> _Parser:
     q.add_argument("--delta", type=float, default=0.5)
     q.add_argument("--paths", type=int, default=2000)
     q.add_argument("--max-iter", type=int, default=64)
-    q.add_argument("--truncations", type=_int_list, default=[4, 8, 16, 32])
+    q.add_argument("--truncations", type=_int_list, default=None,
+                   help="galerkin truncation dimensions (default: the powers "
+                        "of two below --n)")
     common(q)
     q.set_defaults(func=cmd_spde)
     return p

@@ -371,7 +371,11 @@ def finiteness_criterion(f: Integrand, phi: BernsteinFunction,
 def zero_one_verdict(f: Integrand, phi: BernsteinFunction,
                      domain: Tuple[float, float] = (0.0, 1.0)) -> ZeroOne:
     """Map the finiteness criterion to the almost-sure dichotomy."""
-    res = finiteness_criterion(f, phi, domain)
+    return as_zero_one(finiteness_criterion(f, phi, domain))
+
+
+def as_zero_one(res: Finiteness) -> ZeroOne:
+    """The almost-sure dichotomy that a finiteness criterion result gives."""
     if res.verdict is Verdict.FINITE:
         return ZeroOne.AS_FINITE
     if res.verdict is Verdict.INFINITE:

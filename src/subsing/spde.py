@@ -147,10 +147,15 @@ def truncate_system(system: GalerkinSystem, m: int) -> GalerkinSystem:
     if m > system.n:
         raise DomainError("truncation dimension above the reference")
     pad = _pad_fn(system.n)
+    if system.drift is zero_drift:
+        drift = zero_drift
+    else:
+        def drift(y):
+            return system.drift(pad(y))[..., :m]
     return GalerkinSystem(
         n=m,
         eigenvalues=system.eigenvalues[:m],
-        drift=lambda y: system.drift(pad(y))[..., :m],
+        drift=drift,
         drift_bound=system.drift_bound,
         drift_lip=system.drift_lip,
         diffusion=system.diffusion.truncate(m, pad),
@@ -170,29 +175,39 @@ def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     d_sub holds subordinator increments (R, K); dw_std standard normals
     (R, K, n).  The Gaussian increment over a cell has variance equal to the
     subordinated time increment, the whole of it applied at the left node.
+
+    X and Z are stored time-major, (K+1, R, n), so that each step reads and
+    writes one contiguous (R, n) slice; the returned arrays are
+    ``np.moveaxis`` views of that storage in the (R, K+1, n) order.  The drift
+    term is skipped for :func:`zero_drift`, whose contribution is exactly 0.
     """
     gam = np.asarray(system.eigenvalues, dtype=float)
     dts = np.diff(times)
     R, K = d_sub.shape
     n = system.n
-    X = np.empty((R, K + 1, n))
-    Z = np.empty((R, K + 1, n))
-    X[:, 0] = system.x0
-    Z[:, 0] = 0.0
+    X = np.empty((K + 1, R, n))
+    Z = np.empty((K + 1, R, n))
+    X[0] = system.x0
+    Z[0] = 0.0
     uniform = np.allclose(dts, dts[0])
     if uniform:
         E = np.exp(-gam * dts[0])
         phi1 = -np.expm1(-gam * dts[0]) / gam
-    rootd = np.sqrt(d_sub)
+    rootd = np.sqrt(d_sub).T
+    dw = dw_std.transpose(1, 0, 2)
+    no_drift = system.drift is zero_drift
     for k in range(K):
         if not uniform:
             E = np.exp(-gam * dts[k])
             phi1 = -np.expm1(-gam * dts[k]) / gam
-        xk = X[:, k]
-        qn = system.diffusion.apply_noise(xk, dw_std[:, k] * rootd[:, k, None])
-        X[:, k + 1] = E * xk + phi1 * system.drift(xk) + E * qn
-        Z[:, k + 1] = E * (Z[:, k] + qn)
-    return X, Z
+        xk = X[k]
+        qn = system.diffusion.apply_noise(xk, dw[k] * rootd[k, :, None])
+        if no_drift:
+            X[k + 1] = E * xk + E * qn
+        else:
+            X[k + 1] = E * xk + phi1 * system.drift(xk) + E * qn
+        Z[k + 1] = E * (Z[k] + qn)
+    return np.moveaxis(X, 0, 1), np.moveaxis(Z, 0, 1)
 
 
 @dataclass(frozen=True)

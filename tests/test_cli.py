@@ -1,5 +1,6 @@
 import pytest
 
+from subsing import __version__, cli, integrate
 from subsing.cli import main
 
 
@@ -60,6 +61,50 @@ def test_galerkin_truncation_refused(capsys):
                 "--paths", "2", "--T", "0.25", "--dt", "0.0625"])
     assert code == 2
     assert "truncation" in capsys.readouterr().err
+
+
+def test_galerkin_default_truncations(tmp_path):
+    # the default truncations are the powers of two below the default --n 8
+    out = tmp_path / "g.csv"
+    assert run(["spde", "galerkin", "--paths", "50", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "# truncations=[1, 2, 4]\n" in text
+    body = text.split("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high\n")
+    assert [row.split(",")[0] for row in body[1].splitlines()] == ["1", "2", "4"]
+
+
+@pytest.mark.parametrize("truncations", ["8", ""])
+def test_galerkin_bad_truncations_refused(truncations, capsys):
+    assert run(["spde", "galerkin", "--n", "8", "--truncations", truncations,
+                "--paths", "2", "--T", "0.25", "--dt", "0.0625"]) == 2
+    assert "truncation" in capsys.readouterr().err
+
+
+# zeroone outputs of the version that evaluated the criterion twice
+ZEROONE_OUTPUTS = {
+    ("exp:1", "gamma"): "verdict=AS_FINITE\ncriterion=finite\n"
+                        "criterion_value=0.48381903702066104\n",
+    ("pow:2", "stable:0.5"): "verdict=AS_INFINITE\ncriterion=infinite\n",
+}
+
+
+@pytest.mark.parametrize("f,phi", list(ZEROONE_OUTPUTS))
+def test_zeroone_evaluates_criterion_once(f, phi, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return criterion(*args, **kwargs)
+
+    criterion = integrate.finiteness_criterion
+    monkeypatch.setattr(integrate, "finiteness_criterion", counted)
+    monkeypatch.setattr(cli, "finiteness_criterion", counted)
+    out = tmp_path / "z.csv"
+    assert run(["zeroone", "--f", f, "--phi", phi, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    header = (f"# subsing {__version__}\n# command=zeroone\n"
+              f"# domain=[0.0, 1.0]\n# f={f}\n# phi={phi}\n")
+    assert out.read_text() == header + ZEROONE_OUTPUTS[f, phi]
 
 
 def test_byte_identity(tmp_path):

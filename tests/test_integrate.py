@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -105,6 +106,23 @@ def _quad_means(f, ts, points=()):
     return np.array(means)
 
 
+def _reversed_means(inner, T, ts):
+    """Per-cell averages of inner(T - t) by mpmath.quad at 30 digits.
+
+    In u = T - t a cell [a, b] becomes [T - b, T - a], so the reversed
+    singularity at t = T is an endpoint, u = 0, which tanh-sinh quadrature
+    resolves.  The quadrature's own error estimate must sit far below the
+    1e-10 tolerance of the tests."""
+    means = []
+    with mpmath.workdps(30):
+        for a, b in zip(ts[:-1], ts[1:]):
+            lo, hi = T - mpmath.mpf(b), T - mpmath.mpf(a)
+            val, err = mpmath.quad(inner, [lo, hi], error=True)
+            assert err <= 1e-15 * val
+            means.append(float(val / (hi - lo)))
+    return np.array(means)
+
+
 class TestCellMeans:
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.sampled_from([-1.0, 0.5, 1.0]))
@@ -139,10 +157,13 @@ class TestCellMeans:
         ts = _cell_grid(data, 0.0, 2.9)
         if data.draw(st.booleans()):
             ts = np.append(ts, 3.0)
-        for inner in (itg.power_singular(0.5), itg.exponential(2.0)):
+        for inner, mp_inner in (
+                (itg.power_singular(0.5), lambda u: u ** -0.5),
+                (itg.exponential(2.0), lambda u: mpmath.exp(-2 * u))):
             f = itg.time_reversed(inner, 3.0)
             np.testing.assert_allclose(itg.cell_means(f, ts),
-                                       _quad_means(f, ts), rtol=1e-10)
+                                       _reversed_means(mp_inner, 3.0, ts),
+                                       rtol=1e-10)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

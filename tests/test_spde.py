@@ -412,3 +412,65 @@ def test_validate_system_flags_bad_bounds():
     system = diagonal_system(3, drift=drift, drift_bound=0.1, drift_lip=0.0)
     with pytest.raises(PreconditionError):
         spde.validate_system(system)
+
+
+def _row_major_advance(system, times, d_sub, dw_std):
+    """The (R, K+1, n) stepper that advance replaced, drift always added."""
+    gam = np.asarray(system.eigenvalues, dtype=float)
+    R, K = d_sub.shape
+    X = np.empty((R, K + 1, system.n))
+    Z = np.empty((R, K + 1, system.n))
+    X[:, 0], Z[:, 0] = system.x0, 0.0
+    rootd = np.sqrt(d_sub)
+    hs = np.diff(times)
+    if np.allclose(hs, hs[0]):
+        hs = np.full_like(hs, hs[0])
+    for k, h in enumerate(hs):
+        E, phi1 = np.exp(-gam * h), -np.expm1(-gam * h) / gam
+        xk = X[:, k]
+        qn = system.diffusion.apply_noise(xk, dw_std[:, k] * rootd[:, k, None])
+        X[:, k + 1] = E * xk + phi1 * system.drift(xk) + E * qn
+        Z[:, k + 1] = E * (Z[:, k] + qn)
+    return X, Z
+
+
+class TestTimeMajorStepping:
+    def state_dependent_system(self, drift=True):
+        n = 6
+        k = np.arange(1, n + 1, dtype=float)
+        w = 0.3 * k ** -1.5
+
+        def roll_drift(y):
+            return w[: y.shape[-1]] * np.tanh(np.roll(y, 1, axis=-1))
+
+        def entries(y):
+            return 0.5 * k[: y.shape[-1]] ** -1.2 * (0.6 + 0.4 * np.tanh(y))
+
+        q = spde.DiagonalQ(entries, 1.0, 0.2)
+        return spde.GalerkinSystem(
+            n, k ** 1.4, roll_drift if drift else spde.zero_drift,
+            float(np.linalg.norm(w)), float(w.max()), q, k ** -1.5)
+
+    @pytest.mark.parametrize("grid", ["uniform", "graded"])
+    @pytest.mark.parametrize("case", ["drift", "truncated", "zero_drift",
+                                      "truncated_zero_drift"])
+    def test_bit_identical_to_row_major(self, grid, case):
+        system = self.state_dependent_system(drift="zero" not in case)
+        if "truncated" in case:
+            system = spde.truncate_system(system, 4)
+        times = (time_grid(1.0, 1 / 32) if grid == "uniform"
+                 else np.linspace(0.0, 1.0, 33) ** 1.5)
+        rng = np.random.default_rng(17)
+        d_sub = grid_increments(ST6, times, rng, 9)
+        dw = rng.standard_normal((9, len(times) - 1, system.n))
+        got = spde.advance(system, times, d_sub, dw)
+        want = _row_major_advance(system, times, d_sub, dw)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    def test_truncation_keeps_zero_drift(self):
+        system = self.state_dependent_system(drift=False)
+        assert spde.truncate_system(system, 3).drift is spde.zero_drift
+        assert spde.truncate_system(
+            self.state_dependent_system(), 3).drift is not spde.zero_drift
