@@ -22,6 +22,5 @@ from .spde import (ControllerResult, DiagonalQ, GalerkinSystem, SolutionPath,
                    maximal_inequality_scan, simulate, small_ball,
                    synthesize_null_controller, truncate_system,
                    validate_system, zero_drift, zero_q)
-from .subordinator import (GridPath, SubordinatorPath, evaluate,
-                           geometric_grid, inverse_time, simulate_general,
-                           simulate_stable, time_grid)
+from .subordinator import (SubordinatorPath, evaluate, geometric_grid,
+                           inverse_time, simulate_general, time_grid)

@@ -24,9 +24,9 @@ from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
 from .integrate import (ZeroOne, as_zero_one, finiteness_criterion,
                         parse_integrand, zero_one_verdict)
 from .mc import Moments, run_mc
-from .rng import stream
+from .rng import as_generator, stream
 from .subordinator import (EXACT_GRID_KINDS, grid_increments, jump_sampler,
-                           simulate_general, simulate_stable, time_grid)
+                           simulate_general, time_grid)
 
 USAGE_EXIT = 64
 REFUSAL_EXIT = 2
@@ -60,12 +60,11 @@ def _emit(args, lines, wall: float):
         sys.stdout.write(text)
 
 
-def _header(args, extra=()):
+def _header(args):
     items = sorted((k, v) for k, v in vars(args).items()
                    if k not in _NOT_CONFIG and v is not None)
     lines = [f"# subsing {__version__}"]
     lines += [f"# {k}={v}" for k, v in items]
-    lines += [f"# {e}" for e in extra]
     return lines
 
 
@@ -112,9 +111,10 @@ def cmd_sim(args):
     lines = _header(args)
     if args.export_path:
         if phi.kind is Catalog.STABLE:
-            path = simulate_stable(phi.params[0], args.T, dt=args.dt, seed=args.seed)
+            inc = grid_increments(phi, times, as_generator(args.seed))[0]
+            values = np.concatenate(([0.0], np.cumsum(inc)))
             lines.append("t,S_t")
-            lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(path.times, path.values)]
+            lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, values)]
             return lines
         path = simulate_general(phi, args.T, args.eps, seed=args.seed)
         lines.append(f"# drift={_fmt(path.drift)},T={_fmt(path.horizon)}")
@@ -211,7 +211,7 @@ def cmd_moment(args):
         phi = parse_phi(args.phi)
         rep = moments.bound_scan(phi, args.p, args.T_grid, args.paths,
                                  args.seed, theta=args.theta, lam=args.lam,
-                                 dt=args.dt, eps=args.eps)
+                                 dt=args.dt, method=args.method, eps=args.eps)
         lines.append(f"# clause={rep.clause}")
         return lines + _bound_rows(rep, "T,mc_mean,mc_se,rhs,ratio")
     if args.mode == "equiv":
@@ -267,14 +267,10 @@ def _build_system(args) -> spde.GalerkinSystem:
 
 
 def cmd_spde(args):
-    phi = parse_phi(args.phi) if args.phi else None
+    phi = parse_phi(args.phi)
     system = _build_system(args)
-    if args.truncations is None:
-        # galerkin's default is the powers of two below --n; the other modes
-        # ignore the flag and echo its former default, so their outputs
-        # stay byte-identical
-        args.truncations = ([2 ** j for j in range((args.n - 1).bit_length())]
-                            if args.mode == "galerkin" else [4, 8, 16, 32])
+    if args.truncations is None and args.mode == "galerkin":
+        args.truncations = [2 ** j for j in range((args.n - 1).bit_length())]
     lines = _header(args)
     if args.mode == "sim":
         path = spde.simulate(system, phi, args.T, args.dt, args.seed, eps=args.eps)
@@ -312,15 +308,9 @@ def cmd_spde(args):
             lines.append(",".join(_fmt(v) for v in (T, est.mean, est.std_error)))
         return lines
     if args.mode == "control":
-        K = int(round(args.T / args.dt))
-        times = np.linspace(0.0, args.T, K + 1)
-        if phi is not None:
-            inc = grid_increments(phi, times, stream(args.seed, 0), 1,
-                                  eps=args.eps)[0]
-            inc = np.maximum(inc, 1e-12)
-        else:
-            inc = np.full(K, 1.0 / K)
-        ell = np.concatenate(([0.0], np.cumsum(inc)))
+        times = time_grid(args.T, args.dt)
+        inc = grid_increments(phi, times, stream(args.seed, 0), 1, eps=args.eps)[0]
+        ell = np.concatenate(([0.0], np.cumsum(np.maximum(inc, 1e-12))))
         res = spde.synthesize_null_controller(system, times, ell,
                                               max_iter=args.max_iter,
                                               driver=phi)

@@ -20,7 +20,7 @@ from scipy import integrate as _si
 
 from .bernstein import BernsteinFunction, Catalog
 from .errors import DomainError
-from .subordinator import GridPath, SubordinatorPath
+from .subordinator import SubordinatorPath
 
 OVERFLOW_GUARD = 1e300
 QUAD_ATOL = 1e-10
@@ -215,14 +215,14 @@ def _slice_scan(fn, edge: float, direction: str, max_slices: int) -> Finiteness:
 # Stieltjes integration against a path
 # ---------------------------------------------------------------------------
 
-def stieltjes(f: Integrand, path) -> float:
-    """Pathwise integral of f against a subordinator path; may return +inf.
+def stieltjes(f: Integrand, path: SubordinatorPath) -> float:
+    """Pathwise integral of f against a jump path; may return +inf.
 
-    Jump paths integrate the drift by quadrature and add f(jump time) * size,
-    the left-point convention at the jump time itself (f is deterministic, so
-    a jump landing exactly on a singularity has probability zero).  Grid paths
-    weight each cell's increment by the average of f over the cell, see
-    :func:`cell_means`.
+    The drift is integrated by quadrature and each jump adds f(jump time) *
+    size, the left-point convention at the jump time itself (f is
+    deterministic, so a jump landing exactly on a singularity has probability
+    zero).  Grid paths are rows of increments, integrated by
+    :func:`stieltjes_increments`.
     """
     if isinstance(path, SubordinatorPath):
         drift_part = 0.0
@@ -244,10 +244,6 @@ def stieltjes(f: Integrand, path) -> float:
                 if len(path.jump_times) else 0.0
         total = drift_part + jump_part
         return math.inf if total > OVERFLOW_GUARD or math.isnan(total) else total
-    if isinstance(path, GridPath):
-        total = float(stieltjes_increments(f, path.times,
-                                           np.diff(path.values)[None, :])[0])
-        return math.inf if math.isnan(total) else total
     raise DomainError(f"unsupported path type {type(path)!r}")
 
 

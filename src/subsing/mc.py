@@ -164,10 +164,10 @@ def estimate_from_blocks(blocks: list, method: str = "plain") -> MCEstimate:
 
 
 def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
-           blocks: int = DEFAULT_BLOCKS, max_chunk: int = 4096) -> MCEstimate:
+           max_chunk: int = 4096) -> MCEstimate:
     if n_samples <= 0:
         raise DomainError("need a positive sample count")
-    blocks = min(blocks, n_samples)
+    blocks = min(DEFAULT_BLOCKS, n_samples)
     return estimate_from_blocks(block_values(sampler, n_samples, seed, blocks=blocks,
                                              max_chunk=max_chunk), method)
 

@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import mc
-from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
-                        doubling_indices, inverse, log_growth_liminf, stable,
-                        _endpoint_limit)
+from .bernstein import (BernsteinFunction, Catalog, doubling_indices, inverse,
+                        log_growth_liminf, stable, _endpoint_limit)
 from .errors import CapabilityError, DomainError, GateViolation, NumericError
 from .integrate import (OVERFLOW_GUARD, Integrand, IntegrandKind, Verdict,
                         cell_means, constant, exponential, finiteness_criterion,
@@ -215,21 +214,21 @@ def _integral_sampler(phi, f, times, eps):
     return sampler, chunk
 
 
-def char_functional_mc(phi: BernsteinFunction, f: Integrand, T: float, N: int,
-                       seed: int, *, dt: Optional[float] = None,
-                       times: Optional[np.ndarray] = None,
-                       eps: float = 1e-4) -> MCEstimate:
-    """Monte Carlo mean of exp(-integral); divergent samples contribute 0."""
+def _integral_mc(phi, f, times, N, seed, transform, method, eps) -> MCEstimate:
+    """Monte Carlo mean of ``transform`` of the integral of f over ``times``."""
     if not phi.simulable:
         raise CapabilityError(f"{phi.name}: not simulable")
-    ts = np.asarray(times, dtype=float) if times is not None \
-        else _default_times(f, T, dt, phi)
-    sampler, chunk = _integral_sampler(phi, f, ts, eps)
+    sampler, chunk = _integral_sampler(phi, f, np.asarray(times, dtype=float), eps)
+    return mc.run_mc(lambda rng, m: transform(sampler(rng, m)), N, seed,
+                     method=method, max_chunk=chunk)
 
-    def transform(rng, m):
-        return np.exp(-sampler(rng, m))
 
-    return mc.run_mc(transform, N, seed, max_chunk=chunk)
+def char_functional_mc(phi: BernsteinFunction, f: Integrand, T: float, N: int,
+                       seed: int, *, dt: Optional[float] = None,
+                       eps: float = 1e-4) -> MCEstimate:
+    """Monte Carlo mean of exp(-integral); divergent samples contribute 0."""
+    return _integral_mc(phi, f, _default_times(f, T, dt, phi), N, seed,
+                        lambda v: np.exp(-v), "plain", eps)
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +257,18 @@ def mc_integral_moment(phi: BernsteinFunction, p: float, f: Integrand,
                        times: np.ndarray, N: int, seed: int, *,
                        method: str = "auto", eps: float = 1e-4) -> MCEstimate:
     """p-th moment of the integral of f over an explicit grid."""
-    if not phi.simulable:
-        raise CapabilityError(f"{phi.name}: not simulable")
     if method == "auto":
         method = _auto_method(phi, p)
-    sampler, chunk = _integral_sampler(phi, f, np.asarray(times, dtype=float), eps)
-
-    def transform(rng, m):
-        return _power_transform(sampler(rng, m), p)
-
-    return mc.run_mc(transform, N, seed, method=method, max_chunk=chunk)
+    return _integral_mc(phi, f, times, N, seed,
+                        lambda v: _power_transform(v, p), method, eps)
 
 
 def mc_moment(phi: BernsteinFunction, p: float, f: Integrand, T: float, N: int,
               seed: int, *, method: str = "auto", dt: Optional[float] = None,
-              times: Optional[np.ndarray] = None, eps: float = 1e-4) -> MCEstimate:
+              eps: float = 1e-4) -> MCEstimate:
     """p-th moment of the integral of f on (0, T]."""
-    ts = np.asarray(times, dtype=float) if times is not None \
-        else _default_times(f, T, dt, phi)
-    return mc_integral_moment(phi, p, f, ts, N, seed, method=method, eps=eps)
+    return mc_integral_moment(phi, p, f, _default_times(f, T, dt, phi), N, seed,
+                              method=method, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +301,14 @@ def _require(cond: bool, condition: str, detail: str):
 
 def select_bound_clause(phi: BernsteinFunction, p: float, T_grid: Sequence[float],
                         *, theta: Optional[float] = None,
-                        lam: Optional[float] = None,
-                        indices: Optional[DoublingIndices] = None) -> str:
+                        lam: Optional[float] = None) -> str:
     """Pick and check the admissibility clause for the requested scan.
 
     Raises GateViolation naming the violated condition.  The doubling indices
     (and the liminf variants needed by the negative-moment clauses) are grid
     estimates from :func:`subsing.bernstein.doubling_indices`.
     """
-    idx = indices if indices is not None else doubling_indices(phi)
+    idx = doubling_indices(phi)
     t_lo, t_hi = min(T_grid), max(T_grid)
     if lam is not None:
         if p > 0:
@@ -393,11 +384,9 @@ def bound_rhs(phi: BernsteinFunction, p: float, T: float, *,
 def bound_scan(phi: BernsteinFunction, p: float, T_grid: Sequence[float], N: int,
                seed: int, *, theta: Optional[float] = None,
                lam: Optional[float] = None, dt: Optional[float] = None,
-               method: str = "auto", eps: float = 1e-4,
-               indices: Optional[DoublingIndices] = None) -> BoundReport:
+               method: str = "auto", eps: float = 1e-4) -> BoundReport:
     """Monte Carlo left sides against analytic right sides over a horizon grid."""
-    clause = select_bound_clause(phi, p, T_grid, theta=theta, lam=lam,
-                                 indices=indices)
+    clause = select_bound_clause(phi, p, T_grid, theta=theta, lam=lam)
     ests, rhss = [], []
     for i, T in enumerate(T_grid):
         if lam is not None:

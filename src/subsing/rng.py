@@ -28,10 +28,8 @@ def derive_seed(master: int, index: int) -> int:
     return splitmix64(splitmix64(master) ^ splitmix64(index * _GOLDEN + 1))
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Accept a seed or an existing Generator and return a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
+def as_generator(seed: int) -> np.random.Generator:
+    """The Generator of an integer seed, reduced to 64 bits."""
     return np.random.default_rng(int(seed) & _MASK)
 
 

@@ -13,13 +13,13 @@ conditional experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .bernstein import BernsteinFunction, DoublingIndices, doubling_indices, inverse
+from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
                      PreconditionError)
 from .mc import Moments, merge_all, wilson_interval
@@ -216,8 +216,6 @@ class SolutionPath:
     state: np.ndarray          # (K+1, n)
     convolution: np.ndarray    # (K+1, n)
     subordinator: np.ndarray   # (K+1,) grid values of S
-    gaussians: np.ndarray      # (K, n) standard normal increments
-    config: dict = field(default_factory=dict)
 
 
 def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
@@ -229,8 +227,7 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
     dw = rng.standard_normal((1, len(times) - 1, system.n))
     X, Z = advance(system, times, d_sub, dw)
     svals = np.concatenate(([0.0], np.cumsum(d_sub[0])))
-    return SolutionPath(times, X[0], Z[0], svals, dw[0],
-                        {"driver": driver.name, "T": T, "dt": dt, "seed": seed})
+    return SolutionPath(times, X[0], Z[0], svals)
 
 
 def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
@@ -301,9 +298,8 @@ def fractional_power_norm(gammas: np.ndarray, theta: float,
 # gates for the convolution estimates
 # ---------------------------------------------------------------------------
 
-def gate_convolution(phi: BernsteinFunction, p: float, theta: float,
-                     mode: str, indices: Optional[DoublingIndices] = None):
-    idx = indices if indices is not None else doubling_indices(phi)
+def gate_convolution(phi: BernsteinFunction, p: float, theta: float, mode: str):
+    idx = doubling_indices(phi)
     if p <= 0:
         raise DomainError("moment order must be positive")
     if theta < 0:
@@ -340,11 +336,11 @@ def gate_convolution(phi: BernsteinFunction, p: float, theta: float,
 def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
                             p: float, theta: float, t_grid: Sequence[float],
                             N: int, seed: int, *, dt: float,
-                            mode: str = "small_time", eps: float = 1e-4,
-                            indices=None) -> BoundReport:
+                            mode: str = "small_time",
+                            eps: float = 1e-4) -> BoundReport:
     """Monte Carlo fractional-power moments of the convolution at several
     times, against the small-time right side (or raw, in stationary mode)."""
-    gate_convolution(driver, p, theta, mode, indices)
+    gate_convolution(driver, p, theta, mode)
     t_grid = _horizons(t_grid)
     times = time_grid(t_grid[-1], dt)
     cols = _grid_columns(times, t_grid)
@@ -365,14 +361,14 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
 
 def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
                             p: float, T_grid: Sequence[float], N: int,
-                            seed: int, *, dt: float, eps: float = 1e-4,
-                            indices=None) -> BoundReport:
+                            seed: int, *, dt: float,
+                            eps: float = 1e-4) -> BoundReport:
     """Grid-maximum moments of |Z| per horizon against the maximal bound.
 
     One run on the grid of the largest horizon serves every horizon: each
     reads the running maximum of the same paths at its own column.
     """
-    idx = indices if indices is not None else doubling_indices(driver)
+    idx = doubling_indices(driver)
     if p <= 0:
         raise DomainError("moment order must be positive")
     T_grid = _horizons(T_grid)
@@ -466,8 +462,8 @@ class LongRunReport:
 
 def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
                         p: float, theta: float, horizons: Sequence[float],
-                        N: int, seed: int, *, dt: float, eps: float = 1e-4,
-                        indices=None) -> LongRunReport:
+                        N: int, seed: int, *, dt: float,
+                        eps: float = 1e-4) -> LongRunReport:
     """Time-averaged moments of |Lambda^theta X_t| over [1, T+1] per horizon.
 
     Bounded output across growing horizons is the tightness evidence for the
@@ -475,7 +471,7 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     horizon: each reads the running trapezoid integral from t = 1 at its own
     column.
     """
-    gate_convolution(driver, p, theta, "stationary", indices)
+    gate_convolution(driver, p, theta, "stationary")
     gam = system.eigenvalues
     Ts = _horizons(horizons)
     times = time_grid(Ts[-1] + 1.0, dt)
@@ -546,14 +542,15 @@ def verify_a4(system: GalerkinSystem, *, n_probes: int = 16, seed: int = 0,
 
 def synthesize_null_controller(system: GalerkinSystem, times: np.ndarray,
                                ell: np.ndarray, *, atol: float = 1e-10,
-                               max_iter: int = 64, check_a4: bool = True,
+                               max_iter: int = 64,
                                driver: Optional[BernsteinFunction] = None) -> ControllerResult:
     """Fixed-point construction of a control steering the state to zero.
 
     ``ell`` is a frozen strictly increasing clock on the grid with ell[0] = 0.
     Each sweep rebuilds the control from the inverse diffusion along the
     previous trajectory; the trajectory update contracts at rate
-    horizon * drift_lip, which must be below one.
+    horizon * drift_lip, which must be below one.  The declared
+    inverse-diffusion constants are probed first, see :func:`verify_a4`.
     """
     times = np.asarray(times, dtype=float)
     ell = np.asarray(ell, dtype=float)
@@ -566,8 +563,7 @@ def synthesize_null_controller(system: GalerkinSystem, times: np.ndarray,
             f"horizon {T:g} is not below 1/drift_lip = {1.0 / system.drift_lip:g}")
     if not getattr(system.diffusion, "invertible", False):
         raise CapabilityError("controller needs an invertible diffusion")
-    if check_a4:
-        verify_a4(system, driver=driver)
+    verify_a4(system, driver=driver)
 
     gam = system.eigenvalues
     x = np.asarray(system.x0, dtype=float)

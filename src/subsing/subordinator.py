@@ -1,11 +1,11 @@
 """Sample paths of subordinators and their time inverses.
 
-Two path representations are used.  Stable and gamma drivers are sampled
-exactly at grid times and stored as nondecreasing grid values (GridPath);
-their jump sets are infinite, so downstream integration works on increments.
-General exponents with an attached jump measure are sampled as compound
-Poisson paths above a cutoff eps, with the small jumps folded into an extra
-drift (SubordinatorPath); that keeps every path nondecreasing.
+Grid paths are (n_paths, K) arrays of increments over the cells of a time
+grid: stable and gamma increments are exact in law, drift-only ones are
+deterministic, and every other simulable exponent bins the jumps of its
+compound Poisson approximation into the cells.  A single jump path
+(SubordinatorPath) keeps those jumps above a cutoff eps, with the small
+jumps folded into an extra drift, so every path is nondecreasing.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -30,30 +29,6 @@ LOOKUP_SLICE = 8192
 # drivers whose increments grid_increments draws exactly; every other
 # simulable exponent takes the compound Poisson route through its jump table
 EXACT_GRID_KINDS = frozenset({Catalog.STABLE, Catalog.GAMMA, Catalog.DRIFT_ONLY})
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """A subordinator observed on a fixed time grid; values[0] = 0."""
-
-    times: np.ndarray
-    values: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        t, v = self.times, self.values
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise DomainError("times must start at 0 and increase strictly")
-        if v[0] != 0.0 or np.any(np.diff(v) < 0):
-            raise DomainError("values must start at 0 and be nondecreasing")
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -156,20 +131,6 @@ def gamma_grid_increments(times: np.ndarray, rng: np.random.Generator,
     if np.any(dt <= 0):
         raise DomainError("grid times must increase strictly")
     return rng.gamma(shape=np.broadcast_to(dt, (n_paths, dt.size)), scale=1.0)
-
-
-def simulate_stable(alpha: float, T: float, *, dt: Optional[float] = None,
-                    times: Optional[np.ndarray] = None, seed=0) -> GridPath:
-    """Exact stable path on a grid (uniform from dt, or an explicit grid)."""
-    rng = as_generator(seed)
-    if times is None:
-        if dt is None:
-            raise DomainError("give either dt or times")
-        times = time_grid(T, dt)
-    times = np.asarray(times, dtype=float)
-    inc = stable_grid_increments(alpha, times, rng, 1)[0]
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    return GridPath(times, values, f"ExactStable(alpha={alpha:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +257,23 @@ def simulate_general(phi: BernsteinFunction, T: float, eps: float,
 
     Jumps of size >= eps arrive at rate nu([eps, inf)); smaller jumps are
     compensated by adding their mean rate to the drift, which preserves
-    monotone paths.  The neglected-fluctuation bias is recorded in the path
-    diagnostics.
+    monotone paths.  The path is one replica of :func:`cp_jump_batch` with
+    its jump times sorted; the cutoff and table facts are recorded in the
+    path diagnostics.
     """
-    if eps <= 0:
-        raise DomainError("jump cutoff must be positive")
     if T <= 0:
         raise DomainError("horizon must be positive")
-    if not phi.simulable:
-        raise CapabilityError(f"{phi.name}: no jump structure attached")
-    rng = as_generator(seed)
-    trip = phi.triplet
+    drift, _, times, sizes = cp_jump_batch(phi, T, eps, as_generator(seed), 1)
     sampler = jump_sampler(phi, eps)
-    n = rng.poisson(sampler.rate * T)
-    times = np.sort(rng.uniform(0.0, T, n))
-    sizes = sampler.draw(rng, n)
-    drift = trip.drift + trip.small_jump_mean(eps)
     diag = {
         "eps": eps,
         "jump_rate": sampler.rate,
-        "small_jump_drift": trip.small_jump_mean(eps),
+        "small_jump_drift": phi.triplet.small_jump_mean(eps),
         **sampler.record(),
     }
     provenance = "DriftOnly" if phi.kind is Catalog.DRIFT_ONLY \
         else f"CompoundPoisson(eps={eps:g})"
-    return SubordinatorPath(T, drift, times, sizes, provenance, diag)
+    return SubordinatorPath(T, drift, np.sort(times), sizes, provenance, diag)
 
 
 def cp_jump_batch(phi: BernsteinFunction, T: float, eps: float,
@@ -374,35 +327,18 @@ def grid_increments(phi: BernsteinFunction, times: np.ndarray,
 # path evaluation and inversion
 # ---------------------------------------------------------------------------
 
-def evaluate(path, t: float) -> float:
-    """S_t under the right-continuous convention (a jump at t is included).
-
-    GridPath values between nodes are linearly interpolated; the grid
-    representation has no jump locations to respect.
-    """
-    if isinstance(path, GridPath):
-        if t < 0 or t > path.horizon:
-            raise DomainError("time outside [0, T]")
-        return float(np.interp(t, path.times, path.values))
+def evaluate(path: SubordinatorPath, t: float) -> float:
+    """S_t under the right-continuous convention (a jump at t is included)."""
     if t < 0 or t > path.horizon:
         raise DomainError("time outside [0, T]")
     k = np.searchsorted(path.jump_times, t, side="right")
     return path.drift * t + float(path.jump_sizes[:k].sum())
 
 
-def inverse_time(path, t: float) -> float:
+def inverse_time(path: SubordinatorPath, t: float) -> float:
     """Right-continuous generalized inverse inf{s >= 0 : S_s > t}."""
     if t < 0:
         raise DomainError("level must be nonnegative")
-    if isinstance(path, GridPath):
-        total = path.total_mass
-        if t >= total:
-            raise RangeError("level at or above the terminal value")
-        k = int(np.searchsorted(path.values, t, side="right"))
-        # values[k-1] <= t < values[k], so the interpolating cell rises strictly
-        v0, v1 = path.values[k - 1], path.values[k]
-        t0, t1 = path.times[k - 1], path.times[k]
-        return float(t0 + (t - v0) / (v1 - v0) * (t1 - t0))
     if t >= path.total_mass:
         raise RangeError("level at or above the terminal value")
     b = path.drift

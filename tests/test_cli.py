@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from subsing import __version__, cli, integrate
@@ -78,6 +80,40 @@ def test_galerkin_bad_truncations_refused(truncations, capsys):
     assert run(["spde", "galerkin", "--n", "8", "--truncations", truncations,
                 "--paths", "2", "--T", "0.25", "--dt", "0.0625"]) == 2
     assert "truncation" in capsys.readouterr().err
+
+
+def test_spde_header_omits_unused_truncations(tmp_path):
+    # only galerkin reads --truncations, so no other mode echoes it
+    out = tmp_path / "m.csv"
+    assert run(["spde", "maximal", "--n", "4", "--t-grid", "1", "--dt", "0.0625",
+                "--paths", "20", "--out", str(out)]) == 0
+    assert "truncations" not in out.read_text()
+
+
+@pytest.mark.parametrize("mode", ["sim", "convmom", "maximal", "smallball",
+                                  "longrun", "control", "galerkin"])
+def test_spde_empty_phi_exit_code(mode, capsys):
+    assert run(["spde", mode, "--phi=", "--n", "2", "--paths", "2"]) == 1
+    assert "unknown exponent id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["0.3", "5"])
+def test_spde_control_dt_must_divide_T(dt, capsys):
+    assert run(["spde", "control", "--phi", "stable:0.6", "--n", "2",
+                "--q-const", "--a4-c", "4.0", "--T", "0.5", "--dt", dt]) == 1
+    assert "dt" in capsys.readouterr().err
+
+
+def test_moment_bound_honours_method(capsys):
+    argv = ["moment", "bound", "--phi", "stable:0.5", "--p", "0.3",
+            "--theta", "0.5", "--T-grid", "1,2", "--paths", "2000", "--seed", "5"]
+    bodies = {}
+    for method in ("auto", "plain", "median_of_means"):
+        assert run(argv + ["--method", method]) == 0
+        bodies[method] = [line for line in capsys.readouterr().out.splitlines()
+                          if not line.startswith("#")]
+    # p = 0.3 >= alpha / 2, so auto takes the median of means
+    assert bodies["auto"] == bodies["median_of_means"] != bodies["plain"]
 
 
 # zeroone outputs of the version that evaluated the criterion twice
@@ -267,6 +303,16 @@ def test_path_export(tmp_path):
                 "--seed", "5", "--export-path", "--out", str(out2)]) == 0
     text = out2.read_text()
     assert "time,size" in text and "drift=" in text
+
+
+def test_path_export_digest(capsys):
+    # digest of the output of the version that sampled stable paths with
+    # simulate_stable
+    assert run(["sim", "--export-path", "--phi", "stable:0.6", "--dt", "0.01",
+                "--seed", "7"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ("3c563648cb288f8c460cd287473725b3"
+                      "3ef03d2ac7c290a4f5b34f9cf53f459a")
 
 
 def test_equiv_and_spde_smoke(capsys):

@@ -11,6 +11,7 @@ from subsing import bernstein as bf
 from subsing import integrate as itg
 from subsing import subordinator as sub
 from subsing.moments import mc_moment
+from subsing.rng import as_generator
 
 STABLE = bf.stable(0.5)
 GAMMA = bf.gamma_exponent()
@@ -32,16 +33,19 @@ class TestStieltjes:
         assert itg.stieltjes(itg.constant(3.0), p) == pytest.approx(6.0)
 
     def test_grid_constant_recovers_total_mass(self):
-        gp = sub.simulate_stable(0.5, 1.0, dt=0.125, seed=2)
-        assert itg.stieltjes(itg.constant(1.0), gp) == pytest.approx(gp.total_mass)
+        times = sub.time_grid(1.0, 0.125)
+        inc = sub.grid_increments(STABLE, times, as_generator(2))
+        total = itg.stieltjes_increments(itg.constant(1.0), times, inc)[0]
+        assert total == pytest.approx(inc.sum())
 
     def test_grid_singular_uses_cell_averages(self):
         # cell means of t^-1/2: 2 sqrt(2) on (0, .5], 4 (1 - sqrt(.5)) on (.5, 1]
         times = np.array([0.0, 0.5, 1.0])
-        gp = sub.GridPath(times, np.array([0.0, 1.0, 1.5]), "t")
+        inc = np.array([[1.0, 0.5]])
         expected = 2 * math.sqrt(2) * 1.0 + 4 * (1 - math.sqrt(0.5)) * 0.5
         assert expected == pytest.approx(3.4142, abs=1e-4)
-        assert itg.stieltjes(itg.power_singular(0.5), gp) == pytest.approx(expected)
+        total = itg.stieltjes_increments(itg.power_singular(0.5), times, inc)[0]
+        assert total == pytest.approx(expected)
 
     def test_grid_nonintegrable_first_cell_uses_first_interior_node(self):
         # t^-1.2 is not integrable at 0: the first weight stays f(times[1])

@@ -9,7 +9,7 @@ from scipy import stats
 from subsing import bernstein as bf
 from subsing import subordinator as sub
 from subsing.errors import CapabilityError, DomainError, RangeError
-from subsing.rng import stream
+from subsing.rng import as_generator, stream
 
 
 def test_time_grid_basic():
@@ -30,9 +30,11 @@ def test_power_graded_grid_shape():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_stable_paths_monotone_and_certified(alpha):
-    path = sub.simulate_stable(alpha, 1.0, dt=0.01, seed=1)
-    assert path.values[0] == 0.0
-    assert np.all(np.diff(path.values) >= 0)
+    inc = sub.grid_increments(bf.stable(alpha), sub.time_grid(1.0, 0.01),
+                              as_generator(1))[0]
+    values = np.concatenate(([0.0], np.cumsum(inc)))
+    assert values[0] == 0.0
+    assert np.all(np.diff(values) >= 0)
     # Laplace certification at the path level: e^{-r S_1} vs e^{-phi(r)}
     rng = stream(9, 0)
     inc = sub.stable_grid_increments(alpha, np.array([0.0, 1.0]), rng, 100_000)
@@ -79,14 +81,30 @@ def test_gamma_increments_match_transform():
 
 
 def test_determinism_bit_identical():
-    a = sub.simulate_stable(0.5, 1.0, dt=0.01, seed=42)
-    b = sub.simulate_stable(0.5, 1.0, dt=0.01, seed=42)
-    assert np.array_equal(a.values, b.values)
+    times = sub.time_grid(1.0, 0.01)
+    a = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
+    b = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
+    assert np.array_equal(a, b)
     g1 = sub.simulate_general(bf.gamma_exponent(), 1.0, 1e-3, seed=5)
     g2 = sub.simulate_general(bf.gamma_exponent(), 1.0, 1e-3, seed=5)
     assert np.array_equal(g1.jump_times, g2.jump_times)
     assert np.array_equal(g1.jump_sizes, g2.jump_sizes)
     assert g1.drift == g2.drift
+
+
+@pytest.mark.parametrize("phi_id", ["gamma", "tempered:0.5,1", "stable:0.6",
+                                    "drift:1"])
+@pytest.mark.parametrize("T, eps", [(1.0, 1e-3), (2.0, 1e-2)])
+def test_general_path_is_one_sorted_jump_batch(phi_id, T, eps):
+    phi = bf.parse_phi(phi_id)
+    for seed in (0, 7):
+        path = sub.simulate_general(phi, T, eps, seed=seed)
+        drift, counts, times, sizes = sub.cp_jump_batch(phi, T, eps,
+                                                        as_generator(seed), 1)
+        assert counts.tolist() == [len(times)]
+        assert path.drift == drift
+        assert np.array_equal(path.jump_times, np.sort(times))
+        assert np.array_equal(path.jump_sizes, sizes)
 
 
 def test_drift_only_general():
