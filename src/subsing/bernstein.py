@@ -111,8 +111,8 @@ def tempered_stable(alpha: float, lam: float) -> BernsteinFunction:
     """phi(s) = (s+lam)^alpha - lam^alpha; exponentially tempered stable jumps."""
     if not 0 < alpha < 1:
         raise DomainError("tempering requires alpha in (0, 1)")
-    if lam <= 0:
-        raise DomainError("tempering rate must be positive")
+    if not 0 < lam < math.inf:
+        raise DomainError("tempering rate must be positive and finite")
     c = alpha / math.gamma(1 - alpha)
 
     def tail(eps, a=alpha, l=lam, c=c):
@@ -167,8 +167,8 @@ def ratio(alpha: float) -> BernsteinFunction:
 
 def drift_only(b: float) -> BernsteinFunction:
     """phi(s) = b s; deterministic subordinator S_t = b t."""
-    if b < 0:
-        raise DomainError("drift must be nonnegative")
+    if not 0 <= b < math.inf:
+        raise DomainError("drift must be nonnegative and finite")
     triplet = LevyTriplet(drift=b, density=None,
                           tail_mass=lambda eps: 0.0,
                           small_jump_mean=lambda eps: 0.0)
@@ -176,9 +176,8 @@ def drift_only(b: float) -> BernsteinFunction:
                              lambda s, b=b: b * s, triplet)
 
 
-def custom(fn: Callable, name: str = "custom",
-           triplet: Optional[LevyTriplet] = None) -> BernsteinFunction:
-    return BernsteinFunction(name, Catalog.CUSTOM, (), fn, triplet)
+def custom(fn: Callable, name: str = "custom") -> BernsteinFunction:
+    return BernsteinFunction(name, Catalog.CUSTOM, (), fn)
 
 
 def parse_phi(ident: str) -> BernsteinFunction:
@@ -210,14 +209,14 @@ def parse_phi(ident: str) -> BernsteinFunction:
 # numeric inverse
 # ---------------------------------------------------------------------------
 
-def inverse(phi: BernsteinFunction, y: float, *, rtol: float = 1e-12,
-            max_iter: int = 200) -> float:
-    """Solve phi(s) = y by bracketed bisection.
+def inverse(phi: BernsteinFunction, y: float) -> float:
+    """Solve phi(s) = y by bracketed bisection to relative tolerance 1e-12.
 
     The bracket is grown geometrically from s = 1; phi increasing makes the
     bisection unconditionally safe.  Raises RangeError when y cannot be
-    bracketed (bounded phi) and NumericError when the iteration cap is hit.
+    bracketed (bounded phi) and NumericError after 200 halvings.
     """
+    rtol = 1e-12
     if y <= 0:
         raise DomainError("target value must be positive")
     lo = hi = 1.0
@@ -238,7 +237,7 @@ def inverse(phi: BernsteinFunction, y: float, *, rtol: float = 1e-12,
             raise RangeError(f"{phi.name}: {y} is below the attainable range")
     else:
         return 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = math.sqrt(lo * hi)
         val = phi(mid)
         if abs(val - y) <= rtol * y:
@@ -277,9 +276,9 @@ def _log2_ratio(phi: BernsteinFunction, s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _decade_extreme(phi, exponent: float, sign: int, pts: int = 5) -> float:
+def _decade_extreme(phi, exponent: float, sign: int) -> float:
     # min (sign=-1) or max (sign=+1) of log2 phi(2s)/phi(s) over one decade
-    s = 10.0 ** (exponent + np.linspace(0.0, 1.0, pts))
+    s = 10.0 ** (exponent + np.linspace(0.0, 1.0, 5))
     vals = _log2_ratio(phi, s)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
@@ -323,28 +322,24 @@ def _neville_at_zero(xs, ys) -> float:
     return tab[0]
 
 
-def doubling_indices(phi: BernsteinFunction, *, lo: float = 1e-8, hi: float = 1e8,
-                     per_decade: int = 8, atol: float = 1e-6) -> DoublingIndices:
+def doubling_indices(phi: BernsteinFunction) -> DoublingIndices:
     """Scan phi(2s)/phi(s) over a log grid and extrapolate the endpoint limits.
 
-    The grid must span at least 12 decades; the global infimum/supremum fold in
-    the extrapolated behaviour at both ends, since for several catalog entries
-    the extremes are only attained asymptotically.
+    The grid has 8 points per decade on [1e-8, 1e8]; the global
+    infimum/supremum fold in the extrapolated behaviour at both ends, since
+    for several catalog entries the extremes are only attained asymptotically.
     """
-    if hi / lo < 1e12:
-        raise DomainError("grid must span at least 12 decades")
-    n = int(math.log10(hi / lo) * per_decade) + 1
-    s = np.geomspace(lo, hi, n)
+    s = np.geomspace(1e-8, 1e8, 129)
     vals = _log2_ratio(phi, s)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
         return DoublingIndices(None, None, None, None)
     grid_min, grid_max = float(vals.min()), float(vals.max())
 
-    zero_inf = _endpoint_limit(phi, "zero", -1, atol)
-    zero_sup = _endpoint_limit(phi, "zero", +1, atol)
-    inf_inf = _endpoint_limit(phi, "inf", -1, atol)
-    inf_sup = _endpoint_limit(phi, "inf", +1, atol)
+    zero_inf = _endpoint_limit(phi, "zero", -1, 1e-6)
+    zero_sup = _endpoint_limit(phi, "zero", +1, 1e-6)
+    inf_inf = _endpoint_limit(phi, "inf", -1, 1e-6)
+    inf_sup = _endpoint_limit(phi, "inf", +1, 1e-6)
 
     ends_min = [v for v in (zero_inf, inf_inf) if v is not None]
     ends_max = [v for v in (zero_sup, inf_sup) if v is not None]
@@ -353,7 +348,7 @@ def doubling_indices(phi: BernsteinFunction, *, lo: float = 1e-8, hi: float = 1e
     return DoublingIndices(g_inf, g_sup, zero_inf, inf_sup)
 
 
-def log_growth_liminf(phi: BernsteinFunction, *, atol: float = 1e-4) -> Optional[float]:
+def log_growth_liminf(phi: BernsteinFunction) -> Optional[float]:
     """Extrapolated liminf of phi(s)/log(s) as s -> infinity.
 
     Values growing without bound are reported as ``inf``; None means the scan
@@ -371,7 +366,7 @@ def log_growth_liminf(phi: BernsteinFunction, *, atol: float = 1e-4) -> Optional
         return math.inf if len(vals) and vals[-1] > 1e6 else None
     if vals[-1] > 10 * vals[0] and vals[-1] > vals[-2] > vals[-3]:
         return math.inf
-    if abs(vals[-1] - vals[-2]) <= atol * max(1.0, abs(vals[-1])):
+    if abs(vals[-1] - vals[-2]) <= 1e-4 * max(1.0, abs(vals[-1])):
         return vals[-1]
     if vals[-1] > 1e8:
         return math.inf
@@ -391,13 +386,13 @@ class RegVarCheck:
 
 
 def regvar_upper_check(g: Callable[[np.ndarray], np.ndarray], kappa: float,
-                       eps: float, *, grid: Optional[np.ndarray] = None,
-                       delta: float = 1.0) -> RegVarCheck:
+                       eps: float) -> RegVarCheck:
     """Check g(s) <= C s^(kappa-eps) near 0 for an increasing g on (0, 1).
 
     Requires the numeric doubling index of g at zero to exceed kappa - eps/2;
-    when it does, the reported C is the smallest constant that works on the
-    grid, i.e. the maximum of g(s)/s^(kappa-eps).
+    when it does, the reported C is the smallest constant that works on a
+    geometric grid of 257 points on [1e-8, 1], i.e. the maximum of
+    g(s)/s^(kappa-eps) there.
     """
     if not 0 < eps < kappa:
         raise DomainError("need 0 < eps < kappa")
@@ -406,10 +401,7 @@ def regvar_upper_check(g: Callable[[np.ndarray], np.ndarray], kappa: float,
     if idx is None or idx <= kappa - eps / 2:
         return RegVarCheck(False, reason=f"index at zero {idx} does not exceed "
                                          f"kappa - eps/2 = {kappa - eps / 2:g}")
-    if grid is None:
-        grid = np.geomspace(1e-8, delta, 257)
-    grid = np.asarray(grid, dtype=float)
-    grid = grid[(grid > 0) & (grid <= delta)]
+    grid = np.geomspace(1e-8, 1.0, 257)
     with np.errstate(all="ignore"):
         ratios = np.asarray(g(grid), dtype=float) / grid ** (kappa - eps)
     bad = ~np.isfinite(ratios)

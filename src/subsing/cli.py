@@ -169,8 +169,7 @@ def cmd_integrate(args):
 def cmd_zeroone(args):
     phi = parse_phi(args.phi)
     f = parse_integrand(args.f)
-    domain = (args.domain[0], args.domain[1])
-    res = finiteness_criterion(f, phi, domain)
+    res = finiteness_criterion(f, phi, tuple(args.domain))
     verdict = as_zero_one(res)
     lines = _header(args)
     lines.append(f"verdict={verdict.name}")
@@ -180,24 +179,15 @@ def cmd_zeroone(args):
     return lines
 
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise DomainError(f"moment {args.mode} requires --{name}")
-
-
 def cmd_moment(args):
     lines = _header(args)
     if args.mode == "exact":
-        _need(args, "alpha", "f")
         f = parse_integrand(args.f)
-        val = moments.exact_stable_moment(args.alpha, args.p, f,
-                                          (args.domain[0], args.domain[1]))
+        val = moments.exact_stable_moment(args.alpha, args.p, f, tuple(args.domain))
         lines.append(f"value={_fmt(val)}")
         return lines
+    phi = parse_phi(args.phi)
     if args.mode == "mc":
-        _need(args, "phi", "f")
-        phi = parse_phi(args.phi)
         f = parse_integrand(args.f)
         est = moments.mc_moment(phi, args.p, f, args.T, args.paths, args.seed,
                                 method=args.method, dt=args.dt, eps=args.eps)
@@ -207,30 +197,24 @@ def cmd_moment(args):
             est.heavy_tail_flag)))
         return lines
     if args.mode == "bound":
-        _need(args, "phi")
-        phi = parse_phi(args.phi)
         rep = moments.bound_scan(phi, args.p, args.T_grid, args.paths,
                                  args.seed, theta=args.theta, lam=args.lam,
                                  dt=args.dt, method=args.method, eps=args.eps)
         lines.append(f"# clause={rep.clause}")
         return lines + _bound_rows(rep, "T,mc_mean,mc_se,rhs,ratio")
-    if args.mode == "equiv":
-        _need(args, "phi", "lam")
-        phi = parse_phi(args.phi)
-        res = moments.exp_moment_equivalence(phi, args.p, args.lam)
-        lines.append(f"verdict={res.verdict.name}")
-        if res.criterion_value is not None:
-            lines.append(f"criterion_value={_fmt(res.criterion_value)}")
-        return lines
-    raise DomainError(f"unknown moment mode {args.mode!r}")
+    res = moments.exp_moment_equivalence(phi, args.p, args.lam)   # equiv
+    lines.append(f"verdict={res.verdict.name}")
+    if res.criterion_value is not None:
+        lines.append(f"criterion_value={_fmt(res.criterion_value)}")
+    return lines
 
 
-def _build_system(args) -> spde.GalerkinSystem:
+def _build_system(args, a4) -> spde.GalerkinSystem:
     """Standard parametric test system for the CLI experiments.
 
     Eigenvalues k^gamma_exp, initial state k^-x_decay, diagonal diffusion
     q_scale * k^-q_decay * (0.6 + 0.4 tanh(y_k)), drift f_scale * k^-1.5 *
-    tanh(y_{k-1}) (zero when f_scale is 0).
+    tanh(y_{k-1}) (zero when f_scale is 0); inverse-diffusion a4 = (C, delta).
     """
     n = args.n
     if n < 1:
@@ -246,8 +230,7 @@ def _build_system(args) -> spde.GalerkinSystem:
         def entries(y, s=scales):
             return s[: y.shape[-1]] * (0.6 + 0.4 * np.tanh(y))
 
-        q = spde.DiagonalQ(entries, float(np.linalg.norm(scales)),
-                           0.4 * float(scales.max()), invertible=True)
+        q = spde.DiagonalQ(entries, float(np.linalg.norm(scales)), invertible=True)
     if args.f_scale == 0.0:
         drift = spde.zero_drift
         fb = flip = 0.0
@@ -259,17 +242,17 @@ def _build_system(args) -> spde.GalerkinSystem:
 
         fb = float(np.linalg.norm(w))
         flip = float(w.max())
-    a4 = (args.a4_c, args.a4_delta) if args.a4_c else None
     system = spde.GalerkinSystem(n, gammas, drift, fb, flip, q, x0,
                                  a4_constants=a4)
-    spde.validate_system(system, seed=0)
+    spde.validate_system(system)
     return system
 
 
 def cmd_spde(args):
     phi = parse_phi(args.phi)
-    system = _build_system(args)
-    if args.truncations is None and args.mode == "galerkin":
+    c, delta = (args.a4_c, args.a4_delta) if args.mode == "control" else (0, 0)
+    system = _build_system(args, (c, delta) if c else None)
+    if args.mode == "galerkin" and args.truncations is None:
         args.truncations = [2 ** j for j in range((args.n - 1).bit_length())]
     lines = _header(args)
     if args.mode == "sim":
@@ -322,19 +305,18 @@ def cmd_spde(args):
         for t, l, u in zip(res.times, res.ell, res.control):
             lines.append(",".join(_fmt(v) for v in (t, l, float(np.linalg.norm(u)))))
         return lines
-    if args.mode == "galerkin":
-        if not args.truncations or any(m >= args.n for m in args.truncations):
-            raise PreconditionError(
-                "need one or more truncations, each < reference dimension")
-        rep = spde.galerkin_error(system, args.truncations, phi, args.T,
-                                  args.dt, args.paths, args.seed,
-                                  delta=args.delta, eps=args.eps)
-        lines.append("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high")
-        for m, est, pr in zip(rep.truncations, rep.sup_sq_error, rep.exceed_prob):
-            lines.append(",".join(_fmt(v) for v in (
-                m, est.mean, est.std_error, pr[0], pr[1], pr[2])))
-        return lines
-    raise DomainError(f"unknown spde mode {args.mode!r}")
+    # galerkin
+    if not args.truncations or any(m >= args.n for m in args.truncations):
+        raise PreconditionError(
+            "need one or more truncations, each < reference dimension")
+    rep = spde.galerkin_error(system, args.truncations, phi, args.T,
+                              args.dt, args.paths, args.seed,
+                              delta=args.delta, eps=args.eps)
+    lines.append("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high")
+    for m, est, pr in zip(rep.truncations, rep.sup_sq_error, rep.exceed_prob):
+        lines.append(",".join(_fmt(v) for v in (
+            m, est.mean, est.std_error, pr[0], pr[1], pr[2])))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +329,73 @@ def _float_list(text: str):
 
 def _int_list(text: str):
     return [int(x) for x in text.split(",") if x]
+
+
+def _domain(text: str):
+    vals = _float_list(text)
+    if len(vals) != 2:
+        raise argparse.ArgumentTypeError(f"expected two values a,b, got {text!r}")
+    return vals
+
+
+# each flag of the moment and spde modes is defined once; every mode takes
+# the flags that it reads, plus --seed and --eps where it draws
+MOMENT_FLAGS = {
+    "--phi": dict(required=True),
+    "--alpha": dict(type=float, required=True),
+    "--p": dict(type=float, required=True),
+    "--f": dict(required=True),
+    "--T": dict(type=float, default=1.0),
+    "--domain": dict(type=_domain, default=[0.0, 1.0]),
+    "--T-grid": dict(type=_float_list, default=[1, 2, 4, 8]),
+    "--lam": dict(type=float, required=True),
+    "--dt": dict(type=float, default=None),
+    "--paths": dict(type=int, default=10000),
+    "--method": dict(default="auto", choices=["auto", "plain", "median_of_means"]),
+}
+MOMENT_MODES = {
+    "exact": ("--alpha", "--p", "--f", "--domain"),
+    "mc": ("--phi", "--p", "--f", "--T", "--dt", "--paths", "--method"),
+    "bound": ("--phi", "--p", "--T-grid", "--dt", "--paths", "--method"),
+    "equiv": ("--phi", "--p", "--lam"),
+}
+SPDE_FLAGS = {
+    "--phi": dict(default="stable:0.6"),
+    "--n": dict(type=int, default=8),
+    "--gamma0": dict(type=float, default=1.0),
+    "--gamma-exp": dict(type=float, default=1.4),
+    "--x-scale": dict(type=float, default=1.0),
+    "--x-decay": dict(type=float, default=1.5),
+    "--q-scale": dict(type=float, default=0.5),
+    "--q-decay": dict(type=float, default=1.2),
+    "--q-const": dict(action="store_true"),
+    "--f-scale": dict(type=float, default=0.0),
+    "--dt": dict(type=float, default=1 / 128),
+    "--a4-c": dict(type=float, default=None),
+    "--a4-delta": dict(type=float, default=0.25),
+    "--T": dict(type=float, default=1.0),
+    "--t-grid": dict(type=_float_list, default=[1, 2, 4, 8]),
+    "--p": dict(type=float, default=0.5),
+    "--theta": dict(type=float, default=0.0),
+    "--delta": dict(type=float, default=0.5),
+    "--paths": dict(type=int, default=2000),
+    "--max-iter": dict(type=int, default=64),
+    "--truncations": dict(type=_int_list, default=None,
+                          help="galerkin truncation dimensions (default: the "
+                               "powers of two below --n)"),
+}
+# every spde mode builds the system and steps it
+SPDE_SYSTEM = ("--phi", "--n", "--gamma0", "--gamma-exp", "--x-scale", "--x-decay",
+               "--q-scale", "--q-decay", "--q-const", "--f-scale", "--dt")
+SPDE_MODES = {
+    "sim": ("--T",),
+    "convmom": ("--t-grid", "--p", "--theta", "--paths"),
+    "maximal": ("--t-grid", "--p", "--paths"),
+    "smallball": ("--T", "--delta", "--paths"),
+    "longrun": ("--t-grid", "--p", "--theta", "--paths"),
+    "control": ("--T", "--a4-c", "--a4-delta", "--max-iter"),
+    "galerkin": ("--T", "--truncations", "--delta", "--paths"),
+}
 
 
 def build_parser() -> _Parser:
@@ -389,56 +438,34 @@ def build_parser() -> _Parser:
     q = sub.add_parser("zeroone", help="almost-sure finiteness verdict")
     q.add_argument("--phi", required=True)
     q.add_argument("--f", required=True)
-    q.add_argument("--domain", type=_float_list, default=[0.0, 1.0])
+    q.add_argument("--domain", type=_domain, default=[0.0, 1.0])
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_zeroone)
 
-    q = sub.add_parser("moment", help="moment formulas, MC, bounds, equivalence")
-    q.add_argument("mode", choices=["exact", "mc", "bound", "equiv"])
-    q.add_argument("--phi", default=None)
-    q.add_argument("--alpha", type=float, default=None)
-    q.add_argument("--p", type=float, required=True)
-    q.add_argument("--f", default=None)
-    q.add_argument("--T", type=float, default=1.0)
-    q.add_argument("--domain", type=_float_list, default=[0.0, 1.0])
-    q.add_argument("--T-grid", type=_float_list, default=[1, 2, 4, 8])
-    q.add_argument("--theta", type=float, default=None)
-    q.add_argument("--lam", type=float, default=None)
-    q.add_argument("--dt", type=float, default=None)
-    q.add_argument("--paths", type=int, default=10000)
-    q.add_argument("--method", default="auto",
-                   choices=["auto", "plain", "median_of_means"])
-    common(q)
-    q.set_defaults(func=cmd_moment)
+    modes = sub.add_parser("moment", help="moment formulas, MC, bounds, equivalence"
+                           ).add_subparsers(dest="mode", required=True)
+    for name, names in MOMENT_MODES.items():
+        q = modes.add_parser(name)
+        for flag in names:
+            q.add_argument(flag, **MOMENT_FLAGS[flag])
+        if name == "bound":
+            pick = q.add_mutually_exclusive_group(required=True)
+            pick.add_argument("--theta", type=float, default=None)
+            pick.add_argument("--lam", type=float, default=None)
+        if name in ("mc", "bound"):
+            common(q)
+        else:
+            q.add_argument("--out", default=None)
+        q.set_defaults(func=cmd_moment)
 
-    q = sub.add_parser("spde", help="spectral SPDE experiments")
-    q.add_argument("mode", choices=["sim", "convmom", "maximal", "smallball",
-                                    "longrun", "control", "galerkin"])
-    q.add_argument("--phi", default="stable:0.6")
-    q.add_argument("--n", type=int, default=8)
-    q.add_argument("--gamma0", type=float, default=1.0)
-    q.add_argument("--gamma-exp", type=float, default=1.4)
-    q.add_argument("--x-scale", type=float, default=1.0)
-    q.add_argument("--x-decay", type=float, default=1.5)
-    q.add_argument("--q-scale", type=float, default=0.5)
-    q.add_argument("--q-decay", type=float, default=1.2)
-    q.add_argument("--q-const", action="store_true")
-    q.add_argument("--f-scale", type=float, default=0.0)
-    q.add_argument("--a4-c", type=float, default=None)
-    q.add_argument("--a4-delta", type=float, default=0.25)
-    q.add_argument("--T", type=float, default=1.0)
-    q.add_argument("--dt", type=float, default=1 / 128)
-    q.add_argument("--t-grid", type=_float_list, default=[1, 2, 4, 8])
-    q.add_argument("--p", type=float, default=0.5)
-    q.add_argument("--theta", type=float, default=0.0)
-    q.add_argument("--delta", type=float, default=0.5)
-    q.add_argument("--paths", type=int, default=2000)
-    q.add_argument("--max-iter", type=int, default=64)
-    q.add_argument("--truncations", type=_int_list, default=None,
-                   help="galerkin truncation dimensions (default: the powers "
-                        "of two below --n)")
-    common(q)
-    q.set_defaults(func=cmd_spde)
+    modes = sub.add_parser("spde", help="spectral SPDE experiments"
+                           ).add_subparsers(dest="mode", required=True)
+    for name, names in SPDE_MODES.items():
+        q = modes.add_parser(name)
+        for flag in SPDE_SYSTEM + names:
+            q.add_argument(flag, **SPDE_FLAGS[flag])
+        common(q)
+        q.set_defaults(func=cmd_spde)
     return p
 
 

@@ -25,6 +25,7 @@ from .subordinator import SubordinatorPath
 OVERFLOW_GUARD = 1e300
 QUAD_ATOL = 1e-10
 QUAD_RTOL = 1e-8
+MAX_SLICES = 400        # dyadic slices scanned toward a singular endpoint
 
 
 class IntegrandKind(Enum):
@@ -56,20 +57,22 @@ class Integrand:
 
 def power_singular(theta: float) -> Integrand:
     """f(t) = t^(-theta); singular at 0 for theta > 0."""
+    if not math.isfinite(theta):
+        raise DomainError("power exponent must be finite")
     return Integrand(IntegrandKind.POWER_SINGULAR, (theta,),
                      lambda t, th=theta: t ** (-th))
 
 
 def exponential(lam: float) -> Integrand:
-    if lam <= 0:
-        raise DomainError("decay rate must be positive")
+    if not 0 < lam < math.inf:
+        raise DomainError("decay rate must be positive and finite")
     return Integrand(IntegrandKind.EXPONENTIAL, (lam,),
                      lambda t, l=lam: np.exp(-l * t))
 
 
 def constant(c: float) -> Integrand:
-    if c < 0:
-        raise DomainError("integrands must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise DomainError("integrands must be nonnegative and finite")
     return Integrand(IntegrandKind.CONSTANT, (c,),
                      lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c))
 
@@ -129,8 +132,8 @@ def _quad(fn, a: float, b: float) -> float:
     return val
 
 
-def improper_integral(fn, a: float, b: float, *, singular_lo: bool = False,
-                      max_slices: int = 400) -> Finiteness:
+def improper_integral(fn, a: float, b: float, *,
+                      singular_lo: bool = False) -> Finiteness:
     """Integrate fn >= 0 on (a, b) with endpoint singularities allowed.
 
     The possibly-singular lower endpoint (and an infinite upper endpoint) are
@@ -144,14 +147,14 @@ def improper_integral(fn, a: float, b: float, *, singular_lo: bool = False,
     lo, hi = a, b
     if singular_lo and a == 0.0:
         core_lo = min(b, 1.0) / 2
-        v = _slice_scan(fn, core_lo, direction="down", max_slices=max_slices)
+        v = _slice_scan(fn, core_lo, direction="down")
         if v.verdict is not Verdict.FINITE:
             return v
         total += v.value
         lo = core_lo
     if math.isinf(b):
         core_hi = max(lo * 2, 1.0)
-        v = _slice_scan(fn, core_hi, direction="up", max_slices=max_slices)
+        v = _slice_scan(fn, core_hi, direction="up")
         if v.verdict is not Verdict.FINITE:
             return v
         total += v.value
@@ -164,7 +167,7 @@ def improper_integral(fn, a: float, b: float, *, singular_lo: bool = False,
     return Finiteness(Verdict.FINITE, total)
 
 
-def _slice_scan(fn, edge: float, direction: str, max_slices: int) -> Finiteness:
+def _slice_scan(fn, edge: float, direction: str) -> Finiteness:
     """Sum dyadic slices toward 0 (down) or infinity (up).
 
     Classification: slice masses m_k with ratio r_k = m_{k+1}/m_k settle below
@@ -174,7 +177,7 @@ def _slice_scan(fn, edge: float, direction: str, max_slices: int) -> Finiteness:
     masses = []
     x = edge
     total = 0.0
-    for _ in range(max_slices):
+    for _ in range(MAX_SLICES):
         if direction == "down":
             nxt = x / 2
             m = _quad(fn, nxt, x)
@@ -322,7 +325,7 @@ def finiteness_criterion(f: Integrand, phi: BernsteinFunction,
     else goes through slice-scan quadrature.
     """
     a, b = domain
-    if a < 0 or b <= a:
+    if not 0 <= a < b:
         raise DomainError("domain must satisfy 0 <= a < b")
     if f.kind is IntegrandKind.TIME_REVERSED:
         inner, T = f.params

@@ -39,10 +39,10 @@ class MCEstimate:
     heavy_tail_flag: bool = False
     method: str = "plain"  # "plain" | "median_of_means"
 
-    def agrees_with(self, target: float, n_se: float = 3.0) -> bool:
+    def agrees_with(self, target: float) -> bool:
         if not math.isfinite(self.mean) or not math.isfinite(target):
             return self.mean == target
-        return abs(self.mean - target) <= n_se * self.std_error
+        return abs(self.mean - target) <= 3.0 * self.std_error
 
 
 def _worker_count() -> int:
@@ -172,10 +172,11 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
                                              max_chunk=max_chunk), method)
 
 
-def wilson_interval(successes: int, n: int, z: float = 2.5758293035489004):
-    """Wilson score interval; default z is the two-sided 99% quantile."""
+def wilson_interval(successes: int, n: int):
+    """Wilson score interval at the two-sided 99% normal quantile z."""
     if n == 0:
         return 0.0, 1.0
+    z = 2.5758293035489004
     p = successes / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -169,6 +169,8 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
                    phi: BernsteinFunction) -> np.ndarray:
     """Grid on [0, T]: from ``dt`` if given, else the coarsest of 32, 64, ...
     cells (at most MAX_CELLS) whose :func:`grid_bias` is within GRID_BIAS_TOL."""
+    if not (0 < T < math.inf and (dt is None or 0 < dt < math.inf)):
+        raise DomainError("T and dt must be positive and finite")
     if f.kind is IntegrandKind.CONSTANT:
         return np.array([0.0, T])
     if f.kind is IntegrandKind.POWER_SINGULAR and f.params[0] > 0:
@@ -381,11 +383,22 @@ def bound_rhs(phi: BernsteinFunction, p: float, T: float, *,
     return T ** (-p * th) * inverse(phi, 1.0 / T) ** (-p)
 
 
+def _horizons(ts: Sequence[float]) -> list:
+    """The horizons of a scan in ascending order; at least one, all positive
+    and finite."""
+    hs = sorted(float(t) for t in ts)
+    if not hs or not all(0 < t < math.inf for t in hs):
+        raise DomainError("need one or more positive, finite horizons")
+    return hs
+
+
 def bound_scan(phi: BernsteinFunction, p: float, T_grid: Sequence[float], N: int,
                seed: int, *, theta: Optional[float] = None,
                lam: Optional[float] = None, dt: Optional[float] = None,
                method: str = "auto", eps: float = 1e-4) -> BoundReport:
-    """Monte Carlo left sides against analytic right sides over a horizon grid."""
+    """Monte Carlo left sides against analytic right sides over the horizons
+    of ``T_grid`` in ascending order."""
+    T_grid = _horizons(T_grid)
     clause = select_bound_clause(phi, p, T_grid, theta=theta, lam=lam)
     ests, rhss = [], []
     for i, T in enumerate(T_grid):
@@ -395,12 +408,11 @@ def bound_scan(phi: BernsteinFunction, p: float, T_grid: Sequence[float], N: int
             f = constant(1.0)
         else:
             f = power_singular(theta)
-        est = mc_moment(phi, p, f, float(T), N, seed + 1000 * i,
+        est = mc_moment(phi, p, f, T, N, seed + 1000 * i,
                         method=method, dt=dt, eps=eps)
         ests.append(est)
-        rhss.append(bound_rhs(phi, p, float(T), theta=theta, lam=lam))
-    return BoundReport(tuple(float(T) for T in T_grid), tuple(ests),
-                       tuple(rhss), clause)
+        rhss.append(bound_rhs(phi, p, T, theta=theta, lam=lam))
+    return BoundReport(tuple(T_grid), tuple(ests), tuple(rhss), clause)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +436,8 @@ def exp_moment_equivalence(phi: BernsteinFunction, p: float,
     moment of the full exponential integral; both sides share the verdict."""
     if not 0 < p < 1:
         raise DomainError("equivalence holds for p in (0, 1)")
-    if lam <= 0:
-        raise DomainError("decay rate must be positive")
+    if not 0 < lam < math.inf:
+        raise DomainError("decay rate must be positive and finite")
 
     def g(s):
         arr = np.asarray(s, dtype=float)

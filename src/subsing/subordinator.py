@@ -64,8 +64,8 @@ class SubordinatorPath:
 
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Uniform grid on [0, T] with step dt, which must divide T."""
-    if T <= 0 or dt <= 0 or dt > T:
-        raise DomainError("need 0 < dt <= T")
+    if not 0 < dt <= T < math.inf:
+        raise DomainError("need 0 < dt <= T < inf")
     n = int(round(T / dt))
     if abs(n * dt - T) > 1e-9 * T:
         raise DomainError(f"dt = {dt:g} does not divide T = {T:g}")
@@ -90,8 +90,8 @@ def power_graded_grid(T: float, q: float, n_nodes: int = 3000) -> np.ndarray:
     """
     if not 0 <= q < 1:
         raise DomainError("grading exponent must lie in [0, 1)")
-    if T <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError("horizon must be positive and finite")
     return T * np.linspace(0.0, 1.0, n_nodes + 1) ** (2.0 / (1.0 - q))
 
 
@@ -283,8 +283,8 @@ def cp_jump_batch(phi: BernsteinFunction, T: float, eps: float,
     Returns (drift, counts, times, sizes) with times/sizes flattened in path
     order; segment boundaries follow from counts.
     """
-    if eps <= 0:
-        raise DomainError("jump cutoff must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError("jump cutoff must be positive and finite")
     if not phi.simulable:
         raise CapabilityError(f"{phi.name}: no jump structure attached")
     trip = phi.triplet

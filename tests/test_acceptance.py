@@ -338,8 +338,7 @@ def test_criterion_10_galerkin():
     def entries(y):
         return qscale[: y.shape[-1]] * (0.6 + 0.4 * np.tanh(y))
 
-    q = spde.DiagonalQ(entries, float(np.linalg.norm(qscale)),
-                       float(0.4 * qscale.max()))
+    q = spde.DiagonalQ(entries, float(np.linalg.norm(qscale)))
     system = spde.GalerkinSystem(n, gam, drift, float(np.linalg.norm(fscale)),
                                  float(fscale.max()), q, x0)
     rep = spde.galerkin_error(system, [4, 8, 16, 32], bf.gamma_exponent(),

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 
 import pytest
@@ -93,7 +94,7 @@ def test_spde_header_omits_unused_truncations(tmp_path):
 @pytest.mark.parametrize("mode", ["sim", "convmom", "maximal", "smallball",
                                   "longrun", "control", "galerkin"])
 def test_spde_empty_phi_exit_code(mode, capsys):
-    assert run(["spde", mode, "--phi=", "--n", "2", "--paths", "2"]) == 1
+    assert run(["spde", mode, "--phi=", "--n", "2"]) == 1
     assert "unknown exponent id" in capsys.readouterr().err
 
 
@@ -172,8 +173,9 @@ def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("mode", ["maximal", "longrun"])
 def test_spde_off_grid_horizon_exit_code(mode, capsys):
+    theta = ["--theta", "0.25"] if mode == "longrun" else []
     assert run(["spde", mode, "--phi", "stable:0.6", "--n", "4", "--p", "0.5",
-                "--theta", "0.25", "--t-grid", "1.3,2", "--dt", "0.0625",
+                *theta, "--t-grid", "1.3,2", "--dt", "0.0625",
                 "--paths", "10"]) == 1
     assert "not a time of the grid" in capsys.readouterr().err
 
@@ -416,3 +418,214 @@ def test_integrate_draws_in_chunks(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("4000,1.0,")
     assert run(["integrate", "--f", "pow:0.5", "--phi", "stable:0.5",
                 "--paths", "0"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spde", "maximal", "--delta", "1"],
+    ["spde", "sim", "--paths", "5"],
+    ["moment", "exact", "--seed", "1", "--alpha", "0.5", "--p", "0.25",
+     "--f", "const:1"],
+    ["moment", "exact", "--p", "0.25", "--f", "const:1"],
+    ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
+     "--lam", "1"],
+    ["zeroone", "--f", "pow:1", "--phi", "gamma", "--domain", "1"],
+    ["zeroone", "--f", "pow:1", "--phi", "gamma", "--domain", "0,1,2"],
+], ids=["unread-delta", "unread-paths", "unread-seed", "missing-alpha",
+        "theta-and-lam", "domain-one-value", "domain-three-values"])
+def test_flag_outside_the_mode_is_a_usage_error(argv, capsys):
+    assert run(argv) == 64
+    assert "error: " in capsys.readouterr().err
+
+
+def test_config_key_outside_the_mode_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nn = 2\npaths = 10\ndelta = 0.5\n")
+    assert run(["spde", "maximal", "--config", str(cfg)]) == 64
+    assert "--delta" in capsys.readouterr().err
+    # smallball reads every key of the file
+    assert run(["spde", "smallball", "--T", "0.0625", "--dt", "0.015625",
+                "--config", str(cfg)]) == 0
+    assert "# delta=0.5\n" in capsys.readouterr().out
+
+
+MC = ["moment", "mc", "--phi", "stable:0.5", "--p", "0.25", "--f", "pow:0.5",
+      "--paths", "10"]
+BOUND = ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
+         "--paths", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeroone", "--f", "exp:nan", "--phi", "gamma"],
+    ["zeroone", "--f", "pow:0.5", "--phi", "tempered:0.5,nan"],
+    ["zeroone", "--f", "pow:nan", "--phi", "gamma"],
+    ["zeroone", "--f", "const:inf", "--phi", "gamma"],
+    ["zeroone", "--f", "pow:0.5", "--phi", "drift:nan"],
+    ["zeroone", "--f", "pow:0.5", "--phi", "gamma", "--domain", "0,nan"],
+    ["integrate", "--f", "pow:0.5", "--phi", "stable:0.5", "--T", "nan",
+     "--paths", "10"],
+    ["integrate", "--phi", "tempered:0.5,1", "--f", "exp:1", "--eps", "nan",
+     "--paths", "10"],
+    ["spde", "sim", "--T", "nan"],
+    ["spde", "sim", "--T", "inf"],
+    ["spde", "maximal", "--dt", "nan", "--paths", "10"],
+    MC + ["--dt", "nan"],
+    MC + ["--T", "inf"],
+    ["moment", "equiv", "--phi", "gamma", "--p", "0.5", "--lam", "nan"],
+    BOUND + ["--T-grid", ","],
+    BOUND + ["--T-grid", "0"],
+    BOUND + ["--T-grid", "nan"],
+])
+def test_non_finite_input_exit_code(argv, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _subparsers(parser):
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _leaf(argv):
+    """The parser that takes the flags of ``argv``."""
+    parser = cli.build_parser()
+    for token in argv:
+        if token not in _subparsers(parser):
+            break
+        parser = _subparsers(parser)[token]
+    return parser
+
+
+def _leaf_paths(parser, path=()):
+    subs = _subparsers(parser)
+    if not subs:
+        return [path]
+    return [leaf for name, sp in subs.items()
+            for leaf in _leaf_paths(sp, path + (name,))]
+
+
+def _echoed_keys(parser):
+    keys = {a.dest for a in parser._actions}
+    for sp in _subparsers(parser).values():
+        keys |= _echoed_keys(sp)
+    return keys
+
+
+def _without_echoed_flags(text):
+    keys = _echoed_keys(cli.build_parser())
+    return "".join(line + "\n" for line in text.splitlines()
+                   if not (line.startswith("# ")
+                           and line[2:].partition("=")[0] in keys))
+
+
+# sha256 of each output without its echoed flag lines, as written by the
+# version whose spde and moment modes shared one parser
+MODE_RUNS = {
+    ("spde", "sim"): (["--n", "4", "--T", "0.5", "--dt", "0.125", "--seed", "3"],
+                      "709d4d3af059b1352f916f4749942e89c885790d01b9a83db56a17c7161fcb57"),
+    ("spde", "convmom"): (
+        ["--n", "4", "--p", "0.5", "--theta", "0", "--t-grid", "0.25,0.5",
+         "--dt", "0.0625", "--paths", "50", "--seed", "1"],
+        "0c60a8f96edf848892af3fef995b81a330654367d28f902a13c57f8199e8f6a8"),
+    ("spde", "maximal"): (
+        ["--n", "4", "--t-grid", "1,2", "--dt", "0.0625", "--paths", "50",
+         "--seed", "1"],
+        "b2f9cef7b544500c88af6b5cd0c439cb556e8feb00e4d2395c8683db2004c6fa"),
+    ("spde", "smallball"): (
+        ["--phi", "stable:0.5", "--n", "4", "--T", "0.0625", "--dt", "0.015625",
+         "--delta", "0.5", "--paths", "100", "--seed", "1"],
+        "2cadf91606776613d37eef1e1a2601ce359c221e9cf06f0ed9880b14361b5df9"),
+    ("spde", "longrun"): (
+        ["--n", "4", "--p", "0.5", "--theta", "0.25", "--t-grid", "2",
+         "--dt", "0.0625", "--paths", "20", "--seed", "1"],
+        "bf0c7b84662c30d44a6c352af74b4e8ddb7c672f96dad55921bacf91b5fc2aa8"),
+    ("spde", "control"): (
+        ["--n", "2", "--q-const", "--a4-c", "4.0", "--T", "0.5", "--dt", "0.0625",
+         "--seed", "9"],
+        "648630623af29f107dd509f6465469c9a71495987d56bad2096cea20a0d68148"),
+    ("spde", "galerkin"): (
+        ["--phi", "gamma", "--n", "8", "--truncations", "2,4", "--T", "0.25",
+         "--dt", "0.0625", "--paths", "20", "--seed", "4"],
+        "ad1a8e498b803bd6f820575f5f9d694130070439652c81512460f723144486b4"),
+    ("moment", "exact"): (
+        ["--alpha", "0.5", "--p", "0.25", "--f", "pow:0.5"],
+        "e114ffb6ccce7560d7fe511c19de3565d7db80735789d1ce73eb4ef0e9973de2"),
+    ("moment", "mc"): (
+        ["--phi", "stable:0.5", "--p", "0.25", "--f", "const:1", "--paths", "200",
+         "--seed", "3"],
+        "59f5db43a492c592db42f33e353d7ae2f25f26c26994172bb3480faae1757e2f"),
+    ("moment", "bound"): (
+        ["--phi", "stable:0.5", "--p", "0.2", "--theta", "0", "--T-grid", "1,2",
+         "--paths", "200", "--seed", "5"],
+        "045a29fd3e3d1b84a52498d0850abc4f80f1c4d0db2beef3f4866d2599419612"),
+    ("moment", "equiv"): (
+        ["--phi", "gamma", "--p", "0.5", "--lam", "1"],
+        "d3cfb317412ef602dcf3b09ebeddb645fa45e4ba4b67812529678717c4001969"),
+}
+
+
+@pytest.mark.parametrize("mode", list(MODE_RUNS), ids="-".join)
+def test_mode_output_digest(mode, capsys):
+    flags, digest = MODE_RUNS[mode]
+    assert run([*mode, *flags]) == 0
+    text = _without_echoed_flags(capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# tiny inputs on which each handler takes its full path
+AUDIT_RUNS = {
+    ("bf",): ["--phi", "stable:0.5", "--eval-at", "1", "--invert-at", "1"],
+    ("sim",): ["--phi", "gamma", "--T", "0.5", "--dt", "0.25", "--paths", "8",
+               "--r", "1"],
+    ("integrate",): ["--phi", "gamma", "--f", "const:1", "--dt", "0.5",
+                     "--paths", "8"],
+    ("zeroone",): ["--phi", "gamma", "--f", "exp:1"],
+    ("moment", "exact"): ["--alpha", "0.5", "--p", "0.25", "--f", "const:1"],
+    ("moment", "mc"): ["--phi", "gamma", "--p", "0.5", "--f", "const:1",
+                       "--paths", "8"],
+    ("moment", "bound"): ["--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
+                          "--T-grid", "1", "--paths", "8"],
+    ("moment", "equiv"): ["--phi", "gamma", "--p", "0.5", "--lam", "1"],
+    ("spde", "sim"): ["--n", "2", "--T", "0.25", "--dt", "0.125"],
+    ("spde", "convmom"): ["--n", "2", "--t-grid", "0.25", "--dt", "0.125",
+                          "--paths", "4"],
+    ("spde", "maximal"): ["--n", "2", "--t-grid", "1", "--dt", "0.25",
+                          "--paths", "4"],
+    ("spde", "smallball"): ["--n", "2", "--T", "0.25", "--dt", "0.125",
+                            "--paths", "4"],
+    ("spde", "longrun"): ["--n", "2", "--t-grid", "1", "--dt", "0.25",
+                          "--paths", "4"],
+    ("spde", "control"): ["--n", "2", "--q-const", "--a4-c", "4", "--T", "0.5",
+                          "--dt", "0.125", "--max-iter", "4"],
+    ("spde", "galerkin"): ["--n", "4", "--T", "0.25", "--dt", "0.125",
+                           "--paths", "4"],
+}
+
+
+def _read_log():
+    """A namespace and the set of the names of the attributes read from it."""
+    reads = set()
+
+    class ReadLog(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return ReadLog(), reads
+
+
+def test_reader_audit_covers_every_mode():
+    assert sorted(_leaf_paths(cli.build_parser())) == sorted(AUDIT_RUNS)
+
+
+@pytest.mark.parametrize("path", list(AUDIT_RUNS), ids="-".join)
+def test_every_flag_has_a_reader(path):
+    # --out is read by the writer of the result, not by the handler
+    argv = [*path, *AUDIT_RUNS[path]]
+    namespace, reads = _read_log()
+    args = cli.build_parser().parse_args(argv, namespace=namespace)
+    args.manifest = {}
+    reads.clear()     # parsing reads the namespace too
+    args.func(args)
+    flags = {a.dest for a in _leaf(argv)._actions if a.option_strings}
+    unread = flags - reads - {"help", "out"}
+    assert not unread, f"{' '.join(path)} never reads {sorted(unread)}"
