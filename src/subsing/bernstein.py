@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericError, RangeError
 
@@ -98,10 +97,15 @@ def stable(alpha: float) -> BernsteinFunction:
 
 def gamma_exponent() -> BernsteinFunction:
     """phi(s) = log(1+s); jump density s^{-1} e^{-s}."""
+
+    def tail(eps):
+        from scipy import special
+        return float(special.exp1(eps))
+
     triplet = LevyTriplet(
         drift=0.0,
         density=lambda s: np.exp(-s) / s,
-        tail_mass=lambda eps: float(special.exp1(eps)),
+        tail_mass=tail,
         small_jump_mean=lambda eps: float(-np.expm1(-eps)),
     )
     return BernsteinFunction("gamma", Catalog.GAMMA, (), np.log1p, triplet)
@@ -118,11 +122,13 @@ def tempered_stable(alpha: float, lam: float) -> BernsteinFunction:
     def tail(eps, a=alpha, l=lam, c=c):
         # int_eps^inf c s^{-1-a} e^{-ls} ds = c l^a Gamma(-a, l eps), via
         # Gamma(-a, x) = (x^{-a} e^{-x} - Gamma(1-a, x)) / a
+        from scipy import special
         x = l * eps
         upper_1ma = special.gammaincc(1 - a, x) * math.gamma(1 - a)
         return c * l ** a * (x ** (-a) * math.exp(-x) - upper_1ma) / a
 
     def sjm(eps, a=alpha, l=lam, c=c):
+        from scipy import special
         return c * l ** (a - 1) * math.gamma(1 - a) * special.gammainc(1 - a, l * eps)
 
     triplet = LevyTriplet(

@@ -33,6 +33,10 @@ REFUSAL_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    # a flag is taken only as spelt in full: no prefix stands for another flag
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -143,13 +147,14 @@ def cmd_integrate(args):
         raise DomainError("--paths must be positive")
     verdict = zero_one_verdict(f, phi, (0.0, args.T))
     args.manifest["verdict"] = verdict.name
+    if verdict is ZeroOne.AS_INFINITE:
+        # every path is +inf almost surely; no finite grid sum can show it.
+        # Nothing is built or drawn, so the grid and draw flags are not echoed
+        del args.dt, args.eps, args.seed
+        return _header(args) + ["n,finite_fraction,mean,se,median", ",".join(
+            _fmt(v) for v in (args.paths, 0.0, math.inf, math.inf, math.inf))]
     lines = _header(args)
     lines.append("n,finite_fraction,mean,se,median")
-    if verdict is ZeroOne.AS_INFINITE:
-        # every path is +inf almost surely; no finite grid sum can show it
-        lines.append(",".join(_fmt(v) for v in (
-            args.paths, 0.0, math.inf, math.inf, math.inf)))
-        return lines
     times = moments._default_times(f, args.T, args.dt, phi)
     args.manifest["grid_nodes"] = len(times)
     args.manifest["grid_bias"] = moments.grid_bias(phi, f, times)

@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate as _si
 
 from .bernstein import BernsteinFunction, Catalog
 from .errors import DomainError
@@ -128,7 +127,8 @@ class Finiteness:
 
 
 def _quad(fn, a: float, b: float) -> float:
-    val, _ = _si.quad(fn, a, b, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, limit=200)
+    from scipy import integrate
+    val, _ = integrate.quad(fn, a, b, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, limit=200)
     return val
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
@@ -426,6 +425,15 @@ class LongRunReport:
     averages: tuple            # MCEstimate of the time-averaged moment per T
 
 
+def _running_trapezoid(vals: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid integral of each row of ``vals`` from its first column to
+    every column, step ``dt``; the first column is 0.  Same operations, in the
+    same order, as ``scipy.integrate.cumulative_trapezoid(vals, dx=dt,
+    axis=1, initial=0.0)``."""
+    steps = np.cumsum(dt * (vals[:, 1:] + vals[:, :-1]) / 2.0, axis=1)
+    return np.pad(steps, ((0, 0), (1, 0)))
+
+
 def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
                         p: float, theta: float, horizons: Sequence[float],
                         N: int, seed: int, *, dt: float,
@@ -447,7 +455,7 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     def statistic(d_sub, dw):
         X = advance(system, times, d_sub, dw)[0]
         vals = fractional_power_norm(gam, theta, X[:, j0:, :]) ** p
-        running = cumulative_trapezoid(vals, dx=dt, axis=1, initial=0.0)
+        running = _running_trapezoid(vals, dt)
         return running[:, offsets] / np.array(Ts)
 
     out = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)

@@ -1,5 +1,10 @@
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +273,19 @@ def test_integrate_reports_infinite_integral(tmp_path):
     assert "grid_nodes" not in facts
 
 
+@pytest.mark.parametrize("f, echoed", [
+    ("pow:2", ["T", "command", "f", "paths", "phi"]),     # AS_INFINITE: no draws
+    ("pow:0.5", ["T", "command", "dt", "eps", "f", "paths", "phi", "seed"]),
+])
+def test_integrate_header_echoes_what_shaped_the_result(f, echoed, capsys):
+    assert run(["integrate", "--f", f, "--phi", "stable:0.7", "--paths", "10",
+                "--dt", "0.125", "--eps", "0.5", "--seed", "3"]) == 0
+    header = [line[2:].partition("=")[0]
+              for line in capsys.readouterr().out.splitlines()[1:]
+              if line.startswith("# ")]
+    assert header == echoed
+
+
 @pytest.mark.parametrize("argv", [
     ["spde", "maximal", "--paths", "0"],
     ["spde", "smallball", "--paths", "0"],
@@ -446,6 +464,24 @@ def test_config_key_outside_the_mode_is_a_usage_error(tmp_path, capsys):
     assert run(["spde", "smallball", "--T", "0.0625", "--dt", "0.015625",
                 "--config", str(cfg)]) == 0
     assert "# delta=0.5\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["spde", "maximal", "--t", "1", "--paths", "4"],
+    ["spde", "maximal", "--path", "4"],
+    ["integrate", "--f", "pow:0.5", "--phi", "gamma", "--pa", "4"],
+], ids=["t-for-t-grid", "path-for-paths", "pa-for-paths"])
+def test_flag_prefix_is_a_usage_error(argv, capsys):
+    # flags must be spelt in full: a prefix does not stand for a longer flag
+    assert run(argv) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_key_prefix_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nt = 1\npaths = 4\n")
+    assert run(["spde", "maximal", "--config", str(cfg)]) == 64
+    assert "--t 1" in capsys.readouterr().err
 
 
 MC = ["moment", "mc", "--phi", "stable:0.5", "--p", "0.25", "--f", "pow:0.5",
@@ -629,3 +665,28 @@ def test_every_flag_has_a_reader(path):
     flags = {a.dest for a in _leaf(argv)._actions if a.option_strings}
     unread = flags - reads - {"help", "out"}
     assert not unread, f"{' '.join(path)} never reads {sorted(unread)}"
+
+
+def test_spde_runs_without_scipy(tmp_path):
+    # the test modules load scipy into this process, so a fresh one runs the
+    # import and the spde modes and then lists the scipy modules it loaded
+    script = textwrap.dedent("""
+        import sys
+        import subsing, subsing.cli
+        runs = (
+            ["spde", "maximal", "--n", "2", "--t-grid", "1", "--dt", "0.25"],
+            ["spde", "longrun", "--n", "2", "--t-grid", "1", "--dt", "0.25"],
+            ["spde", "galerkin", "--phi", "gamma", "--n", "4", "--T", "0.25",
+             "--dt", "0.125"],
+        )
+        codes = [subsing.cli.main([*argv, "--paths", "4",
+                                   "--out", f"{sys.argv[1]}/{i}.csv"])
+                 for i, argv in enumerate(runs)]
+        print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout == "[0, 0, 0] []\n", done.stderr

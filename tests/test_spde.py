@@ -222,6 +222,16 @@ class TestConvolutionScan:
 
 
 class TestLongRun:
+    @pytest.mark.parametrize("length", [1, 2, 3, 17, 200])
+    @pytest.mark.parametrize("dt", [2 ** -10, 1 / 32, 0.1, 0.7])
+    def test_running_trapezoid_matches_scipy(self, length, dt):
+        from scipy.integrate import cumulative_trapezoid
+        vals = stream(length, 0).standard_exponential((5, length)) ** 3
+        expected = cumulative_trapezoid(vals, dx=dt, axis=1, initial=0.0)
+        got = spde._running_trapezoid(vals, dt)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
     def test_deterministic_average_matches_quadrature(self):
         from scipy.integrate import quad
         gam = np.array([1.0, 2.0])
