@@ -12,7 +12,9 @@ conditional experiments.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
                      PreconditionError)
-from .mc import Moments, merge_all, wilson_interval
+from .mc import Moments, _worker_count, merge_all, wilson_interval
 from .moments import BoundReport, _horizons
 from .rng import as_generator, stream
 from .subordinator import grid_increments, time_grid
@@ -235,22 +237,41 @@ def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
 
     ``driver`` is an exponent to draw subordinator increments from, or one
     frozen (K,) vector of increments shared by every replica.  Chunk j draws
-    from stream (seed, j).  Returns one MCEstimate per statistic column.
+    from stream (seed, j), and the partials merge in chunk order.  With
+    ``SUBSING_WORKERS`` at 2 or more and more than one chunk, chunk j + 1 is
+    drawn on a helper thread while ``statistic`` runs on chunk j, so the
+    result does not depend on the worker count.  Returns one MCEstimate per
+    statistic column.
     """
     if N < 1:
         raise DomainError("need a positive number of paths")
     K = len(times) - 1
     chunk = max(1, min(256, 2_000_000 // (K * system.n + 1)))
-    parts = []
-    for idx, start in enumerate(range(0, N, chunk)):
-        m = min(chunk, N - start)
+    count = -(-N // chunk)
+
+    def draw(idx):
+        m = min(chunk, N - idx * chunk)
         rng = stream(seed, idx)
         if isinstance(driver, np.ndarray):
             d_sub = np.broadcast_to(driver, (m, K))
         else:
             d_sub = grid_increments(driver, times, rng, m, eps=eps)
-        dw = rng.standard_normal((m, K, system.n))
-        parts.append(Moments.of(statistic(d_sub, dw)))
+        return d_sub, rng.standard_normal((m, K, system.n))
+
+    ahead = _worker_count() > 1 and count > 1
+    parts = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def later(idx):
+            # a callable that returns chunk idx's draws; when drawing ahead,
+            # the helper thread starts on them now
+            return pool.submit(draw, idx).result if ahead else partial(draw, idx)
+
+        take = later(0)
+        for idx in range(count):
+            d_sub, dw = take()
+            if idx + 1 < count:
+                take = later(idx + 1)
+            parts.append(Moments.of(statistic(d_sub, dw)))
     return merge_all(parts).estimates()
 
 
@@ -266,11 +287,18 @@ def _grid_columns(times: np.ndarray, ts: Sequence[float]) -> list:
     return cols
 
 
+def _norms_in_place(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)`` bit for bit, squaring ``a`` in place
+    instead of into a temporary; ``a`` must be a float array."""
+    np.multiply(a, a, out=a)
+    return np.sqrt(np.add.reduce(a, axis=-1))
+
+
 def fractional_power_norm(gammas: np.ndarray, theta: float,
                           y: np.ndarray) -> np.ndarray:
     """|Lambda^theta y| along the last axis."""
     w = np.asarray(gammas, dtype=float) ** theta
-    return np.linalg.norm(w * y, axis=-1)
+    return _norms_in_place(w * y)
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +479,15 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     times = time_grid(Ts[-1] + 1.0, dt)
     j0, *cols = _grid_columns(times, [1.0] + [T + 1.0 for T in Ts])
     offsets = np.array(cols) - j0
+    if offsets[0] < 1:   # the least T + 1 fell on the column of t = 1
+        raise DomainError(f"T = {Ts[0]:g} is not a time of the grid of step "
+                          f"{dt:g}")
 
     def statistic(d_sub, dw):
-        X = advance(system, times, d_sub, dw)[0]
-        vals = fractional_power_norm(gam, theta, X[:, j0:, :]) ** p
+        # the columns from t = 1 on are weighted and squared in place
+        X = advance(system, times, d_sub, dw)[0][:, j0:, :]
+        X *= np.asarray(gam, dtype=float) ** theta
+        vals = _norms_in_place(X) ** p
         running = _running_trapezoid(vals, dt)
         return running[:, offsets] / np.array(Ts)
 
@@ -611,12 +644,12 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
     def statistic(d_sub, dw):
         # sup-errors squared, then the exceedances as 0/1 columns
         X_ref = advance(system, times, d_sub, dw)[0]
+        diff = np.empty_like(X_ref)
         sup = np.empty((len(d_sub), len(truncations)))
         for j, (m, sysm) in enumerate(zip(truncations, subsystems)):
-            Xm = advance(sysm, times, d_sub, dw[..., :m])[0]
-            diff = X_ref.copy()
-            diff[..., :m] -= Xm
-            sup[:, j] = np.linalg.norm(diff, axis=-1).max(axis=1)
+            np.copyto(diff, X_ref)
+            diff[..., :m] -= advance(sysm, times, d_sub, dw[..., :m])[0]
+            sup[:, j] = _norms_in_place(diff).max(axis=1)
         return np.hstack([sup ** 2, sup > delta])
 
     ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)

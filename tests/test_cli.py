@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
 
-from subsing import __version__, cli, integrate
+from subsing import __version__, cli, integrate, spde
 from subsing.cli import main
+from subsing.rng import stream
 
 
 def run(argv):
@@ -160,20 +162,61 @@ def test_byte_identity(tmp_path):
     assert (tmp_path / "a.csv.manifest").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["spde", "maximal", "--phi", "stable:0.6", "--n", "4", "--p", "0.5",
-     "--t-grid", "0.5,1,2", "--dt", "0.0625", "--paths", "300"],
-    ["spde", "galerkin", "--phi", "gamma", "--n", "16", "--truncations",
-     "2,4,8", "--T", "0.5", "--dt", "0.03125", "--paths", "300"]],
-    ids=["maximal", "galerkin"])
-def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("argv,chunks", [
+    (["spde", "maximal", "--phi", "stable:0.6", "--n", "4", "--p", "0.5",
+      "--t-grid", "0.5,1,2", "--dt", "0.0625", "--paths", "300"], 2),
+    (["spde", "galerkin", "--phi", "gamma", "--n", "16", "--truncations",
+      "2,4,8", "--T", "0.5", "--dt", "0.03125", "--paths", "300"], 2),
+    (["spde", "longrun", "--phi", "stable:0.6", "--n", "4", "--p", "0.5",
+      "--theta", "0.25", "--t-grid", "1,2", "--dt", "0.0625",
+      "--paths", "600"], 3),
+    (["spde", "convmom", "--phi", "stable:0.6", "--n", "4", "--p", "0.5",
+      "--theta", "0.25", "--t-grid", "0.25,0.5", "--dt", "0.03125",
+      "--paths", "600"], 3),
+    (["spde", "smallball", "--phi", "stable:0.6", "--n", "4", "--T", "1",
+      "--delta", "0.5", "--dt", "0.0625", "--paths", "600"], 3)],
+    ids=["maximal", "galerkin", "longrun", "convmom", "smallball"])
+def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv, chunks):
+    # with two workers each chunk after the first is drawn on a helper thread
+    # while the chunk before it is stepped
+    indices = set()
+
+    def recorded(seed, index):
+        indices.add(index)
+        return stream(seed, index)
+
+    monkeypatch.setattr(spde, "stream", recorded)
+    threads = threading.active_count()
     outs = []
     for workers in ("1", "2"):
         monkeypatch.setenv("SUBSING_WORKERS", workers)
         out = tmp_path / f"w{workers}.csv"
         assert run(argv + ["--seed", "5", "--out", str(out)]) == 0
+        assert threading.active_count() == threads
         outs.append(read(out))
     assert outs[0] == outs[1]
+    assert set(range(chunks)) <= indices
+
+
+def test_spde_draw_error_surfaces_under_any_worker_count(monkeypatch, capsys):
+    # ratio:0.5 has no jump structure, so every chunk's draw raises; with two
+    # workers the first raise happens on the helper thread
+    errs = []
+    threads = threading.active_count()
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SUBSING_WORKERS", workers)
+        assert run(["spde", "maximal", "--phi", "ratio:0.5", "--n", "2",
+                    "--paths", "600"]) == 2
+        assert threading.active_count() == threads
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "refused: ratio:0.5: no jump structure attached\n"
+
+
+def test_longrun_horizon_on_the_start_column_exit_code(capsys):
+    # T + 1 = 1 + 1e-12 falls on the column of t = 1: zero steps to average
+    assert run(["spde", "longrun", "--n", "2", "--t-grid", "1e-12",
+                "--paths", "4"]) == 1
+    assert "T = 1e-12 is not a time of the grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["maximal", "longrun"])

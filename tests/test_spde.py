@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ class TestSemigroupFacts:
         for t in (0.1, 1.0, 3.0):
             assert np.max(np.exp(-t * gam)) == pytest.approx(
                 math.exp(-gam[0] * t))
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_norms_in_place_match_linalg_norm(n):
+    # entries spread over ten orders of magnitude, so a different summation
+    # order would show in the last bits
+    rng = stream(n, 0)
+    storage = rng.standard_normal((9, 5, n)) * np.exp(rng.uniform(-12, 12, (9, 5, n)))
+    for a in (storage.copy(), np.moveaxis(storage.copy(), 0, 1)):
+        want = np.linalg.norm(a, axis=-1)
+        got = spde._norms_in_place(a)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestConditionalSampling:
@@ -122,6 +136,20 @@ class TestMaximalAndSmallBall:
                                                     10_000, 4)
         assert bound == pytest.approx(9.0 * system.diffusion.hs_bound ** 2)
         assert est.mean <= bound + 3 * est.std_error
+
+    def test_conditional_maximal_ignores_worker_count(self, monkeypatch):
+        # 600 replicas on 32 cells of 4 modes are three chunks of at most 256
+        system = diagonal_system(4, q=spde.constant_diagonal_q([0.5] * 4))
+        times = time_grid(1.0, 1 / 32)
+        d_sub = grid_increments(ST6, times, stream(3, 0), 1)[0]
+        threads = threading.active_count()
+        results = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SUBSING_WORKERS", workers)
+            results.append(spde.conditional_maximal_check(system, times, d_sub,
+                                                          600, 4))
+            assert threading.active_count() == threads
+        assert results[0] == results[1]
 
     def test_maximal_scan_gate(self):
         # p/2 = 0.75 is above every doubling index of stable(0.6); horizons
