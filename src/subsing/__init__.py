@@ -10,7 +10,7 @@ from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
                         stable_log_inv, tempered_stable)
 from .integrate import (Integrand, ZeroOne, constant, exponential,
                         finiteness_criterion, parse_integrand, power_singular,
-                        stieltjes, tabulated, time_reversed, zero_one_verdict)
+                        tabulated, time_reversed, zero_one_verdict)
 from .mc import MCEstimate, wilson_interval
 from .moments import (BoundReport, CorollaryCase, bound_scan,
                       char_functional_exact, char_functional_mc,
@@ -22,5 +22,4 @@ from .spde import (ControllerResult, DiagonalQ, GalerkinSystem, SolutionPath,
                    maximal_inequality_scan, simulate, small_ball,
                    synthesize_null_controller, truncate_system,
                    validate_system, zero_drift, zero_q)
-from .subordinator import (SubordinatorPath, evaluate, geometric_grid,
-                           inverse_time, simulate_general, time_grid)
+from .subordinator import geometric_grid, time_grid

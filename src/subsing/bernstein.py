@@ -70,7 +70,7 @@ class BernsteinFunction:
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
-        if np.any(arr <= 0):
+        if not np.all(arr > 0):   # NaN fails the test too
             raise DomainError(f"{self.name}: argument must be positive")
         out = self.fn(arr)
         return float(out) if np.isscalar(s) or arr.ndim == 0 else out
@@ -223,7 +223,7 @@ def inverse(phi: BernsteinFunction, y: float) -> float:
     bracketed (bounded phi) and NumericError after 200 halvings.
     """
     rtol = 1e-12
-    if y <= 0:
+    if not y > 0:
         raise DomainError("target value must be positive")
     lo = hi = 1.0
     f = phi(1.0)

@@ -25,8 +25,8 @@ from .integrate import (ZeroOne, as_zero_one, finiteness_criterion,
                         parse_integrand, zero_one_verdict)
 from .mc import Moments, run_mc
 from .rng import as_generator, stream
-from .subordinator import (EXACT_GRID_KINDS, grid_increments, jump_sampler,
-                           simulate_general, time_grid)
+from .subordinator import (EXACT_GRID_KINDS, cp_jump_batch, grid_increments,
+                           jump_sampler, time_grid)
 
 USAGE_EXIT = 64
 REFUSAL_EXIT = 2
@@ -110,34 +110,49 @@ def cmd_bf(args):
 
 
 def cmd_sim(args):
+    """Laplace certification of the replica ensemble, one row per r."""
     phi = parse_phi(args.phi)
     times = time_grid(args.T, args.dt)
+    if not args.r:
+        raise DomainError("--r needs at least one value")
+    # phi(r) refuses a bad r before anything is drawn
+    exacts = [float(np.exp(-args.T * phi(r))) for r in args.r]
     lines = _header(args)
-    if args.export_path:
-        if phi.kind is Catalog.STABLE:
-            inc = grid_increments(phi, times, as_generator(args.seed))[0]
-            values = np.concatenate(([0.0], np.cumsum(inc)))
-            lines.append("t,S_t")
-            lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, values)]
-            return lines
-        path = simulate_general(phi, args.T, args.eps, seed=args.seed)
-        lines.append(f"# drift={_fmt(path.drift)},T={_fmt(path.horizon)}")
-        lines.append("time,size")
-        lines += [f"{_fmt(t)},{_fmt(s)}"
-                  for t, s in zip(path.jump_times, path.jump_sizes)]
-        return lines
-    # Laplace certification summary over the replica ensemble
     lines.append("r,mc_mean,mc_se,exact,z")
-    for r in args.r:
+    for r, exact in zip(args.r, exacts):
         def sampler(rng, m, r=r):
             inc = grid_increments(phi, times, rng, m, eps=args.eps)
             return np.exp(-r * inc.sum(axis=1))
 
         est = run_mc(sampler, args.paths, args.seed)
-        exact = float(np.exp(-args.T * phi(r)))
         z = (est.mean - exact) / est.std_error if est.std_error else 0.0
         lines.append(",".join(_fmt(v) for v in (r, est.mean, est.std_error, exact, z)))
     return lines
+
+
+def cmd_path(args):
+    """One path: grid values of a stable driver, else its jump list.
+
+    The header echoes only the flags that shaped the output: ``--dt`` for
+    the grid, ``--eps`` for the jump list.
+    """
+    phi = parse_phi(args.phi)
+    rng = as_generator(args.seed)
+    if phi.kind is Catalog.STABLE:
+        del args.eps
+        times = time_grid(args.T, args.dt)
+        inc = grid_increments(phi, times, rng)[0]
+        values = np.concatenate(([0.0], np.cumsum(inc)))
+        return _header(args) + ["t,S_t"] + [
+            f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, values)]
+    del args.dt
+    drift, _, times, sizes = cp_jump_batch(phi, args.T, args.eps, rng, 1)
+    sampler = jump_sampler(phi, args.eps)
+    args.manifest.update(jump_rate=sampler.rate,
+                         small_jump_drift=phi.triplet.small_jump_mean(args.eps),
+                         **sampler.record())
+    lines = _header(args) + [f"# drift={_fmt(drift)},T={_fmt(args.T)}", "time,size"]
+    return lines + [f"{_fmt(t)},{_fmt(s)}" for t, s in zip(np.sort(times), sizes)]
 
 
 def cmd_integrate(args):
@@ -421,15 +436,21 @@ def build_parser() -> _Parser:
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_bf)
 
-    q = sub.add_parser("sim", help="sample paths and Laplace certification")
+    q = sub.add_parser("sim", help="Laplace certification of sampled paths")
     q.add_argument("--phi", required=True)
     q.add_argument("--T", type=float, default=1.0)
     q.add_argument("--dt", type=float, default=1e-3)
     q.add_argument("--paths", type=int, default=1000)
     q.add_argument("--r", type=_float_list, default=[0.5, 1.0, 2.0])
-    q.add_argument("--export-path", action="store_true")
     common(q)
     q.set_defaults(func=cmd_sim)
+
+    q = sub.add_parser("path", help="export one sample path")
+    q.add_argument("--phi", required=True)
+    q.add_argument("--T", type=float, default=1.0)
+    q.add_argument("--dt", type=float, default=1e-3)
+    common(q)
+    q.set_defaults(func=cmd_path)
 
     q = sub.add_parser("integrate", help="Monte Carlo of the pathwise integral")
     q.add_argument("--phi", required=True)
@@ -517,7 +538,7 @@ def main(argv: Optional[list] = None) -> int:
     except (GateViolation, PreconditionError, CapabilityError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return REFUSAL_EXIT
-    except (DomainError, RangeError, NumericError) as exc:
+    except (DomainError, RangeError, NumericError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(args, lines, time.perf_counter() - start)

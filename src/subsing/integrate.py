@@ -19,7 +19,6 @@ import numpy as np
 
 from .bernstein import BernsteinFunction, Catalog
 from .errors import DomainError
-from .subordinator import SubordinatorPath
 
 OVERFLOW_GUARD = 1e300
 QUAD_ATOL = 1e-10
@@ -215,40 +214,8 @@ def _slice_scan(fn, edge: float, direction: str) -> Finiteness:
 
 
 # ---------------------------------------------------------------------------
-# Stieltjes integration against a path
+# Stieltjes sums over the cells of a grid
 # ---------------------------------------------------------------------------
-
-def stieltjes(f: Integrand, path: SubordinatorPath) -> float:
-    """Pathwise integral of f against a jump path; may return +inf.
-
-    The drift is integrated by quadrature and each jump adds f(jump time) *
-    size, the left-point convention at the jump time itself (f is
-    deterministic, so a jump landing exactly on a singularity has probability
-    zero).  Grid paths are rows of increments, integrated by
-    :func:`stieltjes_increments`.
-    """
-    if isinstance(path, SubordinatorPath):
-        drift_part = 0.0
-        if path.drift > 0:
-            g = f
-            if f.kind is IntegrandKind.TIME_REVERSED:
-                # the drift measure is invariant under t -> T - t
-                g = f.params[0]
-            res = improper_integral(lambda t: path.drift * g.fn(np.asarray(t)),
-                                    0.0, path.horizon,
-                                    singular_lo=g.singular_at_zero)
-            if res.verdict is Verdict.INFINITE:
-                return math.inf
-            if res.verdict is Verdict.UNDETERMINED:
-                raise DomainError("drift quadrature did not resolve")
-            drift_part = res.value
-        with np.errstate(over="ignore"):    # overflow to +inf is the result
-            jump_part = float(np.dot(f.fn(path.jump_times), path.jump_sizes)) \
-                if len(path.jump_times) else 0.0
-        total = drift_part + jump_part
-        return math.inf if total > OVERFLOW_GUARD or math.isnan(total) else total
-    raise DomainError(f"unsupported path type {type(path)!r}")
-
 
 def cell_means(f: Integrand, times: np.ndarray) -> np.ndarray:
     """Average of f over each cell of ``times``: (1/h_k) * int_cell f dt.

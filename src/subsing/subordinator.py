@@ -1,11 +1,11 @@
-"""Sample paths of subordinators and their time inverses.
+"""Sample paths of subordinators, drawn as increments over a time grid.
 
 Grid paths are (n_paths, K) arrays of increments over the cells of a time
 grid: stable and gamma increments are exact in law, drift-only ones are
 deterministic, and every other simulable exponent bins the jumps of its
-compound Poisson approximation into the cells.  A single jump path
-(SubordinatorPath) keeps those jumps above a cutoff eps, with the small
-jumps folded into an extra drift, so every path is nondecreasing.
+compound Poisson approximation into the cells.  That approximation keeps
+the jumps above a cutoff eps and folds the small jumps into an extra drift,
+so every path is nondecreasing.
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bernstein import BernsteinFunction, Catalog
-from .errors import CapabilityError, DomainError, RangeError
-from .rng import as_generator
+from .errors import CapabilityError, DomainError
 
 INV_CDF_KNOTS = 1 << 14
 # equal cells of u in the guide table of the jump-size inversion, and the
@@ -29,33 +27,6 @@ LOOKUP_SLICE = 8192
 # drivers whose increments grid_increments draws exactly; every other
 # simulable exponent takes the compound Poisson route through its jump table
 EXACT_GRID_KINDS = frozenset({Catalog.STABLE, Catalog.GAMMA, Catalog.DRIFT_ONLY})
-
-
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """Drift rate plus a finite, time-sorted jump list on (0, T]."""
-
-    horizon: float
-    drift: float
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    provenance: str
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        t, j = self.jump_times, self.jump_sizes
-        if self.drift < 0:
-            raise DomainError("drift must be nonnegative")
-        if len(t) != len(j):
-            raise DomainError("jump times and sizes must align")
-        if len(t) and (t[0] <= 0 or t[-1] > self.horizon or np.any(np.diff(t) <= 0)):
-            raise DomainError("jump times must be strictly sorted within (0, T]")
-        if np.any(j <= 0):
-            raise DomainError("jump sizes must be positive")
-
-    @property
-    def total_mass(self) -> float:
-        return self.drift * self.horizon + float(self.jump_sizes.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -251,38 +222,18 @@ def jump_sampler(phi: BernsteinFunction, eps: float) -> _JumpSampler:
         return _cached_jump_sampler(phi, eps)
 
 
-def simulate_general(phi: BernsteinFunction, T: float, eps: float,
-                     seed=0) -> SubordinatorPath:
-    """Compound Poisson approximation of a simulable subordinator.
+def cp_jump_batch(phi: BernsteinFunction, T: float, eps: float,
+                  rng: np.random.Generator, n_paths: int):
+    """Vectorized compound Poisson jumps for n_paths replicas on (0, T].
 
     Jumps of size >= eps arrive at rate nu([eps, inf)); smaller jumps are
     compensated by adding their mean rate to the drift, which preserves
-    monotone paths.  The path is one replica of :func:`cp_jump_batch` with
-    its jump times sorted; the cutoff and table facts are recorded in the
-    path diagnostics.
+    monotone paths.  Returns (drift, counts, times, sizes) with times/sizes
+    flattened in path order, unsorted within a path; segment boundaries
+    follow from counts.
     """
-    if T <= 0:
-        raise DomainError("horizon must be positive")
-    drift, _, times, sizes = cp_jump_batch(phi, T, eps, as_generator(seed), 1)
-    sampler = jump_sampler(phi, eps)
-    diag = {
-        "eps": eps,
-        "jump_rate": sampler.rate,
-        "small_jump_drift": phi.triplet.small_jump_mean(eps),
-        **sampler.record(),
-    }
-    provenance = "DriftOnly" if phi.kind is Catalog.DRIFT_ONLY \
-        else f"CompoundPoisson(eps={eps:g})"
-    return SubordinatorPath(T, drift, np.sort(times), sizes, provenance, diag)
-
-
-def cp_jump_batch(phi: BernsteinFunction, T: float, eps: float,
-                  rng: np.random.Generator, n_paths: int):
-    """Vectorized compound Poisson jumps for n_paths replicas.
-
-    Returns (drift, counts, times, sizes) with times/sizes flattened in path
-    order; segment boundaries follow from counts.
-    """
+    if not 0 < T < math.inf:
+        raise DomainError("horizon must be positive and finite")
     if not 0 < eps < math.inf:
         raise DomainError("jump cutoff must be positive and finite")
     if not phi.simulable:
@@ -322,34 +273,3 @@ def grid_increments(phi: BernsteinFunction, times: np.ndarray,
     np.add.at(out, (path_of, cell), js)
     return out
 
-
-# ---------------------------------------------------------------------------
-# path evaluation and inversion
-# ---------------------------------------------------------------------------
-
-def evaluate(path: SubordinatorPath, t: float) -> float:
-    """S_t under the right-continuous convention (a jump at t is included)."""
-    if t < 0 or t > path.horizon:
-        raise DomainError("time outside [0, T]")
-    k = np.searchsorted(path.jump_times, t, side="right")
-    return path.drift * t + float(path.jump_sizes[:k].sum())
-
-
-def inverse_time(path: SubordinatorPath, t: float) -> float:
-    """Right-continuous generalized inverse inf{s >= 0 : S_s > t}."""
-    if t < 0:
-        raise DomainError("level must be nonnegative")
-    if t >= path.total_mass:
-        raise RangeError("level at or above the terminal value")
-    b = path.drift
-    jt, js = path.jump_times, path.jump_sizes
-    post = b * jt + np.cumsum(js)          # value right at each jump time
-    pre = post - js                        # left limit at each jump time
-    k = int(np.searchsorted(post, t, side="right"))
-    if k == len(jt):
-        return float(jt[-1] + (t - post[-1]) / b) if len(jt) else t / b
-    if t >= pre[k]:
-        return float(jt[k])                # level crossed inside jump k
-    if k == 0:
-        return t / b
-    return float(jt[k - 1] + (t - post[k - 1]) / b)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -355,27 +356,80 @@ def test_sim_certification_columns(tmp_path):
 
 def test_path_export(tmp_path):
     out = tmp_path / "p.csv"
-    assert run(["sim", "--phi", "stable:0.5", "--T", "1", "--dt", "0.25",
-                "--seed", "5", "--export-path", "--out", str(out)]) == 0
+    assert run(["path", "--phi", "stable:0.5", "--T", "1", "--dt", "0.25",
+                "--seed", "5", "--out", str(out)]) == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "t,S_t"
     vals = [float(r.split(",")[1]) for r in lines[1:]]
     assert vals[0] == 0.0 and all(b >= a for a, b in zip(vals, vals[1:]))
     out2 = tmp_path / "j.csv"
-    assert run(["sim", "--phi", "gamma", "--T", "1", "--dt", "0.25",
-                "--seed", "5", "--export-path", "--out", str(out2)]) == 0
+    assert run(["path", "--phi", "gamma", "--T", "1", "--seed", "5",
+                "--out", str(out2)]) == 0
     text = out2.read_text()
     assert "time,size" in text and "drift=" in text
+    # the diagnostics of the jump list go to the manifest
+    manifest = (tmp_path / "j.csv.manifest").read_text()
+    for key in ("jump_rate", "small_jump_drift", "inv_cdf_knots",
+                "inv_cdf_max_gap"):
+        assert f"\n{key}=" in manifest
+
+
+@pytest.mark.parametrize("argv, echoed, unused", [
+    (["--phi", "stable:0.5", "--dt", "0.25"], "# dt=0.25\n", "# eps="),
+    (["--phi", "gamma", "--dt", "0.3"], "# eps=0.0001\n", "# dt="),
+], ids=["grid", "jump-list"])
+def test_path_header_echoes_what_shaped_the_path(argv, echoed, unused, capsys):
+    # a jump list builds no grid, so its --dt is neither echoed nor checked
+    assert run(["path", *argv]) == 0
+    out = capsys.readouterr().out
+    assert echoed in out and unused not in out
+
+
+# sha256 of each output without its echoed flag lines, as written by
+# `sim --export-path`, the spelling of the export before the `path` command
+PATH_RUNS = {
+    "stable:0.6": (["--dt", "0.01", "--seed", "7"],
+                   "a0b8b1a1208363407632ee2eaf06fbd7f94d45097fb0da70b8b1e0837e3625cd"),
+    "gamma": (["--seed", "5"],
+              "363ca6ea18948359f8a0ac8bd60a3591556b05a0613b5ceec44b987250e9dc93"),
+    "tempered:0.5,1": (["--seed", "5"],
+                       "1bda4394e93d5343420456163125a4830523caad21d4e89cdf206e7e6e067195"),
+    "drift:1": (["--seed", "5"],
+                "09349458a8640ee8e0c938baf4cf54c0826b1e637716d569195ae83d52538824"),
+}
 
 
 def test_path_export_digest(capsys):
-    # digest of the output of the version that sampled stable paths with
-    # simulate_stable
-    assert run(["sim", "--export-path", "--phi", "stable:0.6", "--dt", "0.01",
-                "--seed", "7"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == ("3c563648cb288f8c460cd287473725b3"
-                      "3ef03d2ac7c290a4f5b34f9cf53f459a")
+    for phi, (flags, digest) in PATH_RUNS.items():
+        assert run(["path", "--phi", phi, *flags]) == 0
+        text = _without_echoed_flags(capsys.readouterr().out)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, phi
+
+
+@pytest.mark.parametrize("phi", ["stable:0.5", "gamma", "tempered:0.5,1",
+                                 "drift:1"])
+def test_path_bad_horizon_exit_code(phi, capsys):
+    for T in ("0", "nan", "inf"):
+        assert run(["path", "--phi", phi, "--T", T]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("r", ["", "-1"], ids=["empty", "negative"])
+def test_sim_checks_r_before_drawing(r, monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("sim drew paths for a bad --r")
+
+    monkeypatch.setattr(cli, "run_mc", no_draw)
+    assert run(["sim", "--phi", "stable:0.5", f"--r={r}"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["sim", "path"])
+def test_grid_too_large_exit_code(command, capsys):
+    # 1e18 grid times need 8 EB, which no address space holds, so the
+    # allocation fails at once
+    assert run([command, "--phi", "stable:0.5", "--T", "1e9", "--dt", "1e-9"]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
 def test_equiv_and_spde_smoke(capsys):
@@ -439,7 +493,7 @@ def test_spde_galerkin_subcommand(capsys):
 
 def test_path_export_refuses_a_driver_without_jumps(capsys):
     # stablelog has no jump measure: it must not fall back to a stable path
-    assert run(["sim", "--phi", "stablelog:0.5,0.3", "--export-path"]) == 2
+    assert run(["path", "--phi", "stablelog:0.5,0.3"]) == 2
     assert "refused" in capsys.readouterr().err
 
 
@@ -553,6 +607,9 @@ BOUND = ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
     BOUND + ["--T-grid", ","],
     BOUND + ["--T-grid", "0"],
     BOUND + ["--T-grid", "nan"],
+    ["bf", "--phi", "stable:0.5", "--invert-at", "nan"],
+    ["bf", "--phi", "stable:0.5", "--eval-at", "nan"],
+    ["sim", "--phi", "stable:0.5", "--r", "nan"],
 ])
 def test_non_finite_input_exit_code(argv, capsys):
     assert run(argv) == 1
@@ -655,6 +712,7 @@ AUDIT_RUNS = {
     ("bf",): ["--phi", "stable:0.5", "--eval-at", "1", "--invert-at", "1"],
     ("sim",): ["--phi", "gamma", "--T", "0.5", "--dt", "0.25", "--paths", "8",
                "--r", "1"],
+    ("path",): ["--phi", "stable:0.5", "--T", "0.5", "--dt", "0.25"],
     ("integrate",): ["--phi", "gamma", "--f", "const:1", "--dt", "0.5",
                      "--paths", "8"],
     ("zeroone",): ["--phi", "gamma", "--f", "exp:1"],
@@ -678,6 +736,11 @@ AUDIT_RUNS = {
     ("spde", "galerkin"): ["--n", "4", "--T", "0.25", "--dt", "0.125",
                            "--paths", "4"],
 }
+# one more run for each further branch of a handler that reads different
+# flags on different branches; every flag needs a reader on some branch
+AUDIT_BRANCHES = {
+    ("path",): [["--phi", "gamma", "--T", "0.5", "--eps", "0.1"]],
+}
 
 
 def _read_log():
@@ -699,14 +762,16 @@ def test_reader_audit_covers_every_mode():
 @pytest.mark.parametrize("path", list(AUDIT_RUNS), ids="-".join)
 def test_every_flag_has_a_reader(path):
     # --out is read by the writer of the result, not by the handler
-    argv = [*path, *AUDIT_RUNS[path]]
-    namespace, reads = _read_log()
-    args = cli.build_parser().parse_args(argv, namespace=namespace)
-    args.manifest = {}
-    reads.clear()     # parsing reads the namespace too
-    args.func(args)
-    flags = {a.dest for a in _leaf(argv)._actions if a.option_strings}
-    unread = flags - reads - {"help", "out"}
+    read_somewhere = set()
+    for flags in [AUDIT_RUNS[path], *AUDIT_BRANCHES.get(path, [])]:
+        namespace, reads = _read_log()
+        args = cli.build_parser().parse_args([*path, *flags], namespace=namespace)
+        args.manifest = {}
+        reads.clear()     # parsing reads the namespace too
+        args.func(args)
+        read_somewhere |= reads
+    flags = {a.dest for a in _leaf(path)._actions if a.option_strings}
+    unread = flags - read_somewhere - {"help", "out"}
     assert not unread, f"{' '.join(path)} never reads {sorted(unread)}"
 
 
@@ -733,3 +798,15 @@ def test_spde_runs_without_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert done.stdout == "[0, 0, 0] []\n", done.stderr
+
+
+def test_readme_command_lines_parse():
+    # every `subsing ...` line in the README's code blocks is a valid call
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = [line.strip() for block in blocks for line in block.splitlines()
+             if line.strip().startswith("subsing ") and "..." not in line]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

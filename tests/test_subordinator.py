@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from subsing import bernstein as bf
 from subsing import subordinator as sub
-from subsing.errors import CapabilityError, DomainError, RangeError
+from subsing.errors import CapabilityError, DomainError
 from subsing.rng import as_generator, stream
 
 
@@ -85,34 +83,28 @@ def test_determinism_bit_identical():
     a = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
     b = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
     assert np.array_equal(a, b)
-    g1 = sub.simulate_general(bf.gamma_exponent(), 1.0, 1e-3, seed=5)
-    g2 = sub.simulate_general(bf.gamma_exponent(), 1.0, 1e-3, seed=5)
-    assert np.array_equal(g1.jump_times, g2.jump_times)
-    assert np.array_equal(g1.jump_sizes, g2.jump_sizes)
-    assert g1.drift == g2.drift
+    g1 = sub.cp_jump_batch(bf.gamma_exponent(), 1.0, 1e-3, as_generator(5), 1)
+    g2 = sub.cp_jump_batch(bf.gamma_exponent(), 1.0, 1e-3, as_generator(5), 1)
+    assert g1[0] == g2[0]
+    assert all(np.array_equal(a, b) for a, b in zip(g1[1:], g2[1:]))
 
 
 @pytest.mark.parametrize("phi_id", ["gamma", "tempered:0.5,1", "stable:0.6",
                                     "drift:1"])
 @pytest.mark.parametrize("T, eps", [(1.0, 1e-3), (2.0, 1e-2)])
 def test_general_path_is_one_sorted_jump_batch(phi_id, T, eps):
+    # one replica, as `subsing path` exports it with its times sorted: every
+    # jump lies in (0, T] at a distinct time, and the drift takes the mean
+    # of the jumps below the cutoff
     phi = bf.parse_phi(phi_id)
     for seed in (0, 7):
-        path = sub.simulate_general(phi, T, eps, seed=seed)
         drift, counts, times, sizes = sub.cp_jump_batch(phi, T, eps,
                                                         as_generator(seed), 1)
-        assert counts.tolist() == [len(times)]
-        assert path.drift == drift
-        assert np.array_equal(path.jump_times, np.sort(times))
-        assert np.array_equal(path.jump_sizes, sizes)
-
-
-def test_drift_only_general():
-    path = sub.simulate_general(bf.drift_only(1.0), 2.0, 0.1, seed=0)
-    assert len(path.jump_times) == 0
-    assert path.provenance == "DriftOnly"
-    assert sub.evaluate(path, 0.5) == pytest.approx(0.5)
-    assert path.total_mass == pytest.approx(2.0)
+        assert counts.tolist() == [len(times)] == [len(sizes)]
+        assert drift == phi.triplet.drift + phi.triplet.small_jump_mean(eps)
+        assert np.all((times > 0) & (times <= T))
+        assert np.all(np.diff(np.sort(times)) > 0)
+        assert np.all(sizes >= eps)
 
 
 def test_laplace_certification_all_simulable():
@@ -133,18 +125,21 @@ def test_laplace_certification_all_simulable():
 
 def test_compound_poisson_structure():
     phi = bf.gamma_exponent()
-    path = sub.simulate_general(phi, 2.0, 1e-2, seed=11)
-    assert np.all(path.jump_sizes >= 1e-2)
-    assert path.drift == pytest.approx(phi.triplet.small_jump_mean(1e-2))
-    assert np.all(np.diff(path.jump_times) > 0)
-    assert path.diagnostics["inv_cdf_knots"] == sub.INV_CDF_KNOTS
+    drift, _, times, sizes = sub.cp_jump_batch(phi, 2.0, 1e-2, as_generator(11), 1)
+    assert np.all(sizes >= 1e-2)
+    assert drift == pytest.approx(phi.triplet.small_jump_mean(1e-2))
+    assert np.all(np.diff(np.sort(times)) > 0)
+    record = sub.jump_sampler(phi, 1e-2).record()
+    assert record["inv_cdf_knots"] == sub.INV_CDF_KNOTS
+    assert 0 < record["inv_cdf_max_gap"] < 1
 
 
 def test_general_requires_jump_structure():
     with pytest.raises(CapabilityError):
-        sub.simulate_general(bf.ratio(0.5), 1.0, 1e-2, seed=0)
-    with pytest.raises(DomainError):
-        sub.simulate_general(bf.gamma_exponent(), 1.0, -1.0, seed=0)
+        sub.cp_jump_batch(bf.ratio(0.5), 1.0, 1e-2, as_generator(0), 1)
+    for T, eps in ((1.0, -1.0), (math.nan, 1e-2), (math.inf, 1e-2), (0.0, 1e-2)):
+        with pytest.raises(DomainError):
+            sub.cp_jump_batch(bf.gamma_exponent(), T, eps, as_generator(0), 1)
 
 
 def test_general_mean_drift_compensation():
@@ -176,89 +171,6 @@ def test_laplace_error_shrinks_with_cutoff():
     assert errs[0] > errs[1] - 3 * se
     assert errs[0] > errs[2] - 3 * se
     assert errs[1] > errs[2] - 3 * se
-
-
-def test_evaluate_conventions():
-    p = sub.SubordinatorPath(1.0, 0.0, np.array([0.5]), np.array([2.0]), "t")
-    assert sub.evaluate(p, 0.5) == 2.0       # jump at t included
-    assert sub.evaluate(p, 0.49) == 0.0
-    assert sub.evaluate(p, 1.0) == p.total_mass
-    with pytest.raises(DomainError):
-        sub.evaluate(p, 1.5)
-
-
-def test_inverse_time_examples():
-    drift = sub.SubordinatorPath(1.0, 2.0, np.array([]), np.array([]), "d")
-    assert sub.inverse_time(drift, 1.0) == pytest.approx(0.5)
-    # jump from 1 to 3 at tau = 0.5: inverse is flat across the jump
-    p = sub.SubordinatorPath(1.0, 2.0, np.array([0.5]), np.array([2.0]), "t")
-    assert sub.inverse_time(p, 2.0) == pytest.approx(0.5)
-    assert sub.inverse_time(p, 1.5) == pytest.approx(0.5)
-    assert sub.inverse_time(p, 3.5) == pytest.approx(0.75)
-    with pytest.raises(RangeError):
-        sub.inverse_time(p, 4.0)
-
-
-def _lebesgue_lhs(path, t_level):
-    """Exact integral of the inverse path: int_0^t linv_s ds for f(s)=s."""
-    b, jt, js = path.drift, path.jump_times, path.jump_sizes
-    post = b * jt + np.cumsum(js)
-    pre = post - js
-    total = 0.0
-    level = 0.0
-    prev_time = 0.0
-    for k in range(len(jt)):
-        lo, hi = level, min(pre[k], t_level)
-        if hi > lo:   # linear stretch between jumps, slope 1/b
-            t0 = prev_time
-            t1 = t0 + (hi - lo) / b
-            total += 0.5 * (t0 + t1) * (hi - lo)
-        if t_level <= pre[k]:
-            return total
-        lo, hi = pre[k], min(post[k], t_level)
-        total += jt[k] * (hi - lo)              # flat stretch across the jump
-        if t_level <= post[k]:
-            return total
-        level = post[k]
-        prev_time = jt[k]
-    hi = t_level
-    t0 = prev_time
-    t1 = t0 + (hi - level) / b
-    total += 0.5 * (t0 + t1) * (hi - level)
-    return total
-
-
-def test_change_of_variables_identity():
-    # int_0^t f(linv_s) ds == int_0^{linv_t} f(s) dl_s for f(s)=s, at levels
-    # in the range of the path
-    phi = bf.gamma_exponent()
-    for seed in (3, 5, 8):
-        path = sub.simulate_general(phi, 2.0, 1e-3, seed=seed)
-        for s0 in (0.3, 1.1, 1.9):
-            t_level = sub.evaluate(path, s0)
-            linv = sub.inverse_time(path, t_level)
-            lhs = _lebesgue_lhs(path, t_level)
-            k = np.searchsorted(path.jump_times, linv, side="right")
-            rhs = path.drift * linv ** 2 / 2 + float(
-                (path.jump_times[:k] * path.jump_sizes[:k]).sum())
-            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_inverse_time_is_right_inverse(data):
-    n = data.draw(st.integers(1, 6))
-    jt = np.sort(np.array(sorted(set(
-        data.draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n))))))
-    js = np.array(data.draw(st.lists(st.floats(0.01, 2.0),
-                                     min_size=len(jt), max_size=len(jt))))
-    b = data.draw(st.floats(0.1, 3.0))
-    path = sub.SubordinatorPath(1.0, b, jt, js, "h")
-    t = data.draw(st.floats(0.0, 0.999)) * path.total_mass
-    s = sub.inverse_time(path, t)
-    assert sub.evaluate(path, min(s, 1.0)) >= t - 1e-12
-    if s > 1e-9:
-        assert sub.evaluate(path, s * (1 - 1e-9)) <= t + 1e-9 * path.total_mass
 
 
 def _same_bits(a, b):
