@@ -267,13 +267,15 @@ class DoublingIndices:
 
     ``None`` marks an endpoint limit that failed to stabilize.  The grid
     values are infima/suprema over a finite scan plus extrapolated endpoint
-    limits, not analytic values.
+    limits, not analytic values.  ``at_zero`` and ``liminf_at_infinity`` are
+    liminfs, ``at_infinity`` is a limsup.
     """
 
     global_inf: Optional[float]
     global_sup: Optional[float]
     at_zero: Optional[float]
     at_infinity: Optional[float]
+    liminf_at_infinity: Optional[float]
 
 
 def _log2_ratio(phi: BernsteinFunction, s: np.ndarray) -> np.ndarray:
@@ -339,19 +341,16 @@ def doubling_indices(phi: BernsteinFunction) -> DoublingIndices:
     vals = _log2_ratio(phi, s)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
-        return DoublingIndices(None, None, None, None)
+        return DoublingIndices(None, None, None, None, None)
     grid_min, grid_max = float(vals.min()), float(vals.max())
 
-    zero_inf = _endpoint_limit(phi, "zero", -1, 1e-6)
-    zero_sup = _endpoint_limit(phi, "zero", +1, 1e-6)
-    inf_inf = _endpoint_limit(phi, "inf", -1, 1e-6)
-    inf_sup = _endpoint_limit(phi, "inf", +1, 1e-6)
-
-    ends_min = [v for v in (zero_inf, inf_inf) if v is not None]
-    ends_max = [v for v in (zero_sup, inf_sup) if v is not None]
-    g_inf = min([grid_min] + ends_min) if ends_min or vals.size else None
-    g_sup = max([grid_max] + ends_max) if ends_max or vals.size else None
-    return DoublingIndices(g_inf, g_sup, zero_inf, inf_sup)
+    zero_inf, zero_sup, inf_inf, inf_sup = (_endpoint_limit(phi, side, sign, 1e-6)
+                                            for side in ("zero", "inf")
+                                            for sign in (-1, +1))
+    return DoublingIndices(
+        min(v for v in (grid_min, zero_inf, inf_inf) if v is not None),
+        max(v for v in (grid_max, zero_sup, inf_sup) if v is not None),
+        zero_inf, inf_sup, inf_inf)
 
 
 def log_growth_liminf(phi: BernsteinFunction) -> Optional[float]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
 import time
 from typing import Optional
@@ -21,9 +20,7 @@ from . import __version__, moments, spde
 from .bernstein import Catalog, doubling_indices, inverse, parse_phi
 from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
-from .integrate import (ZeroOne, as_zero_one, finiteness_criterion,
-                        parse_integrand, zero_one_verdict)
-from .mc import Moments, run_mc
+from .integrate import as_zero_one, finiteness_criterion, parse_integrand
 from .rng import as_generator, stream
 from .subordinator import (EXACT_GRID_KINDS, cp_jump_batch, grid_increments,
                            jump_sampler, time_grid)
@@ -119,12 +116,8 @@ def cmd_sim(args):
     exacts = [float(np.exp(-args.T * phi(r))) for r in args.r]
     lines = _header(args)
     lines.append("r,mc_mean,mc_se,exact,z")
-    for r, exact in zip(args.r, exacts):
-        def sampler(rng, m, r=r):
-            inc = grid_increments(phi, times, rng, m, eps=args.eps)
-            return np.exp(-r * inc.sum(axis=1))
-
-        est = run_mc(sampler, args.paths, args.seed)
+    for r, exact, est in zip(args.r, exacts, moments.laplace_mc(
+            phi, args.r, times, args.paths, args.seed, eps=args.eps)):
         z = (est.mean - exact) / est.std_error if est.std_error else 0.0
         lines.append(",".join(_fmt(v) for v in (r, est.mean, est.std_error, exact, z)))
     return lines
@@ -158,32 +151,16 @@ def cmd_path(args):
 def cmd_integrate(args):
     phi = parse_phi(args.phi)
     f = parse_integrand(args.f)
-    if args.paths < 1:
-        raise DomainError("--paths must be positive")
-    verdict = zero_one_verdict(f, phi, (0.0, args.T))
-    args.manifest["verdict"] = verdict.name
-    if verdict is ZeroOne.AS_INFINITE:
-        # every path is +inf almost surely; no finite grid sum can show it.
-        # Nothing is built or drawn, so the grid and draw flags are not echoed
+    row, facts = moments.integral_summary(phi, f, args.T, args.paths, args.seed,
+                                          dt=args.dt, eps=args.eps)
+    args.manifest.update(facts)
+    if "grid_nodes" not in facts:
+        # an a.s. infinite integral draws nothing: no grid or draw flag is echoed
         del args.dt, args.eps, args.seed
-        return _header(args) + ["n,finite_fraction,mean,se,median", ",".join(
-            _fmt(v) for v in (args.paths, 0.0, math.inf, math.inf, math.inf))]
-    lines = _header(args)
-    lines.append("n,finite_fraction,mean,se,median")
-    times = moments._default_times(f, args.T, args.dt, phi)
-    args.manifest["grid_nodes"] = len(times)
-    args.manifest["grid_bias"] = moments.grid_bias(phi, f, times)
-    sampler, chunk = moments._integral_sampler(phi, f, times, args.eps)
-    rng = stream(args.seed, 0)
-    vals = np.concatenate([sampler(rng, min(chunk, args.paths - i))
-                           for i in range(0, args.paths, chunk)])
-    if phi.kind not in EXACT_GRID_KINDS:
+    elif phi.kind not in EXACT_GRID_KINDS:
         args.manifest.update(jump_sampler(phi, args.eps).record())
-    est = Moments.of(vals).estimates()[0]
-    lines.append(",".join(_fmt(v) for v in (
-        len(vals), float(np.isfinite(vals).mean()), est.mean, est.std_error,
-        float(np.median(vals)))))
-    return lines
+    return _header(args) + ["n,finite_fraction,mean,se,median",
+                            ",".join(_fmt(v) for v in row)]
 
 
 def cmd_zeroone(args):

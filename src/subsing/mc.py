@@ -12,7 +12,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,35 +90,55 @@ class Moments:
             m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / n)
         return Moments(n, mean, m2)
 
-    def estimates(self) -> list:
-        """Plain-mean estimate per column, with SE sqrt(M2 / n) / sqrt(n)."""
-        n = self.count
-        return [MCEstimate(n, float(mu), math.sqrt(m2) / n) if math.isfinite(mu)
-                else MCEstimate(n, float(mu), math.inf, True)
-                for mu, m2 in zip(np.ravel(self.mean), np.ravel(self.m2))]
-
 
 def merge_all(parts) -> Moments:
     """Fold partials left to right, so the result depends only on their order."""
     return functools.reduce(Moments.merge, parts)
 
 
-def block_values(sampler, n_samples: int, seed: int, *, blocks: int = DEFAULT_BLOCKS,
-                 max_chunk: int = 4096) -> list:
-    """Run ``sampler(rng, m) -> (m,) array`` over ``blocks`` derived streams.
+def _heavy_tail(blocks: list) -> np.ndarray:
+    # second moment over the first quarter, half and all blocks, per column;
+    # non-stabilizing growth marks an (effectively) infinite-variance column
+    b = len(blocks)
+    if b < 4:
+        return np.zeros(np.size(blocks[0].mean), dtype=bool)
+    quarter, half, full = (np.ravel(a.m2 / a.count + a.mean * a.mean) for a in
+                           map(merge_all, (blocks[:b // 4], blocks[:b // 2], blocks)))
+    finite = np.isfinite(quarter) & np.isfinite(half) & np.isfinite(full)
+    return ~finite | ((quarter < half) & (half < full) & (full > 1.5 * quarter))
 
-    Returns one :class:`Moments` per block, in block order.  Within a block
-    the stream is consumed chunk by chunk, so the values are fixed by
-    (seed, blocks, max_chunk) and do not depend on the worker count; a
-    sampler that draws more than once per call sees a different split of
-    its stream under another ``max_chunk``.
+
+def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
+    """One :class:`MCEstimate` per column: plain mean or median of block means."""
+    flags = _heavy_tail(blocks)
+    n = sum(blk.count for blk in blocks)
+    if method == "median_of_means":
+        means = np.array([np.ravel(blk.mean) for blk in blocks])
+        se = math.sqrt(math.pi / (2 * len(means))) * np.std(means, axis=0, ddof=1)
+        flags |= ~np.all(np.isfinite(means), axis=0)
+        return [MCEstimate(n, float(mu), float(s), bool(flag), "median_of_means")
+                for mu, s, flag in zip(np.median(means, axis=0), se, flags)]
+    # plain mean per column, with SE sqrt(M2 / n) / sqrt(n)
+    acc = merge_all(blocks)
+    return [MCEstimate(n, float(mu), math.sqrt(m2) / n, bool(flag)) if math.isfinite(mu)
+            else MCEstimate(n, float(mu), math.inf, True)
+            for mu, m2, flag in zip(np.ravel(acc.mean), np.ravel(acc.m2), flags)]
+
+
+def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
+           max_chunk: int = 4096) -> list:
+    """One :class:`MCEstimate` per column of ``sampler(rng, m) -> (m,) or
+    (m, d)``.  Block b of min(DEFAULT_BLOCKS, n_samples) draws from
+    ``stream(seed, b)`` in chunks of at most ``max_chunk`` and the block
+    partials merge in block order, so no worker count changes the result.
     """
-    counts = np.full(blocks, n_samples // blocks, dtype=np.int64)
-    counts[: n_samples % blocks] += 1
+    if n_samples <= 0:
+        raise DomainError("need a positive sample count")
+    blocks = min(DEFAULT_BLOCKS, n_samples)
 
     def run_block(b: int) -> Moments:
         rng = stream(seed, b)
-        left = int(counts[b])
+        left = n_samples // blocks + (b < n_samples % blocks)
         parts = []
         while left > 0:
             m = min(left, max_chunk)
@@ -127,49 +147,10 @@ def block_values(sampler, n_samples: int, seed: int, *, blocks: int = DEFAULT_BL
         return merge_all(parts)
 
     width = _worker_count()
-    if width > 1:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            return list(pool.map(run_block, range(blocks)))
-    return [run_block(b) for b in range(blocks)]
-
-
-def _heavy_tail(blocks: list) -> bool:
-    # second moment over the first quarter, half and all blocks; non-stabilizing
-    # growth marks an (effectively) infinite-variance integrand
-    b = len(blocks)
-    if b < 4:
-        return False
-    m2 = []
-    for k in (b // 4, b // 2, b):
-        acc = merge_all(blocks[:k])
-        m2.append(float(acc.m2 / acc.count + acc.mean * acc.mean))
-    if any(not math.isfinite(v) for v in m2):
-        return True
-    return bool(m2[0] < m2[1] < m2[2] and m2[2] > 1.5 * m2[0])
-
-
-def estimate_from_blocks(blocks: list, method: str = "plain") -> MCEstimate:
-    """Plain mean or median of means of per-block :class:`Moments`."""
-    flag = _heavy_tail(blocks)
-    if method == "median_of_means":
-        n = sum(blk.count for blk in blocks)
-        means = np.array([float(blk.mean) for blk in blocks])
-        mom = float(np.median(means))
-        se = math.sqrt(math.pi / (2 * len(means))) * float(np.std(means, ddof=1))
-        if not np.all(np.isfinite(means)):
-            flag = True
-        return MCEstimate(n, mom, se, flag, "median_of_means")
-    est = merge_all(blocks).estimates()[0]
-    return replace(est, heavy_tail_flag=est.heavy_tail_flag or flag)
-
-
-def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
-           max_chunk: int = 4096) -> MCEstimate:
-    if n_samples <= 0:
-        raise DomainError("need a positive sample count")
-    blocks = min(DEFAULT_BLOCKS, n_samples)
-    return estimate_from_blocks(block_values(sampler, n_samples, seed, blocks=blocks,
-                                             max_chunk=max_chunk), method)
+    if width == 1:
+        return estimate_from_blocks([run_block(b) for b in range(blocks)], method)
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return estimate_from_blocks(list(pool.map(run_block, range(blocks))), method)
 
 
 def wilson_interval(successes: int, n: int):

@@ -11,7 +11,7 @@ Carlo and report ratios against the analytic right sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -19,11 +19,11 @@ import numpy as np
 
 from . import mc
 from .bernstein import (BernsteinFunction, Catalog, doubling_indices, inverse,
-                        log_growth_liminf, stable, _endpoint_limit)
+                        log_growth_liminf, stable)
 from .errors import CapabilityError, DomainError, GateViolation, NumericError
 from .integrate import (OVERFLOW_GUARD, Integrand, IntegrandKind, Verdict,
-                        cell_means, constant, exponential, finiteness_criterion,
-                        improper_integral, power_singular,
+                        as_zero_one, cell_means, constant, exponential,
+                        finiteness_criterion, improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
 from .subordinator import grid_increments, power_graded_grid, time_grid
@@ -140,10 +140,8 @@ def _grid_exponent(phi: BernsteinFunction, f: Integrand, times: np.ndarray) -> f
     return float(np.dot(np.diff(times), vals))
 
 
-def _exact_exponent(phi: BernsteinFunction, f: Integrand, times: np.ndarray) -> float:
-    """Integral of phi(f) over the grid's span; +inf if divergent, nan if
-    undetermined."""
-    res = finiteness_criterion(f, phi, (float(times[0]), float(times[-1])))
+def _exponent(res) -> float:
+    """Integral of phi(f) from its criterion: +inf if divergent, nan if unknown."""
     if res.verdict is Verdict.FINITE:
         return res.value
     return math.inf if res.verdict is Verdict.INFINITE else math.nan
@@ -161,14 +159,16 @@ def grid_bias(phi: BernsteinFunction, f: Integrand, times: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     if exact is None:
-        exact = _exact_exponent(phi, f, times)
+        exact = _exponent(finiteness_criterion(f, phi, (float(times[0]),
+                                                        float(times[-1]))))
     return math.exp(-_grid_exponent(phi, f, times)) - math.exp(-exact)
 
 
 def _default_times(f: Integrand, T: float, dt: Optional[float],
-                   phi: BernsteinFunction) -> np.ndarray:
+                   phi: BernsteinFunction, exact: float) -> np.ndarray:
     """Grid on [0, T]: from ``dt`` if given, else the coarsest of 32, 64, ...
-    cells (at most MAX_CELLS) whose :func:`grid_bias` is within GRID_BIAS_TOL."""
+    cells (at most MAX_CELLS) whose :func:`grid_bias` against ``exact``, the
+    integral of phi(f) over (0, T], is within GRID_BIAS_TOL."""
     if not (0 < T < math.inf and (dt is None or 0 < dt < math.inf)):
         raise DomainError("T and dt must be positive and finite")
     if f.kind is IntegrandKind.CONSTANT:
@@ -195,7 +195,6 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
         fewest = 1
     if dt is not None:
         return grid(max(fewest, int(round(T / dt))))
-    exact = _exact_exponent(phi, f, np.array([0.0, T]))
     n = FIRST_CELLS
     times = grid(n)
     # written so that a nan bias (undetermined criterion) never certifies
@@ -205,32 +204,70 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
     return times
 
 
-def _integral_sampler(phi, f, times, eps):
+def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[float]):
+    """The finiteness criterion of f on (0, T] and the grid of
+    :func:`_default_times`, None for an almost surely infinite integral."""
+    if not 0 < T < math.inf:
+        raise DomainError("T and dt must be positive and finite")
+    res = finiteness_criterion(f, phi, (0.0, float(T)))
+    return res, (None if res.verdict is Verdict.INFINITE
+                 else _default_times(f, T, dt, phi, _exponent(res)))
+
+
+def _integral_mc(phi, f, times, N, seed, transform, method, eps) -> list:
+    """Monte Carlo means of the columns of ``transform`` of the integral of f
+    over ``times``, one :class:`MCEstimate` per column; ``times`` None marks
+    an a.s. infinite integral, whose paths are all +inf, and draws nothing."""
+    if times is None:
+        if N <= 0:
+            raise DomainError("need a positive sample count")
+        value = np.ravel(transform(np.array([math.inf])))
+        blocks = [mc.Moments(N, value, np.zeros_like(value))]
+        return [replace(est, method=method) for est in mc.estimate_from_blocks(blocks)]
+    if not phi.simulable:
+        raise CapabilityError(f"{phi.name}: not simulable")
+    times = np.asarray(times, dtype=float)
     k = len(times) - 1
-    chunk = max(8, min(4096, 2_000_000 // max(k, 1)))
 
     def sampler(rng, m):
         inc = grid_increments(phi, times, rng, m, eps=eps)
-        return stieltjes_increments(f, times, inc)
+        return transform(stieltjes_increments(f, times, inc))
 
-    return sampler, chunk
-
-
-def _integral_mc(phi, f, times, N, seed, transform, method, eps) -> MCEstimate:
-    """Monte Carlo mean of ``transform`` of the integral of f over ``times``."""
-    if not phi.simulable:
-        raise CapabilityError(f"{phi.name}: not simulable")
-    sampler, chunk = _integral_sampler(phi, f, np.asarray(times, dtype=float), eps)
-    return mc.run_mc(lambda rng, m: transform(sampler(rng, m)), N, seed,
-                     method=method, max_chunk=chunk)
+    return mc.run_mc(sampler, N, seed, method=method,
+                     max_chunk=max(8, min(4096, 2_000_000 // max(k, 1))))
 
 
 def char_functional_mc(phi: BernsteinFunction, f: Integrand, T: float, N: int,
                        seed: int, *, dt: Optional[float] = None,
                        eps: float = 1e-4) -> MCEstimate:
     """Monte Carlo mean of exp(-integral); divergent samples contribute 0."""
-    return _integral_mc(phi, f, _default_times(f, T, dt, phi), N, seed,
-                        lambda v: np.exp(-v), "plain", eps)
+    return _integral_mc(phi, f, _integral_grid(phi, f, T, dt)[1], N, seed,
+                        lambda v: np.exp(-v), "plain", eps)[0]
+
+
+def laplace_mc(phi: BernsteinFunction, r: Sequence[float], times: np.ndarray,
+               N: int, seed: int, *, eps: float = 1e-4) -> list:
+    """Monte Carlo of E exp(-r S_T) over ``times`` per r, each path drawn once."""
+    return _integral_mc(phi, constant(1.0), times, N, seed,
+                        lambda v: np.exp(-np.multiply.outer(v, r)), "plain", eps)
+
+
+def integral_summary(phi: BernsteinFunction, f: Integrand, T: float, N: int,
+                     seed: int, *, dt: Optional[float] = None, eps: float = 1e-4):
+    """Row (n, finite fraction, mean, SE, median) of the integral of f on
+    (0, T] from one set of draws, and the verdict and grid facts of the run."""
+    res, times = _integral_grid(phi, f, T, dt)
+    # every value drawn is kept: its median and finite fraction ignore block order
+    kept = []
+    est = _integral_mc(phi, f, times, N, seed, lambda v: kept.append(v) or v,
+                       "plain", eps)[0]
+    vals = np.concatenate(kept)
+    facts = {"verdict": as_zero_one(res).name}
+    if times is not None:
+        facts.update(grid_nodes=len(times),
+                     grid_bias=grid_bias(phi, f, times, _exponent(res)))
+    return (est.n_samples, float(np.isfinite(vals).mean()), est.mean,
+            est.std_error, float(np.median(vals))), facts
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +299,15 @@ def mc_integral_moment(phi: BernsteinFunction, p: float, f: Integrand,
     if method == "auto":
         method = _auto_method(phi, p)
     return _integral_mc(phi, f, times, N, seed,
-                        lambda v: _power_transform(v, p), method, eps)
+                        lambda v: _power_transform(v, p), method, eps)[0]
 
 
 def mc_moment(phi: BernsteinFunction, p: float, f: Integrand, T: float, N: int,
               seed: int, *, method: str = "auto", dt: Optional[float] = None,
               eps: float = 1e-4) -> MCEstimate:
     """p-th moment of the integral of f on (0, T]."""
-    return mc_integral_moment(phi, p, f, _default_times(f, T, dt, phi), N, seed,
-                              method=method, eps=eps)
+    return mc_integral_moment(phi, p, f, _integral_grid(phi, f, T, dt)[1], N,
+                              seed, method=method, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +356,9 @@ def select_bound_clause(phi: BernsteinFunction, p: float, T_grid: Sequence[float
                 "positive p is covered by the integrability equivalence instead")
         if p == 0:
             return "trivial"
-        liminf_inf = _endpoint_limit(phi, "inf", -1, atol=1e-6)
-        _require(liminf_inf is not None and liminf_inf > 0,
+        _require((idx.liminf_at_infinity or 0) > 0,
                  "liminf_{s->inf} phi(2s)/phi(s) > 1",
-                 f"log2 liminf at infinity = {liminf_inf}")
+                 f"log2 liminf at infinity = {idx.liminf_at_infinity}")
         return "vi"
     if theta is None:
         raise DomainError("scan needs theta or lam")
@@ -339,10 +375,9 @@ def select_bound_clause(phi: BernsteinFunction, p: float, T_grid: Sequence[float
                      "liminf_{s->0} phi(2s)/phi(s) > 1",
                      f"log2 liminf at zero = {idx.at_zero}")
         if t_lo < 1:
-            liminf_inf = _endpoint_limit(phi, "inf", -1, atol=1e-6)
-            _require(liminf_inf is not None and liminf_inf > 0,
+            _require((idx.liminf_at_infinity or 0) > 0,
                      "liminf_{s->inf} phi(2s)/phi(s) > 1",
-                     f"log2 liminf at infinity = {liminf_inf}")
+                     f"log2 liminf at infinity = {idx.liminf_at_infinity}")
         return "i" if t_lo >= 1 else ("ii" if t_hi <= 1 else "i+ii")
     if theta == 0.0:
         if t_lo >= 1:

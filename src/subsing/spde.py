@@ -22,7 +22,7 @@ import numpy as np
 from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
                      PreconditionError)
-from .mc import Moments, _worker_count, merge_all, wilson_interval
+from .mc import Moments, _worker_count, estimate_from_blocks, wilson_interval
 from .moments import BoundReport, _horizons
 from .rng import as_generator, stream
 from .subordinator import grid_increments, time_grid
@@ -241,7 +241,7 @@ def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
     ``SUBSING_WORKERS`` at 2 or more and more than one chunk, chunk j + 1 is
     drawn on a helper thread while ``statistic`` runs on chunk j, so the
     result does not depend on the worker count.  Returns one MCEstimate per
-    statistic column.
+    statistic column, each chunk one block of :func:`estimate_from_blocks`.
     """
     if N < 1:
         raise DomainError("need a positive number of paths")
@@ -272,7 +272,7 @@ def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
             if idx + 1 < count:
                 take = later(idx + 1)
             parts.append(Moments.of(statistic(d_sub, dw)))
-    return merge_all(parts).estimates()
+    return estimate_from_blocks(parts)
 
 
 def _grid_columns(times: np.ndarray, ts: Sequence[float]) -> list:

@@ -27,6 +27,8 @@ LOOKUP_SLICE = 8192
 # drivers whose increments grid_increments draws exactly; every other
 # simulable exponent takes the compound Poisson route through its jump table
 EXACT_GRID_KINDS = frozenset({Catalog.STABLE, Catalog.GAMMA, Catalog.DRIFT_ONLY})
+# the largest mean that numpy's Poisson sampler accepts
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,10 @@ def cp_jump_batch(phi: BernsteinFunction, T: float, eps: float,
         raise CapabilityError(f"{phi.name}: no jump structure attached")
     trip = phi.triplet
     sampler = jump_sampler(phi, eps)
-    counts = rng.poisson(sampler.rate * T, n_paths)
+    lam = sampler.rate * T
+    if not lam <= POISSON_LAM_MAX:
+        raise DomainError(f"jump rate x horizon = {lam:g} is too large; raise eps")
+    counts = rng.poisson(lam, n_paths)
     total = int(counts.sum())
     times = rng.uniform(0.0, T, total)
     sizes = sampler.draw(rng, total)

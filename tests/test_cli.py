@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from subsing import __version__, cli, integrate, spde
+from subsing import __version__, cli, integrate, moments, spde
 from subsing.cli import main
 from subsing.rng import stream
 
@@ -275,13 +275,12 @@ def _manifest(path):
 def test_integrate_manifest_records_grid(tmp_path):
     from subsing import bernstein as bf
     from subsing import integrate as itg
-    from subsing import moments
     out = tmp_path / "i.csv"
     assert run(["integrate", "--f", "pow:0.5", "--phi", "stable:0.5",
                 "--paths", "200", "--out", str(out)]) == 0
     facts = _manifest(out)
-    times = moments._default_times(itg.power_singular(0.5), 1.0, None,
-                                   bf.stable(0.5))
+    times = moments._integral_grid(bf.stable(0.5), itg.power_singular(0.5), 1.0,
+                                   None)[1]
     assert int(facts["grid_nodes"]) == len(times)
     assert 0 < -float(facts["grid_bias"]) <= moments.GRID_BIAS_TOL
     assert "grid" not in out.read_text()
@@ -297,9 +296,10 @@ def test_integrate_records_jump_table(tmp_path):
     sampler = jump_sampler(bf.tempered_stable(0.5, 1.0), 1e-4)
     assert int(facts["inv_cdf_knots"]) == sampler._knots.size
     assert float(facts["inv_cdf_max_gap"]) == sampler.table_gap > 0
-    # the record goes to the manifest only; the result row is unchanged
+    # the record goes to the manifest only; the row is the one drawn over
+    # the Monte Carlo blocks of run_mc
     assert out.read_text().splitlines()[-1] == \
-        "300,1.0,0.2961171695052116,0.014387288484346259,0.21764001452588536"
+        "300,1.0,0.30871665466583853,0.01768252304220287,0.1974916579999861"
     exact = tmp_path / "st.csv"
     assert run(["integrate", "--f", "exp:1", "--phi", "stable:0.5",
                 "--paths", "100", "--out", str(exact)]) == 0
@@ -416,12 +416,47 @@ def test_path_bad_horizon_exit_code(phi, capsys):
 
 @pytest.mark.parametrize("r", ["", "-1"], ids=["empty", "negative"])
 def test_sim_checks_r_before_drawing(r, monkeypatch, capsys):
-    def no_draw(*args):
-        raise AssertionError("sim drew paths for a bad --r")
+    class Drew(Exception):
+        pass
 
-    monkeypatch.setattr(cli, "run_mc", no_draw)
+    def no_draw(*args, **kwargs):
+        raise Drew
+
+    monkeypatch.setattr(moments, "laplace_mc", no_draw)
     assert run(["sim", "--phi", "stable:0.5", f"--r={r}"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # positive control: a valid --r reaches the patched draw, so the patch
+    # guards the function that sim draws through
+    with pytest.raises(Drew):
+        run(["sim", "--phi", "stable:0.5", "--r=1"])
+
+
+def test_sim_draws_each_path_once(monkeypatch):
+    variates = []
+
+    def counted(phi, times, rng, n_paths=1, eps=1e-4):
+        variates.append(n_paths * (len(times) - 1))
+        return draw(phi, times, rng, n_paths, eps)
+
+    draw = moments.grid_increments
+    monkeypatch.setattr(moments, "grid_increments", counted)
+    drawn = []
+    for r in ("1", "0.5,1,2"):
+        variates.clear()
+        assert run(["sim", "--phi", "gamma", "--dt", "0.25", "--paths", "300",
+                    "--r", r]) == 0
+        drawn.append(sum(variates))
+    assert drawn == [300 * 4, 300 * 4]
+
+
+@pytest.mark.parametrize("command", ["path", "sim"])
+def test_jump_rate_beyond_the_poisson_sampler_exit_code(command, capsys):
+    # eps = 1e-300 puts the tempered jump rate near 1e150, past numpy's limit
+    argv = [command, "--phi", "tempered:0.5,1", "--eps", "1e-300"]
+    if command == "sim":
+        argv += ["--paths", "10", "--dt", "0.25"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: jump rate x horizon")
 
 
 @pytest.mark.parametrize("command", ["sim", "path"])
@@ -508,7 +543,6 @@ def test_config_errors_are_usage_errors(tmp_path, capsys):
 
 
 def test_numeric_error_exit_code(monkeypatch, capsys):
-    from subsing import moments
     from subsing.errors import NumericError
 
     def fail(*args, **kwargs):
@@ -705,6 +739,105 @@ def test_mode_output_digest(mode, capsys):
     assert run([*mode, *flags]) == 0
     text = _without_echoed_flags(capsys.readouterr().out)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of each bf output without its echoed flag lines, as written by the
+# version whose bound scans re-ran the endpoint scan at infinity
+BF_RUNS = {
+    "stable:0.5": (["--eval-at", "0.5,2", "--invert-at", "1,3"],
+                   "ea682cb47409b827843e33cf24217caba993eeb8f2bb7e5b13f1c12b180f6865"),
+    "gamma": (["--eval-at", "1", "--invert-at", "0.5"],
+              "119b7755e86a8577164c0b385e7c5f59e65db1931aaabf3a630df6d684170151"),
+    "tempered:0.5,1": (["--eval-at", "1"],
+                       "b1f1a6c0d0af93ae46a5880b8ba01ba5345a2325a452ac53915b2dd54c0efcd0"),
+    "stablelog:0.5,0.3": (["--eval-at", "2"],
+                          "dd5b0838d47781d0593d658dc4e06f4537cd30ed1867c5abee824b38cca5b87a"),
+    "stableloginv:0.5,0.3": ([],
+                             "d6734fb2d804c4ba583a3c5cc713b1e11b0741153a965334bc91f5ed77c283ed"),
+    "ratio:0.5": (["--eval-at", "3", "--invert-at", "1.5"],
+                  "f9456f4179400374a6a20dbeb1d266cb0ed8e2d21daa0415eaeb75097511560f"),
+    "drift:2": (["--invert-at", "4"],
+                "eeafb5c654248583f3ceef44a3363530337263ac1ae0c8f90123c895de43a91c"),
+}
+
+
+@pytest.mark.parametrize("phi", list(BF_RUNS))
+def test_bf_output_digest(phi, capsys):
+    flags, digest = BF_RUNS[phi]
+    assert run(["bf", "--phi", phi, *flags]) == 0
+    text = _without_echoed_flags(capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of each output without its echoed flag lines, as written by the
+# version in which sim and integrate draw over the blocks of mc.run_mc
+DRAW_RUNS = {
+    "sim-stable": (["sim", "--phi", "stable:0.6", "--dt", "0.01", "--paths", "500",
+                    "--seed", "7"],
+                   "e6c39a7bfbed1f16d9aa33b4bbf0657461494a64117698dab904c5c1539bdf86"),
+    "sim-tempered": (["sim", "--phi", "tempered:0.5,1", "--dt", "0.25",
+                      "--paths", "300", "--seed", "5"],
+                     "81f0b0bf5c70bf348045c894ee07397e4b7414d290604dcb4b5261646c00ca21"),
+    "integrate-stable": (["integrate", "--phi", "stable:0.5", "--f", "pow:0.5",
+                          "--paths", "500", "--seed", "3"],
+                         "dd510a7b4d2ffbb71b437be140fbf8ae7ff4026436fdc77f3bdeb1d21d0dc32e"),
+    "integrate-gamma": (["integrate", "--phi", "gamma", "--f", "exp:1",
+                         "--paths", "500", "--seed", "3"],
+                        "8d2dbf6c95ff8bb907f790242145cb6667f766abbed3ee4286f982b830353db7"),
+}
+
+
+@pytest.mark.parametrize("name", list(DRAW_RUNS))
+def test_draw_output_digest(name, capsys):
+    argv, digest = DRAW_RUNS[name]
+    assert run(argv) == 0
+    text = _without_echoed_flags(capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--phi", "tempered:0.5,1", "--f", "pow:0.5", "--paths", "200"],
+    ["sim", "--phi", "stable:0.6", "--dt", "0.05", "--paths", "500"],
+    ["moment", "mc", "--phi", "stable:0.5", "--p", "0.3", "--f", "pow:0.5",
+     "--paths", "500"],
+    ["moment", "bound", "--phi", "gamma", "--p", "0.5", "--theta", "0",
+     "--T-grid", "1,2", "--paths", "500"],
+], ids=["integrate", "sim", "moment-mc", "moment-bound"])
+def test_draw_output_ignores_worker_count(argv, monkeypatch, capsys):
+    outs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SUBSING_WORKERS", workers)
+        assert run(argv + ["--seed", "11"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_integrate_mean_is_the_first_moment(capsys):
+    # integrate and `moment mc --p 1` draw the same paths through one route
+    common = ["--phi", "stable:0.5", "--f", "pow:0.5", "--T", "2",
+              "--paths", "400", "--seed", "8"]
+    assert run(["integrate", *common]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert run(["moment", "mc", "--p", "1", "--method", "plain", *common]) == 0
+    moment = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[2:4] == moment[1:3]
+
+
+def test_moment_mc_of_an_infinite_integral(monkeypatch, capsys):
+    # alpha theta = 1: the integral is a.s. infinite, as `moment exact`,
+    # `integrate` and `zeroone` say; nothing is drawn to say so
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew paths of an a.s. infinite integral")
+
+    monkeypatch.setattr(moments.mc, "run_mc", no_draw)
+    rows = {}
+    for p in ("0.25", "0", "-1"):
+        assert run(["moment", "mc", "--phi", "stable:0.5", "--p", p,
+                    "--f", "pow:2", "--paths", "50"]) == 0
+        rows[p] = capsys.readouterr().out.splitlines()[-1]
+    assert rows == {"0.25": "50,inf,inf,median_of_means,True",
+                    "0": "50,1.0,0.0,plain,False",
+                    "-1": "50,0.0,0.0,plain,False"}
 
 
 # tiny inputs on which each handler takes its full path

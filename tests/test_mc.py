@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from subsing.errors import DomainError
-from subsing.mc import Moments, merge_all, run_mc
+from subsing.mc import Moments, estimate_from_blocks, merge_all, run_mc
 
 
 def test_se_survives_a_large_offset():
     # E[x^2] - mean^2 cancels to 0 here; merged (count, mean, M2) partials do not
-    est = run_mc(lambda r, m: 1e8 + r.standard_normal(m), 100_000, 1)
+    (est,) = run_mc(lambda r, m: 1e8 + r.standard_normal(m), 100_000, 1)
     assert est.std_error == pytest.approx(1 / math.sqrt(1e5), rel=0.02)
 
 
 def test_constant_sample_has_zero_se():
-    est = run_mc(lambda r, m: np.full(m, 0.1), 1000, 3, max_chunk=7)
+    (est,) = run_mc(lambda r, m: np.full(m, 0.1), 1000, 3, max_chunk=7)
     assert est.mean == 0.1
     assert est.std_error == 0.0
 
@@ -35,3 +35,33 @@ def test_merge_does_not_depend_on_chunking():
 def test_no_samples_is_a_domain_error():
     with pytest.raises(DomainError):
         run_mc(lambda r, m: r.standard_normal(m), 0, 1)
+
+
+@pytest.mark.parametrize("method", ["plain", "median_of_means"])
+def test_one_estimate_per_column(method):
+    # each column of a (m, d) sample gets the estimate it gets on its own, up
+    # to the summation order of the partials
+    x = np.random.default_rng(2).pareto(1.5, (3200, 3)) * [1.0, 1e3, 1e-3]
+    blocks = [Moments.of(b) for b in np.split(x, 32)]
+    ests = estimate_from_blocks(blocks, method)
+    assert len(ests) == 3
+    for j, est in enumerate(ests):
+        alone = estimate_from_blocks([Moments.of(b[:, j]) for b in np.split(x, 32)],
+                                     method)
+        assert (est.n_samples, est.heavy_tail_flag, est.method) == (
+            alone[0].n_samples, alone[0].heavy_tail_flag, alone[0].method)
+        assert est.mean == pytest.approx(alone[0].mean, rel=1e-12)
+        assert est.std_error == pytest.approx(alone[0].std_error, rel=1e-12)
+
+
+def test_run_mc_draws_each_sample_once_for_all_columns():
+    calls = []
+
+    def sampler(r, m):
+        calls.append(m)
+        v = r.standard_normal(m)
+        return np.stack([v, 2 * v], axis=1)
+
+    one, two = run_mc(sampler, 1000, 4)
+    assert sum(calls) == 1000
+    assert two.mean == 2 * one.mean and two.std_error == 2 * one.std_error

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ class TestDefaultGrid:
     @pytest.mark.parametrize("f_id", ["pow:0.5", "pow:0.9", "exp:1"])
     def test_certified_within_256_cells(self, phi_id, f_id):
         phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
-        times = mo._default_times(f, 1.0, None, phi)
+        times = mo._integral_grid(phi, f, 1.0, None)[1]
         assert len(times) - 1 <= 256
         assert abs(mo.grid_bias(phi, f, times)) <= mo.GRID_BIAS_TOL
         if f_id == "pow:0.5":
@@ -240,15 +241,15 @@ class TestDefaultGrid:
                                      rel=1e-12)
 
     def test_explicit_dt_is_honoured(self):
-        assert len(mo._default_times(itg.exponential(1.0), 1.0, 1 / 200, ST5)) == 201
-        assert len(mo._default_times(itg.power_singular(0.5), 1.0, 1 / 300,
-                                     ST5)) == 301
+        assert len(mo._integral_grid(ST5, itg.exponential(1.0), 1.0, 1 / 200)[1]) == 201
+        assert len(mo._integral_grid(ST5, itg.power_singular(0.5), 1.0,
+                                     1 / 300)[1]) == 301
 
     def test_uncertifiable_grid_stops_at_the_cap(self, monkeypatch):
         # no grid certifies a zero tolerance
         monkeypatch.setattr(mo, "GRID_BIAS_TOL", 0.0)
         phi, f = bf.stable(0.7), itg.power_singular(0.9)
-        times = mo._default_times(f, 1.0, None, phi)
+        times = mo._integral_grid(phi, f, 1.0, None)[1]
         assert len(times) - 1 == mo.MAX_CELLS
         assert abs(mo.grid_bias(phi, f, times)) > mo.GRID_BIAS_TOL
 
@@ -257,7 +258,7 @@ class TestDefaultGrid:
     def test_nonintegrable_first_cell_certified(self, phi_id, f_id, cells):
         # theta >= 1: the first cell takes the inward weight f(times[1])
         phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
-        times = mo._default_times(f, 1.0, None, phi)
+        times = mo._integral_grid(phi, f, 1.0, None)[1]
         assert len(times) - 1 <= cells
         assert abs(mo.grid_bias(phi, f, times)) <= mo.GRID_BIAS_TOL
 
@@ -265,7 +266,7 @@ class TestDefaultGrid:
         # alpha theta = 0.975 < 1: the integral converges, and the weight
         # t_1^-6.5 of the finest graded grid must not overflow
         phi, f = bf.stable(0.15), itg.power_singular(6.5)
-        times = mo._default_times(f, 1.0, 1.0 / mo.MAX_CELLS, phi)
+        times = mo._integral_grid(phi, f, 1.0, 1.0 / mo.MAX_CELLS)[1]
         assert len(times) - 1 == mo.MAX_CELLS
         assert np.all(np.isfinite(itg.cell_means(f, times)))
         assert math.isfinite(mo.grid_bias(phi, f, times))
@@ -287,6 +288,36 @@ def test_jump_table_built_once_per_run(monkeypatch):
     assert sub._cached_jump_sampler.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.7])
+@pytest.mark.parametrize("p", [0.25, 0.0, -1.0])
+def test_mc_moment_of_an_infinite_integral_is_not_drawn(alpha, p, monkeypatch):
+    # t^-2 on (0, 1] is a.s. infinite once alpha theta >= 1; the moment is
+    # that of an all-+inf sample
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew paths of an a.s. infinite integral")
+
+    monkeypatch.setattr(mo.mc, "run_mc", no_draw)
+    f = itg.power_singular(2.0)
+    est = mo.mc_moment(bf.stable(alpha), p, f, 1.0, 100, 3)
+    assert est.mean == mo.exact_stable_moment(alpha, p, f, (0.0, 1.0))
+    assert est.n_samples == 100
+
+
+def test_integral_summary_keeps_every_value_under_many_workers(monkeypatch):
+    # the blocks append their values to one list from every worker thread; a
+    # lost append would change n, the finite fraction or the median
+    f = itg.power_singular(0.5)
+    row, _ = mo.integral_summary(ST5, f, 1.0, 3000, 6)
+    monkeypatch.setenv("SUBSING_WORKERS", "6")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = [mo.integral_summary(ST5, f, 1.0, 3000, 6)[0] for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == [row] * 3
+
+
 def test_worker_pool_preserves_results(monkeypatch):
     est1 = mo.mc_moment(ST5, 0.25, UNIT, 1.0, 8000, 5)
     monkeypatch.setenv("SUBSING_WORKERS", "4")
@@ -301,15 +332,21 @@ def test_heavy_tail_flag_from_partials():
     def blocks(second):     # 32 blocks of 100 with these raw second moments
         return [Moments(100, m, 100 * (s - m * m)) for m, s in zip(means, second)]
 
-    assert estimate_from_blocks(blocks(np.geomspace(1.0, 64.0, 32))).heavy_tail_flag
-    assert not estimate_from_blocks(blocks(np.full(32, 4.5))).heavy_tail_flag
+    (grows,) = estimate_from_blocks(blocks(np.geomspace(1.0, 64.0, 32)))
+    (steady,) = estimate_from_blocks(blocks(np.full(32, 4.5)))
+    assert grows.heavy_tail_flag and not steady.heavy_tail_flag
+    # the flag is per column: a growing column beside a steady one
+    both = [Moments(100, np.array([m, m]), np.array([100 * (g - m * m),
+                                                     100 * (4.5 - m * m)]))
+            for m, g in zip(means, np.geomspace(1.0, 64.0, 32))]
+    assert [e.heavy_tail_flag for e in estimate_from_blocks(both)] == [True, False]
 
 
 def test_median_of_means_se_definition():
     from subsing.mc import Moments, estimate_from_blocks
     means = np.arange(32, dtype=float)
-    est = estimate_from_blocks([Moments(10, m, 0.0) for m in means],
-                               "median_of_means")
+    (est,) = estimate_from_blocks([Moments(10, m, 0.0) for m in means],
+                                  "median_of_means")
     assert est.mean == pytest.approx(float(np.median(means)))
     assert est.std_error == pytest.approx(
         math.sqrt(math.pi / 64) * float(np.std(means, ddof=1)))
