@@ -21,5 +21,5 @@ from .spde import (ControllerResult, DiagonalQ, GalerkinSystem, SolutionPath,
                    convolution_moment_scan, galerkin_error, longrun_moment_scan,
                    maximal_inequality_scan, simulate, small_ball,
                    synthesize_null_controller, truncate_system,
-                   validate_system, zero_drift, zero_q)
+                   validate_system, zero_drift)
 from .subordinator import geometric_grid, time_grid

@@ -79,11 +79,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv(columns: str, rows):
+    """CSV body: the column line, then one line per row of values."""
+    return [columns] + [",".join(_fmt(v) for v in row) for row in rows]
+
+
 def _bound_rows(rep, columns: str):
     """CSV body of a BoundReport: one row per horizon."""
-    rows = zip(rep.T_grid, rep.estimates, rep.bound_rhs, rep.ratios)
-    return [columns] + [",".join(_fmt(v) for v in (T, est.mean, est.std_error, rhs, r))
-                        for T, est, rhs, r in rows]
+    return _csv(columns, ((T, est.mean, est.std_error, rhs, r) for T, est, rhs, r
+                          in zip(rep.T_grid, rep.estimates, rep.bound_rhs, rep.ratios)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +118,11 @@ def cmd_sim(args):
         raise DomainError("--r needs at least one value")
     # phi(r) refuses a bad r before anything is drawn
     exacts = [float(np.exp(-args.T * phi(r))) for r in args.r]
-    lines = _header(args)
-    lines.append("r,mc_mean,mc_se,exact,z")
-    for r, exact, est in zip(args.r, exacts, moments.laplace_mc(
-            phi, args.r, times, args.paths, args.seed, eps=args.eps)):
-        z = (est.mean - exact) / est.std_error if est.std_error else 0.0
-        lines.append(",".join(_fmt(v) for v in (r, est.mean, est.std_error, exact, z)))
-    return lines
+    ests = moments.laplace_mc(phi, args.r, times, args.paths, args.seed, eps=args.eps)
+    return _header(args) + _csv("r,mc_mean,mc_se,exact,z", (
+        (r, est.mean, est.std_error, exact,
+         (est.mean - exact) / est.std_error if est.std_error else 0.0)
+        for r, exact, est in zip(args.r, exacts, ests)))
 
 
 def cmd_path(args):
@@ -136,16 +138,15 @@ def cmd_path(args):
         times = time_grid(args.T, args.dt)
         inc = grid_increments(phi, times, rng)[0]
         values = np.concatenate(([0.0], np.cumsum(inc)))
-        return _header(args) + ["t,S_t"] + [
-            f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, values)]
+        return _header(args) + _csv("t,S_t", zip(times, values))
     del args.dt
     drift, _, times, sizes = cp_jump_batch(phi, args.T, args.eps, rng, 1)
     sampler = jump_sampler(phi, args.eps)
     args.manifest.update(jump_rate=sampler.rate,
                          small_jump_drift=phi.triplet.small_jump_mean(args.eps),
                          **sampler.record())
-    lines = _header(args) + [f"# drift={_fmt(drift)},T={_fmt(args.T)}", "time,size"]
-    return lines + [f"{_fmt(t)},{_fmt(s)}" for t, s in zip(np.sort(times), sizes)]
+    return (_header(args) + [f"# drift={_fmt(drift)},T={_fmt(args.T)}"]
+            + _csv("time,size", zip(np.sort(times), sizes)))
 
 
 def cmd_integrate(args):
@@ -159,8 +160,7 @@ def cmd_integrate(args):
         del args.dt, args.eps, args.seed
     elif phi.kind not in EXACT_GRID_KINDS:
         args.manifest.update(jump_sampler(phi, args.eps).record())
-    return _header(args) + ["n,finite_fraction,mean,se,median",
-                            ",".join(_fmt(v) for v in row)]
+    return _header(args) + _csv("n,finite_fraction,mean,se,median", [row])
 
 
 def cmd_zeroone(args):
@@ -188,11 +188,9 @@ def cmd_moment(args):
         f = parse_integrand(args.f)
         est = moments.mc_moment(phi, args.p, f, args.T, args.paths, args.seed,
                                 method=args.method, dt=args.dt, eps=args.eps)
-        lines.append("n,mean,se,method,heavy_tail")
-        lines.append(",".join(_fmt(v) for v in (
+        return lines + _csv("n,mean,se,method,heavy_tail", [(
             est.n_samples, est.mean, est.std_error, est.method,
-            est.heavy_tail_flag)))
-        return lines
+            est.heavy_tail_flag)])
     if args.mode == "bound":
         rep = moments.bound_scan(phi, args.p, args.T_grid, args.paths,
                                  args.seed, theta=args.theta, lam=args.lam,
@@ -222,12 +220,12 @@ def _build_system(args, a4) -> spde.GalerkinSystem:
     scales = args.q_scale * k ** -args.q_decay
 
     if args.q_const:
-        q = spde.constant_diagonal_q(scales, invertible=True)
+        q = spde.constant_diagonal_q(scales)
     else:
         def entries(y, s=scales):
             return s[: y.shape[-1]] * (0.6 + 0.4 * np.tanh(y))
 
-        q = spde.DiagonalQ(entries, float(np.linalg.norm(scales)), invertible=True)
+        q = spde.DiagonalQ(entries, float(np.linalg.norm(scales)))
     if args.f_scale == 0.0:
         drift = spde.zero_drift
         fb = flip = 0.0
@@ -254,13 +252,10 @@ def cmd_spde(args):
     lines = _header(args)
     if args.mode == "sim":
         path = spde.simulate(system, phi, args.T, args.dt, args.seed, eps=args.eps)
-        lines.append("t,S_t,|X_t|,|Z_t|")
-        for j, t in enumerate(path.times):
-            lines.append(",".join(_fmt(v) for v in (
-                t, path.subordinator[j],
-                float(np.linalg.norm(path.state[j])),
-                float(np.linalg.norm(path.convolution[j])))))
-        return lines
+        return lines + _csv("t,S_t,|X_t|,|Z_t|", (
+            (t, s, float(np.linalg.norm(x)), float(np.linalg.norm(z)))
+            for t, s, x, z in zip(path.times, path.subordinator, path.state,
+                                  path.convolution)))
     if args.mode == "convmom":
         rep = spde.convolution_moment_scan(system, phi, args.p, args.theta,
                                            args.t_grid, args.paths, args.seed,
@@ -274,19 +269,15 @@ def cmd_spde(args):
     if args.mode == "smallball":
         res = spde.small_ball(system, phi, args.delta, args.T, args.paths,
                               args.seed, dt=args.dt, eps=args.eps)
-        lines.append("probability,wilson_low,wilson_high,analytic_lower_bound")
-        lines.append(",".join(_fmt(v) for v in (
-            res.probability, res.wilson_low, res.wilson_high,
-            res.analytic_lower_bound)))
-        return lines
+        return lines + _csv("probability,wilson_low,wilson_high,analytic_lower_bound",
+                            [(res.probability, res.wilson_low, res.wilson_high,
+                              res.analytic_lower_bound)])
     if args.mode == "longrun":
         rep = spde.longrun_moment_scan(system, phi, args.p, args.theta,
                                        args.t_grid, args.paths, args.seed,
                                        dt=args.dt, eps=args.eps)
-        lines.append("T,average,se")
-        for T, est in zip(rep.horizons, rep.averages):
-            lines.append(",".join(_fmt(v) for v in (T, est.mean, est.std_error)))
-        return lines
+        rows = ((T, est.mean, est.std_error) for T, est in zip(rep.horizons, rep.averages))
+        return lines + _csv("T,average,se", rows)
     if args.mode == "control":
         times = time_grid(args.T, args.dt)
         inc = grid_increments(phi, times, stream(args.seed, 0), 1, eps=args.eps)[0]
@@ -298,10 +289,9 @@ def cmd_spde(args):
         lines.append(f"# terminal_phi_norm={_fmt(float(np.linalg.norm(res.phi_terminal)))}")
         lines.append(f"# terminal_y_norm={_fmt(float(np.linalg.norm(res.y_terminal)))}")
         lines.append(f"# history={','.join(_fmt(h) for h in res.history)}")
-        lines.append("t,ell,u_norm")
-        for t, l, u in zip(res.times, res.ell, res.control):
-            lines.append(",".join(_fmt(v) for v in (t, l, float(np.linalg.norm(u)))))
-        return lines
+        rows = ((t, l, float(np.linalg.norm(u)))
+                for t, l, u in zip(res.times, res.ell, res.control))
+        return lines + _csv("t,ell,u_norm", rows)
     # galerkin
     if not args.truncations or any(m >= args.n for m in args.truncations):
         raise PreconditionError(
@@ -309,11 +299,9 @@ def cmd_spde(args):
     rep = spde.galerkin_error(system, args.truncations, phi, args.T,
                               args.dt, args.paths, args.seed,
                               delta=args.delta, eps=args.eps)
-    lines.append("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high")
-    for m, est, pr in zip(rep.truncations, rep.sup_sq_error, rep.exceed_prob):
-        lines.append(",".join(_fmt(v) for v in (
-            m, est.mean, est.std_error, pr[0], pr[1], pr[2])))
-    return lines
+    return lines + _csv("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high", (
+        (m, est.mean, est.std_error, *pr)
+        for m, est, pr in zip(rep.truncations, rep.sup_sq_error, rep.exceed_prob)))
 
 
 # ---------------------------------------------------------------------------

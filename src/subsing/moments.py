@@ -42,6 +42,12 @@ def gamma_fn(x: float) -> float:
         return math.inf
 
 
+def _require_finite_order(p: float):
+    """Refuse a NaN or infinite moment order, which no formula here reads."""
+    if not math.isfinite(p):
+        raise DomainError(f"moment order p = {p} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # exact stable formulas
 # ---------------------------------------------------------------------------
@@ -53,6 +59,7 @@ def exact_stable_moment(alpha: float, p: float, f: Integrand, domain) -> float:
     +inf (p > 0) or 0 (p < 0).  p must be below 1 makes no sense here: any
     p < alpha is admitted, negative included.
     """
+    _require_finite_order(p)
     if not 0 < alpha < 1:
         raise DomainError("stable index must lie in (0, 1)")
     if f.kind is IntegrandKind.CONSTANT and f.params[0] == 0.0:
@@ -83,6 +90,7 @@ def corollary_case_moment(alpha: float, p: float, T: float, case: CorollaryCase,
                           lam: Optional[float] = None) -> float:
     """Closed forms for the three singular-integrand families, including the
     degenerate 0 / 1 / +inf branches."""
+    _require_finite_order(p)
     if not 0 < alpha < 1:
         raise DomainError("stable index must lie in (0, 1)")
     if T <= 0:
@@ -296,6 +304,7 @@ def mc_integral_moment(phi: BernsteinFunction, p: float, f: Integrand,
                        times: np.ndarray, N: int, seed: int, *,
                        method: str = "auto", eps: float = 1e-4) -> MCEstimate:
     """p-th moment of the integral of f over an explicit grid."""
+    _require_finite_order(p)
     if method == "auto":
         method = _auto_method(phi, p)
     return _integral_mc(phi, f, times, N, seed,
@@ -347,6 +356,7 @@ def select_bound_clause(phi: BernsteinFunction, p: float, T_grid: Sequence[float
     (and the liminf variants needed by the negative-moment clauses) are grid
     estimates from :func:`subsing.bernstein.doubling_indices`.
     """
+    _require_finite_order(p)
     idx = doubling_indices(phi)
     t_lo, t_hi = min(T_grid), max(T_grid)
     if lam is not None:

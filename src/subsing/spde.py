@@ -32,50 +32,25 @@ from .subordinator import grid_increments, time_grid
 # diffusion coefficient maps
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class DiagonalQ:
-    """State-dependent diagonal diffusion: Q(y) = diag(entries(y)).
+    """State-dependent diagonal diffusion Q(y) = diag(entries(y)), whose
+    Hilbert-Schmidt norm is declared to stay below ``hs_bound``.
 
     ``entries`` must be vectorized over leading axes: (..., n) -> (..., n).
     """
 
-    def __init__(self, entries: Callable, hs_bound: float,
-                 invertible: bool = False):
-        self.entries = entries
-        self.hs_bound = hs_bound
-        self.invertible = invertible
-
-    def apply_noise(self, y: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        return self.entries(y) * dw
-
-    def hs_norm(self, y: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.entries(y), axis=-1)
-
-    def inverse_apply(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if not self.invertible:
-            raise CapabilityError("diffusion is not declared invertible")
-        return v / self.entries(y)
-
-    def inv_semigroup_norm(self, y: np.ndarray, decay: np.ndarray) -> float:
-        # operator norm of Q(y)^-1 diag(decay)
-        return float(np.max(decay / np.abs(self.entries(y))))
-
-    def truncate(self, m: int, pad):
-        return DiagonalQ(lambda y: self.entries(pad(y))[..., :m],
-                         self.hs_bound, self.invertible)
+    entries: Callable
+    hs_bound: float
 
 
-def constant_diagonal_q(values, invertible: bool = False) -> DiagonalQ:
+def constant_diagonal_q(values) -> DiagonalQ:
     vals = np.atleast_1d(np.asarray(values, dtype=float))
-    hs = float(np.linalg.norm(vals))
 
     def entries(y, vals=vals):
         return np.broadcast_to(vals, y.shape)
 
-    return DiagonalQ(entries, hs, invertible)
-
-
-def zero_q(n: int) -> DiagonalQ:
-    return constant_diagonal_q(np.zeros(n))
+    return DiagonalQ(entries, float(np.linalg.norm(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +62,10 @@ class GalerkinSystem:
     """Finite spectral truncation: state dynamics on the first n eigenmodes.
 
     ``drift`` is the bounded Lipschitz nonlinearity (batched (..., n) ->
-    (..., n)); ``diffusion`` a DiagonalQ.  The declared bounds are
-    contracts, checkable on random probes via :func:`validate_system`.
-    ``a4_constants`` optionally declares (C, delta) dominating the inverse
-    diffusion against the semigroup, needed by the controller.
+    (..., n)).  The declared bounds are contracts, checkable on random
+    probes via :func:`validate_system`.  ``a4_constants`` optionally declares
+    (C, delta) dominating the inverse diffusion against the semigroup,
+    needed by the controller.  Every number given must be finite.
     """
 
     n: int
@@ -98,7 +73,7 @@ class GalerkinSystem:
     drift: Callable
     drift_bound: float
     drift_lip: float
-    diffusion: object
+    diffusion: DiagonalQ
     x0: np.ndarray
     a4_constants: Optional[tuple] = None
 
@@ -106,10 +81,17 @@ class GalerkinSystem:
         if self.n < 1:
             raise DomainError("need at least one eigenmode")
         ev = np.asarray(self.eigenvalues, dtype=float)
-        if ev.shape != (self.n,) or ev[0] <= 0 or np.any(np.diff(ev) < 0):
-            raise DomainError("eigenvalues must be ascending with a positive gap")
+        if not (ev.shape == (self.n,) and np.all(np.isfinite(ev)) and ev[0] > 0
+                and np.all(np.diff(ev) >= 0)):
+            raise DomainError("eigenvalues must be finite and ascending with a "
+                              "positive gap")
         if np.asarray(self.x0).shape != (self.n,):
             raise DomainError("initial state dimension mismatch")
+        numbers = [self.x0, self.drift_bound, self.drift_lip,
+                   self.diffusion.hs_bound, self.a4_constants or ()]
+        if not all(np.all(np.isfinite(v)) for v in numbers):
+            raise DomainError("initial state, declared bounds and "
+                              "inverse-diffusion constants must be finite")
 
 
 def zero_drift(y: np.ndarray) -> np.ndarray:
@@ -125,7 +107,7 @@ def validate_system(system: GalerkinSystem):
     if np.any(fy > system.drift_bound * (1 + slack) + slack):
         raise PreconditionError(
             f"drift bound violated on probes: {fy.max():g} > {system.drift_bound:g}")
-    qy = system.diffusion.hs_norm(y)
+    qy = np.linalg.norm(system.diffusion.entries(y), axis=-1)
     if np.any(qy > system.diffusion.hs_bound * (1 + slack) + slack):
         raise PreconditionError(
             f"diffusion bound violated on probes: "
@@ -146,6 +128,7 @@ def truncate_system(system: GalerkinSystem, m: int) -> GalerkinSystem:
     if m > system.n:
         raise DomainError("truncation dimension above the reference")
     pad = _pad_fn(system.n)
+    q = system.diffusion
     if system.drift is zero_drift:
         drift = zero_drift
     else:
@@ -157,7 +140,7 @@ def truncate_system(system: GalerkinSystem, m: int) -> GalerkinSystem:
         drift=drift,
         drift_bound=system.drift_bound,
         drift_lip=system.drift_lip,
-        diffusion=system.diffusion.truncate(m, pad),
+        diffusion=DiagonalQ(lambda y: q.entries(pad(y))[..., :m], q.hs_bound),
         x0=np.asarray(system.x0)[:m],
         a4_constants=system.a4_constants,
     )
@@ -200,7 +183,7 @@ def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
             E = np.exp(-gam * dts[k])
             phi1 = -np.expm1(-gam * dts[k]) / gam
         xk = X[k]
-        qn = system.diffusion.apply_noise(xk, dw[k] * rootd[k, :, None])
+        qn = system.diffusion.entries(xk) * (dw[k] * rootd[k, :, None])
         if no_drift:
             X[k + 1] = E * xk + E * qn
         else:
@@ -219,9 +202,10 @@ class SolutionPath:
 
 def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
              dt: float, seed: int, *, eps: float = 1e-4) -> SolutionPath:
-    """One replica of the system driven by ``driver`` on a uniform grid."""
+    """One replica of the system driven by ``driver`` on a uniform grid,
+    drawn from stream (seed, 0) like the first chunk of every scan."""
     times = time_grid(T, dt)
-    rng = as_generator(seed)
+    rng = stream(seed, 0)
     d_sub = grid_increments(driver, times, rng, 1, eps=eps)
     dw = rng.standard_normal((1, len(times) - 1, system.n))
     X, Z = advance(system, times, d_sub, dw)
@@ -307,9 +291,9 @@ def fractional_power_norm(gammas: np.ndarray, theta: float,
 
 def gate_convolution(phi: BernsteinFunction, p: float, theta: float, mode: str):
     idx = doubling_indices(phi)
-    if p <= 0:
+    if not p > 0:
         raise DomainError("moment order must be positive")
-    if theta < 0:
+    if not theta >= 0:
         raise DomainError("theta must be nonnegative")
     if mode == "small_time":
         if idx.global_inf is None or p / 2 >= idx.global_inf:
@@ -421,26 +405,29 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
                eps: float = 1e-4) -> SmallBallResult:
     """Empirical probability that the convolution stays inside a delta-ball,
     with the analytic lower bound evaluated at an empirical constant: the
-    moment of order p = 0.9 log2 inf phi(2s)/phi(s) of S_T over 4000 draws."""
+    moment of order p = 0.9 log2 inf phi(2s)/phi(s) of S_T, a second column
+    of the same paths."""
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
     times = time_grid(T, dt)
+    idx = doubling_indices(driver)
+    pu = None
+    if idx.global_inf is not None and idx.global_inf > 0:
+        pu = 0.9 * idx.global_inf
 
     def statistic(d_sub, dw):
         Z = advance(system, times, d_sub, dw)[1]
-        return (np.linalg.norm(Z, axis=-1).max(axis=1) < delta).astype(float)
+        inside = (np.linalg.norm(Z, axis=-1).max(axis=1) < delta).astype(float)
+        if pu is None:
+            return inside
+        return np.column_stack([inside, d_sub.sum(axis=1) ** pu])
 
-    est = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)[0]
+    est, *moment = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
     k = int(round(est.mean * N))
     lo, hi = wilson_interval(k, N)
-    idx = doubling_indices(driver)
     lb = None
-    if idx.global_inf is not None and idx.global_inf > 0:
-        pu = 0.9 * idx.global_inf
-        rng = stream(seed, 999983)
-        s_T = grid_increments(driver, np.array([0.0, T]), rng, 4000,
-                              eps=eps)[:, 0]
-        c1 = float(np.mean(s_T ** pu)) * inverse(driver, 1.0 / T) ** pu
+    if pu is not None:
+        c1 = moment[0].mean * inverse(driver, 1.0 / T) ** pu
         hsb = system.diffusion.hs_bound
         kappa = max(0.0, 1.0 - 9.0 * hsb ** 2 * delta ** 2)
         lb = kappa * (1.0 - c1 * (delta ** 4 * inverse(driver, 1.0 / T)) ** (-pu))
@@ -539,7 +526,9 @@ def verify_a4(system: GalerkinSystem, *,
     for t in ts:
         decay = np.exp(-t * system.eigenvalues)
         for y in ys:
-            nrm = system.diffusion.inv_semigroup_norm(y, decay)
+            # operator norm of Q(y)^-1 diag(decay); a zero entry makes it inf
+            with np.errstate(divide="ignore"):
+                nrm = float(np.max(decay / np.abs(system.diffusion.entries(y))))
             if nrm > C * t ** (-dlt) * (1 + 1e-9):
                 raise PreconditionError(
                     f"inverse-diffusion probe failed at t={t:g}: "
@@ -567,8 +556,6 @@ def synthesize_null_controller(system: GalerkinSystem, times: np.ndarray,
     if system.drift_lip > 0 and T >= 1.0 / system.drift_lip:
         raise PreconditionError(
             f"horizon {T:g} is not below 1/drift_lip = {1.0 / system.drift_lip:g}")
-    if not getattr(system.diffusion, "invertible", False):
-        raise CapabilityError("controller needs an invertible diffusion")
     verify_a4(system, driver=driver)
 
     gam = system.eigenvalues
@@ -580,9 +567,9 @@ def synthesize_null_controller(system: GalerkinSystem, times: np.ndarray,
     E_step = np.exp(-np.outer(dts, gam))              # (K, n)
 
     def sweep(Y):
-        v = system.diffusion.inverse_apply(Y[:-1], semi_x[:-1])
-        du = -(v * d_ell[:, None]) / ell_T
-        qdu = system.diffusion.apply_noise(Y[:-1], du)
+        q = system.diffusion.entries(Y[:-1])
+        du = -(semi_x[:-1] / q * d_ell[:, None]) / ell_T
+        qdu = q * du
         fret = system.drift(Y[:-1])
         phi = np.empty_like(semi_x)
         conv = np.empty_like(semi_x)
@@ -635,9 +622,8 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
     first m coordinates of its Gaussian increments, so differences are purely
     projection effects.
     """
-    for m in truncations:
-        if m > system.n:
-            raise DomainError("truncation dimension above the reference")
+    if not delta >= 0:
+        raise DomainError("delta must be nonnegative")
     times = time_grid(T, dt)
     subsystems = [truncate_system(system, m) for m in truncations]
 

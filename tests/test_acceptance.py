@@ -280,7 +280,7 @@ def test_criterion_8_small_ball():
 def _controller_system(lip, bound, drift, gamma1=0.1):
     return spde.GalerkinSystem(
         1, np.array([gamma1]), drift, bound, lip,
-        spde.constant_diagonal_q([1.0], invertible=True), np.array([1.0]),
+        spde.constant_diagonal_q([1.0]), np.array([1.0]),
         a4_constants=(1.0, 0.25))
 
 

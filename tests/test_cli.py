@@ -449,6 +449,22 @@ def test_sim_draws_each_path_once(monkeypatch):
     assert drawn == [300 * 4, 300 * 4]
 
 
+def test_smallball_draws_only_its_paths(monkeypatch):
+    # the constant of the analytic lower bound comes from the same paths as
+    # the probability, not from a sample of its own
+    drawn = []
+
+    def counted(phi, times, rng, n_paths=1, eps=1e-4):
+        drawn.append(n_paths)
+        return draw(phi, times, rng, n_paths, eps)
+
+    draw = spde.grid_increments
+    monkeypatch.setattr(spde, "grid_increments", counted)
+    assert run(["spde", "smallball", "--n", "2", "--T", "0.25", "--dt", "0.125",
+                "--paths", "4"]) == 0
+    assert drawn == [4]
+
+
 @pytest.mark.parametrize("command", ["path", "sim"])
 def test_jump_rate_beyond_the_poisson_sampler_exit_code(command, capsys):
     # eps = 1e-300 puts the tempered jump rate near 1e150, past numpy's limit
@@ -644,6 +660,20 @@ BOUND = ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
     ["bf", "--phi", "stable:0.5", "--invert-at", "nan"],
     ["bf", "--phi", "stable:0.5", "--eval-at", "nan"],
     ["sim", "--phi", "stable:0.5", "--r", "nan"],
+    *(["spde", "maximal", "--n", "2", "--t-grid", "1", "--dt", "0.25",
+       "--paths", "4", flag, "nan"]
+      for flag in ("--gamma0", "--x-scale", "--q-scale", "--f-scale", "--p")),
+    ["spde", "longrun", "--n", "2", "--t-grid", "1", "--dt", "0.25",
+     "--paths", "4", "--theta", "nan"],
+    ["spde", "convmom", "--n", "2", "--t-grid", "0.5", "--dt", "0.25",
+     "--paths", "4", "--theta", "nan"],
+    ["spde", "galerkin", "--n", "4", "--T", "0.25", "--dt", "0.125",
+     "--paths", "4", "--delta", "nan"],
+    ["spde", "control", "--n", "2", "--q-const", "--a4-c", "nan", "--T", "0.5",
+     "--dt", "0.125"],
+    ["moment", "mc", "--phi", "stable:0.5", "--p", "nan", "--f", "const:1",
+     "--paths", "8"],
+    ["moment", "exact", "--alpha", "0.5", "--p", "nan", "--f", "const:1"],
 ])
 def test_non_finite_input_exit_code(argv, capsys):
     assert run(argv) == 1
@@ -688,10 +718,12 @@ def _without_echoed_flags(text):
 
 
 # sha256 of each output without its echoed flag lines, as written by the
-# version whose spde and moment modes shared one parser
+# version whose spde and moment modes shared one parser; `spde sim` since it
+# draws from stream (seed, 0), and `spde smallball` since its lower bound
+# reads the moment of S_T from the same paths as its probability
 MODE_RUNS = {
     ("spde", "sim"): (["--n", "4", "--T", "0.5", "--dt", "0.125", "--seed", "3"],
-                      "709d4d3af059b1352f916f4749942e89c885790d01b9a83db56a17c7161fcb57"),
+                      "0e2fe238acc6fc9f20f999dc4accae8580d7d3f941b109a01c20057f4a08b3a2"),
     ("spde", "convmom"): (
         ["--n", "4", "--p", "0.5", "--theta", "0", "--t-grid", "0.25,0.5",
          "--dt", "0.0625", "--paths", "50", "--seed", "1"],
@@ -703,7 +735,7 @@ MODE_RUNS = {
     ("spde", "smallball"): (
         ["--phi", "stable:0.5", "--n", "4", "--T", "0.0625", "--dt", "0.015625",
          "--delta", "0.5", "--paths", "100", "--seed", "1"],
-        "2cadf91606776613d37eef1e1a2601ce359c221e9cf06f0ed9880b14361b5df9"),
+        "d0765bac0dac800fc2b69d3e5a2991abb25b8d2039ba0502ff8b9605b54db0d5"),
     ("spde", "longrun"): (
         ["--n", "4", "--p", "0.5", "--theta", "0.25", "--t-grid", "2",
          "--dt", "0.0625", "--paths", "20", "--seed", "1"],

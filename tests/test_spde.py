@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def diagonal_system(n=4, gammas=None, q=None, x0=None, drift=None,
                     drift_bound=0.0, drift_lip=0.0, a4=None):
     gammas = np.asarray(gammas if gammas is not None
                         else np.arange(1, n + 1), dtype=float)
-    q = q if q is not None else spde.zero_q(n)
+    q = q if q is not None else spde.constant_diagonal_q(np.zeros(n))
     x0 = np.asarray(x0 if x0 is not None else np.zeros(n), dtype=float)
     return spde.GalerkinSystem(n, gammas, drift or spde.zero_drift,
                                drift_bound, drift_lip, q, x0, a4_constants=a4)
@@ -93,6 +94,17 @@ class TestConditionalSampling:
         nested = q * q * (d_sub * weights).sum(axis=1)
         se = math.hypot(joint.std() / math.sqrt(N), nested.std() / math.sqrt(N))
         assert abs(joint.mean() - nested.mean()) <= 3 * se
+
+    @pytest.mark.parametrize("driver", [ST6, GAMMA])
+    def test_simulation_draws_the_clock_of_stream_zero(self, driver):
+        # the clock of chunk 0 of every scan, and of `spde control`
+        system = diagonal_system(2, [1.0, 2.0],
+                                 q=spde.constant_diagonal_q([0.3, 0.2]))
+        times = time_grid(1.0, 1 / 32)
+        path = spde.simulate(system, driver, 1.0, 1 / 32, seed=9)
+        inc = grid_increments(driver, times, stream(9, 0), 1)[0]
+        assert np.array_equal(path.subordinator,
+                              np.concatenate(([0.0], np.cumsum(inc))))
 
     def test_simulation_is_deterministic(self):
         system = diagonal_system(3, [1.0, 2.0, 3.0],
@@ -294,7 +306,7 @@ class TestLongRun:
 class TestController:
     def make_system(self, lip=0.0, bound=0.0, drift=None, gamma1=1.0):
         return diagonal_system(
-            1, [gamma1], q=spde.constant_diagonal_q([1.0], invertible=True),
+            1, [gamma1], q=spde.constant_diagonal_q([1.0]),
             x0=np.array([1.0]), drift=drift, drift_bound=bound, drift_lip=lip,
             a4=(1.0, 0.25))
 
@@ -342,10 +354,23 @@ class TestController:
         with pytest.raises(PreconditionError):
             spde.synthesize_null_controller(system, times, ell)
 
-    def test_requires_invertible_diffusion(self):
-        system = diagonal_system(1, [1.0],
-                                 q=spde.constant_diagonal_q([1.0]),
+    def test_vanishing_diffusion_fails_the_a4_probe(self):
+        # no (C, delta) bounds the inverse of a zero entry: the probe reads
+        # an infinite norm, without a division warning
+        system = diagonal_system(1, [1.0], q=spde.constant_diagonal_q([0.0]),
                                  x0=np.array([1.0]), a4=(1.0, 0.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="inf > 1"):
+                spde.verify_a4(system)
+        times = np.linspace(0.0, 0.5, 17)
+        ell = np.linspace(0.0, 1.0, 17)
+        with pytest.raises(PreconditionError):
+            spde.synthesize_null_controller(system, times, ell)
+
+    def test_requires_a4_constants(self):
+        system = diagonal_system(1, [1.0], q=spde.constant_diagonal_q([1.0]),
+                                 x0=np.array([1.0]))
         times = np.linspace(0.0, 0.5, 17)
         ell = np.linspace(0.0, 1.0, 17)
         with pytest.raises(CapabilityError):
@@ -361,7 +386,7 @@ class TestController:
                                               driver=bf.stable(0.5))
         assert res.converged
         bad = diagonal_system(
-            1, [1.0], q=spde.constant_diagonal_q([1.0], invertible=True),
+            1, [1.0], q=spde.constant_diagonal_q([1.0]),
             x0=np.array([1.0]), a4=(2.0, 1.5))
         with pytest.raises(PreconditionError):
             spde.synthesize_null_controller(bad, times, ell,
@@ -370,7 +395,7 @@ class TestController:
     def test_a4_probe_failure(self):
         # declared constants cannot dominate an exploding inverse
         system = diagonal_system(
-            1, [1.0], q=spde.constant_diagonal_q([1.0], invertible=True),
+            1, [1.0], q=spde.constant_diagonal_q([1.0]),
             x0=np.array([1.0]), a4=(1e-9, 0.0))
         with pytest.raises(PreconditionError):
             spde.verify_a4(system)
@@ -397,7 +422,7 @@ class TestGalerkin:
             s = 0.4 * active[: y.shape[-1]] * k[: y.shape[-1]] ** -1.0
             return s * (0.5 + 0.5 * np.tanh(y))
 
-        q = spde.DiagonalQ(entries, 0.5, invertible=False)
+        q = spde.DiagonalQ(entries, 0.5)
         return spde.GalerkinSystem(n, gam, drift, float(np.linalg.norm(w)),
                                    0.3, q, x0)
 
@@ -434,7 +459,7 @@ class TestGalerkin:
 def test_empty_system_is_a_domain_error():
     with pytest.raises(DomainError):
         spde.GalerkinSystem(0, np.empty(0), spde.zero_drift, 0.0, 0.0,
-                            spde.zero_q(0), np.empty(0))
+                            spde.constant_diagonal_q(np.zeros(0)), np.empty(0))
 
 
 def test_validate_system_flags_bad_bounds():
@@ -460,7 +485,7 @@ def _row_major_advance(system, times, d_sub, dw_std):
     for k, h in enumerate(hs):
         E, phi1 = np.exp(-gam * h), -np.expm1(-gam * h) / gam
         xk = X[:, k]
-        qn = system.diffusion.apply_noise(xk, dw_std[:, k] * rootd[:, k, None])
+        qn = system.diffusion.entries(xk) * (dw_std[:, k] * rootd[:, k, None])
         X[:, k + 1] = E * xk + phi1 * system.drift(xk) + E * qn
         Z[:, k + 1] = E * (Z[:, k] + qn)
     return X, Z
