@@ -236,7 +236,7 @@ def _build_system(args, a4) -> spde.GalerkinSystem:
             return w[: y.shape[-1]] * np.tanh(np.roll(y, 1, axis=-1))
 
         fb = float(np.linalg.norm(w))
-        flip = float(w.max())
+        flip = float(np.abs(w).max())
     system = spde.GalerkinSystem(n, gammas, drift, fb, flip, q, x0,
                                  a4_constants=a4)
     spde.validate_system(system)

@@ -151,26 +151,39 @@ def truncate_system(system: GalerkinSystem, m: int) -> GalerkinSystem:
 # ---------------------------------------------------------------------------
 
 def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
-            dw_std: np.ndarray):
-    """Advance replicas through the grid; returns (X, Z) of shape (R, K+1, n).
+            dw_std: np.ndarray, *, path: str) -> np.ndarray:
+    """Advance replicas through the grid and return one path, (R, K+1, n):
+    the state X for ``path="state"``, the stochastic convolution Z for
+    ``path="convolution"``.
 
     d_sub holds subordinator increments (R, K); dw_std standard normals
     (R, K, n).  The Gaussian increment over a cell has variance equal to the
     subordinated time increment, the whole of it applied at the left node.
 
-    X and Z are stored time-major, (K+1, R, n), so that each step reads and
-    writes one contiguous (R, n) slice; the returned arrays are
-    ``np.moveaxis`` views of that storage in the (R, K+1, n) order.  The drift
-    term is skipped for :func:`zero_drift`, whose contribution is exactly 0.
+    Only the asked-for path is stored, time-major, (K+1, R, n), so that each
+    step reads and writes one contiguous (R, n) slice; the returned array is
+    an ``np.moveaxis`` view of that storage in the (R, K+1, n) order.  The
+    state path never runs the convolution recursion.  The convolution path
+    still steps the state, since Q depends on it, but keeps only its current
+    and next slice.  Each step writes into preallocated (R, n) arrays in the
+    order E*x + phi1*f(x) + E*qn and E*(Z + qn).  The drift term is skipped
+    for :func:`zero_drift`, whose contribution is exactly 0.
     """
+    if path not in ("state", "convolution"):
+        raise DomainError(f"unknown path {path!r}")
     gam = np.asarray(system.eigenvalues, dtype=float)
     dts = np.diff(times)
     R, K = d_sub.shape
     n = system.n
-    X = np.empty((K + 1, R, n))
-    Z = np.empty((K + 1, R, n))
+    # every state slice for the state path, a two-slice rolling buffer else
+    X = np.empty((K + 1 if path == "state" else 2, R, n))
+    slots = len(X)
     X[0] = system.x0
-    Z[0] = 0.0
+    if path == "convolution":
+        Z = np.empty((K + 1, R, n))
+        Z[0] = 0.0
+    qn = np.empty((R, n))
+    term = np.empty((R, n))
     uniform = np.allclose(dts, dts[0])
     if uniform:
         E = np.exp(-gam * dts[0])
@@ -182,14 +195,17 @@ def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
         if not uniform:
             E = np.exp(-gam * dts[k])
             phi1 = -np.expm1(-gam * dts[k]) / gam
-        xk = X[k]
-        qn = system.diffusion.entries(xk) * (dw[k] * rootd[k, :, None])
-        if no_drift:
-            X[k + 1] = E * xk + E * qn
-        else:
-            X[k + 1] = E * xk + phi1 * system.drift(xk) + E * qn
-        Z[k + 1] = E * (Z[k] + qn)
-    return np.moveaxis(X, 0, 1), np.moveaxis(Z, 0, 1)
+        xk, x_next = X[k % slots], X[(k + 1) % slots]
+        np.multiply(dw[k], rootd[k, :, None], out=qn)
+        np.multiply(system.diffusion.entries(xk), qn, out=qn)
+        if path == "convolution":
+            np.add(Z[k], qn, out=Z[k + 1])
+            Z[k + 1] *= E
+        np.multiply(E, xk, out=x_next)
+        if not no_drift:
+            x_next += np.multiply(phi1, system.drift(xk), out=term)
+        x_next += np.multiply(E, qn, out=term)
+    return np.moveaxis(X if path == "state" else Z, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -208,7 +224,8 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
     rng = stream(seed, 0)
     d_sub = grid_increments(driver, times, rng, 1, eps=eps)
     dw = rng.standard_normal((1, len(times) - 1, system.n))
-    X, Z = advance(system, times, d_sub, dw)
+    X = advance(system, times, d_sub, dw, path="state")
+    Z = advance(system, times, d_sub, dw, path="convolution")
     svals = np.concatenate(([0.0], np.cumsum(d_sub[0])))
     return SolutionPath(times, X[0], Z[0], svals)
 
@@ -337,7 +354,7 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     gam = system.eigenvalues
 
     def statistic(d_sub, dw):
-        Z = advance(system, times, d_sub, dw)[1]
+        Z = advance(system, times, d_sub, dw, path="convolution")
         return fractional_power_norm(gam, theta, Z[:, cols, :]) ** p
 
     ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
@@ -364,8 +381,8 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
     cols = _grid_columns(times, T_grid)
 
     def statistic(d_sub, dw):
-        Z = advance(system, times, d_sub, dw)[1]
-        running = np.maximum.accumulate(np.linalg.norm(Z, axis=-1), axis=1)
+        Z = advance(system, times, d_sub, dw, path="convolution")
+        running = np.maximum.accumulate(_norms_in_place(Z), axis=1)
         return running[:, cols] ** p
 
     ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
@@ -386,8 +403,8 @@ def conditional_maximal_check(system: GalerkinSystem, times: np.ndarray,
     bound = 9.0 * system.diffusion.hs_bound ** 2 * float(d_sub.sum())
 
     def statistic(d_sub, dw):
-        Z = advance(system, times, d_sub, dw)[1]
-        return np.linalg.norm(Z, axis=-1).max(axis=1) ** 2
+        Z = advance(system, times, d_sub, dw, path="convolution")
+        return _norms_in_place(Z).max(axis=1) ** 2
 
     return _mc_paths(system, d_sub, times, N, seed, statistic)[0], bound
 
@@ -416,8 +433,8 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
         pu = 0.9 * idx.global_inf
 
     def statistic(d_sub, dw):
-        Z = advance(system, times, d_sub, dw)[1]
-        inside = (np.linalg.norm(Z, axis=-1).max(axis=1) < delta).astype(float)
+        Z = advance(system, times, d_sub, dw, path="convolution")
+        inside = (_norms_in_place(Z).max(axis=1) < delta).astype(float)
         if pu is None:
             return inside
         return np.column_stack([inside, d_sub.sum(axis=1) ** pu])
@@ -472,7 +489,7 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
 
     def statistic(d_sub, dw):
         # the columns from t = 1 on are weighted and squared in place
-        X = advance(system, times, d_sub, dw)[0][:, j0:, :]
+        X = advance(system, times, d_sub, dw, path="state")[:, j0:, :]
         X *= np.asarray(gam, dtype=float) ** theta
         vals = _norms_in_place(X) ** p
         running = _running_trapezoid(vals, dt)
@@ -629,12 +646,13 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
 
     def statistic(d_sub, dw):
         # sup-errors squared, then the exceedances as 0/1 columns
-        X_ref = advance(system, times, d_sub, dw)[0]
+        X_ref = advance(system, times, d_sub, dw, path="state")
         diff = np.empty_like(X_ref)
         sup = np.empty((len(d_sub), len(truncations)))
         for j, (m, sysm) in enumerate(zip(truncations, subsystems)):
             np.copyto(diff, X_ref)
-            diff[..., :m] -= advance(sysm, times, d_sub, dw[..., :m])[0]
+            diff[..., :m] -= advance(sysm, times, d_sub, dw[..., :m],
+                                     path="state")
             sup[:, j] = _norms_in_place(diff).max(axis=1)
         return np.hstack([sup ** 2, sup > delta])
 

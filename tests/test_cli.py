@@ -62,6 +62,15 @@ def test_refusal_exit_code(capsys):
     assert "log2" in err and "phi(2s)/phi(s)" in err
 
 
+@pytest.mark.parametrize("f_scale", ["10", "-10"])
+def test_control_horizon_refusal_ignores_drift_sign(f_scale, capsys):
+    # the drift's Lipschitz constant is max |w|, whatever the sign of w
+    code = run(["spde", "control", "--n", "2", "--q-const", "--a4-c", "4",
+                "--f-scale", f_scale, "--T", "0.5", "--dt", "0.125"])
+    assert code == 2
+    assert "horizon 0.5 is not below 1/drift_lip = 0.1" in capsys.readouterr().err
+
+
 def test_usage_exit_code():
     assert run(["--definitely-not-a-flag"]) == 64
     assert run(["moment", "exact"]) == 64      # missing required --p

@@ -68,7 +68,8 @@ class TestConditionalSampling:
         d_sub = grid_increments(ST6, times, stream(5, 0), 1)[0]
         M = 40_000
         dw = stream(5, 1).standard_normal((M, len(times) - 1, 1))
-        _, Z = spde.advance(system, times, np.tile(d_sub, (M, 1)), dw)
+        Z = spde.advance(system, times, np.tile(d_sub, (M, 1)), dw,
+                         path="convolution")
         target = q * q * float(
             np.sum(np.exp(-2 * gamma1 * (T - times[:-1])) * d_sub))
         vals = Z[:, -1, 0] ** 2
@@ -88,7 +89,7 @@ class TestConditionalSampling:
         N = 30_000
         d_sub = grid_increments(GAMMA, times, stream(8, 0), N)
         dw = stream(8, 1).standard_normal((N, K, 1))
-        _, Z = spde.advance(system, times, d_sub, dw)
+        Z = spde.advance(system, times, d_sub, dw, path="convolution")
         joint = Z[:, -1, 0] ** 2
         weights = np.exp(-2 * gamma1 * (T - times[:-1]))
         nested = q * q * (d_sub * weights).sum(axis=1)
@@ -129,8 +130,9 @@ class TestConditionalSampling:
         d_coarse = d_fine[:, ::2] + d_fine[:, 1::2]
         inc_coarse = scaled[:, ::2] + scaled[:, 1::2]
         w_coarse = inc_coarse / np.sqrt(np.maximum(d_coarse, 1e-300))[:, :, None]
-        _, Zf = spde.advance(system, fine, d_fine, w_fine)
-        _, Zc = spde.advance(system, coarse, d_coarse, w_coarse)
+        Zf = spde.advance(system, fine, d_fine, w_fine, path="convolution")
+        Zc = spde.advance(system, coarse, d_coarse, w_coarse,
+                          path="convolution")
         vf = np.linalg.norm(Zf, axis=-1).max(axis=1) ** 2
         vc = np.linalg.norm(Zc, axis=-1).max(axis=1) ** 2
         se = vf.std() / math.sqrt(N)
@@ -224,7 +226,7 @@ class TestMaximalAndSmallBall:
         N = 4000
         d_sub = grid_increments(bf.stable(0.5), times, stream(19, 0), N)
         dw = stream(19, 1).standard_normal((N, len(times) - 1, 2))
-        _, Z = spde.advance(system, times, d_sub, dw)
+        Z = spde.advance(system, times, d_sub, dw, path="convolution")
         sup = np.linalg.norm(Z, axis=-1)
         delta = 0.5
         freqs = []
@@ -520,14 +522,53 @@ class TestTimeMajorStepping:
         rng = np.random.default_rng(17)
         d_sub = grid_increments(ST6, times, rng, 9)
         dw = rng.standard_normal((9, len(times) - 1, system.n))
-        got = spde.advance(system, times, d_sub, dw)
         want = _row_major_advance(system, times, d_sub, dw)
-        for g, w in zip(got, want):
+        for path, w in zip(["state", "convolution"], want):
+            g = spde.advance(system, times, d_sub, dw, path=path)
             assert g.shape == w.shape
             assert np.array_equal(g, w)
+
+    def test_unknown_path_is_a_domain_error(self):
+        system = self.state_dependent_system()
+        times = time_grid(1.0, 1 / 4)
+        with pytest.raises(DomainError):
+            spde.advance(system, times, np.ones((2, 4)),
+                         np.zeros((2, 4, system.n)), path="both")
 
     def test_truncation_keeps_zero_drift(self):
         system = self.state_dependent_system(drift=False)
         assert spde.truncate_system(system, 3).drift is spde.zero_drift
         assert spde.truncate_system(
             self.state_dependent_system(), 3).drift is not spde.zero_drift
+
+
+_SCAN_PATHS = {
+    "maximal": ("convolution", lambda system: spde.maximal_inequality_scan(
+        system, ST6, 0.5, [0.5], 8, 1, dt=1 / 8)),
+    "convmom": ("convolution", lambda system: spde.convolution_moment_scan(
+        system, ST6, 0.5, 0.25, [0.5], 8, 1, dt=1 / 8)),
+    "smallball": ("convolution", lambda system: spde.small_ball(
+        system, ST6, 0.5, 0.5, 8, 1, dt=1 / 8)),
+    "conditional": ("convolution", lambda system: spde.conditional_maximal_check(
+        system, time_grid(0.5, 1 / 8), np.full(4, 0.1), 8, 1)),
+    "longrun": ("state", lambda system: spde.longrun_moment_scan(
+        system, GAMMA, 0.5, 0.25, [1.0], 8, 1, dt=1 / 8)),
+    "galerkin": ("state", lambda system: spde.galerkin_error(
+        system, [1, 2], GAMMA, 0.5, 1 / 8, 8, 1)),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(_SCAN_PATHS))
+def test_scan_steps_only_the_path_it_reads(scan, monkeypatch):
+    # the convolution scans read Z only, the state scans X only
+    want, run_scan = _SCAN_PATHS[scan]
+    asked = []
+    advance = spde.advance
+
+    def spy(*args, path, **kwargs):
+        asked.append(path)
+        return advance(*args, path=path, **kwargs)
+
+    monkeypatch.setattr(spde, "advance", spy)
+    run_scan(diagonal_system(3, q=spde.constant_diagonal_q([0.3, 0.2, 0.1])))
+    assert asked and set(asked) == {want}
