@@ -299,6 +299,8 @@ def cmd_spde(args):
     rep = spde.galerkin_error(system, args.truncations, phi, args.T,
                               args.dt, args.paths, args.seed,
                               delta=args.delta, eps=args.eps)
+    args.manifest.update(
+        projection_floor=",".join(_fmt(v) for v in rep.projection_floor))
     return lines + _csv("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high", (
         (m, est.mean, est.std_error, *pr)
         for m, est, pr in zip(rep.truncations, rep.sup_sq_error, rep.exceed_prob)))

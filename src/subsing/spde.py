@@ -37,7 +37,9 @@ class DiagonalQ:
     """State-dependent diagonal diffusion Q(y) = diag(entries(y)), whose
     Hilbert-Schmidt norm is declared to stay below ``hs_bound``.
 
-    ``entries`` must be vectorized over leading axes: (..., n) -> (..., n).
+    ``entries`` must be vectorized over leading axes and mode-wise: entry k
+    reads y_k only, so it maps the first m <= n modes (..., m) to the first m
+    entries (..., m).  A truncation evaluates it on its own modes.
     """
 
     entries: Callable
@@ -48,7 +50,7 @@ def constant_diagonal_q(values) -> DiagonalQ:
     vals = np.atleast_1d(np.asarray(values, dtype=float))
 
     def entries(y, vals=vals):
-        return np.broadcast_to(vals, y.shape)
+        return np.broadcast_to(vals[: y.shape[-1]], y.shape)
 
     return DiagonalQ(entries, float(np.linalg.norm(vals)))
 
@@ -100,47 +102,51 @@ def zero_drift(y: np.ndarray) -> np.ndarray:
 
 def validate_system(system: GalerkinSystem):
     """Probe the declared drift / diffusion bounds on 64 random states of
-    scale 10, up to a relative and absolute slack of 1e-9."""
+    scale 10, up to a relative and absolute slack of 1e-9, and that the
+    diffusion entries are mode-wise: on the first n - 1 modes they equal the
+    first n - 1 entries of the full state, bit for bit."""
     slack = 1e-9
     y = as_generator(0).normal(0.0, 10.0, (64, system.n))
     fy = np.linalg.norm(system.drift(y), axis=-1)
     if np.any(fy > system.drift_bound * (1 + slack) + slack):
         raise PreconditionError(
             f"drift bound violated on probes: {fy.max():g} > {system.drift_bound:g}")
-    qy = np.linalg.norm(system.diffusion.entries(y), axis=-1)
+    q = system.diffusion.entries(y)
+    if system.n > 1 and not np.array_equal(
+            system.diffusion.entries(y[:, :-1]), q[:, :-1]):
+        raise PreconditionError(
+            "diffusion entries are not mode-wise: on the first n - 1 modes "
+            "they differ from those of the full state")
+    qy = np.linalg.norm(q, axis=-1)
     if np.any(qy > system.diffusion.hs_bound * (1 + slack) + slack):
         raise PreconditionError(
             f"diffusion bound violated on probes: "
             f"{np.max(qy):g} > {system.diffusion.hs_bound:g}")
 
 
-def _pad_fn(n_full: int):
-    def pad(y):
-        out = np.zeros(y.shape[:-1] + (n_full,))
-        out[..., : y.shape[-1]] = y
-        return out
-
-    return pad
-
-
 def truncate_system(system: GalerkinSystem, m: int) -> GalerkinSystem:
-    """Project the system onto its first m eigenmodes (shared eigenbasis)."""
+    """Project the system onto its first m eigenmodes (shared eigenbasis).
+
+    The diffusion is the reference's own, evaluated on the m modes, since its
+    entries are mode-wise.  The drift may read any mode, so it stays the
+    projection P_m F(P_m y), evaluated on the state padded with zeros.
+    """
     if m > system.n:
         raise DomainError("truncation dimension above the reference")
-    pad = _pad_fn(system.n)
-    q = system.diffusion
     if system.drift is zero_drift:
         drift = zero_drift
     else:
         def drift(y):
-            return system.drift(pad(y))[..., :m]
+            padded = np.zeros(y.shape[:-1] + (system.n,))
+            padded[..., :m] = y
+            return system.drift(padded)[..., :m]
     return GalerkinSystem(
         n=m,
         eigenvalues=system.eigenvalues[:m],
         drift=drift,
         drift_bound=system.drift_bound,
         drift_lip=system.drift_lip,
-        diffusion=DiagonalQ(lambda y: q.entries(pad(y))[..., :m], q.hs_bound),
+        diffusion=system.diffusion,
         x0=np.asarray(system.x0)[:m],
         a4_constants=system.a4_constants,
     )
@@ -150,24 +156,24 @@ def truncate_system(system: GalerkinSystem, m: int) -> GalerkinSystem:
 # exponential Euler stepping
 # ---------------------------------------------------------------------------
 
-def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
-            dw_std: np.ndarray, *, path: str) -> np.ndarray:
-    """Advance replicas through the grid and return one path, (R, K+1, n):
-    the state X for ``path="state"``, the stochastic convolution Z for
-    ``path="convolution"``.
+def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
+          dw_std: np.ndarray, *, path: str, out: Optional[np.ndarray] = None):
+    """Step replicas through the grid and yield one path's (R, n) slice at
+    each grid time k = 0..K: the state X for ``path="state"``, the stochastic
+    convolution Z for ``path="convolution"``.
 
     d_sub holds subordinator increments (R, K); dw_std standard normals
     (R, K, n).  The Gaussian increment over a cell has variance equal to the
     subordinated time increment, the whole of it applied at the left node.
 
-    Only the asked-for path is stored, time-major, (K+1, R, n), so that each
-    step reads and writes one contiguous (R, n) slice; the returned array is
-    an ``np.moveaxis`` view of that storage in the (R, K+1, n) order.  The
-    state path never runs the convolution recursion.  The convolution path
-    still steps the state, since Q depends on it, but keeps only its current
-    and next slice.  Each step writes into preallocated (R, n) arrays in the
-    order E*x + phi1*f(x) + E*qn and E*(Z + qn).  The drift term is skipped
-    for :func:`zero_drift`, whose contribution is exactly 0.
+    The path lives in a two-slice rolling buffer, or in ``out``, a
+    (K+1, R, n) array that then keeps every slice.  A yielded slice is live
+    state: the caller must not write to it, and without ``out`` it is
+    overwritten two steps on.  The state path never runs the convolution
+    recursion; the convolution path still steps the state, since Q depends
+    on it, in a rolling buffer.  Each step writes into preallocated (R, n)
+    arrays in the order E*x + phi1*f(x) + E*qn and E*(Z + qn).  The drift
+    term is skipped for :func:`zero_drift`, whose contribution is exactly 0.
     """
     if path not in ("state", "convolution"):
         raise DomainError(f"unknown path {path!r}")
@@ -175,13 +181,10 @@ def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     dts = np.diff(times)
     R, K = d_sub.shape
     n = system.n
-    # every state slice for the state path, a two-slice rolling buffer else
-    X = np.empty((K + 1 if path == "state" else 2, R, n))
-    slots = len(X)
+    P = np.empty((2, R, n)) if out is None else out     # the yielded path
+    X = P if path == "state" else np.empty((2, R, n))
+    P[0] = 0.0          # Z_0; overwritten by x0 when P is the state
     X[0] = system.x0
-    if path == "convolution":
-        Z = np.empty((K + 1, R, n))
-        Z[0] = 0.0
     qn = np.empty((R, n))
     term = np.empty((R, n))
     uniform = np.allclose(dts, dts[0])
@@ -191,21 +194,39 @@ def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     rootd = np.sqrt(d_sub).T
     dw = dw_std.transpose(1, 0, 2)
     no_drift = system.drift is zero_drift
+    yield P[0]
     for k in range(K):
         if not uniform:
             E = np.exp(-gam * dts[k])
             phi1 = -np.expm1(-gam * dts[k]) / gam
-        xk, x_next = X[k % slots], X[(k + 1) % slots]
+        xk, x_next = X[k % len(X)], X[(k + 1) % len(X)]
         np.multiply(dw[k], rootd[k, :, None], out=qn)
         np.multiply(system.diffusion.entries(xk), qn, out=qn)
         if path == "convolution":
-            np.add(Z[k], qn, out=Z[k + 1])
-            Z[k + 1] *= E
+            z_next = P[(k + 1) % len(P)]
+            np.add(P[k % len(P)], qn, out=z_next)
+            z_next *= E
         np.multiply(E, xk, out=x_next)
         if not no_drift:
             x_next += np.multiply(phi1, system.drift(xk), out=term)
         x_next += np.multiply(E, qn, out=term)
-    return np.moveaxis(X if path == "state" else Z, 0, 1)
+        yield P[(k + 1) % len(P)]
+
+
+def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
+            dw_std: np.ndarray, *, path: str) -> np.ndarray:
+    """Advance replicas through the grid and return one path, (R, K+1, n),
+    with the arguments of :func:`steps`.
+
+    The path is stored time-major, (K+1, R, n), so that each step reads and
+    writes one contiguous (R, n) slice; the returned array is an
+    ``np.moveaxis`` view of that storage in the (R, K+1, n) order.
+    """
+    R, K = d_sub.shape
+    out = np.empty((K + 1, R, system.n))
+    for _ in steps(system, times, d_sub, dw_std, path=path, out=out):
+        pass
+    return np.moveaxis(out, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -627,6 +648,28 @@ class GalerkinReport:
     truncations: tuple
     sup_sq_error: tuple        # MCEstimate of sup_t |X^n - X|^2 per truncation
     exceed_prob: tuple         # P(sup_t |X^n - X| > delta) with Wilson bounds
+    projection_floor: tuple    # |(I - P_m) x0|^2, the squared error at t = 0
+
+
+def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
+                times: np.ndarray, d_sub: np.ndarray,
+                dw: np.ndarray) -> np.ndarray:
+    """Grid maximum of |X - X^m| per replica and truncation, (R, J), X^m
+    padded with zeros.  The reference and every truncation step in lock step
+    and no path is stored: at each step a copy of the reference slice, less
+    the truncation on its first m modes, is normed and folded into the
+    running maximum."""
+    paths = [steps(system, times, d_sub, dw, path="state")]
+    paths += [steps(sysm, times, d_sub, dw[..., :sysm.n], path="state")
+              for sysm in subsystems]
+    sup = np.zeros((len(d_sub), len(subsystems)))
+    diff = np.empty((len(d_sub), system.n))
+    for x_ref, *x_trunc in zip(*paths):
+        for j, x_m in enumerate(x_trunc):
+            np.copyto(diff, x_ref)
+            diff[:, : x_m.shape[1]] -= x_m
+            np.maximum(sup[:, j], _norms_in_place(diff), out=sup[:, j])
+    return sup
 
 
 def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
@@ -637,7 +680,8 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
 
     Every truncation reuses the reference replica's subordinator path and the
     first m coordinates of its Gaussian increments, so differences are purely
-    projection effects.
+    projection effects.  No sup error falls below its truncation's
+    projection floor, the error of the initial state.
     """
     if not delta >= 0:
         raise DomainError("delta must be nonnegative")
@@ -646,14 +690,7 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
 
     def statistic(d_sub, dw):
         # sup-errors squared, then the exceedances as 0/1 columns
-        X_ref = advance(system, times, d_sub, dw, path="state")
-        diff = np.empty_like(X_ref)
-        sup = np.empty((len(d_sub), len(truncations)))
-        for j, (m, sysm) in enumerate(zip(truncations, subsystems)):
-            np.copyto(diff, X_ref)
-            diff[..., :m] -= advance(sysm, times, d_sub, dw[..., :m],
-                                     path="state")
-            sup[:, j] = _norms_in_place(diff).max(axis=1)
+        sup = _sup_errors(system, subsystems, times, d_sub, dw)
         return np.hstack([sup ** 2, sup > delta])
 
     ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
@@ -662,5 +699,8 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
     for est in ests[J:]:
         k = int(round(est.mean * N))
         probs.append((k / N, *wilson_interval(k, N)))
+    tails = np.where(np.arange(system.n) < np.array(truncations)[:, None],
+                     0.0, system.x0)
     return GalerkinReport(tuple(int(m) for m in truncations),
-                          tuple(ests[:J]), tuple(probs))
+                          tuple(ests[:J]), tuple(probs),
+                          tuple((_norms_in_place(tails) ** 2).tolist()))

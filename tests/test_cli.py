@@ -782,6 +782,49 @@ def test_mode_output_digest(mode, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of `spde galerkin` outputs without their echoed flag lines, as
+# written by the version whose truncations evaluated the reference's drift
+# and diffusion on a zero-padded full-width state: a drift read through the
+# padded projection P_m F(P_m y), and a constant Q at the truncation's width
+_GALERKIN_BASE = ["--n", "16", "--truncations", "2,4,8", "--T", "1",
+                  "--dt", "0.0625", "--x-scale", "0.1", "--q-scale", "2",
+                  "--paths", "30", "--seed", "4"]
+GALERKIN_RUNS = {
+    "drift": (_GALERKIN_BASE + ["--f-scale", "2"],
+              "13e1e11d84aa11d2c969e46ee42a2101aed7eaa5b199c9c167aaf5deb1c3c661"),
+    "q-const": (_GALERKIN_BASE + ["--q-const", "--f-scale", "-3"],
+                "e54010bcf5013563dc0fbd220ce2047339def98b6de2beda1050fa411d15a125"),
+    "tempered": (["--phi", "tempered:0.5,1", *_GALERKIN_BASE, "--f-scale", "2"],
+                 "22b871be105927d36aaa4bab16add4688cded337c89500c326328b17c9afd9ec"),
+}
+
+
+@pytest.mark.parametrize("name", list(GALERKIN_RUNS))
+def test_galerkin_output_digest(name, capsys):
+    flags, digest = GALERKIN_RUNS[name]
+    assert run(["spde", "galerkin", *flags]) == 0
+    text = _without_echoed_flags(capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_galerkin_manifest_records_projection_floor(tmp_path, capsys):
+    flags = ["spde", "galerkin", "--n", "16", "--truncations", "2,4,8",
+             "--T", "0.25", "--dt", "0.0625", "--paths", "30", "--seed", "4"]
+    out = tmp_path / "g.csv"
+    assert run([*flags, "--out", str(out)]) == 0
+    floors = [float(v) for v in _manifest(out)["projection_floor"].split(",")]
+    x0_sq = [k ** -3.0 for k in range(1, 17)]      # x0 = k^-1.5
+    assert floors == pytest.approx([sum(x0_sq[m:]) for m in (2, 4, 8)],
+                                   rel=1e-12)
+    # a row with se = 0 is the error of the initial state on every path
+    row = out.read_text().splitlines()[-1].split(",")
+    assert row[0] == "8" and float(row[2]) == 0.0
+    assert float(row[1]) == floors[-1]
+    # the record goes to the manifest only
+    assert run(flags) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 # sha256 of each bf output without its echoed flag lines, as written by the
 # version whose bound scans re-ran the endpoint scan at infinity
 BF_RUNS = {

@@ -473,6 +473,25 @@ def test_validate_system_flags_bad_bounds():
         spde.validate_system(system)
 
 
+def test_validate_system_refuses_cross_mode_entries():
+    # entry k reads y_{k-1}: a truncation to m modes would see other entries
+    def entries(y):
+        return 0.1 * (1.5 + np.tanh(np.roll(y, 1, axis=-1)))
+
+    system = diagonal_system(4, q=spde.DiagonalQ(entries, 1.0))
+    with pytest.raises(PreconditionError, match="mode-wise"):
+        spde.validate_system(system)
+    spde.validate_system(diagonal_system(
+        4, q=spde.DiagonalQ(lambda y: 0.1 * (1.5 + np.tanh(y)), 1.0)))
+
+
+def test_constant_q_answers_the_first_modes():
+    q = spde.constant_diagonal_q([0.4, 0.3, 0.2, 0.1])
+    y = np.zeros((5, 2))
+    assert np.array_equal(q.entries(y), np.tile([0.4, 0.3], (5, 1)))
+    assert q.entries(np.zeros((5, 4))).shape == (5, 4)
+
+
 def _row_major_advance(system, times, d_sub, dw_std):
     """The (R, K+1, n) stepper that advance replaced, drift always added."""
     gam = np.asarray(system.eigenvalues, dtype=float)
@@ -491,6 +510,40 @@ def _row_major_advance(system, times, d_sub, dw_std):
         X[:, k + 1] = E * xk + phi1 * system.drift(xk) + E * qn
         Z[:, k + 1] = E * (Z[:, k] + qn)
     return X, Z
+
+
+def _padded_truncation(system, m):
+    """truncate_system as it was before diffusion entries were mode-wise:
+    drift and diffusion both read the state padded with zeros to n modes."""
+    def pad(y):
+        out = np.zeros(y.shape[:-1] + (system.n,))
+        out[..., :m] = y
+        return out
+
+    q, drift = system.diffusion, system.drift
+    if drift is not spde.zero_drift:
+        def drift(y):
+            return system.drift(pad(y))[..., :m]
+    return spde.GalerkinSystem(
+        m, system.eigenvalues[:m], drift, system.drift_bound,
+        system.drift_lip, spde.DiagonalQ(lambda y: q.entries(pad(y))[..., :m],
+                                         q.hs_bound),
+        np.asarray(system.x0)[:m])
+
+
+def _stacked_galerkin(system, truncations, times, d_sub, dw):
+    """The sup errors (R, J) as galerkin_error took them before the lock
+    step: the whole reference path stored, and each padded truncation's path
+    subtracted from a copy of it."""
+    X_ref = spde.advance(system, times, d_sub, dw, path="state")
+    diff = np.empty_like(X_ref)
+    sup = np.empty((len(d_sub), len(truncations)))
+    for j, m in enumerate(truncations):
+        np.copyto(diff, X_ref)
+        diff[..., :m] -= spde.advance(_padded_truncation(system, m), times,
+                                      d_sub, dw[..., :m], path="state")
+        sup[:, j] = spde._norms_in_place(diff).max(axis=1)
+    return sup
 
 
 class TestTimeMajorStepping:
@@ -528,6 +581,49 @@ class TestTimeMajorStepping:
             assert g.shape == w.shape
             assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("path", ["state", "convolution"])
+    def test_steps_yield_the_path_of_advance(self, path):
+        system = self.state_dependent_system()
+        times = np.linspace(0.0, 1.0, 17) ** 1.5
+        rng = np.random.default_rng(5)
+        d_sub = grid_increments(ST6, times, rng, 7)
+        dw = rng.standard_normal((7, 16, system.n))
+        got = [x.copy() for x in spde.steps(system, times, d_sub, dw, path=path)]
+        want = spde.advance(system, times, d_sub, dw, path=path)
+        assert np.array_equal(np.stack(got, axis=1), want)
+
+    @pytest.mark.parametrize("grid", ["uniform", "graded"])
+    @pytest.mark.parametrize("case", ["coupled", "state_dependent"])
+    def test_lock_step_galerkin_is_the_stacked_one(self, grid, case):
+        if case == "coupled":
+            system, truncations = TestGalerkin().coupled_system(), [1, 2, 4, 8]
+        else:
+            system, truncations = self.state_dependent_system(), [2, 3, 5]
+        times = (time_grid(1.0, 1 / 32) if grid == "uniform"
+                 else np.linspace(0.0, 1.0, 33) ** 1.5)
+        rng = np.random.default_rng(23)
+        d_sub = grid_increments(GAMMA, times, rng, 11)
+        dw = rng.standard_normal((11, len(times) - 1, system.n))
+        subsystems = [spde.truncate_system(system, m) for m in truncations]
+        got = spde._sup_errors(system, subsystems, times, d_sub, dw)
+        want = _stacked_galerkin(system, truncations, times, d_sub, dw)
+        assert np.array_equal(got, want)
+
+    def test_galerkin_estimates_are_the_stacked_ones(self):
+        system, truncations = self.state_dependent_system(), [1, 2, 4]
+        rep = spde.galerkin_error(system, truncations, ST6, 0.5, 1 / 16, 300,
+                                  seed=8, delta=0.1)
+        times = time_grid(0.5, 1 / 16)
+
+        def statistic(d_sub, dw):
+            sup = _stacked_galerkin(system, truncations, times, d_sub, dw)
+            return np.hstack([sup ** 2, sup > 0.1])
+
+        want = spde._mc_paths(system, ST6, times, 300, 8, statistic)
+        assert rep.sup_sq_error == tuple(want[:3])
+        assert [p[0] for p in rep.exceed_prob] == [
+            round(e.mean * 300) / 300 for e in want[3:]]
+
     def test_unknown_path_is_a_domain_error(self):
         system = self.state_dependent_system()
         times = time_grid(1.0, 1 / 4)
@@ -563,12 +659,15 @@ def test_scan_steps_only_the_path_it_reads(scan, monkeypatch):
     # the convolution scans read Z only, the state scans X only
     want, run_scan = _SCAN_PATHS[scan]
     asked = []
-    advance = spde.advance
 
-    def spy(*args, path, **kwargs):
-        asked.append(path)
-        return advance(*args, path=path, **kwargs)
+    def spy(stepper):
+        def stepper_spy(*args, path, **kwargs):
+            asked.append(path)
+            return stepper(*args, path=path, **kwargs)
+        return stepper_spy
 
-    monkeypatch.setattr(spde, "advance", spy)
+    # advance steps through spde.steps, so a scan may reach either
+    for name in ("advance", "steps"):
+        monkeypatch.setattr(spde, name, spy(getattr(spde, name)))
     run_scan(diagonal_system(3, q=spde.constant_diagonal_q([0.3, 0.2, 0.1])))
     assert asked and set(asked) == {want}
