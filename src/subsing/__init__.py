@@ -5,12 +5,11 @@ __version__ = "0.1.0"
 
 from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
                         LevyTriplet, doubling_indices, drift_only,
-                        gamma_exponent, inverse, parse_phi, ratio,
-                        regvar_upper_check, stable, stable_log,
-                        stable_log_inv, tempered_stable)
+                        gamma_exponent, inverse, parse_phi, ratio, stable,
+                        stable_log, stable_log_inv, tempered_stable)
 from .integrate import (Integrand, ZeroOne, constant, exponential,
                         finiteness_criterion, parse_integrand, power_singular,
-                        tabulated, time_reversed, zero_one_verdict)
+                        time_reversed, zero_one_verdict)
 from .mc import MCEstimate, wilson_interval
 from .moments import (BoundReport, CorollaryCase, bound_scan,
                       char_functional_exact, char_functional_mc,

@@ -186,29 +186,33 @@ def custom(fn: Callable, name: str = "custom") -> BernsteinFunction:
     return BernsteinFunction(name, Catalog.CUSTOM, (), fn)
 
 
-def parse_phi(ident: str) -> BernsteinFunction:
-    """Build a catalog exponent from a string id like ``stable:0.5``."""
+def parse_id(ident: str, makers: dict, what: str):
+    """Build a catalog object from an id ``head:a,b,...``: the maker that
+    ``makers`` holds under ``head``, called with the numbers after the colon.
+
+    An unknown head, a non-number or a wrong parameter count raises
+    DomainError; a maker's own DomainError passes through unchanged.
+    """
     head, _, tail = ident.partition(":")
-    args = [float(x) for x in tail.split(",") if x] if tail else []
-    head = head.strip().lower()
+    make = makers.get(head.strip().lower())
+    if make is None:
+        raise DomainError(f"unknown {what} id '{ident}'")
     try:
-        if head == "stable":
-            return stable(*args)
-        if head == "gamma":
-            return gamma_exponent()
-        if head == "tempered":
-            return tempered_stable(*args)
-        if head == "stablelog":
-            return stable_log(*args)
-        if head == "stableloginv":
-            return stable_log_inv(*args)
-        if head == "ratio":
-            return ratio(*args)
-        if head == "drift":
-            return drift_only(*args)
+        args = [float(x) for x in tail.split(",") if x]
+    except ValueError as exc:
+        raise DomainError(f"bad parameter list for '{ident}': {exc}") from None
+    try:
+        return make(*args)
     except TypeError as exc:
         raise DomainError(f"bad parameter list for '{ident}': {exc}") from None
-    raise DomainError(f"unknown exponent id '{ident}'")
+
+
+def parse_phi(ident: str) -> BernsteinFunction:
+    """Build a catalog exponent from a string id like ``stable:0.5``."""
+    return parse_id(ident, {"stable": stable, "gamma": gamma_exponent,
+                            "tempered": tempered_stable, "stablelog": stable_log,
+                            "stableloginv": stable_log_inv, "ratio": ratio,
+                            "drift": drift_only}, "exponent")
 
 
 # ---------------------------------------------------------------------------
@@ -376,42 +380,3 @@ def log_growth_liminf(phi: BernsteinFunction) -> Optional[float]:
     if vals[-1] > 1e8:
         return math.inf
     return None
-
-
-# ---------------------------------------------------------------------------
-# regular-variation upper check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegVarCheck:
-    ok: bool
-    constant: Optional[float] = None
-    witness: Optional[float] = None
-    reason: str = ""
-
-
-def regvar_upper_check(g: Callable[[np.ndarray], np.ndarray], kappa: float,
-                       eps: float) -> RegVarCheck:
-    """Check g(s) <= C s^(kappa-eps) near 0 for an increasing g on (0, 1).
-
-    Requires the numeric doubling index of g at zero to exceed kappa - eps/2;
-    when it does, the reported C is the smallest constant that works on a
-    geometric grid of 257 points on [1e-8, 1], i.e. the maximum of
-    g(s)/s^(kappa-eps) there.
-    """
-    if not 0 < eps < kappa:
-        raise DomainError("need 0 < eps < kappa")
-    gb = custom(lambda s: np.asarray(g(s), dtype=float), "regvar-target")
-    idx = _endpoint_limit(gb, "zero", -1, atol=1e-4)
-    if idx is None or idx <= kappa - eps / 2:
-        return RegVarCheck(False, reason=f"index at zero {idx} does not exceed "
-                                         f"kappa - eps/2 = {kappa - eps / 2:g}")
-    grid = np.geomspace(1e-8, 1.0, 257)
-    with np.errstate(all="ignore"):
-        ratios = np.asarray(g(grid), dtype=float) / grid ** (kappa - eps)
-    bad = ~np.isfinite(ratios)
-    if np.any(bad):
-        return RegVarCheck(False, witness=float(grid[bad][0]),
-                           reason="unbounded ratio at the witness point")
-    return RegVarCheck(True, constant=float(ratios.max()),
-                       witness=float(grid[int(np.argmax(ratios))]))

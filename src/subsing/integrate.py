@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bernstein import BernsteinFunction, Catalog
+from .bernstein import BernsteinFunction, Catalog, parse_id
 from .errors import DomainError
 
 OVERFLOW_GUARD = 1e300
@@ -30,7 +30,6 @@ class IntegrandKind(Enum):
     POWER_SINGULAR = "pow"
     EXPONENTIAL = "exp"
     CONSTANT = "const"
-    TABULATED = "tab"
     TIME_REVERSED = "rev"
 
 
@@ -75,15 +74,6 @@ def constant(c: float) -> Integrand:
                      lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c))
 
 
-def tabulated(knots: np.ndarray, values: np.ndarray) -> Integrand:
-    knots = np.asarray(knots, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0) or np.any(np.diff(knots) <= 0):
-        raise DomainError("knots must increase and values be nonnegative")
-    return Integrand(IntegrandKind.TABULATED, (tuple(knots), tuple(values)),
-                     lambda t: np.interp(t, knots, values))
-
-
 def time_reversed(inner: Integrand, T: float) -> Integrand:
     """f(t) = inner(T - t) on (0, T)."""
     if T <= 0:
@@ -97,16 +87,8 @@ def time_reversed(inner: Integrand, T: float) -> Integrand:
 
 def parse_integrand(ident: str) -> Integrand:
     """Build an integrand from a string id like ``pow:0.5`` or ``const:1``."""
-    head, _, tail = ident.partition(":")
-    args = [float(x) for x in tail.split(",") if x] if tail else []
-    head = head.strip().lower()
-    if head == "pow":
-        return power_singular(*args)
-    if head == "exp":
-        return exponential(*args)
-    if head == "const":
-        return constant(*args)
-    raise DomainError(f"unknown integrand id '{ident}'")
+    return parse_id(ident, {"pow": power_singular, "exp": exponential,
+                            "const": constant}, "integrand")
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +221,6 @@ def cell_means(f: Integrand, times: np.ndarray) -> np.ndarray:
         if t[-1] > T:
             raise DomainError("a time-reversed integrand lives on (0, T)")
         return cell_means(inner, T - t[::-1])[::-1]
-    if kind is IntegrandKind.TABULATED:
-        # the interpolant is linear between knots, so the trapezoid rule on
-        # the grid merged with the inner knots is exact
-        knots, values = np.asarray(f.params[0]), np.asarray(f.params[1])
-        u = np.union1d(t, knots[(knots > t[0]) & (knots < t[-1])])
-        fu = np.interp(u, knots, values)
-        pieces = 0.5 * (fu[1:] + fu[:-1]) * np.diff(u)
-        return np.add.reduceat(pieces, np.searchsorted(u, a)) / h
     raise DomainError(f"no cell-mean rule for integrand kind {kind!r}")
 
 

@@ -35,10 +35,17 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64)
 # time grids
 # ---------------------------------------------------------------------------
 
+def _check_node_count(nodes: float) -> None:
+    # numpy refuses more than intp-max bytes with ValueError or IndexError
+    if not nodes * 8 <= np.iinfo(np.intp).max:
+        raise DomainError(f"a grid of {nodes:g} nodes is too large to allocate")
+
+
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Uniform grid on [0, T] with step dt, which must divide T."""
     if not 0 < dt <= T < math.inf:
         raise DomainError("need 0 < dt <= T < inf")
+    _check_node_count(T / dt + 1)
     n = int(round(T / dt))
     if abs(n * dt - T) > 1e-9 * T:
         raise DomainError(f"dt = {dt:g} does not divide T = {T:g}")
@@ -65,6 +72,7 @@ def power_graded_grid(T: float, q: float, n_nodes: int = 3000) -> np.ndarray:
         raise DomainError("grading exponent must lie in [0, 1)")
     if not 0 < T < math.inf:
         raise DomainError("horizon must be positive and finite")
+    _check_node_count(n_nodes + 1)
     return T * np.linspace(0.0, 1.0, n_nodes + 1) ** (2.0 / (1.0 - q))
 
 
@@ -131,8 +139,6 @@ class _JumpSampler:
         self.knot_count = 0
         if self.alpha is not None or self.rate == 0.0:
             return
-        if trip.density is None:
-            raise CapabilityError(f"{phi.name}: no jump density to sample from")
         # upper cut where the remaining tail is negligible vs the total rate
         hi = eps
         while trip.tail_mass(hi) > 1e-14 * self.rate and hi < 1e12:

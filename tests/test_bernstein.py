@@ -131,18 +131,6 @@ def test_triplet_integrability(phi):
         assert trip.small_jump_mean(1.0) == pytest.approx(oracle, rel=1e-6)
 
 
-def test_regvar_upper_check():
-    ok = bf.regvar_upper_check(bf.stable(0.5).fn, 0.5, 0.1)
-    assert ok.ok and ok.constant <= 1.0 + 1e-9
-    ident = bf.regvar_upper_check(lambda s: np.asarray(s, dtype=float), 1.0, 0.5)
-    assert ident.ok and ident.constant == pytest.approx(1.0)
-    logf = bf.regvar_upper_check(np.log1p, 1.0, 0.05)
-    assert logf.ok and math.isfinite(logf.constant)
-    bad = bf.regvar_upper_check(lambda s: np.asarray(s, dtype=float) ** 0.3,
-                                0.5, 0.1)
-    assert not bad.ok
-
-
 def test_non_stabilizing_endpoints_are_undetermined():
     # the doubling ratio of this (non-Bernstein) function oscillates in log s
     # forever; the endpoint limits must be reported as undetermined
@@ -153,11 +141,6 @@ def test_non_stabilizing_endpoints_are_undetermined():
     d = bf.doubling_indices(bf.custom(wobble, "wobble"))
     assert d.at_zero is None and d.at_infinity is None
     assert d.global_inf is not None    # grid extremes still reported
-
-
-def test_regvar_eps_domain():
-    with pytest.raises(DomainError):
-        bf.regvar_upper_check(np.log1p, 0.5, 0.7)
 
 
 @settings(max_examples=25, deadline=None)

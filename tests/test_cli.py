@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import os
 import shlex
@@ -490,6 +491,43 @@ def test_grid_too_large_exit_code(command, capsys):
     # allocation fails at once
     assert run([command, "--phi", "stable:0.5", "--T", "1e9", "--dt", "1e-9"]) == 1
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--f", "pow", "--phi", "stable:0.5"],
+    ["zeroone", "--f", "pow:0.5,7", "--phi", "stable:0.5"],
+    ["bf", "--phi", "stable:abc"],
+    ["bf", "--phi", "stable:0.5:3"],
+    ["integrate", "--f", "pow:abc", "--phi", "stable:0.5"],
+    ["bf", "--phi", "gamma:2"],
+])
+def test_malformed_id_exit_code(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad parameter list")
+    assert "Traceback" not in err
+
+
+GRID_COMMANDS = [
+    ["sim", "--phi", "stable:0.5"],
+    ["path", "--phi", "stable:0.5"],
+    ["integrate", "--phi", "stable:0.5", "--f", "pow:0.5"],
+    ["integrate", "--phi", "stable:0.5", "--f", "exp:1"],
+    ["moment", "mc", "--phi", "stable:0.5", "--p", "0.25", "--f", "pow:0.5"],
+    *(["spde", mode] for mode in ("sim", "convmom", "maximal", "smallball",
+                                  "longrun", "galerkin")),
+    ["spde", "control", "--q-const"],
+]
+
+
+@pytest.mark.parametrize("dt", ["1e-300", repr(2.0 ** -62)])
+@pytest.mark.parametrize("argv", GRID_COMMANDS, ids=" ".join)
+def test_grid_past_numpy_size_limit_exit_code(argv, dt, capsys):
+    # numpy refuses arrays of more than intp-max bytes with ValueError or
+    # IndexError, so the grid builders refuse them first
+    assert run([*argv, "--dt", dt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid of") and err.count("\n") == 1
 
 
 def test_equiv_and_spde_smoke(capsys):
@@ -990,6 +1028,32 @@ def test_every_flag_has_a_reader(path):
     flags = {a.dest for a in _leaf(path)._actions if a.option_strings}
     unread = flags - read_somewhere - {"help", "out"}
     assert not unread, f"{' '.join(path)} never reads {sorted(unread)}"
+
+
+def _reads(tree):
+    """The names that a module's syntax tree reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_reader():
+    # a name the package exports must serve a module of the package or an
+    # acceptance criterion, not only its own unit tests
+    package = Path(cli.__file__).resolve().parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readers = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    readers.append(Path(__file__).with_name("test_acceptance.py"))
+    read = set().union(*(_reads(ast.parse(p.read_text())) for p in readers))
+    assert not exported - read, f"unread exports {sorted(exported - read)}"
 
 
 def test_spde_runs_without_scipy(tmp_path):

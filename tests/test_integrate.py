@@ -63,13 +63,13 @@ def _cell_grid(data, lo, hi):
     return ts
 
 
-def _quad_means(f, ts, points=()):
-    """Per-cell quad averages.  A cell away from 0 is cut at the given points
-    and at four points per decade, summing quad over the pieces, so that a
-    singularity near its left end is resolved."""
+def _quad_means(f, ts):
+    """Per-cell quad averages.  A cell away from 0 is cut at four points per
+    decade, summing quad over the pieces, so that a singularity near its
+    left end is resolved."""
     means = []
     for a, b in zip(ts[:-1], ts[1:]):
-        cuts = {a, b, *(p for p in points if a < p < b)}
+        cuts = {a, b}
         if a > 0 and b > 2 * a:
             cuts.update(np.geomspace(a, b, int(4 * math.log10(b / a)) + 2))
         edges = sorted(cuts)
@@ -138,18 +138,6 @@ class TestCellMeans:
             np.testing.assert_allclose(itg.cell_means(f, ts),
                                        _reversed_means(mp_inner, 3.0, ts),
                                        rtol=1e-10)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_tabulated_matches_quad(self, data):
-        knots = [0.0, 0.4, 1.1, 2.0, 2.5]
-        values = data.draw(st.lists(st.floats(0.0, 5.0, allow_subnormal=False),
-                                    min_size=5, max_size=5))
-        ts = _cell_grid(data, 0.0, 3.0)
-        f = itg.tabulated(knots, values)
-        np.testing.assert_allclose(itg.cell_means(f, ts),
-                                   _quad_means(f, ts, knots),
-                                   rtol=1e-10, atol=1e-12)
 
 
 class TestFiniteness:
@@ -238,11 +226,3 @@ def test_parse_integrand():
     assert itg.parse_integrand("pow:-0.5")(4.0) == pytest.approx(2.0)
     assert itg.parse_integrand("const:2")(123.0) == 2.0
     assert itg.parse_integrand("exp:2")(1.0) == pytest.approx(math.exp(-2))
-
-
-def test_tabulated_integrand():
-    f = itg.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-    assert f(0.5) == pytest.approx(0.5)
-    total = itg.stieltjes_increments(f, np.array([0.0, 1.0, 2.0]),
-                                     np.array([[1.0, 2.0]]))[0]
-    assert total == pytest.approx(0.5 * 1.0 + 0.5 * 2.0)

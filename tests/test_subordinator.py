@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -193,6 +194,18 @@ def test_jump_lookup_equals_linear_interpolation(name):
         u = stream(4, size).uniform(0.0, 1.0, size)
         assert _same_bits(sampler.draw(stream(4, size), size),
                           np.interp(u, cdf, knots))
+
+
+def test_jump_table_reads_only_the_tail_mass():
+    # the inverse-CDF table is built from tail_mass alone, so a driver
+    # without a density samples exactly as the catalog tempered driver does
+    ref = bf.parse_phi("tempered:0.5,1")
+    bare = dataclasses.replace(
+        ref, triplet=dataclasses.replace(ref.triplet, density=None))
+    u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)],
+                        stream(5, 0).uniform(0.0, 1.0, 10_000)))
+    assert _same_bits(sub._JumpSampler(bare, 1e-4).quantile(u),
+                      sub._JumpSampler(ref, 1e-4).quantile(u))
 
 
 def test_compound_poisson_estimate_pinned():
