@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, moments, spde
+from . import __version__, mc, moments, spde
 from .bernstein import Catalog, doubling_indices, inverse, parse_phi
 from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
@@ -498,9 +498,9 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
-    args.manifest = {}
     start = time.perf_counter()
     try:
+        args.manifest = {"workers": mc._worker_count()}
         lines = args.func(args)
     except (GateViolation, PreconditionError, CapabilityError) as exc:
         sys.stderr.write(f"refused: {exc}\n")

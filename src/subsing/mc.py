@@ -46,11 +46,14 @@ class MCEstimate:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("SUBSING_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """``SUBSING_WORKERS`` if set, else the CPUs this process may run on."""
+    raw = os.environ.get("SUBSING_WORKERS", "")
+    if not raw:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise DomainError(f"SUBSING_WORKERS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,8 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
     if n_samples <= 0:
         raise DomainError("need a positive sample count")
     blocks = min(DEFAULT_BLOCKS, n_samples)
+    if method == "median_of_means" and blocks < 2:
+        raise DomainError("median of means needs two or more paths")
 
     def run_block(b: int) -> Moments:
         rng = stream(seed, b)
@@ -146,10 +151,7 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
             left -= m
         return merge_all(parts)
 
-    width = _worker_count()
-    if width == 1:
-        return estimate_from_blocks([run_block(b) for b in range(blocks)], method)
-    with ThreadPoolExecutor(max_workers=width) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         return estimate_from_blocks(list(pool.map(run_block, range(blocks))), method)
 
 

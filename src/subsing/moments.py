@@ -26,7 +26,7 @@ from .integrate import (OVERFLOW_GUARD, Integrand, IntegrandKind, Verdict,
                         finiteness_criterion, improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
-from .subordinator import grid_increments, power_graded_grid, time_grid
+from .subordinator import _check_node_count, grid_increments, power_graded_grid, time_grid
 
 GRID_BIAS_TOL = 1e-5    # |bias| a default grid must certify, see grid_bias
 FIRST_CELLS = 32        # the default grids double from here ...
@@ -202,6 +202,7 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
             return time_grid(T, T / n)
         fewest = 1
     if dt is not None:
+        _check_node_count(T / dt + 1)
         return grid(max(fewest, int(round(T / dt))))
     n = FIRST_CELLS
     times = grid(n)

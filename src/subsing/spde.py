@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
                      PreconditionError)
-from .mc import Moments, _worker_count, estimate_from_blocks, wilson_interval
+from .mc import Moments, estimate_from_blocks, wilson_interval
 from .moments import BoundReport, _horizons
 from .rng import as_generator, stream
 from .subordinator import grid_increments, time_grid
@@ -259,11 +258,10 @@ def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
 
     ``driver`` is an exponent to draw subordinator increments from, or one
     frozen (K,) vector of increments shared by every replica.  Chunk j draws
-    from stream (seed, j), and the partials merge in chunk order.  With
-    ``SUBSING_WORKERS`` at 2 or more and more than one chunk, chunk j + 1 is
-    drawn on a helper thread while ``statistic`` runs on chunk j, so the
-    result does not depend on the worker count.  Returns one MCEstimate per
-    statistic column, each chunk one block of :func:`estimate_from_blocks`.
+    from stream (seed, j) on a helper thread, which draws chunk j + 1 while
+    ``statistic`` runs on chunk j, and the partials merge in chunk order.
+    Returns one MCEstimate per statistic column, each chunk one block of
+    :func:`estimate_from_blocks`.
     """
     if N < 1:
         raise DomainError("need a positive number of paths")
@@ -280,19 +278,13 @@ def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
             d_sub = grid_increments(driver, times, rng, m, eps=eps)
         return d_sub, rng.standard_normal((m, K, system.n))
 
-    ahead = _worker_count() > 1 and count > 1
     parts = []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        def later(idx):
-            # a callable that returns chunk idx's draws; when drawing ahead,
-            # the helper thread starts on them now
-            return pool.submit(draw, idx).result if ahead else partial(draw, idx)
-
-        take = later(0)
+        ahead = pool.submit(draw, 0)
         for idx in range(count):
-            d_sub, dw = take()
+            d_sub, dw = ahead.result()
             if idx + 1 < count:
-                take = later(idx + 1)
+                ahead = pool.submit(draw, idx + 1)
             parts.append(Moments.of(statistic(d_sub, dw)))
     return estimate_from_blocks(parts)
 

@@ -382,3 +382,41 @@ def test_criterion_11_determinism(tmp_path):
     ok = same_mc and same_path and same_files
     report(11, "determinism", ok,
            f"mc={same_mc} path={same_path} files={same_files}")
+
+
+# -------------------------------------------------------------------------
+# 13. exact law of the SPDE stepper
+# -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("phi, seed", [(bf.stable(0.6), 91),
+                                       (bf.gamma_exponent(), 92)],
+                         ids=["stable:0.6", "gamma"])
+def test_criterion_13_exact_law(phi, seed):
+    # with zero drift and Q = diag(q), Z_K = sum_j E^(K-j) q sqrt(dS_j) N_j is
+    # Gaussian given the clock, so E cos(u.Z_K) is exp(-sum_j h_j phi(s_j))
+    # with s_j = 1/2 sum_i u_i^2 q_i^2 e^(-2 gamma_i (T - t_j)); the state adds
+    # the mean e^(-gamma T) x0, and Z is conditionally symmetric
+    start = time.perf_counter()
+    n, T = 8, 1.0
+    k = np.arange(1, n + 1, dtype=float)
+    gam, q, x0, u = k ** 1.3, 0.6 * k ** -1.2, k ** -1.5, np.full(n, 2.0)
+    system = spde.GalerkinSystem(n, gam, spde.zero_drift, 0.0, 0.0,
+                                 spde.constant_diagonal_q(q), x0)
+    times = time_grid(T, 1 / 64)
+
+    def statistic(d_sub, dw):
+        z = spde.advance(system, times, d_sub, dw, path="convolution")[:, -1]
+        x = spde.advance(system, times, d_sub, dw, path="state")[:, -1]
+        return np.cos(np.stack([z @ u, x @ u], axis=1))
+
+    est_z, est_x = spde._mc_paths(system, phi, times, 40_000, seed, statistic)
+    t, h = times[:-1], np.diff(times)
+    s = 0.5 * (u * u * q * q) @ np.exp(-2.0 * np.outer(gam, T - t))
+    exact_z = math.exp(-float(h @ phi.fn(s)))
+    exact_x = math.cos(float(u @ (np.exp(-gam * T) * x0))) * exact_z
+    zs = [(est.mean - exact) / est.std_error
+          for est, exact in ((est_z, exact_z), (est_x, exact_x))]
+    elapsed = time.perf_counter() - start
+    ok = all(abs(z) <= 3.0 for z in zs) and elapsed <= CELL_SECONDS
+    report(13, f"exact law ({phi.name})", ok,
+           f"z(Z)={zs[0]:+.2f} z(X)={zs[1]:+.2f} {elapsed:.1f}s")

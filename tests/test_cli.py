@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from subsing import __version__, cli, integrate, moments, spde
+from subsing import __version__, cli, integrate, mc, moments, spde
 from subsing.cli import main
 from subsing.rng import stream
 
@@ -296,6 +296,32 @@ def test_integrate_manifest_records_grid(tmp_path):
     assert "grid" not in out.read_text()
 
 
+def test_manifest_records_worker_count(tmp_path):
+    out = tmp_path / "w.csv"
+    assert run(["moment", "mc", "--phi", "stable:0.5", "--p", "0.25",
+                "--f", "pow:0.5", "--paths", "100", "--out", str(out)]) == 0
+    assert int(_manifest(out)["workers"]) == mc._worker_count()
+    assert "workers" not in out.read_text()
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5"])
+def test_malformed_worker_count_exit_code(workers, monkeypatch, capsys):
+    monkeypatch.setenv("SUBSING_WORKERS", workers)
+    assert run(["moment", "mc", "--phi", "stable:0.5", "--p", "0.25",
+                "--f", "pow:0.5", "--paths", "100"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: SUBSING_WORKERS must be a positive integer, got '{workers}'\n")
+
+
+@pytest.mark.parametrize("method", ["median_of_means", "auto"])
+def test_median_of_means_of_one_path_exit_code(method, capsys):
+    # p = 0.4 >= alpha / 2, so auto takes the median of means too; one block
+    # has no spread of block means
+    assert run(["moment", "mc", "--phi", "stable:0.5", "--p", "0.4",
+                "--f", "pow:0.5", "--paths", "1", "--method", method]) == 1
+    assert capsys.readouterr().err == "error: median of means needs two or more paths\n"
+
+
 def test_integrate_records_jump_table(tmp_path):
     from subsing import bernstein as bf
     from subsing.subordinator import jump_sampler
@@ -517,10 +543,11 @@ GRID_COMMANDS = [
     *(["spde", mode] for mode in ("sim", "convmom", "maximal", "smallball",
                                   "longrun", "galerkin")),
     ["spde", "control", "--q-const"],
+    ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0.3"],
 ]
 
 
-@pytest.mark.parametrize("dt", ["1e-300", repr(2.0 ** -62)])
+@pytest.mark.parametrize("dt", ["1e-300", repr(2.0 ** -62), "5e-324"])
 @pytest.mark.parametrize("argv", GRID_COMMANDS, ids=" ".join)
 def test_grid_past_numpy_size_limit_exit_code(argv, dt, capsys):
     # numpy refuses arrays of more than intp-max bytes with ValueError or

@@ -1,8 +1,11 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from subsing import mc
 from subsing.errors import DomainError
 from subsing.mc import Moments, estimate_from_blocks, merge_all, run_mc
 
@@ -65,3 +68,31 @@ def test_run_mc_draws_each_sample_once_for_all_columns():
     one, two = run_mc(sampler, 1000, 4)
     assert sum(calls) == 1000
     assert two.mean == 2 * one.mean and two.std_error == 2 * one.std_error
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="needs os.sched_getaffinity")
+def test_worker_count_defaults_to_the_cpus_of_this_process(monkeypatch):
+    monkeypatch.delenv("SUBSING_WORKERS", raising=False)
+    assert mc._worker_count() == len(os.sched_getaffinity(0))
+
+
+def test_one_worker_runs_every_block_on_the_pool(monkeypatch):
+    # one schedule whatever the count: a single worker is a pool of width 1
+    monkeypatch.setenv("SUBSING_WORKERS", "1")
+    idents = []
+
+    def sampler(r, m):
+        idents.append(threading.get_ident())
+        return r.standard_normal(m)
+
+    run_mc(sampler, 100, 1)
+    assert len(idents) == 32 and threading.get_ident() not in idents
+
+
+def test_median_of_one_block_is_a_domain_error():
+    drawn = []
+    with pytest.raises(DomainError, match="two or more paths"):
+        run_mc(lambda r, m: drawn.append(m) or r.standard_normal(m), 1, 1,
+               method="median_of_means")
+    assert drawn == []

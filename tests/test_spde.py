@@ -671,3 +671,19 @@ def test_scan_steps_only_the_path_it_reads(scan, monkeypatch):
         monkeypatch.setattr(spde, name, spy(getattr(spde, name)))
     run_scan(diagonal_system(3, q=spde.constant_diagonal_q([0.3, 0.2, 0.1])))
     assert asked and set(asked) == {want}
+
+
+def test_one_worker_draws_every_chunk_on_the_helper_thread(monkeypatch):
+    # one schedule whatever the count: chunk j + 1 is always drawn ahead
+    monkeypatch.setenv("SUBSING_WORKERS", "1")
+    idents = []
+
+    def recorded(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return grid_increments(*args, **kwargs)
+
+    monkeypatch.setattr(spde, "grid_increments", recorded)
+    system = diagonal_system(4, q=spde.constant_diagonal_q([0.5] * 4))
+    times = time_grid(0.5, 1 / 16)
+    spde._mc_paths(system, ST6, times, 600, 3, lambda d_sub, dw: d_sub.sum(axis=1))
+    assert len(idents) == 3 and threading.get_ident() not in idents
