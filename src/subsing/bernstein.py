@@ -14,7 +14,7 @@ which gate the validity regions of the general moment bounds implemented in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -56,13 +56,15 @@ class LevyTriplet:
 
 @dataclass(frozen=True)
 class BernsteinFunction:
-    """A Laplace exponent with optional jump structure and a catalog identity."""
+    """A Laplace exponent with optional jump structure and a catalog identity,
+    and ``eps``, the jump cutoff of its compound Poisson draws."""
 
     name: str
     kind: Catalog
     params: tuple
     fn: Callable[[np.ndarray], np.ndarray]
     triplet: Optional[LevyTriplet] = None
+    eps: float = 1e-4
 
     @property
     def simulable(self) -> bool:
@@ -207,12 +209,13 @@ def parse_id(ident: str, makers: dict, what: str):
         raise DomainError(f"bad parameter list for '{ident}': {exc}") from None
 
 
-def parse_phi(ident: str) -> BernsteinFunction:
-    """Build a catalog exponent from a string id like ``stable:0.5``."""
-    return parse_id(ident, {"stable": stable, "gamma": gamma_exponent,
-                            "tempered": tempered_stable, "stablelog": stable_log,
-                            "stableloginv": stable_log_inv, "ratio": ratio,
-                            "drift": drift_only}, "exponent")
+def parse_phi(ident: str, eps: float = 1e-4) -> BernsteinFunction:
+    """The catalog exponent of an id like ``stable:0.5``, with jump cutoff ``eps``."""
+    phi = parse_id(ident, {"stable": stable, "gamma": gamma_exponent,
+                           "tempered": tempered_stable, "stablelog": stable_log,
+                           "stableloginv": stable_log_inv, "ratio": ratio,
+                           "drift": drift_only}, "exponent")
+    return replace(phi, eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,13 @@ def cmd_bf(args):
 
 def cmd_sim(args):
     """Laplace certification of the replica ensemble, one row per r."""
-    phi = parse_phi(args.phi)
+    phi = parse_phi(args.phi, args.eps)
     times = time_grid(args.T, args.dt)
     if not args.r:
         raise DomainError("--r needs at least one value")
     # phi(r) refuses a bad r before anything is drawn
     exacts = [float(np.exp(-args.T * phi(r))) for r in args.r]
-    ests = moments.laplace_mc(phi, args.r, times, args.paths, args.seed, eps=args.eps)
+    ests = moments.laplace_mc(phi, args.r, times, args.paths, args.seed)
     return _header(args) + _csv("r,mc_mean,mc_se,exact,z", (
         (r, est.mean, est.std_error, exact,
          (est.mean - exact) / est.std_error if est.std_error else 0.0)
@@ -131,7 +131,7 @@ def cmd_path(args):
     The header echoes only the flags that shaped the output: ``--dt`` for
     the grid, ``--eps`` for the jump list.
     """
-    phi = parse_phi(args.phi)
+    phi = parse_phi(args.phi, args.eps)
     rng = as_generator(args.seed)
     if phi.kind is Catalog.STABLE:
         del args.eps
@@ -140,26 +140,26 @@ def cmd_path(args):
         values = np.concatenate(([0.0], np.cumsum(inc)))
         return _header(args) + _csv("t,S_t", zip(times, values))
     del args.dt
-    drift, _, times, sizes = cp_jump_batch(phi, args.T, args.eps, rng, 1)
-    sampler = jump_sampler(phi, args.eps)
+    drift, _, times, sizes = cp_jump_batch(phi, args.T, rng, 1)
+    sampler = jump_sampler(phi)
     args.manifest.update(jump_rate=sampler.rate,
-                         small_jump_drift=phi.triplet.small_jump_mean(args.eps),
+                         small_jump_drift=phi.triplet.small_jump_mean(phi.eps),
                          **sampler.record())
     return (_header(args) + [f"# drift={_fmt(drift)},T={_fmt(args.T)}"]
             + _csv("time,size", zip(np.sort(times), sizes)))
 
 
 def cmd_integrate(args):
-    phi = parse_phi(args.phi)
+    phi = parse_phi(args.phi, args.eps)
     f = parse_integrand(args.f)
     row, facts = moments.integral_summary(phi, f, args.T, args.paths, args.seed,
-                                          dt=args.dt, eps=args.eps)
+                                          dt=args.dt)
     args.manifest.update(facts)
     if "grid_nodes" not in facts:
         # an a.s. infinite integral draws nothing: no grid or draw flag is echoed
         del args.dt, args.eps, args.seed
     elif phi.kind not in EXACT_GRID_KINDS:
-        args.manifest.update(jump_sampler(phi, args.eps).record())
+        args.manifest.update(jump_sampler(phi).record())
     return _header(args) + _csv("n,finite_fraction,mean,se,median", [row])
 
 
@@ -183,25 +183,25 @@ def cmd_moment(args):
         val = moments.exact_stable_moment(args.alpha, args.p, f, tuple(args.domain))
         lines.append(f"value={_fmt(val)}")
         return lines
-    phi = parse_phi(args.phi)
+    if args.mode == "equiv":
+        res = moments.exp_moment_equivalence(parse_phi(args.phi), args.p, args.lam)
+        lines.append(f"verdict={res.verdict.name}")
+        if res.criterion_value is not None:
+            lines.append(f"criterion_value={_fmt(res.criterion_value)}")
+        return lines
+    phi = parse_phi(args.phi, args.eps)
     if args.mode == "mc":
         f = parse_integrand(args.f)
         est = moments.mc_moment(phi, args.p, f, args.T, args.paths, args.seed,
-                                method=args.method, dt=args.dt, eps=args.eps)
+                                method=args.method, dt=args.dt)
         return lines + _csv("n,mean,se,method,heavy_tail", [(
             est.n_samples, est.mean, est.std_error, est.method,
             est.heavy_tail_flag)])
-    if args.mode == "bound":
-        rep = moments.bound_scan(phi, args.p, args.T_grid, args.paths,
-                                 args.seed, theta=args.theta, lam=args.lam,
-                                 dt=args.dt, method=args.method, eps=args.eps)
-        lines.append(f"# clause={rep.clause}")
-        return lines + _bound_rows(rep, "T,mc_mean,mc_se,rhs,ratio")
-    res = moments.exp_moment_equivalence(phi, args.p, args.lam)   # equiv
-    lines.append(f"verdict={res.verdict.name}")
-    if res.criterion_value is not None:
-        lines.append(f"criterion_value={_fmt(res.criterion_value)}")
-    return lines
+    rep = moments.bound_scan(phi, args.p, args.T_grid, args.paths,   # bound
+                             args.seed, theta=args.theta, lam=args.lam,
+                             dt=args.dt, method=args.method)
+    lines.append(f"# clause={rep.clause}")
+    return lines + _bound_rows(rep, "T,mc_mean,mc_se,rhs,ratio")
 
 
 def _build_system(args, a4) -> spde.GalerkinSystem:
@@ -244,14 +244,14 @@ def _build_system(args, a4) -> spde.GalerkinSystem:
 
 
 def cmd_spde(args):
-    phi = parse_phi(args.phi)
+    phi = parse_phi(args.phi, args.eps)
     c, delta = (args.a4_c, args.a4_delta) if args.mode == "control" else (0, 0)
     system = _build_system(args, (c, delta) if c else None)
     if args.mode == "galerkin" and args.truncations is None:
         args.truncations = [2 ** j for j in range((args.n - 1).bit_length())]
     lines = _header(args)
     if args.mode == "sim":
-        path = spde.simulate(system, phi, args.T, args.dt, args.seed, eps=args.eps)
+        path = spde.simulate(system, phi, args.T, args.dt, args.seed)
         return lines + _csv("t,S_t,|X_t|,|Z_t|", (
             (t, s, float(np.linalg.norm(x)), float(np.linalg.norm(z)))
             for t, s, x, z in zip(path.times, path.subordinator, path.state,
@@ -259,28 +259,27 @@ def cmd_spde(args):
     if args.mode == "convmom":
         rep = spde.convolution_moment_scan(system, phi, args.p, args.theta,
                                            args.t_grid, args.paths, args.seed,
-                                           dt=args.dt, eps=args.eps)
+                                           dt=args.dt)
         return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "maximal":
         rep = spde.maximal_inequality_scan(system, phi, args.p, args.t_grid,
-                                           args.paths, args.seed, dt=args.dt,
-                                           eps=args.eps)
+                                           args.paths, args.seed, dt=args.dt)
         return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "smallball":
         res = spde.small_ball(system, phi, args.delta, args.T, args.paths,
-                              args.seed, dt=args.dt, eps=args.eps)
+                              args.seed, dt=args.dt)
         return lines + _csv("probability,wilson_low,wilson_high,analytic_lower_bound",
                             [(res.probability, res.wilson_low, res.wilson_high,
                               res.analytic_lower_bound)])
     if args.mode == "longrun":
         rep = spde.longrun_moment_scan(system, phi, args.p, args.theta,
                                        args.t_grid, args.paths, args.seed,
-                                       dt=args.dt, eps=args.eps)
+                                       dt=args.dt)
         rows = ((T, est.mean, est.std_error) for T, est in zip(rep.horizons, rep.averages))
         return lines + _csv("T,average,se", rows)
     if args.mode == "control":
         times = time_grid(args.T, args.dt)
-        inc = grid_increments(phi, times, stream(args.seed, 0), 1, eps=args.eps)[0]
+        inc = grid_increments(phi, times, stream(args.seed, 0), 1)[0]
         ell = np.concatenate(([0.0], np.cumsum(np.maximum(inc, 1e-12))))
         res = spde.synthesize_null_controller(system, times, ell,
                                               max_iter=args.max_iter,
@@ -298,7 +297,7 @@ def cmd_spde(args):
             "need one or more truncations, each < reference dimension")
     rep = spde.galerkin_error(system, args.truncations, phi, args.T,
                               args.dt, args.paths, args.seed,
-                              delta=args.delta, eps=args.eps)
+                              delta=args.delta)
     args.manifest.update(
         projection_floor=",".join(_fmt(v) for v in rep.projection_floor))
     return lines + _csv("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high", (

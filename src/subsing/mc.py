@@ -26,8 +26,8 @@ DEFAULT_BLOCKS = 32
 class MCEstimate:
     """A Monte Carlo statistic with its uncertainty and tail diagnostics.
 
-    ``std_error`` is sample-sd/sqrt(n) for a plain mean, from merged
-    (count, mean, M2) partials; for median-of-means it is
+    ``std_error`` is sample-sd/sqrt(n) for a plain mean, nan at n = 1, from
+    merged (count, mean, M2) partials; for median-of-means it is
     sqrt(pi/(2B)) * sd(block means), the asymptotic SE of a median of B
     nearly Gaussian block means.  ``heavy_tail_flag`` is set when the empirical
     second moment keeps growing across doubling sample sizes.
@@ -121,9 +121,10 @@ def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
         flags |= ~np.all(np.isfinite(means), axis=0)
         return [MCEstimate(n, float(mu), float(s), bool(flag), "median_of_means")
                 for mu, s, flag in zip(np.median(means, axis=0), se, flags)]
-    # plain mean per column, with SE sqrt(M2 / n) / sqrt(n)
+    # plain mean per column, SE sqrt(M2 / n) / sqrt(n): nan, not 0, from one sample
     acc = merge_all(blocks)
-    return [MCEstimate(n, float(mu), math.sqrt(m2) / n, bool(flag)) if math.isfinite(mu)
+    return [MCEstimate(n, float(mu), math.sqrt(m2) / n if n > 1 else math.nan,
+                       bool(flag)) if math.isfinite(mu)
             else MCEstimate(n, float(mu), math.inf, True)
             for mu, m2, flag in zip(np.ravel(acc.mean), np.ravel(acc.m2), flags)]
 

@@ -223,7 +223,7 @@ def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[
                  else _default_times(f, T, dt, phi, _exponent(res)))
 
 
-def _integral_mc(phi, f, times, N, seed, transform, method, eps) -> list:
+def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
     """Monte Carlo means of the columns of ``transform`` of the integral of f
     over ``times``, one :class:`MCEstimate` per column; ``times`` None marks
     an a.s. infinite integral, whose paths are all +inf, and draws nothing."""
@@ -239,7 +239,7 @@ def _integral_mc(phi, f, times, N, seed, transform, method, eps) -> list:
     k = len(times) - 1
 
     def sampler(rng, m):
-        inc = grid_increments(phi, times, rng, m, eps=eps)
+        inc = grid_increments(phi, times, rng, m)
         return transform(stieltjes_increments(f, times, inc))
 
     return mc.run_mc(sampler, N, seed, method=method,
@@ -247,29 +247,28 @@ def _integral_mc(phi, f, times, N, seed, transform, method, eps) -> list:
 
 
 def char_functional_mc(phi: BernsteinFunction, f: Integrand, T: float, N: int,
-                       seed: int, *, dt: Optional[float] = None,
-                       eps: float = 1e-4) -> MCEstimate:
+                       seed: int, *, dt: Optional[float] = None) -> MCEstimate:
     """Monte Carlo mean of exp(-integral); divergent samples contribute 0."""
     return _integral_mc(phi, f, _integral_grid(phi, f, T, dt)[1], N, seed,
-                        lambda v: np.exp(-v), "plain", eps)[0]
+                        lambda v: np.exp(-v), "plain")[0]
 
 
 def laplace_mc(phi: BernsteinFunction, r: Sequence[float], times: np.ndarray,
-               N: int, seed: int, *, eps: float = 1e-4) -> list:
+               N: int, seed: int) -> list:
     """Monte Carlo of E exp(-r S_T) over ``times`` per r, each path drawn once."""
     return _integral_mc(phi, constant(1.0), times, N, seed,
-                        lambda v: np.exp(-np.multiply.outer(v, r)), "plain", eps)
+                        lambda v: np.exp(-np.multiply.outer(v, r)), "plain")
 
 
 def integral_summary(phi: BernsteinFunction, f: Integrand, T: float, N: int,
-                     seed: int, *, dt: Optional[float] = None, eps: float = 1e-4):
+                     seed: int, *, dt: Optional[float] = None):
     """Row (n, finite fraction, mean, SE, median) of the integral of f on
     (0, T] from one set of draws, and the verdict and grid facts of the run."""
     res, times = _integral_grid(phi, f, T, dt)
     # every value drawn is kept: its median and finite fraction ignore block order
     kept = []
     est = _integral_mc(phi, f, times, N, seed, lambda v: kept.append(v) or v,
-                       "plain", eps)[0]
+                       "plain")[0]
     vals = np.concatenate(kept)
     facts = {"verdict": as_zero_one(res).name}
     if times is not None:
@@ -303,21 +302,21 @@ def _auto_method(phi: BernsteinFunction, p: float) -> str:
 
 def mc_integral_moment(phi: BernsteinFunction, p: float, f: Integrand,
                        times: np.ndarray, N: int, seed: int, *,
-                       method: str = "auto", eps: float = 1e-4) -> MCEstimate:
+                       method: str = "auto") -> MCEstimate:
     """p-th moment of the integral of f over an explicit grid."""
     _require_finite_order(p)
     if method == "auto":
         method = _auto_method(phi, p)
     return _integral_mc(phi, f, times, N, seed,
-                        lambda v: _power_transform(v, p), method, eps)[0]
+                        lambda v: _power_transform(v, p), method)[0]
 
 
 def mc_moment(phi: BernsteinFunction, p: float, f: Integrand, T: float, N: int,
-              seed: int, *, method: str = "auto", dt: Optional[float] = None,
-              eps: float = 1e-4) -> MCEstimate:
+              seed: int, *, method: str = "auto",
+              dt: Optional[float] = None) -> MCEstimate:
     """p-th moment of the integral of f on (0, T]."""
     return mc_integral_moment(phi, p, f, _integral_grid(phi, f, T, dt)[1], N,
-                              seed, method=method, eps=eps)
+                              seed, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +440,7 @@ def _horizons(ts: Sequence[float]) -> list:
 def bound_scan(phi: BernsteinFunction, p: float, T_grid: Sequence[float], N: int,
                seed: int, *, theta: Optional[float] = None,
                lam: Optional[float] = None, dt: Optional[float] = None,
-               method: str = "auto", eps: float = 1e-4) -> BoundReport:
+               method: str = "auto") -> BoundReport:
     """Monte Carlo left sides against analytic right sides over the horizons
     of ``T_grid`` in ascending order."""
     T_grid = _horizons(T_grid)
@@ -454,8 +453,7 @@ def bound_scan(phi: BernsteinFunction, p: float, T_grid: Sequence[float], N: int
             f = constant(1.0)
         else:
             f = power_singular(theta)
-        est = mc_moment(phi, p, f, T, N, seed + 1000 * i,
-                        method=method, dt=dt, eps=eps)
+        est = mc_moment(phi, p, f, T, N, seed + 1000 * i, method=method, dt=dt)
         ests.append(est)
         rhss.append(bound_rhs(phi, p, T, theta=theta, lam=lam))
     return BoundReport(tuple(T_grid), tuple(ests), tuple(rhss), clause)

@@ -237,12 +237,12 @@ class SolutionPath:
 
 
 def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
-             dt: float, seed: int, *, eps: float = 1e-4) -> SolutionPath:
+             dt: float, seed: int) -> SolutionPath:
     """One replica of the system driven by ``driver`` on a uniform grid,
     drawn from stream (seed, 0) like the first chunk of every scan."""
     times = time_grid(T, dt)
     rng = stream(seed, 0)
-    d_sub = grid_increments(driver, times, rng, 1, eps=eps)
+    d_sub = grid_increments(driver, times, rng, 1)
     dw = rng.standard_normal((1, len(times) - 1, system.n))
     X = advance(system, times, d_sub, dw, path="state")
     Z = advance(system, times, d_sub, dw, path="convolution")
@@ -250,11 +250,11 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
     return SolutionPath(times, X[0], Z[0], svals)
 
 
-def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
+def _mc_paths(system, driver, times, N, seed, statistic):
     """Chunked two-stage Monte Carlo over replicas; ``statistic`` maps the
     chunk's subordinator increments (m, K) and standard normals (m, K, n) to
-    per-replica statistic rows (m,) or (m, n_out), stepping them with
-    :func:`advance` itself.
+    per-replica statistic rows (m,) or (m, n_out), stepping them itself
+    through :func:`advance` or :func:`steps`.
 
     ``driver`` is an exponent to draw subordinator increments from, or one
     frozen (K,) vector of increments shared by every replica.  Chunk j draws
@@ -275,7 +275,7 @@ def _mc_paths(system, driver, times, N, seed, statistic, *, eps=1e-4):
         if isinstance(driver, np.ndarray):
             d_sub = np.broadcast_to(driver, (m, K))
         else:
-            d_sub = grid_increments(driver, times, rng, m, eps=eps)
+            d_sub = grid_increments(driver, times, rng, m)
         return d_sub, rng.standard_normal((m, K, system.n))
 
     parts = []
@@ -356,8 +356,7 @@ def gate_convolution(phi: BernsteinFunction, p: float, theta: float, mode: str):
 
 def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
                             p: float, theta: float, t_grid: Sequence[float],
-                            N: int, seed: int, *, dt: float,
-                            eps: float = 1e-4) -> BoundReport:
+                            N: int, seed: int, *, dt: float) -> BoundReport:
     """Monte Carlo fractional-power moments of the convolution at several
     times, against the small-time right side."""
     gate_convolution(driver, p, theta, "small_time")
@@ -370,7 +369,7 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
         Z = advance(system, times, d_sub, dw, path="convolution")
         return fractional_power_norm(gam, theta, Z[:, cols, :]) ** p
 
-    ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
+    ests = _mc_paths(system, driver, times, N, seed, statistic)
     rhs = tuple(t ** (-p * theta) * inverse(driver, 1.0 / t) ** (-p / 2)
                 for t in t_grid)
     return BoundReport(tuple(t_grid), tuple(ests), rhs, "convolution/small_time")
@@ -378,8 +377,7 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
 
 def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
                             p: float, T_grid: Sequence[float], N: int,
-                            seed: int, *, dt: float,
-                            eps: float = 1e-4) -> BoundReport:
+                            seed: int, *, dt: float) -> BoundReport:
     """Grid-maximum moments of |Z| per horizon against the maximal bound.
 
     The gate is that of :func:`gate_convolution` at theta = 0: stationary
@@ -398,7 +396,7 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
         running = np.maximum.accumulate(_norms_in_place(Z), axis=1)
         return running[:, cols] ** p
 
-    ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
+    ests = _mc_paths(system, driver, times, N, seed, statistic)
     rhs = tuple(inverse(driver, 1.0 / T) ** (-p / 2) for T in T_grid)
     return BoundReport(tuple(T_grid), tuple(ests), rhs, "maximal")
 
@@ -431,8 +429,7 @@ class SmallBallResult:
 
 
 def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
-               T: float, N: int, seed: int, *, dt: float,
-               eps: float = 1e-4) -> SmallBallResult:
+               T: float, N: int, seed: int, *, dt: float) -> SmallBallResult:
     """Empirical probability that the convolution stays inside a delta-ball,
     with the analytic lower bound evaluated at an empirical constant: the
     moment of order p = 0.9 log2 inf phi(2s)/phi(s) of S_T, a second column
@@ -452,7 +449,7 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
             return inside
         return np.column_stack([inside, d_sub.sum(axis=1) ** pu])
 
-    est, *moment = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
+    est, *moment = _mc_paths(system, driver, times, N, seed, statistic)
     k = int(round(est.mean * N))
     lo, hi = wilson_interval(k, N)
     lb = None
@@ -481,8 +478,7 @@ def _running_trapezoid(vals: np.ndarray, dt: float) -> np.ndarray:
 
 def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
                         p: float, theta: float, horizons: Sequence[float],
-                        N: int, seed: int, *, dt: float,
-                        eps: float = 1e-4) -> LongRunReport:
+                        N: int, seed: int, *, dt: float) -> LongRunReport:
     """Time-averaged moments of |Lambda^theta X_t| over [1, T+1] per horizon.
 
     Bounded output across growing horizons is the tightness evidence for the
@@ -508,7 +504,7 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
         running = _running_trapezoid(vals, dt)
         return running[:, offsets] / np.array(Ts)
 
-    out = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
+    out = _mc_paths(system, driver, times, N, seed, statistic)
     return LongRunReport(tuple(Ts), tuple(out))
 
 
@@ -583,6 +579,8 @@ def synthesize_null_controller(system: GalerkinSystem, times: np.ndarray,
     T = float(times[-1])
     if ell.shape != times.shape or ell[0] != 0.0 or np.any(np.diff(ell) <= 0):
         raise DomainError("clock must be strictly increasing from 0 on the grid")
+    if max_iter < 1:
+        raise DomainError(f"need at least one sweep, got max_iter = {max_iter}")
     if system.drift_lip > 0 and T >= 1.0 / system.drift_lip:
         raise PreconditionError(
             f"horizon {T:g} is not below 1/drift_lip = {1.0 / system.drift_lip:g}")
@@ -666,8 +664,7 @@ def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
 
 def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
                    driver: BernsteinFunction, T: float, dt: float, N: int,
-                   seed: int, *, delta: float = 0.05,
-                   eps: float = 1e-4) -> GalerkinReport:
+                   seed: int, *, delta: float = 0.05) -> GalerkinReport:
     """Coupled truncation errors against the reference dimension.
 
     Every truncation reuses the reference replica's subordinator path and the
@@ -685,7 +682,7 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
         sup = _sup_errors(system, subsystems, times, d_sub, dw)
         return np.hstack([sup ** 2, sup > delta])
 
-    ests = _mc_paths(system, driver, times, N, seed, statistic, eps=eps)
+    ests = _mc_paths(system, driver, times, N, seed, statistic)
     J = len(truncations)
     probs = []
     for est in ests[J:]:

@@ -4,8 +4,8 @@ Grid paths are (n_paths, K) arrays of increments over the cells of a time
 grid: stable and gamma increments are exact in law, drift-only ones are
 deterministic, and every other simulable exponent bins the jumps of its
 compound Poisson approximation into the cells.  That approximation keeps
-the jumps above a cutoff eps and folds the small jumps into an extra drift,
-so every path is nondecreasing.
+the jumps above the exponent's cutoff ``phi.eps`` and folds the small jumps
+into an extra drift, so every path is nondecreasing.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def gamma_grid_increments(times: np.ndarray, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 class _JumpSampler:
-    """Inverse-CDF sampler for the jump measure restricted to [eps, inf).
+    """Inverse-CDF sampler for the jump measure restricted to [phi.eps, inf).
 
     The restricted tail CDF is tabulated on log-spaced knots and inverted by
     linear interpolation; catalogs with an exact Pareto tail (stable) use
@@ -130,9 +130,9 @@ class _JumpSampler:
     split cells fall back to a binary search.
     """
 
-    def __init__(self, phi: BernsteinFunction, eps: float):
+    def __init__(self, phi: BernsteinFunction):
         trip = phi.triplet
-        self.eps = eps
+        self.eps = eps = phi.eps
         self.rate = trip.tail_mass(eps)
         self.alpha = phi.params[0] if phi.kind is Catalog.STABLE else None
         self.table_gap = 0.0
@@ -215,39 +215,39 @@ class _JumpSampler:
 _TABLE_LOCK = threading.Lock()
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_jump_sampler(phi: BernsteinFunction, eps: float) -> _JumpSampler:
-    return _JumpSampler(phi, eps)
+# keyed on the driver alone, whose cutoff is one of its fields
+_cached_jump_sampler = functools.lru_cache(maxsize=16)(_JumpSampler)
 
 
-def jump_sampler(phi: BernsteinFunction, eps: float) -> _JumpSampler:
-    """The jump sampler of (phi, eps), built once and then shared.
+def jump_sampler(phi: BernsteinFunction) -> _JumpSampler:
+    """The jump sampler of phi above its cutoff ``phi.eps``, built once per
+    driver and then shared.
 
     The lock makes concurrent Monte Carlo blocks wait for the first build
     instead of building the same table again.
     """
     with _TABLE_LOCK:
-        return _cached_jump_sampler(phi, eps)
+        return _cached_jump_sampler(phi)
 
 
-def cp_jump_batch(phi: BernsteinFunction, T: float, eps: float,
-                  rng: np.random.Generator, n_paths: int):
+def cp_jump_batch(phi: BernsteinFunction, T: float, rng: np.random.Generator,
+                  n_paths: int):
     """Vectorized compound Poisson jumps for n_paths replicas on (0, T].
 
-    Jumps of size >= eps arrive at rate nu([eps, inf)); smaller jumps are
-    compensated by adding their mean rate to the drift, which preserves
-    monotone paths.  Returns (drift, counts, times, sizes) with times/sizes
-    flattened in path order, unsorted within a path; segment boundaries
-    follow from counts.
+    Jumps of size >= eps = phi.eps arrive at rate nu([eps, inf)); smaller
+    jumps are compensated by adding their mean rate to the drift, which
+    preserves monotone paths.  Returns (drift, counts, times, sizes) with
+    times/sizes flattened in path order, unsorted within a path; segment
+    boundaries follow from counts.
     """
     if not 0 < T < math.inf:
         raise DomainError("horizon must be positive and finite")
-    if not 0 < eps < math.inf:
+    if not 0 < phi.eps < math.inf:
         raise DomainError("jump cutoff must be positive and finite")
     if not phi.simulable:
         raise CapabilityError(f"{phi.name}: no jump structure attached")
     trip = phi.triplet
-    sampler = jump_sampler(phi, eps)
+    sampler = jump_sampler(phi)
     lam = sampler.rate * T
     if not lam <= POISSON_LAM_MAX:
         raise DomainError(f"jump rate x horizon = {lam:g} is too large; raise eps")
@@ -255,18 +255,17 @@ def cp_jump_batch(phi: BernsteinFunction, T: float, eps: float,
     total = int(counts.sum())
     times = rng.uniform(0.0, T, total)
     sizes = sampler.draw(rng, total)
-    drift = trip.drift + trip.small_jump_mean(eps)
+    drift = trip.drift + trip.small_jump_mean(phi.eps)
     return drift, counts, times, sizes
 
 
 def grid_increments(phi: BernsteinFunction, times: np.ndarray,
-                    rng: np.random.Generator, n_paths: int = 1,
-                    eps: float = 1e-4) -> np.ndarray:
+                    rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
     """(n_paths, K) subordinator increments over the cells of ``times``.
 
     Stable and gamma exponents are exact in law; drift-only is deterministic;
     any other simulable exponent goes through the compound Poisson route with
-    cutoff eps, jumps binned into cells.
+    cutoff ``phi.eps``, jumps binned into cells.
     """
     times = np.asarray(times, dtype=float)
     dt = np.diff(times)
@@ -276,7 +275,7 @@ def grid_increments(phi: BernsteinFunction, times: np.ndarray,
         return gamma_grid_increments(times, rng, n_paths)
     if phi.kind is Catalog.DRIFT_ONLY:
         return np.broadcast_to(phi.params[0] * dt, (n_paths, dt.size)).copy()
-    drift, counts, jt, js = cp_jump_batch(phi, float(times[-1]), eps, rng, n_paths)
+    drift, counts, jt, js = cp_jump_batch(phi, float(times[-1]), rng, n_paths)
     out = np.tile(drift * dt, (n_paths, 1))
     path_of = np.repeat(np.arange(n_paths), counts)
     # jump at exactly times[k] belongs to the cell ending there

@@ -1,10 +1,14 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subsing
 from subsing import bernstein as bf
 from subsing.errors import DomainError, RangeError
 
@@ -157,3 +161,22 @@ def test_log_family_subadditive(alpha, beta):
     phi = bf.stable_log(alpha, beta)
     s = np.geomspace(1e-6, 1e6, 49)
     assert np.all(phi(2 * s) <= 2 * phi(s) * (1 + 1e-12))
+
+
+def test_cutoff_has_one_home():
+    # the jump cutoff is part of the driver's law and travels with it: no
+    # function of the package takes it but the two that set it
+    takers = set()
+    for info in pkgutil.iter_modules(subsing.__path__):
+        module = importlib.import_module(f"subsing.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue   # imported, not defined here
+            members = ([(f"{name}.{k}", v) for k, v in vars(obj).items()]
+                       if inspect.isclass(obj) else [(name, obj)])
+            for qualname, fn in members:
+                # static and class methods, and cached functions
+                fn = inspect.unwrap(getattr(fn, "__func__", fn))
+                if inspect.isfunction(fn) and "eps" in inspect.signature(fn).parameters:
+                    takers.add(qualname)
+    assert takers == {"parse_phi", "BernsteinFunction.__init__"}

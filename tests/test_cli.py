@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import math
 import os
 import shlex
 import subprocess
@@ -114,6 +115,16 @@ def test_spde_header_omits_unused_truncations(tmp_path):
 def test_spde_empty_phi_exit_code(mode, capsys):
     assert run(["spde", mode, "--phi=", "--n", "2"]) == 1
     assert "unknown exponent id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_iter, a4_c", [("0", "4"), ("-3", "4"), ("0", "0.01")])
+def test_spde_control_without_sweeps_exit_code(max_iter, a4_c, capsys):
+    # no sweep would leave a control built from the initial guess; the count
+    # is refused before the inverse-diffusion probe, which C = 0.01 fails
+    assert run(["spde", "control", "--n", "2", "--q-const", "--a4-c", a4_c,
+                "--T", "0.5", "--dt", "0.125", "--max-iter", max_iter]) == 1
+    assert capsys.readouterr().err == (
+        f"error: need at least one sweep, got max_iter = {max_iter}\n")
 
 
 @pytest.mark.parametrize("dt", ["0.3", "5"])
@@ -322,6 +333,21 @@ def test_median_of_means_of_one_path_exit_code(method, capsys):
     assert capsys.readouterr().err == "error: median of means needs two or more paths\n"
 
 
+@pytest.mark.parametrize("argv, columns", [
+    (["sim", "--phi", "stable:0.5"], ("mc_se", "z")),
+    (["moment", "mc", "--phi", "gamma", "--p", "0.5", "--f", "pow:0.5"], ("se",)),
+    (["spde", "maximal", "--dt", "0.25"], ("se",)),
+])
+def test_one_path_standard_error_is_nan(argv, columns, capsys):
+    # one path shows no spread: an se of 0 would read as an exact estimate
+    assert run([*argv, "--paths", "1"]) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                     if not line.startswith("#")]
+    assert rows
+    for name in columns:
+        assert all(math.isnan(float(row[header.index(name)])) for row in rows)
+
+
 def test_integrate_records_jump_table(tmp_path):
     from subsing import bernstein as bf
     from subsing.subordinator import jump_sampler
@@ -329,7 +355,7 @@ def test_integrate_records_jump_table(tmp_path):
     assert run(["integrate", "--f", "exp:1", "--phi", "tempered:0.5,1",
                 "--paths", "300", "--seed", "4", "--out", str(out)]) == 0
     facts = _manifest(out)
-    sampler = jump_sampler(bf.tempered_stable(0.5, 1.0), 1e-4)
+    sampler = jump_sampler(bf.parse_phi("tempered:0.5,1", 1e-4))
     assert int(facts["inv_cdf_knots"]) == sampler._knots.size
     assert float(facts["inv_cdf_max_gap"]) == sampler.table_gap > 0
     # the record goes to the manifest only; the row is the one drawn over
@@ -470,9 +496,9 @@ def test_sim_checks_r_before_drawing(r, monkeypatch, capsys):
 def test_sim_draws_each_path_once(monkeypatch):
     variates = []
 
-    def counted(phi, times, rng, n_paths=1, eps=1e-4):
+    def counted(phi, times, rng, n_paths=1):
         variates.append(n_paths * (len(times) - 1))
-        return draw(phi, times, rng, n_paths, eps)
+        return draw(phi, times, rng, n_paths)
 
     draw = moments.grid_increments
     monkeypatch.setattr(moments, "grid_increments", counted)
@@ -490,9 +516,9 @@ def test_smallball_draws_only_its_paths(monkeypatch):
     # the probability, not from a sample of its own
     drawn = []
 
-    def counted(phi, times, rng, n_paths=1, eps=1e-4):
+    def counted(phi, times, rng, n_paths=1):
         drawn.append(n_paths)
-        return draw(phi, times, rng, n_paths, eps)
+        return draw(phi, times, rng, n_paths)
 
     draw = spde.grid_increments
     monkeypatch.setattr(spde, "grid_increments", counted)
@@ -1035,6 +1061,31 @@ def _read_log():
             return super().__getattribute__(name)
 
     return ReadLog(), reads
+
+
+def test_cutoff_reaches_every_drawing_command(monkeypatch, capsys):
+    # each command with --eps hands it to the driver, and the jump table of
+    # its run is built for that cutoff
+    from subsing import subordinator as sub
+    drawing = [path for path in AUDIT_RUNS
+               if any(a.dest == "eps" for a in _leaf(path)._actions)]
+    assert sorted(drawing) == sorted([
+        ("sim",), ("path",), ("integrate",), ("moment", "mc"), ("moment", "bound"),
+        *(("spde", mode) for mode in cli.SPDE_MODES)])
+    built = []
+    init = sub._JumpSampler.__init__
+
+    def spy(self, phi):
+        built.append(phi.eps)
+        init(self, phi)
+
+    monkeypatch.setattr(sub._JumpSampler, "__init__", spy)
+    for path in drawing:
+        sub._cached_jump_sampler.cache_clear()
+        built.clear()
+        argv = [*path, *AUDIT_RUNS[path], "--phi", "tempered:0.5,1", "--eps", "3e-3"]
+        assert run(argv) == 0, (path, capsys.readouterr().err)
+        assert built == [3e-3], path
 
 
 def test_reader_audit_covers_every_mode():

@@ -84,8 +84,8 @@ def test_determinism_bit_identical():
     a = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
     b = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
     assert np.array_equal(a, b)
-    g1 = sub.cp_jump_batch(bf.gamma_exponent(), 1.0, 1e-3, as_generator(5), 1)
-    g2 = sub.cp_jump_batch(bf.gamma_exponent(), 1.0, 1e-3, as_generator(5), 1)
+    g1 = sub.cp_jump_batch(bf.parse_phi("gamma", 1e-3), 1.0, as_generator(5), 1)
+    g2 = sub.cp_jump_batch(bf.parse_phi("gamma", 1e-3), 1.0, as_generator(5), 1)
     assert g1[0] == g2[0]
     assert all(np.array_equal(a, b) for a, b in zip(g1[1:], g2[1:]))
 
@@ -97,9 +97,9 @@ def test_general_path_is_one_sorted_jump_batch(phi_id, T, eps):
     # one replica, as `subsing path` exports it with its times sorted: every
     # jump lies in (0, T] at a distinct time, and the drift takes the mean
     # of the jumps below the cutoff
-    phi = bf.parse_phi(phi_id)
+    phi = bf.parse_phi(phi_id, eps)
     for seed in (0, 7):
-        drift, counts, times, sizes = sub.cp_jump_batch(phi, T, eps,
+        drift, counts, times, sizes = sub.cp_jump_batch(phi, T,
                                                         as_generator(seed), 1)
         assert counts.tolist() == [len(times)] == [len(sizes)]
         assert drift == phi.triplet.drift + phi.triplet.small_jump_mean(eps)
@@ -115,7 +115,8 @@ def test_laplace_certification_all_simulable():
              (bf.tempered_stable(0.5, 1.0), 2), (bf.drift_only(0.7), 3)]
     for phi, k in cases:
         rng = stream(41, k)
-        inc = sub.grid_increments(phi, times, rng, 100_000, eps=1e-4)
+        inc = sub.grid_increments(dataclasses.replace(phi, eps=1e-4), times, rng,
+                                  100_000)
         s1 = inc.sum(axis=1)
         for r in (0.5, 1.0, 2.0):
             vals = np.exp(-r * s1)
@@ -125,29 +126,29 @@ def test_laplace_certification_all_simulable():
 
 
 def test_compound_poisson_structure():
-    phi = bf.gamma_exponent()
-    drift, _, times, sizes = sub.cp_jump_batch(phi, 2.0, 1e-2, as_generator(11), 1)
+    phi = bf.parse_phi("gamma", 1e-2)
+    drift, _, times, sizes = sub.cp_jump_batch(phi, 2.0, as_generator(11), 1)
     assert np.all(sizes >= 1e-2)
     assert drift == pytest.approx(phi.triplet.small_jump_mean(1e-2))
     assert np.all(np.diff(np.sort(times)) > 0)
-    record = sub.jump_sampler(phi, 1e-2).record()
+    record = sub.jump_sampler(phi).record()
     assert record["inv_cdf_knots"] == sub.INV_CDF_KNOTS
     assert 0 < record["inv_cdf_max_gap"] < 1
 
 
 def test_general_requires_jump_structure():
     with pytest.raises(CapabilityError):
-        sub.cp_jump_batch(bf.ratio(0.5), 1.0, 1e-2, as_generator(0), 1)
+        sub.cp_jump_batch(bf.parse_phi("ratio:0.5", 1e-2), 1.0, as_generator(0), 1)
     for T, eps in ((1.0, -1.0), (math.nan, 1e-2), (math.inf, 1e-2), (0.0, 1e-2)):
         with pytest.raises(DomainError):
-            sub.cp_jump_batch(bf.gamma_exponent(), T, eps, as_generator(0), 1)
+            sub.cp_jump_batch(bf.parse_phi("gamma", eps), T, as_generator(0), 1)
 
 
 def test_general_mean_drift_compensation():
     # mean of S_T for the gamma driver is T regardless of the cutoff
-    phi = bf.gamma_exponent()
+    phi = bf.parse_phi("gamma", 1e-3)
     rng = stream(13, 0)
-    _, counts, times, sizes = sub.cp_jump_batch(phi, 2.0, 1e-3, rng, 4000)
+    _, counts, times, sizes = sub.cp_jump_batch(phi, 2.0, rng, 4000)
     drift = phi.triplet.drift + phi.triplet.small_jump_mean(1e-3)
     path_of = np.repeat(np.arange(4000), counts)
     totals = np.bincount(path_of, weights=sizes, minlength=4000) + drift * 2.0
@@ -163,7 +164,8 @@ def test_laplace_error_shrinks_with_cutoff():
     errs = []
     for k, eps in enumerate((1e-1, 1e-2, 1e-3)):
         rng = stream(17, k)
-        drift, counts, _, sizes = sub.cp_jump_batch(phi, T, eps, rng, n)
+        drift, counts, _, sizes = sub.cp_jump_batch(
+            dataclasses.replace(phi, eps=eps), T, rng, n)
         path_of = np.repeat(np.arange(n), counts)
         s_T = np.bincount(path_of, weights=sizes, minlength=n) + drift * T
         vals = np.exp(-r * s_T)
@@ -181,7 +183,7 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("name", ["tempered:0.5,1", "tempered:0.3,2", "gamma"])
 def test_jump_lookup_equals_linear_interpolation(name):
     # the guide-table inversion is np.interp on the table, bit for bit
-    sampler = sub.jump_sampler(bf.parse_phi(name), 1e-4)
+    sampler = sub.jump_sampler(bf.parse_phi(name, 1e-4))
     cdf, knots = sampler._cdf, sampler._knots
     assert np.any(np.diff(cdf) == 0.0)   # the table has flat steps to cover
     edges = np.arange(sub.GUIDE_CELLS) / sub.GUIDE_CELLS
@@ -199,13 +201,13 @@ def test_jump_lookup_equals_linear_interpolation(name):
 def test_jump_table_reads_only_the_tail_mass():
     # the inverse-CDF table is built from tail_mass alone, so a driver
     # without a density samples exactly as the catalog tempered driver does
-    ref = bf.parse_phi("tempered:0.5,1")
+    ref = bf.parse_phi("tempered:0.5,1", 1e-4)
     bare = dataclasses.replace(
         ref, triplet=dataclasses.replace(ref.triplet, density=None))
     u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)],
                         stream(5, 0).uniform(0.0, 1.0, 10_000)))
-    assert _same_bits(sub._JumpSampler(bare, 1e-4).quantile(u),
-                      sub._JumpSampler(ref, 1e-4).quantile(u))
+    assert _same_bits(sub._JumpSampler(bare).quantile(u),
+                      sub._JumpSampler(ref).quantile(u))
 
 
 def test_compound_poisson_estimate_pinned():
