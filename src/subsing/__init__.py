@@ -4,9 +4,9 @@ subordinators and for SPDEs driven by subordinated Brownian noise."""
 __version__ = "0.1.0"
 
 from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
-                        LevyTriplet, doubling_indices, drift_only,
-                        gamma_exponent, inverse, parse_phi, ratio, stable,
-                        stable_log, stable_log_inv, tempered_stable)
+                        doubling_indices, drift_only, gamma_exponent, inverse,
+                        parse_phi, ratio, stable, stable_log, stable_log_inv,
+                        tempered_stable)
 from .integrate import (Integrand, ZeroOne, constant, exponential,
                         finiteness_criterion, parse_integrand, power_singular,
                         time_reversed, zero_one_verdict)

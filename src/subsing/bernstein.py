@@ -2,8 +2,7 @@
 
 A subordinator is pinned down by its Laplace exponent phi through
 E[exp(-r S_t)] = exp(-t phi(r)).  This module carries a small catalog of
-exponents (with jump measures attached where a usable closed form exists),
-a robust numeric inverse, and the doubling indices
+exponents, a robust numeric inverse, and the doubling indices
 
     log2 of  inf/sup/liminf_0/limsup_inf  of  phi(2s)/phi(s)
 
@@ -14,7 +13,7 @@ which gate the validity regions of the general moment bounds implemented in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -35,40 +34,19 @@ class Catalog(Enum):
 
 
 @dataclass(frozen=True)
-class LevyTriplet:
-    """Drift plus jump measure of a subordinator.
-
-    ``density`` is d(nu)/ds on (0, inf), or None when only integrated
-    quantities are known.  ``tail_mass(eps)`` is nu([eps, inf)) and
-    ``small_jump_mean(eps)`` is the partial first moment of nu on (0, eps];
-    both may be analytic or quadrature-backed.
-    """
-
-    drift: float
-    density: Optional[Callable[[np.ndarray], np.ndarray]]
-    tail_mass: Callable[[float], float]
-    small_jump_mean: Callable[[float], float]
-
-    def __post_init__(self):
-        if self.drift < 0:
-            raise DomainError("drift must be nonnegative")
-
-
-@dataclass(frozen=True)
 class BernsteinFunction:
-    """A Laplace exponent with optional jump structure and a catalog identity,
-    and ``eps``, the jump cutoff of its compound Poisson draws."""
+    """A Laplace exponent with its catalog identity."""
 
     name: str
     kind: Catalog
     params: tuple
     fn: Callable[[np.ndarray], np.ndarray]
-    triplet: Optional[LevyTriplet] = None
-    eps: float = 1e-4
 
     @property
     def simulable(self) -> bool:
-        return self.triplet is not None
+        """Whether its grid increments have an exact sampler."""
+        return self.kind in (Catalog.STABLE, Catalog.GAMMA,
+                             Catalog.TEMPERED_STABLE, Catalog.DRIFT_ONLY)
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
@@ -86,31 +64,13 @@ def stable(alpha: float) -> BernsteinFunction:
     """phi(s) = s^alpha; jump density alpha/Gamma(1-alpha) s^{-1-alpha}."""
     if not 0 < alpha < 1:
         raise DomainError("stable index must lie in (0, 1)")
-    c = alpha / math.gamma(1 - alpha)
-    triplet = LevyTriplet(
-        drift=0.0,
-        density=lambda s, c=c, a=alpha: c * s ** (-1 - a),
-        tail_mass=lambda eps, a=alpha: eps ** (-a) / math.gamma(1 - a),
-        small_jump_mean=lambda eps, c=c, a=alpha: c / (1 - a) * eps ** (1 - a),
-    )
     return BernsteinFunction(f"stable:{alpha:g}", Catalog.STABLE, (alpha,),
-                             lambda s, a=alpha: s ** a, triplet)
+                             lambda s, a=alpha: s ** a)
 
 
 def gamma_exponent() -> BernsteinFunction:
     """phi(s) = log(1+s); jump density s^{-1} e^{-s}."""
-
-    def tail(eps):
-        from scipy import special
-        return float(special.exp1(eps))
-
-    triplet = LevyTriplet(
-        drift=0.0,
-        density=lambda s: np.exp(-s) / s,
-        tail_mass=tail,
-        small_jump_mean=lambda eps: float(-np.expm1(-eps)),
-    )
-    return BernsteinFunction("gamma", Catalog.GAMMA, (), np.log1p, triplet)
+    return BernsteinFunction("gamma", Catalog.GAMMA, (), np.log1p)
 
 
 def tempered_stable(alpha: float, lam: float) -> BernsteinFunction:
@@ -119,32 +79,13 @@ def tempered_stable(alpha: float, lam: float) -> BernsteinFunction:
         raise DomainError("tempering requires alpha in (0, 1)")
     if not 0 < lam < math.inf:
         raise DomainError("tempering rate must be positive and finite")
-    c = alpha / math.gamma(1 - alpha)
 
-    def tail(eps, a=alpha, l=lam, c=c):
-        # int_eps^inf c s^{-1-a} e^{-ls} ds = c l^a Gamma(-a, l eps), via
-        # Gamma(-a, x) = (x^{-a} e^{-x} - Gamma(1-a, x)) / a
-        from scipy import special
-        x = l * eps
-        upper_1ma = special.gammaincc(1 - a, x) * math.gamma(1 - a)
-        return c * l ** a * (x ** (-a) * math.exp(-x) - upper_1ma) / a
-
-    def sjm(eps, a=alpha, l=lam, c=c):
-        from scipy import special
-        return c * l ** (a - 1) * math.gamma(1 - a) * special.gammainc(1 - a, l * eps)
-
-    triplet = LevyTriplet(
-        drift=0.0,
-        density=lambda s, a=alpha, l=lam, c=c: c * s ** (-1 - a) * np.exp(-l * s),
-        tail_mass=tail,
-        small_jump_mean=sjm,
-    )
     def fn(s, a=alpha, l=lam):
         # (s+l)^a - l^a without cancellation for s << l
         return l ** a * np.expm1(a * np.log1p(s / l))
 
     return BernsteinFunction(f"tempered:{alpha:g},{lam:g}", Catalog.TEMPERED_STABLE,
-                             (alpha, lam), fn, triplet)
+                             (alpha, lam), fn)
 
 
 def stable_log(alpha: float, beta: float) -> BernsteinFunction:
@@ -177,11 +118,8 @@ def drift_only(b: float) -> BernsteinFunction:
     """phi(s) = b s; deterministic subordinator S_t = b t."""
     if not 0 <= b < math.inf:
         raise DomainError("drift must be nonnegative and finite")
-    triplet = LevyTriplet(drift=b, density=None,
-                          tail_mass=lambda eps: 0.0,
-                          small_jump_mean=lambda eps: 0.0)
     return BernsteinFunction(f"drift:{b:g}", Catalog.DRIFT_ONLY, (b,),
-                             lambda s, b=b: b * s, triplet)
+                             lambda s, b=b: b * s)
 
 
 def custom(fn: Callable, name: str = "custom") -> BernsteinFunction:
@@ -209,13 +147,12 @@ def parse_id(ident: str, makers: dict, what: str):
         raise DomainError(f"bad parameter list for '{ident}': {exc}") from None
 
 
-def parse_phi(ident: str, eps: float = 1e-4) -> BernsteinFunction:
-    """The catalog exponent of an id like ``stable:0.5``, with jump cutoff ``eps``."""
-    phi = parse_id(ident, {"stable": stable, "gamma": gamma_exponent,
-                           "tempered": tempered_stable, "stablelog": stable_log,
-                           "stableloginv": stable_log_inv, "ratio": ratio,
-                           "drift": drift_only}, "exponent")
-    return replace(phi, eps=eps)
+def parse_phi(ident: str) -> BernsteinFunction:
+    """The catalog exponent of an id like ``stable:0.5``."""
+    return parse_id(ident, {"stable": stable, "gamma": gamma_exponent,
+                            "tempered": tempered_stable, "stablelog": stable_log,
+                            "stableloginv": stable_log_inv, "ratio": ratio,
+                            "drift": drift_only}, "exponent")
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, mc, moments, spde
-from .bernstein import Catalog, doubling_indices, inverse, parse_phi
+from .bernstein import doubling_indices, inverse, parse_phi
 from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
 from .integrate import as_zero_one, finiteness_criterion, parse_integrand
 from .rng import as_generator, stream
-from .subordinator import (EXACT_GRID_KINDS, cp_jump_batch, grid_increments,
-                           jump_sampler, time_grid)
+from .subordinator import grid_increments, time_grid
 
 USAGE_EXIT = 64
 REFUSAL_EXIT = 2
@@ -112,7 +111,7 @@ def cmd_bf(args):
 
 def cmd_sim(args):
     """Laplace certification of the replica ensemble, one row per r."""
-    phi = parse_phi(args.phi, args.eps)
+    phi = parse_phi(args.phi)
     times = time_grid(args.T, args.dt)
     if not args.r:
         raise DomainError("--r needs at least one value")
@@ -126,40 +125,23 @@ def cmd_sim(args):
 
 
 def cmd_path(args):
-    """One path: grid values of a stable driver, else its jump list.
-
-    The header echoes only the flags that shaped the output: ``--dt`` for
-    the grid, ``--eps`` for the jump list.
-    """
-    phi = parse_phi(args.phi, args.eps)
-    rng = as_generator(args.seed)
-    if phi.kind is Catalog.STABLE:
-        del args.eps
-        times = time_grid(args.T, args.dt)
-        inc = grid_increments(phi, times, rng)[0]
-        values = np.concatenate(([0.0], np.cumsum(inc)))
-        return _header(args) + _csv("t,S_t", zip(times, values))
-    del args.dt
-    drift, _, times, sizes = cp_jump_batch(phi, args.T, rng, 1)
-    sampler = jump_sampler(phi)
-    args.manifest.update(jump_rate=sampler.rate,
-                         small_jump_drift=phi.triplet.small_jump_mean(phi.eps),
-                         **sampler.record())
-    return (_header(args) + [f"# drift={_fmt(drift)},T={_fmt(args.T)}"]
-            + _csv("time,size", zip(np.sort(times), sizes)))
+    """One path: the values t,S_t on the grid of step ``--dt``."""
+    phi = parse_phi(args.phi)
+    times = time_grid(args.T, args.dt)
+    inc = grid_increments(phi, times, as_generator(args.seed))[0]
+    values = np.concatenate(([0.0], np.cumsum(inc)))
+    return _header(args) + _csv("t,S_t", zip(times, values))
 
 
 def cmd_integrate(args):
-    phi = parse_phi(args.phi, args.eps)
+    phi = parse_phi(args.phi)
     f = parse_integrand(args.f)
     row, facts = moments.integral_summary(phi, f, args.T, args.paths, args.seed,
                                           dt=args.dt)
     args.manifest.update(facts)
     if "grid_nodes" not in facts:
         # an a.s. infinite integral draws nothing: no grid or draw flag is echoed
-        del args.dt, args.eps, args.seed
-    elif phi.kind not in EXACT_GRID_KINDS:
-        args.manifest.update(jump_sampler(phi).record())
+        del args.dt, args.seed
     return _header(args) + _csv("n,finite_fraction,mean,se,median", [row])
 
 
@@ -189,7 +171,7 @@ def cmd_moment(args):
         if res.criterion_value is not None:
             lines.append(f"criterion_value={_fmt(res.criterion_value)}")
         return lines
-    phi = parse_phi(args.phi, args.eps)
+    phi = parse_phi(args.phi)
     if args.mode == "mc":
         f = parse_integrand(args.f)
         est = moments.mc_moment(phi, args.p, f, args.T, args.paths, args.seed,
@@ -244,7 +226,7 @@ def _build_system(args, a4) -> spde.GalerkinSystem:
 
 
 def cmd_spde(args):
-    phi = parse_phi(args.phi, args.eps)
+    phi = parse_phi(args.phi)
     c, delta = (args.a4_c, args.a4_delta) if args.mode == "control" else (0, 0)
     system = _build_system(args, (c, delta) if c else None)
     if args.mode == "galerkin" and args.truncations is None:
@@ -325,7 +307,7 @@ def _domain(text: str):
 
 
 # each flag of the moment and spde modes is defined once; every mode takes
-# the flags that it reads, plus --seed and --eps where it draws
+# the flags that it reads, plus --seed where it draws
 MOMENT_FLAGS = {
     "--phi": dict(required=True),
     "--alpha": dict(type=float, required=True),
@@ -392,8 +374,6 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--eps", type=float, default=1e-4,
-                        help="jump cutoff for compound Poisson drivers")
 
     q = sub.add_parser("bf", help="exponent report: indices, evaluation, inverse")
     q.add_argument("--phi", required=True)

@@ -10,7 +10,7 @@ class RangeError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """The object cannot support the requested operation (e.g. no jump measure attached)."""
+    """The object cannot support the requested operation (e.g. no exact grid sampler)."""
 
 
 class PreconditionError(ValueError):

@@ -20,13 +20,13 @@ import numpy as np
 from . import mc
 from .bernstein import (BernsteinFunction, Catalog, doubling_indices, inverse,
                         log_growth_liminf, stable)
-from .errors import CapabilityError, DomainError, GateViolation, NumericError
+from .errors import DomainError, GateViolation, NumericError
 from .integrate import (OVERFLOW_GUARD, Integrand, IntegrandKind, Verdict,
                         as_zero_one, cell_means, constant, exponential,
                         finiteness_criterion, improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
-from .subordinator import _check_node_count, grid_increments, power_graded_grid, time_grid
+from .subordinator import cell_count, grid_increments, power_graded_grid, time_grid
 
 GRID_BIAS_TOL = 1e-5    # |bias| a default grid must certify, see grid_bias
 FIRST_CELLS = 32        # the default grids double from here ...
@@ -160,10 +160,10 @@ def grid_bias(phi: BernsteinFunction, f: Integrand, times: np.ndarray,
     """Bias exp(-sum h_k phi(w_k)) - exp(-int phi(f)) of the grid Laplace
     functional, with w_k the cell averages of f.
 
-    The increments of stable, gamma and drift-only subordinators are exact
-    in law, so E exp(-sum_k w_k dS_k) = exp(-sum_k h_k phi(w_k)) and this is
-    the exact discretization bias of the Monte Carlo target; nan when the
-    criterion integral is undetermined.  ``exact`` is int phi(f) if known.
+    Grid increments are exact in law for every simulable exponent, so
+    E exp(-sum_k w_k dS_k) = exp(-sum_k h_k phi(w_k)) and this is the exact
+    discretization bias of the Monte Carlo target; nan when the criterion
+    integral is undetermined.  ``exact`` is int phi(f) if known.
     """
     times = np.asarray(times, dtype=float)
     if exact is None:
@@ -174,11 +174,14 @@ def grid_bias(phi: BernsteinFunction, f: Integrand, times: np.ndarray,
 
 def _default_times(f: Integrand, T: float, dt: Optional[float],
                    phi: BernsteinFunction, exact: float) -> np.ndarray:
-    """Grid on [0, T]: from ``dt`` if given, else the coarsest of 32, 64, ...
-    cells (at most MAX_CELLS) whose :func:`grid_bias` against ``exact``, the
-    integral of phi(f) over (0, T], is within GRID_BIAS_TOL."""
-    if not (0 < T < math.inf and (dt is None or 0 < dt < math.inf)):
+    """Grid on [0, T]: T / dt cells if ``dt`` is given, which must divide T
+    as in :func:`time_grid`, else the coarsest of 32, 64, ... cells (at most
+    MAX_CELLS) whose :func:`grid_bias` against ``exact``, the integral of
+    phi(f) over (0, T], is within GRID_BIAS_TOL.  A constant f takes the one
+    cell [0, T]."""
+    if not 0 < T < math.inf:
         raise DomainError("T and dt must be positive and finite")
+    cells = None if dt is None else cell_count(T, dt)
     if f.kind is IntegrandKind.CONSTANT:
         return np.array([0.0, T])
     if f.kind is IntegrandKind.POWER_SINGULAR and f.params[0] > 0:
@@ -201,9 +204,8 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
         def grid(n):
             return time_grid(T, T / n)
         fewest = 1
-    if dt is not None:
-        _check_node_count(T / dt + 1)
-        return grid(max(fewest, int(round(T / dt))))
+    if cells is not None:
+        return grid(max(fewest, cells))
     n = FIRST_CELLS
     times = grid(n)
     # written so that a nan bias (undetermined criterion) never certifies
@@ -233,8 +235,6 @@ def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
         value = np.ravel(transform(np.array([math.inf])))
         blocks = [mc.Moments(N, value, np.zeros_like(value))]
         return [replace(est, method=method) for est in mc.estimate_from_blocks(blocks)]
-    if not phi.simulable:
-        raise CapabilityError(f"{phi.name}: not simulable")
     times = np.asarray(times, dtype=float)
     k = len(times) - 1
 

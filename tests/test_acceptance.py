@@ -389,8 +389,9 @@ def test_criterion_11_determinism(tmp_path):
 # -------------------------------------------------------------------------
 
 @pytest.mark.parametrize("phi, seed", [(bf.stable(0.6), 91),
-                                       (bf.gamma_exponent(), 92)],
-                         ids=["stable:0.6", "gamma"])
+                                       (bf.gamma_exponent(), 92),
+                                       (bf.tempered_stable(0.5, 1.0), 93)],
+                         ids=["stable:0.6", "gamma", "tempered:0.5,1"])
 def test_criterion_13_exact_law(phi, seed):
     # with zero drift and Q = diag(q), Z_K = sum_j E^(K-j) q sqrt(dS_j) N_j is
     # Gaussian given the clock, so E cos(u.Z_K) is exp(-sum_j h_j phi(s_j))

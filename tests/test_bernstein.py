@@ -1,14 +1,10 @@
-import importlib
-import inspect
 import math
-import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import subsing
 from subsing import bernstein as bf
 from subsing.errors import DomainError, RangeError
 
@@ -115,26 +111,6 @@ def test_doubling_index_ordering(phi):
     assert d.at_infinity <= d.global_sup + 1e-9
 
 
-@pytest.mark.parametrize("phi", [bf.stable(0.4), bf.gamma_exponent(),
-                                 bf.tempered_stable(0.6, 2.0)],
-                         ids=lambda p: p.name)
-def test_triplet_integrability(phi):
-    # int (1 ^ s) nu(ds) = partial mean below 1 plus tail mass above 1
-    trip = phi.triplet
-    total = trip.small_jump_mean(1.0) + trip.tail_mass(1.0)
-    assert math.isfinite(total) and total > 0
-    # tail mass nonincreasing in the cutoff
-    eps = np.geomspace(1e-6, 10.0, 25)
-    masses = [trip.tail_mass(e) for e in eps]
-    assert all(a >= b - 1e-12 for a, b in zip(masses, masses[1:]))
-    # partial mean consistent with the density by quadrature
-    if trip.density is not None:
-        from scipy.integrate import quad
-        oracle, _ = quad(lambda s: s * float(trip.density(np.asarray(s))),
-                         0, 1.0, points=[1e-6])
-        assert trip.small_jump_mean(1.0) == pytest.approx(oracle, rel=1e-6)
-
-
 def test_non_stabilizing_endpoints_are_undetermined():
     # the doubling ratio of this (non-Bernstein) function oscillates in log s
     # forever; the endpoint limits must be reported as undetermined
@@ -161,22 +137,3 @@ def test_log_family_subadditive(alpha, beta):
     phi = bf.stable_log(alpha, beta)
     s = np.geomspace(1e-6, 1e6, 49)
     assert np.all(phi(2 * s) <= 2 * phi(s) * (1 + 1e-12))
-
-
-def test_cutoff_has_one_home():
-    # the jump cutoff is part of the driver's law and travels with it: no
-    # function of the package takes it but the two that set it
-    takers = set()
-    for info in pkgutil.iter_modules(subsing.__path__):
-        module = importlib.import_module(f"subsing.{info.name}")
-        for name, obj in vars(module).items():
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue   # imported, not defined here
-            members = ([(f"{name}.{k}", v) for k, v in vars(obj).items()]
-                       if inspect.isclass(obj) else [(name, obj)])
-            for qualname, fn in members:
-                # static and class methods, and cached functions
-                fn = inspect.unwrap(getattr(fn, "__func__", fn))
-                if inspect.isfunction(fn) and "eps" in inspect.signature(fn).parameters:
-                    takers.add(qualname)
-    assert takers == {"parse_phi", "BernsteinFunction.__init__"}

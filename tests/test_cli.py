@@ -221,8 +221,8 @@ def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv, chunks):
 
 
 def test_spde_draw_error_surfaces_under_any_worker_count(monkeypatch, capsys):
-    # ratio:0.5 has no jump structure, so every chunk's draw raises; with two
-    # workers the first raise happens on the helper thread
+    # ratio:0.5 has no exact grid sampler, so every chunk's draw raises; with
+    # two workers the first raise happens on the helper thread
     errs = []
     threads = threading.active_count()
     for workers in ("1", "2"):
@@ -231,7 +231,7 @@ def test_spde_draw_error_surfaces_under_any_worker_count(monkeypatch, capsys):
                     "--paths", "600"]) == 2
         assert threading.active_count() == threads
         errs.append(capsys.readouterr().err)
-    assert errs[0] == errs[1] == "refused: ratio:0.5: no jump structure attached\n"
+    assert errs[0] == errs[1] == "refused: ratio:0.5: no exact grid sampler\n"
 
 
 def test_longrun_horizon_on_the_start_column_exit_code(capsys):
@@ -348,26 +348,6 @@ def test_one_path_standard_error_is_nan(argv, columns, capsys):
         assert all(math.isnan(float(row[header.index(name)])) for row in rows)
 
 
-def test_integrate_records_jump_table(tmp_path):
-    from subsing import bernstein as bf
-    from subsing.subordinator import jump_sampler
-    out = tmp_path / "cp.csv"
-    assert run(["integrate", "--f", "exp:1", "--phi", "tempered:0.5,1",
-                "--paths", "300", "--seed", "4", "--out", str(out)]) == 0
-    facts = _manifest(out)
-    sampler = jump_sampler(bf.parse_phi("tempered:0.5,1", 1e-4))
-    assert int(facts["inv_cdf_knots"]) == sampler._knots.size
-    assert float(facts["inv_cdf_max_gap"]) == sampler.table_gap > 0
-    # the record goes to the manifest only; the row is the one drawn over
-    # the Monte Carlo blocks of run_mc
-    assert out.read_text().splitlines()[-1] == \
-        "300,1.0,0.30871665466583853,0.01768252304220287,0.1974916579999861"
-    exact = tmp_path / "st.csv"
-    assert run(["integrate", "--f", "exp:1", "--phi", "stable:0.5",
-                "--paths", "100", "--out", str(exact)]) == 0
-    assert "inv_cdf_knots" not in _manifest(exact)
-
-
 def test_integrate_reports_infinite_integral(tmp_path):
     # pow:2 under stable:0.7 diverges a.s. (alpha theta = 1.4 >= 1)
     out = tmp_path / "inf.csv"
@@ -381,11 +361,11 @@ def test_integrate_reports_infinite_integral(tmp_path):
 
 @pytest.mark.parametrize("f, echoed", [
     ("pow:2", ["T", "command", "f", "paths", "phi"]),     # AS_INFINITE: no draws
-    ("pow:0.5", ["T", "command", "dt", "eps", "f", "paths", "phi", "seed"]),
+    ("pow:0.5", ["T", "command", "dt", "f", "paths", "phi", "seed"]),
 ])
 def test_integrate_header_echoes_what_shaped_the_result(f, echoed, capsys):
     assert run(["integrate", "--f", f, "--phi", "stable:0.7", "--paths", "10",
-                "--dt", "0.125", "--eps", "0.5", "--seed", "3"]) == 0
+                "--dt", "0.125", "--seed", "3"]) == 0
     header = [line[2:].partition("=")[0]
               for line in capsys.readouterr().out.splitlines()[1:]
               if line.startswith("# ")]
@@ -417,47 +397,41 @@ def test_sim_certification_columns(tmp_path):
 
 
 def test_path_export(tmp_path):
-    out = tmp_path / "p.csv"
-    assert run(["path", "--phi", "stable:0.5", "--T", "1", "--dt", "0.25",
-                "--seed", "5", "--out", str(out)]) == 0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "t,S_t"
-    vals = [float(r.split(",")[1]) for r in lines[1:]]
-    assert vals[0] == 0.0 and all(b >= a for a, b in zip(vals, vals[1:]))
-    out2 = tmp_path / "j.csv"
-    assert run(["path", "--phi", "gamma", "--T", "1", "--seed", "5",
-                "--out", str(out2)]) == 0
-    text = out2.read_text()
-    assert "time,size" in text and "drift=" in text
-    # the diagnostics of the jump list go to the manifest
-    manifest = (tmp_path / "j.csv.manifest").read_text()
-    for key in ("jump_rate", "small_jump_drift", "inv_cdf_knots",
-                "inv_cdf_max_gap"):
-        assert f"\n{key}=" in manifest
+    for phi in ("stable:0.5", "gamma", "tempered:0.5,1", "drift:1"):
+        out = tmp_path / "p.csv"
+        assert run(["path", "--phi", phi, "--T", "1", "--dt", "0.25",
+                    "--seed", "5", "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "t,S_t"
+        rows = [[float(v) for v in r.split(",")] for r in lines[1:]]
+        assert [t for t, _ in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        vals = [v for _, v in rows]
+        assert vals[0] == 0.0 and all(b >= a for a, b in zip(vals, vals[1:])), phi
 
 
-@pytest.mark.parametrize("argv, echoed, unused", [
-    (["--phi", "stable:0.5", "--dt", "0.25"], "# dt=0.25\n", "# eps="),
-    (["--phi", "gamma", "--dt", "0.3"], "# eps=0.0001\n", "# dt="),
-], ids=["grid", "jump-list"])
-def test_path_header_echoes_what_shaped_the_path(argv, echoed, unused, capsys):
-    # a jump list builds no grid, so its --dt is neither echoed nor checked
+@pytest.mark.parametrize("argv", [
+    ["--phi", "stable:0.5", "--dt", "0.25"],
+    ["--phi", "gamma", "--dt", "0.25"],
+], ids=["grid", "gamma-grid"])
+def test_path_header_echoes_what_shaped_the_path(argv, capsys):
     assert run(["path", *argv]) == 0
     out = capsys.readouterr().out
-    assert echoed in out and unused not in out
+    assert "# dt=0.25\n" in out and "# eps=" not in out
 
 
-# sha256 of each output without its echoed flag lines, as written by
-# `sim --export-path`, the spelling of the export before the `path` command
+# sha256 of each output without its echoed flag lines: for stable:0.6 as
+# written by `sim --export-path`, the spelling of the export before the
+# `path` command; for the other drivers as written by the version whose
+# `path` wrote the grid values of every simulable driver
 PATH_RUNS = {
     "stable:0.6": (["--dt", "0.01", "--seed", "7"],
                    "a0b8b1a1208363407632ee2eaf06fbd7f94d45097fb0da70b8b1e0837e3625cd"),
     "gamma": (["--seed", "5"],
-              "363ca6ea18948359f8a0ac8bd60a3591556b05a0613b5ceec44b987250e9dc93"),
+              "1169a6db2c1b9b811ae40250ab60727a619d3cf750e72f94bef4b7b8995e9ee5"),
     "tempered:0.5,1": (["--seed", "5"],
-                       "1bda4394e93d5343420456163125a4830523caad21d4e89cdf206e7e6e067195"),
+                       "11d331f49edcd029fa76025d2e39353ac50976f0b0b0b1d033b2e03fc96ca3d7"),
     "drift:1": (["--seed", "5"],
-                "09349458a8640ee8e0c938baf4cf54c0826b1e637716d569195ae83d52538824"),
+                "37c59eae0b6d8affbd8be072eb1cda27b88d092b0f5ddb6cfbc7d4fdecfb435f"),
 }
 
 
@@ -528,13 +502,27 @@ def test_smallball_draws_only_its_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["path", "sim"])
-def test_jump_rate_beyond_the_poisson_sampler_exit_code(command, capsys):
-    # eps = 1e-300 puts the tempered jump rate near 1e150, past numpy's limit
-    argv = [command, "--phi", "tempered:0.5,1", "--eps", "1e-300"]
+def test_tempered_pieces_beyond_the_grid_limit_exit_code(command, capsys):
+    # lam = 1e300 gives h lam^alpha near 1e150 on every cell: the tilted
+    # pieces of one path would outnumber the addressable doubles
+    argv = [command, "--phi", "tempered:0.5,1e300", "--dt", "0.25"]
     if command == "sim":
-        argv += ["--paths", "10", "--dt", "0.25"]
+        argv += ["--paths", "10"]
     assert run(argv) == 1
-    assert capsys.readouterr().err.startswith("error: jump rate x horizon")
+    assert capsys.readouterr().err.startswith("error: a grid of")
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--phi", "stable:0.5", "--f", "exp:1", "--dt", "0.3"],
+    ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
+     "--T-grid", "1,2", "--dt", "0.7"],
+    ["moment", "mc", "--phi", "gamma", "--p", "0.5", "--f", "pow:0.5",
+     "--dt", "2"],
+], ids=["integrate-not-dividing", "bound-not-dividing", "mc-above-T"])
+def test_explicit_dt_follows_the_grid_rule_exit_code(argv, capsys):
+    # as for `sim`: an explicit --dt needs 0 < dt <= T and must divide T
+    assert run([*argv, "--paths", "10"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["sim", "path"])
@@ -746,8 +734,7 @@ BOUND = ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
     ["zeroone", "--f", "pow:0.5", "--phi", "gamma", "--domain", "0,nan"],
     ["integrate", "--f", "pow:0.5", "--phi", "stable:0.5", "--T", "nan",
      "--paths", "10"],
-    ["integrate", "--phi", "tempered:0.5,1", "--f", "exp:1", "--eps", "nan",
-     "--paths", "10"],
+    ["path", "--phi", "tempered:0.5,1", "--dt", "nan"],
     ["spde", "sim", "--T", "nan"],
     ["spde", "sim", "--T", "inf"],
     ["spde", "maximal", "--dt", "nan", "--paths", "10"],
@@ -876,7 +863,8 @@ def test_mode_output_digest(mode, capsys):
 # sha256 of `spde galerkin` outputs without their echoed flag lines, as
 # written by the version whose truncations evaluated the reference's drift
 # and diffusion on a zero-padded full-width state: a drift read through the
-# padded projection P_m F(P_m y), and a constant Q at the truncation's width
+# padded projection P_m F(P_m y), and a constant Q at the truncation's width;
+# the tempered row since tempered increments are drawn by exponential tilting
 _GALERKIN_BASE = ["--n", "16", "--truncations", "2,4,8", "--T", "1",
                   "--dt", "0.0625", "--x-scale", "0.1", "--q-scale", "2",
                   "--paths", "30", "--seed", "4"]
@@ -886,7 +874,7 @@ GALERKIN_RUNS = {
     "q-const": (_GALERKIN_BASE + ["--q-const", "--f-scale", "-3"],
                 "e54010bcf5013563dc0fbd220ce2047339def98b6de2beda1050fa411d15a125"),
     "tempered": (["--phi", "tempered:0.5,1", *_GALERKIN_BASE, "--f-scale", "2"],
-                 "22b871be105927d36aaa4bab16add4688cded337c89500c326328b17c9afd9ec"),
+                 "dfbc7ccb9f413643f8f6e477860d57bf3efdaf3d34f5c5592da9a7466e745e5b"),
 }
 
 
@@ -945,14 +933,15 @@ def test_bf_output_digest(phi, capsys):
 
 
 # sha256 of each output without its echoed flag lines, as written by the
-# version in which sim and integrate draw over the blocks of mc.run_mc
+# version in which sim and integrate draw over the blocks of mc.run_mc; the
+# tempered row since tempered increments are drawn by exponential tilting
 DRAW_RUNS = {
     "sim-stable": (["sim", "--phi", "stable:0.6", "--dt", "0.01", "--paths", "500",
                     "--seed", "7"],
                    "e6c39a7bfbed1f16d9aa33b4bbf0657461494a64117698dab904c5c1539bdf86"),
     "sim-tempered": (["sim", "--phi", "tempered:0.5,1", "--dt", "0.25",
                       "--paths", "300", "--seed", "5"],
-                     "81f0b0bf5c70bf348045c894ee07397e4b7414d290604dcb4b5261646c00ca21"),
+                     "cc4f78b8e555de029220d85bdd93cd3eabf9ab28b7928aba283844fe6c58d845"),
     "integrate-stable": (["integrate", "--phi", "stable:0.5", "--f", "pow:0.5",
                           "--paths", "500", "--seed", "3"],
                          "dd510a7b4d2ffbb71b437be140fbf8ae7ff4026436fdc77f3bdeb1d21d0dc32e"),
@@ -973,11 +962,12 @@ def test_draw_output_digest(name, capsys):
 @pytest.mark.parametrize("argv", [
     ["integrate", "--phi", "tempered:0.5,1", "--f", "pow:0.5", "--paths", "200"],
     ["sim", "--phi", "stable:0.6", "--dt", "0.05", "--paths", "500"],
+    ["sim", "--phi", "tempered:0.3,2", "--T", "4", "--dt", "2", "--paths", "500"],
     ["moment", "mc", "--phi", "stable:0.5", "--p", "0.3", "--f", "pow:0.5",
      "--paths", "500"],
     ["moment", "bound", "--phi", "gamma", "--p", "0.5", "--theta", "0",
      "--T-grid", "1,2", "--paths", "500"],
-], ids=["integrate", "sim", "moment-mc", "moment-bound"])
+], ids=["integrate", "sim", "sim-tempered-split", "moment-mc", "moment-bound"])
 def test_draw_output_ignores_worker_count(argv, monkeypatch, capsys):
     outs = []
     for workers in ("1", "2"):
@@ -1044,11 +1034,6 @@ AUDIT_RUNS = {
     ("spde", "galerkin"): ["--n", "4", "--T", "0.25", "--dt", "0.125",
                            "--paths", "4"],
 }
-# one more run for each further branch of a handler that reads different
-# flags on different branches; every flag needs a reader on some branch
-AUDIT_BRANCHES = {
-    ("path",): [["--phi", "gamma", "--T", "0.5", "--eps", "0.1"]],
-}
 
 
 def _read_log():
@@ -1063,31 +1048,6 @@ def _read_log():
     return ReadLog(), reads
 
 
-def test_cutoff_reaches_every_drawing_command(monkeypatch, capsys):
-    # each command with --eps hands it to the driver, and the jump table of
-    # its run is built for that cutoff
-    from subsing import subordinator as sub
-    drawing = [path for path in AUDIT_RUNS
-               if any(a.dest == "eps" for a in _leaf(path)._actions)]
-    assert sorted(drawing) == sorted([
-        ("sim",), ("path",), ("integrate",), ("moment", "mc"), ("moment", "bound"),
-        *(("spde", mode) for mode in cli.SPDE_MODES)])
-    built = []
-    init = sub._JumpSampler.__init__
-
-    def spy(self, phi):
-        built.append(phi.eps)
-        init(self, phi)
-
-    monkeypatch.setattr(sub._JumpSampler, "__init__", spy)
-    for path in drawing:
-        sub._cached_jump_sampler.cache_clear()
-        built.clear()
-        argv = [*path, *AUDIT_RUNS[path], "--phi", "tempered:0.5,1", "--eps", "3e-3"]
-        assert run(argv) == 0, (path, capsys.readouterr().err)
-        assert built == [3e-3], path
-
-
 def test_reader_audit_covers_every_mode():
     assert sorted(_leaf_paths(cli.build_parser())) == sorted(AUDIT_RUNS)
 
@@ -1095,16 +1055,14 @@ def test_reader_audit_covers_every_mode():
 @pytest.mark.parametrize("path", list(AUDIT_RUNS), ids="-".join)
 def test_every_flag_has_a_reader(path):
     # --out is read by the writer of the result, not by the handler
-    read_somewhere = set()
-    for flags in [AUDIT_RUNS[path], *AUDIT_BRANCHES.get(path, [])]:
-        namespace, reads = _read_log()
-        args = cli.build_parser().parse_args([*path, *flags], namespace=namespace)
-        args.manifest = {}
-        reads.clear()     # parsing reads the namespace too
-        args.func(args)
-        read_somewhere |= reads
+    namespace, reads = _read_log()
+    args = cli.build_parser().parse_args([*path, *AUDIT_RUNS[path]],
+                                         namespace=namespace)
+    args.manifest = {}
+    reads.clear()     # parsing reads the namespace too
+    args.func(args)
     flags = {a.dest for a in _leaf(path)._actions if a.option_strings}
-    unread = flags - read_somewhere - {"help", "out"}
+    unread = flags - reads - {"help", "out"}
     assert not unread, f"{' '.join(path)} never reads {sorted(unread)}"
 
 
@@ -1140,14 +1098,18 @@ def test_spde_runs_without_scipy(tmp_path):
     script = textwrap.dedent("""
         import sys
         import subsing, subsing.cli
+        small = ["--n", "4", "--T", "0.25", "--dt", "0.125", "--paths", "4"]
         runs = (
-            ["spde", "maximal", "--n", "2", "--t-grid", "1", "--dt", "0.25"],
-            ["spde", "longrun", "--n", "2", "--t-grid", "1", "--dt", "0.25"],
-            ["spde", "galerkin", "--phi", "gamma", "--n", "4", "--T", "0.25",
-             "--dt", "0.125"],
+            ["spde", "maximal", "--n", "2", "--t-grid", "1", "--dt", "0.25",
+             "--paths", "4"],
+            ["spde", "longrun", "--n", "2", "--t-grid", "1", "--dt", "0.25",
+             "--paths", "4"],
+            ["spde", "galerkin", "--phi", "gamma", *small],
+            ["spde", "galerkin", "--phi", "tempered:0.5,1", *small],
+            ["path", "--phi", "tempered:0.5,1"],
+            ["path", "--phi", "gamma"],
         )
-        codes = [subsing.cli.main([*argv, "--paths", "4",
-                                   "--out", f"{sys.argv[1]}/{i}.csv"])
+        codes = [subsing.cli.main([*argv, "--out", f"{sys.argv[1]}/{i}.csv"])
                  for i, argv in enumerate(runs)]
         print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
     """)
@@ -1156,7 +1118,7 @@ def test_spde_runs_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout == "[0, 0, 0] []\n", done.stderr
+    assert done.stdout == "[0, 0, 0, 0, 0, 0] []\n", done.stderr
 
 
 def test_readme_command_lines_parse():

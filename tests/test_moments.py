@@ -272,22 +272,6 @@ class TestDefaultGrid:
         assert math.isfinite(mo.grid_bias(phi, f, times))
 
 
-def test_jump_table_built_once_per_run(monkeypatch):
-    from subsing import subordinator as sub
-    phi = bf.parse_phi("tempered:0.5,1")
-    f = itg.exponential(1.0)
-    sub._cached_jump_sampler.cache_clear()
-    cold = mo.char_functional_mc(phi, f, 1.0, 2000, 3)
-    assert sub._cached_jump_sampler.cache_info().misses == 1
-    warm = mo.char_functional_mc(phi, f, 1.0, 2000, 3)
-    assert warm == cold
-    # concurrent blocks wait for the first build instead of repeating it
-    sub._cached_jump_sampler.cache_clear()
-    monkeypatch.setenv("SUBSING_WORKERS", "4")
-    assert mo.char_functional_mc(phi, f, 1.0, 2000, 3) == cold
-    assert sub._cached_jump_sampler.cache_info().misses == 1
-
-
 @pytest.mark.parametrize("alpha", [0.5, 0.7])
 @pytest.mark.parametrize("p", [0.25, 0.0, -1.0])
 def test_mc_moment_of_an_infinite_integral_is_not_drawn(alpha, p, monkeypatch):

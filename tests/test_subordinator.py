@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -84,28 +83,11 @@ def test_determinism_bit_identical():
     a = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
     b = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
     assert np.array_equal(a, b)
-    g1 = sub.cp_jump_batch(bf.parse_phi("gamma", 1e-3), 1.0, as_generator(5), 1)
-    g2 = sub.cp_jump_batch(bf.parse_phi("gamma", 1e-3), 1.0, as_generator(5), 1)
-    assert g1[0] == g2[0]
-    assert all(np.array_equal(a, b) for a, b in zip(g1[1:], g2[1:]))
-
-
-@pytest.mark.parametrize("phi_id", ["gamma", "tempered:0.5,1", "stable:0.6",
-                                    "drift:1"])
-@pytest.mark.parametrize("T, eps", [(1.0, 1e-3), (2.0, 1e-2)])
-def test_general_path_is_one_sorted_jump_batch(phi_id, T, eps):
-    # one replica, as `subsing path` exports it with its times sorted: every
-    # jump lies in (0, T] at a distinct time, and the drift takes the mean
-    # of the jumps below the cutoff
-    phi = bf.parse_phi(phi_id, eps)
-    for seed in (0, 7):
-        drift, counts, times, sizes = sub.cp_jump_batch(phi, T,
-                                                        as_generator(seed), 1)
-        assert counts.tolist() == [len(times)] == [len(sizes)]
-        assert drift == phi.triplet.drift + phi.triplet.small_jump_mean(eps)
-        assert np.all((times > 0) & (times <= T))
-        assert np.all(np.diff(np.sort(times)) > 0)
-        assert np.all(sizes >= eps)
+    # tilted draws redraw their rejections from the same stream
+    phi, split = bf.tempered_stable(0.3, 2.0), np.array([0.0, 0.5, 4.0])
+    a = sub.grid_increments(phi, split, as_generator(5), 50)
+    b = sub.grid_increments(phi, split, as_generator(5), 50)
+    assert np.array_equal(a, b)
 
 
 def test_laplace_certification_all_simulable():
@@ -115,8 +97,7 @@ def test_laplace_certification_all_simulable():
              (bf.tempered_stable(0.5, 1.0), 2), (bf.drift_only(0.7), 3)]
     for phi, k in cases:
         rng = stream(41, k)
-        inc = sub.grid_increments(dataclasses.replace(phi, eps=1e-4), times, rng,
-                                  100_000)
+        inc = sub.grid_increments(phi, times, rng, 100_000)
         s1 = inc.sum(axis=1)
         for r in (0.5, 1.0, 2.0):
             vals = np.exp(-r * s1)
@@ -125,95 +106,51 @@ def test_laplace_certification_all_simulable():
             assert err <= max(3 * se, 1e-12), (phi.name, r, err, se)
 
 
-def test_compound_poisson_structure():
-    phi = bf.parse_phi("gamma", 1e-2)
-    drift, _, times, sizes = sub.cp_jump_batch(phi, 2.0, as_generator(11), 1)
-    assert np.all(sizes >= 1e-2)
-    assert drift == pytest.approx(phi.triplet.small_jump_mean(1e-2))
-    assert np.all(np.diff(np.sort(times)) > 0)
-    record = sub.jump_sampler(phi).record()
-    assert record["inv_cdf_knots"] == sub.INV_CDF_KNOTS
-    assert 0 < record["inv_cdf_max_gap"] < 1
-
-
 def test_general_requires_jump_structure():
+    # a driver without an exact grid sampler is refused, not approximated
+    times = np.array([0.0, 0.5, 1.0])
     with pytest.raises(CapabilityError):
-        sub.cp_jump_batch(bf.parse_phi("ratio:0.5", 1e-2), 1.0, as_generator(0), 1)
-    for T, eps in ((1.0, -1.0), (math.nan, 1e-2), (math.inf, 1e-2), (0.0, 1e-2)):
+        sub.grid_increments(bf.parse_phi("ratio:0.5"), times, as_generator(0), 1)
+    for phi_id in ("stable:0.5", "gamma", "tempered:0.5,1", "drift:1"):
         with pytest.raises(DomainError):
-            sub.cp_jump_batch(bf.parse_phi("gamma", eps), T, as_generator(0), 1)
+            sub.grid_increments(bf.parse_phi(phi_id), times[::-1],
+                                as_generator(0), 1)
 
 
-def test_general_mean_drift_compensation():
-    # mean of S_T for the gamma driver is T regardless of the cutoff
-    phi = bf.parse_phi("gamma", 1e-3)
-    rng = stream(13, 0)
-    _, counts, times, sizes = sub.cp_jump_batch(phi, 2.0, rng, 4000)
-    drift = phi.triplet.drift + phi.triplet.small_jump_mean(1e-3)
-    path_of = np.repeat(np.arange(4000), counts)
-    totals = np.bincount(path_of, weights=sizes, minlength=4000) + drift * 2.0
-    se = totals.std() / math.sqrt(len(totals))
-    assert abs(totals.mean() - 2.0) <= 3 * se
-
-
-def test_laplace_error_shrinks_with_cutoff():
-    # exponent bias of the cutoff approximation decreases as eps -> 0
-    phi = bf.gamma_exponent()
-    r, T, n = 4.0, 1.0, 200_000
-    exact = math.exp(-T * phi(r))
-    errs = []
-    for k, eps in enumerate((1e-1, 1e-2, 1e-3)):
-        rng = stream(17, k)
-        drift, counts, _, sizes = sub.cp_jump_batch(
-            dataclasses.replace(phi, eps=eps), T, rng, n)
-        path_of = np.repeat(np.arange(n), counts)
-        s_T = np.bincount(path_of, weights=sizes, minlength=n) + drift * T
-        vals = np.exp(-r * s_T)
-        errs.append(abs(vals.mean() - exact))
-        se = vals.std() / math.sqrt(n)
-    assert errs[0] > errs[1] - 3 * se
-    assert errs[0] > errs[2] - 3 * se
-    assert errs[1] > errs[2] - 3 * se
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-@pytest.mark.parametrize("name", ["tempered:0.5,1", "tempered:0.3,2", "gamma"])
-def test_jump_lookup_equals_linear_interpolation(name):
-    # the guide-table inversion is np.interp on the table, bit for bit
-    sampler = sub.jump_sampler(bf.parse_phi(name, 1e-4))
-    cdf, knots = sampler._cdf, sampler._knots
-    assert np.any(np.diff(cdf) == 0.0)   # the table has flat steps to cover
-    edges = np.arange(sub.GUIDE_CELLS) / sub.GUIDE_CELLS
-    cases = [stream(3, 0).uniform(0.0, 1.0, 100_000), np.array([0.0]),
-             cdf[cdf < 1.0], np.array([np.nextafter(1.0, 0.0)]),
-             edges, np.nextafter(edges, 1.0)]
-    for u in cases:
-        assert _same_bits(sampler.quantile(u), np.interp(u, cdf, knots))
-    for size in (0, 1, 3 * sub.LOOKUP_SLICE + 17):
-        u = stream(4, size).uniform(0.0, 1.0, size)
-        assert _same_bits(sampler.draw(stream(4, size), size),
-                          np.interp(u, cdf, knots))
-
-
-def test_jump_table_reads_only_the_tail_mass():
-    # the inverse-CDF table is built from tail_mass alone, so a driver
-    # without a density samples exactly as the catalog tempered driver does
-    ref = bf.parse_phi("tempered:0.5,1", 1e-4)
-    bare = dataclasses.replace(
-        ref, triplet=dataclasses.replace(ref.triplet, density=None))
-    u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)],
-                        stream(5, 0).uniform(0.0, 1.0, 10_000)))
-    assert _same_bits(sub._JumpSampler(bare).quantile(u),
-                      sub._JumpSampler(ref).quantile(u))
+@pytest.mark.parametrize("times, batch", [
+    ([0.0, 4.0], sub.TILT_BATCH),
+    ([0.0, 4.0], 100_000),
+    ([0.0, 0.01, 0.3, 4.0], sub.TILT_BATCH),
+    (np.concatenate(([0.0], np.geomspace(1e-3, 4.0, 64))), sub.TILT_BATCH),
+], ids=["one-cell", "one-cell-batched", "three-cells", "64-cells"])
+def test_tempered_tilting_is_exact(times, batch, monkeypatch):
+    # under tempered:0.3,2 a cell of width h holds h 2^0.3 / TILT_PIECE_MASS
+    # pieces, up to 20 here: every cell and the whole path must match
+    # exp(-h phi(r)), each z-test at the 3-sigma level divided among them;
+    # a batch of 100,000 draws the 19 pieces after the first in 5 passes
+    monkeypatch.setattr(sub, "TILT_BATCH", batch)
+    phi, times = bf.tempered_stable(0.3, 2.0), np.asarray(times)
+    h = np.diff(times)
+    pieces = np.ceil(h * 2.0 ** 0.3 / sub.TILT_PIECE_MASS)
+    assert pieces.max() > 1 and (h.size == 1 or pieces.min() == 1)
+    r = np.array([0.5, 1.0, 2.0])
+    exact = np.exp(-np.outer(phi.fn(r), np.append(h, times[-1])))
+    n, chunks, total, sq = 25_000, 8, 0.0, 0.0
+    for k in range(chunks):
+        inc = sub.grid_increments(phi, times, stream(61, k), n)
+        vals = np.exp(-np.multiply.outer(
+            r, np.column_stack([inc, inc.sum(axis=1)])))
+        total, sq = total + vals.sum(axis=1), sq + (vals * vals).sum(axis=1)
+    mean = total / (chunks * n)
+    se = np.sqrt((sq / (chunks * n) - mean ** 2) / (chunks * n))
+    z = (mean - exact) / se
+    assert np.abs(z).max() <= stats.norm.isf(0.00135 / z.size), z
 
 
 def test_compound_poisson_estimate_pinned():
-    # fixed by the streams and the inversion; moves if either changes
+    # fixed by the streams and the tilted sampler; moves if either changes
     from subsing import integrate as itg
     from subsing import moments as mo
     est = mo.char_functional_mc(bf.parse_phi("tempered:0.5,1"),
                                 itg.parse_integrand("exp:1"), 1.0, 4000, seed=11)
-    assert (est.mean, est.std_error) == (0.756973022413373, 0.0027170850468114967)
+    assert (est.mean, est.std_error) == (0.7559600321657837, 0.002721540777319923)
