@@ -197,30 +197,35 @@ def _build_system(args, a4) -> spde.GalerkinSystem:
     if n < 1:
         raise DomainError("--n must be positive")
     k = np.arange(1, n + 1, dtype=float)
-    gammas = args.gamma0 * k ** args.gamma_exp
-    x0 = args.x_scale * k ** -args.x_decay
-    scales = args.q_scale * k ** -args.q_decay
+    with np.errstate(over="ignore"):    # an overflow is refused as inf below
+        gammas = args.gamma0 * k ** args.gamma_exp
+        x0 = args.x_scale * k ** -args.x_decay
+        scales = args.q_scale * k ** -args.q_decay
+        w = args.f_scale * k ** -1.5
+        x_norm, hs, fb = (float(np.linalg.norm(v)) for v in (x0, scales, w))
+    if not np.all(np.isfinite([x_norm, hs, fb])):
+        raise DomainError("the norms of x0 (--x-scale), of the diffusion "
+                          "scales (--q-scale) and of the drift (--f-scale) "
+                          "must be finite")
 
     if args.q_const:
         q = spde.constant_diagonal_q(scales)
     else:
         def entries(y, s=scales):
-            return s[: y.shape[-1]] * (0.6 + 0.4 * np.tanh(y))
+            out = np.tanh(y)
+            out *= 0.4
+            out += 0.6
+            out *= s[: y.shape[-1]]
+            return out
 
-        q = spde.DiagonalQ(entries, float(np.linalg.norm(scales)))
+        q = spde.DiagonalQ(entries, hs)
     if args.f_scale == 0.0:
         drift = spde.zero_drift
-        fb = flip = 0.0
     else:
-        w = args.f_scale * k ** -1.5
-
         def drift(y, w=w):
             return w[: y.shape[-1]] * np.tanh(np.roll(y, 1, axis=-1))
-
-        fb = float(np.linalg.norm(w))
-        flip = float(np.abs(w).max())
-    system = spde.GalerkinSystem(n, gammas, drift, fb, flip, q, x0,
-                                 a4_constants=a4)
+    system = spde.GalerkinSystem(n, gammas, drift, fb, float(np.abs(w).max()),
+                                 q, x0, a4_constants=a4)
     spde.validate_system(system)
     return system
 
@@ -281,7 +286,8 @@ def cmd_spde(args):
                               args.dt, args.paths, args.seed,
                               delta=args.delta)
     args.manifest.update(
-        projection_floor=",".join(_fmt(v) for v in rep.projection_floor))
+        projection_floor=",".join(_fmt(v) for v in rep.projection_floor),
+        truncations_stepped=rep.truncations_stepped)
     return lines + _csv("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high", (
         (m, est.mean, est.std_error, *pr)
         for m, est, pr in zip(rep.truncations, rep.sup_sq_error, rep.exceed_prob)))

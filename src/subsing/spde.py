@@ -171,7 +171,9 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     overwritten two steps on.  The state path never runs the convolution
     recursion; the convolution path still steps the state, since Q depends
     on it, in a rolling buffer.  Each step writes into preallocated (R, n)
-    arrays in the order E*x + phi1*f(x) + E*qn and E*(Z + qn).  The drift
+    arrays in the order E*x + phi1*f(x) + E*qn and E*(Z + qn).  On a
+    uniform grid the factors E and phi1 are full (R, n) arrays, made once: a
+    broadcast (n,) row would cost numpy one inner loop per replica.  The drift
     term is skipped for :func:`zero_drift`, whose contribution is exactly 0.
     """
     if path not in ("state", "convolution"):
@@ -188,8 +190,8 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     term = np.empty((R, n))
     uniform = np.allclose(dts, dts[0])
     if uniform:
-        E = np.exp(-gam * dts[0])
-        phi1 = -np.expm1(-gam * dts[0]) / gam
+        E = np.broadcast_to(np.exp(-gam * dts[0]), (R, n)).copy()
+        phi1 = np.broadcast_to(-np.expm1(-gam * dts[0]) / gam, (R, n)).copy()
     rootd = np.sqrt(d_sub).T
     dw = dw_std.transpose(1, 0, 2)
     no_drift = system.drift is zero_drift
@@ -639,20 +641,38 @@ class GalerkinReport:
     sup_sq_error: tuple        # MCEstimate of sup_t |X^n - X|^2 per truncation
     exceed_prob: tuple         # P(sup_t |X^n - X| > delta) with Wilson bounds
     projection_floor: tuple    # |(I - P_m) x0|^2, the squared error at t = 0
+    truncations_stepped: int   # beside the reference: 0 under zero_drift
 
 
 def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
                 times: np.ndarray, d_sub: np.ndarray,
                 dw: np.ndarray) -> np.ndarray:
     """Grid maximum of |X - X^m| per replica and truncation, (R, J), X^m
-    padded with zeros.  The reference and every truncation step in lock step
-    and no path is stored: at each step a copy of the reference slice, less
-    the truncation on its first m modes, is normed and folded into the
-    running maximum."""
+    padded with zeros.  No path is stored.
+
+    Under :func:`zero_drift` the semigroup is diagonal and the diffusion
+    entries are mode-wise, so truncation m repeats, value for value and
+    operation for operation, modes 0..m-1 of the reference: the difference is
+    exactly 0 there (nan where the reference is not finite), and only the
+    reference steps.  At each step the reference slice times ``keep`` (row j
+    zero on the first m_j modes) is that difference for every truncation,
+    squared and reduced over all n modes in the same order.  Otherwise the
+    reference and every truncation step in lock step: a copy of the
+    reference slice, less the truncation on its first m modes, is normed and
+    folded into the running maximum.
+    """
+    sup = np.zeros((len(d_sub), len(subsystems)))
+    if system.drift is zero_drift:
+        ms = np.array([sysm.n for sysm in subsystems])
+        keep = (np.arange(system.n) >= ms[:, None]).astype(float)
+        diff = np.empty(sup.shape + (system.n,))
+        for x_ref in steps(system, times, d_sub, dw, path="state"):
+            np.multiply(x_ref[:, None, :], keep, out=diff)
+            np.maximum(sup, _norms_in_place(diff), out=sup)
+        return sup
     paths = [steps(system, times, d_sub, dw, path="state")]
     paths += [steps(sysm, times, d_sub, dw[..., :sysm.n], path="state")
               for sysm in subsystems]
-    sup = np.zeros((len(d_sub), len(subsystems)))
     diff = np.empty((len(d_sub), system.n))
     for x_ref, *x_trunc in zip(*paths):
         for j, x_m in enumerate(x_trunc):
@@ -670,7 +690,10 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
     Every truncation reuses the reference replica's subordinator path and the
     first m coordinates of its Gaussian increments, so differences are purely
     projection effects.  No sup error falls below its truncation's
-    projection floor, the error of the initial state.
+    projection floor, the error of the initial state.  Under
+    :func:`zero_drift` each error is read off the reference's tail and no
+    truncation is stepped; a drift may couple modes, so then every truncation
+    steps in lock step with the reference (see :func:`_sup_errors`).
     """
     if not delta >= 0:
         raise DomainError("delta must be nonnegative")
@@ -692,4 +715,5 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
                      0.0, system.x0)
     return GalerkinReport(tuple(int(m) for m in truncations),
                           tuple(ests[:J]), tuple(probs),
-                          tuple((_norms_in_place(tails) ** 2).tolist()))
+                          tuple((_norms_in_place(tails) ** 2).tolist()),
+                          0 if system.drift is zero_drift else J)

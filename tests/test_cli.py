@@ -767,6 +767,18 @@ def test_non_finite_input_exit_code(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--f-scale", "1e308"), ("--q-scale", "1e200"), ("--gamma0", "1e308"),
+    ("--x-scale", "1e200")])
+def test_overflowing_system_scale_exit_code(flag, value, capsys):
+    # finite flags whose system overflows: one error line, and no
+    # RuntimeWarning, which the suite raises as an error
+    assert run(["spde", "sim", "--n", "3", "--T", "1", "--dt", "0.5",
+                flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _subparsers(parser):
     return next((a.choices for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)), {})
@@ -902,6 +914,18 @@ def test_galerkin_manifest_records_projection_floor(tmp_path, capsys):
     # the record goes to the manifest only
     assert run(flags) == 0
     assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("f_scale, stepped", [("0", "0"), ("0.3", "2")])
+def test_galerkin_manifest_records_truncations_stepped(f_scale, stepped,
+                                                       tmp_path):
+    # a zero drift reads every truncation's error off the reference's tail
+    out = tmp_path / "g.csv"
+    assert run(["spde", "galerkin", "--n", "8", "--truncations", "2,4",
+                "--T", "0.25", "--dt", "0.0625", "--paths", "20",
+                "--f-scale", f_scale, "--out", str(out)]) == 0
+    assert _manifest(out)["truncations_stepped"] == stepped
+    assert "truncations_stepped" not in out.read_text()
 
 
 # sha256 of each bf output without its echoed flag lines, as written by the

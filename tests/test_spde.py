@@ -547,8 +547,7 @@ def _stacked_galerkin(system, truncations, times, d_sub, dw):
 
 
 class TestTimeMajorStepping:
-    def state_dependent_system(self, drift=True):
-        n = 6
+    def state_dependent_system(self, drift=True, n=6):
         k = np.arange(1, n + 1, dtype=float)
         w = 0.3 * k ** -1.5
 
@@ -593,10 +592,15 @@ class TestTimeMajorStepping:
         assert np.array_equal(np.stack(got, axis=1), want)
 
     @pytest.mark.parametrize("grid", ["uniform", "graded"])
-    @pytest.mark.parametrize("case", ["coupled", "state_dependent"])
+    @pytest.mark.parametrize("case", ["coupled", "state_dependent",
+                                      "zero_drift"])
     def test_lock_step_galerkin_is_the_stacked_one(self, grid, case):
+        # under a zero drift the errors are read off the reference's tail
         if case == "coupled":
             system, truncations = TestGalerkin().coupled_system(), [1, 2, 4, 8]
+        elif case == "zero_drift":
+            system = self.state_dependent_system(drift=False, n=13)
+            truncations = [1, 3, 8, 12]
         else:
             system, truncations = self.state_dependent_system(), [2, 3, 5]
         times = (time_grid(1.0, 1 / 32) if grid == "uniform"
@@ -671,6 +675,24 @@ def test_scan_steps_only_the_path_it_reads(scan, monkeypatch):
         monkeypatch.setattr(spde, name, spy(getattr(spde, name)))
     run_scan(diagonal_system(3, q=spde.constant_diagonal_q([0.3, 0.2, 0.1])))
     assert asked and set(asked) == {want}
+
+
+@pytest.mark.parametrize("drift", [False, True])
+def test_zero_drift_galerkin_steps_only_the_reference(drift, monkeypatch):
+    # per chunk: the reference alone under a zero drift, else 1 + J systems
+    entered = []
+    steps = spde.steps
+
+    def spy(system, *args, **kwargs):
+        entered.append(system.n)
+        return steps(system, *args, **kwargs)
+
+    monkeypatch.setattr(spde, "steps", spy)
+    system = TestTimeMajorStepping().state_dependent_system(drift=drift)
+    rep = spde.galerkin_error(system, [1, 2, 4], GAMMA, 0.5, 1 / 8, 300, 1)
+    per_chunk = [6, 1, 2, 4] if drift else [6]
+    assert entered == per_chunk * 2     # 300 paths in chunks of 256
+    assert rep.truncations_stepped == len(per_chunk) - 1
 
 
 def test_one_worker_draws_every_chunk_on_the_helper_thread(monkeypatch):
