@@ -33,4 +33,5 @@ class GateViolation(PreconditionError):
 
 
 class NumericError(RuntimeError):
-    """An iterative numeric routine failed to converge."""
+    """An iterative numeric routine failed to converge, or a computed value
+    left the range of doubles."""

@@ -56,8 +56,12 @@ def power_singular(theta: float) -> Integrand:
     """f(t) = t^(-theta); singular at 0 for theta > 0."""
     if not math.isfinite(theta):
         raise DomainError("power exponent must be finite")
-    return Integrand(IntegrandKind.POWER_SINGULAR, (theta,),
-                     lambda t, th=theta: t ** (-th))
+
+    def fn(t, th=theta):
+        with np.errstate(over="ignore"):    # past the double range, +inf
+            return t ** (-th)
+
+    return Integrand(IntegrandKind.POWER_SINGULAR, (theta,), fn)
 
 
 def exponential(lam: float) -> Integrand:

@@ -12,6 +12,7 @@ conditional experiments.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -20,11 +21,11 @@ import numpy as np
 
 from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
-                     PreconditionError)
+                     NumericError, PreconditionError)
 from .mc import Moments, estimate_from_blocks, wilson_interval
 from .moments import BoundReport, _horizons
 from .rng import as_generator, stream
-from .subordinator import grid_increments, time_grid
+from .subordinator import cell_count, grid_increments, time_grid
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,8 @@ def _mc_paths(system, driver, times, N, seed, statistic):
     from stream (seed, j) on a helper thread, which draws chunk j + 1 while
     ``statistic`` runs on chunk j, and the partials merge in chunk order.
     Returns one MCEstimate per statistic column, each chunk one block of
-    :func:`estimate_from_blocks`.
+    :func:`estimate_from_blocks`.  A statistic that overflows, or is nan,
+    raises NumericError.
     """
     if N < 1:
         raise DomainError("need a positive number of paths")
@@ -287,20 +289,13 @@ def _mc_paths(system, driver, times, N, seed, statistic):
             d_sub, dw = ahead.result()
             if idx + 1 < count:
                 ahead = pool.submit(draw, idx + 1)
-            parts.append(Moments.of(statistic(d_sub, dw)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = statistic(d_sub, dw)
+            if not np.all(np.isfinite(rows)):
+                raise NumericError("a path left the range of doubles: the "
+                                   "statistic is not finite")
+            parts.append(Moments.of(rows))
     return estimate_from_blocks(parts)
-
-
-def _grid_columns(times: np.ndarray, ts: Sequence[float]) -> list:
-    """Column of each time of ``ts`` on the grid ``times``."""
-    cols = []
-    for t in ts:
-        j = int(np.abs(times - t).argmin())
-        if abs(times[j] - t) > 1e-9 * max(1.0, t):
-            raise DomainError(f"t = {t:g} is not a time of the grid of step "
-                              f"{times[1] - times[0]:g}")
-        cols.append(j)
-    return cols
 
 
 def _norms_in_place(a: np.ndarray) -> np.ndarray:
@@ -364,7 +359,7 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     gate_convolution(driver, p, theta, "small_time")
     t_grid = _horizons(t_grid)
     times = time_grid(t_grid[-1], dt)
-    cols = _grid_columns(times, t_grid)
+    cols = [cell_count(t, dt) for t in t_grid]
     gam = system.eigenvalues
 
     def statistic(d_sub, dw):
@@ -391,7 +386,7 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
     gate_convolution(driver, p, 0.0,
                      "stationary" if T_grid[0] >= 1 else "small_time")
     times = time_grid(T_grid[-1], dt)
-    cols = _grid_columns(times, T_grid)
+    cols = [cell_count(T, dt) for T in T_grid]
 
     def statistic(d_sub, dw):
         Z = advance(system, times, d_sub, dw, path="convolution")
@@ -459,7 +454,11 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
         c1 = moment[0].mean * inverse(driver, 1.0 / T) ** pu
         hsb = system.diffusion.hs_bound
         kappa = max(0.0, 1.0 - 9.0 * hsb ** 2 * delta ** 2)
-        lb = kappa * (1.0 - c1 * (delta ** 4 * inverse(driver, 1.0 / T)) ** (-pu))
+        base = delta ** 4 * inverse(driver, 1.0 / T)
+        if base > 0:
+            lb = kappa * (1.0 - c1 * base ** -pu)
+        else:   # underflow: the limit as base -> 0, -inf unless kappa = 0
+            lb = -math.inf if kappa > 0 else 0.0
     return SmallBallResult(est.mean, lo, hi, lb)
 
 
@@ -492,11 +491,8 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     gam = system.eigenvalues
     Ts = _horizons(horizons)
     times = time_grid(Ts[-1] + 1.0, dt)
-    j0, *cols = _grid_columns(times, [1.0] + [T + 1.0 for T in Ts])
-    offsets = np.array(cols) - j0
-    if offsets[0] < 1:   # the least T + 1 fell on the column of t = 1
-        raise DomainError(f"T = {Ts[0]:g} is not a time of the grid of step "
-                          f"{dt:g}")
+    j0 = cell_count(1.0, dt)
+    offsets = [cell_count(T, dt) for T in Ts]
 
     def statistic(d_sub, dw):
         # the columns from t = 1 on are weighted and squared in place
@@ -650,35 +646,29 @@ def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
     """Grid maximum of |X - X^m| per replica and truncation, (R, J), X^m
     padded with zeros.  No path is stored.
 
-    Under :func:`zero_drift` the semigroup is diagonal and the diffusion
-    entries are mode-wise, so truncation m repeats, value for value and
-    operation for operation, modes 0..m-1 of the reference: the difference is
-    exactly 0 there (nan where the reference is not finite), and only the
-    reference steps.  At each step the reference slice times ``keep`` (row j
-    zero on the first m_j modes) is that difference for every truncation,
-    squared and reduced over all n modes in the same order.  Otherwise the
-    reference and every truncation step in lock step: a copy of the
-    reference slice, less the truncation on its first m modes, is normed and
-    folded into the running maximum.
+    At each step the reference slice times ``keep`` (row j zero on the first
+    m_j modes) fills one (R, J, n) buffer, normed over all n modes into the
+    running maximum.  Under a drift the truncations step in lock step and
+    overwrite their first m modes with the reference's less their own.  Under
+    :func:`zero_drift` the semigroup is diagonal and the diffusion mode-wise,
+    so truncation m repeats modes 0..m-1 of the reference operation for
+    operation: the difference there is exactly the 0 (nan where the reference
+    is not finite) that ``keep`` leaves, and only the reference steps.
     """
     sup = np.zeros((len(d_sub), len(subsystems)))
-    if system.drift is zero_drift:
-        ms = np.array([sysm.n for sysm in subsystems])
-        keep = (np.arange(system.n) >= ms[:, None]).astype(float)
-        diff = np.empty(sup.shape + (system.n,))
-        for x_ref in steps(system, times, d_sub, dw, path="state"):
-            np.multiply(x_ref[:, None, :], keep, out=diff)
-            np.maximum(sup, _norms_in_place(diff), out=sup)
-        return sup
+    ms = np.array([sysm.n for sysm in subsystems])
+    keep = (np.arange(system.n) >= ms[:, None]).astype(float)
+    diff = np.empty(sup.shape + (system.n,))
     paths = [steps(system, times, d_sub, dw, path="state")]
-    paths += [steps(sysm, times, d_sub, dw[..., :sysm.n], path="state")
-              for sysm in subsystems]
-    diff = np.empty((len(d_sub), system.n))
+    if system.drift is not zero_drift:
+        paths += [steps(sysm, times, d_sub, dw[..., :sysm.n], path="state")
+                  for sysm in subsystems]
     for x_ref, *x_trunc in zip(*paths):
+        np.multiply(x_ref[:, None, :], keep, out=diff)
         for j, x_m in enumerate(x_trunc):
-            np.copyto(diff, x_ref)
-            diff[:, : x_m.shape[1]] -= x_m
-            np.maximum(sup[:, j], _norms_in_place(diff), out=sup[:, j])
+            m = x_m.shape[1]
+            np.subtract(x_ref[:, :m], x_m, out=diff[:, j, :m])
+        np.maximum(sup, _norms_in_place(diff), out=sup)
     return sup
 
 

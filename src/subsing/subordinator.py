@@ -34,13 +34,15 @@ def _check_node_count(nodes: float) -> None:
 
 
 def cell_count(T: float, dt: float) -> int:
-    """Number of cells of step dt on [0, T]; dt must divide T."""
-    if not 0 < dt <= T < math.inf:
+    """Number of cells of step dt on [0, T], the column of T on the grid;
+    T must be a positive multiple of dt, up to a relative 1e-9."""
+    if not (0 < dt < math.inf and 0 < T < math.inf):
         raise DomainError("need 0 < dt <= T < inf")
     _check_node_count(T / dt + 1)
     n = int(round(T / dt))
-    if abs(n * dt - T) > 1e-9 * T:
-        raise DomainError(f"dt = {dt:g} does not divide T = {T:g}")
+    if n < 1 or abs(n * dt - T) > 1e-9 * T:
+        raise DomainError(f"T = {T:g} is not a time of the grid of step "
+                          f"dt = {dt:g}")
     return n
 
 

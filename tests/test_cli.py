@@ -241,13 +241,71 @@ def test_longrun_horizon_on_the_start_column_exit_code(capsys):
     assert "T = 1e-12 is not a time of the grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["maximal", "longrun"])
-def test_spde_off_grid_horizon_exit_code(mode, capsys):
-    theta = ["--theta", "0.25"] if mode == "longrun" else []
-    assert run(["spde", mode, "--phi", "stable:0.6", "--n", "4", "--p", "0.5",
-                *theta, "--t-grid", "1.3,2", "--dt", "0.0625",
-                "--paths", "10"]) == 1
+OFF_GRID = ["--phi", "stable:0.6", "--n", "4", "--p", "0.5", "--t-grid",
+            "1.3,2", "--dt", "0.0625", "--paths", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximal", *OFF_GRID],
+    ["longrun", "--theta", "0.25", *OFF_GRID],
+    # 5e-10 and 3e-10 lie below the first grid time, 1e-9
+    ["convmom", "--n", "2", "--t-grid", "5e-10,1e-9", "--dt", "1e-9",
+     "--theta", "0", "--paths", "50"],
+    ["maximal", "--n", "2", "--t-grid", "3e-10,1e-9", "--dt", "1e-9",
+     "--paths", "50"],
+], ids=["maximal", "longrun", "convmom-below-the-grid", "maximal-below-the-grid"])
+def test_spde_off_grid_horizon_exit_code(argv, capsys):
+    assert run(["spde", *argv]) == 1
     assert "not a time of the grid" in capsys.readouterr().err
+
+
+PAST_DOUBLES = ["--n", "3", "--dt", "0.25", "--paths", "2000",
+                "--q-scale", "1e153", "--phi", "stable:0.3"]
+TINY_DELTA = ["--n", "2", "--T", "0.25", "--dt", "0.125", "--paths", "10",
+              "--delta", "1e-100"]
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["maximal", "--t-grid", "1", *PAST_DOUBLES], None),
+    (["convmom", "--t-grid", "1", *PAST_DOUBLES], None),
+    (["longrun", "--t-grid", "1", "--theta", "0", *PAST_DOUBLES], None),
+    (["galerkin", "--T", "1", "--truncations", "1,2", *PAST_DOUBLES], None),
+    # an overflowed norm lies outside the ball; kappa = 0 at this scale
+    (["smallball", "--T", "1", *PAST_DOUBLES], 0.0),
+    # delta^4 underflows to 0: the analytic bound takes its limit, -inf, or
+    # 0 where kappa = 0
+    (["smallball", *TINY_DELTA], -math.inf),
+    (["smallball", *TINY_DELTA, "--q-scale", "1e153"], 0.0),
+], ids=["maximal", "convmom", "longrun", "galerkin", "smallball",
+        "smallball-tiny-delta", "smallball-tiny-delta-kappa-0"])
+def test_spde_past_the_double_range_exit_code(argv, bound, capsys):
+    # a statistic past the double range is one error line, not an inf in the
+    # output, and no RuntimeWarning, which the suite raises as an error
+    code = run(["spde", *argv])
+    out, err = capsys.readouterr()
+    if bound is None:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
+        row = [float(v) for v in out.splitlines()[-1].split(",")]
+        assert all(map(math.isfinite, row[:3])) and row[3] == bound
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["zeroone", "--phi", "tempered:0.5,1", "--f", "pow:400"],
+     "criterion=infinite"),
+    (["integrate", "--phi", "gamma", "--f", "pow:1e300", "--paths", "100"],
+     "100,0.0,inf,inf,inf"),
+    (["moment", "mc", "--phi", "gamma", "--p", "1", "--f", "pow:1e300",
+      "--paths", "100"], "100,inf,inf,plain,True"),
+], ids=["zeroone", "integrate", "moment-mc"])
+def test_steep_power_integrand_overflows_to_inf(argv, last, capsys):
+    # past the double range t^-theta is +inf, without the RuntimeWarning
+    # that the suite raises as an error
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[-1] == last
 
 
 def test_seed_changes_output(tmp_path):
