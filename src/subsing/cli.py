@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 import time
 from typing import Optional
@@ -211,11 +212,13 @@ def _build_system(args, a4) -> spde.GalerkinSystem:
     if args.q_const:
         q = spde.constant_diagonal_q(scales)
     else:
-        def entries(y, s=scales):
+        rows = spde.mode_rows(scales)
+
+        def entries(y):
             out = np.tanh(y)
             out *= 0.4
             out += 0.6
-            out *= s[: y.shape[-1]]
+            out *= rows(y.shape)
             return out
 
         q = spde.DiagonalQ(entries, hs)
@@ -239,10 +242,14 @@ def cmd_spde(args):
     lines = _header(args)
     if args.mode == "sim":
         path = spde.simulate(system, phi, args.T, args.dt, args.seed)
-        return lines + _csv("t,S_t,|X_t|,|Z_t|", (
-            (t, s, float(np.linalg.norm(x)), float(np.linalg.norm(z)))
-            for t, s, x, z in zip(path.times, path.subordinator, path.state,
-                                  path.convolution)))
+        with np.errstate(over="ignore"):    # an overflow is refused as inf below
+            norms = [[float(np.linalg.norm(row)) for row in v]
+                     for v in (path.state, path.convolution)]
+        if not np.all(np.isfinite(norms)):
+            raise NumericError("a path left the range of doubles: |X_t| or "
+                               "|Z_t| is not finite")
+        return lines + _csv("t,S_t,|X_t|,|Z_t|",
+                            zip(path.times, path.subordinator, *norms))
     if args.mode == "convmom":
         rep = spde.convolution_moment_scan(system, phi, args.p, args.theta,
                                            args.t_grid, args.paths, args.seed,
@@ -372,7 +379,10 @@ SPDE_MODES = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process: parsing neither
+    changes it nor any default that it holds."""
     p = _Parser(prog="subsing", description=__doc__)
     p.add_argument("--config", default=None, help="INI file with a [run] section")
     sub = p.add_subparsers(dest="command", required=True)

@@ -46,13 +46,27 @@ class DiagonalQ:
     hs_bound: float
 
 
+def mode_rows(values) -> Callable:
+    """Map a shape (..., m) to the first m of ``values`` broadcast to it, as
+    one read-only full array made once per shape: a broadcast (m,) row would
+    cost numpy one inner loop per replica wherever it multiplies a slice."""
+    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    full = {}
+
+    def rows(shape):
+        if shape not in full:
+            a = np.broadcast_to(vals[: shape[-1]], shape).copy()
+            a.flags.writeable = False
+            full[shape] = a
+        return full[shape]
+
+    return rows
+
+
 def constant_diagonal_q(values) -> DiagonalQ:
     vals = np.atleast_1d(np.asarray(values, dtype=float))
-
-    def entries(y, vals=vals):
-        return np.broadcast_to(vals[: y.shape[-1]], y.shape)
-
-    return DiagonalQ(entries, float(np.linalg.norm(vals)))
+    rows = mode_rows(vals)
+    return DiagonalQ(lambda y: rows(y.shape), float(np.linalg.norm(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +275,13 @@ def _mc_paths(system, driver, times, N, seed, statistic):
 
     ``driver`` is an exponent to draw subordinator increments from, or one
     frozen (K,) vector of increments shared by every replica.  Chunk j draws
-    from stream (seed, j) on a helper thread, which draws chunk j + 1 while
-    ``statistic`` runs on chunk j, and the partials merge in chunk order.
-    Returns one MCEstimate per statistic column, each chunk one block of
-    :func:`estimate_from_blocks`.  A statistic that overflows, or is nan,
-    raises NumericError.
+    from stream (seed, j).  The calling thread draws and runs the last chunk,
+    the ragged one when ``chunk`` does not divide N, while a helper thread
+    draws chunk 0; the helper then draws chunk j + 1 while ``statistic`` runs
+    on chunk j.  The partials merge in chunk order, so the schedule never
+    shows in a result.  Returns one MCEstimate per statistic column, each
+    chunk one block of :func:`estimate_from_blocks`.  A statistic that
+    overflows, or is nan, raises NumericError.
     """
     if N < 1:
         raise DomainError("need a positive number of paths")
@@ -282,19 +298,23 @@ def _mc_paths(system, driver, times, N, seed, statistic):
             d_sub = grid_increments(driver, times, rng, m)
         return d_sub, rng.standard_normal((m, K, system.n))
 
-    parts = []
+    def run(d_sub, dw):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = statistic(d_sub, dw)
+        if not np.all(np.isfinite(rows)):
+            raise NumericError("a path left the range of doubles: the "
+                               "statistic is not finite")
+        return Moments.of(rows)
+
+    parts, last = [None] * count, count - 1
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw, 0)
-        for idx in range(count):
+        ahead = pool.submit(draw, 0) if last else None
+        parts[last] = run(*draw(last))
+        for idx in range(last):
             d_sub, dw = ahead.result()
-            if idx + 1 < count:
+            if idx + 1 < last:
                 ahead = pool.submit(draw, idx + 1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows = statistic(d_sub, dw)
-            if not np.all(np.isfinite(rows)):
-                raise NumericError("a path left the range of doubles: the "
-                                   "statistic is not finite")
-            parts.append(Moments.of(rows))
+            parts[idx] = run(d_sub, dw)
     return estimate_from_blocks(parts)
 
 
@@ -455,10 +475,12 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
         hsb = system.diffusion.hs_bound
         kappa = max(0.0, 1.0 - 9.0 * hsb ** 2 * delta ** 2)
         base = delta ** 4 * inverse(driver, 1.0 / T)
-        if base > 0:
+        if kappa == 0.0:    # the trivial bound, 0.0 and never -0.0
+            lb = 0.0
+        elif base > 0:
             lb = kappa * (1.0 - c1 * base ** -pu)
-        else:   # underflow: the limit as base -> 0, -inf unless kappa = 0
-            lb = -math.inf if kappa > 0 else 0.0
+        else:   # underflow: the limit as base -> 0
+            lb = -math.inf
     return SmallBallResult(est.mean, lo, hi, lb)
 
 
@@ -488,16 +510,17 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     column.
     """
     gate_convolution(driver, p, theta, "stationary")
-    gam = system.eigenvalues
     Ts = _horizons(horizons)
     times = time_grid(Ts[-1] + 1.0, dt)
     j0 = cell_count(1.0, dt)
     offsets = [cell_count(T, dt) for T in Ts]
+    weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
 
     def statistic(d_sub, dw):
-        # the columns from t = 1 on are weighted and squared in place
+        # the columns from t = 1 on are weighted and squared in place; the
+        # (R, 1, n) weights span each time's contiguous (R, n) slice
         X = advance(system, times, d_sub, dw, path="state")[:, j0:, :]
-        X *= np.asarray(gam, dtype=float) ** theta
+        X *= weights((len(X), 1, system.n))
         vals = _norms_in_place(X) ** p
         running = _running_trapezoid(vals, dt)
         return running[:, offsets] / np.array(Ts)

@@ -113,7 +113,7 @@ def gamma_grid_increments(times: np.ndarray, rng: np.random.Generator,
                           n_paths: int = 1) -> np.ndarray:
     """Exact gamma-subordinator increments: Gamma(shape=dt, scale=1)."""
     dt = _widths(times)
-    return rng.gamma(shape=np.broadcast_to(dt, (n_paths, dt.size)), scale=1.0)
+    return rng.standard_gamma(np.broadcast_to(dt, (n_paths, dt.size)))
 
 
 def _tilted_stable(alpha: float, lam: float, scale: np.ndarray,

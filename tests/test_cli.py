@@ -10,6 +10,7 @@ import textwrap
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subsing import __version__, cli, integrate, mc, moments, spde
@@ -290,6 +291,44 @@ def test_spde_past_the_double_range_exit_code(argv, bound, capsys):
         assert code == 0 and err == ""
         row = [float(v) for v in out.splitlines()[-1].split(",")]
         assert all(map(math.isfinite, row[:3])) and row[3] == bound
+
+
+def test_spde_sim_past_the_double_range_exit_code(capsys):
+    # a state whose norm overflows is one error line, not an inf in the output
+    assert run(["spde", "sim", "--n", "3", "--T", "1", "--dt", "0.25",
+                "--q-scale", "1e153", "--phi", "stable:0.3", "--seed", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # a parse leaves the shared parser and its defaults as they were: each
+    # run writes what it writes from a freshly built parser
+    assert cli.build_parser() is cli.build_parser()
+    base = ["spde", "convmom", "--n", "2", "--dt", "0.0625", "--paths", "20"]
+    argvs = [base + ["--t-grid", "0.5,1"], base, base + ["--t-grid", "0.25"], base]
+    outs = []
+    for argv in argvs:
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    for argv, out in zip(argvs, outs):
+        cli.build_parser.cache_clear()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out
+    assert outs[1] == outs[3] and outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("m", [8, 5, 1])
+def test_cli_diffusion_entries_are_the_formula(m):
+    # the scales multiply as one full array, value for value the (n,) row
+    args = cli.build_parser().parse_args(["spde", "maximal", "--n", "8"])
+    system = cli._build_system(args, None)
+    s = args.q_scale * np.arange(1.0, 9.0) ** -args.q_decay
+    y = stream(m, 0).normal(0.0, 3.0, (256, m))
+    for rows in (y, y[:7]):
+        want = (np.tanh(rows) * 0.4 + 0.6) * s[:m]
+        assert np.array_equal(system.diffusion.entries(rows), want)
 
 
 @pytest.mark.parametrize("argv, last", [

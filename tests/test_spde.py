@@ -9,7 +9,8 @@ from scipy import stats
 from subsing import bernstein as bf
 from subsing import spde
 from subsing.errors import (CapabilityError, DomainError, GateViolation,
-                            PreconditionError)
+                            NumericError, PreconditionError)
+from subsing.mc import Moments, estimate_from_blocks
 from subsing.rng import stream
 from subsing.subordinator import grid_increments, time_grid
 
@@ -207,6 +208,15 @@ class TestMaximalAndSmallBall:
         res = spde.small_ball(system, bf.stable(0.5), 0.5, 0.25, 500, 7,
                               dt=1 / 64)
         assert res.probability == 1.0
+
+    def test_trivial_small_ball_bound_is_positive_zero(self):
+        # kappa = max(0, 1 - 9 ||Q||^2 delta^2) is 0 and the other factor is
+        # negative: the bound is 0.0, not kappa times it, -0.0
+        system = diagonal_system(2, q=spde.constant_diagonal_q([10.0, 10.0]))
+        res = spde.small_ball(system, bf.stable(0.5), 0.5, 1.0, 200, 3,
+                              dt=1 / 4)
+        assert res.analytic_lower_bound == 0.0
+        assert math.copysign(1.0, res.analytic_lower_bound) == 1.0
 
     def test_small_ball_domain(self):
         system = diagonal_system(2)
@@ -492,6 +502,15 @@ def test_constant_q_answers_the_first_modes():
     assert q.entries(np.zeros((5, 4))).shape == (5, 4)
 
 
+def test_constant_q_entries_are_read_only():
+    q = spde.constant_diagonal_q([0.4, 0.3, 0.2, 0.1])
+    for shape in ((5, 4), (5, 2), (4,)):
+        entries = q.entries(np.zeros(shape))
+        assert entries.shape == shape and not entries.flags.writeable
+        with pytest.raises(ValueError):
+            entries[...] = 0.0
+
+
 def _row_major_advance(system, times, d_sub, dw_std):
     """The (R, K+1, n) stepper that advance replaced, drift always added."""
     gam = np.asarray(system.eigenvalues, dtype=float)
@@ -695,17 +714,75 @@ def test_zero_drift_galerkin_steps_only_the_reference(drift, monkeypatch):
     assert rep.truncations_stepped == len(per_chunk) - 1
 
 
-def test_one_worker_draws_every_chunk_on_the_helper_thread(monkeypatch):
-    # one schedule whatever the count: chunk j + 1 is always drawn ahead
-    monkeypatch.setenv("SUBSING_WORKERS", "1")
-    idents = []
-
-    def recorded(*args, **kwargs):
-        idents.append(threading.get_ident())
-        return grid_increments(*args, **kwargs)
-
-    monkeypatch.setattr(spde, "grid_increments", recorded)
+def test_calling_thread_draws_only_the_last_chunk(monkeypatch):
+    # one schedule whatever the count: the calling thread draws the last
+    # chunk while the helper draws chunk 0, then the helper draws ahead
     system = diagonal_system(4, q=spde.constant_diagonal_q([0.5] * 4))
     times = time_grid(0.5, 1 / 16)
-    spde._mc_paths(system, ST6, times, 600, 3, lambda d_sub, dw: d_sub.sum(axis=1))
-    assert len(idents) == 3 and threading.get_ident() not in idents
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SUBSING_WORKERS", workers)
+        drawn = []
+
+        def recorded(driver, times, rng, m):
+            drawn.append((m, threading.get_ident()))
+            return grid_increments(driver, times, rng, m)
+
+        monkeypatch.setattr(spde, "grid_increments", recorded)
+        # 600 replicas: chunks of 256, 256 and the ragged 88
+        spde._mc_paths(system, ST6, times, 600, 3,
+                       lambda d_sub, dw: d_sub.sum(axis=1))
+        here = threading.get_ident()
+        assert sorted(m for m, _ in drawn) == [88, 256, 256]
+        assert [m for m, ident in drawn if ident == here] == [88]
+
+
+def _sequential_mc_paths(system, driver, times, N, seed, statistic):
+    """Thread-free reference of ``spde._mc_paths``: chunk j drawn from
+    stream (seed, j), the partials merged in chunk order."""
+    K = len(times) - 1
+    chunk = max(1, min(256, 2_000_000 // (K * system.n + 1)))
+    parts = []
+    for j, start in enumerate(range(0, N, chunk)):
+        m = min(chunk, N - start)
+        rng = stream(seed, j)
+        if isinstance(driver, np.ndarray):
+            d_sub = np.broadcast_to(driver, (m, K))
+        else:
+            d_sub = grid_increments(driver, times, rng, m)
+        parts.append(Moments.of(statistic(d_sub, rng.standard_normal((m, K, system.n)))))
+    return estimate_from_blocks(parts)
+
+
+@pytest.mark.parametrize("N", [100, 256, 512, 600, 257])
+@pytest.mark.parametrize("frozen", [False, True], ids=["drawn", "frozen"])
+def test_mc_paths_equals_the_sequential_loop(N, frozen):
+    # chunks of at most 256: 100 and 256 are one, 512 two full ones, 600
+    # and 257 end in a ragged chunk of 88 and of 1
+    system = diagonal_system(3, q=spde.constant_diagonal_q([0.5, 0.3, 0.2]))
+    times = time_grid(0.5, 1 / 16)
+    driver = np.full(8, 1 / 16) if frozen else ST6
+
+    def statistic(d_sub, dw):
+        Z = spde.advance(system, times, d_sub, dw, path="convolution")
+        return np.column_stack([spde._norms_in_place(Z).max(axis=1),
+                                d_sub.sum(axis=1)])
+
+    got = spde._mc_paths(system, driver, times, N, 4, statistic)
+    assert got == _sequential_mc_paths(system, driver, times, N, 4, statistic)
+
+
+def test_overflow_in_the_last_chunk_raises_before_any_other_chunk_runs():
+    # 600 replicas: the calling thread runs the ragged last chunk, of 88, first
+    system = diagonal_system(2)
+    times = time_grid(0.5, 1 / 16)
+    ran = []
+
+    def statistic(d_sub, dw):
+        ran.append(len(d_sub))
+        return np.full(len(d_sub), math.inf if len(d_sub) == 88 else 1.0)
+
+    threads = threading.active_count()
+    with pytest.raises(NumericError):
+        spde._mc_paths(system, ST6, times, 600, 3, statistic)
+    assert ran == [88]
+    assert threading.active_count() == threads

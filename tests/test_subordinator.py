@@ -66,6 +66,19 @@ def test_stable_independent_increments():
     assert abs(corr) <= 3 / math.sqrt(len(a))
 
 
+@pytest.mark.parametrize("seed", [0, 7, 19])
+@pytest.mark.parametrize("times", [np.linspace(0, 2, 9), np.linspace(0, 1, 129),
+                                   np.linspace(0, 1, 33) ** 1.5,
+                                   np.array([0.0, 1e-9, 0.5, 3.0])],
+                         ids=["uniform", "fine", "graded", "tiny-cell"])
+def test_gamma_increments_are_the_unit_scale_gamma_draws(times, seed):
+    # standard_gamma(shape) is gamma(shape, scale=1.0) value for value
+    for n_paths in (1, 5, 312):
+        got = sub.gamma_grid_increments(times, stream(seed, 0), n_paths)
+        shape = np.broadcast_to(np.diff(times), (n_paths, len(times) - 1))
+        assert np.array_equal(got, stream(seed, 0).gamma(shape=shape, scale=1.0))
+
+
 def test_gamma_increments_match_transform():
     rng = stream(3, 0)
     inc = sub.gamma_grid_increments(np.linspace(0, 2, 9), rng, 50_000)
