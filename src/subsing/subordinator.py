@@ -79,19 +79,62 @@ def power_graded_grid(T: float, q: float, n_nodes: int = 3000) -> np.ndarray:
 # exact samplers
 # ---------------------------------------------------------------------------
 
+def _log_half_sin(x: np.ndarray, c: float, out: np.ndarray, tmp: np.ndarray,
+                  div=None) -> np.ndarray:
+    """log(sin(c x) / (2 div)) for 0 < c x < pi, into ``out``.
+
+    With t = tan(c x / 2), sin(c x) / 2 = t / (1 + t^2): numpy's tan and log
+    run on vector kernels where its sin does not, and the quotient is at
+    most 1/2, so its log is never near 0 and keeps a small relative error.
+    ``out`` may be ``x``; ``tmp`` is overwritten.
+    """
+    np.multiply(x, 0.5 * c, out=out)
+    np.tan(out, out=out)
+    np.multiply(out, out, out=tmp)
+    tmp += 1.0
+    if div is not None:
+        tmp *= div
+    out /= tmp
+    return np.log(out, out=out)
+
+
+def _stable(rng: np.random.Generator, size, alpha: float, h) -> np.ndarray:
+    """Variates h^(1/alpha) V, V as in stable_standard, for widths h > 0
+    broadcast against ``size``.  The scale enters before the last rounding,
+    so no variate is 0 or inf unless its value is past the double range."""
+    if not 0 < alpha < 1:
+        raise DomainError("stable index must lie in (0, 1)")
+    with np.errstate(over="ignore", under="ignore"):
+        if alpha == 0.5:
+            # Levy: V = 1/(2 N^2) has E exp(-r V) = exp(-sqrt(r))
+            v = rng.standard_normal(size)
+            np.divide(math.sqrt(0.5) * h, v, out=v)
+            return np.square(v, out=v)
+        u = rng.uniform(0.0, math.pi, size)
+        e = rng.standard_exponential(size)
+        # Kanter in logs, in four arrays; the log 2 of each half-sine
+        # cancels from the sum
+        log_v, tmp = np.empty_like(u), np.empty_like(u)
+        _log_half_sin(u, 1.0 - alpha, log_v, tmp, e)
+        log_v *= (1.0 - alpha) / alpha
+        log_v += _log_half_sin(u, alpha, e, tmp)
+        _log_half_sin(u, 1.0, u, tmp)
+        u *= 1.0 / alpha
+        log_v -= u
+        log_v += np.log(h) / alpha
+        return np.exp(log_v, out=log_v)
+
+
 def stable_standard(rng: np.random.Generator, size, alpha: float) -> np.ndarray:
     """Positive alpha-stable variates V with E[exp(-r V)] = exp(-r^alpha).
 
-    Kanter's representation: with U uniform on (0, pi) and E unit exponential,
-    V = sin(alpha U) / sin(U)^(1/alpha) * (sin((1-alpha) U) / E)^((1-alpha)/alpha).
+    Kanter's representation (Ann. Probab. 3, 1975): with U uniform on
+    (0, pi) and E unit exponential,
+    V = sin(alpha U) / sin(U)^(1/alpha) * (sin((1-alpha) U) / E)^((1-alpha)/alpha),
+    is summed in logs and exponentiated once.  At alpha = 1/2, V = 1/(2 N^2)
+    from one standard normal N instead.
     """
-    if not 0 < alpha < 1:
-        raise DomainError("stable index must lie in (0, 1)")
-    u = rng.uniform(0.0, math.pi, size)
-    e = rng.standard_exponential(size)
-    a = alpha
-    return (np.sin(a * u) / np.sin(u) ** (1.0 / a)
-            * (np.sin((1.0 - a) * u) / e) ** ((1.0 - a) / a))
+    return _stable(rng, size, alpha, 1.0)
 
 
 def _widths(times) -> np.ndarray:
@@ -105,8 +148,7 @@ def stable_grid_increments(alpha: float, times: np.ndarray,
                            rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
     """(n_paths, K) independent stable increments over the grid cells."""
     dt = _widths(times)
-    v = stable_standard(rng, (n_paths, dt.size), alpha)
-    return dt ** (1.0 / alpha) * v
+    return _stable(rng, (n_paths, dt.size), alpha, dt)
 
 
 def gamma_grid_increments(times: np.ndarray, rng: np.random.Generator,
@@ -116,18 +158,20 @@ def gamma_grid_increments(times: np.ndarray, rng: np.random.Generator,
     return rng.standard_gamma(np.broadcast_to(dt, (n_paths, dt.size)))
 
 
-def _tilted_stable(alpha: float, lam: float, scale: np.ndarray,
+def _tilted_stable(alpha: float, lam: float, h: np.ndarray,
                    rng: np.random.Generator, n_paths: int) -> np.ndarray:
-    """(n_paths, K) variates X = scale * V, each kept when an independent
+    """(n_paths, K) variates X = h^(1/alpha) V, each kept when an independent
     unit exponential is at least lam X and drawn again, in order, until kept."""
-    x = scale * stable_standard(rng, (n_paths, scale.size), alpha)
+    x = _stable(rng, (n_paths, h.size), alpha, h)
     flat = x.reshape(-1)
-    todo = np.flatnonzero(rng.standard_exponential(x.shape) < lam * x)
-    while todo.size:
-        y = scale[todo % scale.size] * stable_standard(rng, todo.size, alpha)
-        kept = rng.standard_exponential(todo.size) >= lam * y
-        flat[todo[kept]] = y[kept]
-        todo = todo[~kept]
+    # a product lam X past the double range is inf, and its piece is redrawn
+    with np.errstate(over="ignore"):
+        todo = np.flatnonzero(rng.standard_exponential(x.shape) < lam * x)
+        while todo.size:
+            y = _stable(rng, todo.size, alpha, h[todo % h.size])
+            kept = rng.standard_exponential(todo.size) >= lam * y
+            flat[todo[kept]] = y[kept]
+            todo = todo[~kept]
     return x
 
 
@@ -148,13 +192,13 @@ def tempered_grid_increments(alpha: float, lam: float, times: np.ndarray,
     dt = _widths(times)
     pieces = np.maximum(np.ceil(dt * lam ** alpha / TILT_PIECE_MASS), 1.0)
     _check_node_count(pieces.sum())    # the pieces form a finer grid
-    scale = (dt / pieces) ** (1.0 / alpha)
-    out = _tilted_stable(alpha, lam, scale, rng, n_paths)
+    h = dt / pieces
+    out = _tilted_stable(alpha, lam, h, rng, n_paths)
     pieces -= 1.0
     while (cells := np.flatnonzero(pieces > 0)).size:
         k = int(min(pieces[cells].min(),
                     max(1, TILT_BATCH // max(1, n_paths * cells.size))))
-        x = _tilted_stable(alpha, lam, np.repeat(scale[cells], k), rng, n_paths)
+        x = _tilted_stable(alpha, lam, np.repeat(h[cells], k), rng, n_paths)
         out[:, cells] += x.reshape(n_paths, cells.size, k).sum(axis=2)
         pieces[cells] -= k
     return out

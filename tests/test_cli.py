@@ -493,6 +493,26 @@ def test_sim_certification_columns(tmp_path):
         assert abs(z) < 4.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--phi", "stable:0.01", "--paths", "2000", "--seed", "3"],
+    ["--phi", "tempered:0.02,1", "--paths", "2000", "--seed", "3"],
+    ["--phi", "tempered:0.01,10", "--dt", "1", "--paths", "400000", "--seed", "2"],
+], ids=["stable", "tempered", "tempered-lam-x-past-the-range"])
+def test_sim_at_a_tiny_stable_index(argv, capsys):
+    # a cell of width 1e-3 scales V by 1e-3^(1/alpha), 1e-300 at alpha = 0.01,
+    # and one V in about a thousand is past the double range there; under
+    # tempered:0.01,10 some pieces X are finite while 10 X is not: the rows
+    # stay finite, with no RuntimeWarning, which the suite raises as an error
+    assert run(["sim", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "r,mc_mean,mc_se,exact,z" and len(lines) == 4
+    for line in lines[1:]:
+        r, mean, se, exact, z = map(float, line.split(","))
+        assert 0 < mean < 1 and 0 < se < 1 and math.isfinite(z)
+
+
 def test_path_export(tmp_path):
     for phi in ("stable:0.5", "gamma", "tempered:0.5,1", "drift:1"):
         out = tmp_path / "p.csv"
@@ -516,17 +536,16 @@ def test_path_header_echoes_what_shaped_the_path(argv, capsys):
     assert "# dt=0.25\n" in out and "# eps=" not in out
 
 
-# sha256 of each output without its echoed flag lines: for stable:0.6 as
-# written by `sim --export-path`, the spelling of the export before the
-# `path` command; for the other drivers as written by the version whose
-# `path` wrote the grid values of every simulable driver
+# sha256 of each output without its echoed flag lines, as written by the
+# version whose `path` wrote the grid values of every simulable driver; the
+# stable and tempered rows since stable variates are summed in logs
 PATH_RUNS = {
     "stable:0.6": (["--dt", "0.01", "--seed", "7"],
-                   "a0b8b1a1208363407632ee2eaf06fbd7f94d45097fb0da70b8b1e0837e3625cd"),
+                   "2d87aa003185159d69922c6b0da08adddf5ec5fa0cd01e92d55cbc661018f977"),
     "gamma": (["--seed", "5"],
               "1169a6db2c1b9b811ae40250ab60727a619d3cf750e72f94bef4b7b8995e9ee5"),
     "tempered:0.5,1": (["--seed", "5"],
-                       "11d331f49edcd029fa76025d2e39353ac50976f0b0b0b1d033b2e03fc96ca3d7"),
+                       "72df254919f645d1a8010a830e3a2f1dbb660cc0ef4c22474218845167a26bb7"),
     "drift:1": (["--seed", "5"],
                 "37c59eae0b6d8affbd8be072eb1cda27b88d092b0f5ddb6cfbc7d4fdecfb435f"),
 }
@@ -916,30 +935,32 @@ def _without_echoed_flags(text):
 # sha256 of each output without its echoed flag lines, as written by the
 # version whose spde and moment modes shared one parser; `spde sim` since it
 # draws from stream (seed, 0), and `spde smallball` since its lower bound
-# reads the moment of S_T from the same paths as its probability
+# reads the moment of S_T from the same paths as its probability; every
+# row under a stable driver since stable variates are summed in logs, and
+# drawn as 1/(2 N^2) at alpha = 1/2
 MODE_RUNS = {
     ("spde", "sim"): (["--n", "4", "--T", "0.5", "--dt", "0.125", "--seed", "3"],
-                      "0e2fe238acc6fc9f20f999dc4accae8580d7d3f941b109a01c20057f4a08b3a2"),
+                      "936f45544fac1caa57f7d8ff016b2f24a1ce8e87c816fe926e3ac5a6002b07c3"),
     ("spde", "convmom"): (
         ["--n", "4", "--p", "0.5", "--theta", "0", "--t-grid", "0.25,0.5",
          "--dt", "0.0625", "--paths", "50", "--seed", "1"],
-        "0c60a8f96edf848892af3fef995b81a330654367d28f902a13c57f8199e8f6a8"),
+        "ccee5340f5e6acff4ed29d1edfc84fee01a6eebd994b963fabde9e5f1ec2062a"),
     ("spde", "maximal"): (
         ["--n", "4", "--t-grid", "1,2", "--dt", "0.0625", "--paths", "50",
          "--seed", "1"],
-        "b2f9cef7b544500c88af6b5cd0c439cb556e8feb00e4d2395c8683db2004c6fa"),
+        "1e33738c8a2cac098a876d6d883107b8b85f793dd34e9bf1b3efd093cece12b3"),
     ("spde", "smallball"): (
         ["--phi", "stable:0.5", "--n", "4", "--T", "0.0625", "--dt", "0.015625",
          "--delta", "0.5", "--paths", "100", "--seed", "1"],
-        "d0765bac0dac800fc2b69d3e5a2991abb25b8d2039ba0502ff8b9605b54db0d5"),
+        "d90096418fce22c45c66b9df36a52330eb131968fff520b716dc0dce21640258"),
     ("spde", "longrun"): (
         ["--n", "4", "--p", "0.5", "--theta", "0.25", "--t-grid", "2",
          "--dt", "0.0625", "--paths", "20", "--seed", "1"],
-        "bf0c7b84662c30d44a6c352af74b4e8ddb7c672f96dad55921bacf91b5fc2aa8"),
+        "bc6f94dd580ed821a0fa69adcd920168befb6b2766ad0553d254259760a9dbb6"),
     ("spde", "control"): (
         ["--n", "2", "--q-const", "--a4-c", "4.0", "--T", "0.5", "--dt", "0.0625",
          "--seed", "9"],
-        "648630623af29f107dd509f6465469c9a71495987d56bad2096cea20a0d68148"),
+        "51a54795a2af4c8256a4a68c9e03d8ef35869a57163a13765a6949d99a245e4d"),
     ("spde", "galerkin"): (
         ["--phi", "gamma", "--n", "8", "--truncations", "2,4", "--T", "0.25",
          "--dt", "0.0625", "--paths", "20", "--seed", "4"],
@@ -950,11 +971,11 @@ MODE_RUNS = {
     ("moment", "mc"): (
         ["--phi", "stable:0.5", "--p", "0.25", "--f", "const:1", "--paths", "200",
          "--seed", "3"],
-        "59f5db43a492c592db42f33e353d7ae2f25f26c26994172bb3480faae1757e2f"),
+        "33c40cac84eacb21b77b5f4f2de72597746d7f32936fe786a41bb79112d5ed57"),
     ("moment", "bound"): (
         ["--phi", "stable:0.5", "--p", "0.2", "--theta", "0", "--T-grid", "1,2",
          "--paths", "200", "--seed", "5"],
-        "045a29fd3e3d1b84a52498d0850abc4f80f1c4d0db2beef3f4866d2599419612"),
+        "9c9c9d3635e1d7b3748ebe10a8c84937e7a0b5b46d7474286670f721afb78cf1"),
     ("moment", "equiv"): (
         ["--phi", "gamma", "--p", "0.5", "--lam", "1"],
         "d3cfb317412ef602dcf3b09ebeddb645fa45e4ba4b67812529678717c4001969"),
@@ -973,17 +994,17 @@ def test_mode_output_digest(mode, capsys):
 # written by the version whose truncations evaluated the reference's drift
 # and diffusion on a zero-padded full-width state: a drift read through the
 # padded projection P_m F(P_m y), and a constant Q at the truncation's width;
-# the tempered row since tempered increments are drawn by exponential tilting
+# every row since stable variates are summed in logs
 _GALERKIN_BASE = ["--n", "16", "--truncations", "2,4,8", "--T", "1",
                   "--dt", "0.0625", "--x-scale", "0.1", "--q-scale", "2",
                   "--paths", "30", "--seed", "4"]
 GALERKIN_RUNS = {
     "drift": (_GALERKIN_BASE + ["--f-scale", "2"],
-              "13e1e11d84aa11d2c969e46ee42a2101aed7eaa5b199c9c167aaf5deb1c3c661"),
+              "dc8f2f6b223814f49f1e277887e649756ecd5c66d06925da1048d1317bc40663"),
     "q-const": (_GALERKIN_BASE + ["--q-const", "--f-scale", "-3"],
-                "e54010bcf5013563dc0fbd220ce2047339def98b6de2beda1050fa411d15a125"),
+                "c2c5a475a17c490107f78572cd98158c7eb4667a2494a84aaceab33ef57611a9"),
     "tempered": (["--phi", "tempered:0.5,1", *_GALERKIN_BASE, "--f-scale", "2"],
-                 "dfbc7ccb9f413643f8f6e477860d57bf3efdaf3d34f5c5592da9a7466e745e5b"),
+                 "328914dcba16b778956c520b1875f7438c5e000c2aed4b2bf4ae58f9caf5865a"),
 }
 
 
@@ -1055,17 +1076,18 @@ def test_bf_output_digest(phi, capsys):
 
 # sha256 of each output without its echoed flag lines, as written by the
 # version in which sim and integrate draw over the blocks of mc.run_mc; the
-# tempered row since tempered increments are drawn by exponential tilting
+# stable and tempered rows since stable variates are summed in logs, and
+# drawn as 1/(2 N^2) at alpha = 1/2
 DRAW_RUNS = {
     "sim-stable": (["sim", "--phi", "stable:0.6", "--dt", "0.01", "--paths", "500",
                     "--seed", "7"],
-                   "e6c39a7bfbed1f16d9aa33b4bbf0657461494a64117698dab904c5c1539bdf86"),
+                   "e070983439353be3ab3735ae300723ae857dbf1b40f4694d4abdb33aa8a9831e"),
     "sim-tempered": (["sim", "--phi", "tempered:0.5,1", "--dt", "0.25",
                       "--paths", "300", "--seed", "5"],
-                     "cc4f78b8e555de029220d85bdd93cd3eabf9ab28b7928aba283844fe6c58d845"),
+                     "2cddd48f1f1ef28c0693c4c0e953c8fdf297fe07b35501e689ec8a832e9dc656"),
     "integrate-stable": (["integrate", "--phi", "stable:0.5", "--f", "pow:0.5",
                           "--paths", "500", "--seed", "3"],
-                         "dd510a7b4d2ffbb71b437be140fbf8ae7ff4026436fdc77f3bdeb1d21d0dc32e"),
+                         "cd019a86d06ef9824d4625c879fa1ba613835c0d7d19e69a1f9fcf624ff1c835"),
     "integrate-gamma": (["integrate", "--phi", "gamma", "--f", "exp:1",
                          "--paths", "500", "--seed", "3"],
                         "8d2dbf6c95ff8bb907f790242145cb6667f766abbed3ee4286f982b830353db7"),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from subsing import bernstein as bf
 from subsing import subordinator as sub
@@ -64,6 +64,50 @@ def test_stable_independent_increments():
     b = np.exp(-inc[:, 1])
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 3 / math.sqrt(len(a))
+
+
+def test_log_half_sin_matches_numpy_sin():
+    # log sin x from the half-angle tangent against numpy's sin, over every
+    # U that uniform(0, pi) can return: a dense grid, the smallest U and the
+    # largest, within 4 ulp of the log, or of 1 where the log is near 0
+    tiny = math.pi * 2.0 ** -53
+    k = np.arange(1.0, 65.0)
+    x = np.concatenate((np.linspace(tiny, math.pi, 1_000_000, endpoint=False),
+                        tiny * k, math.pi * (1.0 - k * 2.0 ** -53),
+                        [np.nextafter(math.pi, 0.0)]))
+    got = sub._log_half_sin(x, 1.0, np.empty_like(x), np.empty_like(x))
+    got += math.log(2.0)
+    ref = np.log(np.sin(x))
+    err = np.abs(got - ref) / np.spacing(np.maximum(np.abs(ref), 1.0))
+    assert err.max() <= 4, (err.max(), x[err.argmax()])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7, 0.95])
+def test_kanter_in_logs_matches_the_sine_product(alpha):
+    # the same (U, E) draws through Kanter's product of numpy sines
+    n, a = 200_000, alpha
+    rng = np.random.default_rng(13)
+    u = rng.uniform(0.0, math.pi, n)
+    e = rng.standard_exponential(n)
+    ref = (np.sin(a * u) / np.sin(u) ** (1.0 / a)
+           * (np.sin((1.0 - a) * u) / e) ** ((1.0 - a) / a))
+    got = sub.stable_standard(np.random.default_rng(13), n, alpha)
+    assert np.abs(got / ref - 1.0).max() <= 1e-13
+
+
+def test_levy_variate_ks():
+    # at alpha = 1/2, V = 1/(2 N^2) and P(V <= x) = erfc(1/(2 sqrt(x)))
+    v = sub.stable_standard(stream(23, 0), 20_000, 0.5)
+    res = stats.kstest(v, lambda x: special.erfc(0.5 / np.sqrt(x)))
+    assert res.pvalue > 0.01
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_stable_index_outside_the_unit_interval_is_refused(alpha):
+    with pytest.raises(DomainError):
+        sub.stable_standard(as_generator(0), 4, alpha)
+    with pytest.raises(DomainError):
+        sub.stable_grid_increments(alpha, np.array([0.0, 1.0]), as_generator(0))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 19])
@@ -130,21 +174,26 @@ def test_general_requires_jump_structure():
                                 as_generator(0), 1)
 
 
-@pytest.mark.parametrize("times, batch", [
-    ([0.0, 4.0], sub.TILT_BATCH),
-    ([0.0, 4.0], 100_000),
-    ([0.0, 0.01, 0.3, 4.0], sub.TILT_BATCH),
-    (np.concatenate(([0.0], np.geomspace(1e-3, 4.0, 64))), sub.TILT_BATCH),
-], ids=["one-cell", "one-cell-batched", "three-cells", "64-cells"])
-def test_tempered_tilting_is_exact(times, batch, monkeypatch):
-    # under tempered:0.3,2 a cell of width h holds h 2^0.3 / TILT_PIECE_MASS
-    # pieces, up to 20 here: every cell and the whole path must match
-    # exp(-h phi(r)), each z-test at the 3-sigma level divided among them;
-    # a batch of 100,000 draws the 19 pieces after the first in 5 passes
+@pytest.mark.parametrize("alpha, times, batch", [
+    (0.3, [0.0, 4.0], sub.TILT_BATCH),
+    (0.3, [0.0, 4.0], 100_000),
+    (0.3, [0.0, 0.01, 0.3, 4.0], sub.TILT_BATCH),
+    (0.3, np.concatenate(([0.0], np.geomspace(1e-3, 4.0, 64))), sub.TILT_BATCH),
+    (0.5, [0.0, 4.0], sub.TILT_BATCH),
+    (0.5, [0.0, 0.01, 0.3, 4.0], sub.TILT_BATCH),
+], ids=["one-cell", "one-cell-batched", "three-cells", "64-cells",
+        "one-cell-levy", "three-cells-levy"])
+def test_tempered_tilting_is_exact(alpha, times, batch, monkeypatch):
+    # under tempered:alpha,2 a cell of width h holds h 2^alpha /
+    # TILT_PIECE_MASS pieces, up to 20 at alpha = 0.3 and 23 at alpha = 1/2,
+    # where the stable pieces are Levy variates: every cell and the whole
+    # path must match exp(-h phi(r)), each z-test at the 3-sigma level
+    # divided among them; a batch of 100,000 draws the 19 pieces after the
+    # first in 5 passes
     monkeypatch.setattr(sub, "TILT_BATCH", batch)
-    phi, times = bf.tempered_stable(0.3, 2.0), np.asarray(times)
+    phi, times = bf.tempered_stable(alpha, 2.0), np.asarray(times)
     h = np.diff(times)
-    pieces = np.ceil(h * 2.0 ** 0.3 / sub.TILT_PIECE_MASS)
+    pieces = np.ceil(h * 2.0 ** alpha / sub.TILT_PIECE_MASS)
     assert pieces.max() > 1 and (h.size == 1 or pieces.min() == 1)
     r = np.array([0.5, 1.0, 2.0])
     exact = np.exp(-np.outer(phi.fn(r), np.append(h, times[-1])))
@@ -166,4 +215,4 @@ def test_compound_poisson_estimate_pinned():
     from subsing import moments as mo
     est = mo.char_functional_mc(bf.parse_phi("tempered:0.5,1"),
                                 itg.parse_integrand("exp:1"), 1.0, 4000, seed=11)
-    assert (est.mean, est.std_error) == (0.7559600321657837, 0.002721540777319923)
+    assert (est.mean, est.std_error) == (0.7566966078958927, 0.0028037711375084014)
