@@ -22,7 +22,7 @@ from .bernstein import doubling_indices, inverse, parse_phi
 from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
 from .integrate import as_zero_one, finiteness_criterion, parse_integrand
-from .rng import as_generator, stream
+from .rng import stream
 from .subordinator import grid_increments, time_grid
 
 USAGE_EXIT = 64
@@ -126,10 +126,11 @@ def cmd_sim(args):
 
 
 def cmd_path(args):
-    """One path: the values t,S_t on the grid of step ``--dt``."""
+    """One path: the values t,S_t on the grid of step ``--dt``, drawn from
+    stream (seed, 0) like the S_t of ``spde sim``."""
     phi = parse_phi(args.phi)
     times = time_grid(args.T, args.dt)
-    inc = grid_increments(phi, times, as_generator(args.seed))[0]
+    inc = grid_increments(phi, times, stream(args.seed, 0))[0]
     values = np.concatenate(([0.0], np.cumsum(inc)))
     return _header(args) + _csv("t,S_t", zip(times, values))
 

@@ -20,6 +20,9 @@ from .errors import DomainError
 from .rng import stream
 
 DEFAULT_BLOCKS = 32
+# doubles that one chunk of paths may hold: the Monte Carlo chunk sizes of
+# the integral and SPDE samplers are cut to it
+CHUNK_DOUBLES = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -243,7 +243,7 @@ def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
         return transform(stieltjes_increments(f, times, inc))
 
     return mc.run_mc(sampler, N, seed, method=method,
-                     max_chunk=max(8, min(4096, 2_000_000 // max(k, 1))))
+                     max_chunk=max(8, min(4096, mc.CHUNK_DOUBLES // max(k, 1))))
 
 
 def char_functional_mc(phi: BernsteinFunction, f: Integrand, T: float, N: int,

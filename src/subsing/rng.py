@@ -3,6 +3,7 @@
 One master seed drives every experiment.  Per-replica (or per-block) streams
 are derived by mixing (seed, index) through a splitmix64 finalizer, so replicas
 can be generated in any order, or in parallel, and still reproduce bit for bit.
+Every generator of the package is a :func:`stream`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ def splitmix64(x: int) -> int:
 def derive_seed(master: int, index: int) -> int:
     """Mix a master seed with a stream index into an independent 64-bit seed."""
     return splitmix64(splitmix64(master) ^ splitmix64(index * _GOLDEN + 1))
-
-
-def as_generator(seed: int) -> np.random.Generator:
-    """The Generator of an integer seed, reduced to 64 bits."""
-    return np.random.default_rng(int(seed) & _MASK)
 
 
 def stream(master: int, index: int) -> np.random.Generator:

@@ -22,9 +22,9 @@ import numpy as np
 from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, GateViolation,
                      NumericError, PreconditionError)
-from .mc import Moments, estimate_from_blocks, wilson_interval
+from .mc import CHUNK_DOUBLES, Moments, estimate_from_blocks, wilson_interval
 from .moments import BoundReport, _horizons
-from .rng import as_generator, stream
+from .rng import stream
 from .subordinator import cell_count, grid_increments, time_grid
 
 
@@ -120,7 +120,7 @@ def validate_system(system: GalerkinSystem):
     diffusion entries are mode-wise: on the first n - 1 modes they equal the
     first n - 1 entries of the full state, bit for bit."""
     slack = 1e-9
-    y = as_generator(0).normal(0.0, 10.0, (64, system.n))
+    y = stream(0, 0).normal(0.0, 10.0, (64, system.n))
     fy = np.linalg.norm(system.drift(y), axis=-1)
     if np.any(fy > system.drift_bound * (1 + slack) + slack):
         raise PreconditionError(
@@ -172,9 +172,10 @@ def truncate_system(system: GalerkinSystem, m: int) -> GalerkinSystem:
 
 def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
           dw_std: np.ndarray, *, path: str, out: Optional[np.ndarray] = None):
-    """Step replicas through the grid and yield one path's (R, n) slice at
-    each grid time k = 0..K: the state X for ``path="state"``, the stochastic
-    convolution Z for ``path="convolution"``.
+    """Step replicas through a uniform grid and yield one path's (R, n)
+    slice at each grid time k = 0..K: the state X for ``path="state"``, the
+    stochastic convolution Z for ``path="convolution"``.  A grid whose cells
+    are not all equal (``np.allclose``) raises DomainError.
 
     d_sub holds subordinator increments (R, K); dw_std standard normals
     (R, K, n).  The Gaussian increment over a cell has variance equal to the
@@ -186,8 +187,8 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     overwritten two steps on.  The state path never runs the convolution
     recursion; the convolution path still steps the state, since Q depends
     on it, in a rolling buffer.  Each step writes into preallocated (R, n)
-    arrays in the order E*x + phi1*f(x) + E*qn and E*(Z + qn).  On a
-    uniform grid the factors E and phi1 are full (R, n) arrays, made once: a
+    arrays in the order E*x + phi1*f(x) + E*qn and E*(Z + qn).  The factors
+    E and phi1 of the first cell are full (R, n) arrays, made once: a
     broadcast (n,) row would cost numpy one inner loop per replica.  The drift
     term is skipped for :func:`zero_drift`, whose contribution is exactly 0.
     """
@@ -195,6 +196,8 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
         raise DomainError(f"unknown path {path!r}")
     gam = np.asarray(system.eigenvalues, dtype=float)
     dts = np.diff(times)
+    if not np.allclose(dts, dts[0]):
+        raise DomainError("the stepper needs a uniform grid")
     R, K = d_sub.shape
     n = system.n
     P = np.empty((2, R, n)) if out is None else out     # the yielded path
@@ -203,18 +206,13 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     X[0] = system.x0
     qn = np.empty((R, n))
     term = np.empty((R, n))
-    uniform = np.allclose(dts, dts[0])
-    if uniform:
-        E = np.broadcast_to(np.exp(-gam * dts[0]), (R, n)).copy()
-        phi1 = np.broadcast_to(-np.expm1(-gam * dts[0]) / gam, (R, n)).copy()
+    E = np.broadcast_to(np.exp(-gam * dts[0]), (R, n)).copy()
+    phi1 = np.broadcast_to(-np.expm1(-gam * dts[0]) / gam, (R, n)).copy()
     rootd = np.sqrt(d_sub).T
     dw = dw_std.transpose(1, 0, 2)
     no_drift = system.drift is zero_drift
     yield P[0]
     for k in range(K):
-        if not uniform:
-            E = np.exp(-gam * dts[k])
-            phi1 = -np.expm1(-gam * dts[k]) / gam
         xk, x_next = X[k % len(X)], X[(k + 1) % len(X)]
         np.multiply(dw[k], rootd[k, :, None], out=qn)
         np.multiply(system.diffusion.entries(xk), qn, out=qn)
@@ -231,8 +229,8 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
 
 def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
             dw_std: np.ndarray, *, path: str) -> np.ndarray:
-    """Advance replicas through the grid and return one path, (R, K+1, n),
-    with the arguments of :func:`steps`.
+    """Advance replicas through a uniform grid and return one path,
+    (R, K+1, n), with the arguments of :func:`steps`.
 
     The path is stored time-major, (K+1, R, n), so that each step reads and
     writes one contiguous (R, n) slice; the returned array is an
@@ -286,7 +284,7 @@ def _mc_paths(system, driver, times, N, seed, statistic):
     if N < 1:
         raise DomainError("need a positive number of paths")
     K = len(times) - 1
-    chunk = max(1, min(256, 2_000_000 // (K * system.n + 1)))
+    chunk = max(1, min(256, CHUNK_DOUBLES // (K * system.n + 1)))
     count = -(-N // chunk)
 
     def draw(idx):
@@ -323,13 +321,6 @@ def _norms_in_place(a: np.ndarray) -> np.ndarray:
     instead of into a temporary; ``a`` must be a float array."""
     np.multiply(a, a, out=a)
     return np.sqrt(np.add.reduce(a, axis=-1))
-
-
-def fractional_power_norm(gammas: np.ndarray, theta: float,
-                          y: np.ndarray) -> np.ndarray:
-    """|Lambda^theta y| along the last axis."""
-    w = np.asarray(gammas, dtype=float) ** theta
-    return _norms_in_place(w * y)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +371,14 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     t_grid = _horizons(t_grid)
     times = time_grid(t_grid[-1], dt)
     cols = [cell_count(t, dt) for t in t_grid]
-    gam = system.eigenvalues
+    weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
 
     def statistic(d_sub, dw):
-        Z = advance(system, times, d_sub, dw, path="convolution")
-        return fractional_power_norm(gam, theta, Z[:, cols, :]) ** p
+        # the read columns are weighted and squared in place; the (R, 1, n)
+        # weights span each time's contiguous (R, n) slice
+        Z = advance(system, times, d_sub, dw, path="convolution")[:, cols, :]
+        Z *= weights((len(Z), 1, system.n))
+        return _norms_in_place(Z) ** p
 
     ests = _mc_paths(system, driver, times, N, seed, statistic)
     rhs = tuple(t ** (-p * theta) * inverse(driver, 1.0 / t) ** (-p / 2)
@@ -422,7 +416,8 @@ def conditional_maximal_check(system: GalerkinSystem, times: np.ndarray,
                               d_sub: np.ndarray, N: int, seed: int):
     """Frozen-path maximal moment: E^W[sup |Z|^2] against 9 ||Q||^2 ell_T.
 
-    d_sub is one frozen vector of subordinator increments over the grid.
+    d_sub is one frozen vector of subordinator increments over the uniform
+    grid ``times``.
     Returns (estimate, bound).
     """
     d_sub = np.asarray(d_sub, dtype=float)
@@ -569,7 +564,7 @@ def verify_a4(system: GalerkinSystem, *,
         raise PreconditionError(
             f"driver {driver.name} fails integrability of phi(s^(-2*{dlt:g})) at 0")
     ts = np.geomspace(1e-6, 10.0, 25)
-    ys = as_generator(0).normal(0.0, 5.0, (16, system.n))
+    ys = stream(0, 0).normal(0.0, 5.0, (16, system.n))
     for t in ts:
         decay = np.exp(-t * system.eigenvalues)
         for y in ys:

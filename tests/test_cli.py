@@ -536,16 +536,32 @@ def test_path_header_echoes_what_shaped_the_path(argv, capsys):
     assert "# dt=0.25\n" in out and "# eps=" not in out
 
 
+@pytest.mark.parametrize("phi", ["stable:0.6", "gamma", "tempered:0.5,1"])
+def test_path_is_the_clock_of_spde_sim(phi, capsys):
+    # both draw stream (seed, 0): the rows t,S_t match string for string
+    grid = ["--phi", phi, "--T", "1", "--dt", "0.05", "--seed", "11"]
+
+    def rows(argv, columns):
+        assert run(argv) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if not l.startswith("#")]
+        return [",".join(l.split(",")[:columns]) for l in lines]
+
+    path = rows(["path", *grid], 2)
+    assert len(path) == 22 and path[0] == "t,S_t"
+    assert path == rows(["spde", "sim", "--n", "3", *grid], 2)
+
+
 # sha256 of each output without its echoed flag lines, as written by the
 # version whose `path` wrote the grid values of every simulable driver; the
-# stable and tempered rows since stable variates are summed in logs
+# drawn rows since `path` draws stream (seed, 0), like `spde sim`
 PATH_RUNS = {
     "stable:0.6": (["--dt", "0.01", "--seed", "7"],
-                   "2d87aa003185159d69922c6b0da08adddf5ec5fa0cd01e92d55cbc661018f977"),
+                   "4e034b8d0fdff70dae1e65fa595c4e562bf8e9f3a5a35ab00665c0e84fb88393"),
     "gamma": (["--seed", "5"],
-              "1169a6db2c1b9b811ae40250ab60727a619d3cf750e72f94bef4b7b8995e9ee5"),
+              "a6f0e0568ef08060934ab5f59f463cabf90894d64673dc02b0dd7f67e4e0e3c5"),
     "tempered:0.5,1": (["--seed", "5"],
-                       "72df254919f645d1a8010a830e3a2f1dbb660cc0ef4c22474218845167a26bb7"),
+                       "cb2600d709b2e0d20e52745632228f710c4895a7278ded81abe11243892e04a8"),
     "drift:1": (["--seed", "5"],
                 "37c59eae0b6d8affbd8be072eb1cda27b88d092b0f5ddb6cfbc7d4fdecfb435f"),
 }

@@ -11,7 +11,6 @@ from subsing import bernstein as bf
 from subsing import integrate as itg
 from subsing import subordinator as sub
 from subsing.moments import mc_moment
-from subsing.rng import as_generator
 
 STABLE = bf.stable(0.5)
 GAMMA = bf.gamma_exponent()
@@ -20,7 +19,7 @@ GAMMA = bf.gamma_exponent()
 class TestStieltjes:
     def test_grid_constant_recovers_total_mass(self):
         times = sub.time_grid(1.0, 0.125)
-        inc = sub.grid_increments(STABLE, times, as_generator(2))
+        inc = sub.grid_increments(STABLE, times, np.random.default_rng(2))
         total = itg.stieltjes_increments(itg.constant(1.0), times, inc)[0]
         assert total == pytest.approx(inc.sum())
 

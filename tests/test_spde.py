@@ -10,7 +10,7 @@ from subsing import bernstein as bf
 from subsing import spde
 from subsing.errors import (CapabilityError, DomainError, GateViolation,
                             NumericError, PreconditionError)
-from subsing.mc import Moments, estimate_from_blocks
+from subsing.mc import CHUNK_DOUBLES, Moments, estimate_from_blocks
 from subsing.rng import stream
 from subsing.subordinator import grid_increments, time_grid
 
@@ -39,10 +39,6 @@ class TestSemigroupFacts:
 
     def test_gap_inequalities(self):
         gam = np.array([2.0, 3.0, 7.0])
-        x = np.array([0.3, -1.2, 0.4])
-        theta = 0.4
-        assert spde.fractional_power_norm(gam, theta, x) >= \
-            gam[0] ** theta * np.linalg.norm(x) - 1e-12
         for t in (0.1, 1.0, 3.0):
             assert np.max(np.exp(-t * gam)) == pytest.approx(
                 math.exp(-gam[0] * t))
@@ -512,18 +508,17 @@ def test_constant_q_entries_are_read_only():
 
 
 def _row_major_advance(system, times, d_sub, dw_std):
-    """The (R, K+1, n) stepper that advance replaced, drift always added."""
+    """The (R, K+1, n) stepper that advance replaced, drift always added,
+    on a uniform grid: every cell takes the factors of the first."""
     gam = np.asarray(system.eigenvalues, dtype=float)
     R, K = d_sub.shape
     X = np.empty((R, K + 1, system.n))
     Z = np.empty((R, K + 1, system.n))
     X[:, 0], Z[:, 0] = system.x0, 0.0
     rootd = np.sqrt(d_sub)
-    hs = np.diff(times)
-    if np.allclose(hs, hs[0]):
-        hs = np.full_like(hs, hs[0])
-    for k, h in enumerate(hs):
-        E, phi1 = np.exp(-gam * h), -np.expm1(-gam * h) / gam
+    h = times[1] - times[0]
+    E, phi1 = np.exp(-gam * h), -np.expm1(-gam * h) / gam
+    for k in range(K):
         xk = X[:, k]
         qn = system.diffusion.entries(xk) * (dw_std[:, k] * rootd[:, k, None])
         X[:, k + 1] = E * xk + phi1 * system.drift(xk) + E * qn
@@ -581,15 +576,15 @@ class TestTimeMajorStepping:
             n, k ** 1.4, roll_drift if drift else spde.zero_drift,
             float(np.linalg.norm(w)), float(w.max()), q, k ** -1.5)
 
-    @pytest.mark.parametrize("grid", ["uniform", "graded"])
+    # one uniform grid: the stepper refuses any other
+    @pytest.mark.parametrize("dt", [1 / 32], ids=["uniform"])
     @pytest.mark.parametrize("case", ["drift", "truncated", "zero_drift",
                                       "truncated_zero_drift"])
-    def test_bit_identical_to_row_major(self, grid, case):
+    def test_bit_identical_to_row_major(self, dt, case):
         system = self.state_dependent_system(drift="zero" not in case)
         if "truncated" in case:
             system = spde.truncate_system(system, 4)
-        times = (time_grid(1.0, 1 / 32) if grid == "uniform"
-                 else np.linspace(0.0, 1.0, 33) ** 1.5)
+        times = time_grid(1.0, dt)
         rng = np.random.default_rng(17)
         d_sub = grid_increments(ST6, times, rng, 9)
         dw = rng.standard_normal((9, len(times) - 1, system.n))
@@ -602,7 +597,7 @@ class TestTimeMajorStepping:
     @pytest.mark.parametrize("path", ["state", "convolution"])
     def test_steps_yield_the_path_of_advance(self, path):
         system = self.state_dependent_system()
-        times = np.linspace(0.0, 1.0, 17) ** 1.5
+        times = time_grid(1.0, 1 / 16)
         rng = np.random.default_rng(5)
         d_sub = grid_increments(ST6, times, rng, 7)
         dw = rng.standard_normal((7, 16, system.n))
@@ -610,10 +605,11 @@ class TestTimeMajorStepping:
         want = spde.advance(system, times, d_sub, dw, path=path)
         assert np.array_equal(np.stack(got, axis=1), want)
 
-    @pytest.mark.parametrize("grid", ["uniform", "graded"])
+    # one uniform grid: the stepper refuses any other
+    @pytest.mark.parametrize("dt", [1 / 32], ids=["uniform"])
     @pytest.mark.parametrize("case", ["coupled", "state_dependent",
                                       "zero_drift"])
-    def test_lock_step_galerkin_is_the_stacked_one(self, grid, case):
+    def test_lock_step_galerkin_is_the_stacked_one(self, dt, case):
         # under a zero drift the errors are read off the reference's tail
         if case == "coupled":
             system, truncations = TestGalerkin().coupled_system(), [1, 2, 4, 8]
@@ -622,8 +618,7 @@ class TestTimeMajorStepping:
             truncations = [1, 3, 8, 12]
         else:
             system, truncations = self.state_dependent_system(), [2, 3, 5]
-        times = (time_grid(1.0, 1 / 32) if grid == "uniform"
-                 else np.linspace(0.0, 1.0, 33) ** 1.5)
+        times = time_grid(1.0, dt)
         rng = np.random.default_rng(23)
         d_sub = grid_increments(GAMMA, times, rng, 11)
         dw = rng.standard_normal((11, len(times) - 1, system.n))
@@ -653,6 +648,18 @@ class TestTimeMajorStepping:
         with pytest.raises(DomainError):
             spde.advance(system, times, np.ones((2, 4)),
                          np.zeros((2, 4, system.n)), path="both")
+
+    def test_a_graded_grid_is_a_domain_error(self):
+        system = self.state_dependent_system()
+        times = np.linspace(0.0, 1.0, 17) ** 1.5
+        d_sub, dw = np.full((2, 16), 0.01), np.zeros((2, 16, system.n))
+        for path in ("state", "convolution"):
+            with pytest.raises(DomainError, match="uniform grid"):
+                next(spde.steps(system, times, d_sub, dw, path=path))
+            with pytest.raises(DomainError, match="uniform grid"):
+                spde.advance(system, times, d_sub, dw, path=path)
+        with pytest.raises(DomainError, match="uniform grid"):
+            spde.conditional_maximal_check(system, times, d_sub[0], 10, 1)
 
     def test_truncation_keeps_zero_drift(self):
         system = self.state_dependent_system(drift=False)
@@ -740,7 +747,7 @@ def _sequential_mc_paths(system, driver, times, N, seed, statistic):
     """Thread-free reference of ``spde._mc_paths``: chunk j drawn from
     stream (seed, j), the partials merged in chunk order."""
     K = len(times) - 1
-    chunk = max(1, min(256, 2_000_000 // (K * system.n + 1)))
+    chunk = max(1, min(256, CHUNK_DOUBLES // (K * system.n + 1)))
     parts = []
     for j, start in enumerate(range(0, N, chunk)):
         m = min(chunk, N - start)

@@ -7,7 +7,7 @@ from scipy import special, stats
 from subsing import bernstein as bf
 from subsing import subordinator as sub
 from subsing.errors import CapabilityError, DomainError
-from subsing.rng import as_generator, stream
+from subsing.rng import stream
 
 
 def test_time_grid_basic():
@@ -29,7 +29,7 @@ def test_power_graded_grid_shape():
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_stable_paths_monotone_and_certified(alpha):
     inc = sub.grid_increments(bf.stable(alpha), sub.time_grid(1.0, 0.01),
-                              as_generator(1))[0]
+                              np.random.default_rng(1))[0]
     values = np.concatenate(([0.0], np.cumsum(inc)))
     assert values[0] == 0.0
     assert np.all(np.diff(values) >= 0)
@@ -105,9 +105,9 @@ def test_levy_variate_ks():
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
 def test_stable_index_outside_the_unit_interval_is_refused(alpha):
     with pytest.raises(DomainError):
-        sub.stable_standard(as_generator(0), 4, alpha)
+        sub.stable_standard(np.random.default_rng(0), 4, alpha)
     with pytest.raises(DomainError):
-        sub.stable_grid_increments(alpha, np.array([0.0, 1.0]), as_generator(0))
+        sub.stable_grid_increments(alpha, np.array([0.0, 1.0]), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 19])
@@ -137,13 +137,13 @@ def test_gamma_increments_match_transform():
 
 def test_determinism_bit_identical():
     times = sub.time_grid(1.0, 0.01)
-    a = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
-    b = sub.grid_increments(bf.stable(0.5), times, as_generator(42))
+    a = sub.grid_increments(bf.stable(0.5), times, np.random.default_rng(42))
+    b = sub.grid_increments(bf.stable(0.5), times, np.random.default_rng(42))
     assert np.array_equal(a, b)
     # tilted draws redraw their rejections from the same stream
     phi, split = bf.tempered_stable(0.3, 2.0), np.array([0.0, 0.5, 4.0])
-    a = sub.grid_increments(phi, split, as_generator(5), 50)
-    b = sub.grid_increments(phi, split, as_generator(5), 50)
+    a = sub.grid_increments(phi, split, np.random.default_rng(5), 50)
+    b = sub.grid_increments(phi, split, np.random.default_rng(5), 50)
     assert np.array_equal(a, b)
 
 
@@ -167,11 +167,11 @@ def test_general_requires_jump_structure():
     # a driver without an exact grid sampler is refused, not approximated
     times = np.array([0.0, 0.5, 1.0])
     with pytest.raises(CapabilityError):
-        sub.grid_increments(bf.parse_phi("ratio:0.5"), times, as_generator(0), 1)
+        sub.grid_increments(bf.parse_phi("ratio:0.5"), times, np.random.default_rng(0), 1)
     for phi_id in ("stable:0.5", "gamma", "tempered:0.5,1", "drift:1"):
         with pytest.raises(DomainError):
             sub.grid_increments(bf.parse_phi(phi_id), times[::-1],
-                                as_generator(0), 1)
+                                np.random.default_rng(0), 1)
 
 
 @pytest.mark.parametrize("alpha, times, batch", [
