@@ -13,6 +13,7 @@ which gate the validity regions of the general moment bounds implemented in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -159,6 +160,14 @@ def parse_phi(ident: str) -> BernsteinFunction:
 # numeric inverse
 # ---------------------------------------------------------------------------
 
+def _geometric_mean(lo: float, hi: float) -> float:
+    """sqrt(lo hi), as sqrt(lo) sqrt(hi) where lo hi is not a normal double,
+    as near either end of the double range."""
+    prod = lo * hi
+    return (math.sqrt(prod) if sys.float_info.min <= prod < math.inf
+            else math.sqrt(lo) * math.sqrt(hi))
+
+
 def inverse(phi: BernsteinFunction, y: float) -> float:
     """Solve phi(s) = y by bracketed bisection to relative tolerance 1e-12.
 
@@ -188,7 +197,7 @@ def inverse(phi: BernsteinFunction, y: float) -> float:
     else:
         return 1.0
     for _ in range(200):
-        mid = math.sqrt(lo * hi)
+        mid = _geometric_mean(lo, hi)
         val = phi(mid)
         if abs(val - y) <= rtol * y:
             return mid
@@ -197,7 +206,7 @@ def inverse(phi: BernsteinFunction, y: float) -> float:
         else:
             hi = mid
         if hi <= lo * (1 + rtol):
-            return math.sqrt(lo * hi)
+            return _geometric_mean(lo, hi)
     raise NumericError(f"{phi.name}: inversion did not converge for y={y}")
 
 

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import mc
-from .bernstein import (BernsteinFunction, Catalog, doubling_indices, inverse,
-                        log_growth_liminf, stable)
+from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
+                        doubling_indices, inverse, log_growth_liminf, stable)
 from .errors import DomainError, GateViolation, NumericError
 from .integrate import (OVERFLOW_GUARD, Integrand, IntegrandKind, Verdict,
                         as_zero_one, cell_means, constant, exponential,
@@ -347,6 +347,32 @@ def _require(cond: bool, condition: str, detail: str):
         raise GateViolation(condition, detail)
 
 
+def small_time_gate(idx: DoublingIndices, p: float, theta: float, *,
+                    order: str = "p", index: str = "theta"):
+    """Clauses v and iii below T = 1: p < global_inf and, if theta > 0,
+    theta at_infinity < 1; ``order`` and ``index`` name p and theta."""
+    _require(idx.global_inf is not None and p < idx.global_inf,
+             f"0 <= {order} < log2(inf_{{s>0}} phi(2s)/phi(s))",
+             f"{order} = {p}, log2 inf = {idx.global_inf}")
+    if theta > 0:
+        _require(idx.at_infinity is not None and theta * idx.at_infinity < 1,
+                 f"0 < {index} < 1/log2(limsup_{{s->inf}} phi(2s)/phi(s))",
+                 f"{index} = {theta}, log2 limsup at infinity = {idx.at_infinity}")
+
+
+def stationary_gate(idx: DoublingIndices, p: float, theta: float, *,
+                    order: str = "p", index: str = "theta"):
+    """Clauses iv and iii from T = 1 on: p < at_zero and, if theta > 0,
+    theta global_sup < 1; ``order`` and ``index`` name p and theta."""
+    _require(idx.at_zero is not None and p < idx.at_zero,
+             f"0 <= {order} < log2(liminf_{{s->0}} phi(2s)/phi(s))",
+             f"{order} = {p}, log2 liminf at zero = {idx.at_zero}")
+    if theta > 0:
+        _require(idx.global_sup is not None and theta * idx.global_sup < 1,
+                 f"0 <= {index} < 1/log2(sup_{{s>0}} phi(2s)/phi(s))",
+                 f"{index} = {theta}, log2 sup = {idx.global_sup}")
+
+
 def select_bound_clause(phi: BernsteinFunction, p: float, T_grid: Sequence[float],
                         *, theta: Optional[float] = None,
                         lam: Optional[float] = None) -> str:
@@ -359,6 +385,9 @@ def select_bound_clause(phi: BernsteinFunction, p: float, T_grid: Sequence[float
     _require_finite_order(p)
     idx = doubling_indices(phi)
     t_lo, t_hi = min(T_grid), max(T_grid)
+    growth_at_infinity = ((idx.liminf_at_infinity or 0) > 0,
+                          "liminf_{s->inf} phi(2s)/phi(s) > 1",
+                          f"log2 liminf at infinity = {idx.liminf_at_infinity}")
     if lam is not None:
         if p > 0:
             raise GateViolation(
@@ -366,16 +395,14 @@ def select_bound_clause(phi: BernsteinFunction, p: float, T_grid: Sequence[float
                 "positive p is covered by the integrability equivalence instead")
         if p == 0:
             return "trivial"
-        _require((idx.liminf_at_infinity or 0) > 0,
-                 "liminf_{s->inf} phi(2s)/phi(s) > 1",
-                 f"log2 liminf at infinity = {idx.liminf_at_infinity}")
+        _require(*growth_at_infinity)
         return "vi"
     if theta is None:
         raise DomainError("scan needs theta or lam")
     if p == 0:
         return "trivial"
+    _require(theta >= 0, "theta >= 0", f"theta = {theta}")
     if p < 0:
-        _require(theta >= 0, "theta >= 0", f"theta = {theta}")
         if t_hi > 1:
             growth = log_growth_liminf(phi)
             _require(growth is not None and growth > 0,
@@ -385,36 +412,17 @@ def select_bound_clause(phi: BernsteinFunction, p: float, T_grid: Sequence[float
                      "liminf_{s->0} phi(2s)/phi(s) > 1",
                      f"log2 liminf at zero = {idx.at_zero}")
         if t_lo < 1:
-            _require((idx.liminf_at_infinity or 0) > 0,
-                     "liminf_{s->inf} phi(2s)/phi(s) > 1",
-                     f"log2 liminf at infinity = {idx.liminf_at_infinity}")
+            _require(*growth_at_infinity)
         return "i" if t_lo >= 1 else ("ii" if t_hi <= 1 else "i+ii")
     if theta == 0.0:
-        if t_lo >= 1:
-            _require(idx.at_zero is not None and p < idx.at_zero,
-                     "0 <= p < log2(liminf_{s->0} phi(2s)/phi(s))",
-                     f"p = {p}, log2 liminf at zero = {idx.at_zero}")
-        else:
-            _require(idx.global_inf is not None and p < idx.global_inf,
-                     "0 <= p < log2(inf_{s>0} phi(2s)/phi(s))",
-                     f"p = {p}, log2 inf = {idx.global_inf}")
+        (stationary_gate if t_lo >= 1 else small_time_gate)(idx, p, theta)
         return "iii"
     clauses = []
     if t_hi > 1:
-        _require(idx.at_zero is not None and p < idx.at_zero,
-                 "0 <= p < log2(liminf_{s->0} phi(2s)/phi(s))",
-                 f"p = {p}, log2 liminf at zero = {idx.at_zero}")
-        _require(idx.global_sup is not None and theta * idx.global_sup < 1,
-                 "0 <= theta < 1/log2(sup_{s>0} phi(2s)/phi(s))",
-                 f"theta = {theta}, log2 sup = {idx.global_sup}")
+        stationary_gate(idx, p, theta)
         clauses.append("iv")
     if t_lo <= 1:
-        _require(idx.global_inf is not None and p < idx.global_inf,
-                 "0 <= p < log2(inf_{s>0} phi(2s)/phi(s))",
-                 f"p = {p}, log2 inf = {idx.global_inf}")
-        _require(idx.at_infinity is not None and theta * idx.at_infinity < 1,
-                 "0 < theta < 1/log2(limsup_{s->inf} phi(2s)/phi(s))",
-                 f"theta = {theta}, log2 limsup at infinity = {idx.at_infinity}")
+        small_time_gate(idx, p, theta)
         clauses.append("v")
     return "+".join(clauses)
 

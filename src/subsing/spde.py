@@ -20,10 +20,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bernstein import BernsteinFunction, doubling_indices, inverse
-from .errors import (CapabilityError, DomainError, GateViolation,
-                     NumericError, PreconditionError)
+from .errors import (CapabilityError, DomainError, NumericError,
+                     PreconditionError)
 from .mc import CHUNK_DOUBLES, Moments, estimate_from_blocks, wilson_interval
-from .moments import BoundReport, _horizons
+from .moments import (BoundReport, _horizons, bound_rhs, small_time_gate,
+                      stationary_gate)
 from .rng import stream
 from .subordinator import cell_count, grid_increments, time_grid
 
@@ -327,35 +328,17 @@ def _norms_in_place(a: np.ndarray) -> np.ndarray:
 # gates for the convolution estimates
 # ---------------------------------------------------------------------------
 
-def gate_convolution(phi: BernsteinFunction, p: float, theta: float, mode: str):
-    idx = doubling_indices(phi)
+def _gate(driver: BernsteinFunction, p: float, theta: float, stationary: bool):
+    """Refuse E|Lambda^theta Z_t|^p outside its integral's gate: given the
+    clock Z_t is Gaussian, so this is a moment of order p/2 of a subordinator
+    integral with index 2 theta, as is its right side (:func:`bound_rhs`)."""
     if not p > 0:
         raise DomainError("moment order must be positive")
     if not theta >= 0:
         raise DomainError("theta must be nonnegative")
-    if mode == "small_time":
-        if idx.global_inf is None or p / 2 >= idx.global_inf:
-            raise GateViolation(
-                "p/2 < log2(inf_{s>0} phi(2s)/phi(s))",
-                f"p/2 = {p / 2}, log2 inf = {idx.global_inf}")
-        if theta > 0 and (idx.at_infinity is None
-                          or idx.at_infinity >= 1 / (2 * theta)):
-            raise GateViolation(
-                "log2(limsup_{s->inf} phi(2s)/phi(s)) < 1/(2 theta)",
-                f"log2 limsup = {idx.at_infinity}, 1/(2 theta) = {1 / (2 * theta)}")
-    elif mode == "stationary":
-        if idx.at_zero is None or p / 2 >= idx.at_zero:
-            raise GateViolation(
-                "p/2 < log2(liminf_{s->0} phi(2s)/phi(s))",
-                f"p/2 = {p / 2}, log2 liminf at zero = {idx.at_zero}")
-        if theta > 0 and (idx.global_sup is None
-                          or idx.global_sup >= 1 / (2 * theta)):
-            raise GateViolation(
-                "log2(sup_{s>0} phi(2s)/phi(s)) < 1/(2 theta)",
-                f"log2 sup = {idx.global_sup}, 1/(2 theta) = {1 / (2 * theta)}")
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return idx
+    (stationary_gate if stationary else small_time_gate)(
+        doubling_indices(driver), p / 2, 2 * theta, order="p/2",
+        index="2 theta")
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +350,7 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
                             N: int, seed: int, *, dt: float) -> BoundReport:
     """Monte Carlo fractional-power moments of the convolution at several
     times, against the small-time right side."""
-    gate_convolution(driver, p, theta, "small_time")
+    _gate(driver, p, theta, stationary=False)
     t_grid = _horizons(t_grid)
     times = time_grid(t_grid[-1], dt)
     cols = [cell_count(t, dt) for t in t_grid]
@@ -381,8 +364,7 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
         return _norms_in_place(Z) ** p
 
     ests = _mc_paths(system, driver, times, N, seed, statistic)
-    rhs = tuple(t ** (-p * theta) * inverse(driver, 1.0 / t) ** (-p / 2)
-                for t in t_grid)
+    rhs = tuple(bound_rhs(driver, p / 2, t, theta=2 * theta) for t in t_grid)
     return BoundReport(tuple(t_grid), tuple(ests), rhs, "convolution/small_time")
 
 
@@ -391,14 +373,13 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
                             seed: int, *, dt: float) -> BoundReport:
     """Grid-maximum moments of |Z| per horizon against the maximal bound.
 
-    The gate is that of :func:`gate_convolution` at theta = 0: stationary
-    when every horizon is at least 1, small-time otherwise.  One run on the
-    grid of the largest horizon serves every horizon: each reads the running
-    maximum of the same paths at its own column.
+    The gate is that of :func:`_gate` at theta = 0: stationary when every
+    horizon is at least 1, small-time otherwise.  One run on the grid of the
+    largest horizon serves every horizon: each reads the running maximum of
+    the same paths at its own column.
     """
     T_grid = _horizons(T_grid)
-    gate_convolution(driver, p, 0.0,
-                     "stationary" if T_grid[0] >= 1 else "small_time")
+    _gate(driver, p, 0.0, stationary=T_grid[0] >= 1)
     times = time_grid(T_grid[-1], dt)
     cols = [cell_count(T, dt) for T in T_grid]
 
@@ -408,7 +389,7 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
         return running[:, cols] ** p
 
     ests = _mc_paths(system, driver, times, N, seed, statistic)
-    rhs = tuple(inverse(driver, 1.0 / T) ** (-p / 2) for T in T_grid)
+    rhs = tuple(bound_rhs(driver, p / 2, T) for T in T_grid)
     return BoundReport(tuple(T_grid), tuple(ests), rhs, "maximal")
 
 
@@ -504,7 +485,7 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     horizon: each reads the running trapezoid integral from t = 1 at its own
     column.
     """
-    gate_convolution(driver, p, theta, "stationary")
+    _gate(driver, p, theta, stationary=True)
     Ts = _horizons(horizons)
     times = time_grid(Ts[-1] + 1.0, dt)
     j0 = cell_count(1.0, dt)

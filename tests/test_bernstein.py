@@ -69,6 +69,19 @@ def test_inverse_round_trip(phi):
         assert phi(bf.inverse(phi, y)) == pytest.approx(y, rel=1e-9)
 
 
+@pytest.mark.parametrize("phi,y,root", [
+    (bf.drift_only(1.0), 1e-300, 1e-300),
+    (bf.gamma_exponent(), 600.0, math.expm1(600.0)),
+    (bf.drift_only(1.0), 1e300, 1e300),
+])
+def test_inverse_near_the_ends_of_the_double_range(phi, y, root):
+    # the bracket's product lo hi underflows or overflows here; the geometric
+    # midpoint must not, and phi(root) meets the 1e-12 tolerance of inverse
+    s = bf.inverse(phi, y)
+    assert s == pytest.approx(root, rel=1e-9)
+    assert phi(s) == pytest.approx(y, rel=1e-12)
+
+
 def test_inverse_out_of_range():
     bounded = bf.custom(lambda s: -np.expm1(-s), "bounded")
     with pytest.raises(RangeError):

@@ -65,6 +65,22 @@ def test_refusal_exit_code(capsys):
     assert "log2" in err and "phi(2s)/phi(s)" in err
 
 
+def test_negative_theta_is_refused(capsys):
+    code = run(["moment", "bound", "--phi", "stable:0.5", "--p", "0.25",
+                "--theta", "-1", "--T-grid", "0.5,2"])
+    assert code == 2
+    assert "requires theta >= 0 (theta = -1.0)" in capsys.readouterr().err
+
+
+def test_bound_at_a_horizon_near_the_double_range(capsys):
+    # the right side inverts phi at 1/T = 1e-300, whose bracket's product
+    # underflows
+    assert run(["moment", "bound", "--phi", "gamma", "--p", "0.2", "--theta",
+                "0", "--T-grid", "1e300", "--paths", "200"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert math.isfinite(float(row[3]))
+
+
 @pytest.mark.parametrize("f_scale", ["10", "-10"])
 def test_control_horizon_refusal_ignores_drift_sign(f_scale, capsys):
     # the drift's Lipschitz constant is max |w|, whatever the sign of w

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -187,6 +188,13 @@ class TestBoundScan:
             mo.bound_scan(ST5, 0.25, [2, 4], 100, 5, theta=3.0)
         assert "theta" in str(err.value)
 
+    @pytest.mark.parametrize("p", [0.25, -0.25])
+    def test_negative_theta_refused(self, p):
+        # every clause for t^-theta states 0 <= theta, at either sign of p
+        with pytest.raises(GateViolation) as err:
+            mo.select_bound_clause(ST5, p, [0.5, 2], theta=-1.0)
+        assert "theta >= 0" in str(err.value)
+
     def test_negative_p_clause(self):
         rep = mo.bound_scan(ST5, -0.5, [1, 2, 4], 10_000, 7, theta=0.5,
                             dt=1e-3)
@@ -341,3 +349,12 @@ def test_bound_rhs_stable_matches_scaling():
     for T in (1.0, 2.0, 8.0):
         assert mo.bound_rhs(ST5, 0.25, T, theta=0.0) == pytest.approx(
             T ** 0.5, rel=1e-9)
+
+
+def test_only_moments_states_a_gate():
+    # every admissibility condition is stated in moments.py; spde and the
+    # other modules ask it for theirs instead of raising GateViolation
+    package = pathlib.Path(mo.__file__).parent
+    raisers = [m.name for m in sorted(package.glob("*.py"))
+               if "GateViolation(" in m.read_text()]
+    assert raisers == ["errors.py", "moments.py"]

@@ -242,6 +242,61 @@ class TestMaximalAndSmallBall:
         assert all(b >= a for a, b in zip(freqs, freqs[1:]))
 
 
+# log2 doubling indices in closed form, (global_inf, at_infinity) below T = 1
+# and (at_zero, global_sup) from T = 1 on; a None order bound refuses every p
+CLOSED_FORM_INDICES = {
+    "stable:0.6": ((0.6, 0.6), (0.6, 0.6)),
+    "tempered:0.5,1": ((0.5, 0.5), (1.0, 1.0)),
+    "gamma": ((None, 0.0), (1.0, 1.0)),
+    "drift:1": ((1.0, 1.0), (1.0, 1.0)),
+}
+
+
+def scan_gate(scan, phi, p, theta, horizons):
+    """Run a scan at (p, theta) on a few paths: True if it is accepted,
+    False if it is refused by a gate."""
+    system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
+    try:
+        if scan == "convmom":
+            spde.convolution_moment_scan(system, phi, p, theta, horizons, 4,
+                                         5, dt=1 / 4)
+        elif scan == "maximal":
+            spde.maximal_inequality_scan(system, phi, p, horizons, 4, 5,
+                                         dt=1 / 4)
+        else:
+            spde.longrun_moment_scan(system, phi, p, theta, horizons, 4, 5,
+                                     dt=1 / 4)
+    except GateViolation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ident", sorted(CLOSED_FORM_INDICES))
+@pytest.mark.parametrize("scan,horizons,stationary", [
+    ("convmom", [0.5, 2.0], False),
+    ("maximal", [0.5], False),
+    ("maximal", [1.0, 2.0], True),
+    ("longrun", [1.0], True),
+])
+def test_gates_at_closed_form_indices(ident, scan, horizons, stationary):
+    # |Lambda^theta Z|^p is the integral's moment of order p/2 at index
+    # 2 theta: the gate admits p < 2 p_index and theta < 1/(2 theta_index)
+    phi = bf.parse_phi(ident)
+    order, index = CLOSED_FORM_INDICES[ident][stationary]
+    if order is None:
+        assert not scan_gate(scan, phi, 0.05, 0.0, horizons)
+        return
+    p_edge = 2 * order
+    assert scan_gate(scan, phi, p_edge - 0.05, 0.0, horizons)
+    assert not scan_gate(scan, phi, p_edge + 0.05, 0.0, horizons)
+    if scan == "maximal":
+        return      # theta = 0
+    theta_edge = 1 / (2 * index)
+    p = p_edge / 2
+    assert scan_gate(scan, phi, p, theta_edge - 0.05, horizons)
+    assert not scan_gate(scan, phi, p, theta_edge + 0.05, horizons)
+
+
 class TestConvolutionScan:
     def test_gate_violations_name_conditions(self):
         system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
