@@ -169,9 +169,13 @@ def _geometric_mean(lo: float, hi: float) -> float:
 
 
 def inverse(phi: BernsteinFunction, y: float) -> float:
-    """Solve phi(s) = y by bracketed bisection to relative tolerance 1e-12.
+    """Solve phi(s) = y by bracketed bisection.
 
-    The bracket is grown geometrically from s = 1; phi increasing makes the
+    Returns the first midpoint s with |phi(s) - y| <= 1e-12 y, or, should the
+    bracket shrink to a relative width of 1e-12 first, its geometric
+    midpoint.  The tolerance is on phi, not on s: where phi is flat the root
+    can be further off (5e-11 relative for gamma at y = 600).  The bracket
+    is grown geometrically from s = 1; phi increasing makes the
     bisection unconditionally safe.  Raises RangeError when y cannot be
     bracketed (bounded phi) and NumericError after 200 halvings.
     """

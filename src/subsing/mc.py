@@ -9,6 +9,7 @@ doubles as the median-of-means partition for heavy-tailed integrands.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -102,22 +103,26 @@ def merge_all(parts) -> Moments:
     return functools.reduce(Moments.merge, parts)
 
 
-def _heavy_tail(blocks: list) -> np.ndarray:
-    # second moment over the first quarter, half and all blocks, per column;
-    # non-stabilizing growth marks an (effectively) infinite-variance column
-    b = len(blocks)
+def _heavy_tail(folds: list) -> np.ndarray:
+    # folds[i] merges blocks 0..i; second moment over the first quarter, half
+    # and all blocks, per column; non-stabilizing growth marks an
+    # (effectively) infinite-variance column
+    b = len(folds)
     if b < 4:
-        return np.zeros(np.size(blocks[0].mean), dtype=bool)
+        return np.zeros(np.size(folds[0].mean), dtype=bool)
     quarter, half, full = (np.ravel(a.m2 / a.count + a.mean * a.mean) for a in
-                           map(merge_all, (blocks[:b // 4], blocks[:b // 2], blocks)))
+                           (folds[b // 4 - 1], folds[b // 2 - 1], folds[-1]))
     finite = np.isfinite(quarter) & np.isfinite(half) & np.isfinite(full)
     return ~finite | ((quarter < half) & (half < full) & (full > 1.5 * quarter))
 
 
 def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
     """One :class:`MCEstimate` per column: plain mean or median of block means."""
-    flags = _heavy_tail(blocks)
-    n = sum(blk.count for blk in blocks)
+    # one left fold, the merges of merge_all in its order, keeping each partial
+    folds = list(itertools.accumulate(blocks, Moments.merge))
+    flags = _heavy_tail(folds)
+    acc = folds[-1]
+    n = acc.count
     if method == "median_of_means":
         means = np.array([np.ravel(blk.mean) for blk in blocks])
         se = math.sqrt(math.pi / (2 * len(means))) * np.std(means, axis=0, ddof=1)
@@ -125,7 +130,6 @@ def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
         return [MCEstimate(n, float(mu), float(s), bool(flag), "median_of_means")
                 for mu, s, flag in zip(np.median(means, axis=0), se, flags)]
     # plain mean per column, SE sqrt(M2 / n) / sqrt(n): nan, not 0, from one sample
-    acc = merge_all(blocks)
     return [MCEstimate(n, float(mu), math.sqrt(m2) / n if n > 1 else math.nan,
                        bool(flag)) if math.isfinite(mu)
             else MCEstimate(n, float(mu), math.inf, True)

@@ -2,7 +2,8 @@
 
 Grid paths are (n_paths, K) arrays of increments over the cells of a time
 grid.  Every simulable exponent has an exact sampler: stable and gamma
-increments are drawn directly, tempered stable ones by exponential tilting
+increments are drawn directly, tempered stable ones at alpha = 1/2 from
+their inverse Gaussian law and at every other alpha by exponential tilting
 of stable ones, and drift-only ones are deterministic.
 """
 
@@ -175,21 +176,63 @@ def _tilted_stable(alpha: float, lam: float, h: np.ndarray,
     return x
 
 
+def _inverse_gaussian(lam: float, h: np.ndarray, rng: np.random.Generator,
+                      n_paths: int) -> np.ndarray:
+    """(n_paths, K) tempered increments at alpha = 1/2.
+
+    Over a cell of width h the exponent h (sqrt(s + lam) - sqrt(lam)) is the
+    inverse Gaussian law of mean mu = h / (2 sqrt(lam)) and shape h^2 / 2.
+    Michael, Schucany & Haas (Amer. Statist. 30, 1976): with N standard
+    normal, a^2 = N^2 / (4 h sqrt(lam)) and r = (|a| + sqrt(1 + a^2))^2, the
+    two roots of their chi-square equation are mu / r and mu r; the first is
+    taken when U (1 + r) <= r for U uniform.  r is formed as a square, not
+    as 1 + z - sqrt(z (2 + z)), which cancels when h is small, so no
+    increment is 0 or inf unless its value is past the double range.
+    """
+    x = rng.standard_normal((n_paths, h.size))
+    u = rng.random(x.shape)
+    root = math.sqrt(lam)
+    mu = h / (2.0 * root)
+    tmp = np.empty_like(x)
+    # r past the double range makes inf * 0 = nan below, which fmax drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.abs(x, out=x)
+        x *= 0.5 / np.sqrt(h * root)            # |a|
+        np.multiply(x, x, out=tmp)
+        tmp += 1.0
+        x += np.sqrt(tmp, out=tmp)
+        x *= x                                  # r
+        np.add(x, 1.0, out=tmp)
+        u *= tmp
+        np.greater(u, x, out=u)                 # 1 where mu r is taken, else 0
+        np.divide(mu, x, out=tmp)
+        x *= u
+        x *= mu
+        # mu / r <= mu r as r >= 1: the larger of mu / r and (mu r or 0) is
+        # the root taken, with no masked loop
+        return np.fmax(x, tmp, out=x)
+
+
 def tempered_grid_increments(alpha: float, lam: float, times: np.ndarray,
                              rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
-    """(n_paths, K) exact tempered-stable increments, by exponential tilting.
+    """(n_paths, K) exact tempered-stable increments.
 
-    A stable piece X = h^(1/alpha) V is kept with probability exp(-lam X),
-    exp(-h lam^alpha) on average, and a kept piece has the exponent
-    h ((s + lam)^alpha - lam^alpha) (Baeumer & Meerschaert, J. Comput. Appl.
-    Math. 233, 2010).  A cell with h lam^alpha > TILT_PIECE_MASS is split
-    into ceil(h lam^alpha / TILT_PIECE_MASS) equal pieces and their values
-    summed.  The first pass draws one piece of every cell; each further pass
-    draws the same number of pieces for every cell with pieces left, at
-    most TILT_BATCH in all, so the time grows with the number of pieces
-    and no temporary outgrows (n_paths, K) or TILT_BATCH.
+    At alpha = 1/2 each cell is one inverse Gaussian variate, drawn from one
+    normal and one uniform.  At every other alpha they come by exponential
+    tilting: a stable piece X = h^(1/alpha) V is kept with probability
+    exp(-lam X), exp(-h lam^alpha) on average, and a kept piece has the
+    exponent h ((s + lam)^alpha - lam^alpha) (Baeumer & Meerschaert,
+    J. Comput. Appl. Math. 233, 2010).  A cell with h lam^alpha >
+    TILT_PIECE_MASS is split into ceil(h lam^alpha / TILT_PIECE_MASS) equal
+    pieces and their values summed.  The first pass draws one piece of
+    every cell; each further pass draws the same number of pieces for every
+    cell with pieces left, at most TILT_BATCH in all, so the time grows
+    with the number of pieces and no temporary outgrows (n_paths, K) or
+    TILT_BATCH.
     """
     dt = _widths(times)
+    if alpha == 0.5:
+        return _inverse_gaussian(lam, dt, rng, n_paths)
     pieces = np.maximum(np.ceil(dt * lam ** alpha / TILT_PIECE_MASS), 1.0)
     _check_node_count(pieces.sum())    # the pieces form a finer grid
     h = dt / pieces

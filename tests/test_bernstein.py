@@ -82,6 +82,16 @@ def test_inverse_near_the_ends_of_the_double_range(phi, y, root):
     assert phi(s) == pytest.approx(y, rel=1e-12)
 
 
+@pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.name)
+def test_inverse_meets_its_documented_stop_rule(phi):
+    # |phi(s) - y| <= 1e-12 y, or s is the midpoint of a bracket of relative
+    # width 1e-12 around the root
+    for y in [*np.geomspace(1e-6, 1e2, 17), 600.0]:
+        s = bf.inverse(phi, y)
+        assert (abs(phi(s) - y) <= 1e-12 * y
+                or phi(s / (1 + 1e-12)) <= y <= phi(s * (1 + 1e-12))), (y, s)
+
+
 def test_inverse_out_of_range():
     bounded = bf.custom(lambda s: -np.expm1(-s), "bounded")
     with pytest.raises(RangeError):

@@ -570,14 +570,15 @@ def test_path_is_the_clock_of_spde_sim(phi, capsys):
 
 # sha256 of each output without its echoed flag lines, as written by the
 # version whose `path` wrote the grid values of every simulable driver; the
-# drawn rows since `path` draws stream (seed, 0), like `spde sim`
+# drawn rows since `path` draws stream (seed, 0), like `spde sim`, and the
+# tempered:0.5,1 row since alpha = 1/2 increments are inverse Gaussian draws
 PATH_RUNS = {
     "stable:0.6": (["--dt", "0.01", "--seed", "7"],
                    "4e034b8d0fdff70dae1e65fa595c4e562bf8e9f3a5a35ab00665c0e84fb88393"),
     "gamma": (["--seed", "5"],
               "a6f0e0568ef08060934ab5f59f463cabf90894d64673dc02b0dd7f67e4e0e3c5"),
     "tempered:0.5,1": (["--seed", "5"],
-                       "cb2600d709b2e0d20e52745632228f710c4895a7278ded81abe11243892e04a8"),
+                       "26378a7e3d92ae0bfcee7b45391732a1d215b7d08e54bf30d0e0698709de8870"),
     "drift:1": (["--seed", "5"],
                 "37c59eae0b6d8affbd8be072eb1cda27b88d092b0f5ddb6cfbc7d4fdecfb435f"),
 }
@@ -651,13 +652,30 @@ def test_smallball_draws_only_its_paths(monkeypatch):
 
 @pytest.mark.parametrize("command", ["path", "sim"])
 def test_tempered_pieces_beyond_the_grid_limit_exit_code(command, capsys):
-    # lam = 1e300 gives h lam^alpha near 1e150 on every cell: the tilted
-    # pieces of one path would outnumber the addressable doubles
-    argv = [command, "--phi", "tempered:0.5,1e300", "--dt", "0.25"]
+    # lam = 1e300 gives h lam^alpha near 1e89 on every cell at alpha = 0.3:
+    # the tilted pieces of one path would outnumber the addressable doubles
+    argv = [command, "--phi", "tempered:0.3,1e300", "--dt", "0.25"]
     if command == "sim":
         argv += ["--paths", "10"]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: a grid of")
+
+
+@pytest.mark.parametrize("lam", ["1e300", "1e-300"])
+@pytest.mark.parametrize("command", ["path", "sim"])
+def test_inverse_gaussian_at_extreme_rates(command, lam, capsys):
+    # at alpha = 1/2 a cell is one inverse Gaussian variate whatever lam, of
+    # mean h / (2 sqrt(lam)): 1.25e-151 or 1.25e149 at h = 0.25; the rows stay
+    # finite, with no RuntimeWarning, which the suite raises as an error
+    argv = [command, "--phi", f"tempered:0.5,{lam}", "--dt", "0.25"]
+    if command == "sim":
+        argv += ["--paths", "10"]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == (5 if command == "path" else 3)
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 @pytest.mark.parametrize("argv", [
@@ -1026,7 +1044,8 @@ def test_mode_output_digest(mode, capsys):
 # written by the version whose truncations evaluated the reference's drift
 # and diffusion on a zero-padded full-width state: a drift read through the
 # padded projection P_m F(P_m y), and a constant Q at the truncation's width;
-# every row since stable variates are summed in logs
+# every row since stable variates are summed in logs, and the tempered row
+# since alpha = 1/2 increments are inverse Gaussian draws
 _GALERKIN_BASE = ["--n", "16", "--truncations", "2,4,8", "--T", "1",
                   "--dt", "0.0625", "--x-scale", "0.1", "--q-scale", "2",
                   "--paths", "30", "--seed", "4"]
@@ -1036,7 +1055,7 @@ GALERKIN_RUNS = {
     "q-const": (_GALERKIN_BASE + ["--q-const", "--f-scale", "-3"],
                 "c2c5a475a17c490107f78572cd98158c7eb4667a2494a84aaceab33ef57611a9"),
     "tempered": (["--phi", "tempered:0.5,1", *_GALERKIN_BASE, "--f-scale", "2"],
-                 "328914dcba16b778956c520b1875f7438c5e000c2aed4b2bf4ae58f9caf5865a"),
+                 "7e4980dcbfa904611f7a62a1d6a9d34f11956540a81044bb02bf43f0c017a470"),
 }
 
 
@@ -1108,15 +1127,20 @@ def test_bf_output_digest(phi, capsys):
 
 # sha256 of each output without its echoed flag lines, as written by the
 # version in which sim and integrate draw over the blocks of mc.run_mc; the
-# stable and tempered rows since stable variates are summed in logs, and
-# drawn as 1/(2 N^2) at alpha = 1/2
+# stable rows since stable variates are summed in logs, and drawn as
+# 1/(2 N^2) at alpha = 1/2; the tempered row since alpha = 1/2 increments
+# are inverse Gaussian draws; the tilted row, at alpha = 0.3 with each cell
+# split into three pieces, since before that route, which it does not take
 DRAW_RUNS = {
     "sim-stable": (["sim", "--phi", "stable:0.6", "--dt", "0.01", "--paths", "500",
                     "--seed", "7"],
                    "e070983439353be3ab3735ae300723ae857dbf1b40f4694d4abdb33aa8a9831e"),
     "sim-tempered": (["sim", "--phi", "tempered:0.5,1", "--dt", "0.25",
                       "--paths", "300", "--seed", "5"],
-                     "2cddd48f1f1ef28c0693c4c0e953c8fdf297fe07b35501e689ec8a832e9dc656"),
+                     "c301defe2aae751cd64814e6231b69a73b55dfa0f8408f52d0abe181f12f8f26"),
+    "sim-tempered-tilted": (["sim", "--phi", "tempered:0.3,2", "--T", "4", "--dt", "0.5",
+                             "--paths", "300", "--seed", "5"],
+                            "672d76481d01ebeec2f6ea53eb3eef9851771c8a713b8d1dcf0b5c5ebb984e11"),
     "integrate-stable": (["integrate", "--phi", "stable:0.5", "--f", "pow:0.5",
                           "--paths", "500", "--seed", "3"],
                          "cd019a86d06ef9824d4625c879fa1ba613835c0d7d19e69a1f9fcf624ff1c835"),

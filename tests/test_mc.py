@@ -57,6 +57,53 @@ def test_one_estimate_per_column(method):
         assert est.std_error == pytest.approx(alone[0].std_error, rel=1e-12)
 
 
+def _estimates_by_three_merge_alls(blocks, method):
+    # reference: merge_all over the first quarter, half and all blocks for
+    # the flags, and over all blocks again for the total
+    b, n = len(blocks), sum(blk.count for blk in blocks)
+    flags = np.zeros(np.size(blocks[0].mean), dtype=bool)
+    if b >= 4:
+        quarter, half, full = (np.ravel(a.m2 / a.count + a.mean * a.mean) for a in
+                               map(merge_all, (blocks[:b // 4], blocks[:b // 2], blocks)))
+        finite = np.isfinite(quarter) & np.isfinite(half) & np.isfinite(full)
+        flags = ~finite | ((quarter < half) & (half < full) & (full > 1.5 * quarter))
+    if method == "median_of_means":
+        means = np.array([np.ravel(blk.mean) for blk in blocks])
+        se = math.sqrt(math.pi / (2 * b)) * np.std(means, axis=0, ddof=1)
+        flags |= ~np.all(np.isfinite(means), axis=0)
+        return [(n, mu, s, flag) for mu, s, flag in
+                zip(np.median(means, axis=0), se, flags)]
+    acc = merge_all(blocks)
+    return [(n, mu, math.sqrt(m2) / n if n > 1 else math.nan, flag)
+            if math.isfinite(mu) else (n, mu, math.inf, True)
+            for mu, m2, flag in zip(np.ravel(acc.mean), np.ravel(acc.m2), flags)]
+
+
+@pytest.mark.parametrize("method", ["plain", "median_of_means"])
+def test_one_fold_equals_three_merge_alls(method):
+    # columns: heavy-tailed, light-tailed, of growing spread (flagged at
+    # some B only), constant, and (for the plain mean, whose estimate
+    # reports it) one that turns inf in block 30; blocks of unequal sizes
+    rng = np.random.default_rng(9)
+    x = np.column_stack([rng.pareto(1.2, 4000), rng.standard_normal(4000),
+                         rng.standard_normal(4000) * np.linspace(1, 3, 4000),
+                         np.full(4000, 0.1), rng.random(4000)])
+    sizes = rng.integers(1, 80, 40)
+    if method == "plain":
+        x[sizes[:30].sum(), 4] = math.inf
+    else:
+        x = x[:, :4]
+    parts = [Moments.of(x[a:a + m]) for a, m in
+             zip(np.cumsum(sizes) - sizes, sizes)]
+    # median of means needs two blocks, as run_mc requires
+    for b in range(1 if method == "plain" else 2, 41):
+        got = [(e.n_samples, e.mean, e.std_error, e.heavy_tail_flag)
+               for e in estimate_from_blocks(parts[:b], method)]
+        want = _estimates_by_three_merge_alls(parts[:b], method)
+        assert [(n, float(mu).hex(), float(s).hex(), bool(f)) for n, mu, s, f in got] \
+            == [(n, float(mu).hex(), float(s).hex(), bool(f)) for n, mu, s, f in want], b
+
+
 def test_run_mc_draws_each_sample_once_for_all_columns():
     calls = []
 

@@ -182,14 +182,14 @@ def test_general_requires_jump_structure():
     (0.5, [0.0, 4.0], sub.TILT_BATCH),
     (0.5, [0.0, 0.01, 0.3, 4.0], sub.TILT_BATCH),
 ], ids=["one-cell", "one-cell-batched", "three-cells", "64-cells",
-        "one-cell-levy", "three-cells-levy"])
+        "one-cell-inverse-gaussian", "three-cells-inverse-gaussian"])
 def test_tempered_tilting_is_exact(alpha, times, batch, monkeypatch):
     # under tempered:alpha,2 a cell of width h holds h 2^alpha /
-    # TILT_PIECE_MASS pieces, up to 20 at alpha = 0.3 and 23 at alpha = 1/2,
-    # where the stable pieces are Levy variates: every cell and the whole
-    # path must match exp(-h phi(r)), each z-test at the 3-sigma level
-    # divided among them; a batch of 100,000 draws the 19 pieces after the
-    # first in 5 passes
+    # TILT_PIECE_MASS pieces, up to 20 at alpha = 0.3; at alpha = 1/2 the
+    # same wide cells, up to 23 pieces' worth, are single inverse Gaussian
+    # variates: every cell and the whole path must match exp(-h phi(r)),
+    # each z-test at the 3-sigma level divided among them; a batch of
+    # 100,000 draws the 19 pieces after the first in 5 passes
     monkeypatch.setattr(sub, "TILT_BATCH", batch)
     phi, times = bf.tempered_stable(alpha, 2.0), np.asarray(times)
     h = np.diff(times)
@@ -209,10 +209,60 @@ def test_tempered_tilting_is_exact(alpha, times, batch, monkeypatch):
     assert np.abs(z).max() <= stats.norm.isf(0.00135 / z.size), z
 
 
+@pytest.mark.parametrize("lam", [0.01, 1.0, 1e4])
+def test_tempered_inverse_gaussian_is_exact(lam):
+    # cells from h = 1e-6 to 3; at r = (c/h + sqrt(lam))^2 - lam a cell has
+    # h phi(r) = c, so every cell and the whole path are z-tested where
+    # exp(-r X) is spread out, and E S_T against T / (2 sqrt(lam)); each
+    # z-test at the 3-sigma level divided among them
+    phi = bf.tempered_stable(0.5, lam)
+    times = np.concatenate(([0.0], np.cumsum(np.geomspace(1e-6, 3.0, 12))))
+    h = np.append(np.diff(times), times[-1])
+    r = (np.multiply.outer([0.5, 1.0, 2.0], 1.0 / h) + math.sqrt(lam)) ** 2 - lam
+    exact = np.append(np.exp(-h * phi.fn(r)).ravel(), times[-1] / (2 * math.sqrt(lam)))
+    n, chunks, total, sq = 25_000, 8, 0.0, 0.0
+    for k in range(chunks):
+        inc = sub.grid_increments(phi, times, stream(62, k), n)
+        paths = np.column_stack([inc, inc.sum(axis=1)])
+        vals = np.column_stack([np.exp(-r * paths[:, None, :]).reshape(n, -1),
+                                paths[:, -1]])
+        total, sq = total + vals.sum(axis=0), sq + (vals * vals).sum(axis=0)
+    mean = total / (chunks * n)
+    se = np.sqrt((sq / (chunks * n) - mean ** 2) / (chunks * n))
+    z = (mean - exact) / se
+    assert np.abs(z).max() <= stats.norm.isf(0.00135 / z.size), z
+
+
+def test_tempered_inverse_gaussian_draws_one_normal_and_one_uniform(monkeypatch):
+    # alpha = 1/2 takes no tilting pass: one standard_normal and one random
+    # call, each of shape (n_paths, K), and no other draw
+    class Spy:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, []
+
+        def standard_normal(self, size):
+            self.calls.append(("standard_normal", size))
+            return self.rng.standard_normal(size)
+
+        def random(self, size):
+            self.calls.append(("random", size))
+            return self.rng.random(size)
+
+    def no_tilting(*args, **kwargs):
+        raise AssertionError("alpha = 1/2 reached the tilting sampler")
+
+    monkeypatch.setattr(sub, "_tilted_stable", no_tilting)
+    spy = Spy(stream(3, 0))
+    inc = sub.grid_increments(bf.tempered_stable(0.5, 1e3), [0.0, 0.5, 4.0], spy, 7)
+    assert spy.calls == [("standard_normal", (7, 2)), ("random", (7, 2))]
+    assert inc.shape == (7, 2) and np.all(inc > 0)
+
+
 def test_compound_poisson_estimate_pinned():
-    # fixed by the streams and the tilted sampler; moves if either changes
+    # fixed by the streams and the inverse Gaussian sampler; moves if either
+    # changes
     from subsing import integrate as itg
     from subsing import moments as mo
     est = mo.char_functional_mc(bf.parse_phi("tempered:0.5,1"),
                                 itg.parse_integrand("exp:1"), 1.0, 4000, seed=11)
-    assert (est.mean, est.std_error) == (0.7566966078958927, 0.0028037711375084014)
+    assert (est.mean, est.std_error) == (0.7582769419240087, 0.0027626347043794293)
