@@ -82,8 +82,10 @@ def tempered_stable(alpha: float, lam: float) -> BernsteinFunction:
         raise DomainError("tempering rate must be positive and finite")
 
     def fn(s, a=alpha, l=lam):
-        # (s+l)^a - l^a without cancellation for s << l
-        return l ** a * np.expm1(a * np.log1p(s / l))
+        # (s+l)^a - l^a without cancellation for s << l; +inf once s/l is
+        # past the double range
+        with np.errstate(over="ignore"):
+            return l ** a * np.expm1(a * np.log1p(s / l))
 
     return BernsteinFunction(f"tempered:{alpha:g},{lam:g}", Catalog.TEMPERED_STABLE,
                              (alpha, lam), fn)
@@ -111,8 +113,14 @@ def ratio(alpha: float) -> BernsteinFunction:
     """phi(s) = s (1+s)^{-alpha}, 0 < alpha < 1."""
     if not 0 < alpha < 1:
         raise DomainError("ratio exponent must lie in (0, 1)")
-    return BernsteinFunction(f"ratio:{alpha:g}", Catalog.RATIO, (alpha,),
-                             lambda s, a=alpha: s * (1 + s) ** (-a))
+
+    def fn(s, a=alpha):
+        with np.errstate(invalid="ignore"):
+            out = s * (1 + s) ** (-a)
+        # at s = inf the value is s^(1-a) = inf, not inf * 0
+        return np.where(np.isinf(s), s, out)
+
+    return BernsteinFunction(f"ratio:{alpha:g}", Catalog.RATIO, (alpha,), fn)
 
 
 def drift_only(b: float) -> BernsteinFunction:

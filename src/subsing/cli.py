@@ -320,29 +320,30 @@ def _domain(text: str):
     return vals
 
 
-# each flag of the moment and spde modes is defined once; every mode takes
-# the flags that it reads, plus --seed where it draws
-MOMENT_FLAGS = {
+# Every flag once: its argparse settings, with the default of the commands
+# that set none of their own.  Every command once: its help, its handler and
+# the flags that it reads, in order.  A flag entry is a flag, a (flag, default)
+# pair where the command sets its own default (a required flag so becomes
+# optional), or "--a|--b": exactly one of two flags, each defaulting to None.
+# A command with modes gives each mode its handler and its flags, ahead of
+# the mode's own.
+FLAGS = {
+    "--config": dict(default=None, help="INI file with a [run] section"),
     "--phi": dict(required=True),
     "--alpha": dict(type=float, required=True),
     "--p": dict(type=float, required=True),
     "--f": dict(required=True),
+    "--eval-at": dict(type=_float_list, default=[]),
+    "--invert-at": dict(type=_float_list, default=[]),
     "--T": dict(type=float, default=1.0),
-    "--domain": dict(type=_domain, default=[0.0, 1.0]),
-    "--T-grid": dict(type=_float_list, default=[1, 2, 4, 8]),
-    "--lam": dict(type=float, required=True),
     "--dt": dict(type=float, default=None),
     "--paths": dict(type=int, default=10000),
+    "--r": dict(type=_float_list, default=[0.5, 1.0, 2.0]),
+    "--domain": dict(type=_domain, default=[0.0, 1.0]),
+    "--T-grid": dict(type=_float_list, default=[1, 2, 4, 8]),
+    "--theta": dict(type=float, default=0.0),
+    "--lam": dict(type=float, required=True),
     "--method": dict(default="auto", choices=["auto", "plain", "median_of_means"]),
-}
-MOMENT_MODES = {
-    "exact": ("--alpha", "--p", "--f", "--domain"),
-    "mc": ("--phi", "--p", "--f", "--T", "--dt", "--paths", "--method"),
-    "bound": ("--phi", "--p", "--T-grid", "--dt", "--paths", "--method"),
-    "equiv": ("--phi", "--p", "--lam"),
-}
-SPDE_FLAGS = {
-    "--phi": dict(default="stable:0.6"),
     "--n": dict(type=int, default=8),
     "--gamma0": dict(type=float, default=1.0),
     "--gamma-exp": dict(type=float, default=1.4),
@@ -352,32 +353,68 @@ SPDE_FLAGS = {
     "--q-decay": dict(type=float, default=1.2),
     "--q-const": dict(action="store_true"),
     "--f-scale": dict(type=float, default=0.0),
-    "--dt": dict(type=float, default=1 / 128),
     "--a4-c": dict(type=float, default=None),
     "--a4-delta": dict(type=float, default=0.25),
-    "--T": dict(type=float, default=1.0),
     "--t-grid": dict(type=_float_list, default=[1, 2, 4, 8]),
-    "--p": dict(type=float, default=0.5),
-    "--theta": dict(type=float, default=0.0),
     "--delta": dict(type=float, default=0.5),
-    "--paths": dict(type=int, default=2000),
     "--max-iter": dict(type=int, default=64),
     "--truncations": dict(type=_int_list, default=None,
                           help="galerkin truncation dimensions (default: the "
                                "powers of two below --n)"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default=None),
 }
-# every spde mode builds the system and steps it
-SPDE_SYSTEM = ("--phi", "--n", "--gamma0", "--gamma-exp", "--x-scale", "--x-decay",
-               "--q-scale", "--q-decay", "--q-const", "--f-scale", "--dt")
-SPDE_MODES = {
-    "sim": ("--T",),
-    "convmom": ("--t-grid", "--p", "--theta", "--paths"),
-    "maximal": ("--t-grid", "--p", "--paths"),
-    "smallball": ("--T", "--delta", "--paths"),
-    "longrun": ("--t-grid", "--p", "--theta", "--paths"),
-    "control": ("--T", "--a4-c", "--a4-delta", "--max-iter"),
-    "galerkin": ("--T", "--truncations", "--delta", "--paths"),
+_SPDE_P, _SPDE_PATHS = ("--p", 0.5), ("--paths", 2000)
+COMMANDS = {
+    "bf": ("exponent report: indices, evaluation, inverse", cmd_bf,
+           ("--phi", "--eval-at", "--invert-at", "--out")),
+    "sim": ("Laplace certification of sampled paths", cmd_sim,
+            ("--phi", "--T", ("--dt", 1e-3), ("--paths", 1000), "--r", "--seed",
+             "--out")),
+    "path": ("export one sample path", cmd_path,
+             ("--phi", "--T", ("--dt", 1e-3), "--seed", "--out")),
+    "integrate": ("Monte Carlo of the pathwise integral", cmd_integrate,
+                  ("--phi", "--f", "--T", "--dt", "--paths", "--seed", "--out")),
+    "zeroone": ("almost-sure finiteness verdict", cmd_zeroone,
+                ("--phi", "--f", "--domain", "--out")),
+    "moment": ("moment formulas, MC, bounds, equivalence", cmd_moment, (), {
+        "exact": ("--alpha", "--p", "--f", "--domain", "--out"),
+        "mc": ("--phi", "--p", "--f", "--T", "--dt", "--paths", "--method",
+               "--seed", "--out"),
+        "bound": ("--phi", "--p", "--T-grid", "--dt", "--paths", "--method",
+                  "--theta|--lam", "--seed", "--out"),
+        "equiv": ("--phi", "--p", "--lam", "--out"),
+    }),
+    # every spde mode builds the system and steps it
+    "spde": ("spectral SPDE experiments", cmd_spde,
+             (("--phi", "stable:0.6"), "--n", "--gamma0", "--gamma-exp",
+              "--x-scale", "--x-decay", "--q-scale", "--q-decay", "--q-const",
+              "--f-scale", ("--dt", 1 / 128)), {
+        "sim": ("--T", "--seed", "--out"),
+        "convmom": ("--t-grid", _SPDE_P, "--theta", _SPDE_PATHS, "--seed", "--out"),
+        "maximal": ("--t-grid", _SPDE_P, _SPDE_PATHS, "--seed", "--out"),
+        "smallball": ("--T", "--delta", _SPDE_PATHS, "--seed", "--out"),
+        "longrun": ("--t-grid", _SPDE_P, "--theta", _SPDE_PATHS, "--seed", "--out"),
+        "control": ("--T", "--a4-c", "--a4-delta", "--max-iter", "--seed", "--out"),
+        "galerkin": ("--T", "--truncations", "--delta", _SPDE_PATHS, "--seed",
+                     "--out"),
+    }),
 }
+
+
+def _add(parser, entry):
+    """Add one flag entry of :data:`COMMANDS` to ``parser``."""
+    flag, *own = (entry,) if isinstance(entry, str) else entry
+    if "|" in flag:
+        group = parser.add_mutually_exclusive_group(required=True)
+        for one in flag.split("|"):
+            _add(group, (one, None))
+        return
+    kwargs = dict(FLAGS[flag])
+    if own:
+        kwargs.pop("required", None)
+        kwargs["default"] = own[0]
+    parser.add_argument(flag, **kwargs)
 
 
 @functools.cache
@@ -385,76 +422,19 @@ def build_parser() -> _Parser:
     """The parser of every command, built once per process: parsing neither
     changes it nor any default that it holds."""
     p = _Parser(prog="subsing", description=__doc__)
-    p.add_argument("--config", default=None, help="INI file with a [run] section")
+    _add(p, "--config")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=None)
-
-    q = sub.add_parser("bf", help="exponent report: indices, evaluation, inverse")
-    q.add_argument("--phi", required=True)
-    q.add_argument("--eval-at", type=_float_list, default=[])
-    q.add_argument("--invert-at", type=_float_list, default=[])
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_bf)
-
-    q = sub.add_parser("sim", help="Laplace certification of sampled paths")
-    q.add_argument("--phi", required=True)
-    q.add_argument("--T", type=float, default=1.0)
-    q.add_argument("--dt", type=float, default=1e-3)
-    q.add_argument("--paths", type=int, default=1000)
-    q.add_argument("--r", type=_float_list, default=[0.5, 1.0, 2.0])
-    common(q)
-    q.set_defaults(func=cmd_sim)
-
-    q = sub.add_parser("path", help="export one sample path")
-    q.add_argument("--phi", required=True)
-    q.add_argument("--T", type=float, default=1.0)
-    q.add_argument("--dt", type=float, default=1e-3)
-    common(q)
-    q.set_defaults(func=cmd_path)
-
-    q = sub.add_parser("integrate", help="Monte Carlo of the pathwise integral")
-    q.add_argument("--phi", required=True)
-    q.add_argument("--f", required=True)
-    q.add_argument("--T", type=float, default=1.0)
-    q.add_argument("--dt", type=float, default=None)
-    q.add_argument("--paths", type=int, default=10000)
-    common(q)
-    q.set_defaults(func=cmd_integrate)
-
-    q = sub.add_parser("zeroone", help="almost-sure finiteness verdict")
-    q.add_argument("--phi", required=True)
-    q.add_argument("--f", required=True)
-    q.add_argument("--domain", type=_domain, default=[0.0, 1.0])
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_zeroone)
-
-    modes = sub.add_parser("moment", help="moment formulas, MC, bounds, equivalence"
-                           ).add_subparsers(dest="mode", required=True)
-    for name, names in MOMENT_MODES.items():
-        q = modes.add_parser(name)
-        for flag in names:
-            q.add_argument(flag, **MOMENT_FLAGS[flag])
-        if name == "bound":
-            pick = q.add_mutually_exclusive_group(required=True)
-            pick.add_argument("--theta", type=float, default=None)
-            pick.add_argument("--lam", type=float, default=None)
-        if name in ("mc", "bound"):
-            common(q)
-        else:
-            q.add_argument("--out", default=None)
-        q.set_defaults(func=cmd_moment)
-
-    modes = sub.add_parser("spde", help="spectral SPDE experiments"
-                           ).add_subparsers(dest="mode", required=True)
-    for name, names in SPDE_MODES.items():
-        q = modes.add_parser(name)
-        for flag in SPDE_SYSTEM + names:
-            q.add_argument(flag, **SPDE_FLAGS[flag])
-        common(q)
-        q.set_defaults(func=cmd_spde)
+    for name, (text, func, flags, *modes) in COMMANDS.items():
+        q = sub.add_parser(name, help=text)
+        leaves = [(q, flags)]
+        if modes:
+            sub_modes = q.add_subparsers(dest="mode", required=True)
+            leaves = [(sub_modes.add_parser(mode), flags + own)
+                      for mode, own in modes[0].items()]
+        for leaf, entries in leaves:
+            for entry in entries:
+                _add(leaf, entry)
+            leaf.set_defaults(func=func)
     return p
 
 

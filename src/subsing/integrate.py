@@ -67,8 +67,12 @@ def power_singular(theta: float) -> Integrand:
 def exponential(lam: float) -> Integrand:
     if not 0 < lam < math.inf:
         raise DomainError("decay rate must be positive and finite")
-    return Integrand(IntegrandKind.EXPONENTIAL, (lam,),
-                     lambda t, l=lam: np.exp(-l * t))
+
+    def fn(t, l=lam):
+        with np.errstate(over="ignore"):    # past the double range, e^-inf = 0
+            return np.exp(-l * t)
+
+    return Integrand(IntegrandKind.EXPONENTIAL, (lam,), fn)
 
 
 def constant(c: float) -> Integrand:
@@ -217,7 +221,10 @@ def cell_means(f: Integrand, times: np.ndarray) -> np.ndarray:
         return np.full(h.shape, float(f.params[0]))
     if kind is IntegrandKind.EXPONENTIAL:
         lam = f.params[0]
-        return np.exp(-lam * a) * (-np.expm1(-lam * h) / (lam * h))
+        with np.errstate(invalid="ignore"):
+            ratio = -np.expm1(-lam * h) / (lam * h)
+        # (1 - e^-x) / x is 1 at x = 0, where lam h underflows
+        return np.exp(-lam * a) * np.where(lam * h > 0, ratio, 1.0)
     if kind is IntegrandKind.POWER_SINGULAR:
         return _power_cell_means(f.params[0], t)
     if kind is IntegrandKind.TIME_REVERSED:
@@ -238,8 +245,8 @@ def _power_cell_means(theta: float, t: np.ndarray) -> np.ndarray:
             # (b^(1-theta) - a^(1-theta)) / ((1-theta) h) without cancellation
             out = -b ** (1.0 - theta) * np.expm1((theta - 1.0) * log_ratio) \
                 / ((1.0 - theta) * h)
-    if t[0] == 0.0 and theta >= 1.0:
-        out[0] = t[1] ** -theta
+        if t[0] == 0.0 and theta >= 1.0:
+            out[0] = t[1] ** -theta
     return out
 
 
@@ -293,9 +300,10 @@ def finiteness_criterion(f: Integrand, phi: BernsteinFunction,
             return Finiteness(Verdict.INFINITE)
         if math.isinf(b) and q <= 1.0:
             return Finiteness(Verdict.INFINITE)
-        lo = a ** (1.0 - q) if a > 0 else 0.0
-        hi = b ** (1.0 - q) if math.isfinite(b) else 0.0
-        return Finiteness(Verdict.FINITE, (hi - lo) / (1.0 - q))
+        value = _power_integral(a, b, q)
+        if math.isinf(value):
+            return Finiteness(Verdict.INFINITE)
+        return Finiteness(Verdict.FINITE, value)
 
     def integrand(t):
         ft = f.fn(np.asarray(t, dtype=float))
@@ -310,6 +318,33 @@ def finiteness_criterion(f: Integrand, phi: BernsteinFunction,
 
     singular = f.singular_at_zero and a == 0.0
     return improper_integral(integrand, a, b, singular_lo=singular)
+
+
+def _power_integral(a: float, b: float, q: float) -> float:
+    """The integral of t^-q over (a, b), where it converges (a > 0 if q >= 1,
+    b finite if q <= 1); +inf past the double range."""
+    e = 1.0 - q
+    try:
+        lo = a ** e if a > 0 else 0.0
+        hi = b ** e if math.isfinite(b) else 0.0
+        if e != 0.0:
+            return (hi - lo) / e
+    except OverflowError:
+        pass
+    # log(b/a), also where b/a is past the double range
+    log_ratio = math.log1p((b - a) / a) if a > 0 else math.inf
+    if math.isinf(log_ratio) and math.isfinite(b):
+        log_ratio = math.log(b) - math.log(a)
+    if e == 0.0:
+        return log_ratio
+    # a power is past the double range: the larger one, times
+    # (1 - (b/a)^-|e|) / |e|, taken in logs
+    log_value = (e * math.log(b if e > 0 else a) - math.log(abs(e))
+                 + math.log(-math.expm1(-abs(e) * log_ratio)))
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def zero_one_verdict(f: Integrand, phi: BernsteinFunction,

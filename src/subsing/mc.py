@@ -110,8 +110,9 @@ def _heavy_tail(folds: list) -> np.ndarray:
     b = len(folds)
     if b < 4:
         return np.zeros(np.size(folds[0].mean), dtype=bool)
-    quarter, half, full = (np.ravel(a.m2 / a.count + a.mean * a.mean) for a in
-                           (folds[b // 4 - 1], folds[b // 2 - 1], folds[-1]))
+    with np.errstate(over="ignore"):    # an overflow is flagged as not finite
+        quarter, half, full = (np.ravel(a.m2 / a.count + a.mean * a.mean) for a in
+                               (folds[b // 4 - 1], folds[b // 2 - 1], folds[-1]))
     finite = np.isfinite(quarter) & np.isfinite(half) & np.isfinite(full)
     return ~finite | ((quarter < half) & (half < full) & (full > 1.5 * quarter))
 
@@ -125,8 +126,12 @@ def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
     n = acc.count
     if method == "median_of_means":
         means = np.array([np.ravel(blk.mean) for blk in blocks])
-        se = math.sqrt(math.pi / (2 * len(means))) * np.std(means, axis=0, ddof=1)
-        flags |= ~np.all(np.isfinite(means), axis=0)
+        finite = np.all(np.isfinite(means), axis=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            sd = np.std(means, axis=0, ddof=1)
+        # a column with an infinite block mean has an infinite SE, as a plain mean does
+        se = np.where(finite, math.sqrt(math.pi / (2 * len(means))) * sd, math.inf)
+        flags |= ~finite
         return [MCEstimate(n, float(mu), float(s), bool(flag), "median_of_means")
                 for mu, s, flag in zip(np.median(means, axis=0), se, flags)]
     # plain mean per column, SE sqrt(M2 / n) / sqrt(n): nan, not 0, from one sample

@@ -228,7 +228,9 @@ def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[
 def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
     """Monte Carlo means of the columns of ``transform`` of the integral of f
     over ``times``, one :class:`MCEstimate` per column; ``times`` None marks
-    an a.s. infinite integral, whose paths are all +inf, and draws nothing."""
+    an a.s. infinite integral, whose paths are all +inf, and draws nothing.
+    A grid on which a cell average of f is past the range of doubles is
+    refused before anything is drawn."""
     if times is None:
         if N <= 0:
             raise DomainError("need a positive sample count")
@@ -236,6 +238,10 @@ def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
         blocks = [mc.Moments(N, value, np.zeros_like(value))]
         return [replace(est, method=method) for est in mc.estimate_from_blocks(blocks)]
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(cell_means(f, times))):
+        # an infinite weight times an increment that underflowed to 0 is nan
+        raise NumericError("a cell average of f on this grid is past the range "
+                           "of doubles: take a larger T or dt")
     k = len(times) - 1
 
     def sampler(rng, m):

@@ -27,6 +27,7 @@ def test_eval_closed_forms():
     assert bf.ratio(0.5)(3.0) == pytest.approx(1.5)   # 3 / sqrt(4)
     assert bf.tempered_stable(0.5, 1.0)(3.0) == pytest.approx(1.0)
     assert bf.drift_only(2.0)(0.25) == pytest.approx(0.5)
+    assert bf.ratio(0.5)(math.inf) == math.inf         # s^(1-alpha), not inf * 0
 
 
 def test_eval_domain_error():

@@ -1330,3 +1330,61 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_every_declared_flag_is_taken_by_a_parser():
+    # with test_every_flag_has_a_reader: the flag table declares no flag
+    # that no command reads
+    def taken(parser):
+        own = {flag for a in parser._actions for flag in a.option_strings}
+        return own.union(*map(taken, _subparsers(parser).values()))
+
+    assert set(cli.FLAGS) - taken(cli.build_parser()) == set()
+
+
+# extreme inputs that once ended in a traceback, a warning or a nan, with the
+# exit code that each must end in
+EXTREME_RUNS = {
+    "mom-inf-block-mean": (["moment", "mc", "--phi", "stable:0.01", "--p", "0.009",
+                            "--f", "pow:0.5", "--paths", "2000", "--seed", "1"], 0),
+    "mom-overflowing-weight": (["moment", "mc", "--phi", "stable:0.01", "--p", "0.5",
+                                "--f", "pow:2", "--T", "1e-300", "--dt", "1e-300",
+                                "--paths", "50"], 1),
+    "exact-overflowing-closed-form": (["moment", "exact", "--alpha", "1e-12",
+                                       "--p", "1e300", "--f", "pow:1e300",
+                                       "--domain", "1e-300,1e300"], 0),
+    "integrate-overflowing-weight": (["integrate", "--phi", "stable:0.01",
+                                      "--f", "pow:2", "--T", "1e-300",
+                                      "--dt", "1e-300", "--paths", "50"], 1),
+    "integrate-overflowing-moment": (["integrate", "--phi", "stable:0.01",
+                                      "--f", "pow:2", "--T", "1", "--paths", "50"], 0),
+    "zeroone-tempered-at-tiny-rate": (["zeroone", "--phi", "tempered:0.3,1e-300",
+                                       "--f", "pow:-1",
+                                       "--domain", "1e-300,1e300"], 0),
+    "zeroone-exp-at-huge-rate": (["zeroone", "--phi", "stablelog:0.5,0.2",
+                                  "--f", "exp:1e300", "--domain", "1e-300,1e300"], 0),
+    "integrate-ratio-at-inf": (["integrate", "--phi", "ratio:0.5", "--f", "pow:1e300",
+                                "--T", "1e-300", "--paths", "50"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(EXTREME_RUNS.values()),
+                         ids=list(EXTREME_RUNS))
+def test_extreme_input_exits_cleanly(argv, code, capsys):
+    # an exception, a warning included, that escapes main fails the test
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(("error: ", "refused: ")) and err.count("\n") == 1
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    if lines and "," in lines[0]:   # a CSV: the SE of a single path is its one nan
+        columns = lines[0].split(",")
+        for line in lines[1:]:
+            cells = dict(zip(columns, line.split(",")))
+            if cells.get("n") == "1":
+                del cells["se"]
+            assert "nan" not in cells.values()
+    else:                           # key=value lines
+        assert not any(line.endswith("=nan") for line in lines)

@@ -114,6 +114,11 @@ class TestCellMeans:
         np.testing.assert_allclose(itg.cell_means(f, ts), _quad_means(f, ts),
                                    rtol=1e-10)
 
+    def test_exponential_cell_of_underflowing_width(self):
+        # lam h underflows to 0, where (1 - e^-lam h) / (lam h) is 1
+        means = itg.cell_means(itg.exponential(1e-300), np.array([0.0, 1e-300]))
+        assert means.tolist() == [1.0]
+
     @settings(max_examples=20, deadline=None)
     @given(st.data(), st.floats(0.0, 4.0, allow_subnormal=False))
     def test_constant_matches_quad(self, data, c):
@@ -169,6 +174,20 @@ class TestFiniteness:
         fin = itg.finiteness_criterion(itg.power_singular(4.0), STABLE,
                                        (1.0, math.inf))
         assert fin.value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("theta, domain, value", [
+        (2.0, (1.0, 2.0), math.log(2.0)),                  # q = 1: log(b/a)
+        # t^-1031 near 0.5: a power past the double range, the value not
+        (2062.0, (0.5, 0.5000000000000006), 1.2773377981014896e295),
+        (1e300, (1e-300, 1e300), None),                    # past it: divergent
+    ])
+    def test_stable_power_closed_form_at_the_edges(self, theta, domain, value):
+        res = itg.finiteness_criterion(itg.power_singular(theta), STABLE, domain)
+        if value is None:
+            assert res == itg.Finiteness(itg.Verdict.INFINITE)
+        else:
+            assert res.verdict is itg.Verdict.FINITE
+            assert res.value == pytest.approx(value, rel=1e-12)
 
     def test_time_reversed_reduces_to_inner(self):
         tr = itg.time_reversed(itg.exponential(2.0), 1.5)
