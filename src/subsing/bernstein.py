@@ -82,10 +82,12 @@ def tempered_stable(alpha: float, lam: float) -> BernsteinFunction:
         raise DomainError("tempering rate must be positive and finite")
 
     def fn(s, a=alpha, l=lam):
-        # (s+l)^a - l^a without cancellation for s << l; +inf once s/l is
-        # past the double range
+        # (s+l)^a - l^a without cancellation for s << l; s^a - l^a once s/l
+        # is past the double range, where (1 + l/s)^a is 1 to within a l/s
         with np.errstate(over="ignore"):
-            return l ** a * np.expm1(a * np.log1p(s / l))
+            r = s / l
+            return np.where(np.isinf(r), s ** a - l ** a,
+                            l ** a * np.expm1(a * np.log1p(r)))[()]
 
     return BernsteinFunction(f"tempered:{alpha:g},{lam:g}", Catalog.TEMPERED_STABLE,
                              (alpha, lam), fn)

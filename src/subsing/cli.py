@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import math
 import sys
 import time
 from typing import Optional
@@ -82,6 +83,29 @@ def _fmt(x) -> str:
 def _csv(columns: str, rows):
     """CSV body: the column line, then one line per row of values."""
     return [columns] + [",".join(_fmt(v) for v in row) for row in rows]
+
+
+def _join(values) -> str:
+    return ",".join(_fmt(v) for v in values)
+
+
+def _level_facts(rep) -> dict:
+    """The .manifest record of a multilevel BoundReport: the estimate's
+    method, each level's step and paths, its mean and sample variance per
+    horizon, and the finest level's correction per horizon, the estimate of
+    the grid's resolution bias beside the SE."""
+    levels = rep.levels
+    facts = {"method": rep.estimates[0].method,
+             "level_dt": _join(lv.dt for lv in levels),
+             "level_paths": _join(lv.paths for lv in levels)}
+    for i, lv in enumerate(levels):
+        m = lv.moments
+        var = m.m2 / (m.count - 1) if m.count > 1 else m.m2 * math.nan
+        facts[f"level_{i}_mean"] = _join(e.mean for e in lv.estimates)
+        facts[f"level_{i}_var"] = _join(np.ravel(var))
+    if len(levels) > 1:
+        facts["finest_correction"] = facts[f"level_{len(levels) - 1}_mean"]
+    return facts
 
 
 def _bound_rows(rep, columns: str):
@@ -259,6 +283,7 @@ def cmd_spde(args):
     if args.mode == "maximal":
         rep = spde.maximal_inequality_scan(system, phi, args.p, args.t_grid,
                                            args.paths, args.seed, dt=args.dt)
+        args.manifest.update(_level_facts(rep))
         return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "smallball":
         res = spde.small_ball(system, phi, args.delta, args.T, args.paths,

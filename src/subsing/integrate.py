@@ -11,6 +11,7 @@ Divergence is a legitimate outcome throughout this module, reported as the
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Tuple
@@ -121,6 +122,22 @@ def _quad(fn, a: float, b: float) -> float:
     return val
 
 
+def _core_quad(fn, a: float, b: float) -> float:
+    """:func:`_quad` of fn >= 0 over a finite (a, b), +inf for an integral
+    past the double range.  quad's sums overflow there, and it returns nan
+    with an IntegrationWarning; that warning is dropped, and the integral is
+    past the guard when that of fn / OVERFLOW_GUARD exceeds 1.  Any other
+    warning is passed on."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val = _quad(fn, a, b)
+    if math.isnan(val) and _quad(lambda t: fn(t) / OVERFLOW_GUARD, a, b) > 1.0:
+        return math.inf
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return val
+
+
 def improper_integral(fn, a: float, b: float, *,
                       singular_lo: bool = False) -> Finiteness:
     """Integrate fn >= 0 on (a, b) with endpoint singularities allowed.
@@ -150,7 +167,7 @@ def improper_integral(fn, a: float, b: float, *,
         hi = core_hi
         if hi <= lo:
             return Finiteness(Verdict.FINITE, total)
-    total += _quad(fn, lo, hi)
+    total += _core_quad(fn, lo, hi)
     if total > OVERFLOW_GUARD:
         return Finiteness(Verdict.INFINITE)
     return Finiteness(Verdict.FINITE, total)

@@ -338,6 +338,7 @@ class BoundReport:
     estimates: tuple          # MCEstimate per horizon
     bound_rhs: tuple          # right side per horizon, constant omitted
     clause: str
+    levels: tuple = ()        # the multilevel run behind the estimates, if any
 
     @property
     def ratios(self) -> tuple:

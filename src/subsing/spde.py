@@ -22,7 +22,8 @@ import numpy as np
 from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, NumericError,
                      PreconditionError)
-from .mc import CHUNK_DOUBLES, Moments, estimate_from_blocks, wilson_interval
+from .mc import (CHUNK_DOUBLES, MCEstimate, Moments, estimate_from_blocks,
+                 merge_all, wilson_interval)
 from .moments import (BoundReport, _horizons, bound_rhs, small_time_gate,
                       stationary_gate)
 from .rng import stream
@@ -266,7 +267,7 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
     return SolutionPath(times, X[0], Z[0], svals)
 
 
-def _mc_paths(system, driver, times, N, seed, statistic):
+def _mc_parts(system, driver, times, N, seed, statistic, *, offset=0):
     """Chunked two-stage Monte Carlo over replicas; ``statistic`` maps the
     chunk's subordinator increments (m, K) and standard normals (m, K, n) to
     per-replica statistic rows (m,) or (m, n_out), stepping them itself
@@ -274,12 +275,11 @@ def _mc_paths(system, driver, times, N, seed, statistic):
 
     ``driver`` is an exponent to draw subordinator increments from, or one
     frozen (K,) vector of increments shared by every replica.  Chunk j draws
-    from stream (seed, j).  The calling thread draws and runs the last chunk,
-    the ragged one when ``chunk`` does not divide N, while a helper thread
-    draws chunk 0; the helper then draws chunk j + 1 while ``statistic`` runs
-    on chunk j.  The partials merge in chunk order, so the schedule never
-    shows in a result.  Returns one MCEstimate per statistic column, each
-    chunk one block of :func:`estimate_from_blocks`.  A statistic that
+    from stream (seed, offset + j).  The calling thread draws and runs the
+    last chunk, the ragged one when ``chunk`` does not divide N, while a
+    helper thread draws chunk 0; the helper then draws chunk j + 1 while
+    ``statistic`` runs on chunk j.  Returns the chunks' :class:`Moments` in
+    chunk order, so the schedule never shows in a result.  A statistic that
     overflows, or is nan, raises NumericError.
     """
     if N < 1:
@@ -290,7 +290,7 @@ def _mc_paths(system, driver, times, N, seed, statistic):
 
     def draw(idx):
         m = min(chunk, N - idx * chunk)
-        rng = stream(seed, idx)
+        rng = stream(seed, offset + idx)
         if isinstance(driver, np.ndarray):
             d_sub = np.broadcast_to(driver, (m, K))
         else:
@@ -314,7 +314,112 @@ def _mc_paths(system, driver, times, N, seed, statistic):
             if idx + 1 < last:
                 ahead = pool.submit(draw, idx + 1)
             parts[idx] = run(d_sub, dw)
-    return estimate_from_blocks(parts)
+    return parts
+
+
+def _mc_paths(system, driver, times, N, seed, statistic):
+    """One MCEstimate per statistic column of :func:`_mc_parts`, each chunk
+    one block of :func:`estimate_from_blocks`."""
+    return estimate_from_blocks(_mc_parts(system, driver, times, N, seed,
+                                          statistic))
+
+
+# ---------------------------------------------------------------------------
+# multilevel Monte Carlo over dyadic grids
+# ---------------------------------------------------------------------------
+
+def coarsen(d_sub: np.ndarray, dw: np.ndarray):
+    """The draws of the grid of twice the step, from the draws (m, K) and
+    (m, K, n) of a grid of an even number K of cells.
+
+    A coarse clock increment is the sum d1 + d2 of its two fine ones, and its
+    normal is (sqrt(d1) N1 + sqrt(d2) N2) / sqrt(d1 + d2), 0 where d1 + d2 =
+    0: the coarse Gaussian increment is then the sum of the two fine ones,
+    so the coarse path is the fine one's exact aggregate.
+    """
+    d1, d2 = d_sub[:, 0::2], d_sub[:, 1::2]
+    d = d1 + d2
+    w = dw[:, 0::2] * np.sqrt(d1)[:, :, None]
+    w += dw[:, 1::2] * np.sqrt(d2)[:, :, None]
+    root = np.sqrt(d)[:, :, None]
+    w /= np.where(root > 0, root, 1.0)      # w is 0 where d1 + d2 = 0
+    return d, w
+
+
+def level_count(cols: Sequence[int]) -> int:
+    """Halvings of a grid on which every column stays a node: the least
+    power of two among the columns.  Level 0 is the grid so coarsened."""
+    return min((c & -c).bit_length() - 1 for c in cols)
+
+
+def level_paths(N: int, level: int) -> int:
+    """Paths of ``level`` in a run on N paths: N at level 0, then
+    max(2, ceil(N / 2^l)), so that each level steps about as many cells."""
+    return N if level == 0 else max(2, -(-N // (1 << level)))
+
+
+@dataclass(frozen=True)
+class Level:
+    """One level of a multilevel run: its grid step, its paths, and the
+    merged :class:`Moments` and the MCEstimates of its statistic, per column:
+    the plain statistic on level 0, the fine less the coarse one above it."""
+
+    dt: float
+    paths: int
+    moments: Moments
+    estimates: tuple
+
+
+def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
+                     N: int, seed: int, statistic) -> tuple:
+    """The levels of a multilevel run on the grid of step ``dt`` over [0, T],
+    for ``statistic(times, cols, d_sub, dw)``, which maps one grid's draws to
+    per-replica rows read at the grid's columns ``cols``; ``cols`` are the
+    columns on the grid of step ``dt``, the last of them T's.
+
+    Level L, the last, has step ``dt``; level 0 has step ``dt 2^L`` with
+    L = :func:`level_count` of ``cols``.  Level 0 runs the statistic on
+    N paths from streams (seed, j), as :func:`_mc_paths` does.  Level l >= 1
+    runs it on :func:`level_paths` paths, each stepped on its level's grid
+    and on the grid above, from the same draws by :func:`coarsen`, and takes
+    the difference; its chunk j draws from stream (seed, (l << 32) + j).
+    The level counts and streams depend on (N, dt, cols) alone.
+    """
+    L = level_count(cols)
+    grids = [time_grid(T, dt * 2 ** (L - l)) for l in range(L + 1)]
+
+    def at(level):
+        return [c >> (L - level) for c in cols]
+
+    def level_rows(level):
+        here, fine = at(level), grids[level]
+        if level == 0:
+            return lambda d_sub, dw: statistic(fine, here, d_sub, dw)
+        there, coarse = at(level - 1), grids[level - 1]
+        return lambda d_sub, dw: (statistic(fine, here, d_sub, dw) - statistic(
+            coarse, there, *coarsen(d_sub, dw)))
+
+    levels = []
+    for level, times in enumerate(grids):
+        n = level_paths(N, level)
+        parts = _mc_parts(system, driver, times, n, seed, level_rows(level),
+                          offset=level << 32)
+        levels.append(Level(dt * 2 ** (L - level), n, merge_all(parts),
+                            tuple(estimate_from_blocks(parts))))
+    return tuple(levels)
+
+
+def multilevel_estimates(levels: Sequence[Level]) -> list:
+    """One MCEstimate per column: the sum of the level means, with SE
+    sqrt(sum of the level SEs squared) and ``method="multilevel"``.  A run of
+    one level is that level's plain estimate."""
+    if len(levels) == 1:
+        return list(levels[0].estimates)
+    paths = sum(lv.paths for lv in levels)
+    return [MCEstimate(paths, sum(e.mean for e in col),
+                       math.sqrt(sum(e.std_error * e.std_error for e in col)),
+                       any(e.heavy_tail_flag for e in col), "multilevel")
+            for col in zip(*(lv.estimates for lv in levels))]
 
 
 def _norms_in_place(a: np.ndarray) -> np.ndarray:
@@ -374,23 +479,27 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
     """Grid-maximum moments of |Z| per horizon against the maximal bound.
 
     The gate is that of :func:`_gate` at theta = 0: stationary when every
-    horizon is at least 1, small-time otherwise.  One run on the grid of the
-    largest horizon serves every horizon: each reads the running maximum of
-    the same paths at its own column.
+    horizon is at least 1, small-time otherwise.  The estimate of the grid
+    maximum at step ``dt`` is multilevel (:func:`multilevel_paths`): level 0
+    steps N paths on the coarsest dyadic coarsening of the grid on which
+    every horizon is a node, and each finer level corrects it with fewer
+    paths.  Every level serves every horizon: each reads the running maximum
+    of the same paths at its own column.  The report keeps the levels.
     """
     T_grid = _horizons(T_grid)
     _gate(driver, p, 0.0, stationary=T_grid[0] >= 1)
-    times = time_grid(T_grid[-1], dt)
     cols = [cell_count(T, dt) for T in T_grid]
 
-    def statistic(d_sub, dw):
+    def statistic(times, at, d_sub, dw):
         Z = advance(system, times, d_sub, dw, path="convolution")
         running = np.maximum.accumulate(_norms_in_place(Z), axis=1)
-        return running[:, cols] ** p
+        return running[:, at] ** p
 
-    ests = _mc_paths(system, driver, times, N, seed, statistic)
+    levels = multilevel_paths(system, driver, T_grid[-1], dt, cols, N, seed,
+                              statistic)
     rhs = tuple(bound_rhs(driver, p / 2, T) for T in T_grid)
-    return BoundReport(tuple(T_grid), tuple(ests), rhs, "maximal")
+    return BoundReport(tuple(T_grid), tuple(multilevel_estimates(levels)), rhs,
+                       "maximal", levels)
 
 
 def conditional_maximal_check(system: GalerkinSystem, times: np.ndarray,

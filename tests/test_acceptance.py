@@ -388,21 +388,38 @@ def test_criterion_11_determinism(tmp_path):
 # 13. exact law of the SPDE stepper
 # -------------------------------------------------------------------------
 
-@pytest.mark.parametrize("phi, seed", [(bf.stable(0.6), 91),
-                                       (bf.gamma_exponent(), 92),
-                                       (bf.tempered_stable(0.5, 1.0), 93)],
-                         ids=["stable:0.6", "gamma", "tempered:0.5,1"])
+def _criterion_13_system():
+    """The constant-Q, zero-drift system of criterion 13 and its u."""
+    n = 8
+    k = np.arange(1, n + 1, dtype=float)
+    gam, q, x0 = k ** 1.3, 0.6 * k ** -1.2, k ** -1.5
+    system = spde.GalerkinSystem(n, gam, spde.zero_drift, 0.0, 0.0,
+                                 spde.constant_diagonal_q(q), x0)
+    return system, q, np.full(n, 2.0)
+
+
+def _scheme_exact_cos(phi, system, q, u, times):
+    """E cos(u.Z_K) of the scheme on ``times``: exp(-sum_j h_j phi(s_j))."""
+    T, t, h = times[-1], times[:-1], np.diff(times)
+    s = 0.5 * (u * u * q * q) @ np.exp(-2.0 * np.outer(system.eigenvalues, T - t))
+    return math.exp(-float(h @ phi.fn(s)))
+
+
+CRITERION_13_DRIVERS = [bf.stable(0.6), bf.gamma_exponent(),
+                        bf.tempered_stable(0.5, 1.0)]
+CRITERION_13_IDS = ["stable:0.6", "gamma", "tempered:0.5,1"]
+
+
+@pytest.mark.parametrize("phi, seed", zip(CRITERION_13_DRIVERS, (91, 92, 93)),
+                         ids=CRITERION_13_IDS)
 def test_criterion_13_exact_law(phi, seed):
     # with zero drift and Q = diag(q), Z_K = sum_j E^(K-j) q sqrt(dS_j) N_j is
     # Gaussian given the clock, so E cos(u.Z_K) is exp(-sum_j h_j phi(s_j))
     # with s_j = 1/2 sum_i u_i^2 q_i^2 e^(-2 gamma_i (T - t_j)); the state adds
     # the mean e^(-gamma T) x0, and Z is conditionally symmetric
     start = time.perf_counter()
-    n, T = 8, 1.0
-    k = np.arange(1, n + 1, dtype=float)
-    gam, q, x0, u = k ** 1.3, 0.6 * k ** -1.2, k ** -1.5, np.full(n, 2.0)
-    system = spde.GalerkinSystem(n, gam, spde.zero_drift, 0.0, 0.0,
-                                 spde.constant_diagonal_q(q), x0)
+    system, q, u = _criterion_13_system()
+    T = 1.0
     times = time_grid(T, 1 / 64)
 
     def statistic(d_sub, dw):
@@ -411,13 +428,35 @@ def test_criterion_13_exact_law(phi, seed):
         return np.cos(np.stack([z @ u, x @ u], axis=1))
 
     est_z, est_x = spde._mc_paths(system, phi, times, 40_000, seed, statistic)
-    t, h = times[:-1], np.diff(times)
-    s = 0.5 * (u * u * q * q) @ np.exp(-2.0 * np.outer(gam, T - t))
-    exact_z = math.exp(-float(h @ phi.fn(s)))
-    exact_x = math.cos(float(u @ (np.exp(-gam * T) * x0))) * exact_z
+    exact_z = _scheme_exact_cos(phi, system, q, u, times)
+    exact_x = math.cos(float(u @ (np.exp(-system.eigenvalues * T) * system.x0))) * exact_z
     zs = [(est.mean - exact) / est.std_error
           for est, exact in ((est_z, exact_z), (est_x, exact_x))]
     elapsed = time.perf_counter() - start
     ok = all(abs(z) <= 3.0 for z in zs) and elapsed <= CELL_SECONDS
     report(13, f"exact law ({phi.name})", ok,
            f"z(Z)={zs[0]:+.2f} z(X)={zs[1]:+.2f} {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("phi, seed", zip(CRITERION_13_DRIVERS, (131, 132, 133)),
+                         ids=CRITERION_13_IDS)
+def test_criterion_13_multilevel_exact_law(phi, seed):
+    # the multilevel estimate over steps 1, 1/2, ..., 1/64 is unbiased for
+    # the finest grid's E cos(u.Z_T), so it meets that grid's exact value
+    start = time.perf_counter()
+    system, q, u = _criterion_13_system()
+
+    def statistic(times, cols, d_sub, dw):
+        z = spde.advance(system, times, d_sub, dw, path="convolution")[:, cols]
+        return np.cos(z @ u)
+
+    levels = spde.multilevel_paths(system, phi, 1.0, 1 / 64, [64], 40_000,
+                                   seed, statistic)
+    est, = spde.multilevel_estimates(levels)
+    exact = _scheme_exact_cos(phi, system, q, u, time_grid(1.0, 1 / 64))
+    z = (est.mean - exact) / est.std_error
+    elapsed = time.perf_counter() - start
+    ok = (abs(z) <= 3.0 and [lv.dt for lv in levels] == [2.0 ** -l for l in range(7)]
+          and elapsed <= CELL_SECONDS)
+    report(13, f"multilevel exact law ({phi.name})", ok,
+           f"z={z:+.2f} se={est.std_error:.2e} {elapsed:.2f}s")

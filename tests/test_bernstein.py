@@ -30,6 +30,12 @@ def test_eval_closed_forms():
     assert bf.ratio(0.5)(math.inf) == math.inf         # s^(1-alpha), not inf * 0
 
 
+@pytest.mark.parametrize("s", [1e10, 1e300, math.inf])
+def test_tempered_past_the_double_range_of_s_over_lam(s):
+    # s / lam overflows; (s + lam)^alpha - lam^alpha is still s^0.3 - 1e-90
+    assert bf.tempered_stable(0.3, 1e-300)(s) == pytest.approx(s ** 0.3, rel=1e-15)
+
+
 def test_eval_domain_error():
     with pytest.raises(DomainError):
         bf.stable(0.5)(0.0)

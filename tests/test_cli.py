@@ -420,6 +420,35 @@ def test_integrate_manifest_records_grid(tmp_path):
     assert "grid" not in out.read_text()
 
 
+@pytest.mark.parametrize("t_grid, levels", [("1,2", 5), ("0.75", 3), ("0.6875", 1)])
+def test_maximal_manifest_records_levels(t_grid, levels, tmp_path):
+    # 1 and 2 lie on the grid of step 1, four halvings above 1/16; 0.75 is
+    # 3 cells of 1/4, and 0.6875 is 11 cells of 1/16, on no coarser grid
+    out = tmp_path / "m.csv"
+    assert run(["spde", "maximal", "--n", "2", "--t-grid", t_grid, "--dt", "0.0625",
+                "--paths", "40", "--out", str(out)]) == 0
+    facts = _manifest(out)
+    body = out.read_text().split("t,statistic,se,rhs,ratio\n")[1]
+    statistic = [float(row.split(",")[1]) for row in body.splitlines()]
+    means = [[float(v) for v in facts[f"level_{i}_mean"].split(",")]
+             for i in range(levels)]
+    variances = [[float(v) for v in facts[f"level_{i}_var"].split(",")]
+                 for i in range(levels)]
+    assert facts["level_paths"] == ",".join(
+        str(spde.level_paths(40, i)) for i in range(levels))
+    assert [float(v) for v in facts["level_dt"].split(",")] == [
+        0.0625 * 2 ** (levels - 1 - i) for i in range(levels)]
+    assert [sum(col) for col in zip(*means)] == pytest.approx(statistic, rel=1e-14)
+    assert all(v >= 0 for row in variances for v in row)
+    if levels > 1:
+        assert facts["method"] == "multilevel"
+        assert facts["finest_correction"] == facts[f"level_{levels - 1}_mean"]
+    else:
+        assert facts["method"] == "plain" and "finest_correction" not in facts
+        assert means[0] == statistic
+    assert f"level_{levels}_mean" not in facts and "level" not in out.read_text()
+
+
 def test_manifest_records_worker_count(tmp_path):
     out = tmp_path / "w.csv"
     assert run(["moment", "mc", "--phi", "stable:0.5", "--p", "0.25",
@@ -987,7 +1016,8 @@ def _without_echoed_flags(text):
 # draws from stream (seed, 0), and `spde smallball` since its lower bound
 # reads the moment of S_T from the same paths as its probability; every
 # row under a stable driver since stable variates are summed in logs, and
-# drawn as 1/(2 N^2) at alpha = 1/2
+# drawn as 1/(2 N^2) at alpha = 1/2; `spde maximal` since its estimate is
+# multilevel, five levels from step 1 down to 0.0625 here
 MODE_RUNS = {
     ("spde", "sim"): (["--n", "4", "--T", "0.5", "--dt", "0.125", "--seed", "3"],
                       "936f45544fac1caa57f7d8ff016b2f24a1ce8e87c816fe926e3ac5a6002b07c3"),
@@ -998,7 +1028,7 @@ MODE_RUNS = {
     ("spde", "maximal"): (
         ["--n", "4", "--t-grid", "1,2", "--dt", "0.0625", "--paths", "50",
          "--seed", "1"],
-        "1e33738c8a2cac098a876d6d883107b8b85f793dd34e9bf1b3efd093cece12b3"),
+        "827e97376097332036127f11a075e06816d801b5dcf74d175ed02c44b04f7f53"),
     ("spde", "smallball"): (
         ["--phi", "stable:0.5", "--n", "4", "--T", "0.0625", "--dt", "0.015625",
          "--delta", "0.5", "--paths", "100", "--seed", "1"],
@@ -1342,8 +1372,9 @@ def test_every_declared_flag_is_taken_by_a_parser():
     assert set(cli.FLAGS) - taken(cli.build_parser()) == set()
 
 
-# extreme inputs that once ended in a traceback, a warning or a nan, with the
-# exit code that each must end in
+# extreme inputs that once ended in a traceback, a warning, a nan or a wrong
+# verdict or value (see their own tests), with the exit code that each must
+# end in
 EXTREME_RUNS = {
     "mom-inf-block-mean": (["moment", "mc", "--phi", "stable:0.01", "--p", "0.009",
                             "--f", "pow:0.5", "--paths", "2000", "--seed", "1"], 0),
@@ -1365,6 +1396,10 @@ EXTREME_RUNS = {
                                   "--f", "exp:1e300", "--domain", "1e-300,1e300"], 0),
     "integrate-ratio-at-inf": (["integrate", "--phi", "ratio:0.5", "--f", "pow:1e300",
                                 "--T", "1e-300", "--paths", "50"], 0),
+    "zeroone-core-past-the-range": (["zeroone", "--phi", "stablelog:0.5,0.2",
+                                     "--f", "pow:-1", "--domain", "1,1e300"], 0),
+    "bf-tempered-past-the-range": (["bf", "--phi", "tempered:0.3,1e-300",
+                                    "--eval-at", "1e10"], 0),
 }
 
 

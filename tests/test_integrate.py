@@ -189,6 +189,16 @@ class TestFiniteness:
             assert res.verdict is itg.Verdict.FINITE
             assert res.value == pytest.approx(value, rel=1e-12)
 
+    @pytest.mark.parametrize("phi, domain", [
+        (bf.stable_log(0.5, 0.2), (1.0, 1e300)),       # about 1e450
+        (bf.tempered_stable(0.3, 1e-300), (1e-300, 1e300)),
+    ])
+    def test_finite_domain_past_the_double_range_diverges(self, phi, domain):
+        # quad's sums overflow on such a core and return nan with an
+        # IntegrationWarning, which the suite would raise
+        res = itg.finiteness_criterion(itg.power_singular(-1.0), phi, domain)
+        assert res == itg.Finiteness(itg.Verdict.INFINITE)
+
     def test_time_reversed_reduces_to_inner(self):
         tr = itg.time_reversed(itg.exponential(2.0), 1.5)
         a = itg.finiteness_criterion(tr, GAMMA, (0.0, 1.5))

@@ -123,10 +123,7 @@ class TestConditionalSampling:
         N = 4000
         d_fine = grid_increments(ST6, fine, stream(12, 0), N)
         w_fine = stream(12, 1).standard_normal((N, K, 2))
-        scaled = w_fine * np.sqrt(d_fine)[:, :, None]
-        d_coarse = d_fine[:, ::2] + d_fine[:, 1::2]
-        inc_coarse = scaled[:, ::2] + scaled[:, 1::2]
-        w_coarse = inc_coarse / np.sqrt(np.maximum(d_coarse, 1e-300))[:, :, None]
+        d_coarse, w_coarse = spde.coarsen(d_fine, w_fine)
         Zf = spde.advance(system, fine, d_fine, w_fine, path="convolution")
         Zc = spde.advance(system, coarse, d_coarse, w_coarse,
                           path="convolution")
@@ -182,6 +179,89 @@ class TestMaximalAndSmallBall:
         assert rep.T_grid == (0.5, 0.5625, 0.625, 0.6875, 0.75)
         means = [e.mean for e in rep.estimates]
         assert all(b >= a for a, b in zip(means, means[1:]))
+
+    def test_one_level_maximal_is_the_plain_estimate(self):
+        # 0.5625 is 9 cells of 1/16: no coarser grid holds every horizon, so
+        # the one level is today's plain run, bit for bit
+        system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
+        horizons = [0.5, 0.5625, 0.625, 0.6875, 0.75]
+        rep = spde.maximal_inequality_scan(system, ST6, 0.5, horizons, 100, 3,
+                                           dt=1 / 16)
+        times = time_grid(0.75, 1 / 16)
+
+        def statistic(d_sub, dw):
+            Z = spde.advance(system, times, d_sub, dw, path="convolution")
+            running = np.maximum.accumulate(spde._norms_in_place(Z), axis=1)
+            return running[:, [8, 9, 10, 11, 12]] ** 0.5
+
+        assert len(rep.levels) == 1
+        assert rep.estimates == tuple(spde._mc_paths(system, ST6, times, 100, 3,
+                                                     statistic))
+
+    def test_multilevel_maximal_is_the_sum_of_its_levels(self):
+        system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
+        rep = spde.maximal_inequality_scan(system, ST6, 0.5, [0.5, 1.0], 300, 3,
+                                           dt=1 / 16)
+        assert [(lv.dt, lv.paths) for lv in rep.levels] == [
+            (0.5, 300), (0.25, 150), (0.125, 75), (0.0625, 38)]
+        for h, est in enumerate(rep.estimates):
+            col = [lv.estimates[h] for lv in rep.levels]
+            assert est.method == "multilevel" and est.n_samples == 563
+            assert est.mean == sum(e.mean for e in col)
+            assert est.std_error == math.sqrt(sum(e.std_error ** 2 for e in col))
+
+    def test_multilevel_maximal_ignores_worker_count(self, monkeypatch):
+        # four levels; level 0 is two chunks, the helper draws one ahead
+        system = diagonal_system(4, q=spde.constant_diagonal_q([0.5] * 4))
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SUBSING_WORKERS", workers)
+            rep = spde.maximal_inequality_scan(system, ST6, 0.5, [0.5, 1, 2],
+                                               300, 5, dt=1 / 16)
+            runs.append((rep.estimates, [
+                (lv.dt, lv.paths, lv.estimates, lv.moments.mean.tolist(),
+                 lv.moments.m2.tolist()) for lv in rep.levels]))
+        assert runs[0] == runs[1]
+
+    def test_level_counts_and_streams_follow_paths_dt_and_horizons(self, monkeypatch):
+        # whatever the seed and the driver: the same streams, each drawing
+        # the same paths on the same grid
+        system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
+        records = []
+        for driver, seed in ((ST6, 1), (GAMMA, 2), (ST6, 7)):
+            drawn = []
+
+            def recorded_stream(seed, index, drawn=drawn):
+                drawn.append(index)
+                return stream(seed, index)
+
+            def recorded_draw(driver, times, rng, m, drawn=drawn):
+                drawn.append((m, len(times) - 1))
+                return grid_increments(driver, times, rng, m)
+
+            monkeypatch.setattr(spde, "stream", recorded_stream)
+            monkeypatch.setattr(spde, "grid_increments", recorded_draw)
+            spde.maximal_inequality_scan(system, driver, 0.5, [1, 2], 600, seed,
+                                         dt=1 / 8)
+            pairs = sorted(zip(drawn[::2], drawn[1::2]))
+            records.append(pairs)
+        assert records[0] == records[1] == records[2]
+        # levels at steps 1, 1/2, 1/4, 1/8: 600, 300, 150 and 75 paths
+        assert records[0] == [(0, (256, 2)), (1, (256, 2)), (2, (88, 2)),
+                              ((1 << 32), (256, 4)), ((1 << 32) + 1, (44, 4)),
+                              ((2 << 32), (150, 8)), ((3 << 32), (75, 16))]
+
+    def test_coarsen_sums_the_increments(self):
+        rng = stream(4, 0)
+        d_sub = grid_increments(ST6, time_grid(1.0, 1 / 8), rng, 5)
+        d_sub[0, :2] = 0.0
+        dw = rng.standard_normal((5, 8, 3))
+        d, w = spde.coarsen(d_sub, dw)
+        assert np.array_equal(d, d_sub[:, ::2] + d_sub[:, 1::2])
+        assert np.all(w[0, 0] == 0.0)
+        scaled = dw * np.sqrt(d_sub)[:, :, None]
+        np.testing.assert_allclose(w * np.sqrt(d)[:, :, None],
+                                   scaled[:, ::2] + scaled[:, 1::2], rtol=1e-12)
 
     @pytest.mark.parametrize("scan", ["maximal", "longrun", "convmom"])
     @pytest.mark.parametrize("horizons", [[1.5, 2.0], [0.0, 2.0], [-1.0, 2.0],
