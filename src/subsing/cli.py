@@ -89,13 +89,13 @@ def _join(values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
-def _level_facts(rep) -> dict:
-    """The .manifest record of a multilevel BoundReport: the estimate's
-    method, each level's step and paths, its mean and sample variance per
-    horizon, and the finest level's correction per horizon, the estimate of
-    the grid's resolution bias beside the SE."""
-    levels = rep.levels
-    facts = {"method": rep.estimates[0].method,
+def _level_facts(levels, estimates) -> dict:
+    """The .manifest record of a multilevel run, its ``levels`` and the
+    ``estimates`` made from them: the estimates' method, each level's step
+    and paths, its mean and sample variance per horizon, and the finest
+    level's correction per horizon, the estimate of the grid's resolution
+    bias beside the SE."""
+    facts = {"method": estimates[0].method,
              "level_dt": _join(lv.dt for lv in levels),
              "level_paths": _join(lv.paths for lv in levels)}
     for i, lv in enumerate(levels):
@@ -279,11 +279,12 @@ def cmd_spde(args):
         rep = spde.convolution_moment_scan(system, phi, args.p, args.theta,
                                            args.t_grid, args.paths, args.seed,
                                            dt=args.dt)
+        args.manifest.update(_level_facts(rep.levels, rep.estimates))
         return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "maximal":
         rep = spde.maximal_inequality_scan(system, phi, args.p, args.t_grid,
                                            args.paths, args.seed, dt=args.dt)
-        args.manifest.update(_level_facts(rep))
+        args.manifest.update(_level_facts(rep.levels, rep.estimates))
         return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "smallball":
         res = spde.small_ball(system, phi, args.delta, args.T, args.paths,
@@ -295,6 +296,7 @@ def cmd_spde(args):
         rep = spde.longrun_moment_scan(system, phi, args.p, args.theta,
                                        args.t_grid, args.paths, args.seed,
                                        dt=args.dt)
+        args.manifest.update(_level_facts(rep.levels, rep.averages))
         rows = ((T, est.mean, est.std_error) for T, est in zip(rep.horizons, rep.averages))
         return lines + _csv("T,average,se", rows)
     if args.mode == "control":

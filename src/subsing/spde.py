@@ -374,8 +374,10 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
                      N: int, seed: int, statistic) -> tuple:
     """The levels of a multilevel run on the grid of step ``dt`` over [0, T],
     for ``statistic(times, cols, d_sub, dw)``, which maps one grid's draws to
-    per-replica rows read at the grid's columns ``cols``; ``cols`` are the
-    columns on the grid of step ``dt``, the last of them T's.
+    per-replica rows read at the grid's columns ``cols``; ``cols`` are
+    columns of the grid of step ``dt``, the last of them T's, the grid's end:
+    the largest horizon of ``maximal`` and ``convmom``, the largest horizon
+    plus 1 of ``longrun``.
 
     Level L, the last, has step ``dt``; level 0 has step ``dt 2^L`` with
     L = :func:`level_count` of ``cols``.  Level 0 runs the statistic on
@@ -454,23 +456,29 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
                             p: float, theta: float, t_grid: Sequence[float],
                             N: int, seed: int, *, dt: float) -> BoundReport:
     """Monte Carlo fractional-power moments of the convolution at several
-    times, against the small-time right side."""
+    times, against the small-time right side.
+
+    The estimate at step ``dt`` is multilevel (:func:`multilevel_paths`), as
+    in :func:`maximal_inequality_scan`: every level reads Z of the same paths
+    at each time's column.  The report keeps the levels.
+    """
     _gate(driver, p, theta, stationary=False)
     t_grid = _horizons(t_grid)
-    times = time_grid(t_grid[-1], dt)
     cols = [cell_count(t, dt) for t in t_grid]
     weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
 
-    def statistic(d_sub, dw):
+    def statistic(times, at, d_sub, dw):
         # the read columns are weighted and squared in place; the (R, 1, n)
         # weights span each time's contiguous (R, n) slice
-        Z = advance(system, times, d_sub, dw, path="convolution")[:, cols, :]
+        Z = advance(system, times, d_sub, dw, path="convolution")[:, at, :]
         Z *= weights((len(Z), 1, system.n))
         return _norms_in_place(Z) ** p
 
-    ests = _mc_paths(system, driver, times, N, seed, statistic)
+    levels = multilevel_paths(system, driver, t_grid[-1], dt, cols, N, seed,
+                              statistic)
     rhs = tuple(bound_rhs(driver, p / 2, t, theta=2 * theta) for t in t_grid)
-    return BoundReport(tuple(t_grid), tuple(ests), rhs, "convolution/small_time")
+    return BoundReport(tuple(t_grid), tuple(multilevel_estimates(levels)), rhs,
+                       "convolution/small_time", levels)
 
 
 def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
@@ -573,6 +581,7 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
 class LongRunReport:
     horizons: tuple
     averages: tuple            # MCEstimate of the time-averaged moment per T
+    levels: tuple              # the multilevel run behind the averages
 
 
 def _running_trapezoid(vals: np.ndarray, dt: float) -> np.ndarray:
@@ -590,28 +599,34 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     """Time-averaged moments of |Lambda^theta X_t| over [1, T+1] per horizon.
 
     Bounded output across growing horizons is the tightness evidence for the
-    long-run behaviour of the state.  One run on [0, max T + 1] serves every
-    horizon: each reads the running trapezoid integral from t = 1 at its own
-    column.
+    long-run behaviour of the state.  The estimate at step ``dt`` is
+    multilevel (:func:`multilevel_paths`) over [0, max T + 1], on grids that
+    all hold t = 1 and every T + 1 as nodes: each level reads the running
+    trapezoid integral from t = 1 of the same paths at each horizon's column.
+    The report keeps the levels.
     """
     _gate(driver, p, theta, stationary=True)
     Ts = _horizons(horizons)
-    times = time_grid(Ts[-1] + 1.0, dt)
     j0 = cell_count(1.0, dt)
-    offsets = [cell_count(T, dt) for T in Ts]
+    cols = [j0] + [j0 + cell_count(T, dt) for T in Ts]
     weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
 
-    def statistic(d_sub, dw):
+    def statistic(times, at, d_sub, dw):
         # the columns from t = 1 on are weighted and squared in place; the
         # (R, 1, n) weights span each time's contiguous (R, n) slice
-        X = advance(system, times, d_sub, dw, path="state")[:, j0:, :]
+        start, ends = at[0], at[1:]
+        X = advance(system, times, d_sub, dw, path="state")[:, start:, :]
         X *= weights((len(X), 1, system.n))
         vals = _norms_in_place(X) ** p
-        running = _running_trapezoid(vals, dt)
-        return running[:, offsets] / np.array(Ts)
+        # the level's own step: dt times a power of two, exactly, where
+        # times[1] - times[0] may differ from dt in its last bit
+        h = dt * (cols[-1] // (len(times) - 1))
+        running = _running_trapezoid(vals, h)
+        return running[:, [e - start for e in ends]] / np.array(Ts)
 
-    out = _mc_paths(system, driver, times, N, seed, statistic)
-    return LongRunReport(tuple(Ts), tuple(out))
+    levels = multilevel_paths(system, driver, Ts[-1] + 1.0, dt, cols, N, seed,
+                              statistic)
+    return LongRunReport(tuple(Ts), tuple(multilevel_estimates(levels)), levels)
 
 
 # ---------------------------------------------------------------------------

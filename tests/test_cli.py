@@ -420,15 +420,26 @@ def test_integrate_manifest_records_grid(tmp_path):
     assert "grid" not in out.read_text()
 
 
-@pytest.mark.parametrize("t_grid, levels", [("1,2", 5), ("0.75", 3), ("0.6875", 1)])
-def test_maximal_manifest_records_levels(t_grid, levels, tmp_path):
+# the CSV column line of each multilevel spde mode
+LEVEL_MODES = {"maximal": "t,statistic,se,rhs,ratio",
+               "convmom": "t,statistic,se,rhs,ratio",
+               "longrun": "T,average,se"}
+
+
+@pytest.mark.parametrize("mode, t_grid, levels", [
+    pytest.param(mode, t_grid, levels, id="-".join(
+        ([] if mode == "maximal" else [mode]) + [t_grid, str(levels)]))
+    for mode in LEVEL_MODES
+    for t_grid, levels in (("1,2", 5), ("0.75", 3), ("0.6875", 1))])
+def test_maximal_manifest_records_levels(mode, t_grid, levels, tmp_path):
     # 1 and 2 lie on the grid of step 1, four halvings above 1/16; 0.75 is
-    # 3 cells of 1/4, and 0.6875 is 11 cells of 1/16, on no coarser grid
+    # 3 cells of 1/4, and 0.6875 is 11 cells of 1/16, on no coarser grid;
+    # longrun reads t = 1 and each T + 1, 16 cells of 1/16 and 32, 48; 28; 27
     out = tmp_path / "m.csv"
-    assert run(["spde", "maximal", "--n", "2", "--t-grid", t_grid, "--dt", "0.0625",
+    assert run(["spde", mode, "--n", "2", "--t-grid", t_grid, "--dt", "0.0625",
                 "--paths", "40", "--out", str(out)]) == 0
     facts = _manifest(out)
-    body = out.read_text().split("t,statistic,se,rhs,ratio\n")[1]
+    body = out.read_text().split(LEVEL_MODES[mode] + "\n")[1]
     statistic = [float(row.split(",")[1]) for row in body.splitlines()]
     means = [[float(v) for v in facts[f"level_{i}_mean"].split(",")]
              for i in range(levels)]
@@ -1017,14 +1028,16 @@ def _without_echoed_flags(text):
 # reads the moment of S_T from the same paths as its probability; every
 # row under a stable driver since stable variates are summed in logs, and
 # drawn as 1/(2 N^2) at alpha = 1/2; `spde maximal` since its estimate is
-# multilevel, five levels from step 1 down to 0.0625 here
+# multilevel, five levels from step 1 down to 0.0625 here; `spde convmom`
+# and `spde longrun` since theirs are: three levels from step 0.25 and five
+# from step 1 (t = 1 and T + 1 = 3 are nodes of it) down to 0.0625 here
 MODE_RUNS = {
     ("spde", "sim"): (["--n", "4", "--T", "0.5", "--dt", "0.125", "--seed", "3"],
                       "936f45544fac1caa57f7d8ff016b2f24a1ce8e87c816fe926e3ac5a6002b07c3"),
     ("spde", "convmom"): (
         ["--n", "4", "--p", "0.5", "--theta", "0", "--t-grid", "0.25,0.5",
          "--dt", "0.0625", "--paths", "50", "--seed", "1"],
-        "ccee5340f5e6acff4ed29d1edfc84fee01a6eebd994b963fabde9e5f1ec2062a"),
+        "53b01c9653824e6667f6c5b7298f25e201252f2c19142a2fc4ef562fea896477"),
     ("spde", "maximal"): (
         ["--n", "4", "--t-grid", "1,2", "--dt", "0.0625", "--paths", "50",
          "--seed", "1"],
@@ -1036,7 +1049,7 @@ MODE_RUNS = {
     ("spde", "longrun"): (
         ["--n", "4", "--p", "0.5", "--theta", "0.25", "--t-grid", "2",
          "--dt", "0.0625", "--paths", "20", "--seed", "1"],
-        "bc6f94dd580ed821a0fa69adcd920168befb6b2766ad0553d254259760a9dbb6"),
+        "1f80fd9800615f661a524802bbdf15d70de14c2f60d88f168c137059f92aa143"),
     ("spde", "control"): (
         ["--n", "2", "--q-const", "--a4-c", "4.0", "--T", "0.5", "--dt", "0.0625",
          "--seed", "9"],

@@ -416,19 +416,33 @@ class TestLongRun:
         assert np.array_equal(got, expected)
 
     def test_deterministic_average_matches_quadrature(self):
-        from scipy.integrate import quad
+        # without noise every level's path is e^(-t Gamma) x0 at its nodes:
+        # the sum of levels 0..l is the trapezoid rule of level l's step, from
+        # 1 down to 2^-10, and the sum of all eleven matches the quadrature
+        from scipy.integrate import quad, trapezoid
         gam = np.array([1.0, 2.0])
         x0 = np.array([1.0, 0.5])
         system = diagonal_system(2, gam, x0=x0)
         p, theta = 0.5, 0.25
+
+        def moment(t):
+            x = gam ** theta * np.exp(-np.multiply.outer(t, gam)) * x0
+            return np.linalg.norm(x, axis=-1) ** p
+
         for horizons in ([2.0], [1.0, 2.0, 3.0]):
             rep = spde.longrun_moment_scan(system, ST6, p, theta, horizons, 1,
                                            3, dt=2 ** -10)
             assert rep.horizons == tuple(horizons)
-            for T, est in zip(rep.horizons, rep.averages):
-                oracle, _ = quad(lambda t: np.linalg.norm(
-                    gam ** theta * np.exp(-t * gam) * x0) ** p, 1.0, T + 1.0)
+            assert [lv.dt for lv in rep.levels] == [2.0 ** -l for l in range(11)]
+            for h, (T, est) in enumerate(zip(rep.horizons, rep.averages)):
+                oracle, _ = quad(moment, 1.0, T + 1.0)
                 assert est.mean == pytest.approx(oracle / T, abs=1e-6)
+                partial = 0.0
+                for lv in rep.levels:
+                    partial += lv.estimates[h].mean
+                    ts = np.linspace(1.0, T + 1.0, round(T / lv.dt) + 1)
+                    assert partial == pytest.approx(
+                        trapezoid(moment(ts), ts) / T, rel=1e-9)
 
     def test_bounded_over_growing_horizons(self):
         system = diagonal_system(3, q=spde.constant_diagonal_q([0.4, 0.2, 0.1]))
@@ -444,6 +458,104 @@ class TestLongRun:
                                        3000, 6, dt=1 / 32)
         a, b = rep.averages
         assert abs(a.mean - b.mean) <= 3 * math.hypot(a.std_error, b.std_error)
+
+
+class TestMultilevelScans:
+    """``convmom`` and ``longrun`` through the level loop of ``maximal``, at
+    p = 1/2 and theta = 1/4 under stable(0.6)."""
+
+    system = diagonal_system(3, q=spde.constant_diagonal_q([0.5, 0.3, 0.2]))
+
+    def multilevel(self, scan, horizons, N, seed, dt):
+        """The estimates and levels of ``scan``'s multilevel run."""
+        if scan == "convmom":
+            rep = spde.convolution_moment_scan(self.system, ST6, 0.5, 0.25,
+                                               horizons, N, seed, dt=dt)
+            return rep.estimates, rep.levels
+        rep = spde.longrun_moment_scan(self.system, ST6, 0.5, 0.25, horizons,
+                                       N, seed, dt=dt)
+        return rep.averages, rep.levels
+
+    def plain(self, scan, horizons, N, seed, dt):
+        """The estimates of a plain run of ``scan`` on the grid of step
+        ``dt``, its statistic as the scan computed it in one run."""
+        system = self.system
+        weights = spde.mode_rows(system.eigenvalues ** 0.25)
+        if scan == "convmom":
+            times = time_grid(horizons[-1], dt)
+            cols = [round(t / dt) for t in horizons]
+
+            def statistic(d_sub, dw):
+                Z = spde.advance(system, times, d_sub, dw,
+                                 path="convolution")[:, cols, :]
+                Z *= weights((len(Z), 1, system.n))
+                return spde._norms_in_place(Z) ** 0.5
+        else:
+            times = time_grid(horizons[-1] + 1.0, dt)
+            j0, ends = round(1 / dt), [round(T / dt) for T in horizons]
+
+            def statistic(d_sub, dw):
+                X = spde.advance(system, times, d_sub, dw, path="state")[:, j0:, :]
+                X *= weights((len(X), 1, system.n))
+                running = spde._running_trapezoid(
+                    spde._norms_in_place(X) ** 0.5, dt)
+                return running[:, ends] / np.array(horizons)
+        return tuple(spde._mc_paths(system, ST6, times, N, seed, statistic))
+
+    @pytest.mark.parametrize("scan, horizons, dt", [
+        # 0.5625 is 9 cells of 1/16; t = 1 and T + 1 = 1.3, 1.7 are 10, 13
+        # and 17 cells of 0.1, a step whose grid's spacing is not 0.1 exactly
+        ("convmom", [0.5, 0.5625], 1 / 16),
+        ("longrun", [0.3, 0.7], 0.1),
+    ])
+    def test_one_level_is_the_plain_estimate(self, scan, horizons, dt):
+        ests, levels = self.multilevel(scan, horizons, 100, 3, dt)
+        assert len(levels) == 1
+        assert ests == self.plain(scan, horizons, 100, 3, dt)
+
+    @pytest.mark.parametrize("scan, horizons, ladder", [
+        ("convmom", [0.5, 1.0], [(0.5, 300), (0.25, 150), (0.125, 75),
+                                 (0.0625, 38)]),
+        # t = 1 and T + 1 = 2, 3 lie on the grid of step 1
+        ("longrun", [1.0, 2.0], [(1.0, 300), (0.5, 150), (0.25, 75),
+                                 (0.125, 38), (0.0625, 19)]),
+    ])
+    def test_estimate_is_the_sum_of_its_levels(self, scan, horizons, ladder):
+        ests, levels = self.multilevel(scan, horizons, 300, 3, 1 / 16)
+        assert [(lv.dt, lv.paths) for lv in levels] == ladder
+        for h, est in enumerate(ests):
+            col = [lv.estimates[h] for lv in levels]
+            assert est.method == "multilevel"
+            assert est.n_samples == sum(paths for _, paths in ladder)
+            assert est.mean == sum(e.mean for e in col)
+            assert est.std_error == math.sqrt(sum(e.std_error ** 2 for e in col))
+
+    @pytest.mark.parametrize("scan", ["convmom", "longrun"])
+    def test_levels_ignore_worker_count(self, scan, monkeypatch):
+        # level 0 is three chunks of 600 paths, the helper draws ahead
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SUBSING_WORKERS", workers)
+            ests, levels = self.multilevel(scan, [0.5, 1.0], 600, 5, 1 / 16)
+            runs.append((ests, [
+                (lv.dt, lv.paths, lv.estimates, lv.moments.mean.tolist(),
+                 lv.moments.m2.tolist()) for lv in levels]))
+        assert len(runs[0][1]) > 1 and runs[0] == runs[1]
+
+    @pytest.mark.parametrize("scan, horizons, N, dt", [
+        ("convmom", [0.25, 0.5, 1.0], 4000, 1 / 64),
+        ("longrun", [2.0, 4.0, 8.0], 1000, 1 / 32),
+    ])
+    def test_matches_a_plain_run_on_independent_streams(self, scan, horizons,
+                                                        N, dt):
+        # the multilevel estimate is unbiased for the grid of step dt: it
+        # agrees with a plain run there, seed 31 against 32
+        ests, levels = self.multilevel(scan, horizons, N, 31, dt)
+        assert len(levels) > 1
+        for ml, pl in zip(ests, self.plain(scan, horizons, N, 32, dt)):
+            assert ml.std_error > 0
+            assert abs(ml.mean - pl.mean) <= 3 * math.hypot(ml.std_error,
+                                                            pl.std_error)
 
 
 class TestController:
