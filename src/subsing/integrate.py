@@ -322,19 +322,23 @@ def finiteness_criterion(f: Integrand, phi: BernsteinFunction,
             return Finiteness(Verdict.INFINITE)
         return Finiteness(Verdict.FINITE, value)
 
-    def integrand(t):
-        ft = f.fn(np.asarray(t, dtype=float))
-        ft = float(ft) if np.ndim(ft) == 0 else ft
-        if np.ndim(ft) == 0:
-            return phi(ft) if ft > 0 else 0.0
-        out = np.zeros_like(ft)
-        pos = ft > 0
-        if np.any(pos):
-            out[pos] = phi.fn(ft[pos])
-        return out
-
     singular = f.singular_at_zero and a == 0.0
-    return improper_integral(integrand, a, b, singular_lo=singular)
+    return improper_integral(_criterion_integrand(f, phi), a, b,
+                             singular_lo=singular)
+
+
+def _criterion_integrand(f: Integrand, phi: BernsteinFunction):
+    """The quadrature integrand t -> phi(f(t)) of the criterion, 0 where
+    f(t) is not positive (nan included), for the scalar t that quad passes:
+    ``f.fn`` and ``phi.fn`` both run on one 0-d array, without the checks
+    and conversions of the ``__call__`` of ``Integrand`` and of
+    ``BernsteinFunction``."""
+    def integrand(t):
+        x = np.array(t, dtype=float)
+        x[()] = f.fn(x)
+        return float(phi.fn(x)) if x > 0 else 0.0
+
+    return integrand
 
 
 def _power_integral(a: float, b: float, q: float) -> float:

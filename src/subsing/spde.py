@@ -172,8 +172,30 @@ def truncate_system(system: GalerkinSystem, m: int) -> GalerkinSystem:
 # exponential Euler stepping
 # ---------------------------------------------------------------------------
 
+def _aligned_empty(shape) -> np.ndarray:
+    """``np.empty(shape)`` whose data start on a 64-byte boundary.  A step's
+    arrays are allocated so: a vector loop over a misaligned array splits
+    cache lines, and ran a (122, 64) multiply 1.6 times slower."""
+    size = math.prod(shape)
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + size].reshape(shape)
+
+
+def _pairs(buf: np.ndarray, fine: int, k: int) -> tuple:
+    """The (2, R, n) views of both paths in a path buffer at fine node k,
+    even, and coarse node k/2, and at the nodes one step on; the buffer's
+    first ``fine`` slices roll over the fine nodes, the others over the
+    coarse ones."""
+    coarse, c = len(buf) - fine, k // 2
+    i, j = k % fine, fine + c % coarse
+    i1, j1 = (k + 1) % fine, fine + (c + 1) % coarse
+    return buf[i:j + 1:j - i], buf[i1:j1 + 1:j1 - i1]
+
+
 def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
-          dw_std: np.ndarray, *, path: str, out: Optional[np.ndarray] = None):
+          dw_std: np.ndarray, *, path: str, out: Optional[np.ndarray] = None,
+          coarse: Optional[tuple] = None):
     """Step replicas through a uniform grid and yield one path's (R, n)
     slice at each grid time k = 0..K: the state X for ``path="state"``, the
     stochastic convolution Z for ``path="convolution"``.  A grid whose cells
@@ -183,16 +205,26 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     (R, K, n).  The Gaussian increment over a cell has variance equal to the
     subordinated time increment, the whole of it applied at the left node.
 
-    The path lives in a two-slice rolling buffer, or in ``out``, a
-    (K+1, R, n) array that then keeps every slice.  A yielded slice is live
-    state: the caller must not write to it, and without ``out`` it is
-    overwritten two steps on.  The state path never runs the convolution
-    recursion; the convolution path still steps the state, since Q depends
-    on it, in a rolling buffer.  Each step writes into preallocated (R, n)
-    arrays in the order E*x + phi1*f(x) + E*qn and E*(Z + qn).  The factors
-    E and phi1 of the first cell are full (R, n) arrays, made once: a
-    broadcast (n,) row would cost numpy one inner loop per replica.  The drift
-    term is skipped for :func:`zero_drift`, whose contribution is exactly 0.
+    ``coarse`` optionally holds the draws (R, K/2) and (R, K/2, n) of the
+    grid ``times[::2]``, K even, whose path then steps in lock step with the
+    fine one: at even k the fine and the coarse slice step as one (2, R, n)
+    state, at odd k the fine slice alone, the coarse one left as it is.
+    Each item yielded is then a pair: the fine slice at node k, and the
+    coarse slice at node k/2 for even k, None for odd k.
+
+    The path lives in a two-slice rolling buffer, or in ``out``, which then
+    keeps every slice: (K+1, R, n), or with ``coarse`` (K+1 + K/2+1, R, n),
+    the fine path first.  A yielded slice is live state: the caller must not
+    write to it, and without ``out`` it is overwritten two steps on.  The
+    state path never runs the convolution recursion; the convolution path
+    still steps the state, since Q depends on it, in a rolling buffer.  Each
+    step writes into preallocated arrays, on every row in the order
+    E*x + phi1*f(x) + E*qn and E*(Z + qn), with the factors E and phi1 of
+    the first cell of the row's own grid.  They are full arrays, made once:
+    a broadcast (n,) row would cost numpy one inner loop per replica.  The
+    work arrays and rolling buffers start on 64-byte boundaries
+    (:func:`_aligned_empty`).  The drift term is skipped for
+    :func:`zero_drift`, whose contribution is exactly 0.
     """
     if path not in ("state", "convolution"):
         raise DomainError(f"unknown path {path!r}")
@@ -202,47 +234,83 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
         raise DomainError("the stepper needs a uniform grid")
     R, K = d_sub.shape
     n = system.n
-    P = np.empty((2, R, n)) if out is None else out     # the yielded path
-    X = P if path == "state" else np.empty((2, R, n))
-    P[0] = 0.0          # Z_0; overwritten by x0 when P is the state
-    X[0] = system.x0
-    qn = np.empty((R, n))
-    term = np.empty((R, n))
-    E = np.broadcast_to(np.exp(-gam * dts[0]), (R, n)).copy()
-    phi1 = np.broadcast_to(-np.expm1(-gam * dts[0]) / gam, (R, n)).copy()
-    rootd = np.sqrt(d_sub).T
-    dw = dw_std.transpose(1, 0, 2)
+    rootd, dw = np.sqrt(d_sub).T, dw_std.transpose(1, 0, 2)
+    cells = [dts[0]]        # the first cell of each path's grid
+    paired = coarse is not None
+    if paired:
+        if K % 2 or K == 0 or np.shape(coarse[0]) != (R, K // 2):
+            raise DomainError("coarse draws need a positive even number of "
+                              "fine cells, two to each coarse one")
+        cells.append(times[2] - times[0])
+        rootc, dwc = np.sqrt(coarse[0]).T, coarse[1].transpose(1, 0, 2)
+    # each buffer holds its fine slices first, fp or fx of them: a rolling
+    # pair, or all K+1; then as many of the coarse path, if any
+    P = _aligned_empty((2 + 2 * paired, R, n)) if out is None else out
+    X = P if path == "state" else _aligned_empty((2 + 2 * paired, R, n))
+    fp = 2 if out is None else K + 1
+    fx = fp if X is P else 2
+    P[::fp] = 0.0       # Z_0 of each path; overwritten by x0 when P is X
+    X[::fx] = system.x0
+    E2, phi2, qn2, term2 = (_aligned_empty((len(cells), R, n))
+                            for _ in range(4))
+    for g, h in enumerate(cells):
+        E2[g] = np.exp(-gam * h)
+        phi2[g] = -np.expm1(-gam * h) / gam
+    # the fine path's rows of each work array; a step of both paths takes
+    # the whole of them
+    E, phi1, qn, term = E2[0], phi2[0], qn2[0], term2[0]
     no_drift = system.drift is zero_drift
-    yield P[0]
+    yield (P[0], P[fp]) if paired else P[0]
     for k in range(K):
-        xk, x_next = X[k % len(X)], X[(k + 1) % len(X)]
+        both = paired and k % 2 == 0
+        if both:
+            xk, x_next = _pairs(X, fx, k)
+            np.multiply(dwc[k // 2], rootc[k // 2, :, None], out=qn2[1])
+            Ek, phik, q, tk = E2, phi2, qn2, term2
+        else:
+            xk, x_next = X[k % fx], X[(k + 1) % fx]
+            Ek, phik, q, tk = E, phi1, qn, term
         np.multiply(dw[k], rootd[k, :, None], out=qn)
-        np.multiply(system.diffusion.entries(xk), qn, out=qn)
+        np.multiply(system.diffusion.entries(xk), q, out=q)
         if path == "convolution":
-            z_next = P[(k + 1) % len(P)]
-            np.add(P[k % len(P)], qn, out=z_next)
-            z_next *= E
-        np.multiply(E, xk, out=x_next)
+            if both:
+                z, z_next = _pairs(P, fp, k)
+            else:
+                z, z_next = P[k % fp], P[(k + 1) % fp]
+            np.add(z, q, out=z_next)
+            z_next *= Ek
+        np.multiply(Ek, xk, out=x_next)
         if not no_drift:
-            x_next += np.multiply(phi1, system.drift(xk), out=term)
-        x_next += np.multiply(E, qn, out=term)
-        yield P[(k + 1) % len(P)]
+            x_next += np.multiply(phik, system.drift(xk), out=tk)
+        x_next += np.multiply(Ek, q, out=tk)
+        if not paired:
+            yield P[(k + 1) % fp]
+        elif both:
+            yield P[(k + 1) % fp], None
+        else:
+            yield P[(k + 1) % fp], P[fp + (k + 1) // 2 % (len(P) - fp)]
 
 
 def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
-            dw_std: np.ndarray, *, path: str) -> np.ndarray:
+            dw_std: np.ndarray, *, path: str, coarse: Optional[tuple] = None):
     """Advance replicas through a uniform grid and return one path,
-    (R, K+1, n), with the arguments of :func:`steps`.
+    (R, K+1, n), with the arguments of :func:`steps`; with ``coarse``, the
+    fine path and the coarse one, (R, K/2+1, n), stepped in lock step.
 
-    The path is stored time-major, (K+1, R, n), so that each step reads and
-    writes one contiguous (R, n) slice; the returned array is an
-    ``np.moveaxis`` view of that storage in the (R, K+1, n) order.
+    A path is stored time-major, (K+1, R, n), so that each step reads and
+    writes one contiguous (R, n) slice per path; the returned array is an
+    ``np.moveaxis`` view of that storage in the (R, time, n) order.  The
+    coarse path has a storage of its own nodes, so no fine node shows in it.
     """
     R, K = d_sub.shape
-    out = np.empty((K + 1, R, system.n))
-    for _ in steps(system, times, d_sub, dw_std, path=path, out=out):
+    out = _aligned_empty((K + 1 + (0 if coarse is None else K // 2 + 1), R,
+                          system.n))
+    for _ in steps(system, times, d_sub, dw_std, path=path, out=out,
+                   coarse=coarse):
         pass
-    return np.moveaxis(out, 0, 1)
+    if coarse is None:
+        return np.moveaxis(out, 0, 1)
+    return np.moveaxis(out[:K + 1], 0, 1), np.moveaxis(out[K + 1:], 0, 1)
 
 
 @dataclass(frozen=True)
@@ -267,61 +335,86 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
     return SolutionPath(times, X[0], Z[0], svals)
 
 
-def _mc_parts(system, driver, times, N, seed, statistic, *, offset=0):
-    """Chunked two-stage Monte Carlo over replicas; ``statistic`` maps the
-    chunk's subordinator increments (m, K) and standard normals (m, K, n) to
-    per-replica statistic rows (m,) or (m, n_out), stepping them itself
-    through :func:`advance` or :func:`steps`.
+@dataclass(frozen=True)
+class _Task:
+    """One chunk of a Monte Carlo run: ``paths`` replicas on the grid
+    ``times``, drawn from stream (seed, ``index``) and mapped to statistic
+    rows by ``rows(d_sub, dw)``, or with ``coarse`` by ``rows(d_sub, dw,
+    coarsen(d_sub, dw))``."""
 
-    ``driver`` is an exponent to draw subordinator increments from, or one
-    frozen (K,) vector of increments shared by every replica.  Chunk j draws
-    from stream (seed, offset + j).  The calling thread draws and runs the
-    last chunk, the ragged one when ``chunk`` does not divide N, while a
-    helper thread draws chunk 0; the helper then draws chunk j + 1 while
-    ``statistic`` runs on chunk j.  Returns the chunks' :class:`Moments` in
-    chunk order, so the schedule never shows in a result.  A statistic that
-    overflows, or is nan, raises NumericError.
-    """
+    times: np.ndarray
+    paths: int
+    index: int
+    rows: Callable
+    coarse: bool = False
+
+
+def _chunk_tasks(system, times, N, rows, *, offset=0, coarse=False) -> list:
+    """The tasks of N paths on ``times``: chunks of at most 256 replicas and
+    about ``CHUNK_DOUBLES`` normals, chunk j from stream (seed, offset + j),
+    the last one ragged when the chunk size does not divide N."""
     if N < 1:
         raise DomainError("need a positive number of paths")
     K = len(times) - 1
     chunk = max(1, min(256, CHUNK_DOUBLES // (K * system.n + 1)))
-    count = -(-N // chunk)
+    return [_Task(times, min(chunk, N - start), offset + j, rows, coarse)
+            for j, start in enumerate(range(0, N, chunk))]
 
-    def draw(idx):
-        m = min(chunk, N - idx * chunk)
-        rng = stream(seed, offset + idx)
+
+def _mc_parts(system, driver, seed, tasks) -> list:
+    """The one draw-ahead loop of the SPDE Monte Carlo runs: the
+    :class:`Moments` of each :class:`_Task`'s statistic rows (m,) or
+    (m, n_out), in task order, so the schedule never shows in a result.
+    A statistic steps its chunk itself, through :func:`advance` or
+    :func:`steps`.
+
+    ``driver`` is an exponent to draw subordinator increments from, or one
+    frozen (K,) vector of increments shared by every replica.  One helper
+    thread serves the whole run.  The calling thread draws and runs the last
+    task first, while the helper draws task 0; the helper then draws task
+    i + 1 while the calling thread runs task i.  A draw includes the
+    :func:`coarsen` draws of a task that takes them.  A statistic that
+    overflows, or is nan, raises NumericError.
+    """
+    def draw(task):
+        K = len(task.times) - 1
+        rng = stream(seed, task.index)
         if isinstance(driver, np.ndarray):
-            d_sub = np.broadcast_to(driver, (m, K))
+            d_sub = np.broadcast_to(driver, (task.paths, K))
         else:
-            d_sub = grid_increments(driver, times, rng, m)
-        return d_sub, rng.standard_normal((m, K, system.n))
+            d_sub = grid_increments(driver, task.times, rng, task.paths)
+        draws = (d_sub, rng.standard_normal((task.paths, K, system.n)))
+        if task.coarse:
+            with np.errstate(over="ignore", invalid="ignore"):
+                draws += (coarsen(*draws),)
+        return draws
 
-    def run(d_sub, dw):
+    def run(task, draws):
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = statistic(d_sub, dw)
+            rows = task.rows(*draws)
         if not np.all(np.isfinite(rows)):
             raise NumericError("a path left the range of doubles: the "
                                "statistic is not finite")
         return Moments.of(rows)
 
-    parts, last = [None] * count, count - 1
+    parts, last = [None] * len(tasks), len(tasks) - 1
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw, 0) if last else None
-        parts[last] = run(*draw(last))
-        for idx in range(last):
-            d_sub, dw = ahead.result()
-            if idx + 1 < last:
-                ahead = pool.submit(draw, idx + 1)
-            parts[idx] = run(d_sub, dw)
+        ahead = pool.submit(draw, tasks[0]) if last else None
+        parts[last] = run(tasks[last], draw(tasks[last]))
+        for i in range(last):
+            draws = ahead.result()
+            if i + 1 < last:
+                ahead = pool.submit(draw, tasks[i + 1])
+            parts[i] = run(tasks[i], draws)
     return parts
 
 
 def _mc_paths(system, driver, times, N, seed, statistic):
-    """One MCEstimate per statistic column of :func:`_mc_parts`, each chunk
-    one block of :func:`estimate_from_blocks`."""
-    return estimate_from_blocks(_mc_parts(system, driver, times, N, seed,
-                                          statistic))
+    """One MCEstimate per column of ``statistic(d_sub, dw)`` over N paths on
+    ``times`` (see :func:`_mc_parts`), each chunk one block of
+    :func:`estimate_from_blocks`."""
+    return estimate_from_blocks(_mc_parts(
+        system, driver, seed, _chunk_tasks(system, times, N, statistic)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +464,23 @@ class Level:
 
 
 def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
-                     N: int, seed: int, statistic) -> tuple:
+                     N: int, seed: int, statistic, *, path: str) -> tuple:
     """The levels of a multilevel run on the grid of step ``dt`` over [0, T],
-    for ``statistic(times, cols, d_sub, dw)``, which maps one grid's draws to
-    per-replica rows read at the grid's columns ``cols``; ``cols`` are
-    columns of the grid of step ``dt``, the last of them T's, the grid's end:
-    the largest horizon of ``maximal`` and ``convmom``, the largest horizon
-    plus 1 of ``longrun``.
+    for ``statistic(times, at, P)``, which maps one grid's path P
+    (:func:`advance` of ``path``, (R, K+1, n)) to per-replica rows read at
+    the grid's columns ``at``; ``cols`` are columns of the grid of step
+    ``dt``, the last of them T's, the grid's end: the largest horizon of
+    ``maximal`` and ``convmom``, the largest horizon plus 1 of ``longrun``.
 
     Level L, the last, has step ``dt``; level 0 has step ``dt 2^L`` with
     L = :func:`level_count` of ``cols``.  Level 0 runs the statistic on
     N paths from streams (seed, j), as :func:`_mc_paths` does.  Level l >= 1
     runs it on :func:`level_paths` paths, each stepped on its level's grid
-    and on the grid above, from the same draws by :func:`coarsen`, and takes
-    the difference; its chunk j draws from stream (seed, (l << 32) + j).
-    The level counts and streams depend on (N, dt, cols) alone.
+    and, in lock step, on the grid above from the same draws by
+    :func:`coarsen`, and takes the difference; its chunk j draws from stream
+    (seed, (l << 32) + j).  Every chunk of every level is one task of one
+    :func:`_mc_parts` loop, in level order.  The level counts and streams
+    depend on (N, dt, cols) alone.
     """
     L = level_count(cols)
     grids = [time_grid(T, dt * 2 ** (L - l)) for l in range(L + 1)]
@@ -396,18 +491,26 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
     def level_rows(level):
         here, fine = at(level), grids[level]
         if level == 0:
-            return lambda d_sub, dw: statistic(fine, here, d_sub, dw)
+            return lambda d_sub, dw: statistic(fine, here, advance(
+                system, fine, d_sub, dw, path=path))
         there, coarse = at(level - 1), grids[level - 1]
-        return lambda d_sub, dw: (statistic(fine, here, d_sub, dw) - statistic(
-            coarse, there, *coarsen(d_sub, dw)))
 
+        def rows(d_sub, dw, coarse_draws):
+            P, Pc = advance(system, fine, d_sub, dw, path=path,
+                            coarse=coarse_draws)
+            return statistic(fine, here, P) - statistic(coarse, there, Pc)
+        return rows
+
+    runs = [_chunk_tasks(system, times, level_paths(N, level),
+                         level_rows(level), offset=level << 32,
+                         coarse=level > 0)
+            for level, times in enumerate(grids)]
+    parts = _mc_parts(system, driver, seed, [t for run in runs for t in run])
     levels = []
-    for level, times in enumerate(grids):
-        n = level_paths(N, level)
-        parts = _mc_parts(system, driver, times, n, seed, level_rows(level),
-                          offset=level << 32)
-        levels.append(Level(dt * 2 ** (L - level), n, merge_all(parts),
-                            tuple(estimate_from_blocks(parts))))
+    for level, run in enumerate(runs):
+        own, parts = parts[:len(run)], parts[len(run):]
+        levels.append(Level(dt * 2 ** (L - level), level_paths(N, level),
+                            merge_all(own), tuple(estimate_from_blocks(own))))
     return tuple(levels)
 
 
@@ -467,15 +570,15 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     cols = [cell_count(t, dt) for t in t_grid]
     weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
 
-    def statistic(times, at, d_sub, dw):
+    def statistic(times, at, Z):
         # the read columns are weighted and squared in place; the (R, 1, n)
         # weights span each time's contiguous (R, n) slice
-        Z = advance(system, times, d_sub, dw, path="convolution")[:, at, :]
+        Z = Z[:, at, :]
         Z *= weights((len(Z), 1, system.n))
         return _norms_in_place(Z) ** p
 
     levels = multilevel_paths(system, driver, t_grid[-1], dt, cols, N, seed,
-                              statistic)
+                              statistic, path="convolution")
     rhs = tuple(bound_rhs(driver, p / 2, t, theta=2 * theta) for t in t_grid)
     return BoundReport(tuple(t_grid), tuple(multilevel_estimates(levels)), rhs,
                        "convolution/small_time", levels)
@@ -498,13 +601,12 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
     _gate(driver, p, 0.0, stationary=T_grid[0] >= 1)
     cols = [cell_count(T, dt) for T in T_grid]
 
-    def statistic(times, at, d_sub, dw):
-        Z = advance(system, times, d_sub, dw, path="convolution")
+    def statistic(times, at, Z):
         running = np.maximum.accumulate(_norms_in_place(Z), axis=1)
         return running[:, at] ** p
 
     levels = multilevel_paths(system, driver, T_grid[-1], dt, cols, N, seed,
-                              statistic)
+                              statistic, path="convolution")
     rhs = tuple(bound_rhs(driver, p / 2, T) for T in T_grid)
     return BoundReport(tuple(T_grid), tuple(multilevel_estimates(levels)), rhs,
                        "maximal", levels)
@@ -611,11 +713,11 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     cols = [j0] + [j0 + cell_count(T, dt) for T in Ts]
     weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
 
-    def statistic(times, at, d_sub, dw):
+    def statistic(times, at, X):
         # the columns from t = 1 on are weighted and squared in place; the
         # (R, 1, n) weights span each time's contiguous (R, n) slice
         start, ends = at[0], at[1:]
-        X = advance(system, times, d_sub, dw, path="state")[:, start:, :]
+        X = X[:, start:, :]
         X *= weights((len(X), 1, system.n))
         vals = _norms_in_place(X) ** p
         # the level's own step: dt times a power of two, exactly, where
@@ -625,7 +727,7 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
         return running[:, [e - start for e in ends]] / np.array(Ts)
 
     levels = multilevel_paths(system, driver, Ts[-1] + 1.0, dt, cols, N, seed,
-                              statistic)
+                              statistic, path="state")
     return LongRunReport(tuple(Ts), tuple(multilevel_estimates(levels)), levels)
 
 
@@ -781,7 +883,7 @@ def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
     sup = np.zeros((len(d_sub), len(subsystems)))
     ms = np.array([sysm.n for sysm in subsystems])
     keep = (np.arange(system.n) >= ms[:, None]).astype(float)
-    diff = np.empty(sup.shape + (system.n,))
+    diff = _aligned_empty(sup.shape + (system.n,))
     paths = [steps(system, times, d_sub, dw, path="state")]
     if system.drift is not zero_drift:
         paths += [steps(sysm, times, d_sub, dw[..., :sysm.n], path="state")

@@ -446,12 +446,11 @@ def test_criterion_13_multilevel_exact_law(phi, seed):
     start = time.perf_counter()
     system, q, u = _criterion_13_system()
 
-    def statistic(times, cols, d_sub, dw):
-        z = spde.advance(system, times, d_sub, dw, path="convolution")[:, cols]
-        return np.cos(z @ u)
+    def statistic(times, cols, Z):
+        return np.cos(Z[:, cols] @ u)
 
     levels = spde.multilevel_paths(system, phi, 1.0, 1 / 64, [64], 40_000,
-                                   seed, statistic)
+                                   seed, statistic, path="convolution")
     est, = spde.multilevel_estimates(levels)
     exact = _scheme_exact_cos(phi, system, q, u, time_grid(1.0, 1 / 64))
     z = (est.mean - exact) / est.std_error

@@ -1110,6 +1110,45 @@ def test_galerkin_output_digest(name, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of multilevel outputs without their echoed flag lines, at n = 3 (a
+# SIMD tail) under the mode-coupling drift and under a constant Q, as written
+# by the version that stepped each level's coarse paths in a second loop:
+# maximal five levels from step 1, convmom three from step 0.25, longrun
+# five from step 1, each down to 0.0625
+_MULTILEVEL_BASE = {
+    "maximal": ["--t-grid", "1,2", "--paths", "40"],
+    "convmom": ["--p", "0.5", "--theta", "0.25", "--t-grid", "0.25,0.5",
+                "--paths", "40"],
+    "longrun": ["--p", "0.5", "--theta", "0.25", "--t-grid", "1,2",
+                "--paths", "20"],
+}
+MULTILEVEL_RUNS = {
+    ("maximal", "drift"):
+        "8f3f2311a3a9d552186b38e69f2973688eb5fb09c55177fd5a21482c940c20a7",
+    ("convmom", "drift"):
+        "4b71027f5e4bde087d1739124bfd7748635573b3d361ccf2db1388ae5a5c4425",
+    ("longrun", "drift"):
+        "ed0e58be67e7ba64f7f9f9fd1cd506a1490206eadac146539c6d6835cc445b28",
+    ("maximal", "q-const"):
+        "8448599083d2a5ef6a3e2b76a0d269c8c0c65559a6a196bfc91a8cc6ad7c461b",
+    ("convmom", "q-const"):
+        "0c673da78b9e68c79ff981298a8f587b24290aaf9deb33df9d86b25b17078fa5",
+    ("longrun", "q-const"):
+        "75dc92749f9c3b35949849d22d9e1aff5c2085a6f53a6bef38098d09b9e97f92",
+}
+
+
+@pytest.mark.parametrize("mode, system", list(MULTILEVEL_RUNS), ids="-".join)
+def test_multilevel_output_digest(mode, system, capsys):
+    extra = ["--f-scale", "2"] if system == "drift" else ["--q-const"]
+    flags = ["--n", "3", "--dt", "0.0625", "--seed", "2",
+             *_MULTILEVEL_BASE[mode], *extra]
+    assert run(["spde", mode, *flags]) == 0
+    text = _without_echoed_flags(capsys.readouterr().out)
+    digest = MULTILEVEL_RUNS[mode, system]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_galerkin_manifest_records_projection_floor(tmp_path, capsys):
     flags = ["spde", "galerkin", "--n", "16", "--truncations", "2,4,8",
              "--T", "0.25", "--dt", "0.0625", "--paths", "30", "--seed", "4"]

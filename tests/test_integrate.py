@@ -206,6 +206,53 @@ class TestFiniteness:
         assert a.value == pytest.approx(b.value, rel=1e-10)
 
 
+def _checked_integrand(f, phi):
+    """The criterion's quadrature integrand before it called ``f.fn`` and
+    ``phi.fn`` directly: through the checked calls of the exponent, with an
+    array branch that quad's scalar nodes never reach."""
+    def integrand(t):
+        ft = f.fn(np.asarray(t, dtype=float))
+        ft = float(ft) if np.ndim(ft) == 0 else ft
+        if np.ndim(ft) == 0:
+            return phi(ft) if ft > 0 else 0.0
+        out = np.zeros_like(ft)
+        pos = ft > 0
+        if np.any(pos):
+            out[pos] = phi.fn(ft[pos])
+        return out
+
+    return integrand
+
+
+CRITERION_EXPONENTS = {"stable:0.3": bf.stable(0.3), "gamma": GAMMA,
+                       "tempered:0.5,1": bf.tempered_stable(0.5, 1.0),
+                       "stable_log:0.5,0.2": bf.stable_log(0.5, 0.2)}
+CRITERION_INTEGRANDS = {"pow:0.5": itg.power_singular(0.5),
+                        "pow:-1": itg.power_singular(-1.0),
+                        "exp:2": itg.exponential(2.0),
+                        "rev(exp:2,3)": itg.time_reversed(itg.exponential(2.0),
+                                                          3.0)}
+
+
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (0.5, math.inf)],
+                         ids=["unit", "tail"])
+@pytest.mark.parametrize("f", list(CRITERION_INTEGRANDS))
+@pytest.mark.parametrize("phi", list(CRITERION_EXPONENTS))
+def test_criterion_integrand_is_the_checked_one(phi, f, domain, monkeypatch):
+    # bit for bit at nodes over the double range and inside the domain, and
+    # so the same finiteness result
+    phi, f = CRITERION_EXPONENTS[phi], CRITERION_INTEGRANDS[f]
+    fast, checked = itg._criterion_integrand(f, phi), _checked_integrand(f, phi)
+    inner = np.linspace(domain[0], min(domain[1], 4.0), 103)[1:-1]
+    for t in np.concatenate([np.geomspace(1e-300, 1e300, 601), inner]).tolist():
+        got, want = fast(t), checked(t)
+        assert type(got) is type(want) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    got = itg.finiteness_criterion(f, phi, domain)
+    monkeypatch.setattr(itg, "_criterion_integrand", _checked_integrand)
+    assert got == itg.finiteness_criterion(f, phi, domain)
+
+
 class TestZeroOne:
     @pytest.mark.parametrize("theta,expected", [
         (2.0, itg.ZeroOne.AS_INFINITE),    # theta >= 1/alpha

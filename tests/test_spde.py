@@ -1040,3 +1040,134 @@ def test_overflow_in_the_last_chunk_raises_before_any_other_chunk_runs():
         spde._mc_paths(system, ST6, times, 600, 3, statistic)
     assert ran == [88]
     assert threading.active_count() == threads
+
+
+def _lock_step_system(n, drift, q):
+    """An n-mode system with the drift of ``TestTimeMajorStepping``, which
+    reads mode k - 1, or none, and its state-dependent Q or a constant one."""
+    system = TestTimeMajorStepping().state_dependent_system(drift=drift, n=n)
+    if q == "const":
+        k = np.arange(1, n + 1, dtype=float)
+        system = spde.GalerkinSystem(
+            n, system.eigenvalues, system.drift, system.drift_bound,
+            system.drift_lip, spde.constant_diagonal_q(0.5 * k ** -1.2),
+            system.x0)
+    return system
+
+
+# a dyadic grid, and one whose coarse first cell, 1.2/6, is not 2 dt = 0.2
+LOCK_STEP_GRIDS = {"dyadic": (1.0, 1 / 32), "last-bit": (1.2, 0.1)}
+
+
+class TestLockStep:
+    """A level's fine and coarse paths stepped in lock step are the paths of
+    two separate runs, bit for bit; n = 3 leaves a SIMD tail."""
+
+    def draws(self, system, grid, R=7):
+        T, dt = LOCK_STEP_GRIDS[grid]
+        fine, coarse = time_grid(T, dt), time_grid(T, 2 * dt)
+        if grid == "last-bit":
+            assert coarse[1] - coarse[0] != 2 * dt
+        rng = stream(system.n, 0)
+        d_sub = grid_increments(ST6, fine, rng, R)
+        dw = rng.standard_normal((R, len(fine) - 1, system.n))
+        return fine, coarse, d_sub, dw, spde.coarsen(d_sub, dw)
+
+    @pytest.mark.parametrize("grid", list(LOCK_STEP_GRIDS))
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("q", ["const", "state"])
+    @pytest.mark.parametrize("drift", [False, True],
+                             ids=["zero_drift", "coupled"])
+    @pytest.mark.parametrize("path", ["state", "convolution"])
+    def test_advance_is_two_separate_runs(self, path, drift, q, n, grid):
+        system = _lock_step_system(n, drift, q)
+        fine, coarse, d_sub, dw, (d_c, dw_c) = self.draws(system, grid)
+        got_fine, got_coarse = spde.advance(system, fine, d_sub, dw, path=path,
+                                            coarse=(d_c, dw_c))
+        want_fine = spde.advance(system, fine, d_sub, dw, path=path)
+        want_coarse = spde.advance(system, coarse, d_c, dw_c, path=path)
+        assert got_fine.shape == want_fine.shape
+        assert got_coarse.shape == want_coarse.shape
+        assert np.array_equal(got_fine, want_fine)
+        assert np.array_equal(got_coarse, want_coarse)
+
+    @pytest.mark.parametrize("path", ["state", "convolution"])
+    def test_steps_yield_both_paths(self, path):
+        # rolling buffers: the coarse slice at even k, None at odd k
+        system = _lock_step_system(3, True, "state")
+        fine, coarse, d_sub, dw, draws = self.draws(system, "last-bit")
+        pairs = [(x.copy(), None if z is None else z.copy()) for x, z in
+                 spde.steps(system, fine, d_sub, dw, path=path, coarse=draws)]
+        assert [z is None for _, z in pairs] == [k % 2 == 1 for k in range(13)]
+        assert np.array_equal(np.stack([x for x, _ in pairs], axis=1),
+                              spde.advance(system, fine, d_sub, dw, path=path))
+        assert np.array_equal(np.stack([z for _, z in pairs[::2]], axis=1),
+                              spde.advance(system, coarse, *draws, path=path))
+
+    @pytest.mark.parametrize("cells", [3, 0])
+    def test_coarse_draws_need_an_even_grid(self, cells):
+        system = diagonal_system(2)
+        times = np.arange(cells + 1) / 4
+        d_sub, dw = np.full((2, cells), 0.25), np.zeros((2, cells, 2))
+        with pytest.raises(DomainError, match="even number"):
+            spde.advance(system, times if cells else np.zeros(2), d_sub, dw,
+                         path="state", coarse=(d_sub[:, ::2], dw[:, ::2]))
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 8), (2, 7, 3), (1, 1, 1), (5,)])
+def test_aligned_empty_starts_on_a_cache_line(shape):
+    a = spde._aligned_empty(shape)
+    assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+    assert a.ctypes.data % 64 == 0
+
+
+class TestOneDrawAheadLoop:
+    """Every chunk of every level is a task of one ``_mc_parts`` loop: at
+    steps 1, 1/2, 1/4 and 1/8 a run on 600 paths has levels of 600, 300, 150
+    and 75 paths, in chunks of at most 256."""
+
+    system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
+    tasks = [0, 1, 2, 1 << 32, (1 << 32) + 1, 2 << 32, 3 << 32]
+
+    def test_one_helper_draws_all_but_the_last_task(self, monkeypatch):
+        here = threading.get_ident()
+        drawn, coarsened = [], []
+
+        def recorded_stream(seed, index):
+            drawn.append((index, threading.get_ident()))
+            return stream(seed, index)
+
+        def recorded_coarsen(d_sub, dw):
+            coarsened.append((len(d_sub), threading.get_ident()))
+            return spde_coarsen(d_sub, dw)
+
+        spde_coarsen = spde.coarsen
+        monkeypatch.setattr(spde, "stream", recorded_stream)
+        monkeypatch.setattr(spde, "coarsen", recorded_coarsen)
+        threads = threading.active_count()
+        spde.maximal_inequality_scan(self.system, ST6, 0.5, [1, 2], 600, 1,
+                                     dt=1 / 8)
+        assert threading.active_count() == threads
+        # each stream exactly once; the calling thread draws the last task,
+        # and its coarse draws, alone
+        assert sorted(index for index, _ in drawn) == self.tasks
+        assert [index for index, ident in drawn if ident == here] == [3 << 32]
+        helpers = {ident for index, ident in drawn if ident != here}
+        assert len(helpers) == 1
+        assert sorted(coarsened) == sorted(
+            [(256, *helpers), (44, *helpers), (150, *helpers), (75, here)])
+
+    def test_overflow_in_the_last_task_raises_before_any_other_runs(self):
+        ran = []
+
+        def statistic(times, at, path):
+            ran.append((len(times) - 1, len(path)))
+            return np.full(len(path), math.inf if len(path) == 75 else 1.0)
+
+        threads = threading.active_count()
+        with pytest.raises(NumericError):
+            spde.multilevel_paths(self.system, ST6, 2.0, 1 / 8, [8, 16], 600,
+                                  1, statistic, path="convolution")
+        # the finest level's one chunk, on its grid and on the one above
+        assert ran == [(16, 75), (8, 75)]
+        assert threading.active_count() == threads
