@@ -322,6 +322,7 @@ def cmd_spde(args):
                               delta=args.delta)
     args.manifest.update(
         projection_floor=",".join(_fmt(v) for v in rep.projection_floor),
+        floor_share=",".join(_fmt(v) for v in rep.floor_share),
         truncations_stepped=rep.truncations_stepped)
     return lines + _csv("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high", (
         (m, est.mean, est.std_error, *pr)

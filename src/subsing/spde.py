@@ -862,39 +862,72 @@ class GalerkinReport:
     sup_sq_error: tuple        # MCEstimate of sup_t |X^n - X|^2 per truncation
     exceed_prob: tuple         # P(sup_t |X^n - X| > delta) with Wilson bounds
     projection_floor: tuple    # |(I - P_m) x0|^2, the squared error at t = 0
+    floor_share: tuple         # share of paths whose sup is the floor exactly
     truncations_stepped: int   # beside the reference: 0 under zero_drift
+
+
+def _tail_segments(n: int, truncations: Sequence[int]) -> tuple:
+    """The segment starts of :func:`_tail_sums` for the truncations of a
+    reference of n modes, 0 and every distinct truncation below n, sorted,
+    and the column of each truncation's tail: that of its start, or the last
+    one, the empty tail, for m = n."""
+    starts = sorted({0, *truncations} - {n})
+    return starts, [starts.index(m) if m < n else len(starts)
+                    for m in truncations]
+
+
+def _tail_sums(sq: np.ndarray, starts: Sequence[int],
+               out: np.ndarray) -> np.ndarray:
+    """Write every tail sum_{i >= s} of the rows of ``sq`` (R, n), s in the
+    sorted distinct ``starts`` below n, to the columns of ``out`` (R,
+    len(starts) + 1), and 0 to its last one: one ``np.add.reduceat`` over
+    the segments, then a reverse cumulative sum over them."""
+    np.add.reduceat(sq, starts, axis=1, out=out[:, :-1])
+    out[:, -1] = 0.0
+    np.add.accumulate(out[:, ::-1], axis=1, out=out[:, ::-1])
+    return out
 
 
 def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
                 times: np.ndarray, d_sub: np.ndarray,
                 dw: np.ndarray) -> np.ndarray:
-    """Grid maximum of |X - X^m| per replica and truncation, (R, J), X^m
+    """Grid maximum of |X - X^m|^2 per replica and truncation, (R, J), X^m
     padded with zeros.  No path is stored.
 
-    At each step the reference slice times ``keep`` (row j zero on the first
-    m_j modes) fills one (R, J, n) buffer, normed over all n modes into the
-    running maximum.  Under a drift the truncations step in lock step and
-    overwrite their first m modes with the reference's less their own.  Under
-    :func:`zero_drift` the semigroup is diagonal and the diffusion mode-wise,
-    so truncation m repeats modes 0..m-1 of the reference operation for
-    operation: the difference there is exactly the 0 (nan where the reference
-    is not finite) that ``keep`` leaves, and only the reference steps.
+    At each step the reference slice is squared once, and
+    :func:`_tail_sums` gives each distinct truncation's tail
+    sum_{i >= m} X_i^2, the whole |X|^2 beside them.  Under a drift each
+    distinct truncation steps in lock step and adds its head
+    sum_{i < m} (X_i - X^m_i)^2.  Under :func:`zero_drift` the semigroup is
+    diagonal and the diffusion mode-wise, so truncation m repeats modes
+    0..m-1 of the reference operation for operation: its head is exactly 0,
+    and only the reference steps.  The running maxima are kept per distinct
+    truncation and mapped to the given order at the end; a replica whose
+    |X|^2 left the doubles gets nan errors.
     """
-    sup = np.zeros((len(d_sub), len(subsystems)))
-    ms = np.array([sysm.n for sysm in subsystems])
-    keep = (np.arange(system.n) >= ms[:, None]).astype(float)
-    diff = _aligned_empty(sup.shape + (system.n,))
-    paths = [steps(system, times, d_sub, dw, path="state")]
+    starts, cols = _tail_segments(system.n, [sysm.n for sysm in subsystems])
+    R = len(d_sub)
+    sq = _aligned_empty((R, system.n))
+    err = _aligned_empty((R, len(starts) + 1))
+    sup = np.zeros(err.shape)
+    paths, heads = [steps(system, times, d_sub, dw, path="state")], []
     if system.drift is not zero_drift:
+        stepped = {sysm.n: (sysm, c) for sysm, c in zip(subsystems, cols)}
         paths += [steps(sysm, times, d_sub, dw[..., :sysm.n], path="state")
-                  for sysm in subsystems]
+                  for sysm, _ in stepped.values()]
+        heads = [c for _, c in stepped.values()]
     for x_ref, *x_trunc in zip(*paths):
-        np.multiply(x_ref[:, None, :], keep, out=diff)
-        for j, x_m in enumerate(x_trunc):
+        np.multiply(x_ref, x_ref, out=sq)
+        _tail_sums(sq, starts, err)
+        for c, x_m in zip(heads, x_trunc):
             m = x_m.shape[1]
-            np.subtract(x_ref[:, :m], x_m, out=diff[:, j, :m])
-        np.maximum(sup, _norms_in_place(diff), out=sup)
-    return sup
+            d = sq[:, :m]           # the squares are summed by now
+            np.subtract(x_ref[:, :m], x_m, out=d)
+            np.multiply(d, d, out=d)
+            err[:, c] += np.add.reduce(d, axis=1)
+        np.maximum(sup, err, out=sup)
+    sup[~np.isfinite(sup[:, 0])] = np.nan
+    return sup[:, cols]
 
 
 def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
@@ -905,30 +938,33 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
     Every truncation reuses the reference replica's subordinator path and the
     first m coordinates of its Gaussian increments, so differences are purely
     projection effects.  No sup error falls below its truncation's
-    projection floor, the error of the initial state.  Under
-    :func:`zero_drift` each error is read off the reference's tail and no
-    truncation is stepped; a drift may couple modes, so then every truncation
-    steps in lock step with the reference (see :func:`_sup_errors`).
+    projection floor, the error of the initial state, which
+    :func:`_tail_sums` gives by the rule of every step, so a sup at t = 0
+    equals it bit for bit.  Under :func:`zero_drift` each error is read off
+    the reference's tail and no truncation is stepped; a drift may couple
+    modes, so then every distinct truncation steps in lock step with the
+    reference (see :func:`_sup_errors`).
     """
     if not delta >= 0:
         raise DomainError("delta must be nonnegative")
     times = time_grid(T, dt)
     subsystems = [truncate_system(system, m) for m in truncations]
+    starts, cols = _tail_segments(system.n, [s.n for s in subsystems])
+    x0 = np.asarray(system.x0, dtype=float)[None]
+    floors = _tail_sums(x0 * x0, starts,
+                        np.empty((1, len(starts) + 1)))[0, cols]
 
     def statistic(d_sub, dw):
-        # sup-errors squared, then the exceedances as 0/1 columns
-        sup = _sup_errors(system, subsystems, times, d_sub, dw)
-        return np.hstack([sup ** 2, sup > delta])
+        # squared sup-errors, then the exceedances and the floor hits as
+        # 0/1 columns
+        sup_sq = _sup_errors(system, subsystems, times, d_sub, dw)
+        return np.hstack([sup_sq, np.sqrt(sup_sq) > delta, sup_sq == floors])
 
     ests = _mc_paths(system, driver, times, N, seed, statistic)
     J = len(truncations)
-    probs = []
-    for est in ests[J:]:
-        k = int(round(est.mean * N))
-        probs.append((k / N, *wilson_interval(k, N)))
-    tails = np.where(np.arange(system.n) < np.array(truncations)[:, None],
-                     0.0, system.x0)
-    return GalerkinReport(tuple(int(m) for m in truncations),
-                          tuple(ests[:J]), tuple(probs),
-                          tuple((_norms_in_place(tails) ** 2).tolist()),
-                          0 if system.drift is zero_drift else J)
+    counts = [int(round(est.mean * N)) for est in ests[J:]]
+    return GalerkinReport(
+        tuple(int(m) for m in truncations), tuple(ests[:J]),
+        tuple((k / N, *wilson_interval(k, N)) for k in counts[:J]),
+        tuple(floors.tolist()), tuple(k / N for k in counts[J:]),
+        0 if system.drift is zero_drift else len(set(truncations)))

@@ -1030,7 +1030,9 @@ def _without_echoed_flags(text):
 # drawn as 1/(2 N^2) at alpha = 1/2; `spde maximal` since its estimate is
 # multilevel, five levels from step 1 down to 0.0625 here; `spde convmom`
 # and `spde longrun` since theirs are: three levels from step 0.25 and five
-# from step 1 (t = 1 and T + 1 = 3 are nodes of it) down to 0.0625 here
+# from step 1 (t = 1 and T + 1 = 3 are nodes of it) down to 0.0625 here;
+# `spde galerkin` since it reads each truncation's squared error off one
+# tail sum of the squared reference per step
 MODE_RUNS = {
     ("spde", "sim"): (["--n", "4", "--T", "0.5", "--dt", "0.125", "--seed", "3"],
                       "936f45544fac1caa57f7d8ff016b2f24a1ce8e87c816fe926e3ac5a6002b07c3"),
@@ -1057,7 +1059,7 @@ MODE_RUNS = {
     ("spde", "galerkin"): (
         ["--phi", "gamma", "--n", "8", "--truncations", "2,4", "--T", "0.25",
          "--dt", "0.0625", "--paths", "20", "--seed", "4"],
-        "ad1a8e498b803bd6f820575f5f9d694130070439652c81512460f723144486b4"),
+        "3a5a281ef117c432bc736409136a7800ae24854916dbb3a1cff3829603164568"),
     ("moment", "exact"): (
         ["--alpha", "0.5", "--p", "0.25", "--f", "pow:0.5"],
         "e114ffb6ccce7560d7fe511c19de3565d7db80735789d1ce73eb4ef0e9973de2"),
@@ -1088,17 +1090,20 @@ def test_mode_output_digest(mode, capsys):
 # and diffusion on a zero-padded full-width state: a drift read through the
 # padded projection P_m F(P_m y), and a constant Q at the truncation's width;
 # every row since stable variates are summed in logs, and the tempered row
-# since alpha = 1/2 increments are inverse Gaussian draws
+# since alpha = 1/2 increments are inverse Gaussian draws; every row again
+# since each squared error is read off one tail sum of the squared reference
+# per step, plus a stepped truncation's head sum, and is no longer a squared
+# square root
 _GALERKIN_BASE = ["--n", "16", "--truncations", "2,4,8", "--T", "1",
                   "--dt", "0.0625", "--x-scale", "0.1", "--q-scale", "2",
                   "--paths", "30", "--seed", "4"]
 GALERKIN_RUNS = {
     "drift": (_GALERKIN_BASE + ["--f-scale", "2"],
-              "dc8f2f6b223814f49f1e277887e649756ecd5c66d06925da1048d1317bc40663"),
+              "0e1f02d19eaa414113c9b2f39be5c10968b11eac4c29339af35040c6766dc513"),
     "q-const": (_GALERKIN_BASE + ["--q-const", "--f-scale", "-3"],
-                "c2c5a475a17c490107f78572cd98158c7eb4667a2494a84aaceab33ef57611a9"),
+                "163c5752e349517fed040aa343b808c8fa628ad516ab76d0c20e0d33cbca057d"),
     "tempered": (["--phi", "tempered:0.5,1", *_GALERKIN_BASE, "--f-scale", "2"],
-                 "7e4980dcbfa904611f7a62a1d6a9d34f11956540a81044bb02bf43f0c017a470"),
+                 "94871982422c48dfefefe47030ea579312eac8f66fdcdce996ea383d78a1fdb5"),
 }
 
 
@@ -1162,6 +1167,8 @@ def test_galerkin_manifest_records_projection_floor(tmp_path, capsys):
     row = out.read_text().splitlines()[-1].split(",")
     assert row[0] == "8" and float(row[2]) == 0.0
     assert float(row[1]) == floors[-1]
+    shares = [float(v) for v in _manifest(out)["floor_share"].split(",")]
+    assert len(shares) == 3 and shares[-1] == 1.0
     # the record goes to the manifest only
     assert run(flags) == 0
     assert capsys.readouterr().out == out.read_text()
@@ -1375,10 +1382,19 @@ def test_every_export_has_a_reader():
 
 def test_spde_runs_without_scipy(tmp_path):
     # the test modules load scipy into this process, so a fresh one runs the
-    # import and the spde modes and then lists the scipy modules it loaded
+    # import, parses the exponents and integrands of the Laplace benchmark
+    # ops and lists the scipy modules loaded so far, then runs the spde modes
+    # and lists them again
     script = textwrap.dedent("""
         import sys
         import subsing, subsing.cli
+        from subsing.bernstein import parse_phi
+        from subsing.integrate import parse_integrand
+        for ident in ("stable:0.5", "gamma", "tempered:0.5,1"):
+            parse_phi(ident)
+        for ident in ("pow:0.5", "exp:1"):
+            parse_integrand(ident)
+        parsed = sorted(m for m in sys.modules if m.startswith("scipy"))
         small = ["--n", "4", "--T", "0.25", "--dt", "0.125", "--paths", "4"]
         runs = (
             ["spde", "maximal", "--n", "2", "--t-grid", "1", "--dt", "0.25",
@@ -1392,14 +1408,15 @@ def test_spde_runs_without_scipy(tmp_path):
         )
         codes = [subsing.cli.main([*argv, "--out", f"{sys.argv[1]}/{i}.csv"])
                  for i, argv in enumerate(runs)]
-        print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+        print(parsed, codes,
+              sorted(m for m in sys.modules if m.startswith("scipy")))
     """)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout == "[0, 0, 0, 0, 0, 0] []\n", done.stderr
+    assert done.stdout == "[] [0, 0, 0, 0, 0, 0] []\n", done.stderr
 
 
 def test_readme_command_lines_parse():

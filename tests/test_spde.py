@@ -697,6 +697,9 @@ class TestGalerkin:
             assert est.mean == pytest.approx(expected, rel=1e-12)
             # zero-variance data up to one-pass cancellation noise
             assert est.std_error <= 1e-9
+        # the sup of every path is the floor, bit for bit
+        assert [e.mean for e in rep.sup_sq_error] == list(rep.projection_floor)
+        assert rep.floor_share == (1.0, 1.0)
 
     def test_errors_decrease(self):
         system = self.coupled_system()
@@ -704,6 +707,16 @@ class TestGalerkin:
                                   seed=7)
         means = [e.mean for e in rep.sup_sq_error]
         assert means[0] > means[1] > means[2]
+
+    def test_reference_past_the_doubles_is_refused(self):
+        # mode 0 overflows while the tails stay finite: the truncations
+        # repeat that overflow, so no error is read off the tails alone
+        rows = spde.mode_rows([1e300, 0.0, 0.0])
+        system = diagonal_system(3, q=spde.DiagonalQ(lambda y: rows(y.shape),
+                                                     1e300),
+                                 x0=[0.0, 1.0, 1.0])
+        with pytest.raises(NumericError):
+            spde.galerkin_error(system, [1, 2], GAMMA, 0.5, 1 / 8, 8, seed=1)
 
     def test_dimension_precondition(self):
         system = self.coupled_system()
@@ -807,6 +820,24 @@ def _stacked_galerkin(system, truncations, times, d_sub, dw):
     return sup
 
 
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), u = 2^-53: a sum of k + 1 nonnegative
+    doubles, added in any order, is within gamma_k of its exact value."""
+    u = 2.0 ** -53
+    return k * u / (1 - k * u)
+
+
+def _read_off_gap(n):
+    """Relative bound on |S - s^2|, S a squared error of the tail-sum
+    read-off and s the oracle's norm of the same n squared terms.  Two
+    summation orders of the terms differ by at most 2 gamma_{n-1} of their
+    exact sum, itself within a factor 1 / (1 - gamma_{n-1}) of the oracle's
+    sum; squaring the rounded square root of that sum moves it by at most
+    gamma_3 of itself.  A grid maximum keeps the bound."""
+    g, g3 = _gamma(n - 1), _gamma(3)
+    return (2 * g / (1 - g) + g3) / (1 - g3)
+
+
 class TestTimeMajorStepping:
     def state_dependent_system(self, drift=True, n=6):
         k = np.arange(1, n + 1, dtype=float)
@@ -855,14 +886,20 @@ class TestTimeMajorStepping:
     # one uniform grid: the stepper refuses any other
     @pytest.mark.parametrize("dt", [1 / 32], ids=["uniform"])
     @pytest.mark.parametrize("case", ["coupled", "state_dependent",
-                                      "zero_drift"])
+                                      "zero_drift", "zero_drift_64",
+                                      "state_dependent_64"])
     def test_lock_step_galerkin_is_the_stacked_one(self, dt, case):
-        # under a zero drift the errors are read off the reference's tail
+        # under a zero drift the errors are read off the reference's tail;
+        # at n = 64 the two summation orders differ in the last bits
         if case == "coupled":
             system, truncations = TestGalerkin().coupled_system(), [1, 2, 4, 8]
         elif case == "zero_drift":
             system = self.state_dependent_system(drift=False, n=13)
             truncations = [1, 3, 8, 12]
+        elif case.endswith("_64"):
+            system = self.state_dependent_system(drift="zero" not in case,
+                                                 n=64)
+            truncations = [4, 8, 16, 32]
         else:
             system, truncations = self.state_dependent_system(), [2, 3, 5]
         times = time_grid(1.0, dt)
@@ -871,23 +908,59 @@ class TestTimeMajorStepping:
         dw = rng.standard_normal((11, len(times) - 1, system.n))
         subsystems = [spde.truncate_system(system, m) for m in truncations]
         got = spde._sup_errors(system, subsystems, times, d_sub, dw)
-        want = _stacked_galerkin(system, truncations, times, d_sub, dw)
-        assert np.array_equal(got, want)
+        want = _stacked_galerkin(system, truncations, times, d_sub, dw) ** 2
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= _read_off_gap(system.n) * want)
 
-    def test_galerkin_estimates_are_the_stacked_ones(self):
+    def test_galerkin_estimates_are_the_stacked_ones(self, monkeypatch):
         system, truncations = self.state_dependent_system(), [1, 2, 4]
+        chunks, sup_errors = [], spde._sup_errors
+
+        def spy(*args):
+            chunks.append((*args[3:], sup_errors(*args)))
+            return chunks[-1][-1]
+
+        monkeypatch.setattr(spde, "_sup_errors", spy)
         rep = spde.galerkin_error(system, truncations, ST6, 0.5, 1 / 16, 300,
                                   seed=8, delta=0.1)
         times = time_grid(0.5, 1 / 16)
+        gap = _read_off_gap(system.n)
+        for d_sub, dw, got in chunks:
+            want = _stacked_galerkin(system, truncations, times, d_sub, dw) ** 2
+            assert np.all(np.abs(got - want) <= gap * want)
 
         def statistic(d_sub, dw):
             sup = _stacked_galerkin(system, truncations, times, d_sub, dw)
             return np.hstack([sup ** 2, sup > 0.1])
 
         want = spde._mc_paths(system, ST6, times, 300, 8, statistic)
-        assert rep.sup_sq_error == tuple(want[:3])
+        # a mean of the chunked Moments of 300 nonnegative rows is within
+        # gamma_308 of the largest row of its exact mean: 299 additions of
+        # centred rows, a centring, a division, a shift and one merge
+        largest = max(float(c[-1].max()) for c in chunks) * (1 + gap)
+        for got, w in zip(rep.sup_sq_error, want[:3]):
+            assert abs(got.mean - w.mean) <= (
+                gap * w.mean + 2 * _gamma(308) * largest)
+            assert (got.n_samples, got.heavy_tail_flag, got.method) == (
+                w.n_samples, w.heavy_tail_flag, w.method)
         assert [p[0] for p in rep.exceed_prob] == [
             round(e.mean * 300) / 300 for e in want[3:]]
+
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("truncations", [[8, 4], [4, 4, 8]],
+                             ids=["unsorted", "repeated"])
+    def test_galerkin_rows_follow_the_truncations(self, drift, truncations):
+        # each truncation gets the row of the sorted distinct run
+        system = self.state_dependent_system(drift=drift, n=9)
+
+        def rows(ms):
+            rep = spde.galerkin_error(system, ms, ST6, 0.5, 1 / 16, 40, seed=3)
+            return list(zip(rep.truncations, zip(
+                rep.sup_sq_error, rep.exceed_prob, rep.projection_floor,
+                rep.floor_share)))
+
+        want = dict(rows(sorted(set(truncations))))
+        assert rows(truncations) == [(m, want[m]) for m in truncations]
 
     def test_unknown_path_is_a_domain_error(self):
         system = self.state_dependent_system()
