@@ -889,10 +889,11 @@ def _tail_sums(sq: np.ndarray, starts: Sequence[int],
 
 
 def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
-                times: np.ndarray, d_sub: np.ndarray,
-                dw: np.ndarray) -> np.ndarray:
+                times: np.ndarray, d_sub: np.ndarray, dw: np.ndarray,
+                segments: Optional[tuple] = None) -> np.ndarray:
     """Grid maximum of |X - X^m|^2 per replica and truncation, (R, J), X^m
-    padded with zeros.  No path is stored.
+    padded with zeros.  No path is stored.  ``segments`` is the
+    :func:`_tail_segments` layout of the subsystems, made here if not given.
 
     At each step the reference slice is squared once, and
     :func:`_tail_sums` gives each distinct truncation's tail
@@ -902,11 +903,15 @@ def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
     diagonal and the diffusion mode-wise, so truncation m repeats modes
     0..m-1 of the reference operation for operation: its head is exactly 0,
     and only the reference steps.  The running maxima are kept per distinct
-    truncation and mapped to the given order at the end; a replica whose
-    |X|^2 left the doubles gets nan errors.
+    truncation and mapped to the given order at the end.  A replica whose
+    reference X left the doubles gets nan errors, since its truncations
+    repeat that; one whose X is finite keeps every error its tails and
+    heads give, though |X|^2 may overflow in modes a truncation repeats.
     """
-    starts, cols = _tail_segments(system.n, [sysm.n for sysm in subsystems])
+    starts, cols = segments or _tail_segments(
+        system.n, [sysm.n for sysm in subsystems])
     R = len(d_sub)
+    lost = np.zeros(R, dtype=bool)
     sq = _aligned_empty((R, system.n))
     err = _aligned_empty((R, len(starts) + 1))
     sup = np.zeros(err.shape)
@@ -919,6 +924,9 @@ def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
     for x_ref, *x_trunc in zip(*paths):
         np.multiply(x_ref, x_ref, out=sq)
         _tail_sums(sq, starts, err)
+        if not math.isfinite(np.add.reduce(err[:, 0])):
+            # some |X|^2, or their sum, left the doubles: check X itself
+            lost |= ~np.isfinite(x_ref).all(axis=1)
         for c, x_m in zip(heads, x_trunc):
             m = x_m.shape[1]
             d = sq[:, :m]           # the squares are summed by now
@@ -926,7 +934,7 @@ def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
             np.multiply(d, d, out=d)
             err[:, c] += np.add.reduce(d, axis=1)
         np.maximum(sup, err, out=sup)
-    sup[~np.isfinite(sup[:, 0])] = np.nan
+    sup[lost] = np.nan
     return sup[:, cols]
 
 
@@ -949,7 +957,8 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
         raise DomainError("delta must be nonnegative")
     times = time_grid(T, dt)
     subsystems = [truncate_system(system, m) for m in truncations]
-    starts, cols = _tail_segments(system.n, [s.n for s in subsystems])
+    segments = _tail_segments(system.n, [s.n for s in subsystems])
+    starts, cols = segments
     x0 = np.asarray(system.x0, dtype=float)[None]
     floors = _tail_sums(x0 * x0, starts,
                         np.empty((1, len(starts) + 1)))[0, cols]
@@ -957,7 +966,7 @@ def galerkin_error(system: GalerkinSystem, truncations: Sequence[int],
     def statistic(d_sub, dw):
         # squared sup-errors, then the exceedances and the floor hits as
         # 0/1 columns
-        sup_sq = _sup_errors(system, subsystems, times, d_sub, dw)
+        sup_sq = _sup_errors(system, subsystems, times, d_sub, dw, segments)
         return np.hstack([sup_sq, np.sqrt(sup_sq) > delta, sup_sq == floors])
 
     ests = _mc_paths(system, driver, times, N, seed, statistic)

@@ -709,14 +709,23 @@ class TestGalerkin:
         assert means[0] > means[1] > means[2]
 
     def test_reference_past_the_doubles_is_refused(self):
-        # mode 0 overflows while the tails stay finite: the truncations
+        # X_0 itself overflows while the tails stay finite: the truncations
         # repeat that overflow, so no error is read off the tails alone
         rows = spde.mode_rows([1e300, 0.0, 0.0])
-        system = diagonal_system(3, q=spde.DiagonalQ(lambda y: rows(y.shape),
-                                                     1e300),
-                                 x0=[0.0, 1.0, 1.0])
+        q = spde.DiagonalQ(lambda y: rows(y.shape) * (1 + y * y), 1e300)
+        system = diagonal_system(3, q=q, x0=[0.0, 1.0, 1.0])
         with pytest.raises(NumericError):
             spde.galerkin_error(system, [1, 2], GAMMA, 0.5, 1 / 8, 8, seed=1)
+
+    def test_overflowing_square_of_a_repeated_mode_keeps_the_tails(self):
+        # X_0 stays finite near 1e300 and only its square overflows: the
+        # truncations repeat mode 0 exactly, so their errors are the tails'
+        rows = spde.mode_rows([1e300, 0.0, 0.0])
+        q = spde.DiagonalQ(lambda y: rows(y.shape), 1e300)
+        system = diagonal_system(3, q=q, x0=[0.0, 1.0, 1.0])
+        rep = spde.galerkin_error(system, [1, 2], GAMMA, 0.5, 1 / 8, 8, seed=1)
+        assert [e.mean for e in rep.sup_sq_error] == [2.0, 1.0]
+        assert rep.projection_floor == (2.0, 1.0)
 
     def test_dimension_precondition(self):
         system = self.coupled_system()
@@ -914,20 +923,34 @@ class TestTimeMajorStepping:
 
     def test_galerkin_estimates_are_the_stacked_ones(self, monkeypatch):
         system, truncations = self.state_dependent_system(), [1, 2, 4]
-        chunks, sup_errors = [], spde._sup_errors
+        chunks, sup_errors = {}, spde._sup_errors
 
         def spy(*args):
-            chunks.append((*args[3:], sup_errors(*args)))
-            return chunks[-1][-1]
+            got = sup_errors(*args)
+            chunks[args[3].tobytes()] = (*args[3:5], got)
+            return got
 
         monkeypatch.setattr(spde, "_sup_errors", spy)
         rep = spde.galerkin_error(system, truncations, ST6, 0.5, 1 / 16, 300,
                                   seed=8, delta=0.1)
         times = time_grid(0.5, 1 / 16)
         gap = _read_off_gap(system.n)
-        for d_sub, dw, got in chunks:
+        for d_sub, dw, got in chunks.values():
             want = _stacked_galerkin(system, truncations, times, d_sub, dw) ** 2
             assert np.all(np.abs(got - want) <= gap * want)
+
+        # exactly the estimates of the rows the read-off gave, std_error
+        # included
+        floors = np.array(rep.projection_floor)
+
+        def replay(d_sub, dw):
+            sup_sq = chunks[d_sub.tobytes()][-1]
+            return np.hstack([sup_sq, np.sqrt(sup_sq) > 0.1, sup_sq == floors])
+
+        read = spde._mc_paths(system, ST6, times, 300, 8, replay)
+        assert rep.sup_sq_error == tuple(read[:3])
+        assert rep.floor_share == tuple(round(e.mean * 300) / 300
+                                        for e in read[6:])
 
         def statistic(d_sub, dw):
             sup = _stacked_galerkin(system, truncations, times, d_sub, dw)
@@ -937,7 +960,7 @@ class TestTimeMajorStepping:
         # a mean of the chunked Moments of 300 nonnegative rows is within
         # gamma_308 of the largest row of its exact mean: 299 additions of
         # centred rows, a centring, a division, a shift and one merge
-        largest = max(float(c[-1].max()) for c in chunks) * (1 + gap)
+        largest = max(float(c[-1].max()) for c in chunks.values()) * (1 + gap)
         for got, w in zip(rep.sup_sq_error, want[:3]):
             assert abs(got.mean - w.mean) <= (
                 gap * w.mean + 2 * _gamma(308) * largest)
