@@ -22,7 +22,8 @@ from . import __version__, mc, moments, spde
 from .bernstein import doubling_indices, inverse, parse_phi
 from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
-from .integrate import as_zero_one, finiteness_criterion, parse_integrand
+from .integrate import (GAUSS_NODES, as_zero_one, finiteness_criterion,
+                        parse_integrand)
 from .rng import stream
 from .subordinator import grid_increments, time_grid
 
@@ -108,6 +109,15 @@ def _level_facts(levels, estimates) -> dict:
     return facts
 
 
+def _quadrature_facts(res) -> dict:
+    """The .manifest record of a criterion integral ``res``: the nodes of the
+    rule on a piece, and the pieces and integrand evaluations it took (0 for
+    a closed form)."""
+    return {"quadrature_nodes_per_piece": GAUSS_NODES,
+            "quadrature_pieces": res.pieces,
+            "quadrature_evaluations": res.evaluations}
+
+
 def _bound_rows(rep, columns: str):
     """CSV body of a BoundReport: one row per horizon."""
     return _csv(columns, ((T, est.mean, est.std_error, rhs, r) for T, est, rhs, r
@@ -175,6 +185,7 @@ def cmd_zeroone(args):
     phi = parse_phi(args.phi)
     f = parse_integrand(args.f)
     res = finiteness_criterion(f, phi, tuple(args.domain))
+    args.manifest.update(_quadrature_facts(res))
     verdict = as_zero_one(res)
     lines = _header(args)
     lines.append(f"verdict={verdict.name}")
@@ -193,6 +204,7 @@ def cmd_moment(args):
         return lines
     if args.mode == "equiv":
         res = moments.exp_moment_equivalence(parse_phi(args.phi), args.p, args.lam)
+        args.manifest.update(_quadrature_facts(res))
         lines.append(f"verdict={res.verdict.name}")
         if res.criterion_value is not None:
             lines.append(f"criterion_value={_fmt(res.criterion_value)}")

@@ -10,9 +10,10 @@ Divergence is a legitimate outcome throughout this module, reported as the
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Tuple
 
@@ -25,6 +26,9 @@ OVERFLOW_GUARD = 1e300
 QUAD_ATOL = 1e-10
 QUAD_RTOL = 1e-8
 MAX_SLICES = 400        # dyadic slices scanned toward a singular endpoint
+GAUSS_NODES = 20        # nodes of the Gauss-Legendre rule on a piece
+MAX_BISECTIONS = 200    # bisections of the pieces of one integral
+LARGEST = sys.float_info.max
 
 
 class IntegrandKind(Enum):
@@ -112,30 +116,121 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class Finiteness:
+    """A criterion result, with how quadrature made it, for the record: the
+    pieces the rule was applied on and the integrand evaluations, 0 for a
+    closed form."""
+
     verdict: Verdict
     value: Optional[float] = None
+    pieces: int = field(default=0, compare=False)
+    evaluations: int = field(default=0, compare=False)
 
 
-def _quad(fn, a: float, b: float) -> float:
-    from scipy import integrate
-    val, _ = integrate.quad(fn, a, b, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, limit=200)
-    return val
+@functools.cache
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the GAUSS_NODES-point Gauss-Legendre rule on
+    (-1, 1).  The nodes are the eigenvalues of its Jacobi matrix (Golub &
+    Welsch, Math. Comp. 23, 1969), made symmetric; each weight is
+    2 / ((1 - x^2) P_n'(x)^2), with P_n' from the Legendre recurrence.
+    Built on first use."""
+    n = GAUSS_NODES
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    x = (x - x[::-1]) / 2
+    prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+    dp = n * (prev - x * p) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False   # shared by every caller
+    return x, w
 
 
-def _core_quad(fn, a: float, b: float) -> float:
-    """:func:`_quad` of fn >= 0 over a finite (a, b), +inf for an integral
-    past the double range.  quad's sums overflow there, and it returns nan
-    with an IntegrationWarning; that warning is dropped, and the integral is
-    past the guard when that of fn / OVERFLOW_GUARD exceeds 1.  Any other
-    warning is passed on."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val = _quad(fn, a, b)
-    if math.isnan(val) and _quad(lambda t: fn(t) / OVERFLOW_GUARD, a, b) > 1.0:
-        return math.inf
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return val
+def _gauss_sums(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rule on every (lo_i, hi_i), from one call of fn on all nodes."""
+    x, w = _gauss_legendre()
+    half = (hi - lo) / 2
+    t = (lo + half)[:, None] + half[:, None] * x
+    vals = np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape)
+    return half * (vals @ w)
+
+
+def _integrate_pieces(fn, lo: np.ndarray, hi: np.ndarray, call: np.ndarray,
+                      calls: int) -> Tuple[np.ndarray, int, int]:
+    """Integrate fn >= 0 over the pieces (lo_i, hi_i), piece i a part of
+    integral call_i of ``calls``; returns the integrals, the final count of
+    pieces and the count of integrand evaluations.
+
+    A piece's value is the rule on its two halves, and its error estimate
+    the distance of that value from the rule on the whole piece.  While the
+    error estimates of an integral sum past max(QUAD_ATOL, QUAD_RTOL |value|),
+    its pieces whose estimate is above their even share of that bound are
+    bisected, those of all integrals in one integrand call, up to
+    MAX_BISECTIONS per integral.  An integral past OVERFLOW_GUARD or not a
+    number is left as it is.  All of it runs under ``np.errstate``: a sum
+    past the double range is +inf.
+    """
+    with np.errstate(all="ignore"):
+        mid = lo + (hi - lo) / 2
+        sums = _gauss_sums(fn, np.concatenate([lo, lo, mid]),
+                           np.concatenate([hi, mid, hi]))
+        whole, left, right = np.split(sums, 3)
+        evaluations = sums.size * GAUSS_NODES
+        bisections = np.zeros(calls, dtype=int)
+        closed, closed_pieces = np.zeros(calls), 0
+        while True:
+            val = left + right
+            err = np.abs(whole - val)
+            total = closed + np.bincount(call, val, calls)
+            tol = np.maximum(QUAD_ATOL, QUAD_RTOL * np.abs(total))
+            share = tol / np.maximum(np.bincount(call, minlength=calls), 1)
+            split = err > share[call]
+            wanted = bisections + np.bincount(call[split], minlength=calls)
+            refine = ((np.bincount(call, err, calls) > tol)
+                      & (total <= OVERFLOW_GUARD) & (wanted <= MAX_BISECTIONS))
+            live = refine[call]
+            split &= live
+            if not split.any():
+                return total, closed_pieces + val.size, evaluations
+            closed += np.bincount(call[~live], val[~live], calls)
+            closed_pieces += int(np.count_nonzero(~live))
+            bisections = np.where(refine, wanted, bisections)
+            # the halves of a bisected piece are new pieces, their wholes known
+            stay = live & ~split
+            kept = int(np.count_nonzero(stay))
+            lo = np.concatenate([lo[stay], lo[split], mid[split]])
+            hi = np.concatenate([hi[stay], mid[split], hi[split]])
+            whole = np.concatenate([whole[stay], left[split], right[split]])
+            call = np.concatenate([call[stay], call[split], call[split]])
+            mid = lo + (hi - lo) / 2
+            sums = _gauss_sums(fn, np.concatenate([lo[kept:], mid[kept:]]),
+                               np.concatenate([mid[kept:], hi[kept:]]))
+            evaluations += sums.size * GAUSS_NODES
+            new_left, new_right = np.split(sums, 2)
+            left = np.concatenate([left[stay], new_left])
+            right = np.concatenate([right[stay], new_right])
+
+
+def _core(fn, lo: float, hi: float) -> Finiteness:
+    """The integral of fn >= 0 over a finite (lo, hi), on pieces no wider
+    than a factor of 2 (the first from 0 to min(hi, 1) where lo is 0)."""
+    start = np.float64(lo if lo > 0 else min(hi, 1.0))
+    k = math.ceil(math.log2(hi) - math.log2(start))
+    with np.errstate(over="ignore"):
+        edges = np.ldexp(start, np.arange(k + 1))
+    edges = np.concatenate([[0.0] if lo == 0 else [], edges[edges < hi], [hi]])
+    n = edges.size - 1
+    value, pieces, evaluations = _integrate_pieces(
+        fn, edges[:-1], edges[1:], np.zeros(n, dtype=int), 1)
+    return Finiteness(Verdict.FINITE, float(value[0]), pieces, evaluations)
+
+
+def _joined(done: Finiteness, part: Finiteness) -> Finiteness:
+    """The result of an integral split in two, ``done`` finite."""
+    value = done.value + part.value if part.verdict is Verdict.FINITE else None
+    return Finiteness(part.verdict, value, done.pieces + part.pieces,
+                      done.evaluations + part.evaluations)
 
 
 def improper_integral(fn, a: float, b: float, *,
@@ -145,32 +240,29 @@ def improper_integral(fn, a: float, b: float, *,
     The possibly-singular lower endpoint (and an infinite upper endpoint) are
     handled by dyadic slices; slice masses decaying geometrically are summed
     with a tail estimate, non-decaying masses flag divergence, anything in
-    between that fails to resolve is reported undetermined.
+    between that fails to resolve is reported undetermined.  ``fn`` takes an
+    array of nodes.
     """
     if b <= a:
         return Finiteness(Verdict.FINITE, 0.0)
-    total = 0.0
+    res = Finiteness(Verdict.FINITE, 0.0)
     lo, hi = a, b
     if singular_lo and a == 0.0:
-        core_lo = min(b, 1.0) / 2
-        v = _slice_scan(fn, core_lo, direction="down")
-        if v.verdict is not Verdict.FINITE:
-            return v
-        total += v.value
-        lo = core_lo
+        lo = min(b, 1.0) / 2
+        res = _joined(res, _slice_scan(fn, lo, direction="down"))
+        if res.verdict is not Verdict.FINITE:
+            return res
     if math.isinf(b):
-        core_hi = max(lo * 2, 1.0)
-        v = _slice_scan(fn, core_hi, direction="up")
-        if v.verdict is not Verdict.FINITE:
-            return v
-        total += v.value
-        hi = core_hi
-        if hi <= lo:
-            return Finiteness(Verdict.FINITE, total)
-    total += _core_quad(fn, lo, hi)
-    if total > OVERFLOW_GUARD:
-        return Finiteness(Verdict.INFINITE)
-    return Finiteness(Verdict.FINITE, total)
+        hi = min(max(lo * 2, 1.0), LARGEST)
+        res = _joined(res, _slice_scan(fn, hi, direction="up"))
+        if res.verdict is not Verdict.FINITE:
+            return res
+    res = _joined(res, _core(fn, lo, hi))
+    # a sum past the double range or past the guard is +inf, and so is nan,
+    # which only an integrand past that range gives (inf * 0 in phi)
+    if not res.value <= OVERFLOW_GUARD:
+        return replace(res, verdict=Verdict.INFINITE, value=None)
+    return res
 
 
 def _slice_scan(fn, edge: float, direction: str) -> Finiteness:
@@ -178,46 +270,55 @@ def _slice_scan(fn, edge: float, direction: str) -> Finiteness:
 
     Classification: slice masses m_k with ratio r_k = m_{k+1}/m_k settle below
     1 -> geometric tail, summed and bounded; ratios pinned at or above 1 with
-    non-vanishing mass -> divergent.
+    non-vanishing mass -> divergent.  The slices are integrated in batches
+    of 8, 16, 32, ... and read in order.
     """
     masses = []
-    x = edge
-    total = 0.0
-    for _ in range(MAX_SLICES):
-        if direction == "down":
-            nxt = x / 2
-            m = _quad(fn, nxt, x)
-        else:
-            nxt = x * 2
-            m = _quad(fn, x, nxt)
-        if not math.isfinite(m):
-            return Finiteness(Verdict.INFINITE)
-        masses.append(m)
-        x = nxt
-        total = math.fsum(masses)
-        if total > OVERFLOW_GUARD:
-            return Finiteness(Verdict.INFINITE)
-        if m <= QUAD_ATOL * max(1.0, total) and len(masses) >= 4:
-            return Finiteness(Verdict.FINITE, total)
-        if len(masses) < 8:
-            continue
-        recent = masses[-6:]
-        ratios = [recent[i + 1] / recent[i] for i in range(5) if recent[i] > 0]
-        if not ratios:
-            return Finiteness(Verdict.FINITE, total)
-        rmax, rmin = max(ratios), min(ratios)
-        if rmax < 0.999:
-            # stable geometric decay closes with the tail sum m r/(1-r)
-            r = ratios[-1]
-            tail = masses[-1] * r / (1 - r)
-            if tail <= 1e-8 * max(1.0, total):
-                return Finiteness(Verdict.FINITE, total + tail)
-            if rmax - rmin < 1e-6 * rmax and len(masses) >= 16:
-                return Finiteness(Verdict.FINITE, total + tail)
-        elif rmin >= 1.0 - 1e-9 and m > QUAD_ATOL:
-            # slice masses are not decaying; the remaining slices repeat them
-            return Finiteness(Verdict.INFINITE)
-    return Finiteness(Verdict.UNDETERMINED)
+    pieces = evaluations = 0
+
+    def result(verdict, value=None):
+        return Finiteness(verdict, value, pieces, evaluations)
+
+    down = direction == "down"
+    x, batch = edge, 8
+    while len(masses) < MAX_SLICES:
+        n = min(batch, MAX_SLICES - len(masses))
+        steps = np.arange(n + 1)
+        with np.errstate(over="ignore"):    # slices past the range are empty
+            ends = np.minimum(np.ldexp(np.float64(x), -steps if down else steps),
+                              LARGEST)
+        lo, hi = (ends[1:], ends[:-1]) if down else (ends[:-1], ends[1:])
+        batch_masses, p, e = _integrate_pieces(fn, lo, hi, np.arange(n), n)
+        pieces, evaluations = pieces + p, evaluations + e
+        x, batch = float(ends[-1]), 2 * batch
+        for m in batch_masses.tolist():
+            if not math.isfinite(m):
+                return result(Verdict.INFINITE)
+            masses.append(m)
+            total = math.fsum(masses)
+            if total > OVERFLOW_GUARD:
+                return result(Verdict.INFINITE)
+            if m <= QUAD_ATOL * max(1.0, total) and len(masses) >= 4:
+                return result(Verdict.FINITE, total)
+            if len(masses) < 8:
+                continue
+            recent = masses[-6:]
+            ratios = [recent[i + 1] / recent[i] for i in range(5) if recent[i] > 0]
+            if not ratios:
+                return result(Verdict.FINITE, total)
+            rmax, rmin = max(ratios), min(ratios)
+            if rmax < 0.999:
+                # stable geometric decay closes with the tail sum m r/(1-r)
+                r = ratios[-1]
+                tail = masses[-1] * r / (1 - r)
+                if tail <= 1e-8 * max(1.0, total):
+                    return result(Verdict.FINITE, total + tail)
+                if rmax - rmin < 1e-6 * rmax and len(masses) >= 16:
+                    return result(Verdict.FINITE, total + tail)
+            elif rmin >= 1.0 - 1e-9 and m > QUAD_ATOL:
+                # slice masses are not decaying; the remaining slices repeat them
+                return result(Verdict.INFINITE)
+    return result(Verdict.UNDETERMINED)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +429,16 @@ def finiteness_criterion(f: Integrand, phi: BernsteinFunction,
 
 
 def _criterion_integrand(f: Integrand, phi: BernsteinFunction):
-    """The quadrature integrand t -> phi(f(t)) of the criterion, 0 where
-    f(t) is not positive (nan included), for the scalar t that quad passes:
-    ``f.fn`` and ``phi.fn`` both run on one 0-d array, without the checks
-    and conversions of the ``__call__`` of ``Integrand`` and of
-    ``BernsteinFunction``."""
+    """The quadrature integrand t -> phi(f(t)) of the criterion on an array
+    of nodes, 0 where f(t) is not positive (nan included): ``f.fn`` and
+    ``phi.fn`` run without the checks and conversions of the ``__call__`` of
+    ``Integrand`` and of ``BernsteinFunction``."""
     def integrand(t):
-        x = np.array(t, dtype=float)
-        x[()] = f.fn(x)
-        return float(phi.fn(x)) if x > 0 else 0.0
+        ft = f.fn(t)
+        out = np.zeros_like(ft)
+        pos = ft > 0
+        out[pos] = phi.fn(ft[pos])
+        return out
 
     return integrand
 

@@ -485,8 +485,13 @@ class Equivalence(Enum):
 
 @dataclass(frozen=True)
 class EquivalenceResult:
+    """The shared verdict, with the criterion integral's value and the
+    pieces and integrand evaluations its quadrature took."""
+
     verdict: Equivalence
     criterion_value: Optional[float]
+    pieces: int = 0
+    evaluations: int = 0
 
 
 def exp_moment_equivalence(phi: BernsteinFunction, p: float,
@@ -506,5 +511,7 @@ def exp_moment_equivalence(phi: BernsteinFunction, p: float,
     if res.verdict is Verdict.UNDETERMINED:
         raise NumericError("criterion integral undetermined")
     if res.verdict is Verdict.INFINITE:
-        return EquivalenceResult(Equivalence.BOTH_INFINITE, None)
-    return EquivalenceResult(Equivalence.BOTH_FINITE, res.value)
+        return EquivalenceResult(Equivalence.BOTH_INFINITE, None, res.pieces,
+                                 res.evaluations)
+    return EquivalenceResult(Equivalence.BOTH_FINITE, res.value, res.pieces,
+                             res.evaluations)

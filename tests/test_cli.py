@@ -163,10 +163,13 @@ def test_moment_bound_honours_method(capsys):
     assert bodies["auto"] == bodies["median_of_means"] != bodies["plain"]
 
 
-# zeroone outputs of the version that evaluated the criterion twice
+# zeroone outputs of the version that evaluated the criterion twice; the
+# last digits of the gamma value since the composite Gauss-Legendre rule
+# (quad wrote 0.48381903702066104, and the exact value pi^2/12 + Li2(-1/e)
+# is 0.483819037020661038...)
 ZEROONE_OUTPUTS = {
     ("exp:1", "gamma"): "verdict=AS_FINITE\ncriterion=finite\n"
-                        "criterion_value=0.48381903702066104\n",
+                        "criterion_value=0.48381903702066087\n",
     ("pow:2", "stable:0.5"): "verdict=AS_INFINITE\ncriterion=infinite\n",
 }
 
@@ -418,6 +421,25 @@ def test_integrate_manifest_records_grid(tmp_path):
     assert int(facts["grid_nodes"]) == len(times)
     assert 0 < -float(facts["grid_bias"]) <= moments.GRID_BIAS_TOL
     assert "grid" not in out.read_text()
+
+
+@pytest.mark.parametrize("argv, pieces", [
+    (["zeroone", "--phi", "gamma", "--f", "pow:0.5"], 57),
+    (["zeroone", "--phi", "stable:0.5", "--f", "pow:0.5"], 0),   # closed form
+    (["moment", "equiv", "--phi", "gamma", "--p", "0.5", "--lam", "1"], 25),
+], ids=["zeroone", "zeroone-closed-form", "moment-equiv"])
+def test_criterion_manifest_records_quadrature(argv, pieces, tmp_path, capsys):
+    # the rule, its pieces and its evaluations go to the .manifest only
+    out = tmp_path / "q.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    facts = _manifest(out)
+    assert facts["quadrature_nodes_per_piece"] == str(integrate.GAUSS_NODES)
+    assert int(facts["quadrature_pieces"]) == pieces
+    assert (int(facts["quadrature_evaluations"])
+            >= 3 * integrate.GAUSS_NODES * pieces)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert "quadrature" not in out.read_text()
 
 
 # the CSV column line of each multilevel spde mode
@@ -1032,7 +1054,9 @@ def _without_echoed_flags(text):
 # and `spde longrun` since theirs are: three levels from step 0.25 and five
 # from step 1 (t = 1 and T + 1 = 3 are nodes of it) down to 0.0625 here;
 # `spde galerkin` since it reads each truncation's squared error off one
-# tail sum of the squared reference per step
+# tail sum of the squared reference per step; `moment equiv` since its
+# criterion integral is taken by the composite Gauss-Legendre rule, whose
+# value 1.755298292526445 was 1.755298292526446 by quad
 MODE_RUNS = {
     ("spde", "sim"): (["--n", "4", "--T", "0.5", "--dt", "0.125", "--seed", "3"],
                       "936f45544fac1caa57f7d8ff016b2f24a1ce8e87c816fe926e3ac5a6002b07c3"),
@@ -1073,7 +1097,7 @@ MODE_RUNS = {
         "9c9c9d3635e1d7b3748ebe10a8c84937e7a0b5b46d7474286670f721afb78cf1"),
     ("moment", "equiv"): (
         ["--phi", "gamma", "--p", "0.5", "--lam", "1"],
-        "d3cfb317412ef602dcf3b09ebeddb645fa45e4ba4b67812529678717c4001969"),
+        "eeaee0762d2fddb83ab7721a3a44c7cf7f443689863aac603ba28c58ccb0c3cb"),
 }
 
 
@@ -1380,16 +1404,20 @@ def test_every_export_has_a_reader():
     assert not exported - read, f"unread exports {sorted(exported - read)}"
 
 
-def test_spde_runs_without_scipy(tmp_path):
+def test_package_runs_without_scipy(tmp_path):
     # the test modules load scipy into this process, so a fresh one runs the
     # import, parses the exponents and integrands of the Laplace benchmark
-    # ops and lists the scipy modules loaded so far, then runs the spde modes
-    # and lists them again
+    # ops and lists the scipy and numpy.polynomial modules loaded so far,
+    # then runs the spde modes, the criterion integrals and a Laplace cell
+    # and lists the scipy modules again
     script = textwrap.dedent("""
         import sys
         import subsing, subsing.cli
+        from subsing import moments
         from subsing.bernstein import parse_phi
         from subsing.integrate import parse_integrand
+        imported = sorted(m for m in sys.modules
+                          if m.startswith(("scipy", "numpy.polynomial")))
         for ident in ("stable:0.5", "gamma", "tempered:0.5,1"):
             parse_phi(ident)
         for ident in ("pow:0.5", "exp:1"):
@@ -1405,10 +1433,16 @@ def test_spde_runs_without_scipy(tmp_path):
             ["spde", "galerkin", "--phi", "tempered:0.5,1", *small],
             ["path", "--phi", "tempered:0.5,1"],
             ["path", "--phi", "gamma"],
+            ["zeroone", "--phi", "gamma", "--f", "pow:0.5"],
+            ["moment", "equiv", "--phi", "gamma", "--p", "0.5", "--lam", "1"],
+            ["integrate", "--phi", "gamma", "--f", "pow:0.5", "--paths", "4"],
         )
         codes = [subsing.cli.main([*argv, "--out", f"{sys.argv[1]}/{i}.csv"])
                  for i, argv in enumerate(runs)]
-        print(parsed, codes,
+        phi, f = parse_phi("tempered:0.5,1"), parse_integrand("pow:0.5")
+        moments.char_functional_mc(phi, f, 1.0, 16, 1)
+        moments.char_functional_exact(phi, f, (0.0, 1.0))
+        print(imported, parsed, codes,
               sorted(m for m in sys.modules if m.startswith("scipy")))
     """)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1416,7 +1450,7 @@ def test_spde_runs_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout == "[] [0, 0, 0, 0, 0, 0] []\n", done.stderr
+    assert done.stdout == "[] [] [0, 0, 0, 0, 0, 0, 0, 0, 0] []\n", done.stderr
 
 
 def test_readme_command_lines_parse():
@@ -1467,6 +1501,9 @@ EXTREME_RUNS = {
                                 "--T", "1e-300", "--paths", "50"], 0),
     "zeroone-core-past-the-range": (["zeroone", "--phi", "stablelog:0.5,0.2",
                                      "--f", "pow:-1", "--domain", "1,1e300"], 0),
+    # t^-1000 is past the double range below t = 0.5, where phi(inf) is nan
+    "zeroone-nan-past-the-range": (["zeroone", "--phi", "stableloginv:0.5,0.2",
+                                    "--f", "pow:1000", "--domain", "0.1,1"], 0),
     "bf-tempered-past-the-range": (["bf", "--phi", "tempered:0.3,1e-300",
                                     "--eval-at", "1e10"], 0),
 }

@@ -208,8 +208,8 @@ class TestFiniteness:
 
 def _checked_integrand(f, phi):
     """The criterion's quadrature integrand before it called ``f.fn`` and
-    ``phi.fn`` directly: through the checked calls of the exponent, with an
-    array branch that quad's scalar nodes never reach."""
+    ``phi.fn`` directly: through the checked calls of the exponent, with a
+    scalar branch that the rule's arrays of nodes never reach."""
     def integrand(t):
         ft = f.fn(np.asarray(t, dtype=float))
         ft = float(ft) if np.ndim(ft) == 0 else ft
@@ -239,18 +239,55 @@ CRITERION_INTEGRANDS = {"pow:0.5": itg.power_singular(0.5),
 @pytest.mark.parametrize("f", list(CRITERION_INTEGRANDS))
 @pytest.mark.parametrize("phi", list(CRITERION_EXPONENTS))
 def test_criterion_integrand_is_the_checked_one(phi, f, domain, monkeypatch):
-    # bit for bit at nodes over the double range and inside the domain, and
-    # so the same finiteness result
+    # bit for bit on an array of nodes over the double range and inside the
+    # domain, and so the same finiteness result, whose value is quad's within
+    # QUAD_RTOL
     phi, f = CRITERION_EXPONENTS[phi], CRITERION_INTEGRANDS[f]
     fast, checked = itg._criterion_integrand(f, phi), _checked_integrand(f, phi)
     inner = np.linspace(domain[0], min(domain[1], 4.0), 103)[1:-1]
-    for t in np.concatenate([np.geomspace(1e-300, 1e300, 601), inner]).tolist():
-        got, want = fast(t), checked(t)
-        assert type(got) is type(want) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    t = np.concatenate([np.geomspace(1e-300, 1e300, 601), inner])
+    got, want = fast(t), checked(t)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
     got = itg.finiteness_criterion(f, phi, domain)
+    if got.verdict is itg.Verdict.FINITE:
+        # quad as the oracle, on (0, T) for a time-reversed f
+        a, b = domain
+        if f.kind is itg.IntegrandKind.TIME_REVERSED:
+            b = min(b, f.params[1])
+        oracle, _ = si.quad(checked, a, b, epsabs=itg.QUAD_ATOL,
+                            epsrel=itg.QUAD_RTOL, limit=200)
+        assert got.value == pytest.approx(oracle, rel=itg.QUAD_RTOL)
     monkeypatch.setattr(itg, "_criterion_integrand", _checked_integrand)
     assert got == itg.finiteness_criterion(f, phi, domain)
+
+
+@pytest.mark.parametrize("fn, a, b, singular, value", [
+    # the criterion of gamma for exp:lam on (0, inf) is pi^2 / (12 lam)
+    (itg._criterion_integrand(itg.exponential(1.0), GAMMA), 0.0, math.inf,
+     False, math.pi ** 2 / 12),
+    (itg._criterion_integrand(itg.exponential(2.0), GAMMA), 0.0, math.inf,
+     False, math.pi ** 2 / 24),
+    # a core over the double range, whose mass is all below t = 40
+    (itg._criterion_integrand(itg.exponential(1.0), GAMMA), 1e-300, 1e300,
+     False, math.pi ** 2 / 12),
+    # the stable power criterion t^-q, past its closed form
+    (lambda t: t ** -0.5, 0.0, 1.0, True, itg._power_integral(0.0, 1.0, 0.5)),
+    (lambda t: t ** -0.9, 0.0, 2.0, True, itg._power_integral(0.0, 2.0, 0.9)),
+    (lambda t: t ** -1.5, 1.0, math.inf, False,
+     itg._power_integral(1.0, math.inf, 1.5)),
+    (lambda t: t ** -3.0, 0.5, math.inf, False,
+     itg._power_integral(0.5, math.inf, 3.0)),
+    (lambda t: t ** -1.0, 1.0, 1e10, False, itg._power_integral(1.0, 1e10, 1.0)),
+    (lambda t: t ** -0.25, 1e-3, 1e3, False,
+     itg._power_integral(1e-3, 1e3, 0.25)),
+], ids=["gamma-exp:1", "gamma-exp:2", "gamma-exp:1-wide", "q=0.5", "q=0.9",
+        "q=1.5-tail", "q=3-tail", "q=1-wide", "q=0.25-wide"])
+def test_rule_matches_closed_forms(fn, a, b, singular, value):
+    res = itg.improper_integral(fn, a, b, singular_lo=singular)
+    assert res.verdict is itg.Verdict.FINITE
+    assert res.value == pytest.approx(value, rel=itg.QUAD_RTOL)
+    assert res.pieces > 0 and res.evaluations >= 3 * itg.GAUSS_NODES * res.pieces
 
 
 class TestZeroOne:

@@ -217,6 +217,14 @@ class TestEquivalence:
         res2 = mo.exp_moment_equivalence(ST5, 0.75, 1.0)
         assert res2.verdict is mo.Equivalence.BOTH_INFINITE
 
+    @pytest.mark.parametrize("alpha, p", [(0.3, 0.1), (0.7, 0.6), (0.9, 0.05)])
+    def test_stable_values_are_the_closed_form(self, alpha, p):
+        # the integral of s^(alpha - p - 1) over (0, 1) is 1 / (alpha - p)
+        res = mo.exp_moment_equivalence(bf.stable(alpha), p, 1.0)
+        assert res.verdict is mo.Equivalence.BOTH_FINITE
+        assert res.criterion_value == pytest.approx(1 / (alpha - p),
+                                                    rel=itg.QUAD_RTOL)
+
     def test_log_family_boundary(self):
         phi = bf.stable_log(0.5, 0.3)          # admissible below p = 0.8
         assert mo.exp_moment_equivalence(phi, 0.75, 1.0).verdict \
