@@ -212,8 +212,10 @@ def cmd_moment(args):
     phi = parse_phi(args.phi)
     if args.mode == "mc":
         f = parse_integrand(args.f)
-        est = moments.mc_moment(phi, args.p, f, args.T, args.paths, args.seed,
-                                method=args.method, dt=args.dt)
+        est, facts = moments.moment_summary(phi, args.p, f, args.T, args.paths,
+                                            args.seed, method=args.method,
+                                            dt=args.dt)
+        args.manifest.update(facts)
         return lines + _csv("n,mean,se,method,heavy_tail", [(
             est.n_samples, est.mean, est.std_error, est.method,
             est.heavy_tail_flag)])

@@ -29,8 +29,8 @@ from .mc import MCEstimate
 from .subordinator import cell_count, grid_increments, power_graded_grid, time_grid
 
 GRID_BIAS_TOL = 1e-5    # |bias| a default grid must certify, see grid_bias
-FIRST_CELLS = 32        # the default grids double from here ...
-MAX_CELLS = 8000        # ... up to this cap
+FIRST_CELLS = 32        # the default grid search doubles from here ...
+MAX_CELLS = 8000        # ... up to this cap, then bisects to the coarsest grid
 
 
 def gamma_fn(x: float) -> float:
@@ -173,17 +173,21 @@ def grid_bias(phi: BernsteinFunction, f: Integrand, times: np.ndarray,
 
 
 def _default_times(f: Integrand, T: float, dt: Optional[float],
-                   phi: BernsteinFunction, exact: float) -> np.ndarray:
-    """Grid on [0, T]: T / dt cells if ``dt`` is given, which must divide T
-    as in :func:`time_grid`, else the coarsest of 32, 64, ... cells (at most
-    MAX_CELLS) whose :func:`grid_bias` against ``exact``, the integral of
-    phi(f) over (0, T], is within GRID_BIAS_TOL.  A constant f takes the one
-    cell [0, T]."""
+                   phi: BernsteinFunction, exact: float):
+    """Grid on [0, T] and the number of :func:`grid_bias` evaluations that
+    chose it.  With ``dt`` the grid has T / dt cells, and dt must divide T as
+    in :func:`time_grid`.  Without it the grid is the coarsest one whose bias
+    against ``exact``, the integral of phi(f) over (0, T], is within
+    GRID_BIAS_TOL: the cell count doubles from FIRST_CELLS to the first
+    certified count, then a bisection finds the count n that certifies while
+    n - 1 (or the floor, 16 cells for ``pow`` and 1 otherwise) does not.  A
+    grid that never certifies has MAX_CELLS cells.  A constant f takes the
+    one cell [0, T]."""
     if not 0 < T < math.inf:
         raise DomainError("T and dt must be positive and finite")
     cells = None if dt is None else cell_count(T, dt)
     if f.kind is IntegrandKind.CONSTANT:
-        return np.array([0.0, T])
+        return np.array([0.0, T]), 0
     if f.kind is IntegrandKind.POWER_SINGULAR and f.params[0] > 0:
         # grading exponent: decay rate of phi(f(t)) near zero, stable worst case
         theta = f.params[0]
@@ -205,24 +209,51 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
             return time_grid(T, T / n)
         fewest = 1
     if cells is not None:
-        return grid(max(fewest, cells))
-    n = FIRST_CELLS
-    times = grid(n)
-    # written so that a nan bias (undetermined criterion) never certifies
-    while n < MAX_CELLS and not abs(grid_bias(phi, f, times, exact)) <= GRID_BIAS_TOL:
-        n = min(2 * n, MAX_CELLS)
-        times = grid(n)
-    return times
+        return grid(max(fewest, cells)), 0
+    certificates = 0
+
+    def certified(n):
+        nonlocal certificates
+        certificates += 1
+        # written so that a nan bias (undetermined criterion) never certifies
+        return abs(grid_bias(phi, f, grid(n), exact)) <= GRID_BIAS_TOL
+
+    lo, n = fewest - 1, FIRST_CELLS
+    while not certified(n):
+        if n == MAX_CELLS:
+            return grid(n), certificates
+        lo, n = n, min(2 * n, MAX_CELLS)
+    # lo cells fail (or lie below the floor) and n cells certify
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        if certified(mid):
+            n = mid
+        else:
+            lo = mid
+    return grid(n), certificates
 
 
 def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[float]):
-    """The finiteness criterion of f on (0, T] and the grid of
-    :func:`_default_times`, None for an almost surely infinite integral."""
+    """The finiteness criterion of f on (0, T], the grid of
+    :func:`_default_times` (None for an almost surely infinite integral) and
+    the bias evaluations its search took."""
     if not 0 < T < math.inf:
         raise DomainError("T and dt must be positive and finite")
     res = finiteness_criterion(f, phi, (0.0, float(T)))
-    return res, (None if res.verdict is Verdict.INFINITE
-                 else _default_times(f, T, dt, phi, _exponent(res)))
+    if res.verdict is Verdict.INFINITE:
+        return res, None, 0
+    return (res, *_default_times(f, T, dt, phi, _exponent(res)))
+
+
+def _grid_facts(phi: BernsteinFunction, f: Integrand, grid) -> dict:
+    """The `.manifest` facts of a grid from :func:`_integral_grid`: its nodes,
+    its bias and the bias evaluations that chose it; none for no grid."""
+    res, times, certificates = grid
+    if times is None:
+        return {}
+    return {"grid_nodes": len(times),
+            "grid_bias": grid_bias(phi, f, times, _exponent(res)),
+            "grid_certificates": certificates}
 
 
 def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
@@ -270,16 +301,14 @@ def integral_summary(phi: BernsteinFunction, f: Integrand, T: float, N: int,
                      seed: int, *, dt: Optional[float] = None):
     """Row (n, finite fraction, mean, SE, median) of the integral of f on
     (0, T] from one set of draws, and the verdict and grid facts of the run."""
-    res, times = _integral_grid(phi, f, T, dt)
+    grid = _integral_grid(phi, f, T, dt)
+    res, times = grid[:2]
     # every value drawn is kept: its median and finite fraction ignore block order
     kept = []
     est = _integral_mc(phi, f, times, N, seed, lambda v: kept.append(v) or v,
                        "plain")[0]
     vals = np.concatenate(kept)
-    facts = {"verdict": as_zero_one(res).name}
-    if times is not None:
-        facts.update(grid_nodes=len(times),
-                     grid_bias=grid_bias(phi, f, times, _exponent(res)))
+    facts = {"verdict": as_zero_one(res).name, **_grid_facts(phi, f, grid)}
     return (est.n_samples, float(np.isfinite(vals).mean()), est.mean,
             est.std_error, float(np.median(vals))), facts
 
@@ -323,6 +352,15 @@ def mc_moment(phi: BernsteinFunction, p: float, f: Integrand, T: float, N: int,
     """p-th moment of the integral of f on (0, T]."""
     return mc_integral_moment(phi, p, f, _integral_grid(phi, f, T, dt)[1], N,
                               seed, method=method)
+
+
+def moment_summary(phi: BernsteinFunction, p: float, f: Integrand, T: float,
+                   N: int, seed: int, *, method: str = "auto",
+                   dt: Optional[float] = None):
+    """:func:`mc_moment` and the grid facts of its run."""
+    grid = _integral_grid(phi, f, T, dt)
+    return (mc_integral_moment(phi, p, f, grid[1], N, seed, method=method),
+            _grid_facts(phi, f, grid))
 
 
 # ---------------------------------------------------------------------------

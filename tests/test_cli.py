@@ -423,6 +423,28 @@ def test_integrate_manifest_records_grid(tmp_path):
     assert "grid" not in out.read_text()
 
 
+@pytest.mark.parametrize("command", [["integrate"], ["moment", "mc", "--p", "0.25"]],
+                         ids=["integrate", "moment-mc"])
+def test_manifest_records_grid_certificates(command, tmp_path):
+    from subsing import bernstein as bf
+    from subsing import integrate as itg
+    common = [*command, "--f", "pow:0.5", "--phi", "gamma", "--paths", "200"]
+    _, times, certificates = moments._integral_grid(
+        bf.gamma_exponent(), itg.power_singular(0.5), 1.0, None)
+    out = tmp_path / "default.csv"
+    assert run([*common, "--out", str(out)]) == 0
+    facts = _manifest(out)
+    assert int(facts["grid_nodes"]) == len(times)
+    assert 0 < -float(facts["grid_bias"]) <= moments.GRID_BIAS_TOL
+    assert int(facts["grid_certificates"]) == certificates > 0
+    assert "grid" not in out.read_text()
+    # an explicit grid is taken as given: no bias is evaluated to choose it
+    out = tmp_path / "explicit.csv"
+    assert run([*common, "--dt", "0.005", "--out", str(out)]) == 0
+    facts = _manifest(out)
+    assert (facts["grid_nodes"], facts["grid_certificates"]) == ("201", "0")
+
+
 @pytest.mark.parametrize("argv, pieces", [
     (["zeroone", "--phi", "gamma", "--f", "pow:0.5"], 57),
     (["zeroone", "--phi", "stable:0.5", "--f", "pow:0.5"], 0),   # closed form
@@ -1243,7 +1265,9 @@ def test_bf_output_digest(phi, capsys):
 # stable rows since stable variates are summed in logs, and drawn as
 # 1/(2 N^2) at alpha = 1/2; the tempered row since alpha = 1/2 increments
 # are inverse Gaussian draws; the tilted row, at alpha = 0.3 with each cell
-# split into three pieces, since before that route, which it does not take
+# split into three pieces, since before that route, which it does not take;
+# the integrate rows since a default grid has the fewest cells that certify
+# its bias, not the first power of two
 DRAW_RUNS = {
     "sim-stable": (["sim", "--phi", "stable:0.6", "--dt", "0.01", "--paths", "500",
                     "--seed", "7"],
@@ -1256,10 +1280,10 @@ DRAW_RUNS = {
                             "672d76481d01ebeec2f6ea53eb3eef9851771c8a713b8d1dcf0b5c5ebb984e11"),
     "integrate-stable": (["integrate", "--phi", "stable:0.5", "--f", "pow:0.5",
                           "--paths", "500", "--seed", "3"],
-                         "cd019a86d06ef9824d4625c879fa1ba613835c0d7d19e69a1f9fcf624ff1c835"),
+                         "5d583f586483dbedf6a45dbf72a18579487f1640f70a7813f9b699f8da4625ed"),
     "integrate-gamma": (["integrate", "--phi", "gamma", "--f", "exp:1",
                          "--paths", "500", "--seed", "3"],
-                        "8d2dbf6c95ff8bb907f790242145cb6667f766abbed3ee4286f982b830353db7"),
+                        "328befb334d0cea7e227f005759e17d11f10fa73e1bd3c94760ea26fcb633dbb"),
 }
 
 

@@ -249,6 +249,58 @@ class TestDefaultGrid:
         if f_id == "pow:0.5":
             assert len(times) - 1 <= 128
 
+    @staticmethod
+    def _doubling_count(phi, f, exact):
+        """Cells and bias evaluations of the former rule: the first of 32,
+        64, ... cells (at most MAX_CELLS) that certifies."""
+        n, evaluations = mo.FIRST_CELLS, 0
+        while n < mo.MAX_CELLS:
+            evaluations += 1
+            times = mo._default_times(f, 1.0, 1.0 / n, phi, exact)[0]
+            if abs(mo.grid_bias(phi, f, times, exact)) <= mo.GRID_BIAS_TOL:
+                break
+            n = min(2 * n, mo.MAX_CELLS)
+        return n, evaluations
+
+    @pytest.mark.parametrize("phi_id", ["stable:0.3", "stable:0.5", "stable:0.7",
+                                        "gamma", "tempered:0.5,1",
+                                        "tempered:0.3,2"])
+    @pytest.mark.parametrize("f_id", ["pow:0.25", "pow:0.5", "pow:0.9",
+                                      "pow:1.2", "exp:1"])
+    def test_coarsest_certified_grid(self, phi_id, f_id, monkeypatch):
+        phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
+        exact = mo._exponent(itg.finiteness_criterion(f, phi, (0.0, 1.0)))
+        calls = []
+        bias = mo.grid_bias
+        monkeypatch.setattr(mo, "grid_bias", lambda *a: calls.append(1) or bias(*a))
+        times, certificates = mo._default_times(f, 1.0, None, phi, exact)
+        monkeypatch.undo()
+        n = len(times) - 1
+        assert certificates == len(calls)
+
+        def certifies(cells):
+            grid = mo._default_times(f, 1.0, 1.0 / cells, phi, exact)[0]
+            assert len(grid) - 1 == cells
+            return abs(mo.grid_bias(phi, f, grid, exact)) <= mo.GRID_BIAS_TOL
+
+        fewest = 16 if f_id.startswith("pow") else 1
+        assert certifies(n)
+        assert n == fewest or not certifies(n - 1)
+        doubled, doublings = self._doubling_count(phi, f, exact)
+        assert n <= doubled
+        # any search must evaluate n and n - 1, so below FIRST_CELLS the
+        # bisection of (floor, FIRST_CELLS] bounds the count instead of n
+        assert certificates <= doublings + math.ceil(
+            math.log2(max(n, mo.FIRST_CELLS)))
+
+    def test_undetermined_criterion_ends_at_the_cap(self):
+        # a nan integral of phi(f) gives a nan bias, which never certifies
+        times, certificates = mo._default_times(itg.power_singular(0.5), 1.0, None,
+                                                ST5, math.nan)
+        assert len(times) - 1 == mo.MAX_CELLS
+        # 32, 64, ..., 4096 and the cap
+        assert certificates == 9
+
     def test_bias_of_one_cell(self):
         # t^-1/2 on (0, 1]: the cell mean is 2, and int phi(f) = 4/3 for
         # phi = s^(1/2)

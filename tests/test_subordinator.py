@@ -259,10 +259,11 @@ def test_tempered_inverse_gaussian_draws_one_normal_and_one_uniform(monkeypatch)
 
 
 def test_compound_poisson_estimate_pinned():
-    # fixed by the streams and the inverse Gaussian sampler; moves if either
-    # changes
+    # fixed by the streams, the inverse Gaussian sampler and the default grid
+    # (13 cells since it has the fewest cells that certify its bias); moves
+    # if any of them changes
     from subsing import integrate as itg
     from subsing import moments as mo
     est = mo.char_functional_mc(bf.parse_phi("tempered:0.5,1"),
                                 itg.parse_integrand("exp:1"), 1.0, 4000, seed=11)
-    assert (est.mean, est.std_error) == (0.7582769419240087, 0.0027626347043794293)
+    assert (est.mean, est.std_error) == (0.758832306059596, 0.002759859772602085)
