@@ -147,7 +147,6 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
     (m, d)``.  Block b of min(DEFAULT_BLOCKS, n_samples) draws from
     ``stream(seed, b)`` in chunks of at most ``max_chunk`` and the block
     partials merge in block order, so no worker count changes the result.
-    One worker maps the blocks on the calling thread.
     """
     if n_samples <= 0:
         raise DomainError("need a positive sample count")
@@ -165,10 +164,7 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
             left -= m
         return merge_all(parts)
 
-    workers = _worker_count()
-    if workers == 1:
-        return estimate_from_blocks(list(map(run_block, range(blocks))), method)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         return estimate_from_blocks(list(pool.map(run_block, range(blocks))), method)
 
 

@@ -30,7 +30,7 @@ from .subordinator import cell_count, grid_increments, power_graded_grid, time_g
 
 GRID_BIAS_TOL = 1e-5    # |bias| a default grid must certify, see grid_bias
 FIRST_CELLS = 32        # the default grid search doubles from here ...
-MAX_CELLS = 8000        # ... up to this cap, then bisects to the coarsest grid
+MAX_CELLS = 8000        # ... up to this cap, then bisects
 
 
 def gamma_fn(x: float) -> float:
@@ -174,20 +174,23 @@ def grid_bias(phi: BernsteinFunction, f: Integrand, times: np.ndarray,
 
 def _default_times(f: Integrand, T: float, dt: Optional[float],
                    phi: BernsteinFunction, exact: float):
-    """Grid on [0, T] and the number of :func:`grid_bias` evaluations that
-    chose it.  With ``dt`` the grid has T / dt cells, and dt must divide T as
-    in :func:`time_grid`.  Without it the grid is the coarsest one whose bias
-    against ``exact``, the integral of phi(f) over (0, T], is within
-    GRID_BIAS_TOL: the cell count doubles from FIRST_CELLS to the first
-    certified count, then a bisection finds the count n that certifies while
-    n - 1 (or the floor, 16 cells for ``pow`` and 1 otherwise) does not.  A
-    grid that never certifies has MAX_CELLS cells.  A constant f takes the
-    one cell [0, T]."""
+    """Grid on [0, T], its :func:`grid_bias` against ``exact`` (the integral
+    of phi(f) over (0, T]) and the number of bias evaluations that chose it.
+
+    With ``dt`` the grid has T / dt cells, and dt must divide T as in
+    :func:`time_grid`; its bias is not evaluated and reads None.  Without it
+    the cell count doubles from FIRST_CELLS to the first count whose bias is
+    within GRID_BIAS_TOL, then a bisection returns a count n that certifies
+    while n - 1 does not, or is the floor (16 cells for ``pow``, 1
+    otherwise); n is at most the first certified doubling.  Grids of n and
+    n - 1 cells are not nested, so n is the fewest cells that certify only
+    where no smaller count does.  A grid that never certifies has MAX_CELLS
+    cells.  A constant f takes the one cell [0, T], unevaluated."""
     if not 0 < T < math.inf:
         raise DomainError("T and dt must be positive and finite")
     cells = None if dt is None else cell_count(T, dt)
     if f.kind is IntegrandKind.CONSTANT:
-        return np.array([0.0, T]), 0
+        return np.array([0.0, T]), None, 0
     if f.kind is IntegrandKind.POWER_SINGULAR and f.params[0] > 0:
         # grading exponent: decay rate of phi(f(t)) near zero, stable worst case
         theta = f.params[0]
@@ -209,51 +212,60 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
             return time_grid(T, T / n)
         fewest = 1
     if cells is not None:
-        return grid(max(fewest, cells)), 0
-    certificates = 0
+        return grid(max(fewest, cells)), None, 0
+    evaluations = 0
 
-    def certified(n):
-        nonlocal certificates
-        certificates += 1
+    def tried(n):
+        nonlocal evaluations
+        evaluations += 1
+        times = grid(n)
+        return times, grid_bias(phi, f, times, exact)
+
+    def certifies(bias):
         # written so that a nan bias (undetermined criterion) never certifies
-        return abs(grid_bias(phi, f, grid(n), exact)) <= GRID_BIAS_TOL
+        return abs(bias) <= GRID_BIAS_TOL
 
     lo, n = fewest - 1, FIRST_CELLS
-    while not certified(n):
+    times, bias = tried(n)
+    while not certifies(bias):
         if n == MAX_CELLS:
-            return grid(n), certificates
+            return times, bias, evaluations
         lo, n = n, min(2 * n, MAX_CELLS)
+        times, bias = tried(n)
     # lo cells fail (or lie below the floor) and n cells certify
     while n - lo > 1:
         mid = (lo + n) // 2
-        if certified(mid):
-            n = mid
+        mid_times, mid_bias = tried(mid)
+        if certifies(mid_bias):
+            n, times, bias = mid, mid_times, mid_bias
         else:
             lo = mid
-    return grid(n), certificates
+    return times, bias, evaluations
 
 
 def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[float]):
-    """The finiteness criterion of f on (0, T], the grid of
-    :func:`_default_times` (None for an almost surely infinite integral) and
-    the bias evaluations its search took."""
+    """The finiteness criterion of f on (0, T] and the grid, bias and bias
+    evaluations of :func:`_default_times`; the grid is None, with no bias,
+    for an almost surely infinite integral."""
     if not 0 < T < math.inf:
         raise DomainError("T and dt must be positive and finite")
     res = finiteness_criterion(f, phi, (0.0, float(T)))
     if res.verdict is Verdict.INFINITE:
-        return res, None, 0
+        return res, None, None, 0
     return (res, *_default_times(f, T, dt, phi, _exponent(res)))
 
 
 def _grid_facts(phi: BernsteinFunction, f: Integrand, grid) -> dict:
     """The `.manifest` facts of a grid from :func:`_integral_grid`: its nodes,
-    its bias and the bias evaluations that chose it; none for no grid."""
-    res, times, certificates = grid
+    its bias (evaluated here only for a grid the search did not choose) and
+    the bias evaluations that chose it; none for no grid."""
+    res, times, bias, evaluations = grid
     if times is None:
         return {}
-    return {"grid_nodes": len(times),
-            "grid_bias": grid_bias(phi, f, times, _exponent(res)),
-            "grid_certificates": certificates}
+    if bias is None:
+        bias = grid_bias(phi, f, times, _exponent(res))
+    return {"grid_nodes": len(times), "grid_bias": bias,
+            "grid_certificates": evaluations}
 
 
 def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
@@ -350,14 +362,14 @@ def mc_moment(phi: BernsteinFunction, p: float, f: Integrand, T: float, N: int,
               seed: int, *, method: str = "auto",
               dt: Optional[float] = None) -> MCEstimate:
     """p-th moment of the integral of f on (0, T]."""
-    return mc_integral_moment(phi, p, f, _integral_grid(phi, f, T, dt)[1], N,
-                              seed, method=method)
+    return moment_summary(phi, p, f, T, N, seed, method=method, dt=dt)[0]
 
 
 def moment_summary(phi: BernsteinFunction, p: float, f: Integrand, T: float,
                    N: int, seed: int, *, method: str = "auto",
                    dt: Optional[float] = None):
-    """:func:`mc_moment` and the grid facts of its run."""
+    """p-th moment of the integral of f on (0, T] and the grid facts of its
+    run."""
     grid = _integral_grid(phi, f, T, dt)
     return (mc_integral_moment(phi, p, f, grid[1], N, seed, method=method),
             _grid_facts(phi, f, grid))

@@ -429,13 +429,14 @@ def test_manifest_records_grid_certificates(command, tmp_path):
     from subsing import bernstein as bf
     from subsing import integrate as itg
     common = [*command, "--f", "pow:0.5", "--phi", "gamma", "--paths", "200"]
-    _, times, certificates = moments._integral_grid(
+    _, times, bias, certificates = moments._integral_grid(
         bf.gamma_exponent(), itg.power_singular(0.5), 1.0, None)
     out = tmp_path / "default.csv"
     assert run([*common, "--out", str(out)]) == 0
     facts = _manifest(out)
     assert int(facts["grid_nodes"]) == len(times)
-    assert 0 < -float(facts["grid_bias"]) <= moments.GRID_BIAS_TOL
+    assert float(facts["grid_bias"]) == bias
+    assert 0 < -bias <= moments.GRID_BIAS_TOL
     assert int(facts["grid_certificates"]) == certificates > 0
     assert "grid" not in out.read_text()
     # an explicit grid is taken as given: no bias is evaluated to choose it
@@ -443,6 +444,7 @@ def test_manifest_records_grid_certificates(command, tmp_path):
     assert run([*common, "--dt", "0.005", "--out", str(out)]) == 0
     facts = _manifest(out)
     assert (facts["grid_nodes"], facts["grid_certificates"]) == ("201", "0")
+    assert -float(facts["grid_bias"]) > 0
 
 
 @pytest.mark.parametrize("argv, pieces", [

@@ -267,16 +267,17 @@ class TestDefaultGrid:
                                         "tempered:0.3,2"])
     @pytest.mark.parametrize("f_id", ["pow:0.25", "pow:0.5", "pow:0.9",
                                       "pow:1.2", "exp:1"])
-    def test_coarsest_certified_grid(self, phi_id, f_id, monkeypatch):
+    def test_fewest_certified_cells(self, phi_id, f_id, monkeypatch):
         phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
         exact = mo._exponent(itg.finiteness_criterion(f, phi, (0.0, 1.0)))
         calls = []
         bias = mo.grid_bias
         monkeypatch.setattr(mo, "grid_bias", lambda *a: calls.append(1) or bias(*a))
-        times, certificates = mo._default_times(f, 1.0, None, phi, exact)
+        times, grid_bias, certificates = mo._default_times(f, 1.0, None, phi, exact)
         monkeypatch.undo()
         n = len(times) - 1
         assert certificates == len(calls)
+        assert grid_bias == mo.grid_bias(phi, f, times, exact)
 
         def certifies(cells):
             grid = mo._default_times(f, 1.0, 1.0 / cells, phi, exact)[0]
@@ -285,7 +286,9 @@ class TestDefaultGrid:
 
         fewest = 16 if f_id.startswith("pow") else 1
         assert certifies(n)
-        assert n == fewest or not certifies(n - 1)
+        # the bisection only knows that n - 1 fails; grids of different
+        # counts are not nested, so every smaller count is checked here
+        assert not any(certifies(cells) for cells in range(fewest, n))
         doubled, doublings = self._doubling_count(phi, f, exact)
         assert n <= doubled
         # any search must evaluate n and n - 1, so below FIRST_CELLS the
@@ -295,9 +298,9 @@ class TestDefaultGrid:
 
     def test_undetermined_criterion_ends_at_the_cap(self):
         # a nan integral of phi(f) gives a nan bias, which never certifies
-        times, certificates = mo._default_times(itg.power_singular(0.5), 1.0, None,
-                                                ST5, math.nan)
-        assert len(times) - 1 == mo.MAX_CELLS
+        times, bias, certificates = mo._default_times(
+            itg.power_singular(0.5), 1.0, None, ST5, math.nan)
+        assert len(times) - 1 == mo.MAX_CELLS and math.isnan(bias)
         # 32, 64, ..., 4096 and the cap
         assert certificates == 9
 
