@@ -24,6 +24,10 @@ DEFAULT_BLOCKS = 32
 # doubles that one chunk of paths may hold: the Monte Carlo chunk sizes of
 # the integral and SPDE samplers are cut to it
 CHUNK_DOUBLES = 2_000_000
+# doubles that one vectorized call of a run must handle before the run takes
+# threads: below it, passing the interpreter lock between threads around
+# many small numpy calls costs more than the threads overlap
+THREAD_DOUBLES = 4096
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,15 @@ def _worker_count() -> int:
     if not (raw.isdecimal() and int(raw) > 0):
         raise DomainError(f"SUBSING_WORKERS must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def workers_for(doubles: int) -> int:
+    """Threads for a run whose largest vectorized call handles ``doubles``
+    doubles: the worker count, or 1, the calling thread alone, when that
+    count is 1 or the call is under ``THREAD_DOUBLES``.  No thread changes
+    a result; this decides only where the run's blocks or tasks go."""
+    workers = _worker_count()
+    return workers if doubles >= THREAD_DOUBLES else 1
 
 
 @dataclass(frozen=True)
@@ -142,11 +155,15 @@ def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
 
 
 def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
-           max_chunk: int = 4096) -> list:
+           width: int = 1) -> list:
     """One :class:`MCEstimate` per column of ``sampler(rng, m) -> (m,) or
-    (m, d)``.  Block b of min(DEFAULT_BLOCKS, n_samples) draws from
-    ``stream(seed, b)`` in chunks of at most ``max_chunk`` and the block
-    partials merge in block order, so no worker count changes the result.
+    (m, d)``, whose samples take ``width`` doubles each to draw.  Block b of
+    min(DEFAULT_BLOCKS, n_samples) draws from ``stream(seed, b)`` in chunks
+    of at most max(8, min(4096, CHUNK_DOUBLES // width)) samples and the
+    block partials merge in block order, so no worker count changes the
+    result.  A pool of :func:`workers_for` (one chunk's doubles) threads
+    runs the blocks; where that count is 1 they run in block order on the
+    calling thread.
     """
     if n_samples <= 0:
         raise DomainError("need a positive sample count")
@@ -154,18 +171,25 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
     if method == "median_of_means" and blocks < 2:
         raise DomainError("median of means needs two or more paths")
 
+    chunk = max(8, min(4096, CHUNK_DOUBLES // width))
+
     def run_block(b: int) -> Moments:
         rng = stream(seed, b)
         left = n_samples // blocks + (b < n_samples % blocks)
         parts = []
         while left > 0:
-            m = min(left, max_chunk)
+            m = min(left, chunk)
             parts.append(Moments.of(sampler(rng, m)))
             left -= m
         return merge_all(parts)
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return estimate_from_blocks(list(pool.map(run_block, range(blocks))), method)
+    workers = workers_for(min(chunk, -(-n_samples // blocks)) * width)
+    if workers == 1:
+        parts = list(map(run_block, range(blocks)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_block, range(blocks)))
+    return estimate_from_blocks(parts, method)
 
 
 def wilson_interval(successes: int, n: int):

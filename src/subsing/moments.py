@@ -285,14 +285,12 @@ def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
         # an infinite weight times an increment that underflowed to 0 is nan
         raise NumericError("a cell average of f on this grid is past the range "
                            "of doubles: take a larger T or dt")
-    k = len(times) - 1
 
     def sampler(rng, m):
         inc = grid_increments(phi, times, rng, m)
         return transform(stieltjes_increments(f, times, inc))
 
-    return mc.run_mc(sampler, N, seed, method=method,
-                     max_chunk=max(8, min(4096, mc.CHUNK_DOUBLES // max(k, 1))))
+    return mc.run_mc(sampler, N, seed, method=method, width=len(times) - 1)
 
 
 def char_functional_mc(phi: BernsteinFunction, f: Integrand, T: float, N: int,

@@ -23,7 +23,7 @@ from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, NumericError,
                      PreconditionError)
 from .mc import (CHUNK_DOUBLES, MCEstimate, Moments, estimate_from_blocks,
-                 merge_all, wilson_interval)
+                 merge_all, wilson_interval, workers_for)
 from .moments import (BoundReport, _horizons, bound_rhs, small_time_gate,
                       stationary_gate)
 from .rng import stream
@@ -369,12 +369,14 @@ def _mc_parts(system, driver, seed, tasks) -> list:
     :func:`steps`.
 
     ``driver`` is an exponent to draw subordinator increments from, or one
-    frozen (K,) vector of increments shared by every replica.  One helper
-    thread serves the whole run.  The calling thread draws and runs the last
-    task first, while the helper draws task 0; the helper then draws task
-    i + 1 while the calling thread runs task i.  A draw includes the
-    :func:`coarsen` draws of a task that takes them.  A statistic that
-    overflows, or is nan, raises NumericError.
+    frozen (K,) vector of increments shared by every replica.  The calling
+    thread draws and runs the last task first, then tasks 0, 1, ... in
+    turn.  When :func:`workers_for` a step slice of the largest task
+    (paths x n doubles) is 2 or more, one helper thread serves the whole
+    run: it draws task 0 while the last one runs, then task i + 1 while the
+    calling thread runs task i.  A draw includes the :func:`coarsen` draws
+    of a task that takes them.  A statistic that overflows, or is nan,
+    raises NumericError.
     """
     def draw(task):
         K = len(task.times) - 1
@@ -398,6 +400,10 @@ def _mc_parts(system, driver, seed, tasks) -> list:
         return Moments.of(rows)
 
     parts, last = [None] * len(tasks), len(tasks) - 1
+    if workers_for(system.n * max(task.paths for task in tasks)) == 1:
+        for i in (last, *range(last)):
+            parts[i] = run(tasks[i], draw(tasks[i]))
+        return parts
     with ThreadPoolExecutor(max_workers=1) as pool:
         ahead = pool.submit(draw, tasks[0]) if last else None
         parts[last] = run(tasks[last], draw(tasks[last]))

@@ -8,6 +8,7 @@ import pytest
 from subsing import mc
 from subsing.errors import DomainError
 from subsing.mc import Moments, estimate_from_blocks, merge_all, run_mc
+from subsing.rng import stream
 
 
 def test_se_survives_a_large_offset():
@@ -17,7 +18,9 @@ def test_se_survives_a_large_offset():
 
 
 def test_constant_sample_has_zero_se():
-    (est,) = run_mc(lambda r, m: np.full(m, 0.1), 1000, 3, max_chunk=7)
+    # samples of CHUNK_DOUBLES doubles: chunks of the least size, 8
+    (est,) = run_mc(lambda r, m: np.full(m, 0.1), 1000, 3,
+                    width=mc.CHUNK_DOUBLES)
     assert est.mean == 0.1
     assert est.std_error == 0.0
 
@@ -123,17 +126,35 @@ def test_worker_count_defaults_to_the_cpus_of_this_process(monkeypatch):
     assert mc._worker_count() == len(os.sched_getaffinity(0))
 
 
-def test_one_worker_runs_every_block_on_the_pool(monkeypatch):
-    # one schedule whatever the count: a single worker is a pool of width 1
-    monkeypatch.setenv("SUBSING_WORKERS", "1")
-    idents = []
+# a block draws 64 paths of width 64 at a time: THREAD_DOUBLES doubles,
+# or 64 fewer
+@pytest.mark.parametrize("workers,paths,pooled", [
+    ("2", mc.THREAD_DOUBLES // 64, True),
+    ("2", mc.THREAD_DOUBLES // 64 - 1, False),
+    ("1", mc.THREAD_DOUBLES // 64, False)],
+    ids=["at-threshold", "under-threshold", "one-worker"])
+def test_blocks_take_the_pool_only_from_thread_doubles(monkeypatch, workers,
+                                                       paths, pooled):
+    # two or more workers and a chunk of at least THREAD_DOUBLES doubles:
+    # the blocks go to the pool; else each runs on the calling thread, in
+    # block order
+    monkeypatch.setenv("SUBSING_WORKERS", workers)
+    drawn = []
 
-    def sampler(r, m):
-        idents.append(threading.get_ident())
-        return r.standard_normal(m)
+    def recorded(seed, index):
+        drawn.append((index, threading.get_ident()))
+        return stream(seed, index)
 
-    run_mc(sampler, 100, 1)
-    assert len(idents) == 32 and threading.get_ident() not in idents
+    monkeypatch.setattr(mc, "stream", recorded)
+    threads = threading.active_count()
+    run_mc(lambda r, m: r.standard_normal(m), 32 * paths, 1, width=64)
+    assert threading.active_count() == threads
+    here = threading.get_ident()
+    if pooled:
+        assert sorted(b for b, _ in drawn) == list(range(32))
+        assert here not in {ident for _, ident in drawn}
+    else:
+        assert drawn == [(b, here) for b in range(32)]
 
 
 def test_median_of_one_block_is_a_domain_error():

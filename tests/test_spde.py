@@ -7,9 +7,10 @@ import pytest
 from scipy import stats
 
 from subsing import bernstein as bf
-from subsing import spde
+from subsing import mc, moments, spde
 from subsing.errors import (CapabilityError, DomainError, GateViolation,
                             NumericError, PreconditionError)
+from subsing.integrate import power_singular
 from subsing.mc import CHUNK_DOUBLES, Moments, estimate_from_blocks
 from subsing.rng import stream
 from subsing.subordinator import grid_increments, time_grid
@@ -1064,13 +1065,18 @@ def test_zero_drift_galerkin_steps_only_the_reference(drift, monkeypatch):
     assert rep.truncations_stepped == len(per_chunk) - 1
 
 
-def test_calling_thread_draws_only_the_last_chunk(monkeypatch):
-    # one schedule whatever the count: the calling thread draws the last
-    # chunk while the helper draws chunk 0, then the helper draws ahead
-    system = diagonal_system(4, q=spde.constant_diagonal_q([0.5] * 4))
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_chunks_take_the_helper_only_from_thread_doubles(monkeypatch, workers):
+    # 600 replicas in chunks of 256, 256 and the ragged 88: the calling
+    # thread draws the last chunk first.  With two or more workers and a
+    # step slice of at least THREAD_DOUBLES doubles (256 x n), a helper
+    # draws the others ahead; else the calling thread draws them in order
     times = time_grid(0.5, 1 / 16)
-    for workers in ("1", "2"):
-        monkeypatch.setenv("SUBSING_WORKERS", workers)
+    below, above = mc.THREAD_DOUBLES // 256 - 1, -(-mc.THREAD_DOUBLES // 256)
+    monkeypatch.setenv("SUBSING_WORKERS", workers)
+    here = threading.get_ident()
+    for n in (below, above):
+        system = diagonal_system(n, q=spde.constant_diagonal_q([0.5] * n))
         drawn = []
 
         def recorded(driver, times, rng, m):
@@ -1078,12 +1084,15 @@ def test_calling_thread_draws_only_the_last_chunk(monkeypatch):
             return grid_increments(driver, times, rng, m)
 
         monkeypatch.setattr(spde, "grid_increments", recorded)
-        # 600 replicas: chunks of 256, 256 and the ragged 88
+        threads = threading.active_count()
         spde._mc_paths(system, ST6, times, 600, 3,
                        lambda d_sub, dw: d_sub.sum(axis=1))
-        here = threading.get_ident()
-        assert sorted(m for m, _ in drawn) == [88, 256, 256]
-        assert [m for m, ident in drawn if ident == here] == [88]
+        assert threading.active_count() == threads
+        if n == above and workers == "2":
+            assert [m for m, ident in drawn if ident == here] == [88]
+            assert [m for m, ident in drawn if ident != here] == [256, 256]
+        else:
+            assert drawn == [(88, here), (256, here), (256, here)]
 
 
 def _sequential_mc_paths(system, driver, times, N, seed, statistic):
@@ -1217,6 +1226,22 @@ def test_aligned_empty_starts_on_a_cache_line(shape):
     assert a.ctypes.data % 64 == 0
 
 
+def test_no_thread_rule_changes_a_result(monkeypatch):
+    # every block and task on threads, then none: equal estimates, bit for
+    # bit, of a run_mc moment and of a multilevel scan
+    monkeypatch.setenv("SUBSING_WORKERS", "2")
+    system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
+    f = power_singular(0.5)
+    runs = []
+    for threshold in (0, 1 << 62):
+        monkeypatch.setattr(mc, "THREAD_DOUBLES", threshold)
+        rep = spde.maximal_inequality_scan(system, ST6, 0.5, [1, 2], 600, 1,
+                                           dt=1 / 8)
+        runs.append((moments.mc_moment(ST6, 0.25, f, 1.0, 3000, 5),
+                     rep.estimates, [level.estimates for level in rep.levels]))
+    assert runs[0] == runs[1]
+
+
 class TestOneDrawAheadLoop:
     """Every chunk of every level is a task of one ``_mc_parts`` loop: at
     steps 1, 1/2, 1/4 and 1/8 a run on 600 paths has levels of 600, 300, 150
@@ -1225,7 +1250,12 @@ class TestOneDrawAheadLoop:
     system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
     tasks = [0, 1, 2, 1 << 32, (1 << 32) + 1, 2 << 32, 3 << 32]
 
-    def test_one_helper_draws_all_but_the_last_task(self, monkeypatch):
+    @pytest.mark.parametrize("threshold", [512, 513], ids=["helper", "serial"])
+    def test_one_helper_from_thread_doubles(self, monkeypatch, threshold):
+        # the largest task steps 256 replicas of n = 2 modes, 512 doubles a
+        # step: one helper draws all but the last task when that reaches
+        # THREAD_DOUBLES, else the calling thread draws every task, the
+        # last one first
         here = threading.get_ident()
         drawn, coarsened = [], []
 
@@ -1238,12 +1268,20 @@ class TestOneDrawAheadLoop:
             return spde_coarsen(d_sub, dw)
 
         spde_coarsen = spde.coarsen
+        monkeypatch.setenv("SUBSING_WORKERS", "2")
+        monkeypatch.setattr(mc, "THREAD_DOUBLES", threshold)
         monkeypatch.setattr(spde, "stream", recorded_stream)
         monkeypatch.setattr(spde, "coarsen", recorded_coarsen)
         threads = threading.active_count()
         spde.maximal_inequality_scan(self.system, ST6, 0.5, [1, 2], 600, 1,
                                      dt=1 / 8)
         assert threading.active_count() == threads
+        if threshold == 513:
+            order = [self.tasks[-1], *self.tasks[:-1]]
+            assert drawn == [(index, here) for index in order]
+            assert coarsened == [(75, here), (256, here), (44, here),
+                                 (150, here)]
+            return
         # each stream exactly once; the calling thread draws the last task,
         # and its coarse draws, alone
         assert sorted(index for index, _ in drawn) == self.tasks
