@@ -205,9 +205,9 @@ def cmd_moment(args):
     if args.mode == "equiv":
         res = moments.exp_moment_equivalence(parse_phi(args.phi), args.p, args.lam)
         args.manifest.update(_quadrature_facts(res))
-        lines.append(f"verdict={res.verdict.name}")
-        if res.criterion_value is not None:
-            lines.append(f"criterion_value={_fmt(res.criterion_value)}")
+        lines.append(f"verdict=BOTH_{res.verdict.name}")
+        if res.value is not None:
+            lines.append(f"criterion_value={_fmt(res.value)}")
         return lines
     phi = parse_phi(args.phi)
     if args.mode == "mc":
@@ -335,8 +335,8 @@ def cmd_spde(args):
                               args.dt, args.paths, args.seed,
                               delta=args.delta)
     args.manifest.update(
-        projection_floor=",".join(_fmt(v) for v in rep.projection_floor),
-        floor_share=",".join(_fmt(v) for v in rep.floor_share),
+        projection_floor=_join(rep.projection_floor),
+        floor_share=_join(rep.floor_share),
         truncations_stepped=rep.truncations_stepped)
     return lines + _csv("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high", (
         (m, est.mean, est.std_error, *pr)

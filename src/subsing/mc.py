@@ -34,18 +34,21 @@ THREAD_DOUBLES = 4096
 class MCEstimate:
     """A Monte Carlo statistic with its uncertainty and tail diagnostics.
 
-    ``std_error`` is sample-sd/sqrt(n) for a plain mean, nan at n = 1, from
-    merged (count, mean, M2) partials; for median-of-means it is
-    sqrt(pi/(2B)) * sd(block means), the asymptotic SE of a median of B
-    nearly Gaussian block means.  ``heavy_tail_flag`` is set when the empirical
-    second moment keeps growing across doubling sample sizes.
+    ``method`` names the estimator, and ``std_error`` follows it:
+    sample-sd/sqrt(n) for a ``plain`` mean, nan at n = 1, from merged
+    (count, mean, M2) partials; sqrt(pi/(2B)) * sd(block means) for
+    ``median_of_means``, the asymptotic SE of a median of B nearly Gaussian
+    block means; and for ``multilevel``, a sum of level means
+    (:func:`subsing.spde.multilevel_estimates`), the square root of the
+    summed squares of the level SEs.  ``heavy_tail_flag`` is set when the
+    empirical second moment keeps growing across doubling sample sizes.
     """
 
     n_samples: int
     mean: float
     std_error: float
     heavy_tail_flag: bool = False
-    method: str = "plain"  # "plain" | "median_of_means"
+    method: str = "plain"  # "plain" | "median_of_means" | "multilevel"
 
     def agrees_with(self, target: float) -> bool:
         if not math.isfinite(self.mean) or not math.isfinite(target):

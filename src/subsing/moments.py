@@ -21,8 +21,8 @@ from . import mc
 from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
                         doubling_indices, inverse, log_growth_liminf, stable)
 from .errors import DomainError, GateViolation, NumericError
-from .integrate import (OVERFLOW_GUARD, Integrand, IntegrandKind, Verdict,
-                        as_zero_one, cell_means, constant, exponential,
+from .integrate import (OVERFLOW_GUARD, Finiteness, Integrand, IntegrandKind,
+                        Verdict, as_zero_one, cell_means, constant, exponential,
                         finiteness_criterion, improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
@@ -178,19 +178,18 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
     of phi(f) over (0, T]) and the number of bias evaluations that chose it.
 
     With ``dt`` the grid has T / dt cells, and dt must divide T as in
-    :func:`time_grid`; its bias is not evaluated and reads None.  Without it
-    the cell count doubles from FIRST_CELLS to the first count whose bias is
-    within GRID_BIAS_TOL, then a bisection returns a count n that certifies
-    while n - 1 does not, or is the floor (16 cells for ``pow``, 1
-    otherwise); n is at most the first certified doubling.  Grids of n and
-    n - 1 cells are not nested, so n is the fewest cells that certify only
-    where no smaller count does.  A grid that never certifies has MAX_CELLS
-    cells.  A constant f takes the one cell [0, T], unevaluated."""
-    if not 0 < T < math.inf:
-        raise DomainError("T and dt must be positive and finite")
+    :func:`time_grid`.  Without it the cell count doubles from FIRST_CELLS
+    to the first count whose bias is within GRID_BIAS_TOL, then a bisection
+    returns a count n that certifies while n - 1 does not, or is the floor
+    (16 cells for ``pow``, 1 otherwise); n is at most the first certified
+    doubling.  Grids of n and n - 1 cells are not nested, so n is the fewest
+    cells that certify only where no smaller count does.  A grid that never
+    certifies has MAX_CELLS cells.  A constant f takes the one cell [0, T].
+    A grid that no search chose took 0 evaluations to choose."""
     cells = None if dt is None else cell_count(T, dt)
     if f.kind is IntegrandKind.CONSTANT:
-        return np.array([0.0, T]), None, 0
+        times = np.array([0.0, T])
+        return times, grid_bias(phi, f, times, exact), 0
     if f.kind is IntegrandKind.POWER_SINGULAR and f.params[0] > 0:
         # grading exponent: decay rate of phi(f(t)) near zero, stable worst case
         theta = f.params[0]
@@ -212,7 +211,8 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
             return time_grid(T, T / n)
         fewest = 1
     if cells is not None:
-        return grid(max(fewest, cells)), None, 0
+        times = grid(max(fewest, cells))
+        return times, grid_bias(phi, f, times, exact), 0
     evaluations = 0
 
     def tried(n):
@@ -255,15 +255,12 @@ def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[
     return (res, *_default_times(f, T, dt, phi, _exponent(res)))
 
 
-def _grid_facts(phi: BernsteinFunction, f: Integrand, grid) -> dict:
+def _grid_facts(grid) -> dict:
     """The `.manifest` facts of a grid from :func:`_integral_grid`: its nodes,
-    its bias (evaluated here only for a grid the search did not choose) and
-    the bias evaluations that chose it; none for no grid."""
-    res, times, bias, evaluations = grid
+    its bias and the bias evaluations that chose it; none for no grid."""
+    _, times, bias, evaluations = grid
     if times is None:
         return {}
-    if bias is None:
-        bias = grid_bias(phi, f, times, _exponent(res))
     return {"grid_nodes": len(times), "grid_bias": bias,
             "grid_certificates": evaluations}
 
@@ -318,7 +315,7 @@ def integral_summary(phi: BernsteinFunction, f: Integrand, T: float, N: int,
     est = _integral_mc(phi, f, times, N, seed, lambda v: kept.append(v) or v,
                        "plain")[0]
     vals = np.concatenate(kept)
-    facts = {"verdict": as_zero_one(res).name, **_grid_facts(phi, f, grid)}
+    facts = {"verdict": as_zero_one(res).name, **_grid_facts(grid)}
     return (est.n_samples, float(np.isfinite(vals).mean()), est.mean,
             est.std_error, float(np.median(vals))), facts
 
@@ -370,7 +367,7 @@ def moment_summary(phi: BernsteinFunction, p: float, f: Integrand, T: float,
     run."""
     grid = _integral_grid(phi, f, T, dt)
     return (mc_integral_moment(phi, p, f, grid[1], N, seed, method=method),
-            _grid_facts(phi, f, grid))
+            _grid_facts(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -526,26 +523,12 @@ def bound_scan(phi: BernsteinFunction, p: float, T_grid: Sequence[float], N: int
 # integrability equivalence for the exponential integrand
 # ---------------------------------------------------------------------------
 
-class Equivalence(Enum):
-    BOTH_FINITE = "both finite"
-    BOTH_INFINITE = "both infinite"
-
-
-@dataclass(frozen=True)
-class EquivalenceResult:
-    """The shared verdict, with the criterion integral's value and the
-    pieces and integrand evaluations its quadrature took."""
-
-    verdict: Equivalence
-    criterion_value: Optional[float]
-    pieces: int = 0
-    evaluations: int = 0
-
-
 def exp_moment_equivalence(phi: BernsteinFunction, p: float,
-                           lam: float) -> EquivalenceResult:
+                           lam: float) -> Finiteness:
     """Integrability of phi(s)/s^(p+1) near 0 decides finiteness of the p-th
-    moment of the full exponential integral; both sides share the verdict."""
+    moment of the full exponential integral: both sides share the verdict
+    of this criterion integral, which is returned with its value and the
+    pieces and evaluations its quadrature took."""
     if not 0 < p < 1:
         raise DomainError("equivalence holds for p in (0, 1)")
     if not 0 < lam < math.inf:
@@ -558,8 +541,4 @@ def exp_moment_equivalence(phi: BernsteinFunction, p: float,
     res = improper_integral(g, 0.0, 1.0, singular_lo=True)
     if res.verdict is Verdict.UNDETERMINED:
         raise NumericError("criterion integral undetermined")
-    if res.verdict is Verdict.INFINITE:
-        return EquivalenceResult(Equivalence.BOTH_INFINITE, None, res.pieces,
-                                 res.evaluations)
-    return EquivalenceResult(Equivalence.BOTH_FINITE, res.value, res.pieces,
-                             res.evaluations)
+    return res

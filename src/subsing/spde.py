@@ -209,8 +209,7 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     grid ``times[::2]``, K even, whose path then steps in lock step with the
     fine one: at even k the fine and the coarse slice step as one (2, R, n)
     state, at odd k the fine slice alone, the coarse one left as it is.
-    Each item yielded is then a pair: the fine slice at node k, and the
-    coarse slice at node k/2 for even k, None for odd k.
+    Only the fine slice is yielded; the coarse path is read from ``out``.
 
     The path lives in a two-slice rolling buffer, or in ``out``, which then
     keeps every slice: (K+1, R, n), or with ``coarse`` (K+1 + K/2+1, R, n),
@@ -260,7 +259,7 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     # the whole of them
     E, phi1, qn, term = E2[0], phi2[0], qn2[0], term2[0]
     no_drift = system.drift is zero_drift
-    yield (P[0], P[fp]) if paired else P[0]
+    yield P[0]
     for k in range(K):
         both = paired and k % 2 == 0
         if both:
@@ -283,12 +282,7 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
         if not no_drift:
             x_next += np.multiply(phik, system.drift(xk), out=tk)
         x_next += np.multiply(Ek, q, out=tk)
-        if not paired:
-            yield P[(k + 1) % fp]
-        elif both:
-            yield P[(k + 1) % fp], None
-        else:
-            yield P[(k + 1) % fp], P[fp + (k + 1) // 2 % (len(P) - fp)]
+        yield P[(k + 1) % fp]
 
 
 def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
@@ -339,17 +333,15 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
 class _Task:
     """One chunk of a Monte Carlo run: ``paths`` replicas on the grid
     ``times``, drawn from stream (seed, ``index``) and mapped to statistic
-    rows by ``rows(d_sub, dw)``, or with ``coarse`` by ``rows(d_sub, dw,
-    coarsen(d_sub, dw))``."""
+    rows by ``rows(d_sub, dw)``."""
 
     times: np.ndarray
     paths: int
     index: int
     rows: Callable
-    coarse: bool = False
 
 
-def _chunk_tasks(system, times, N, rows, *, offset=0, coarse=False) -> list:
+def _chunk_tasks(system, times, N, rows, *, offset=0) -> list:
     """The tasks of N paths on ``times``: chunks of at most 256 replicas and
     about ``CHUNK_DOUBLES`` normals, chunk j from stream (seed, offset + j),
     the last one ragged when the chunk size does not divide N."""
@@ -357,7 +349,7 @@ def _chunk_tasks(system, times, N, rows, *, offset=0, coarse=False) -> list:
         raise DomainError("need a positive number of paths")
     K = len(times) - 1
     chunk = max(1, min(256, CHUNK_DOUBLES // (K * system.n + 1)))
-    return [_Task(times, min(chunk, N - start), offset + j, rows, coarse)
+    return [_Task(times, min(chunk, N - start), offset + j, rows)
             for j, start in enumerate(range(0, N, chunk))]
 
 
@@ -374,8 +366,9 @@ def _mc_parts(system, driver, seed, tasks) -> list:
     turn.  When :func:`workers_for` a step slice of the largest task
     (paths x n doubles) is 2 or more, one helper thread serves the whole
     run: it draws task 0 while the last one runs, then task i + 1 while the
-    calling thread runs task i.  A draw includes the :func:`coarsen` draws
-    of a task that takes them.  A statistic that overflows, or is nan,
+    calling thread runs task i.  A draw is a task's clock increments and
+    normals; a statistic derives anything else from them, as a level above
+    0 its :func:`coarsen` draws.  A statistic that overflows, or is nan,
     raises NumericError.
     """
     def draw(task):
@@ -385,11 +378,7 @@ def _mc_parts(system, driver, seed, tasks) -> list:
             d_sub = np.broadcast_to(driver, (task.paths, K))
         else:
             d_sub = grid_increments(driver, task.times, rng, task.paths)
-        draws = (d_sub, rng.standard_normal((task.paths, K, system.n)))
-        if task.coarse:
-            with np.errstate(over="ignore", invalid="ignore"):
-                draws += (coarsen(*draws),)
-        return draws
+        return d_sub, rng.standard_normal((task.paths, K, system.n))
 
     def run(task, draws):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -501,15 +490,14 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
                 system, fine, d_sub, dw, path=path))
         there, coarse = at(level - 1), grids[level - 1]
 
-        def rows(d_sub, dw, coarse_draws):
+        def rows(d_sub, dw):
             P, Pc = advance(system, fine, d_sub, dw, path=path,
-                            coarse=coarse_draws)
+                            coarse=coarsen(d_sub, dw))
             return statistic(fine, here, P) - statistic(coarse, there, Pc)
         return rows
 
     runs = [_chunk_tasks(system, times, level_paths(N, level),
-                         level_rows(level), offset=level << 32,
-                         coarse=level > 0)
+                         level_rows(level), offset=level << 32)
             for level, times in enumerate(grids)]
     parts = _mc_parts(system, driver, seed, [t for run in runs for t in run])
     levels = []

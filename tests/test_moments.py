@@ -212,25 +212,35 @@ class TestBoundScan:
 class TestEquivalence:
     def test_stable_values(self):
         res = mo.exp_moment_equivalence(ST5, 0.25, 1.0)
-        assert res.verdict is mo.Equivalence.BOTH_FINITE
-        assert res.criterion_value == pytest.approx(4.0, rel=1e-8)
+        assert res.verdict is itg.Verdict.FINITE
+        assert res.value == pytest.approx(4.0, rel=1e-8)
         res2 = mo.exp_moment_equivalence(ST5, 0.75, 1.0)
-        assert res2.verdict is mo.Equivalence.BOTH_INFINITE
+        assert res2.verdict is itg.Verdict.INFINITE
 
     @pytest.mark.parametrize("alpha, p", [(0.3, 0.1), (0.7, 0.6), (0.9, 0.05)])
     def test_stable_values_are_the_closed_form(self, alpha, p):
         # the integral of s^(alpha - p - 1) over (0, 1) is 1 / (alpha - p)
         res = mo.exp_moment_equivalence(bf.stable(alpha), p, 1.0)
-        assert res.verdict is mo.Equivalence.BOTH_FINITE
-        assert res.criterion_value == pytest.approx(1 / (alpha - p),
-                                                    rel=itg.QUAD_RTOL)
+        assert res.verdict is itg.Verdict.FINITE
+        assert res.value == pytest.approx(1 / (alpha - p), rel=itg.QUAD_RTOL)
 
     def test_log_family_boundary(self):
         phi = bf.stable_log(0.5, 0.3)          # admissible below p = 0.8
         assert mo.exp_moment_equivalence(phi, 0.75, 1.0).verdict \
-            is mo.Equivalence.BOTH_FINITE
+            is itg.Verdict.FINITE
         assert mo.exp_moment_equivalence(phi, 0.85, 1.0).verdict \
-            is mo.Equivalence.BOTH_INFINITE
+            is itg.Verdict.INFINITE
+
+    @pytest.mark.parametrize("p", [0.25, 0.75], ids=["finite", "infinite"])
+    def test_is_the_criterion_integral(self, p):
+        # the equivalence returns the Finiteness of its criterion integral
+        # as it is, value, pieces and evaluations included
+        res = mo.exp_moment_equivalence(ST5, p, 1.0)
+        want = itg.improper_integral(lambda s: ST5.fn(s) / s ** (p + 1.0),
+                                     0.0, 1.0, singular_lo=True)
+        assert isinstance(res, itg.Finiteness)
+        assert (res.verdict, res.value, res.pieces, res.evaluations) == \
+            (want.verdict, want.value, want.pieces, want.evaluations)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -295,6 +305,17 @@ class TestDefaultGrid:
         # bisection of (floor, FIRST_CELLS] bounds the count instead of n
         assert certificates <= doublings + math.ceil(
             math.log2(max(n, mo.FIRST_CELLS)))
+
+    @pytest.mark.parametrize("f_id, dt", [("pow:0.5", 1 / 64), ("exp:1", 1 / 8),
+                                          ("const:2", None), ("const:2", 1 / 4)])
+    def test_every_grid_carries_its_bias(self, f_id, dt):
+        # an explicit dt and a constant f take no search, yet the bias of
+        # their grid is returned with it, as a float
+        phi, f = ST5, itg.parse_integrand(f_id)
+        exact = mo._exponent(itg.finiteness_criterion(f, phi, (0.0, 1.0)))
+        times, bias, certificates = mo._default_times(f, 1.0, dt, phi, exact)
+        assert isinstance(bias, float) and certificates == 0
+        assert bias == mo.grid_bias(phi, f, times, exact)
 
     def test_undetermined_criterion_ends_at_the_cap(self):
         # a nan integral of phi(f) gives a nan bias, which never certifies
