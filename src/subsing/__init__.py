@@ -7,9 +7,9 @@ from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
                         doubling_indices, drift_only, gamma_exponent, inverse,
                         parse_phi, ratio, stable, stable_log, stable_log_inv,
                         tempered_stable)
-from .integrate import (Integrand, ZeroOne, constant, exponential,
+from .integrate import (Integrand, Verdict, constant, exponential,
                         finiteness_criterion, parse_integrand, power_singular,
-                        time_reversed, zero_one_verdict)
+                        time_reversed)
 from .mc import MCEstimate, wilson_interval
 from .moments import (BoundReport, CorollaryCase, bound_scan,
                       char_functional_exact, char_functional_mc,

@@ -22,7 +22,7 @@ from . import __version__, mc, moments, spde
 from .bernstein import doubling_indices, inverse, parse_phi
 from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
                      PreconditionError, RangeError)
-from .integrate import (GAUSS_NODES, as_zero_one, finiteness_criterion,
+from .integrate import (GAUSS_NODES, Verdict, finiteness_criterion,
                         parse_integrand)
 from .rng import stream
 from .subordinator import grid_increments, time_grid
@@ -118,6 +118,23 @@ def _quadrature_facts(res) -> dict:
             "quadrature_evaluations": res.evaluations}
 
 
+def _grid_facts(grid) -> dict:
+    """The .manifest record of the (criterion, times, bias, evaluations) grid
+    of an integral's run: its nodes, its bias and the bias evaluations that
+    chose it; none for no grid."""
+    _, times, bias, evaluations = grid
+    if times is None:
+        return {}
+    return {"grid_nodes": len(times), "grid_bias": bias,
+            "grid_certificates": evaluations}
+
+
+def _zero_one(verdict: Verdict) -> str:
+    """The almost-sure dichotomy that a criterion verdict gives, as the CLI
+    spells it: AS_FINITE, AS_INFINITE or UNDETERMINED."""
+    return verdict.name if verdict is Verdict.UNDETERMINED else "AS_" + verdict.name
+
+
 def _bound_rows(rep, columns: str):
     """CSV body of a BoundReport: one row per horizon."""
     return _csv(columns, ((T, est.mean, est.std_error, rhs, r) for T, est, rhs, r
@@ -172,10 +189,12 @@ def cmd_path(args):
 def cmd_integrate(args):
     phi = parse_phi(args.phi)
     f = parse_integrand(args.f)
-    row, facts = moments.integral_summary(phi, f, args.T, args.paths, args.seed,
-                                          dt=args.dt)
-    args.manifest.update(facts)
-    if "grid_nodes" not in facts:
+    row, grid = moments.integral_summary(phi, f, args.T, args.paths, args.seed,
+                                         dt=args.dt)
+    res, times = grid[:2]
+    args.manifest["verdict"] = _zero_one(res.verdict)
+    args.manifest.update(_grid_facts(grid))
+    if times is None:
         # an a.s. infinite integral draws nothing: no grid or draw flag is echoed
         del args.dt, args.seed
     return _header(args) + _csv("n,finite_fraction,mean,se,median", [row])
@@ -186,9 +205,8 @@ def cmd_zeroone(args):
     f = parse_integrand(args.f)
     res = finiteness_criterion(f, phi, tuple(args.domain))
     args.manifest.update(_quadrature_facts(res))
-    verdict = as_zero_one(res)
     lines = _header(args)
-    lines.append(f"verdict={verdict.name}")
+    lines.append(f"verdict={_zero_one(res.verdict)}")
     lines.append(f"criterion={res.verdict.value}")
     if res.value is not None:
         lines.append(f"criterion_value={_fmt(res.value)}")
@@ -197,25 +215,25 @@ def cmd_zeroone(args):
 
 def cmd_moment(args):
     lines = _header(args)
+    phi = parse_phi(args.phi)
     if args.mode == "exact":
         f = parse_integrand(args.f)
-        val = moments.exact_stable_moment(args.alpha, args.p, f, tuple(args.domain))
+        val = moments.exact_stable_moment(phi, args.p, f, tuple(args.domain))
         lines.append(f"value={_fmt(val)}")
         return lines
     if args.mode == "equiv":
-        res = moments.exp_moment_equivalence(parse_phi(args.phi), args.p, args.lam)
+        res = moments.exp_moment_equivalence(phi, args.p, args.lam)
         args.manifest.update(_quadrature_facts(res))
         lines.append(f"verdict=BOTH_{res.verdict.name}")
         if res.value is not None:
             lines.append(f"criterion_value={_fmt(res.value)}")
         return lines
-    phi = parse_phi(args.phi)
     if args.mode == "mc":
         f = parse_integrand(args.f)
-        est, facts = moments.moment_summary(phi, args.p, f, args.T, args.paths,
-                                            args.seed, method=args.method,
-                                            dt=args.dt)
-        args.manifest.update(facts)
+        est, grid = moments.moment_summary(phi, args.p, f, args.T, args.paths,
+                                           args.seed, method=args.method,
+                                           dt=args.dt)
+        args.manifest.update(_grid_facts(grid))
         return lines + _csv("n,mean,se,method,heavy_tail", [(
             est.n_samples, est.mean, est.std_error, est.method,
             est.heavy_tail_flag)])
@@ -372,7 +390,6 @@ def _domain(text: str):
 FLAGS = {
     "--config": dict(default=None, help="INI file with a [run] section"),
     "--phi": dict(required=True),
-    "--alpha": dict(type=float, required=True),
     "--p": dict(type=float, required=True),
     "--f": dict(required=True),
     "--eval-at": dict(type=_float_list, default=[]),
@@ -419,13 +436,13 @@ COMMANDS = {
                   ("--phi", "--f", "--T", "--dt", "--paths", "--seed", "--out")),
     "zeroone": ("almost-sure finiteness verdict", cmd_zeroone,
                 ("--phi", "--f", "--domain", "--out")),
-    "moment": ("moment formulas, MC, bounds, equivalence", cmd_moment, (), {
-        "exact": ("--alpha", "--p", "--f", "--domain", "--out"),
-        "mc": ("--phi", "--p", "--f", "--T", "--dt", "--paths", "--method",
-               "--seed", "--out"),
-        "bound": ("--phi", "--p", "--T-grid", "--dt", "--paths", "--method",
-                  "--theta|--lam", "--seed", "--out"),
-        "equiv": ("--phi", "--p", "--lam", "--out"),
+    "moment": ("moment formulas, MC, bounds, equivalence", cmd_moment,
+               ("--phi", "--p"), {
+        "exact": ("--f", "--domain", "--out"),
+        "mc": ("--f", "--T", "--dt", "--paths", "--method", "--seed", "--out"),
+        "bound": ("--T-grid", "--dt", "--paths", "--method", "--theta|--lam",
+                  "--seed", "--out"),
+        "equiv": ("--lam", "--out"),
     }),
     # every spde mode builds the system and steps it
     "spde": ("spectral SPDE experiments", cmd_spde,

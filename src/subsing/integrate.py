@@ -381,12 +381,6 @@ def stieltjes_increments(f: Integrand, times: np.ndarray,
 # finiteness criterion and the dichotomy verdict
 # ---------------------------------------------------------------------------
 
-class ZeroOne(Enum):
-    AS_FINITE = "almost surely finite"
-    AS_INFINITE = "almost surely infinite"
-    UNDETERMINED = "undetermined"
-
-
 def finiteness_criterion(f: Integrand, phi: BernsteinFunction,
                          domain: Tuple[float, float]) -> Finiteness:
     """Evaluate the integral of phi(f(t)) over the domain, or detect divergence.
@@ -469,17 +463,3 @@ def _power_integral(a: float, b: float, q: float) -> float:
     except OverflowError:
         return math.inf
 
-
-def zero_one_verdict(f: Integrand, phi: BernsteinFunction,
-                     domain: Tuple[float, float] = (0.0, 1.0)) -> ZeroOne:
-    """Map the finiteness criterion to the almost-sure dichotomy."""
-    return as_zero_one(finiteness_criterion(f, phi, domain))
-
-
-def as_zero_one(res: Finiteness) -> ZeroOne:
-    """The almost-sure dichotomy that a finiteness criterion result gives."""
-    if res.verdict is Verdict.FINITE:
-        return ZeroOne.AS_FINITE
-    if res.verdict is Verdict.INFINITE:
-        return ZeroOne.AS_INFINITE
-    return ZeroOne.UNDETERMINED

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import mc
 from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
-                        doubling_indices, inverse, log_growth_liminf, stable)
-from .errors import DomainError, GateViolation, NumericError
+                        doubling_indices, inverse, log_growth_liminf)
+from .errors import CapabilityError, DomainError, GateViolation, NumericError
 from .integrate import (OVERFLOW_GUARD, Finiteness, Integrand, IntegrandKind,
-                        Verdict, as_zero_one, cell_means, constant, exponential,
+                        Verdict, cell_means, constant, exponential,
                         finiteness_criterion, improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
@@ -52,20 +52,24 @@ def _require_finite_order(p: float):
 # exact stable formulas
 # ---------------------------------------------------------------------------
 
-def exact_stable_moment(alpha: float, p: float, f: Integrand, domain) -> float:
-    """p-th moment of the integral of f against a stable subordinator.
+def exact_stable_moment(phi: BernsteinFunction, p: float, f: Integrand,
+                        domain) -> float:
+    """p-th moment of the integral of f against the stable subordinator of
+    exponent phi = s^alpha; any other exponent raises CapabilityError.
 
     Returns +inf for p >= alpha, and for a divergent scale integral returns
     +inf (p > 0) or 0 (p < 0).  p must be below 1 makes no sense here: any
     p < alpha is admitted, negative included.
     """
     _require_finite_order(p)
-    if not 0 < alpha < 1:
-        raise DomainError("stable index must lie in (0, 1)")
+    if phi.kind is not Catalog.STABLE:
+        raise CapabilityError(f"{phi.name}: no exact moment formula; "
+                              "only a stable exponent has one")
+    alpha = phi.params[0]
     if f.kind is IntegrandKind.CONSTANT and f.params[0] == 0.0:
         raise DomainError("f vanishes a.e.; the moment formula requires Leb{f>0} > 0")
-    # the stable scale: the integral of f^alpha is the criterion for phi = s^alpha
-    scale = finiteness_criterion(f, stable(alpha), domain)
+    # the stable scale: the integral of f^alpha is the criterion for phi
+    scale = finiteness_criterion(f, phi, domain)
     if scale.verdict is Verdict.UNDETERMINED:
         raise NumericError("scale integral undetermined")
     if scale.verdict is Verdict.FINITE and scale.value == 0.0:
@@ -255,16 +259,6 @@ def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[
     return (res, *_default_times(f, T, dt, phi, _exponent(res)))
 
 
-def _grid_facts(grid) -> dict:
-    """The `.manifest` facts of a grid from :func:`_integral_grid`: its nodes,
-    its bias and the bias evaluations that chose it; none for no grid."""
-    _, times, bias, evaluations = grid
-    if times is None:
-        return {}
-    return {"grid_nodes": len(times), "grid_bias": bias,
-            "grid_certificates": evaluations}
-
-
 def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
     """Monte Carlo means of the columns of ``transform`` of the integral of f
     over ``times``, one :class:`MCEstimate` per column; ``times`` None marks
@@ -307,17 +301,16 @@ def laplace_mc(phi: BernsteinFunction, r: Sequence[float], times: np.ndarray,
 def integral_summary(phi: BernsteinFunction, f: Integrand, T: float, N: int,
                      seed: int, *, dt: Optional[float] = None):
     """Row (n, finite fraction, mean, SE, median) of the integral of f on
-    (0, T] from one set of draws, and the verdict and grid facts of the run."""
+    (0, T] from one set of draws, and the :func:`_integral_grid` record
+    (criterion, times, bias, evaluations) of the run."""
     grid = _integral_grid(phi, f, T, dt)
-    res, times = grid[:2]
     # every value drawn is kept: its median and finite fraction ignore block order
     kept = []
-    est = _integral_mc(phi, f, times, N, seed, lambda v: kept.append(v) or v,
+    est = _integral_mc(phi, f, grid[1], N, seed, lambda v: kept.append(v) or v,
                        "plain")[0]
     vals = np.concatenate(kept)
-    facts = {"verdict": as_zero_one(res).name, **_grid_facts(grid)}
     return (est.n_samples, float(np.isfinite(vals).mean()), est.mean,
-            est.std_error, float(np.median(vals))), facts
+            est.std_error, float(np.median(vals))), grid
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +356,12 @@ def mc_moment(phi: BernsteinFunction, p: float, f: Integrand, T: float, N: int,
 def moment_summary(phi: BernsteinFunction, p: float, f: Integrand, T: float,
                    N: int, seed: int, *, method: str = "auto",
                    dt: Optional[float] = None):
-    """p-th moment of the integral of f on (0, T] and the grid facts of its
-    run."""
+    """p-th moment of the integral of f on (0, T] and the
+    :func:`_integral_grid` record (criterion, times, bias, evaluations) of
+    its run."""
     grid = _integral_grid(phi, f, T, dt)
     return (mc_integral_moment(phi, p, f, grid[1], N, seed, method=method),
-            _grid_facts(grid))
+            grid)
 
 
 # ---------------------------------------------------------------------------

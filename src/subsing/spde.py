@@ -209,7 +209,8 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     grid ``times[::2]``, K even, whose path then steps in lock step with the
     fine one: at even k the fine and the coarse slice step as one (2, R, n)
     state, at odd k the fine slice alone, the coarse one left as it is.
-    Only the fine slice is yielded; the coarse path is read from ``out``.
+    Only the fine slice is yielded; the coarse path is read from ``out``,
+    so ``coarse`` without ``out`` raises DomainError.
 
     The path lives in a two-slice rolling buffer, or in ``out``, which then
     keeps every slice: (K+1, R, n), or with ``coarse`` (K+1 + K/2+1, R, n),
@@ -237,6 +238,8 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     cells = [dts[0]]        # the first cell of each path's grid
     paired = coarse is not None
     if paired:
+        if out is None:
+            raise DomainError("coarse draws need out, where the coarse path is kept")
         if K % 2 or K == 0 or np.shape(coarse[0]) != (R, K // 2):
             raise DomainError("coarse draws need a positive even number of "
                               "fine cells, two to each coarse one")
@@ -244,7 +247,7 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
         rootc, dwc = np.sqrt(coarse[0]).T, coarse[1].transpose(1, 0, 2)
     # each buffer holds its fine slices first, fp or fx of them: a rolling
     # pair, or all K+1; then as many of the coarse path, if any
-    P = _aligned_empty((2 + 2 * paired, R, n)) if out is None else out
+    P = _aligned_empty((2, R, n)) if out is None else out
     X = P if path == "state" else _aligned_empty((2 + 2 * paired, R, n))
     fp = 2 if out is None else K + 1
     fx = fp if X is P else 2

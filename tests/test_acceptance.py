@@ -16,7 +16,6 @@ from subsing import bernstein as bf
 from subsing import integrate as itg
 from subsing import moments as mo
 from subsing import spde
-from subsing.integrate import ZeroOne
 from subsing.rng import stream
 from subsing.subordinator import geometric_grid, grid_increments, time_grid
 
@@ -62,7 +61,7 @@ def test_criterion_1_laplace_identity(phi, f):
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 0.25), (0.5, -1.0), (0.7, 0.3)])
 def test_criterion_2_plain_moments(alpha, p):
-    exact = mo.exact_stable_moment(alpha, p, itg.constant(1.0), (0, 1))
+    exact = mo.exact_stable_moment(bf.stable(alpha), p, itg.constant(1.0), (0, 1))
     est = mo.mc_moment(bf.stable(alpha), p, itg.constant(1.0), 1.0, 100_000,
                        seed=int(alpha * 1000) + int(p * 100))
     z = (est.mean - exact) / est.std_error
@@ -111,8 +110,8 @@ def test_criterion_2_exponential_case():
 
 
 def test_criterion_2_infinite_branches():
-    inf1 = mo.exact_stable_moment(0.5, 0.5, itg.constant(1.0), (0, 1))
-    inf2 = mo.exact_stable_moment(0.7, 0.95, itg.constant(1.0), (0, 1))
+    inf1 = mo.exact_stable_moment(bf.stable(0.5), 0.5, itg.constant(1.0), (0, 1))
+    inf2 = mo.exact_stable_moment(bf.stable(0.7), 0.95, itg.constant(1.0), (0, 1))
     inf3 = mo.corollary_case_moment(0.5, 1.0, 1.0,
                                     mo.CorollaryCase.POWER_HEAD, theta=2.0)
     inf4 = mo.corollary_case_moment(0.5, 0.25, 1.0,
@@ -132,17 +131,17 @@ def test_criterion_3_zero_one_law():
         boundary = 1.0 / alpha
         for gap in (-0.6, -0.3, 0.0, 0.6):
             theta = boundary + gap
-            verdict = itg.zero_one_verdict(itg.power_singular(theta),
-                                           bf.stable(alpha), (0.0, 1.0))
-            expect = ZeroOne.AS_INFINITE if theta >= boundary \
-                else ZeroOne.AS_FINITE
+            verdict = itg.finiteness_criterion(itg.power_singular(theta),
+                                               bf.stable(alpha), (0.0, 1.0)).verdict
+            expect = itg.Verdict.INFINITE if theta >= boundary \
+                else itg.Verdict.FINITE
             _, med = truncation_medians(alpha, theta, 2000,
                                         seed=int(alpha * 100 + theta * 10))
             growth = relative_late_growth(med)
             grows = growth >= 0.2
             settles = growth <= 0.1
             pair_ok = verdict is expect and (
-                grows if expect is ZeroOne.AS_INFINITE else settles)
+                grows if expect is itg.Verdict.INFINITE else settles)
             ok &= pair_ok
             rows.append(f"a={alpha} th={theta:.2f} {verdict.name} "
                         f"growth={growth:.3f} {'ok' if pair_ok else 'BAD'}")

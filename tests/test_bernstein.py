@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsing import bernstein as bf
+from subsing import moments as mo
 from subsing.errors import DomainError, RangeError
 
 CATALOG = [
@@ -139,6 +140,16 @@ def test_doubling_index_ordering(phi):
     assert -1e-9 <= d.global_inf <= d.at_zero + 1e-9
     assert d.global_inf <= d.global_sup <= 1.0 + 1e-9
     assert d.at_infinity <= d.global_sup + 1e-9
+
+
+@pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.name)
+def test_log_growth_liminf(phi):
+    # gamma, log(1 + s), is the one exponent whose phi(s)/log(s) settles, at
+    # 1; every other one grows past every bound.  Either way the liminf is
+    # positive, which admits the negative-moment clause (i) past T = 1
+    want = 1.0 if phi.kind is bf.Catalog.GAMMA else math.inf
+    assert bf.log_growth_liminf(phi) == pytest.approx(want, rel=1e-12)
+    assert mo.select_bound_clause(phi, -0.5, [2, 4], theta=0.0) == "i"
 
 
 def test_non_stabilizing_endpoints_are_undetermined():

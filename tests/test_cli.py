@@ -46,7 +46,7 @@ def test_bf_report(capsys):
 
 
 def test_moment_exact_and_mc(capsys):
-    assert run(["moment", "exact", "--alpha", "0.5", "--p", "-1",
+    assert run(["moment", "exact", "--phi", "stable:0.5", "--p", "-1",
                 "--f", "const:1"]) == 0
     assert "value=2.0" in capsys.readouterr().out
     assert run(["moment", "mc", "--phi", "stable:0.5", "--p", "0.25",
@@ -63,6 +63,15 @@ def test_refusal_exit_code(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "log2" in err and "phi(2s)/phi(s)" in err
+
+
+def test_moment_exact_refuses_a_non_stable_exponent(capsys):
+    # only a stable exponent has the closed form
+    assert run(["moment", "exact", "--phi", "gamma", "--p", "0.25",
+                "--f", "const:1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: gamma:") and err.count("\n") == 1
 
 
 def test_negative_theta_is_refused(capsys):
@@ -171,6 +180,9 @@ ZEROONE_OUTPUTS = {
     ("exp:1", "gamma"): "verdict=AS_FINITE\ncriterion=finite\n"
                         "criterion_value=0.48381903702066087\n",
     ("pow:2", "stable:0.5"): "verdict=AS_INFINITE\ncriterion=infinite\n",
+    # the slice scan neither converges nor diverges
+    ("pow:2", "stableloginv:0.5,0.5"): "verdict=UNDETERMINED\n"
+                                       "criterion=undetermined\n",
 }
 
 
@@ -905,7 +917,7 @@ def test_numeric_error_exit_code(monkeypatch, capsys):
         raise NumericError("did not converge")
 
     monkeypatch.setattr(moments, "exact_stable_moment", fail)
-    assert run(["moment", "exact", "--alpha", "0.5", "--p", "0.25",
+    assert run(["moment", "exact", "--phi", "stable:0.5", "--p", "0.25",
                 "--f", "const:1"]) == 1
     assert "did not converge" in capsys.readouterr().err
 
@@ -928,15 +940,17 @@ def test_integrate_draws_in_chunks(capsys):
 @pytest.mark.parametrize("argv", [
     ["spde", "maximal", "--delta", "1"],
     ["spde", "sim", "--paths", "5"],
-    ["moment", "exact", "--seed", "1", "--alpha", "0.5", "--p", "0.25",
+    ["moment", "exact", "--seed", "1", "--phi", "stable:0.5", "--p", "0.25",
      "--f", "const:1"],
     ["moment", "exact", "--p", "0.25", "--f", "const:1"],
+    ["moment", "exact", "--phi", "stable:0.5", "--alpha", "0.5", "--p", "0.25",
+     "--f", "const:1"],
     ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
      "--lam", "1"],
     ["zeroone", "--f", "pow:1", "--phi", "gamma", "--domain", "1"],
     ["zeroone", "--f", "pow:1", "--phi", "gamma", "--domain", "0,1,2"],
-], ids=["unread-delta", "unread-paths", "unread-seed", "missing-alpha",
-        "theta-and-lam", "domain-one-value", "domain-three-values"])
+], ids=["unread-delta", "unread-paths", "unread-seed", "missing-phi",
+        "no-alpha", "theta-and-lam", "domain-one-value", "domain-three-values"])
 def test_flag_outside_the_mode_is_a_usage_error(argv, capsys):
     assert run(argv) == 64
     assert "error: " in capsys.readouterr().err
@@ -1012,7 +1026,7 @@ BOUND = ["moment", "bound", "--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
      "--dt", "0.125"],
     ["moment", "mc", "--phi", "stable:0.5", "--p", "nan", "--f", "const:1",
      "--paths", "8"],
-    ["moment", "exact", "--alpha", "0.5", "--p", "nan", "--f", "const:1"],
+    ["moment", "exact", "--phi", "stable:0.5", "--p", "nan", "--f", "const:1"],
 ])
 def test_non_finite_input_exit_code(argv, capsys):
     assert run(argv) == 1
@@ -1109,7 +1123,7 @@ MODE_RUNS = {
          "--dt", "0.0625", "--paths", "20", "--seed", "4"],
         "3a5a281ef117c432bc736409136a7800ae24854916dbb3a1cff3829603164568"),
     ("moment", "exact"): (
-        ["--alpha", "0.5", "--p", "0.25", "--f", "pow:0.5"],
+        ["--phi", "stable:0.5", "--p", "0.25", "--f", "pow:0.5"],
         "e114ffb6ccce7560d7fe511c19de3565d7db80735789d1ce73eb4ef0e9973de2"),
     ("moment", "mc"): (
         ["--phi", "stable:0.5", "--p", "0.25", "--f", "const:1", "--paths", "200",
@@ -1352,7 +1366,7 @@ AUDIT_RUNS = {
     ("integrate",): ["--phi", "gamma", "--f", "const:1", "--dt", "0.5",
                      "--paths", "8"],
     ("zeroone",): ["--phi", "gamma", "--f", "exp:1"],
-    ("moment", "exact"): ["--alpha", "0.5", "--p", "0.25", "--f", "const:1"],
+    ("moment", "exact"): ["--phi", "stable:0.5", "--p", "0.25", "--f", "const:1"],
     ("moment", "mc"): ["--phi", "gamma", "--p", "0.5", "--f", "const:1",
                        "--paths", "8"],
     ("moment", "bound"): ["--phi", "stable:0.5", "--p", "0.2", "--theta", "0",
@@ -1510,7 +1524,7 @@ EXTREME_RUNS = {
     "mom-overflowing-weight": (["moment", "mc", "--phi", "stable:0.01", "--p", "0.5",
                                 "--f", "pow:2", "--T", "1e-300", "--dt", "1e-300",
                                 "--paths", "50"], 1),
-    "exact-overflowing-closed-form": (["moment", "exact", "--alpha", "1e-12",
+    "exact-overflowing-closed-form": (["moment", "exact", "--phi", "stable:1e-12",
                                        "--p", "1e300", "--f", "pow:1e300",
                                        "--domain", "1e-300,1e300"], 0),
     "integrate-overflowing-weight": (["integrate", "--phi", "stable:0.01",

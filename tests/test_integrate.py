@@ -292,16 +292,17 @@ def test_rule_matches_closed_forms(fn, a, b, singular, value):
 
 class TestZeroOne:
     @pytest.mark.parametrize("theta,expected", [
-        (2.0, itg.ZeroOne.AS_INFINITE),    # theta >= 1/alpha
-        (1.0, itg.ZeroOne.AS_FINITE),      # theta <  1/alpha = 2
+        (2.0, itg.Verdict.INFINITE),    # theta >= 1/alpha
+        (1.0, itg.Verdict.FINITE),      # theta <  1/alpha = 2
     ])
     def test_power_boundary(self, theta, expected):
-        assert itg.zero_one_verdict(itg.power_singular(theta), STABLE) is expected
+        res = itg.finiteness_criterion(itg.power_singular(theta), STABLE, (0.0, 1.0))
+        assert res.verdict is expected
 
     def test_exponential_full_line_finite(self):
         for phi in (STABLE, GAMMA):
-            v = itg.zero_one_verdict(itg.exponential(1.0), phi, (0.0, math.inf))
-            assert v is itg.ZeroOne.AS_FINITE
+            res = itg.finiteness_criterion(itg.exponential(1.0), phi, (0.0, math.inf))
+            assert res.verdict is itg.Verdict.FINITE
 
     def test_empirical_dichotomy(self):
         # truncated integrals keep growing in the divergent case and settle in

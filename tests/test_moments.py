@@ -26,34 +26,36 @@ def test_gamma_functional_equation():
 
 class TestExactStableMoment:
     def test_infinite_branch(self):
-        assert mo.exact_stable_moment(0.5, 0.5, UNIT, (0, 1)) == math.inf
-        assert mo.exact_stable_moment(0.5, 0.9, UNIT, (0, 1)) == math.inf
+        assert mo.exact_stable_moment(bf.stable(0.5), 0.5, UNIT, (0, 1)) == math.inf
+        assert mo.exact_stable_moment(bf.stable(0.5), 0.9, UNIT, (0, 1)) == math.inf
 
     def test_zeroth_moment(self):
-        assert mo.exact_stable_moment(0.5, 0.0, UNIT, (0, 1)) == 1.0
+        assert mo.exact_stable_moment(bf.stable(0.5), 0.0, UNIT, (0, 1)) == 1.0
 
     def test_negative_moment(self):
-        assert mo.exact_stable_moment(0.5, -1.0, UNIT, (0, 1)) == pytest.approx(2.0)
+        v = mo.exact_stable_moment(bf.stable(0.5), -1.0, UNIT, (0, 1))
+        assert v == pytest.approx(2.0)
 
     def test_singular_integrand_value(self):
         # scale integral of t^(-0.25) over (0,1) is 4/3
-        v = mo.exact_stable_moment(0.5, 0.25, itg.power_singular(0.5), (0, 1))
+        v = mo.exact_stable_moment(bf.stable(0.5), 0.25, itg.power_singular(0.5),
+                                   (0, 1))
         assert v == pytest.approx(G_RATIO * (4 / 3) ** 0.5, rel=1e-12)
 
     def test_divergent_scale_branches(self):
         f = itg.power_singular(3.0)
-        assert mo.exact_stable_moment(0.5, 0.25, f, (0, 1)) == math.inf
-        assert mo.exact_stable_moment(0.5, -0.5, f, (0, 1)) == 0.0
-        assert mo.exact_stable_moment(0.5, 0.0, f, (0, 1)) == 1.0
+        assert mo.exact_stable_moment(bf.stable(0.5), 0.25, f, (0, 1)) == math.inf
+        assert mo.exact_stable_moment(bf.stable(0.5), -0.5, f, (0, 1)) == 0.0
+        assert mo.exact_stable_moment(bf.stable(0.5), 0.0, f, (0, 1)) == 1.0
 
     def test_vanishing_integrand_rejected(self):
         with pytest.raises(DomainError):
-            mo.exact_stable_moment(0.5, 0.25, itg.constant(0.0), (0, 1))
+            mo.exact_stable_moment(bf.stable(0.5), 0.25, itg.constant(0.0), (0, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.floats(0.1, 0.9), p=st.floats(-3.0, 0.99))
     def test_branch_consistency(self, alpha, p):
-        v = mo.exact_stable_moment(alpha, p, UNIT, (0, 1))
+        v = mo.exact_stable_moment(bf.stable(alpha), p, UNIT, (0, 1))
         if p >= alpha:
             assert v == math.inf
         elif p == 0:
@@ -87,7 +89,8 @@ class TestCorollaryCases:
     def test_head_consistent_with_general_formula(self, alpha, p, theta, T):
         a = mo.corollary_case_moment(alpha, p, T, mo.CorollaryCase.POWER_HEAD,
                                      theta=theta)
-        b = mo.exact_stable_moment(alpha, p, itg.power_singular(theta), (0, T))
+        b = mo.exact_stable_moment(bf.stable(alpha), p, itg.power_singular(theta),
+                                   (0, T))
         assert a == pytest.approx(b, rel=1e-10)
 
     @pytest.mark.parametrize("alpha,p,theta,T", [
@@ -96,7 +99,7 @@ class TestCorollaryCases:
     def test_tail_consistent_with_general_formula(self, alpha, p, theta, T):
         a = mo.corollary_case_moment(alpha, p, T, mo.CorollaryCase.POWER_TAIL,
                                      theta=theta)
-        b = mo.exact_stable_moment(alpha, p, itg.power_singular(theta),
+        b = mo.exact_stable_moment(bf.stable(alpha), p, itg.power_singular(theta),
                                    (T, math.inf))
         assert a == pytest.approx(b, rel=1e-10)
 
@@ -106,7 +109,7 @@ class TestCorollaryCases:
     def test_exp_consistent_with_general_formula(self, alpha, p, lam, T):
         a = mo.corollary_case_moment(alpha, p, T,
                                      mo.CorollaryCase.EXPONENTIAL_HEAD, lam=lam)
-        b = mo.exact_stable_moment(alpha, p, itg.exponential(lam), (0, T))
+        b = mo.exact_stable_moment(bf.stable(alpha), p, itg.exponential(lam), (0, T))
         assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -375,7 +378,7 @@ def test_mc_moment_of_an_infinite_integral_is_not_drawn(alpha, p, monkeypatch):
     monkeypatch.setattr(mo.mc, "run_mc", no_draw)
     f = itg.power_singular(2.0)
     est = mo.mc_moment(bf.stable(alpha), p, f, 1.0, 100, 3)
-    assert est.mean == mo.exact_stable_moment(alpha, p, f, (0.0, 1.0))
+    assert est.mean == mo.exact_stable_moment(bf.stable(alpha), p, f, (0.0, 1.0))
     assert est.n_samples == 100
 
 

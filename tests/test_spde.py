@@ -1198,21 +1198,27 @@ class TestLockStep:
 
     @pytest.mark.parametrize("path", ["state", "convolution"])
     def test_steps_yield_both_paths(self, path):
-        # rolling buffers: the fine slice at every k, as a separate run;
-        # the coarse path is read from ``out``, after the fine one
+        # the fine slice at every k, as a separate run; the coarse path is
+        # read from ``out``, after the fine one
         system = _lock_step_system(3, True, "state")
         fine, coarse, d_sub, dw, draws = self.draws(system, "last-bit")
-        slices = [x.copy() for x in
-                  spde.steps(system, fine, d_sub, dw, path=path, coarse=draws)]
+        out = np.empty((13 + 7, 7, 3))
+        slices = [x.copy() for x in spde.steps(system, fine, d_sub, dw, path=path,
+                                               out=out, coarse=draws)]
         assert all(isinstance(x, np.ndarray) for x in slices)
         assert np.array_equal(np.stack(slices, axis=1),
                               spde.advance(system, fine, d_sub, dw, path=path))
-        out = np.empty((13 + 7, 7, 3))
-        for _ in spde.steps(system, fine, d_sub, dw, path=path, out=out,
-                            coarse=draws):
-            pass
         assert np.array_equal(np.moveaxis(out[13:], 0, 1),
                               spde.advance(system, coarse, *draws, path=path))
+
+    def test_coarse_draws_need_out(self):
+        # only the fine slice is yielded: a coarse path with nowhere to go
+        # is refused before any step
+        system = _lock_step_system(3, True, "state")
+        fine, _, d_sub, dw, draws = self.draws(system, "last-bit")
+        run = spde.steps(system, fine, d_sub, dw, path="state", coarse=draws)
+        with pytest.raises(DomainError, match="need out"):
+            next(run)
 
     @pytest.mark.parametrize("cells", [3, 0])
     def test_coarse_draws_need_an_even_grid(self, cells):
