@@ -148,9 +148,7 @@ def _bound_rows(rep, columns: str):
 def cmd_bf(args):
     phi = parse_phi(args.phi)
     idx = doubling_indices(phi)
-    lines = _header(args)
-    lines.append(f"name={phi.name}")
-    lines.append(f"simulable={phi.simulable}")
+    lines = [f"name={phi.name}", f"simulable={phi.simulable}"]
     for key in ("global_inf", "global_sup", "at_zero", "at_infinity"):
         val = getattr(idx, key)
         lines.append(f"{key}={'undetermined' if val is None else _fmt(val)}")
@@ -170,7 +168,7 @@ def cmd_sim(args):
     # phi(r) refuses a bad r before anything is drawn
     exacts = [float(np.exp(-args.T * phi(r))) for r in args.r]
     ests = moments.laplace_mc(phi, args.r, times, args.paths, args.seed)
-    return _header(args) + _csv("r,mc_mean,mc_se,exact,z", (
+    return _csv("r,mc_mean,mc_se,exact,z", (
         (r, est.mean, est.std_error, exact,
          (est.mean - exact) / est.std_error if est.std_error else 0.0)
         for r, exact, est in zip(args.r, exacts, ests)))
@@ -183,7 +181,7 @@ def cmd_path(args):
     times = time_grid(args.T, args.dt)
     inc = grid_increments(phi, times, stream(args.seed, 0))[0]
     values = np.concatenate(([0.0], np.cumsum(inc)))
-    return _header(args) + _csv("t,S_t", zip(times, values))
+    return _csv("t,S_t", zip(times, values))
 
 
 def cmd_integrate(args):
@@ -197,7 +195,7 @@ def cmd_integrate(args):
     if times is None:
         # an a.s. infinite integral draws nothing: no grid or draw flag is echoed
         del args.dt, args.seed
-    return _header(args) + _csv("n,finite_fraction,mean,se,median", [row])
+    return _csv("n,finite_fraction,mean,se,median", [row])
 
 
 def cmd_zeroone(args):
@@ -205,26 +203,23 @@ def cmd_zeroone(args):
     f = parse_integrand(args.f)
     res = finiteness_criterion(f, phi, tuple(args.domain))
     args.manifest.update(_quadrature_facts(res))
-    lines = _header(args)
-    lines.append(f"verdict={_zero_one(res.verdict)}")
-    lines.append(f"criterion={res.verdict.value}")
+    lines = [f"verdict={_zero_one(res.verdict)}",
+             f"criterion={res.verdict.value}"]
     if res.value is not None:
         lines.append(f"criterion_value={_fmt(res.value)}")
     return lines
 
 
 def cmd_moment(args):
-    lines = _header(args)
     phi = parse_phi(args.phi)
     if args.mode == "exact":
         f = parse_integrand(args.f)
         val = moments.exact_stable_moment(phi, args.p, f, tuple(args.domain))
-        lines.append(f"value={_fmt(val)}")
-        return lines
+        return [f"value={_fmt(val)}"]
     if args.mode == "equiv":
         res = moments.exp_moment_equivalence(phi, args.p, args.lam)
         args.manifest.update(_quadrature_facts(res))
-        lines.append(f"verdict=BOTH_{res.verdict.name}")
+        lines = [f"verdict=BOTH_{res.verdict.name}"]
         if res.value is not None:
             lines.append(f"criterion_value={_fmt(res.value)}")
         return lines
@@ -234,14 +229,13 @@ def cmd_moment(args):
                                            args.seed, method=args.method,
                                            dt=args.dt)
         args.manifest.update(_grid_facts(grid))
-        return lines + _csv("n,mean,se,method,heavy_tail", [(
+        return _csv("n,mean,se,method,heavy_tail", [(
             est.n_samples, est.mean, est.std_error, est.method,
             est.heavy_tail_flag)])
     rep = moments.bound_scan(phi, args.p, args.T_grid, args.paths,   # bound
                              args.seed, theta=args.theta, lam=args.lam,
                              dt=args.dt, method=args.method)
-    lines.append(f"# clause={rep.clause}")
-    return lines + _bound_rows(rep, "T,mc_mean,mc_se,rhs,ratio")
+    return [f"# clause={rep.clause}"] + _bound_rows(rep, "T,mc_mean,mc_se,rhs,ratio")
 
 
 def _build_system(args, a4) -> spde.GalerkinSystem:
@@ -296,7 +290,6 @@ def cmd_spde(args):
     system = _build_system(args, (c, delta) if c else None)
     if args.mode == "galerkin" and args.truncations is None:
         args.truncations = [2 ** j for j in range((args.n - 1).bit_length())]
-    lines = _header(args)
     if args.mode == "sim":
         path = spde.simulate(system, phi, args.T, args.dt, args.seed)
         with np.errstate(over="ignore"):    # an overflow is refused as inf below
@@ -305,32 +298,32 @@ def cmd_spde(args):
         if not np.all(np.isfinite(norms)):
             raise NumericError("a path left the range of doubles: |X_t| or "
                                "|Z_t| is not finite")
-        return lines + _csv("t,S_t,|X_t|,|Z_t|",
-                            zip(path.times, path.subordinator, *norms))
+        return _csv("t,S_t,|X_t|,|Z_t|",
+                    zip(path.times, path.subordinator, *norms))
     if args.mode == "convmom":
         rep = spde.convolution_moment_scan(system, phi, args.p, args.theta,
                                            args.t_grid, args.paths, args.seed,
                                            dt=args.dt)
         args.manifest.update(_level_facts(rep.levels, rep.estimates))
-        return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
+        return _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "maximal":
         rep = spde.maximal_inequality_scan(system, phi, args.p, args.t_grid,
                                            args.paths, args.seed, dt=args.dt)
         args.manifest.update(_level_facts(rep.levels, rep.estimates))
-        return lines + _bound_rows(rep, "t,statistic,se,rhs,ratio")
+        return _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "smallball":
         res = spde.small_ball(system, phi, args.delta, args.T, args.paths,
                               args.seed, dt=args.dt)
-        return lines + _csv("probability,wilson_low,wilson_high,analytic_lower_bound",
-                            [(res.probability, res.wilson_low, res.wilson_high,
-                              res.analytic_lower_bound)])
+        return _csv("probability,wilson_low,wilson_high,analytic_lower_bound",
+                    [(res.probability, res.wilson_low, res.wilson_high,
+                      res.analytic_lower_bound)])
     if args.mode == "longrun":
         rep = spde.longrun_moment_scan(system, phi, args.p, args.theta,
                                        args.t_grid, args.paths, args.seed,
                                        dt=args.dt)
         args.manifest.update(_level_facts(rep.levels, rep.averages))
         rows = ((T, est.mean, est.std_error) for T, est in zip(rep.horizons, rep.averages))
-        return lines + _csv("T,average,se", rows)
+        return _csv("T,average,se", rows)
     if args.mode == "control":
         times = time_grid(args.T, args.dt)
         inc = grid_increments(phi, times, stream(args.seed, 0), 1)[0]
@@ -338,10 +331,10 @@ def cmd_spde(args):
         res = spde.synthesize_null_controller(system, times, ell,
                                               max_iter=args.max_iter,
                                               driver=phi)
-        lines.append(f"# converged={res.converged}")
-        lines.append(f"# terminal_phi_norm={_fmt(float(np.linalg.norm(res.phi_terminal)))}")
-        lines.append(f"# terminal_y_norm={_fmt(float(np.linalg.norm(res.y_terminal)))}")
-        lines.append(f"# history={','.join(_fmt(h) for h in res.history)}")
+        lines = [f"# converged={res.converged}",
+                 f"# terminal_phi_norm={_fmt(float(np.linalg.norm(res.phi_terminal)))}",
+                 f"# terminal_y_norm={_fmt(float(np.linalg.norm(res.y_terminal)))}",
+                 f"# history={','.join(_fmt(h) for h in res.history)}"]
         rows = ((t, l, float(np.linalg.norm(u)))
                 for t, l, u in zip(res.times, res.ell, res.control))
         return lines + _csv("t,ell,u_norm", rows)
@@ -356,7 +349,7 @@ def cmd_spde(args):
         projection_floor=_join(rep.projection_floor),
         floor_share=_join(rep.floor_share),
         truncations_stepped=rep.truncations_stepped)
-    return lines + _csv("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high", (
+    return _csv("n,mean_sq_sup,se,exceed_prob,wilson_low,wilson_high", (
         (m, est.mean, est.std_error, *pr)
         for m, est, pr in zip(rep.truncations, rep.sup_sq_error, rep.exceed_prob)))
 
@@ -543,7 +536,8 @@ def main(argv: Optional[list] = None) -> int:
     except (DomainError, RangeError, NumericError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(args, lines, time.perf_counter() - start)
+    # a handler returns the body; the header reads the arguments as it left them
+    _emit(args, _header(args) + lines, time.perf_counter() - start)
     return 0
 
 

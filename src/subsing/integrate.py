@@ -368,11 +368,12 @@ def _power_cell_means(theta: float, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def stieltjes_increments(f: Integrand, times: np.ndarray,
+def stieltjes_increments(weights: np.ndarray,
                          increments: np.ndarray) -> np.ndarray:
-    """Sums of cell averages of f times the increments, per replica row (R, K)."""
+    """Sums of the weights, the cell averages of f (:func:`cell_means`),
+    times the increments, per replica row (R, K)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = increments @ cell_means(f, times)
+        out = increments @ weights
     out[out > OVERFLOW_GUARD] = np.inf
     return out
 

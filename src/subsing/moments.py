@@ -11,7 +11,7 @@ Carlo and report ratios against the analytic right sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -66,8 +66,6 @@ def exact_stable_moment(phi: BernsteinFunction, p: float, f: Integrand,
         raise CapabilityError(f"{phi.name}: no exact moment formula; "
                               "only a stable exponent has one")
     alpha = phi.params[0]
-    if f.kind is IntegrandKind.CONSTANT and f.params[0] == 0.0:
-        raise DomainError("f vanishes a.e.; the moment formula requires Leb{f>0} > 0")
     # the stable scale: the integral of f^alpha is the criterion for phi
     scale = finiteness_criterion(f, phi, domain)
     if scale.verdict is Verdict.UNDETERMINED:
@@ -262,24 +260,24 @@ def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[
 def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
     """Monte Carlo means of the columns of ``transform`` of the integral of f
     over ``times``, one :class:`MCEstimate` per column; ``times`` None marks
-    an a.s. infinite integral, whose paths are all +inf, and draws nothing.
-    A grid on which a cell average of f is past the range of doubles is
-    refused before anything is drawn."""
+    an a.s. infinite integral, whose paths are all +inf and draw no variate.
+    The cell averages of f are evaluated once, and a grid on which one is
+    past the range of doubles is refused before anything is drawn."""
     if times is None:
-        if N <= 0:
-            raise DomainError("need a positive sample count")
-        value = np.ravel(transform(np.array([math.inf])))
-        blocks = [mc.Moments(N, value, np.zeros_like(value))]
-        return [replace(est, method=method) for est in mc.estimate_from_blocks(blocks)]
+        def sampler(rng, m):
+            return transform(np.full(m, math.inf))
+
+        return mc.run_mc(sampler, N, seed, method=method)
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(cell_means(f, times))):
+    weights = cell_means(f, times)
+    if not np.all(np.isfinite(weights)):
         # an infinite weight times an increment that underflowed to 0 is nan
         raise NumericError("a cell average of f on this grid is past the range "
                            "of doubles: take a larger T or dt")
 
     def sampler(rng, m):
         inc = grid_increments(phi, times, rng, m)
-        return transform(stieltjes_increments(f, times, inc))
+        return transform(stieltjes_increments(weights, inc))
 
     return mc.run_mc(sampler, N, seed, method=method, width=len(times) - 1)
 

@@ -22,6 +22,7 @@ import numpy as np
 from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, NumericError,
                      PreconditionError)
+from .integrate import Verdict, finiteness_criterion, power_singular
 from .mc import (CHUNK_DOUBLES, MCEstimate, Moments, estimate_from_blocks,
                  merge_all, wilson_interval, workers_for)
 from .moments import (BoundReport, _horizons, bound_rhs, small_time_gate,
@@ -746,7 +747,6 @@ class ControllerResult:
 def a4_driver_integrability(driver: BernsteinFunction, delta: float) -> bool:
     """Check the driver-side inverse-noise condition: the exponent applied to
     s^(-2 delta) must be integrable at 0."""
-    from .integrate import Verdict, finiteness_criterion, power_singular
     res = finiteness_criterion(power_singular(2.0 * delta), driver, (0.0, 1.0))
     if res.verdict is Verdict.UNDETERMINED:
         raise PreconditionError("driver integrability check did not resolve")

@@ -544,6 +544,17 @@ def test_median_of_means_of_one_path_exit_code(method, capsys):
     assert capsys.readouterr().err == "error: median of means needs two or more paths\n"
 
 
+@pytest.mark.parametrize("method", ["median_of_means", "auto"])
+def test_median_of_means_of_one_infinite_path_exit_code(method, capsys):
+    # t^-2 gives an a.s. infinite integral, which runs through the same
+    # engine: one path is refused as on a finite integral
+    assert run(["moment", "mc", "--phi", "stable:0.5", "--p", "0.3",
+                "--f", "pow:2", "--paths", "1", "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: median of means needs two or more paths\n"
+
+
 @pytest.mark.parametrize("argv, columns", [
     (["sim", "--phi", "stable:0.5"], ("mc_se", "z")),
     (["moment", "mc", "--phi", "gamma", "--p", "0.5", "--f", "pow:0.5"], ("se",)),
@@ -1346,7 +1357,7 @@ def test_moment_mc_of_an_infinite_integral(monkeypatch, capsys):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew paths of an a.s. infinite integral")
 
-    monkeypatch.setattr(moments.mc, "run_mc", no_draw)
+    monkeypatch.setattr(moments, "grid_increments", no_draw)
     rows = {}
     for p in ("0.25", "0", "-1"):
         assert run(["moment", "mc", "--phi", "stable:0.5", "--p", p,

@@ -375,11 +375,47 @@ def test_mc_moment_of_an_infinite_integral_is_not_drawn(alpha, p, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew paths of an a.s. infinite integral")
 
-    monkeypatch.setattr(mo.mc, "run_mc", no_draw)
+    monkeypatch.setattr(mo, "grid_increments", no_draw)
     f = itg.power_singular(2.0)
     est = mo.mc_moment(bf.stable(alpha), p, f, 1.0, 100, 3)
     assert est.mean == mo.exact_stable_moment(bf.stable(alpha), p, f, (0.0, 1.0))
     assert est.n_samples == 100
+
+
+@pytest.mark.parametrize("N", [2, 5000])
+def test_cell_means_once_per_grid(N, monkeypatch):
+    # dt fixes the grid without a search: one bias evaluation and one set of
+    # Monte Carlo weights, whatever the number of blocks
+    calls = []
+    for module in (itg, mo):
+        def counted(f, times, inner=module.cell_means):
+            calls.append(len(times))
+            return inner(f, times)
+
+        monkeypatch.setattr(module, "cell_means", counted)
+    mo.char_functional_mc(ST5, itg.power_singular(0.5), 1.0, N, 4, dt=1 / 64)
+    assert calls == [65, 65]
+
+
+@pytest.mark.parametrize("run", [
+    lambda f: mo.mc_moment(ST5, 0.3, f, 1.0, 100, 3),
+    lambda f: mo.char_functional_mc(ST5, f, 1.0, 100, 3),
+    lambda f: mo.integral_summary(ST5, f, 1.0, 100, 3),
+], ids=["mc_moment", "char_functional_mc", "integral_summary"])
+def test_infinite_integral_runs_the_engine_once_without_drawing(run, monkeypatch):
+    entered = []
+
+    def counted(*args, inner=mo.mc.run_mc, **kwargs):
+        entered.append(args[1])
+        return inner(*args, **kwargs)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew paths of an a.s. infinite integral")
+
+    monkeypatch.setattr(mo.mc, "run_mc", counted)
+    monkeypatch.setattr(mo, "grid_increments", no_draw)
+    run(itg.power_singular(2.0))
+    assert entered == [100]
 
 
 def test_integral_summary_keeps_every_value_under_many_workers(monkeypatch):
