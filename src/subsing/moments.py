@@ -26,7 +26,7 @@ from .integrate import (OVERFLOW_GUARD, Finiteness, Integrand, IntegrandKind,
                         finiteness_criterion, improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
-from .subordinator import cell_count, grid_increments, power_graded_grid, time_grid
+from .subordinator import cell_count, grid_sampler, power_graded_grid, time_grid
 
 GRID_BIAS_TOL = 1e-5    # |bias| a default grid must certify, see grid_bias
 FIRST_CELLS = 32        # the default grid search doubles from here ...
@@ -261,8 +261,9 @@ def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
     """Monte Carlo means of the columns of ``transform`` of the integral of f
     over ``times``, one :class:`MCEstimate` per column; ``times`` None marks
     an a.s. infinite integral, whose paths are all +inf and draw no variate.
-    The cell averages of f are evaluated once, and a grid on which one is
-    past the range of doubles is refused before anything is drawn."""
+    The cell averages of f and the grid sampler are made once per run, and
+    a grid on which one average is past the range of doubles is refused
+    before anything is drawn."""
     if times is None:
         def sampler(rng, m):
             return transform(np.full(m, math.inf))
@@ -275,9 +276,10 @@ def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
         raise NumericError("a cell average of f on this grid is past the range "
                            "of doubles: take a larger T or dt")
 
+    draw = grid_sampler(phi, times)
+
     def sampler(rng, m):
-        inc = grid_increments(phi, times, rng, m)
-        return transform(stieltjes_increments(weights, inc))
+        return transform(stieltjes_increments(weights, draw(rng, m)))
 
     return mc.run_mc(sampler, N, seed, method=method, width=len(times) - 1)
 

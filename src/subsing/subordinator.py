@@ -1,7 +1,8 @@
 """Sample paths of subordinators, drawn as increments over a time grid.
 
 Grid paths are (n_paths, K) arrays of increments over the cells of a time
-grid.  Every simulable exponent has an exact sampler: stable and gamma
+grid, drawn by a sampler made once per grid and run (``grid_sampler``).
+Every simulable exponent has an exact sampler: stable and gamma
 increments are drawn directly, tempered stable ones at alpha = 1/2 from
 their inverse Gaussian law and at every other alpha by exponential tilting
 of stable ones, and drift-only ones are deterministic.
@@ -10,6 +11,7 @@ of stable ones, and drift-only ones are deterministic.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -54,8 +56,8 @@ def time_grid(T: float, dt: float) -> np.ndarray:
 
 def geometric_grid(t_start: float, t_end: float, ratio: float = 1.01) -> np.ndarray:
     """Strictly increasing geometric grid from t_start to t_end (both > 0)."""
-    if not 0 < t_start < t_end or ratio <= 1:
-        raise DomainError("need 0 < t_start < t_end and ratio > 1")
+    if not (0 < t_start < t_end < math.inf and 1 < ratio < math.inf):
+        raise DomainError("need 0 < t_start < t_end < inf and 1 < ratio < inf")
     n = int(math.ceil(math.log(t_end / t_start) / math.log(ratio)))
     return t_start * ratio ** np.arange(n + 1)
 
@@ -80,6 +82,20 @@ def power_graded_grid(T: float, q: float, n_nodes: int = 3000) -> np.ndarray:
 # exact samplers
 # ---------------------------------------------------------------------------
 
+class _Work(threading.local):
+    """Work arrays of one sampler, one set per thread: a set is made again
+    only when the shape drawn changes, and dies with the sampler."""
+
+    shape = None
+    arrays = ()
+
+    def take(self, shape: tuple, count: int) -> tuple:
+        if self.shape != shape:
+            self.arrays = tuple(np.empty(shape) for _ in range(count))
+            self.shape = shape
+        return self.arrays
+
+
 def _log_half_sin(x: np.ndarray, c: float, out: np.ndarray, tmp: np.ndarray,
                   div=None) -> np.ndarray:
     """log(sin(c x) / (2 div)) for 0 < c x < pi, into ``out``.
@@ -99,31 +115,45 @@ def _log_half_sin(x: np.ndarray, c: float, out: np.ndarray, tmp: np.ndarray,
     return np.log(out, out=out)
 
 
+def _kanter(rng: np.random.Generator, alpha: float, log_h, u: np.ndarray,
+            e: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Kanter variates h^(1/alpha) V into ``out``, for 0 < alpha < 1 and
+    ``log_h`` = log(h) / alpha broadcast against it; ``u``, ``e`` and
+    ``tmp`` are overwritten.  The uniform on (0, pi) is drawn as ``random``
+    times pi, the bits of ``uniform(0, pi)``.  The sum is taken in logs in
+    these four arrays; the log 2 of each half-sine cancels from it."""
+    rng.random(out=u)
+    u *= math.pi
+    rng.standard_exponential(out=e)
+    with np.errstate(over="ignore", under="ignore"):
+        _log_half_sin(u, 1.0 - alpha, out, tmp, e)
+        out *= (1.0 - alpha) / alpha
+        out += _log_half_sin(u, alpha, e, tmp)
+        _log_half_sin(u, 1.0, u, tmp)
+        u *= 1.0 / alpha
+        out -= u
+        out += log_h
+        return np.exp(out, out=out)
+
+
+def _check_stable_index(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise DomainError("stable index must lie in (0, 1)")
+
+
 def _stable(rng: np.random.Generator, size, alpha: float, h) -> np.ndarray:
     """Variates h^(1/alpha) V, V as in stable_standard, for widths h > 0
     broadcast against ``size``.  The scale enters before the last rounding,
     so no variate is 0 or inf unless its value is past the double range."""
-    if not 0 < alpha < 1:
-        raise DomainError("stable index must lie in (0, 1)")
+    _check_stable_index(alpha)
     with np.errstate(over="ignore", under="ignore"):
         if alpha == 0.5:
             # Levy: V = 1/(2 N^2) has E exp(-r V) = exp(-sqrt(r))
             v = rng.standard_normal(size)
             np.divide(math.sqrt(0.5) * h, v, out=v)
             return np.square(v, out=v)
-        u = rng.uniform(0.0, math.pi, size)
-        e = rng.standard_exponential(size)
-        # Kanter in logs, in four arrays; the log 2 of each half-sine
-        # cancels from the sum
-        log_v, tmp = np.empty_like(u), np.empty_like(u)
-        _log_half_sin(u, 1.0 - alpha, log_v, tmp, e)
-        log_v *= (1.0 - alpha) / alpha
-        log_v += _log_half_sin(u, alpha, e, tmp)
-        _log_half_sin(u, 1.0, u, tmp)
-        u *= 1.0 / alpha
-        log_v -= u
-        log_v += np.log(h) / alpha
-        return np.exp(log_v, out=log_v)
+        log_h = np.log(h) / alpha
+    return _kanter(rng, alpha, log_h, *(np.empty(size) for _ in range(4)))
 
 
 def stable_standard(rng: np.random.Generator, size, alpha: float) -> np.ndarray:
@@ -145,25 +175,46 @@ def _widths(times) -> np.ndarray:
     return dt
 
 
+def _stable_sampler(alpha: float, h: np.ndarray):
+    """draw(rng, n_paths) of (n_paths, K) variates h^(1/alpha) V, as
+    :func:`_stable` draws them; Kanter's u, e and tmp are work arrays and
+    log(h) / alpha is made once."""
+    _check_stable_index(alpha)
+    if alpha == 0.5:
+        return lambda rng, n_paths=1: _stable(rng, (n_paths, h.size), alpha, h)
+    with np.errstate(over="ignore", under="ignore"):
+        log_h = np.log(h) / alpha
+    work = _Work()
+
+    def draw(rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
+        shape = (n_paths, h.size)
+        return _kanter(rng, alpha, log_h, *work.take(shape, 3), np.empty(shape))
+
+    return draw
+
+
 def stable_grid_increments(alpha: float, times: np.ndarray,
                            rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
     """(n_paths, K) independent stable increments over the grid cells."""
-    dt = _widths(times)
-    return _stable(rng, (n_paths, dt.size), alpha, dt)
+    return _stable_sampler(alpha, _widths(times))(rng, n_paths)
+
+
+def _gamma_sampler(dt: np.ndarray):
+    return lambda rng, n_paths=1: rng.standard_gamma(
+        np.broadcast_to(dt, (n_paths, dt.size)))
 
 
 def gamma_grid_increments(times: np.ndarray, rng: np.random.Generator,
                           n_paths: int = 1) -> np.ndarray:
     """Exact gamma-subordinator increments: Gamma(shape=dt, scale=1)."""
-    dt = _widths(times)
-    return rng.standard_gamma(np.broadcast_to(dt, (n_paths, dt.size)))
+    return _gamma_sampler(_widths(times))(rng, n_paths)
 
 
-def _tilted_stable(alpha: float, lam: float, h: np.ndarray,
-                   rng: np.random.Generator, n_paths: int) -> np.ndarray:
-    """(n_paths, K) variates X = h^(1/alpha) V, each kept when an independent
-    unit exponential is at least lam X and drawn again, in order, until kept."""
-    x = _stable(rng, (n_paths, h.size), alpha, h)
+def _tilted_stable(x: np.ndarray, alpha: float, lam: float, h: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The variates X = h^(1/alpha) V of ``x``, (n_paths, h.size), each kept
+    when an independent unit exponential is at least lam X and drawn again,
+    in order, until kept; ``x`` is changed in place and returned."""
     flat = x.reshape(-1)
     # a product lam X past the double range is inf, and its piece is redrawn
     with np.errstate(over="ignore"):
@@ -176,9 +227,8 @@ def _tilted_stable(alpha: float, lam: float, h: np.ndarray,
     return x
 
 
-def _inverse_gaussian(lam: float, h: np.ndarray, rng: np.random.Generator,
-                      n_paths: int) -> np.ndarray:
-    """(n_paths, K) tempered increments at alpha = 1/2.
+def _inverse_gaussian_sampler(lam: float, h: np.ndarray):
+    """draw(rng, n_paths) of (n_paths, K) tempered increments at alpha = 1/2.
 
     Over a cell of width h the exponent h (sqrt(s + lam) - sqrt(lam)) is the
     inverse Gaussian law of mean mu = h / (2 sqrt(lam)) and shape h^2 / 2.
@@ -187,78 +237,107 @@ def _inverse_gaussian(lam: float, h: np.ndarray, rng: np.random.Generator,
     two roots of their chi-square equation are mu / r and mu r; the first is
     taken when U (1 + r) <= r for U uniform.  r is formed as a square, not
     as 1 + z - sqrt(z (2 + z)), which cancels when h is small, so no
-    increment is 0 or inf unless its value is past the double range.
+    increment is 0 or inf unless its value is past the double range.  mu
+    and 0.5 / sqrt(h sqrt(lam)) are made once; u and tmp are work arrays.
     """
-    x = rng.standard_normal((n_paths, h.size))
-    u = rng.random(x.shape)
     root = math.sqrt(lam)
     mu = h / (2.0 * root)
-    tmp = np.empty_like(x)
-    # r past the double range makes inf * 0 = nan below, which fmax drops
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.abs(x, out=x)
-        x *= 0.5 / np.sqrt(h * root)            # |a|
-        np.multiply(x, x, out=tmp)
-        tmp += 1.0
-        x += np.sqrt(tmp, out=tmp)
-        x *= x                                  # r
-        np.add(x, 1.0, out=tmp)
-        u *= tmp
-        np.greater(u, x, out=u)                 # 1 where mu r is taken, else 0
-        np.divide(mu, x, out=tmp)
-        x *= u
-        x *= mu
-        # mu / r <= mu r as r >= 1: the larger of mu / r and (mu r or 0) is
-        # the root taken, with no masked loop
-        return np.fmax(x, tmp, out=x)
+    with np.errstate(over="ignore"):
+        half_a = 0.5 / np.sqrt(h * root)
+    work = _Work()
+
+    def draw(rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
+        x = rng.standard_normal((n_paths, h.size))
+        u, tmp = work.take(x.shape, 2)
+        rng.random(out=u)
+        # r past the double range makes inf * 0 = nan below, which fmax drops
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.abs(x, out=x)
+            x *= half_a                             # |a|
+            np.multiply(x, x, out=tmp)
+            tmp += 1.0
+            x += np.sqrt(tmp, out=tmp)
+            x *= x                                  # r
+            np.add(x, 1.0, out=tmp)
+            u *= tmp
+            np.greater(u, x, out=u)                 # 1 where mu r is taken, else 0
+            np.divide(mu, x, out=tmp)
+            x *= u
+            x *= mu
+            # mu / r <= mu r as r >= 1: the larger of mu / r and (mu r or 0)
+            # is the root taken, with no masked loop
+            return np.fmax(x, tmp, out=x)
+
+    return draw
 
 
-def tempered_grid_increments(alpha: float, lam: float, times: np.ndarray,
-                             rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
-    """(n_paths, K) exact tempered-stable increments.
-
-    At alpha = 1/2 each cell is one inverse Gaussian variate, drawn from one
-    normal and one uniform.  At every other alpha they come by exponential
-    tilting: a stable piece X = h^(1/alpha) V is kept with probability
-    exp(-lam X), exp(-h lam^alpha) on average, and a kept piece has the
-    exponent h ((s + lam)^alpha - lam^alpha) (Baeumer & Meerschaert,
+def _tilting_sampler(alpha: float, lam: float, dt: np.ndarray):
+    """draw(rng, n_paths) of (n_paths, K) tempered increments at alpha != 1/2,
+    by exponential tilting: a stable piece X = h^(1/alpha) V is kept with
+    probability exp(-lam X), exp(-h lam^alpha) on average, and a kept piece
+    has the exponent h ((s + lam)^alpha - lam^alpha) (Baeumer & Meerschaert,
     J. Comput. Appl. Math. 233, 2010).  A cell with h lam^alpha >
     TILT_PIECE_MASS is split into ceil(h lam^alpha / TILT_PIECE_MASS) equal
     pieces and their values summed.  The first pass draws one piece of
     every cell; each further pass draws the same number of pieces for every
     cell with pieces left, at most TILT_BATCH in all, so the time grows
     with the number of pieces and no temporary outgrows (n_paths, K) or
-    TILT_BATCH.
+    TILT_BATCH.  The pieces are counted once; the first pass draws from a
+    Kanter sampler of its own.
     """
-    dt = _widths(times)
-    if alpha == 0.5:
-        return _inverse_gaussian(lam, dt, rng, n_paths)
     pieces = np.maximum(np.ceil(dt * lam ** alpha / TILT_PIECE_MASS), 1.0)
     _check_node_count(pieces.sum())    # the pieces form a finer grid
     h = dt / pieces
-    out = _tilted_stable(alpha, lam, h, rng, n_paths)
-    pieces -= 1.0
-    while (cells := np.flatnonzero(pieces > 0)).size:
-        k = int(min(pieces[cells].min(),
-                    max(1, TILT_BATCH // max(1, n_paths * cells.size))))
-        x = _tilted_stable(alpha, lam, np.repeat(h[cells], k), rng, n_paths)
-        out[:, cells] += x.reshape(n_paths, cells.size, k).sum(axis=2)
-        pieces[cells] -= k
-    return out
+    first = _stable_sampler(alpha, h)
+
+    def draw(rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
+        out = _tilted_stable(first(rng, n_paths), alpha, lam, h, rng)
+        left = pieces - 1.0
+        while (cells := np.flatnonzero(left > 0)).size:
+            k = int(min(left[cells].min(),
+                        max(1, TILT_BATCH // max(1, n_paths * cells.size))))
+            hk = np.repeat(h[cells], k)
+            x = _tilted_stable(_stable(rng, (n_paths, hk.size), alpha, hk),
+                               alpha, lam, hk, rng)
+            out[:, cells] += x.reshape(n_paths, cells.size, k).sum(axis=2)
+            left[cells] -= k
+        return out
+
+    return draw
+
+
+def grid_sampler(phi: BernsteinFunction, times: np.ndarray):
+    """draw(rng, n_paths=1) -> (n_paths, K) subordinator increments over the
+    cells of ``times``, exact in law for every simulable exponent; any other
+    raises CapabilityError.
+
+    Made once per Monte Carlo run: the grid is checked and each per-grid
+    constant made here, once.  Kanter's and the inverse Gaussian's
+    temporaries are work arrays that the sampler owns, one set per thread,
+    reused while the shape drawn stays the same; they die with the sampler.
+    Every returned array is fresh, never a work array, so a draw may be
+    handed to another thread.  Stable increments at alpha = 1/2 are drawn
+    from one normal each; tempered ones at alpha = 1/2 from one normal and
+    one uniform, the inverse Gaussian law; at every other alpha both come
+    from Kanter's representation, tempered ones by exponential tilting.
+    """
+    if phi.kind is Catalog.STABLE:
+        return _stable_sampler(phi.params[0], _widths(times))
+    if phi.kind is Catalog.GAMMA:
+        return _gamma_sampler(_widths(times))
+    if phi.kind is Catalog.TEMPERED_STABLE:
+        alpha, lam = phi.params
+        if alpha == 0.5:
+            return _inverse_gaussian_sampler(lam, _widths(times))
+        return _tilting_sampler(alpha, lam, _widths(times))
+    if phi.kind is Catalog.DRIFT_ONLY:
+        step = phi.params[0] * _widths(times)
+        return lambda rng, n_paths=1: np.broadcast_to(step, (n_paths, step.size)).copy()
+    raise CapabilityError(f"{phi.name}: no exact grid sampler")
 
 
 def grid_increments(phi: BernsteinFunction, times: np.ndarray,
                     rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
-    """(n_paths, K) subordinator increments over the cells of ``times``,
-    exact in law for every simulable exponent; any other raises
-    CapabilityError."""
-    if phi.kind is Catalog.STABLE:
-        return stable_grid_increments(phi.params[0], times, rng, n_paths)
-    if phi.kind is Catalog.GAMMA:
-        return gamma_grid_increments(times, rng, n_paths)
-    if phi.kind is Catalog.TEMPERED_STABLE:
-        return tempered_grid_increments(*phi.params, times, rng, n_paths)
-    if phi.kind is Catalog.DRIFT_ONLY:
-        dt = _widths(times)
-        return np.broadcast_to(phi.params[0] * dt, (n_paths, dt.size)).copy()
-    raise CapabilityError(f"{phi.name}: no exact grid sampler")
+    """One draw of :func:`grid_sampler`: (n_paths, K) subordinator
+    increments over the cells of ``times``."""
+    return grid_sampler(phi, times)(rng, n_paths)

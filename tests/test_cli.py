@@ -728,12 +728,17 @@ def test_sim_checks_r_before_drawing(r, monkeypatch, capsys):
 def test_sim_draws_each_path_once(monkeypatch):
     variates = []
 
-    def counted(phi, times, rng, n_paths=1):
-        variates.append(n_paths * (len(times) - 1))
-        return draw(phi, times, rng, n_paths)
+    def counted(phi, times):
+        draw = sampler(phi, times)
 
-    draw = moments.grid_increments
-    monkeypatch.setattr(moments, "grid_increments", counted)
+        def counted_draw(rng, n_paths=1):
+            variates.append(n_paths * (len(times) - 1))
+            return draw(rng, n_paths)
+
+        return counted_draw
+
+    sampler = moments.grid_sampler
+    monkeypatch.setattr(moments, "grid_sampler", counted)
     drawn = []
     for r in ("1", "0.5,1,2"):
         variates.clear()
@@ -1355,9 +1360,9 @@ def test_moment_mc_of_an_infinite_integral(monkeypatch, capsys):
     # alpha theta = 1: the integral is a.s. infinite, as `moment exact`,
     # `integrate` and `zeroone` say; nothing is drawn to say so
     def no_draw(*args, **kwargs):
-        raise AssertionError("drew paths of an a.s. infinite integral")
+        raise AssertionError("made a sampler for an a.s. infinite integral")
 
-    monkeypatch.setattr(moments, "grid_increments", no_draw)
+    monkeypatch.setattr(moments, "grid_sampler", no_draw)
     rows = {}
     for p in ("0.25", "0", "-1"):
         assert run(["moment", "mc", "--phi", "stable:0.5", "--p", p,

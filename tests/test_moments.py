@@ -1,6 +1,7 @@
 import math
 import pathlib
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from subsing import bernstein as bf
 from subsing import integrate as itg
 from subsing import moments as mo
+from subsing import subordinator as sub
 from subsing.errors import DomainError, GateViolation
 
 ST5 = bf.stable(0.5)
@@ -373,9 +375,9 @@ def test_mc_moment_of_an_infinite_integral_is_not_drawn(alpha, p, monkeypatch):
     # t^-2 on (0, 1] is a.s. infinite once alpha theta >= 1; the moment is
     # that of an all-+inf sample
     def no_draw(*args, **kwargs):
-        raise AssertionError("drew paths of an a.s. infinite integral")
+        raise AssertionError("made a sampler for an a.s. infinite integral")
 
-    monkeypatch.setattr(mo, "grid_increments", no_draw)
+    monkeypatch.setattr(mo, "grid_sampler", no_draw)
     f = itg.power_singular(2.0)
     est = mo.mc_moment(bf.stable(alpha), p, f, 1.0, 100, 3)
     assert est.mean == mo.exact_stable_moment(bf.stable(alpha), p, f, (0.0, 1.0))
@@ -410,12 +412,45 @@ def test_infinite_integral_runs_the_engine_once_without_drawing(run, monkeypatch
         return inner(*args, **kwargs)
 
     def no_draw(*args, **kwargs):
-        raise AssertionError("drew paths of an a.s. infinite integral")
+        raise AssertionError("made a sampler for an a.s. infinite integral")
 
     monkeypatch.setattr(mo.mc, "run_mc", counted)
-    monkeypatch.setattr(mo, "grid_increments", no_draw)
+    monkeypatch.setattr(mo, "grid_sampler", no_draw)
     run(itg.power_singular(2.0))
     assert entered == [100]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("phi, f, N, seed, pinned", [
+    ("stable:0.3", "pow:0.5", 2000, 7, (0.29941478415548034, 0.00819825734582708)),
+    ("tempered:0.3,2", "exp:1", 20000, 8, (0.8996584237748095, 0.0008448794350324363)),
+], ids=["kanter", "tilting"])
+def test_multi_block_estimate_pinned(phi, f, N, seed, pinned, workers, monkeypatch):
+    # 32 blocks draw from one sampler of 74 (Kanter) or 8 (tilting) cells,
+    # with blocks of over 4096 doubles, so at two workers on two threads: a
+    # work array left stale by one block moves the estimate from the second
+    # block on.  Fixed by the streams, the samplers and the default grids
+    monkeypatch.setenv("SUBSING_WORKERS", workers)
+    est = mo.char_functional_mc(bf.parse_phi(phi), itg.parse_integrand(f),
+                                1.0, N, seed)
+    assert (est.mean, est.std_error) == pinned
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_work_arrays_die_with_the_run(workers, monkeypatch):
+    # the sampler's work arrays, the calling thread's and the pool's, go
+    # with the run: nothing that a block drew into outlives it
+    refs = []
+
+    def take(self, shape, count, inner=sub._Work.take):
+        arrays = inner(self, shape, count)
+        refs.extend(weakref.ref(a) for a in arrays)
+        return arrays
+
+    monkeypatch.setattr(sub._Work, "take", take)
+    monkeypatch.setenv("SUBSING_WORKERS", workers)
+    mo.char_functional_mc(bf.stable(0.3), itg.power_singular(0.5), 1.0, 2000, 7)
+    assert refs and all(ref() is None for ref in refs)
 
 
 def test_integral_summary_keeps_every_value_under_many_workers(monkeypatch):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +18,24 @@ def test_time_grid_basic():
     assert np.allclose(g, [0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(DomainError):
         sub.time_grid(1.0, 2.0)
+
+
+@pytest.mark.parametrize("t_start, t_end, ratio", [
+    (1.0, 10.0, math.nan), (1.0, math.inf, 1.01), (1.0, 10.0, math.inf),
+    (1.0, math.nan, 1.01), (math.nan, 10.0, 1.01), (1.0, 10.0, 1.0),
+], ids=["ratio-nan", "t_end-inf", "ratio-inf", "t_end-nan", "t_start-nan",
+        "ratio-one"])
+def test_geometric_grid_refuses_a_non_finite_or_unit_input(t_start, t_end, ratio):
+    # each is a DomainError, not a ValueError or OverflowError from the node
+    # count; ratio = inf would give the one node t_start, short of t_end
+    with pytest.raises(DomainError):
+        sub.geometric_grid(t_start, t_end, ratio)
+
+
+def test_geometric_grid_reaches_its_end():
+    g = sub.geometric_grid(1.0, 10.0, 1.5)
+    assert g[0] == 1.0 and g[-2] < 10.0 <= g[-1]
+    assert np.allclose(g[1:] / g[:-1], 1.5)
 
 
 def test_power_graded_grid_shape():
@@ -244,9 +265,9 @@ def test_tempered_inverse_gaussian_draws_one_normal_and_one_uniform(monkeypatch)
             self.calls.append(("standard_normal", size))
             return self.rng.standard_normal(size)
 
-        def random(self, size):
-            self.calls.append(("random", size))
-            return self.rng.random(size)
+        def random(self, size=None, *, out=None):
+            self.calls.append(("random", size if out is None else out.shape))
+            return self.rng.random(size, out=out)
 
     def no_tilting(*args, **kwargs):
         raise AssertionError("alpha = 1/2 reached the tilting sampler")
@@ -256,6 +277,51 @@ def test_tempered_inverse_gaussian_draws_one_normal_and_one_uniform(monkeypatch)
     inc = sub.grid_increments(bf.tempered_stable(0.5, 1e3), [0.0, 0.5, 4.0], spy, 7)
     assert spy.calls == [("standard_normal", (7, 2)), ("random", (7, 2))]
     assert inc.shape == (7, 2) and np.all(inc > 0)
+
+
+SAMPLED = ["stable:0.3", "stable:0.5", "gamma", "tempered:0.5,1",
+           "tempered:0.3,2", "drift:1"]
+
+
+@pytest.mark.parametrize("phi", SAMPLED)
+def test_draws_of_one_sampler_are_fresh(phi):
+    # a draw is never a work array: the next draw on the same thread leaves
+    # it as it was and shares no memory with it, and both are the draws of
+    # grid_increments from the same streams
+    times = np.linspace(0.0, 1.0, 9)
+    draw = sub.grid_sampler(bf.parse_phi(phi), times)
+    a = draw(stream(72, 0), 16)
+    kept = a.copy()
+    b = draw(stream(72, 1), 16)
+    assert not np.shares_memory(a, b)
+    assert np.array_equal(a, kept)
+    for k, got in enumerate((a, b)):
+        want = sub.grid_increments(bf.parse_phi(phi), times, stream(72, k), 16)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("phi", SAMPLED)
+def test_one_sampler_drawn_from_two_threads(phi):
+    # each thread draws into work arrays of its own: eight draws made two
+    # at a time on two threads equal the same draws made one after another
+    times = np.linspace(0.0, 1.0, 65)
+    draw = sub.grid_sampler(bf.parse_phi(phi), times)
+    alone = [draw(stream(71, k), 500) for k in range(8)]
+    start = threading.Barrier(2)
+
+    def run(ks):
+        start.wait(timeout=60)
+        return [draw(stream(71, k), 500) for k in ks]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            even, odd = pool.map(run, [range(0, 8, 2), range(1, 8, 2)])
+    finally:
+        sys.setswitchinterval(interval)
+    together = [x for pair in zip(even, odd) for x in pair]
+    assert all(np.array_equal(x, y) for x, y in zip(alone, together))
 
 
 def test_compound_poisson_estimate_pinned():
