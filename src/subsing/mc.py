@@ -164,9 +164,12 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
     min(DEFAULT_BLOCKS, n_samples) draws from ``stream(seed, b)`` in chunks
     of at most max(8, min(4096, CHUNK_DOUBLES // width)) samples and the
     block partials merge in block order, so no worker count changes the
-    result.  A pool of :func:`workers_for` (one chunk's doubles) threads
-    runs the blocks; where that count is 1 they run in block order on the
-    calling thread.
+    result.  The calling thread and :func:`workers_for` (one chunk's
+    doubles) - 1 helper threads take block indices from one shared iterator
+    (each ``next`` holds the interpreter lock, so every block is taken
+    once) and store each block's partial by its index; with no helper the
+    calling thread runs the blocks in block order.  An error raised in a
+    block is raised here once every thread has stopped.
     """
     if n_samples <= 0:
         raise DomainError("need a positive sample count")
@@ -176,22 +179,29 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
 
     chunk = max(8, min(4096, CHUNK_DOUBLES // width))
 
-    def run_block(b: int) -> Moments:
-        rng = stream(seed, b)
-        left = n_samples // blocks + (b < n_samples % blocks)
-        parts = []
-        while left > 0:
-            m = min(left, chunk)
-            parts.append(Moments.of(sampler(rng, m)))
-            left -= m
-        return merge_all(parts)
+    parts = [None] * blocks
+    todo = iter(range(blocks))
 
-    workers = workers_for(min(chunk, -(-n_samples // blocks)) * width)
-    if workers == 1:
-        parts = list(map(run_block, range(blocks)))
+    def run_blocks() -> None:
+        for b in todo:
+            rng = stream(seed, b)
+            left = n_samples // blocks + (b < n_samples % blocks)
+            chunks = []
+            while left > 0:
+                m = min(left, chunk)
+                chunks.append(Moments.of(sampler(rng, m)))
+                left -= m
+            parts[b] = merge_all(chunks)
+
+    helpers = workers_for(min(chunk, -(-n_samples // blocks)) * width) - 1
+    if helpers == 0:
+        run_blocks()
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, range(blocks)))
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            done = [pool.submit(run_blocks) for _ in range(helpers)]
+            run_blocks()
+        for future in done:
+            future.result()
     return estimate_from_blocks(parts, method)
 
 

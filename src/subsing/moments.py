@@ -26,7 +26,8 @@ from .integrate import (OVERFLOW_GUARD, Finiteness, Integrand, IntegrandKind,
                         finiteness_criterion, improper_integral, power_singular,
                         stieltjes_increments)
 from .mc import MCEstimate
-from .subordinator import cell_count, grid_sampler, power_graded_grid, time_grid
+from .subordinator import (cell_count, grid_sampler, power_graded_grid,
+                           require_sampler, time_grid)
 
 GRID_BIAS_TOL = 1e-5    # |bias| a default grid must certify, see grid_bias
 FIRST_CELLS = 32        # the default grid search doubles from here ...
@@ -248,12 +249,15 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
 def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[float]):
     """The finiteness criterion of f on (0, T] and the grid, bias and bias
     evaluations of :func:`_default_times`; the grid is None, with no bias,
-    for an almost surely infinite integral."""
+    for an almost surely infinite integral.  Any other integral needs an
+    exact grid sampler, and a driver without one is refused before the grid
+    search."""
     if not 0 < T < math.inf:
         raise DomainError("T and dt must be positive and finite")
     res = finiteness_criterion(f, phi, (0.0, float(T)))
     if res.verdict is Verdict.INFINITE:
         return res, None, None, 0
+    require_sampler(phi)
     return (res, *_default_times(f, T, dt, phi, _exponent(res)))
 
 

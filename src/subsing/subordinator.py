@@ -142,9 +142,16 @@ def _check_stable_index(alpha: float) -> None:
 
 
 def _stable(rng: np.random.Generator, size, alpha: float, h) -> np.ndarray:
-    """Variates h^(1/alpha) V, V as in stable_standard, for widths h > 0
-    broadcast against ``size``.  The scale enters before the last rounding,
-    so no variate is 0 or inf unless its value is past the double range."""
+    """Variates h^(1/alpha) V for widths h > 0 broadcast against ``size``,
+    V positive alpha-stable with E[exp(-r V)] = exp(-r^alpha).
+
+    Kanter's representation (Ann. Probab. 3, 1975): with U uniform on
+    (0, pi) and E unit exponential,
+    V = sin(alpha U) / sin(U)^(1/alpha) * (sin((1-alpha) U) / E)^((1-alpha)/alpha),
+    is summed in logs and exponentiated once.  At alpha = 1/2, V = 1/(2 N^2)
+    from one standard normal N instead.  The scale enters before the last
+    rounding, so no variate is 0 or inf unless its value is past the double
+    range."""
     _check_stable_index(alpha)
     with np.errstate(over="ignore", under="ignore"):
         if alpha == 0.5:
@@ -156,22 +163,11 @@ def _stable(rng: np.random.Generator, size, alpha: float, h) -> np.ndarray:
     return _kanter(rng, alpha, log_h, *(np.empty(size) for _ in range(4)))
 
 
-def stable_standard(rng: np.random.Generator, size, alpha: float) -> np.ndarray:
-    """Positive alpha-stable variates V with E[exp(-r V)] = exp(-r^alpha).
-
-    Kanter's representation (Ann. Probab. 3, 1975): with U uniform on
-    (0, pi) and E unit exponential,
-    V = sin(alpha U) / sin(U)^(1/alpha) * (sin((1-alpha) U) / E)^((1-alpha)/alpha),
-    is summed in logs and exponentiated once.  At alpha = 1/2, V = 1/(2 N^2)
-    from one standard normal N instead.
-    """
-    return _stable(rng, size, alpha, 1.0)
-
-
 def _widths(times) -> np.ndarray:
-    dt = np.diff(np.asarray(times, dtype=float))
-    if np.any(dt <= 0):
-        raise DomainError("grid times must increase strictly")
+    times = np.asarray(times, dtype=float)
+    dt = np.diff(times)
+    if not (np.all(np.isfinite(times)) and np.all(dt > 0)):
+        raise DomainError("grid times must be finite and increase strictly")
     return dt
 
 
@@ -193,21 +189,9 @@ def _stable_sampler(alpha: float, h: np.ndarray):
     return draw
 
 
-def stable_grid_increments(alpha: float, times: np.ndarray,
-                           rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
-    """(n_paths, K) independent stable increments over the grid cells."""
-    return _stable_sampler(alpha, _widths(times))(rng, n_paths)
-
-
 def _gamma_sampler(dt: np.ndarray):
     return lambda rng, n_paths=1: rng.standard_gamma(
         np.broadcast_to(dt, (n_paths, dt.size)))
-
-
-def gamma_grid_increments(times: np.ndarray, rng: np.random.Generator,
-                          n_paths: int = 1) -> np.ndarray:
-    """Exact gamma-subordinator increments: Gamma(shape=dt, scale=1)."""
-    return _gamma_sampler(_widths(times))(rng, n_paths)
 
 
 def _tilted_stable(x: np.ndarray, alpha: float, lam: float, h: np.ndarray,
@@ -306,6 +290,12 @@ def _tilting_sampler(alpha: float, lam: float, dt: np.ndarray):
     return draw
 
 
+def require_sampler(phi: BernsteinFunction) -> None:
+    """Raise CapabilityError unless ``phi`` has an exact grid sampler."""
+    if not phi.simulable:
+        raise CapabilityError(f"{phi.name}: no exact grid sampler")
+
+
 def grid_sampler(phi: BernsteinFunction, times: np.ndarray):
     """draw(rng, n_paths=1) -> (n_paths, K) subordinator increments over the
     cells of ``times``, exact in law for every simulable exponent; any other
@@ -321,6 +311,7 @@ def grid_sampler(phi: BernsteinFunction, times: np.ndarray):
     one uniform, the inverse Gaussian law; at every other alpha both come
     from Kanter's representation, tempered ones by exponential tilting.
     """
+    require_sampler(phi)
     if phi.kind is Catalog.STABLE:
         return _stable_sampler(phi.params[0], _widths(times))
     if phi.kind is Catalog.GAMMA:
@@ -330,10 +321,8 @@ def grid_sampler(phi: BernsteinFunction, times: np.ndarray):
         if alpha == 0.5:
             return _inverse_gaussian_sampler(lam, _widths(times))
         return _tilting_sampler(alpha, lam, _widths(times))
-    if phi.kind is Catalog.DRIFT_ONLY:
-        step = phi.params[0] * _widths(times)
-        return lambda rng, n_paths=1: np.broadcast_to(step, (n_paths, step.size)).copy()
-    raise CapabilityError(f"{phi.name}: no exact grid sampler")
+    step = phi.params[0] * _widths(times)     # drift only
+    return lambda rng, n_paths=1: np.broadcast_to(step, (n_paths, step.size)).copy()
 
 
 def grid_increments(phi: BernsteinFunction, times: np.ndarray,

@@ -1,6 +1,7 @@
 import numpy as np
 
 from subsing import subordinator as sub
+from subsing.bernstein import stable
 from subsing.rng import stream
 
 
@@ -15,7 +16,7 @@ def truncation_medians(alpha: float, theta: float, n_paths: int, seed: int,
     deltas = np.asarray(sorted(deltas, reverse=True))
     times = np.concatenate(([0.0], np.geomspace(deltas[-1], 1.0, 480)))
     rng = stream(seed, 0)
-    inc = sub.stable_grid_increments(alpha, times, rng, n_paths)
+    inc = sub.grid_increments(stable(alpha), times, rng, n_paths)
     nodes = times[1:]
     weights = nodes ** -theta
     meds = []

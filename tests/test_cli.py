@@ -266,6 +266,22 @@ def test_spde_draw_error_surfaces_under_any_worker_count(monkeypatch, capsys):
     assert errs[0] == errs[1] == "refused: ratio:0.5: no exact grid sampler\n"
 
 
+@pytest.mark.parametrize("phi", ["ratio:0.5", "stablelog:0.5,0.2"])
+def test_undrawable_driver_is_refused_before_the_grid_search(phi, monkeypatch,
+                                                            capsys):
+    # a finite integral under a driver with no exact grid sampler exits 2
+    # without one grid bias evaluation; an a.s. infinite one draws nothing
+    # and still runs
+    def no_bias(*args, **kwargs):
+        raise AssertionError("searched a grid for an undrawable driver")
+
+    monkeypatch.setattr(moments, "grid_bias", no_bias)
+    assert run(["integrate", "--phi", phi, "--f", "pow:0.5"]) == 2
+    assert capsys.readouterr().err == f"refused: {phi}: no exact grid sampler\n"
+    assert run(["integrate", "--phi", phi, "--f", "pow:3", "--paths", "100"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_longrun_horizon_on_the_start_column_exit_code(capsys):
     # T + 1 = 1 + 1e-12 falls on the column of t = 1: zero steps to average
     assert run(["spde", "longrun", "--n", "2", "--t-grid", "1e-12",

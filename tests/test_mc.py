@@ -1,12 +1,13 @@
 import math
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from subsing import mc
-from subsing.errors import DomainError
+from subsing.errors import DomainError, NumericError
 from subsing.mc import Moments, estimate_from_blocks, merge_all, run_mc
 from subsing.rng import stream
 
@@ -126,6 +127,10 @@ def test_worker_count_defaults_to_the_cpus_of_this_process(monkeypatch):
     assert mc._worker_count() == len(os.sched_getaffinity(0))
 
 
+def _threads() -> set:
+    return {t.ident for t in threading.enumerate()}
+
+
 # a block draws 64 paths of width 64 at a time: THREAD_DOUBLES doubles,
 # or 64 fewer
 @pytest.mark.parametrize("workers,paths,pooled", [
@@ -136,25 +141,81 @@ def test_worker_count_defaults_to_the_cpus_of_this_process(monkeypatch):
 def test_blocks_take_the_pool_only_from_thread_doubles(monkeypatch, workers,
                                                        paths, pooled):
     # two or more workers and a chunk of at least THREAD_DOUBLES doubles:
-    # the blocks go to the pool; else each runs on the calling thread, in
-    # block order
+    # the calling thread and one helper per further worker share the
+    # blocks, each drawn once; else the calling thread draws them all, in
+    # block order, and no thread is started.  Every draw sees the threads
+    # alive: the helper starts before the first block is drawn and leaves
+    # only once the last one is taken, so it is seen at least once
     monkeypatch.setenv("SUBSING_WORKERS", workers)
-    drawn = []
+    before = _threads()
+    drawn, seen = [], set()
 
     def recorded(seed, index):
         drawn.append((index, threading.get_ident()))
         return stream(seed, index)
 
+    def sampler(r, m):
+        seen.update(_threads() - before)
+        return r.standard_normal(m)
+
     monkeypatch.setattr(mc, "stream", recorded)
-    threads = threading.active_count()
-    run_mc(lambda r, m: r.standard_normal(m), 32 * paths, 1, width=64)
-    assert threading.active_count() == threads
+    run_mc(sampler, 32 * paths, 1, width=64)
+    assert _threads() == before
     here = threading.get_ident()
     if pooled:
         assert sorted(b for b, _ in drawn) == list(range(32))
-        assert here not in {ident for _, ident in drawn}
+        assert len(seen) == 1
+        assert {ident for _, ident in drawn} <= seen | {here}
     else:
         assert drawn == [(b, here) for b in range(32)]
+        assert seen == set()
+
+
+@pytest.mark.parametrize("method", ["plain", "median_of_means"])
+def test_estimates_do_not_depend_on_the_worker_count(monkeypatch, method):
+    # chunks of 128 paths x 64 doubles take threads from two workers on,
+    # up to more threads than cores, switching often; three columns, one
+    # heavy-tailed, so a merge out of block order would show in the last bits
+    def sampler(r, m):
+        x = r.standard_normal((m, 64))
+        return np.column_stack([x.sum(axis=1), (x * x).mean(axis=1),
+                                1.0 / np.abs(x[:, 0])])
+
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("1", "2", "3", "5"):
+            monkeypatch.setenv("SUBSING_WORKERS", workers)
+            runs.append(run_mc(sampler, 32 * 128 + 5, 8, method=method, width=64))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(run == runs[0] for run in runs[1:])
+    assert all(math.isfinite(est.mean) and est.std_error > 0 for est in runs[0])
+
+
+@pytest.mark.parametrize("where", ["helper", "calling-thread"])
+def test_an_error_in_a_block_leaves_no_thread(monkeypatch, where):
+    # each thread waits in its first draw until the other has drawn, so
+    # both take blocks; the error of either comes out of run_mc once the
+    # helper is gone
+    monkeypatch.setenv("SUBSING_WORKERS", "2")
+    here = threading.get_ident()
+    drew = {True: threading.Event(), False: threading.Event()}
+    threads = threading.active_count()
+
+    def sampler(r, m):
+        on_helper = threading.get_ident() != here
+        if not drew[on_helper].is_set():
+            drew[on_helper].set()
+            assert drew[not on_helper].wait(timeout=10), "one thread drew alone"
+        if on_helper == (where == "helper"):
+            raise NumericError(f"raised on the {where}")
+        return r.standard_normal((m, 64)).sum(axis=1)
+
+    with pytest.raises(NumericError, match=f"raised on the {where}"):
+        run_mc(sampler, 32 * 128, 1, width=64)
+    assert threading.active_count() == threads
 
 
 def test_median_of_one_block_is_a_domain_error():

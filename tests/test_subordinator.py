@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -56,7 +57,7 @@ def test_stable_paths_monotone_and_certified(alpha):
     assert np.all(np.diff(values) >= 0)
     # Laplace certification at the path level: e^{-r S_1} vs e^{-phi(r)}
     rng = stream(9, 0)
-    inc = sub.stable_grid_increments(alpha, np.array([0.0, 1.0]), rng, 100_000)
+    inc = sub.grid_increments(bf.stable(alpha), np.array([0.0, 1.0]), rng, 100_000)
     s1 = inc[:, 0]
     for r in (0.5, 1.0, 2.0):
         vals = np.exp(-r * s1)
@@ -70,16 +71,16 @@ def test_stable_self_similarity_ks():
     rng = stream(7, 0)
     ts = [0.25, 4.0]
     level = 0.01 / len(ts)
-    s1 = sub.stable_grid_increments(alpha, np.array([0.0, 1.0]), rng, n)[:, 0]
+    s1 = sub.grid_increments(bf.stable(alpha), np.array([0.0, 1.0]), rng, n)[:, 0]
     for t in ts:
-        st_ = sub.stable_grid_increments(alpha, np.array([0.0, t]), rng, n)[:, 0]
+        st_ = sub.grid_increments(bf.stable(alpha), np.array([0.0, t]), rng, n)[:, 0]
         res = stats.ks_2samp(st_, t ** (1 / alpha) * s1)
         assert res.pvalue > level
 
 
 def test_stable_independent_increments():
     rng = stream(21, 0)
-    inc = sub.stable_grid_increments(0.5, np.array([0.0, 0.5, 1.0]), rng, 50_000)
+    inc = sub.grid_increments(bf.stable(0.5), np.array([0.0, 0.5, 1.0]), rng, 50_000)
     # correlate bounded transforms; raw stable increments have no variance
     a = np.exp(-inc[:, 0])
     b = np.exp(-inc[:, 1])
@@ -112,23 +113,26 @@ def test_kanter_in_logs_matches_the_sine_product(alpha):
     e = rng.standard_exponential(n)
     ref = (np.sin(a * u) / np.sin(u) ** (1.0 / a)
            * (np.sin((1.0 - a) * u) / e) ** ((1.0 - a) / a))
-    got = sub.stable_standard(np.random.default_rng(13), n, alpha)
+    got = sub.grid_increments(bf.stable(alpha), [0.0, 1.0],
+                              np.random.default_rng(13), n)[:, 0]
     assert np.abs(got / ref - 1.0).max() <= 1e-13
 
 
 def test_levy_variate_ks():
     # at alpha = 1/2, V = 1/(2 N^2) and P(V <= x) = erfc(1/(2 sqrt(x)))
-    v = sub.stable_standard(stream(23, 0), 20_000, 0.5)
+    v = sub.grid_increments(bf.stable(0.5), [0.0, 1.0], stream(23, 0), 20_000)[:, 0]
     res = stats.kstest(v, lambda x: special.erfc(0.5 / np.sqrt(x)))
     assert res.pvalue > 0.01
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
 def test_stable_index_outside_the_unit_interval_is_refused(alpha):
+    # the sampler checks the index itself, not only bernstein.stable
+    phi = dataclasses.replace(bf.stable(0.5), params=(alpha,))
     with pytest.raises(DomainError):
-        sub.stable_standard(np.random.default_rng(0), 4, alpha)
+        sub.grid_sampler(phi, np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
-        sub.stable_grid_increments(alpha, np.array([0.0, 1.0]), np.random.default_rng(0))
+        sub.grid_increments(phi, np.array([0.0, 1.0]), np.random.default_rng(0), 4)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 19])
@@ -139,14 +143,14 @@ def test_stable_index_outside_the_unit_interval_is_refused(alpha):
 def test_gamma_increments_are_the_unit_scale_gamma_draws(times, seed):
     # standard_gamma(shape) is gamma(shape, scale=1.0) value for value
     for n_paths in (1, 5, 312):
-        got = sub.gamma_grid_increments(times, stream(seed, 0), n_paths)
+        got = sub.grid_increments(bf.gamma_exponent(), times, stream(seed, 0), n_paths)
         shape = np.broadcast_to(np.diff(times), (n_paths, len(times) - 1))
         assert np.array_equal(got, stream(seed, 0).gamma(shape=shape, scale=1.0))
 
 
 def test_gamma_increments_match_transform():
     rng = stream(3, 0)
-    inc = sub.gamma_grid_increments(np.linspace(0, 2, 9), rng, 50_000)
+    inc = sub.grid_increments(bf.gamma_exponent(), np.linspace(0, 2, 9), rng, 50_000)
     s2 = inc.sum(axis=1)
     vals = np.exp(-s2)
     se = vals.std() / math.sqrt(len(vals))
@@ -182,6 +186,17 @@ def test_laplace_certification_all_simulable():
             se = vals.std() / math.sqrt(len(vals))
             err = abs(vals.mean() - math.exp(-phi(r)))
             assert err <= max(3 * se, 1e-12), (phi.name, r, err, se)
+
+
+@pytest.mark.parametrize("phi, times", [
+    ("stable:0.5", [0.0, math.nan, 1.0]), ("gamma", [0.0, math.inf]),
+    ("tempered:0.5,1", [-math.inf, 0.0, 1.0]), ("drift:1", [0.0, 1.0, math.nan]),
+], ids=["stable-nan", "gamma-inf", "tempered-minus-inf", "drift-nan-end"])
+def test_non_finite_grid_node_is_refused(phi, times):
+    # a NaN width passes a test of dt <= 0, and an inf node gives an inf
+    # width; either would draw NaN or inf increments
+    with pytest.raises(DomainError, match="finite"):
+        sub.grid_increments(bf.parse_phi(phi), times, np.random.default_rng(0), 2)
 
 
 def test_general_requires_jump_structure():
