@@ -9,7 +9,6 @@ doubles as the median-of-means partition for heavy-tailed integrands.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -40,15 +39,20 @@ class MCEstimate:
     ``median_of_means``, the asymptotic SE of a median of B nearly Gaussian
     block means; and for ``multilevel``, a sum of level means
     (:func:`subsing.spde.multilevel_estimates`), the square root of the
-    summed squares of the level SEs.  ``heavy_tail_flag`` is set when the
-    empirical second moment keeps growing across doubling sample sizes.
+    summed squares of the level SEs.  ``heavy_tail_flag`` is read off the
+    estimate: set for a median of means, whether the variance rule of
+    :func:`subsing.moments._auto_method` or the caller chose it, and for a
+    non-finite mean.
     """
 
     n_samples: int
     mean: float
     std_error: float
-    heavy_tail_flag: bool = False
     method: str = "plain"  # "plain" | "median_of_means" | "multilevel"
+
+    @property
+    def heavy_tail_flag(self) -> bool:
+        return self.method == "median_of_means" or not math.isfinite(self.mean)
 
     def agrees_with(self, target: float) -> bool:
         if not math.isfinite(self.mean) or not math.isfinite(target):
@@ -119,26 +123,9 @@ def merge_all(parts) -> Moments:
     return functools.reduce(Moments.merge, parts)
 
 
-def _heavy_tail(folds: list) -> np.ndarray:
-    # folds[i] merges blocks 0..i; second moment over the first quarter, half
-    # and all blocks, per column; non-stabilizing growth marks an
-    # (effectively) infinite-variance column
-    b = len(folds)
-    if b < 4:
-        return np.zeros(np.size(folds[0].mean), dtype=bool)
-    with np.errstate(over="ignore"):    # an overflow is flagged as not finite
-        quarter, half, full = (np.ravel(a.m2 / a.count + a.mean * a.mean) for a in
-                               (folds[b // 4 - 1], folds[b // 2 - 1], folds[-1]))
-    finite = np.isfinite(quarter) & np.isfinite(half) & np.isfinite(full)
-    return ~finite | ((quarter < half) & (half < full) & (full > 1.5 * quarter))
-
-
 def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
     """One :class:`MCEstimate` per column: plain mean or median of block means."""
-    # one left fold, the merges of merge_all in its order, keeping each partial
-    folds = list(itertools.accumulate(blocks, Moments.merge))
-    flags = _heavy_tail(folds)
-    acc = folds[-1]
+    acc = merge_all(blocks)
     n = acc.count
     if method == "median_of_means":
         means = np.array([np.ravel(blk.mean) for blk in blocks])
@@ -147,14 +134,12 @@ def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
             sd = np.std(means, axis=0, ddof=1)
         # a column with an infinite block mean has an infinite SE, as a plain mean does
         se = np.where(finite, math.sqrt(math.pi / (2 * len(means))) * sd, math.inf)
-        flags |= ~finite
-        return [MCEstimate(n, float(mu), float(s), bool(flag), "median_of_means")
-                for mu, s, flag in zip(np.median(means, axis=0), se, flags)]
+        return [MCEstimate(n, float(mu), float(s), "median_of_means")
+                for mu, s in zip(np.median(means, axis=0), se)]
     # plain mean per column, SE sqrt(M2 / n) / sqrt(n): nan, not 0, from one sample
-    return [MCEstimate(n, float(mu), math.sqrt(m2) / n if n > 1 else math.nan,
-                       bool(flag)) if math.isfinite(mu)
-            else MCEstimate(n, float(mu), math.inf, True)
-            for mu, m2, flag in zip(np.ravel(acc.mean), np.ravel(acc.m2), flags)]
+    return [MCEstimate(n, float(mu), math.sqrt(m2) / n if n > 1 else math.nan)
+            if math.isfinite(mu) else MCEstimate(n, float(mu), math.inf)
+            for mu, m2 in zip(np.ravel(acc.mean), np.ravel(acc.m2))]
 
 
 def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
@@ -169,7 +154,8 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
     (each ``next`` holds the interpreter lock, so every block is taken
     once) and store each block's partial by its index; with no helper the
     calling thread runs the blocks in block order.  An error raised in a
-    block is raised here once every thread has stopped.
+    block empties the iterator, so no thread takes a further block, and is
+    raised here once every thread has stopped.
     """
     if n_samples <= 0:
         raise DomainError("need a positive sample count")
@@ -183,15 +169,20 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
     todo = iter(range(blocks))
 
     def run_blocks() -> None:
-        for b in todo:
-            rng = stream(seed, b)
-            left = n_samples // blocks + (b < n_samples % blocks)
-            chunks = []
-            while left > 0:
-                m = min(left, chunk)
-                chunks.append(Moments.of(sampler(rng, m)))
-                left -= m
-            parts[b] = merge_all(chunks)
+        try:
+            for b in todo:
+                rng = stream(seed, b)
+                left = n_samples // blocks + (b < n_samples % blocks)
+                chunks = []
+                while left > 0:
+                    m = min(left, chunk)
+                    chunks.append(Moments.of(sampler(rng, m)))
+                    left -= m
+                parts[b] = merge_all(chunks)
+        except BaseException:
+            for _ in todo:      # the other threads take no further block
+                pass
+            raise
 
     helpers = workers_for(min(chunk, -(-n_samples // blocks)) * width) - 1
     if helpers == 0:

@@ -521,7 +521,7 @@ def multilevel_estimates(levels: Sequence[Level]) -> list:
     paths = sum(lv.paths for lv in levels)
     return [MCEstimate(paths, sum(e.mean for e in col),
                        math.sqrt(sum(e.std_error * e.std_error for e in col)),
-                       any(e.heavy_tail_flag for e in col), "multilevel")
+                       "multilevel")
             for col in zip(*(lv.estimates for lv in levels))]
 
 
@@ -887,10 +887,10 @@ def _tail_sums(sq: np.ndarray, starts: Sequence[int],
 
 def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
                 times: np.ndarray, d_sub: np.ndarray, dw: np.ndarray,
-                segments: Optional[tuple] = None) -> np.ndarray:
+                segments: tuple) -> np.ndarray:
     """Grid maximum of |X - X^m|^2 per replica and truncation, (R, J), X^m
     padded with zeros.  No path is stored.  ``segments`` is the
-    :func:`_tail_segments` layout of the subsystems, made here if not given.
+    :func:`_tail_segments` layout of the subsystems.
 
     At each step the reference slice is squared once, and
     :func:`_tail_sums` gives each distinct truncation's tail
@@ -905,8 +905,7 @@ def _sup_errors(system: GalerkinSystem, subsystems: Sequence[GalerkinSystem],
     repeat that; one whose X is finite keeps every error its tails and
     heads give, though |X|^2 may overflow in modes a truncation repeats.
     """
-    starts, cols = segments or _tail_segments(
-        system.n, [sysm.n for sysm in subsystems])
+    starts, cols = segments
     R = len(d_sub)
     lost = np.zeros(R, dtype=bool)
     sq = _aligned_empty((R, system.n))

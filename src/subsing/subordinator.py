@@ -62,7 +62,7 @@ def geometric_grid(t_start: float, t_end: float, ratio: float = 1.01) -> np.ndar
     return t_start * ratio ** np.arange(n + 1)
 
 
-def power_graded_grid(T: float, q: float, n_nodes: int = 3000) -> np.ndarray:
+def power_graded_grid(T: float, q: float, n_nodes: int) -> np.ndarray:
     """Grid of n_nodes cells on [0, T] graded toward a t^(-q) singularity at 0,
     0 <= q < 1.
 

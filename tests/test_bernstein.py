@@ -102,8 +102,11 @@ def test_inverse_meets_its_documented_stop_rule(phi):
 
 def test_inverse_out_of_range():
     bounded = bf.custom(lambda s: -np.expm1(-s), "bounded")
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="above"):
         bf.inverse(bounded, 2.0)
+    # s^(1/2) stays above 1e-200 down to the least bracket end, s ~ 1e-300
+    with pytest.raises(RangeError, match="below"):
+        bf.inverse(bf.stable(0.5), 1e-200)
 
 
 def test_parse_phi_round_trip():

@@ -57,6 +57,19 @@ def test_moment_exact_and_mc(capsys):
     assert abs(mean - 1.4464) < 0.08
 
 
+@pytest.mark.parametrize("argv, seeds, method, flag", [
+    (["--phi", "stable:0.5", "--p", "0.3", "--f", "pow:0.5", "--paths", "2000"],
+     range(1, 9), "median_of_means", "True"),
+    (["--phi", "gamma", "--p", "-0.5", "--f", "const:1", "--paths", "200000"],
+     range(1, 4), "plain", "False")], ids=["stable-past-half-alpha", "gamma"])
+def test_heavy_tail_flag_follows_the_method(argv, seeds, method, flag, capsys):
+    # the flag is read off the method, so no seed changes it
+    for seed in seeds:
+        assert run(["moment", "mc", *argv, "--seed", str(seed)]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert row[3:] == [method, flag], seed
+
+
 def test_refusal_exit_code(capsys):
     code = run(["moment", "bound", "--phi", "stable:0.5", "--p", "0.7",
                 "--theta", "0"])
@@ -1160,7 +1173,7 @@ MODE_RUNS = {
     ("moment", "mc"): (
         ["--phi", "stable:0.5", "--p", "0.25", "--f", "const:1", "--paths", "200",
          "--seed", "3"],
-        "33c40cac84eacb21b77b5f4f2de72597746d7f32936fe786a41bb79112d5ed57"),
+        "0ba0244972c95daa1223288e2b594d40e915bb4b3da21622cecabf1dc65b0c07"),
     ("moment", "bound"): (
         ["--phi", "stable:0.5", "--p", "0.2", "--theta", "0", "--T-grid", "1,2",
          "--paths", "200", "--seed", "5"],

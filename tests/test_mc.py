@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -62,34 +63,27 @@ def test_one_estimate_per_column(method):
 
 
 def _estimates_by_three_merge_alls(blocks, method):
-    # reference: merge_all over the first quarter, half and all blocks for
-    # the flags, and over all blocks again for the total
+    # reference: merge_all over all blocks for the total, then each
+    # estimator's mean and SE written out column by column
     b, n = len(blocks), sum(blk.count for blk in blocks)
-    flags = np.zeros(np.size(blocks[0].mean), dtype=bool)
-    if b >= 4:
-        quarter, half, full = (np.ravel(a.m2 / a.count + a.mean * a.mean) for a in
-                               map(merge_all, (blocks[:b // 4], blocks[:b // 2], blocks)))
-        finite = np.isfinite(quarter) & np.isfinite(half) & np.isfinite(full)
-        flags = ~finite | ((quarter < half) & (half < full) & (full > 1.5 * quarter))
     if method == "median_of_means":
         means = np.array([np.ravel(blk.mean) for blk in blocks])
         finite = np.all(np.isfinite(means), axis=0)
         with np.errstate(invalid="ignore"):
             se = math.sqrt(math.pi / (2 * b)) * np.std(means, axis=0, ddof=1)
-        flags |= ~finite
-        return [(n, mu, s if ok else math.inf, flag) for mu, s, ok, flag in
-                zip(np.median(means, axis=0), se, finite, flags)]
+        return [(n, mu, s if ok else math.inf)
+                for mu, s, ok in zip(np.median(means, axis=0), se, finite)]
     acc = merge_all(blocks)
-    return [(n, mu, math.sqrt(m2) / n if n > 1 else math.nan, flag)
-            if math.isfinite(mu) else (n, mu, math.inf, True)
-            for mu, m2, flag in zip(np.ravel(acc.mean), np.ravel(acc.m2), flags)]
+    return [(n, mu, math.sqrt(m2) / n if n > 1 else math.nan)
+            if math.isfinite(mu) else (n, mu, math.inf)
+            for mu, m2 in zip(np.ravel(acc.mean), np.ravel(acc.m2))]
 
 
 @pytest.mark.parametrize("method", ["plain", "median_of_means"])
 def test_one_fold_equals_three_merge_alls(method):
-    # columns: heavy-tailed, light-tailed, of growing spread (flagged at
-    # some B only), constant, and one that turns inf in block 30, whose SE
-    # is then inf under either method; blocks of unequal sizes
+    # columns: heavy-tailed, light-tailed, of growing spread, constant, and
+    # one that turns inf in block 30, whose SE is then inf under either
+    # method; blocks of unequal sizes
     rng = np.random.default_rng(9)
     x = np.column_stack([rng.pareto(1.2, 4000), rng.standard_normal(4000),
                          rng.standard_normal(4000) * np.linspace(1, 3, 4000),
@@ -100,11 +94,11 @@ def test_one_fold_equals_three_merge_alls(method):
              zip(np.cumsum(sizes) - sizes, sizes)]
     # median of means needs two blocks, as run_mc requires
     for b in range(1 if method == "plain" else 2, 41):
-        got = [(e.n_samples, e.mean, e.std_error, e.heavy_tail_flag)
+        got = [(e.n_samples, e.mean, e.std_error)
                for e in estimate_from_blocks(parts[:b], method)]
         want = _estimates_by_three_merge_alls(parts[:b], method)
-        assert [(n, float(mu).hex(), float(s).hex(), bool(f)) for n, mu, s, f in got] \
-            == [(n, float(mu).hex(), float(s).hex(), bool(f)) for n, mu, s, f in want], b
+        assert [(n, float(mu).hex(), float(s).hex()) for n, mu, s in got] \
+            == [(n, float(mu).hex(), float(s).hex()) for n, mu, s in want], b
 
 
 def test_run_mc_draws_each_sample_once_for_all_columns():
@@ -216,6 +210,26 @@ def test_an_error_in_a_block_leaves_no_thread(monkeypatch, where):
     with pytest.raises(NumericError, match=f"raised on the {where}"):
         run_mc(sampler, 32 * 128, 1, width=64)
     assert threading.active_count() == threads
+
+
+def test_an_error_in_a_block_stops_the_other_threads(monkeypatch):
+    # the calling thread's first block raises at once while each helper
+    # block takes 1 ms: the helper finishes the block it holds and takes no
+    # further one, so far fewer than the 32 blocks are drawn
+    monkeypatch.setenv("SUBSING_WORKERS", "2")
+    here = threading.get_ident()
+    drawn = []
+
+    def sampler(r, m):
+        drawn.append(m)
+        if threading.get_ident() == here:
+            raise NumericError("raised on the calling thread")
+        time.sleep(0.001)
+        return r.standard_normal((m, 64)).sum(axis=1)
+
+    with pytest.raises(NumericError, match="raised on the calling thread"):
+        run_mc(sampler, 32 * 128, 1, width=64)
+    assert len(drawn) < 32
 
 
 def test_median_of_one_block_is_a_domain_error():

@@ -475,23 +475,6 @@ def test_worker_pool_preserves_results(monkeypatch):
     assert est1 == est2
 
 
-def test_heavy_tail_flag_from_partials():
-    from subsing.mc import Moments, estimate_from_blocks
-    means = np.linspace(1.0, 2.0, 32)
-
-    def blocks(second):     # 32 blocks of 100 with these raw second moments
-        return [Moments(100, m, 100 * (s - m * m)) for m, s in zip(means, second)]
-
-    (grows,) = estimate_from_blocks(blocks(np.geomspace(1.0, 64.0, 32)))
-    (steady,) = estimate_from_blocks(blocks(np.full(32, 4.5)))
-    assert grows.heavy_tail_flag and not steady.heavy_tail_flag
-    # the flag is per column: a growing column beside a steady one
-    both = [Moments(100, np.array([m, m]), np.array([100 * (g - m * m),
-                                                     100 * (4.5 - m * m)]))
-            for m, g in zip(means, np.geomspace(1.0, 64.0, 32))]
-    assert [e.heavy_tail_flag for e in estimate_from_blocks(both)] == [True, False]
-
-
 def test_median_of_means_se_definition():
     from subsing.mc import Moments, estimate_from_blocks
     means = np.arange(32, dtype=float)

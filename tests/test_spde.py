@@ -146,6 +146,12 @@ class TestMaximalAndSmallBall:
         assert bound == pytest.approx(9.0 * system.diffusion.hs_bound ** 2)
         assert est.mean <= bound + 3 * est.std_error
 
+    def test_conditional_maximal_refuses_increments_off_the_grid(self):
+        times = time_grid(1.0, 1 / 8)
+        with pytest.raises(DomainError, match="match the grid"):
+            spde.conditional_maximal_check(diagonal_system(2), times,
+                                           np.ones(len(times)), 10, 1)
+
     def test_conditional_maximal_ignores_worker_count(self, monkeypatch):
         # 600 replicas on 32 cells of 4 modes are three chunks of at most 256
         system = diagonal_system(4, q=spde.constant_diagonal_q([0.5] * 4))
@@ -740,12 +746,24 @@ def test_empty_system_is_a_domain_error():
                             spde.constant_diagonal_q(np.zeros(0)), np.empty(0))
 
 
+def test_initial_state_of_another_dimension_is_a_domain_error():
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        diagonal_system(3, x0=[0.0, 1.0])
+
+
 def test_validate_system_flags_bad_bounds():
     def drift(y):
         return np.ones_like(y)
 
     system = diagonal_system(3, drift=drift, drift_bound=0.1, drift_lip=0.0)
     with pytest.raises(PreconditionError):
+        spde.validate_system(system)
+
+
+def test_validate_system_flags_a_bad_diffusion_bound():
+    # unit entries on 3 modes have norm sqrt(3)
+    system = diagonal_system(3, q=spde.DiagonalQ(np.ones_like, 0.5))
+    with pytest.raises(PreconditionError, match="diffusion bound violated"):
         spde.validate_system(system)
 
 
@@ -917,7 +935,8 @@ class TestTimeMajorStepping:
         d_sub = grid_increments(GAMMA, times, rng, 11)
         dw = rng.standard_normal((11, len(times) - 1, system.n))
         subsystems = [spde.truncate_system(system, m) for m in truncations]
-        got = spde._sup_errors(system, subsystems, times, d_sub, dw)
+        got = spde._sup_errors(system, subsystems, times, d_sub, dw,
+                               spde._tail_segments(system.n, truncations))
         want = _stacked_galerkin(system, truncations, times, d_sub, dw) ** 2
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= _read_off_gap(system.n) * want)
