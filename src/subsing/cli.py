@@ -118,15 +118,14 @@ def _quadrature_facts(res) -> dict:
             "quadrature_evaluations": res.evaluations}
 
 
-def _grid_facts(grid) -> dict:
-    """The .manifest record of the (criterion, times, bias, evaluations) grid
-    of an integral's run: its nodes, its bias and the bias evaluations that
-    chose it; none for no grid."""
-    _, times, bias, evaluations = grid
-    if times is None:
-        return {}
-    return {"grid_nodes": len(times), "grid_bias": bias,
-            "grid_certificates": evaluations}
+def _integral_times(args, phi, f):
+    """The criterion and grid times of :func:`moments.integral_grid` at --T
+    and --dt; the grid's nodes, bias and certificates go to the .manifest."""
+    res, times, bias, certificates = moments.integral_grid(phi, f, args.T, args.dt)
+    if times is not None:
+        args.manifest.update(grid_nodes=len(times), grid_bias=bias,
+                             grid_certificates=certificates)
+    return res, times
 
 
 def _zero_one(verdict: Verdict) -> str:
@@ -187,11 +186,9 @@ def cmd_path(args):
 def cmd_integrate(args):
     phi = parse_phi(args.phi)
     f = parse_integrand(args.f)
-    row, grid = moments.integral_summary(phi, f, args.T, args.paths, args.seed,
-                                         dt=args.dt)
-    res, times = grid[:2]
+    res, times = _integral_times(args, phi, f)
+    row = moments.integral_summary(phi, f, times, args.paths, args.seed)
     args.manifest["verdict"] = _zero_one(res.verdict)
-    args.manifest.update(_grid_facts(grid))
     if times is None:
         # an a.s. infinite integral draws nothing: no grid or draw flag is echoed
         del args.dt, args.seed
@@ -225,10 +222,9 @@ def cmd_moment(args):
         return lines
     if args.mode == "mc":
         f = parse_integrand(args.f)
-        est, grid = moments.moment_summary(phi, args.p, f, args.T, args.paths,
-                                           args.seed, method=args.method,
-                                           dt=args.dt)
-        args.manifest.update(_grid_facts(grid))
+        times = _integral_times(args, phi, f)[1]
+        est = moments.mc_integral_moment(phi, args.p, f, times, args.paths,
+                                         args.seed, method=args.method)
         return _csv("n,mean,se,method,heavy_tail", [(
             est.n_samples, est.mean, est.std_error, est.method,
             est.heavy_tail_flag)])

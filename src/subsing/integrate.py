@@ -21,6 +21,7 @@ import numpy as np
 
 from .bernstein import BernsteinFunction, Catalog, parse_id
 from .errors import DomainError
+from .subordinator import grid_widths
 
 OVERFLOW_GUARD = 1e300
 QUAD_ATOL = 1e-10
@@ -330,10 +331,11 @@ def cell_means(f: Integrand, times: np.ndarray) -> np.ndarray:
 
     Every integrand kind has a closed form (product integration).  A first
     cell at 0 on which f is not integrable (``pow`` with theta >= 1) takes
-    the inward value f(times[1]) instead.
+    the inward value f(times[1]) instead.  The grid is checked by
+    :func:`grid_widths`.
     """
     t = np.asarray(times, dtype=float)
-    a, h = t[:-1], np.diff(t)
+    a, h = t[:-1], grid_widths(t)
     kind = f.kind
     if kind is IntegrandKind.CONSTANT:
         return np.full(h.shape, float(f.params[0]))
@@ -344,7 +346,7 @@ def cell_means(f: Integrand, times: np.ndarray) -> np.ndarray:
         # (1 - e^-x) / x is 1 at x = 0, where lam h underflows
         return np.exp(-lam * a) * np.where(lam * h > 0, ratio, 1.0)
     if kind is IntegrandKind.POWER_SINGULAR:
-        return _power_cell_means(f.params[0], t)
+        return _power_cell_means(f.params[0], t, h)
     if kind is IntegrandKind.TIME_REVERSED:
         inner, T = f.params
         if t[-1] > T:
@@ -353,8 +355,8 @@ def cell_means(f: Integrand, times: np.ndarray) -> np.ndarray:
     raise DomainError(f"no cell-mean rule for integrand kind {kind!r}")
 
 
-def _power_cell_means(theta: float, t: np.ndarray) -> np.ndarray:
-    b, h = t[1:], np.diff(t)
+def _power_cell_means(theta: float, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    b = t[1:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_ratio = np.log1p(h / t[:-1])        # log(b / a); inf when a = 0
         if theta == 1.0:

@@ -21,10 +21,10 @@ from . import mc
 from .bernstein import (BernsteinFunction, Catalog, DoublingIndices,
                         doubling_indices, inverse, log_growth_liminf)
 from .errors import CapabilityError, DomainError, GateViolation, NumericError
-from .integrate import (OVERFLOW_GUARD, Finiteness, Integrand, IntegrandKind,
-                        Verdict, cell_means, constant, exponential,
-                        finiteness_criterion, improper_integral, power_singular,
-                        stieltjes_increments)
+from .integrate import (LARGEST, OVERFLOW_GUARD, Finiteness, Integrand,
+                        IntegrandKind, Verdict, cell_means, constant,
+                        exponential, finiteness_criterion, improper_integral,
+                        power_singular, stieltjes_increments)
 from .mc import MCEstimate
 from .subordinator import (cell_count, grid_sampler, power_graded_grid,
                            require_sampler, time_grid)
@@ -79,7 +79,12 @@ def exact_stable_moment(phi: BernsteinFunction, p: float, f: Integrand,
         return math.inf if p > 0 else 0.0
     if p >= alpha:
         return math.inf
-    return gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p) * scale.value ** (p / alpha)
+    try:
+        return gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p) * scale.value ** (p / alpha)
+    except OverflowError:   # a factor past the double range: take it in logs
+        log_value = (math.lgamma(1.0 - p / alpha) - math.lgamma(1.0 - p)
+                     + p / alpha * math.log(scale.value))
+        return math.exp(log_value) if log_value <= math.log(LARGEST) else math.inf
 
 
 class CorollaryCase(Enum):
@@ -168,17 +173,20 @@ def grid_bias(phi: BernsteinFunction, f: Integrand, times: np.ndarray,
     discretization bias of the Monte Carlo target; nan when the criterion
     integral is undetermined.  ``exact`` is int phi(f) if known.
     """
-    times = np.asarray(times, dtype=float)
+    grid = _grid_exponent(phi, f, times)     # checks the grid first
     if exact is None:
         exact = _exponent(finiteness_criterion(f, phi, (float(times[0]),
                                                         float(times[-1]))))
-    return math.exp(-_grid_exponent(phi, f, times)) - math.exp(-exact)
+    return math.exp(-grid) - math.exp(-exact)
 
 
-def _default_times(f: Integrand, T: float, dt: Optional[float],
-                   phi: BernsteinFunction, exact: float):
-    """Grid on [0, T], its :func:`grid_bias` against ``exact`` (the integral
-    of phi(f) over (0, T]) and the number of bias evaluations that chose it.
+def integral_grid(phi: BernsteinFunction, f: Integrand, T: float,
+                  dt: Optional[float]):
+    """The finiteness criterion of f on (0, T], the grid on [0, T] of the
+    integral's Monte Carlo run, its :func:`grid_bias` and the bias
+    evaluations that chose it; (criterion, None, None, 0) for an a.s.
+    infinite integral.  A driver without an exact grid sampler is refused
+    before the grid search.
 
     With ``dt`` the grid has T / dt cells, and dt must divide T as in
     :func:`time_grid`.  Without it the cell count doubles from FIRST_CELLS
@@ -189,10 +197,17 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
     cells that certify only where no smaller count does.  A grid that never
     certifies has MAX_CELLS cells.  A constant f takes the one cell [0, T].
     A grid that no search chose took 0 evaluations to choose."""
+    if not 0 < T < math.inf:
+        raise DomainError("T and dt must be positive and finite")
+    res = finiteness_criterion(f, phi, (0.0, float(T)))
+    if res.verdict is Verdict.INFINITE:
+        return res, None, None, 0
+    require_sampler(phi)
+    exact = _exponent(res)
     cells = None if dt is None else cell_count(T, dt)
     if f.kind is IntegrandKind.CONSTANT:
         times = np.array([0.0, T])
-        return times, grid_bias(phi, f, times, exact), 0
+        return res, times, grid_bias(phi, f, times, exact), 0
     if f.kind is IntegrandKind.POWER_SINGULAR and f.params[0] > 0:
         # grading exponent: decay rate of phi(f(t)) near zero, stable worst case
         theta = f.params[0]
@@ -215,7 +230,7 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
         fewest = 1
     if cells is not None:
         times = grid(max(fewest, cells))
-        return times, grid_bias(phi, f, times, exact), 0
+        return res, times, grid_bias(phi, f, times, exact), 0
     evaluations = 0
 
     def tried(n):
@@ -230,35 +245,19 @@ def _default_times(f: Integrand, T: float, dt: Optional[float],
 
     lo, n = fewest - 1, FIRST_CELLS
     times, bias = tried(n)
-    while not certifies(bias):
-        if n == MAX_CELLS:
-            return times, bias, evaluations
+    while not certifies(bias) and n < MAX_CELLS:
         lo, n = n, min(2 * n, MAX_CELLS)
         times, bias = tried(n)
-    # lo cells fail (or lie below the floor) and n cells certify
-    while n - lo > 1:
+    # lo cells fail (or lie below the floor) and n cells certify; a grid
+    # that never certified is not bisected
+    while certifies(bias) and n - lo > 1:
         mid = (lo + n) // 2
         mid_times, mid_bias = tried(mid)
         if certifies(mid_bias):
             n, times, bias = mid, mid_times, mid_bias
         else:
             lo = mid
-    return times, bias, evaluations
-
-
-def _integral_grid(phi: BernsteinFunction, f: Integrand, T: float, dt: Optional[float]):
-    """The finiteness criterion of f on (0, T] and the grid, bias and bias
-    evaluations of :func:`_default_times`; the grid is None, with no bias,
-    for an almost surely infinite integral.  Any other integral needs an
-    exact grid sampler, and a driver without one is refused before the grid
-    search."""
-    if not 0 < T < math.inf:
-        raise DomainError("T and dt must be positive and finite")
-    res = finiteness_criterion(f, phi, (0.0, float(T)))
-    if res.verdict is Verdict.INFINITE:
-        return res, None, None, 0
-    require_sampler(phi)
-    return (res, *_default_times(f, T, dt, phi, _exponent(res)))
+    return res, times, bias, evaluations
 
 
 def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
@@ -273,7 +272,6 @@ def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
             return transform(np.full(m, math.inf))
 
         return mc.run_mc(sampler, N, seed, method=method)
-    times = np.asarray(times, dtype=float)
     weights = cell_means(f, times)
     if not np.all(np.isfinite(weights)):
         # an infinite weight times an increment that underflowed to 0 is nan
@@ -285,13 +283,13 @@ def _integral_mc(phi, f, times, N, seed, transform, method) -> list:
     def sampler(rng, m):
         return transform(stieltjes_increments(weights, draw(rng, m)))
 
-    return mc.run_mc(sampler, N, seed, method=method, width=len(times) - 1)
+    return mc.run_mc(sampler, N, seed, method=method, width=weights.size)
 
 
 def char_functional_mc(phi: BernsteinFunction, f: Integrand, T: float, N: int,
                        seed: int, *, dt: Optional[float] = None) -> MCEstimate:
     """Monte Carlo mean of exp(-integral); divergent samples contribute 0."""
-    return _integral_mc(phi, f, _integral_grid(phi, f, T, dt)[1], N, seed,
+    return _integral_mc(phi, f, integral_grid(phi, f, T, dt)[1], N, seed,
                         lambda v: np.exp(-v), "plain")[0]
 
 
@@ -302,19 +300,19 @@ def laplace_mc(phi: BernsteinFunction, r: Sequence[float], times: np.ndarray,
                         lambda v: np.exp(-np.multiply.outer(v, r)), "plain")
 
 
-def integral_summary(phi: BernsteinFunction, f: Integrand, T: float, N: int,
-                     seed: int, *, dt: Optional[float] = None):
-    """Row (n, finite fraction, mean, SE, median) of the integral of f on
-    (0, T] from one set of draws, and the :func:`_integral_grid` record
-    (criterion, times, bias, evaluations) of the run."""
-    grid = _integral_grid(phi, f, T, dt)
+def integral_summary(phi: BernsteinFunction, f: Integrand, times: np.ndarray,
+                     N: int, seed: int) -> tuple:
+    """Row (n, finite fraction, mean, SE, median) of the integral of f over
+    ``times`` from one set of draws; ``times`` None marks an almost surely
+    infinite integral, as :func:`integral_grid` returns it."""
     # every value drawn is kept: its median and finite fraction ignore block order
     kept = []
-    est = _integral_mc(phi, f, grid[1], N, seed, lambda v: kept.append(v) or v,
+    est = _integral_mc(phi, f, times, N, seed, lambda v: kept.append(v) or v,
                        "plain")[0]
     vals = np.concatenate(kept)
+    kept.clear()    # one copy of the values, which the median then reorders
     return (est.n_samples, float(np.isfinite(vals).mean()), est.mean,
-            est.std_error, float(np.median(vals))), grid
+            est.std_error, float(np.median(vals, overwrite_input=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +351,10 @@ def mc_integral_moment(phi: BernsteinFunction, p: float, f: Integrand,
 def mc_moment(phi: BernsteinFunction, p: float, f: Integrand, T: float, N: int,
               seed: int, *, method: str = "auto",
               dt: Optional[float] = None) -> MCEstimate:
-    """p-th moment of the integral of f on (0, T]."""
-    return moment_summary(phi, p, f, T, N, seed, method=method, dt=dt)[0]
-
-
-def moment_summary(phi: BernsteinFunction, p: float, f: Integrand, T: float,
-                   N: int, seed: int, *, method: str = "auto",
-                   dt: Optional[float] = None):
-    """p-th moment of the integral of f on (0, T] and the
-    :func:`_integral_grid` record (criterion, times, bias, evaluations) of
-    its run."""
-    grid = _integral_grid(phi, f, T, dt)
-    return (mc_integral_moment(phi, p, f, grid[1], N, seed, method=method),
-            grid)
+    """p-th moment of the integral of f on (0, T], over the grid of
+    :func:`integral_grid`."""
+    return mc_integral_moment(phi, p, f, integral_grid(phi, f, T, dt)[1], N,
+                              seed, method=method)
 
 
 # ---------------------------------------------------------------------------

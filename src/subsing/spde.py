@@ -28,7 +28,7 @@ from .mc import (CHUNK_DOUBLES, MCEstimate, Moments, estimate_from_blocks,
 from .moments import (BoundReport, _horizons, bound_rhs, small_time_gate,
                       stationary_gate)
 from .rng import stream
-from .subordinator import cell_count, grid_increments, time_grid
+from .subordinator import cell_count, grid_increments, grid_widths, time_grid
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,9 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
           coarse: Optional[tuple] = None):
     """Step replicas through a uniform grid and yield one path's (R, n)
     slice at each grid time k = 0..K: the state X for ``path="state"``, the
-    stochastic convolution Z for ``path="convolution"``.  A grid whose cells
-    are not all equal (``np.allclose``) raises DomainError.
+    stochastic convolution Z for ``path="convolution"``.  A grid refused by
+    :func:`grid_widths`, or whose cells are not all equal (``np.allclose``),
+    raises DomainError.
 
     d_sub holds subordinator increments (R, K); dw_std standard normals
     (R, K, n).  The Gaussian increment over a cell has variance equal to the
@@ -230,7 +231,7 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     if path not in ("state", "convolution"):
         raise DomainError(f"unknown path {path!r}")
     gam = np.asarray(system.eigenvalues, dtype=float)
-    dts = np.diff(times)
+    dts = grid_widths(times)
     if not np.allclose(dts, dts[0]):
         raise DomainError("the stepper needs a uniform grid")
     R, K = d_sub.shape
@@ -619,7 +620,7 @@ def conditional_maximal_check(system: GalerkinSystem, times: np.ndarray,
     Returns (estimate, bound).
     """
     d_sub = np.asarray(d_sub, dtype=float)
-    if d_sub.shape != (len(times) - 1,):
+    if d_sub.shape != grid_widths(times).shape:
         raise DomainError("frozen increments must match the grid")
     bound = 9.0 * system.diffusion.hs_bound ** 2 * float(d_sub.sum())
 
@@ -793,11 +794,11 @@ def synthesize_null_controller(system: GalerkinSystem, times: np.ndarray,
     it moves by at most 1e-10 max(1, |x0|).  The declared inverse-diffusion
     constants are probed first, see :func:`verify_a4`.
     """
-    times = np.asarray(times, dtype=float)
+    dts = grid_widths(times)
     ell = np.asarray(ell, dtype=float)
-    K = len(times) - 1
+    K = dts.size
     T = float(times[-1])
-    if ell.shape != times.shape or ell[0] != 0.0 or np.any(np.diff(ell) <= 0):
+    if ell.shape != (K + 1,) or ell[0] != 0.0 or np.any(np.diff(ell) <= 0):
         raise DomainError("clock must be strictly increasing from 0 on the grid")
     if max_iter < 1:
         raise DomainError(f"need at least one sweep, got max_iter = {max_iter}")
@@ -808,7 +809,6 @@ def synthesize_null_controller(system: GalerkinSystem, times: np.ndarray,
 
     gam = system.eigenvalues
     x = np.asarray(system.x0, dtype=float)
-    dts = np.diff(times)
     d_ell = np.diff(ell)
     ell_T = float(ell[-1])
     semi_x = np.exp(-np.outer(times, gam)) * x        # (K+1, n)

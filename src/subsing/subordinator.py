@@ -54,6 +54,17 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, T, cell_count(T, dt) + 1)
 
 
+def grid_widths(times) -> np.ndarray:
+    """Cell widths of the grid ``times``: the one check of a grid that every
+    consumer makes, refusing a node that is not finite or does not exceed
+    the one before it."""
+    times = np.asarray(times, dtype=float)
+    dt = np.diff(times)
+    if not (np.all(np.isfinite(times)) and np.all(dt > 0)):
+        raise DomainError("grid times must be finite and increase strictly")
+    return dt
+
+
 def geometric_grid(t_start: float, t_end: float, ratio: float = 1.01) -> np.ndarray:
     """Strictly increasing geometric grid from t_start to t_end (both > 0)."""
     if not (0 < t_start < t_end < math.inf and 1 < ratio < math.inf):
@@ -163,14 +174,6 @@ def _stable(rng: np.random.Generator, size, alpha: float, h) -> np.ndarray:
     return _kanter(rng, alpha, log_h, *(np.empty(size) for _ in range(4)))
 
 
-def _widths(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    dt = np.diff(times)
-    if not (np.all(np.isfinite(times)) and np.all(dt > 0)):
-        raise DomainError("grid times must be finite and increase strictly")
-    return dt
-
-
 def _stable_sampler(alpha: float, h: np.ndarray):
     """draw(rng, n_paths) of (n_paths, K) variates h^(1/alpha) V, as
     :func:`_stable` draws them; Kanter's u, e and tmp are work arrays and
@@ -269,7 +272,9 @@ def _tilting_sampler(alpha: float, lam: float, dt: np.ndarray):
     TILT_BATCH.  The pieces are counted once; the first pass draws from a
     Kanter sampler of its own.
     """
-    pieces = np.maximum(np.ceil(dt * lam ** alpha / TILT_PIECE_MASS), 1.0)
+    # a count past the double range is inf, refused below
+    with np.errstate(over="ignore"):
+        pieces = np.maximum(np.ceil(dt * lam ** alpha / TILT_PIECE_MASS), 1.0)
     _check_node_count(pieces.sum())    # the pieces form a finer grid
     h = dt / pieces
     first = _stable_sampler(alpha, h)
@@ -312,16 +317,17 @@ def grid_sampler(phi: BernsteinFunction, times: np.ndarray):
     from Kanter's representation, tempered ones by exponential tilting.
     """
     require_sampler(phi)
+    h = grid_widths(times)
     if phi.kind is Catalog.STABLE:
-        return _stable_sampler(phi.params[0], _widths(times))
+        return _stable_sampler(phi.params[0], h)
     if phi.kind is Catalog.GAMMA:
-        return _gamma_sampler(_widths(times))
+        return _gamma_sampler(h)
     if phi.kind is Catalog.TEMPERED_STABLE:
         alpha, lam = phi.params
         if alpha == 0.5:
-            return _inverse_gaussian_sampler(lam, _widths(times))
-        return _tilting_sampler(alpha, lam, _widths(times))
-    step = phi.params[0] * _widths(times)     # drift only
+            return _inverse_gaussian_sampler(lam, h)
+        return _tilting_sampler(alpha, lam, h)
+    step = phi.params[0] * h     # drift only
     return lambda rng, n_paths=1: np.broadcast_to(step, (n_paths, step.size)).copy()
 
 

@@ -457,11 +457,23 @@ def test_integrate_manifest_records_grid(tmp_path):
     assert run(["integrate", "--f", "pow:0.5", "--phi", "stable:0.5",
                 "--paths", "200", "--out", str(out)]) == 0
     facts = _manifest(out)
-    times = moments._integral_grid(bf.stable(0.5), itg.power_singular(0.5), 1.0,
-                                   None)[1]
+    times = moments.integral_grid(bf.stable(0.5), itg.power_singular(0.5), 1.0,
+                                  None)[1]
     assert int(facts["grid_nodes"]) == len(times)
     assert 0 < -float(facts["grid_bias"]) <= moments.GRID_BIAS_TOL
     assert "grid" not in out.read_text()
+
+
+def test_integrate_row_pinned(capsys):
+    # an even count of paths, whose median averages two values: the row is
+    # the one that keeping three copies of the values gave
+    assert run(["integrate", "--phi", "stable:0.5", "--f", "pow:0.5",
+                "--paths", "2000", "--seed", "5"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("#")]
+    assert lines == ["n,finite_fraction,mean,se,median",
+                     "2000,1.0,4993.560804075521,3714.0293357812266,"
+                     "1.9312927729994274"]
 
 
 @pytest.mark.parametrize("command", [["integrate"], ["moment", "mc", "--p", "0.25"]],
@@ -470,7 +482,7 @@ def test_manifest_records_grid_certificates(command, tmp_path):
     from subsing import bernstein as bf
     from subsing import integrate as itg
     common = [*command, "--f", "pow:0.5", "--phi", "gamma", "--paths", "200"]
-    _, times, bias, certificates = moments._integral_grid(
+    _, times, bias, certificates = moments.integral_grid(
         bf.gamma_exponent(), itg.power_singular(0.5), 1.0, None)
     out = tmp_path / "default.csv"
     assert run([*common, "--out", str(out)]) == 0
@@ -1591,6 +1603,18 @@ EXTREME_RUNS = {
                                     "--f", "pow:1000", "--domain", "0.1,1"], 0),
     "bf-tempered-past-the-range": (["bf", "--phi", "tempered:0.3,1e-300",
                                     "--eval-at", "1e10"], 0),
+    # Gamma(201) past the double range, for a moment of about 7.9e-226
+    "exact-overflowing-gamma-factor": (["moment", "exact", "--phi", "stable:0.005",
+                                        "--f", "const:1", "--p", "-1",
+                                        "--domain", "0,1000"], 0),
+    # about 1000! e^(1/2): +inf
+    "exact-moment-past-the-range": (["moment", "exact", "--phi", "stable:0.001",
+                                     "--f", "exp:1", "--p", "-1",
+                                     "--domain", "0,1"], 0),
+    # a tilted piece count past the double range, refused as a grid
+    "mom-tempered-piece-count-past-the-range": (
+        ["moment", "mc", "--phi", "tempered:0.999,1e300", "--f", "const:1",
+         "--p", "0.5", "--T", "1e300", "--paths", "40"], 1),
 }
 
 

@@ -3,6 +3,7 @@ import pathlib
 import sys
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,17 @@ class TestExactStableMoment:
     def test_vanishing_integrand_rejected(self):
         with pytest.raises(DomainError):
             mo.exact_stable_moment(bf.stable(0.5), 0.25, itg.constant(0.0), (0, 1))
+
+    def test_gamma_factor_past_the_double_range(self):
+        # Gamma(201) overflows, but the moment 200! 1000^-200 does not; it is
+        # taken in logs
+        v = mo.exact_stable_moment(bf.stable(0.005), -1.0, UNIT, (0, 1000))
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(201) / mpmath.gamma(2) * mpmath.mpf(1000) ** -200
+        assert v == pytest.approx(float(ref), rel=1e-13)
+        # about 1000! e^(1/2), past the double range: +inf
+        assert mo.exact_stable_moment(bf.stable(0.001), -1.0, itg.exponential(1.0),
+                                      (0, 1)) == math.inf
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.floats(0.1, 0.9), p=st.floats(-3.0, 0.99))
@@ -258,7 +270,7 @@ class TestDefaultGrid:
     @pytest.mark.parametrize("f_id", ["pow:0.5", "pow:0.9", "exp:1"])
     def test_certified_within_256_cells(self, phi_id, f_id):
         phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
-        times = mo._integral_grid(phi, f, 1.0, None)[1]
+        times = mo.integral_grid(phi, f, 1.0, None)[1]
         assert len(times) - 1 <= 256
         assert abs(mo.grid_bias(phi, f, times)) <= mo.GRID_BIAS_TOL
         if f_id == "pow:0.5":
@@ -271,7 +283,7 @@ class TestDefaultGrid:
         n, evaluations = mo.FIRST_CELLS, 0
         while n < mo.MAX_CELLS:
             evaluations += 1
-            times = mo._default_times(f, 1.0, 1.0 / n, phi, exact)[0]
+            times = mo.integral_grid(phi, f, 1.0, 1.0 / n)[1]
             if abs(mo.grid_bias(phi, f, times, exact)) <= mo.GRID_BIAS_TOL:
                 break
             n = min(2 * n, mo.MAX_CELLS)
@@ -288,14 +300,14 @@ class TestDefaultGrid:
         calls = []
         bias = mo.grid_bias
         monkeypatch.setattr(mo, "grid_bias", lambda *a: calls.append(1) or bias(*a))
-        times, grid_bias, certificates = mo._default_times(f, 1.0, None, phi, exact)
+        times, grid_bias, certificates = mo.integral_grid(phi, f, 1.0, None)[1:]
         monkeypatch.undo()
         n = len(times) - 1
         assert certificates == len(calls)
         assert grid_bias == mo.grid_bias(phi, f, times, exact)
 
         def certifies(cells):
-            grid = mo._default_times(f, 1.0, 1.0 / cells, phi, exact)[0]
+            grid = mo.integral_grid(phi, f, 1.0, 1.0 / cells)[1]
             assert len(grid) - 1 == cells
             return abs(mo.grid_bias(phi, f, grid, exact)) <= mo.GRID_BIAS_TOL
 
@@ -318,14 +330,16 @@ class TestDefaultGrid:
         # their grid is returned with it, as a float
         phi, f = ST5, itg.parse_integrand(f_id)
         exact = mo._exponent(itg.finiteness_criterion(f, phi, (0.0, 1.0)))
-        times, bias, certificates = mo._default_times(f, 1.0, dt, phi, exact)
+        times, bias, certificates = mo.integral_grid(phi, f, 1.0, dt)[1:]
         assert isinstance(bias, float) and certificates == 0
         assert bias == mo.grid_bias(phi, f, times, exact)
 
-    def test_undetermined_criterion_ends_at_the_cap(self):
+    def test_undetermined_criterion_ends_at_the_cap(self, monkeypatch):
         # a nan integral of phi(f) gives a nan bias, which never certifies
-        times, bias, certificates = mo._default_times(
-            itg.power_singular(0.5), 1.0, None, ST5, math.nan)
+        monkeypatch.setattr(mo, "finiteness_criterion",
+                            lambda *a: itg.Finiteness(itg.Verdict.UNDETERMINED))
+        times, bias, certificates = mo.integral_grid(
+            ST5, itg.power_singular(0.5), 1.0, None)[1:]
         assert len(times) - 1 == mo.MAX_CELLS and math.isnan(bias)
         # 32, 64, ..., 4096 and the cap
         assert certificates == 9
@@ -338,15 +352,15 @@ class TestDefaultGrid:
                                      rel=1e-12)
 
     def test_explicit_dt_is_honoured(self):
-        assert len(mo._integral_grid(ST5, itg.exponential(1.0), 1.0, 1 / 200)[1]) == 201
-        assert len(mo._integral_grid(ST5, itg.power_singular(0.5), 1.0,
-                                     1 / 300)[1]) == 301
+        assert len(mo.integral_grid(ST5, itg.exponential(1.0), 1.0, 1 / 200)[1]) == 201
+        assert len(mo.integral_grid(ST5, itg.power_singular(0.5), 1.0,
+                                    1 / 300)[1]) == 301
 
     def test_uncertifiable_grid_stops_at_the_cap(self, monkeypatch):
         # no grid certifies a zero tolerance
         monkeypatch.setattr(mo, "GRID_BIAS_TOL", 0.0)
         phi, f = bf.stable(0.7), itg.power_singular(0.9)
-        times = mo._integral_grid(phi, f, 1.0, None)[1]
+        times = mo.integral_grid(phi, f, 1.0, None)[1]
         assert len(times) - 1 == mo.MAX_CELLS
         assert abs(mo.grid_bias(phi, f, times)) > mo.GRID_BIAS_TOL
 
@@ -355,7 +369,7 @@ class TestDefaultGrid:
     def test_nonintegrable_first_cell_certified(self, phi_id, f_id, cells):
         # theta >= 1: the first cell takes the inward weight f(times[1])
         phi, f = bf.parse_phi(phi_id), itg.parse_integrand(f_id)
-        times = mo._integral_grid(phi, f, 1.0, None)[1]
+        times = mo.integral_grid(phi, f, 1.0, None)[1]
         assert len(times) - 1 <= cells
         assert abs(mo.grid_bias(phi, f, times)) <= mo.GRID_BIAS_TOL
 
@@ -363,7 +377,7 @@ class TestDefaultGrid:
         # alpha theta = 0.975 < 1: the integral converges, and the weight
         # t_1^-6.5 of the finest graded grid must not overflow
         phi, f = bf.stable(0.15), itg.power_singular(6.5)
-        times = mo._integral_grid(phi, f, 1.0, 1.0 / mo.MAX_CELLS)[1]
+        times = mo.integral_grid(phi, f, 1.0, 1.0 / mo.MAX_CELLS)[1]
         assert len(times) - 1 == mo.MAX_CELLS
         assert np.all(np.isfinite(itg.cell_means(f, times)))
         assert math.isfinite(mo.grid_bias(phi, f, times))
@@ -402,7 +416,8 @@ def test_cell_means_once_per_grid(N, monkeypatch):
 @pytest.mark.parametrize("run", [
     lambda f: mo.mc_moment(ST5, 0.3, f, 1.0, 100, 3),
     lambda f: mo.char_functional_mc(ST5, f, 1.0, 100, 3),
-    lambda f: mo.integral_summary(ST5, f, 1.0, 100, 3),
+    lambda f: mo.integral_summary(ST5, f, mo.integral_grid(ST5, f, 1.0, None)[1],
+                                  100, 3),
 ], ids=["mc_moment", "char_functional_mc", "integral_summary"])
 def test_infinite_integral_runs_the_engine_once_without_drawing(run, monkeypatch):
     entered = []
@@ -457,12 +472,13 @@ def test_integral_summary_keeps_every_value_under_many_workers(monkeypatch):
     # the blocks append their values to one list from every worker thread; a
     # lost append would change n, the finite fraction or the median
     f = itg.power_singular(0.5)
-    row, _ = mo.integral_summary(ST5, f, 1.0, 3000, 6)
+    times = mo.integral_grid(ST5, f, 1.0, None)[1]
+    row = mo.integral_summary(ST5, f, times, 3000, 6)
     monkeypatch.setenv("SUBSING_WORKERS", "6")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows = [mo.integral_summary(ST5, f, 1.0, 3000, 6)[0] for _ in range(3)]
+        rows = [mo.integral_summary(ST5, f, times, 3000, 6) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
     assert rows == [row] * 3

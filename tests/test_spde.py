@@ -1244,7 +1244,9 @@ class TestLockStep:
         system = diagonal_system(2)
         times = np.arange(cells + 1) / 4
         d_sub, dw = np.full((2, cells), 0.25), np.zeros((2, cells, 2))
-        with pytest.raises(DomainError, match="even number"):
+        # two equal nodes are no grid: the grid check refuses them first
+        with pytest.raises(DomainError,
+                           match="even number" if cells else "increase strictly"):
             spde.advance(system, times if cells else np.zeros(2), d_sub, dw,
                          path="state", coarse=(d_sub[:, ::2], dw[:, ::2]))
 

@@ -9,6 +9,9 @@ import pytest
 from scipy import special, stats
 
 from subsing import bernstein as bf
+from subsing import integrate as itg
+from subsing import moments as mo
+from subsing import spde
 from subsing import subordinator as sub
 from subsing.errors import CapabilityError, DomainError
 from subsing.rng import stream
@@ -188,15 +191,46 @@ def test_laplace_certification_all_simulable():
             assert err <= max(3 * se, 1e-12), (phi.name, r, err, se)
 
 
-@pytest.mark.parametrize("phi, times", [
-    ("stable:0.5", [0.0, math.nan, 1.0]), ("gamma", [0.0, math.inf]),
-    ("tempered:0.5,1", [-math.inf, 0.0, 1.0]), ("drift:1", [0.0, 1.0, math.nan]),
-], ids=["stable-nan", "gamma-inf", "tempered-minus-inf", "drift-nan-end"])
-def test_non_finite_grid_node_is_refused(phi, times):
+def _draw(phi_id):
+    return lambda times: sub.grid_increments(bf.parse_phi(phi_id), times,
+                                             np.random.default_rng(0), 2)
+
+
+def _one_mode():
+    # one mode with the inverse-diffusion constants the controller probes
+    return spde.GalerkinSystem(1, np.array([1.0]), spde.zero_drift, 0.0, 0.0,
+                               spde.constant_diagonal_q([1.0]), np.array([1.0]),
+                               a4_constants=(1.0, 0.25))
+
+
+ST5, ROOT = bf.stable(0.5), itg.power_singular(0.5)
+
+
+@pytest.mark.parametrize("consume, times", [
+    (_draw("stable:0.5"), [0.0, math.nan, 1.0]),
+    (_draw("gamma"), [0.0, math.inf]),
+    (_draw("tempered:0.5,1"), [-math.inf, 0.0, 1.0]),
+    (_draw("drift:1"), [0.0, 1.0, math.nan]),
+    (lambda t: itg.cell_means(ROOT, t), [0.0, math.nan, 1.0]),
+    (lambda t: mo.grid_bias(ST5, ROOT, t), [0.0, math.nan, 1.0]),
+    (lambda t: mo.mc_integral_moment(ST5, 0.25, ROOT, t, 100, 1),
+     [0.0, math.nan, 1.0]),
+    (lambda t: mo.integral_summary(ST5, ROOT, t, 100, 1), [0.0, 0.5, math.inf]),
+    (lambda t: spde.advance(_one_mode(), t, np.ones((1, 2)), np.zeros((1, 2, 1)),
+                            path="state"), [0.0, math.nan, 1.0]),
+    (lambda t: spde.conditional_maximal_check(_one_mode(), t, np.ones(2), 10, 1),
+     [0.0, 0.5, math.inf]),
+    (lambda t: spde.synthesize_null_controller(_one_mode(), t, [0.0, 0.5, 1.0]),
+     [0.0, math.nan, 1.0]),
+], ids=["stable-nan", "gamma-inf", "tempered-minus-inf", "drift-nan-end",
+        "cell_means", "grid_bias", "mc_integral_moment", "integral_summary",
+        "advance", "conditional_maximal_check", "synthesize_null_controller"])
+def test_non_finite_grid_node_is_refused(consume, times):
     # a NaN width passes a test of dt <= 0, and an inf node gives an inf
-    # width; either would draw NaN or inf increments
+    # width; either would draw or weigh NaN or inf increments.  Every
+    # consumer of a grid takes its widths from grid_widths, so each refuses
     with pytest.raises(DomainError, match="finite"):
-        sub.grid_increments(bf.parse_phi(phi), times, np.random.default_rng(0), 2)
+        consume(times)
 
 
 def test_general_requires_jump_structure():
