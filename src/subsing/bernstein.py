@@ -43,12 +43,6 @@ class BernsteinFunction:
     params: tuple
     fn: Callable[[np.ndarray], np.ndarray]
 
-    @property
-    def simulable(self) -> bool:
-        """Whether its grid increments have an exact sampler."""
-        return self.kind in (Catalog.STABLE, Catalog.GAMMA,
-                             Catalog.TEMPERED_STABLE, Catalog.DRIFT_ONLY)
-
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
         if not np.all(arr > 0):   # NaN fails the test too

@@ -25,7 +25,7 @@ from .errors import (CapabilityError, DomainError, GateViolation, NumericError,
 from .integrate import (GAUSS_NODES, Verdict, finiteness_criterion,
                         parse_integrand)
 from .rng import stream
-from .subordinator import grid_increments, time_grid
+from .subordinator import SAMPLERS, grid_increments, time_grid
 
 USAGE_EXIT = 64
 REFUSAL_EXIT = 2
@@ -147,7 +147,7 @@ def _bound_rows(rep, columns: str):
 def cmd_bf(args):
     phi = parse_phi(args.phi)
     idx = doubling_indices(phi)
-    lines = [f"name={phi.name}", f"simulable={phi.simulable}"]
+    lines = [f"name={phi.name}", f"simulable={phi.kind in SAMPLERS}"]
     for key in ("global_inf", "global_sup", "at_zero", "at_infinity"):
         val = getattr(idx, key)
         lines.append(f"{key}={'undetermined' if val is None else _fmt(val)}")

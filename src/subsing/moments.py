@@ -108,19 +108,19 @@ def corollary_case_moment(alpha: float, p: float, T: float, case: CorollaryCase,
             raise DomainError("power cases need theta")
         head = case is CorollaryCase.POWER_HEAD
         proper = theta < 1.0 / alpha if head else theta > 1.0 / alpha
-        if not proper:
-            if p < 0:
-                return 0.0
-            if p == 0:
-                return 1.0
-            return math.inf
         if p == 0:
             return 1.0
+        if not proper:
+            return 0.0 if p < 0 else math.inf
         if p >= alpha:
             return math.inf
         denom = (1.0 - alpha * theta) if head else (alpha * theta - 1.0)
-        return (gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p)
-                / denom ** (p / alpha) * T ** (p * (1.0 / alpha - theta)))
+        try:
+            return (gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p)
+                    / denom ** (p / alpha) * T ** (p * (1.0 / alpha - theta)))
+        except OverflowError:   # a factor past the double range: take it in logs
+            return _case_in_logs(alpha, p, p * (1.0 / alpha - theta) * math.log(T)
+                                 - p / alpha * math.log(denom))
     if case is CorollaryCase.EXPONENTIAL_HEAD:
         if lam is None or lam <= 0:
             raise DomainError("exponential case needs lam > 0")
@@ -129,8 +129,17 @@ def corollary_case_moment(alpha: float, p: float, T: float, case: CorollaryCase,
         if p >= alpha:
             return math.inf
         scale = (1.0 - math.exp(-alpha * lam * T)) / (alpha * lam)
-        return gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p) * scale ** (p / alpha)
+        try:
+            return gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p) * scale ** (p / alpha)
+        except OverflowError:
+            return _case_in_logs(alpha, p, p / alpha * math.log(scale))
     raise DomainError(f"unknown case {case!r}")
+
+
+def _case_in_logs(alpha: float, p: float, log_terms: float) -> float:
+    """Gamma(1 - p/alpha) / Gamma(1 - p) exp(log_terms), inf past LARGEST."""
+    log_value = math.lgamma(1.0 - p / alpha) - math.lgamma(1.0 - p) + log_terms
+    return math.exp(log_value) if log_value <= math.log(LARGEST) else math.inf
 
 
 # ---------------------------------------------------------------------------

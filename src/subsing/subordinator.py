@@ -2,10 +2,10 @@
 
 Grid paths are (n_paths, K) arrays of increments over the cells of a time
 grid, drawn by a sampler made once per grid and run (``grid_sampler``).
-Every simulable exponent has an exact sampler: stable and gamma
-increments are drawn directly, tempered stable ones at alpha = 1/2 from
+``SAMPLERS`` lists the exponents that can be drawn, each exactly: stable
+and gamma increments directly, tempered stable ones at alpha = 1/2 from
 their inverse Gaussian law and at every other alpha by exponential tilting
-of stable ones, and drift-only ones are deterministic.
+of stable ones; drift-only ones are deterministic.
 """
 
 from __future__ import annotations
@@ -147,14 +147,9 @@ def _kanter(rng: np.random.Generator, alpha: float, log_h, u: np.ndarray,
         return np.exp(out, out=out)
 
 
-def _check_stable_index(alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise DomainError("stable index must lie in (0, 1)")
-
-
-def _stable(rng: np.random.Generator, size, alpha: float, h) -> np.ndarray:
-    """Variates h^(1/alpha) V for widths h > 0 broadcast against ``size``,
-    V positive alpha-stable with E[exp(-r V)] = exp(-r^alpha).
+def _stable_sampler(alpha: float, h: np.ndarray):
+    """draw(rng, n_paths) of (n_paths, K) variates h^(1/alpha) V for widths
+    h > 0, V positive alpha-stable with E[exp(-r V)] = exp(-r^alpha).
 
     Kanter's representation (Ann. Probab. 3, 1975): with U uniform on
     (0, pi) and E unit exponential,
@@ -162,25 +157,19 @@ def _stable(rng: np.random.Generator, size, alpha: float, h) -> np.ndarray:
     is summed in logs and exponentiated once.  At alpha = 1/2, V = 1/(2 N^2)
     from one standard normal N instead.  The scale enters before the last
     rounding, so no variate is 0 or inf unless its value is past the double
-    range."""
-    _check_stable_index(alpha)
-    with np.errstate(over="ignore", under="ignore"):
-        if alpha == 0.5:
-            # Levy: V = 1/(2 N^2) has E exp(-r V) = exp(-sqrt(r))
-            v = rng.standard_normal(size)
-            np.divide(math.sqrt(0.5) * h, v, out=v)
-            return np.square(v, out=v)
-        log_h = np.log(h) / alpha
-    return _kanter(rng, alpha, log_h, *(np.empty(size) for _ in range(4)))
-
-
-def _stable_sampler(alpha: float, h: np.ndarray):
-    """draw(rng, n_paths) of (n_paths, K) variates h^(1/alpha) V, as
-    :func:`_stable` draws them; Kanter's u, e and tmp are work arrays and
-    log(h) / alpha is made once."""
-    _check_stable_index(alpha)
+    range.  log(h) / alpha, or sqrt(1/2) h, is made once per grid."""
+    if not 0 < alpha < 1:
+        raise DomainError("stable index must lie in (0, 1)")
     if alpha == 0.5:
-        return lambda rng, n_paths=1: _stable(rng, (n_paths, h.size), alpha, h)
+        scale = math.sqrt(0.5) * h
+
+        def levy(rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
+            # Levy: V = 1/(2 N^2) has E exp(-r V) = exp(-sqrt(r))
+            v = rng.standard_normal((n_paths, h.size))
+            with np.errstate(over="ignore", under="ignore"):
+                return np.square(np.divide(scale, v, out=v), out=v)
+
+        return levy
     with np.errstate(over="ignore", under="ignore"):
         log_h = np.log(h) / alpha
     work = _Work()
@@ -207,7 +196,7 @@ def _tilted_stable(x: np.ndarray, alpha: float, lam: float, h: np.ndarray,
     with np.errstate(over="ignore"):
         todo = np.flatnonzero(rng.standard_exponential(x.shape) < lam * x)
         while todo.size:
-            y = _stable(rng, todo.size, alpha, h[todo % h.size])
+            y = _stable_sampler(alpha, h[todo % h.size])(rng)[0]
             kept = rng.standard_exponential(todo.size) >= lam * y
             flat[todo[kept]] = y[kept]
             todo = todo[~kept]
@@ -269,8 +258,8 @@ def _tilting_sampler(alpha: float, lam: float, dt: np.ndarray):
     every cell; each further pass draws the same number of pieces for every
     cell with pieces left, at most TILT_BATCH in all, so the time grows
     with the number of pieces and no temporary outgrows (n_paths, K) or
-    TILT_BATCH.  The pieces are counted once; the first pass draws from a
-    Kanter sampler of its own.
+    TILT_BATCH.  The pieces are counted once; each pass draws from a stable
+    sampler of its pieces' widths.
     """
     # a count past the double range is inf, refused below
     with np.errstate(over="ignore"):
@@ -286,7 +275,7 @@ def _tilting_sampler(alpha: float, lam: float, dt: np.ndarray):
             k = int(min(left[cells].min(),
                         max(1, TILT_BATCH // max(1, n_paths * cells.size))))
             hk = np.repeat(h[cells], k)
-            x = _tilted_stable(_stable(rng, (n_paths, hk.size), alpha, hk),
+            x = _tilted_stable(_stable_sampler(alpha, hk)(rng, n_paths),
                                alpha, lam, hk, rng)
             out[:, cells] += x.reshape(n_paths, cells.size, k).sum(axis=2)
             left[cells] -= k
@@ -295,40 +284,47 @@ def _tilting_sampler(alpha: float, lam: float, dt: np.ndarray):
     return draw
 
 
+def _tempered_sampler(alpha: float, lam: float, dt: np.ndarray):
+    """The inverse Gaussian law at alpha = 1/2, tilting at every other."""
+    if alpha == 0.5:
+        return _inverse_gaussian_sampler(lam, dt)
+    return _tilting_sampler(alpha, lam, dt)
+
+
+def _drift_sampler(b: float, dt: np.ndarray):
+    step = b * dt
+    return lambda rng, n_paths=1: np.broadcast_to(step, (n_paths, step.size)).copy()
+
+
+# the one list of drawable exponents: kind -> make(*phi.params, widths)
+SAMPLERS = {
+    Catalog.STABLE: _stable_sampler,
+    Catalog.GAMMA: _gamma_sampler,
+    Catalog.TEMPERED_STABLE: _tempered_sampler,
+    Catalog.DRIFT_ONLY: _drift_sampler,
+}
+
+
 def require_sampler(phi: BernsteinFunction) -> None:
     """Raise CapabilityError unless ``phi`` has an exact grid sampler."""
-    if not phi.simulable:
+    if phi.kind not in SAMPLERS:
         raise CapabilityError(f"{phi.name}: no exact grid sampler")
 
 
 def grid_sampler(phi: BernsteinFunction, times: np.ndarray):
     """draw(rng, n_paths=1) -> (n_paths, K) subordinator increments over the
-    cells of ``times``, exact in law for every simulable exponent; any other
-    raises CapabilityError.
+    cells of ``times``, exact in law for every exponent in SAMPLERS; any
+    other raises CapabilityError.
 
     Made once per Monte Carlo run: the grid is checked and each per-grid
     constant made here, once.  Kanter's and the inverse Gaussian's
     temporaries are work arrays that the sampler owns, one set per thread,
     reused while the shape drawn stays the same; they die with the sampler.
     Every returned array is fresh, never a work array, so a draw may be
-    handed to another thread.  Stable increments at alpha = 1/2 are drawn
-    from one normal each; tempered ones at alpha = 1/2 from one normal and
-    one uniform, the inverse Gaussian law; at every other alpha both come
-    from Kanter's representation, tempered ones by exponential tilting.
+    handed to another thread.
     """
     require_sampler(phi)
-    h = grid_widths(times)
-    if phi.kind is Catalog.STABLE:
-        return _stable_sampler(phi.params[0], h)
-    if phi.kind is Catalog.GAMMA:
-        return _gamma_sampler(h)
-    if phi.kind is Catalog.TEMPERED_STABLE:
-        alpha, lam = phi.params
-        if alpha == 0.5:
-            return _inverse_gaussian_sampler(lam, h)
-        return _tilting_sampler(alpha, lam, h)
-    step = phi.params[0] * h     # drift only
-    return lambda rng, n_paths=1: np.broadcast_to(step, (n_paths, step.size)).copy()
+    return SAMPLERS[phi.kind](*phi.params, grid_widths(times))
 
 
 def grid_increments(phi: BernsteinFunction, times: np.ndarray,

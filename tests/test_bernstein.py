@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from subsing import bernstein as bf
 from subsing import moments as mo
-from subsing.errors import DomainError, RangeError
+from subsing import subordinator as sub
+from subsing.errors import CapabilityError, DomainError, RangeError
 
 CATALOG = [
     bf.stable(0.3), bf.stable(0.5), bf.stable(0.7),
@@ -112,7 +113,8 @@ def test_inverse_out_of_range():
 def test_parse_phi_round_trip():
     assert bf.parse_phi("stable:0.5").name == "stable:0.5"
     assert bf.parse_phi("ratio:0.3")(1.0) == pytest.approx(1.0 / 2 ** 0.3)
-    assert not bf.parse_phi("stablelog:0.5,0.2").simulable
+    with pytest.raises(CapabilityError):
+        sub.require_sampler(bf.parse_phi("stablelog:0.5,0.2"))
     with pytest.raises(DomainError):
         bf.parse_phi("nosuch:1")
 

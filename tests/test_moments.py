@@ -126,6 +126,25 @@ class TestCorollaryCases:
         b = mo.exact_stable_moment(bf.stable(alpha), p, itg.exponential(lam), (0, T))
         assert a == pytest.approx(b, rel=1e-8)
 
+    def test_gamma_factor_past_the_double_range(self):
+        # Gamma(201) overflows in each case; the product is taken in logs
+        head = mo.corollary_case_moment(0.005, -1.0, 1000.0,
+                                        mo.CorollaryCase.POWER_HEAD, theta=0.0)
+        tail = mo.corollary_case_moment(0.005, -1.0, 0.001,
+                                        mo.CorollaryCase.POWER_TAIL, theta=250.0)
+        with mpmath.workdps(30):
+            g = mpmath.gamma(201) / mpmath.gamma(2)
+            ref_head = g * mpmath.mpf(1000.0) ** -200
+            # denom = 0.005 250 - 1 = 1/4, T^(p (1/alpha - theta)) = T^50
+            ref_tail = (g / (mpmath.mpf(0.005) * 250 - 1) ** -200
+                        * mpmath.mpf(0.001) ** 50)
+        assert head == pytest.approx(float(ref_head), rel=1e-13)
+        assert tail == pytest.approx(float(ref_tail), rel=1e-13)
+        # about 200! ((1 - e^-0.005) / 0.005)^-200 = 1.3e375: +inf
+        assert mo.corollary_case_moment(0.005, -1.0, 1.0,
+                                        mo.CorollaryCase.EXPONENTIAL_HEAD,
+                                        lam=1.0) == math.inf
+
 
 class TestCharFunctional:
     def test_exact_values(self):

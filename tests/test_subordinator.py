@@ -13,6 +13,7 @@ from subsing import integrate as itg
 from subsing import moments as mo
 from subsing import spde
 from subsing import subordinator as sub
+from subsing.cli import main
 from subsing.errors import CapabilityError, DomainError
 from subsing.rng import stream
 
@@ -382,3 +383,82 @@ def test_compound_poisson_estimate_pinned():
     est = mo.char_functional_mc(bf.parse_phi("tempered:0.5,1"),
                                 itg.parse_integrand("exp:1"), 1.0, 4000, seed=11)
     assert (est.mean, est.std_error) == (0.758832306059596, 0.002759859772602085)
+
+
+# every exponent that parse_phi reads, and one that it does not: together
+# they cover every Catalog kind
+TABLE_IDS = ["stable:0.5", "gamma", "tempered:0.3,1", "stablelog:0.5,0.2",
+             "stableloginv:0.5,0.2", "ratio:0.5", "drift:1"]
+
+
+@pytest.mark.parametrize("phi", [bf.parse_phi(i) for i in TABLE_IDS]
+                         + [bf.custom(np.sqrt)], ids=TABLE_IDS + ["custom"])
+def test_samplers_table_is_the_one_list(phi, capsys):
+    # require_sampler, grid_sampler and `subsing bf` all read SAMPLERS
+    times = np.array([0.0, 0.5, 1.0])
+    if phi.kind in sub.SAMPLERS:
+        sub.require_sampler(phi)
+        assert sub.grid_sampler(phi, times)(stream(5, 0), 2).shape == (2, 2)
+    else:
+        with pytest.raises(CapabilityError, match="no exact grid sampler"):
+            sub.require_sampler(phi)
+        with pytest.raises(CapabilityError, match="no exact grid sampler"):
+            sub.grid_sampler(phi, times)
+    if phi.kind is not bf.Catalog.CUSTOM:
+        assert main(["bf", "--phi", phi.name]) == 0
+        assert f"simulable={phi.kind in sub.SAMPLERS}" in capsys.readouterr().out
+
+
+def test_table_ids_cover_every_kind():
+    kinds = {bf.parse_phi(i).kind for i in TABLE_IDS} | {bf.custom(np.sqrt).kind}
+    assert kinds == set(bf.Catalog)
+    assert set(sub.SAMPLERS) < kinds
+
+
+def test_exponent_outside_the_table_is_never_drawn():
+    # the drift's parameters under a kind that has no sampler: refused, not
+    # drawn as a drift
+    phi = dataclasses.replace(bf.drift_only(1.0), kind=bf.Catalog.RATIO)
+    with pytest.raises(CapabilityError):
+        sub.grid_increments(phi, [0.0, 1.0], stream(5, 0), 2)
+
+
+# draws of every sampler route from stream(49, 0), pinned bit for bit: the
+# first and last path and the sum of all paths.  tempered:0.3,1 on [0, 4]
+# has 16 pieces, so a first pass, a pass of k = 15 and redraws;
+# tempered:0.7,2 has 4, 17 and 39 pieces in its cells, so passes of k = 3,
+# 13 and 22, each with redraws
+ROUTE_GRID = [0.0, 0.5, 3.0, 9.0]
+ROUTE_PINS = [
+    ("tempered:0.3,1", [0.0, 4.0], 5, [1.9585008221040276],
+     [0.14781930772071086], 4.140555230439824),
+    ("tempered:0.7,2", ROUTE_GRID, 33,
+     [0.27493943682730065, 1.2709776076730883, 3.3061486811247374],
+     [0.09115379566147559, 1.3402277425474258, 4.881043801747563],
+     165.44898276426395),
+    ("stable:0.3", ROUTE_GRID, 4,
+     [0.0013177665685982244, 0.38348400398088694, 194.5681037536085],
+     [0.002928529021516437, 32.74005315427462, 14170.727494885885],
+     7096208.64955559),
+    ("stable:0.5", ROUTE_GRID, 4,
+     [0.14552283233337643, 0.8691741037563814, 12.238222005457034],
+     [0.5496838644597392, 5.468139887980572, 718.0120225618962],
+     1072.3926115032782),
+    ("tempered:0.5,1", ROUTE_GRID, 4,
+     [0.8565158209473722, 0.400979944267218, 4.8978659737768],
+     [0.12892545404437367, 0.7783851464325673, 3.20028561879914],
+     19.379200644398807),
+    ("gamma", ROUTE_GRID, 4,
+     [0.12810202912576832, 4.486959413147999, 9.06437976668776],
+     [0.04498188950519594, 2.2972462067963293, 4.367681581637855],
+     35.05351553991068),
+    ("drift:2", ROUTE_GRID, 4, [1.0, 5.0, 12.0], [1.0, 5.0, 12.0], 72.0),
+]
+
+
+@pytest.mark.parametrize("phi, times, n_paths, first, last, total", ROUTE_PINS,
+                         ids=[pin[0] for pin in ROUTE_PINS])
+def test_sampler_route_pinned(phi, times, n_paths, first, last, total):
+    x = sub.grid_increments(bf.parse_phi(phi), times, stream(49, 0), n_paths)
+    assert x.shape == (n_paths, len(times) - 1)
+    assert (x[0].tolist(), x[-1].tolist(), float(x.sum())) == (first, last, total)
