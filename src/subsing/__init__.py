@@ -11,9 +11,8 @@ from .integrate import (Integrand, Verdict, constant, exponential,
                         finiteness_criterion, parse_integrand, power_singular,
                         time_reversed)
 from .mc import MCEstimate, wilson_interval
-from .moments import (BoundReport, CorollaryCase, bound_scan,
-                      char_functional_exact, char_functional_mc,
-                      corollary_case_moment, exact_stable_moment,
+from .moments import (BoundReport, bound_scan, char_functional_exact,
+                      char_functional_mc, exact_stable_moment,
                       exp_moment_equivalence, gamma_fn, mc_moment)
 from .spde import (ControllerResult, DiagonalQ, GalerkinSystem, SolutionPath,
                    advance, conditional_maximal_check, constant_diagonal_q,

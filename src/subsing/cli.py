@@ -102,7 +102,7 @@ def _level_facts(levels, estimates) -> dict:
     for i, lv in enumerate(levels):
         m = lv.moments
         var = m.m2 / (m.count - 1) if m.count > 1 else m.m2 * math.nan
-        facts[f"level_{i}_mean"] = _join(e.mean for e in lv.estimates)
+        facts[f"level_{i}_mean"] = _join(np.ravel(m.mean))
         facts[f"level_{i}_var"] = _join(np.ravel(var))
     if len(levels) > 1:
         facts["finest_correction"] = facts[f"level_{len(levels) - 1}_mean"]

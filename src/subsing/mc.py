@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class MCEstimate:
     (count, mean, M2) partials; sqrt(pi/(2B)) * sd(block means) for
     ``median_of_means``, the asymptotic SE of a median of B nearly Gaussian
     block means; and for ``multilevel``, a sum of level means
-    (:func:`subsing.spde.multilevel_estimates`), the square root of the
+    (:func:`subsing.mc.multilevel_estimates`), the square root of the
     summed squares of the level SEs.  ``heavy_tail_flag`` is read off the
     estimate: set for a median of means, whether the variance rule of
     :func:`subsing.moments._auto_method` or the caller chose it, and for a
@@ -140,6 +141,44 @@ def estimate_from_blocks(blocks: list, method: str = "plain") -> list:
     return [MCEstimate(n, float(mu), math.sqrt(m2) / n if n > 1 else math.nan)
             if math.isfinite(mu) else MCEstimate(n, float(mu), math.inf)
             for mu, m2 in zip(np.ravel(acc.mean), np.ravel(acc.m2))]
+
+
+def level_count(cols: Sequence[int]) -> int:
+    """Halvings of a grid on which every column stays a node: the least
+    power of two among the columns.  Level 0 is the grid so coarsened."""
+    return min((c & -c).bit_length() - 1 for c in cols)
+
+
+def level_paths(N: int, level: int) -> int:
+    """Paths of ``level`` in a run on N paths: N at level 0, then
+    max(2, ceil(N / 2^l)), so that each level steps about as many cells."""
+    return N if level == 0 else max(2, -(-N // (1 << level)))
+
+
+@dataclass(frozen=True)
+class Level:
+    """One level of a multilevel run: its grid step, its paths, and the
+    merged :class:`Moments` of its statistic, per column: the plain
+    statistic on level 0, the fine less the coarse one above it."""
+
+    dt: float
+    paths: int
+    moments: Moments
+
+
+def multilevel_estimates(levels: Sequence[Level]) -> list:
+    """One MCEstimate per column: the sum of the level means, with SE
+    sqrt(sum of the level SEs squared) and ``method="multilevel"``, each
+    level's terms :func:`estimate_from_blocks` of its one partial.  A run of
+    one level is that level's plain estimate."""
+    terms = [estimate_from_blocks([lv.moments]) for lv in levels]
+    if len(levels) == 1:
+        return terms[0]
+    paths = sum(lv.paths for lv in levels)
+    return [MCEstimate(paths, sum(e.mean for e in col),
+                       math.sqrt(sum(e.std_error * e.std_error for e in col)),
+                       "multilevel")
+            for col in zip(*terms)]
 
 
 def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",

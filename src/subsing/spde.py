@@ -23,8 +23,9 @@ from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, NumericError,
                      PreconditionError)
 from .integrate import Verdict, finiteness_criterion, power_singular
-from .mc import (CHUNK_DOUBLES, MCEstimate, Moments, estimate_from_blocks,
-                 merge_all, wilson_interval, workers_for)
+from .mc import (CHUNK_DOUBLES, Level, Moments, estimate_from_blocks,
+                 level_count, level_paths, merge_all, multilevel_estimates,
+                 wilson_interval, workers_for)
 from .moments import (BoundReport, _horizons, bound_rhs, small_time_gate,
                       stationary_gate)
 from .rng import stream
@@ -439,30 +440,6 @@ def coarsen(d_sub: np.ndarray, dw: np.ndarray):
     return d, w
 
 
-def level_count(cols: Sequence[int]) -> int:
-    """Halvings of a grid on which every column stays a node: the least
-    power of two among the columns.  Level 0 is the grid so coarsened."""
-    return min((c & -c).bit_length() - 1 for c in cols)
-
-
-def level_paths(N: int, level: int) -> int:
-    """Paths of ``level`` in a run on N paths: N at level 0, then
-    max(2, ceil(N / 2^l)), so that each level steps about as many cells."""
-    return N if level == 0 else max(2, -(-N // (1 << level)))
-
-
-@dataclass(frozen=True)
-class Level:
-    """One level of a multilevel run: its grid step, its paths, and the
-    merged :class:`Moments` and the MCEstimates of its statistic, per column:
-    the plain statistic on level 0, the fine less the coarse one above it."""
-
-    dt: float
-    paths: int
-    moments: Moments
-    estimates: tuple
-
-
 def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
                      N: int, seed: int, statistic, *, path: str) -> tuple:
     """The levels of a multilevel run on the grid of step ``dt`` over [0, T],
@@ -509,21 +486,8 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
     for level, run in enumerate(runs):
         own, parts = parts[:len(run)], parts[len(run):]
         levels.append(Level(dt * 2 ** (L - level), level_paths(N, level),
-                            merge_all(own), tuple(estimate_from_blocks(own))))
+                            merge_all(own)))
     return tuple(levels)
-
-
-def multilevel_estimates(levels: Sequence[Level]) -> list:
-    """One MCEstimate per column: the sum of the level means, with SE
-    sqrt(sum of the level SEs squared) and ``method="multilevel"``.  A run of
-    one level is that level's plain estimate."""
-    if len(levels) == 1:
-        return list(levels[0].estimates)
-    paths = sum(lv.paths for lv in levels)
-    return [MCEstimate(paths, sum(e.mean for e in col),
-                       math.sqrt(sum(e.std_error * e.std_error for e in col)),
-                       "multilevel")
-            for col in zip(*(lv.estimates for lv in levels))]
 
 
 def _norms_in_place(a: np.ndarray) -> np.ndarray:

@@ -10,10 +10,12 @@ import zlib
 
 import numpy as np
 import pytest
+from closed_forms import CorollaryCase, corollary_case_moment
 from conftest import relative_late_growth, truncation_medians
 
 from subsing import bernstein as bf
 from subsing import integrate as itg
+from subsing import mc
 from subsing import moments as mo
 from subsing import spde
 from subsing.rng import stream
@@ -72,8 +74,8 @@ def test_criterion_2_plain_moments(alpha, p):
 
 def test_criterion_2_power_head_case():
     alpha, p, theta = 0.5, 0.25, 0.5
-    exact = mo.corollary_case_moment(alpha, p, 1.0,
-                                     mo.CorollaryCase.POWER_HEAD, theta=theta)
+    exact = corollary_case_moment(alpha, p, 1.0,
+                                  CorollaryCase.POWER_HEAD, theta=theta)
     est = mo.mc_moment(bf.stable(alpha), p, itg.power_singular(theta), 1.0,
                        40_000, seed=101)
     ok = abs(est.mean - exact) <= 3 * est.std_error
@@ -84,8 +86,8 @@ def test_criterion_2_power_head_case():
 
 def test_criterion_2_power_tail_case():
     alpha, p, theta, T = 0.5, 0.25, 4.0, 1.0
-    exact = mo.corollary_case_moment(alpha, p, T,
-                                     mo.CorollaryCase.POWER_TAIL, theta=theta)
+    exact = corollary_case_moment(alpha, p, T,
+                                  CorollaryCase.POWER_TAIL, theta=theta)
     # horizon cut so that the dropped-tail moment stays below half a standard
     # error: E[tail^p] = G_RATIO * (T_cut^-1)^(1/2) at these parameters
     times = geometric_grid(T, 1e5, ratio=1.005)
@@ -99,8 +101,8 @@ def test_criterion_2_power_tail_case():
 
 def test_criterion_2_exponential_case():
     alpha, p, lam = 0.5, 0.25, 1.0
-    exact = mo.corollary_case_moment(alpha, p, 1.0,
-                                     mo.CorollaryCase.EXPONENTIAL_HEAD, lam=lam)
+    exact = corollary_case_moment(alpha, p, 1.0,
+                                  CorollaryCase.EXPONENTIAL_HEAD, lam=lam)
     est = mo.mc_moment(bf.stable(alpha), p, itg.exponential(lam), 1.0,
                        40_000, seed=303, dt=1 / 250)
     ok = abs(est.mean - exact) <= 3 * est.std_error
@@ -112,10 +114,10 @@ def test_criterion_2_exponential_case():
 def test_criterion_2_infinite_branches():
     inf1 = mo.exact_stable_moment(bf.stable(0.5), 0.5, itg.constant(1.0), (0, 1))
     inf2 = mo.exact_stable_moment(bf.stable(0.7), 0.95, itg.constant(1.0), (0, 1))
-    inf3 = mo.corollary_case_moment(0.5, 1.0, 1.0,
-                                    mo.CorollaryCase.POWER_HEAD, theta=2.0)
-    inf4 = mo.corollary_case_moment(0.5, 0.25, 1.0,
-                                    mo.CorollaryCase.POWER_HEAD, theta=2.5)
+    inf3 = corollary_case_moment(0.5, 1.0, 1.0,
+                                 CorollaryCase.POWER_HEAD, theta=2.0)
+    inf4 = corollary_case_moment(0.5, 0.25, 1.0,
+                                 CorollaryCase.POWER_HEAD, theta=2.5)
     ok = all(v == math.inf for v in (inf1, inf2, inf3, inf4))
     report(2, "infinite branches", ok, "p>=alpha and theta>=1/alpha give inf")
 
@@ -450,7 +452,7 @@ def test_criterion_13_multilevel_exact_law(phi, seed):
 
     levels = spde.multilevel_paths(system, phi, 1.0, 1 / 64, [64], 40_000,
                                    seed, statistic, path="convolution")
-    est, = spde.multilevel_estimates(levels)
+    est, = mc.multilevel_estimates(levels)
     exact = _scheme_exact_cos(phi, system, q, u, time_grid(1.0, 1 / 64))
     z = (est.mean - exact) / est.std_error
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import importlib.util
 import math
 import os
 import shlex
@@ -545,7 +546,7 @@ def test_maximal_manifest_records_levels(mode, t_grid, levels, tmp_path):
     variances = [[float(v) for v in facts[f"level_{i}_var"].split(",")]
                  for i in range(levels)]
     assert facts["level_paths"] == ",".join(
-        str(spde.level_paths(40, i)) for i in range(levels))
+        str(mc.level_paths(40, i)) for i in range(levels))
     assert [float(v) for v in facts["level_dt"].split(",")] == [
         0.0625 * 2 ** (levels - 1 - i) for i in range(levels)]
     assert [sum(col) for col in zip(*means)] == pytest.approx(statistic, rel=1e-14)
@@ -1273,6 +1274,39 @@ def test_multilevel_output_digest(mode, system, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of the .manifest of each run of MULTILEVEL_RUNS without its
+# wall_seconds= and workers= lines, as written by the version whose levels
+# kept their estimates beside their merged partials
+MULTILEVEL_MANIFESTS = {
+    ("maximal", "drift"):
+        "ac1b5a7c0dd1a55cbbab4083704ec552a9d3506f8c035da7ef1738b4632e7fa3",
+    ("convmom", "drift"):
+        "8bf67eb6c7bf57b67fa8b6d6aa590c90cc37b4dd0a8decf90c5217019d05429b",
+    ("longrun", "drift"):
+        "31a61f723c4881f7a9e5463522ec1260ff2208f3bedf4ceda88a03f0db4f74c8",
+    ("maximal", "q-const"):
+        "835b7b4785a032eb76701644ded4c9a9788cff60f633a8d23d198a8d6218b65e",
+    ("convmom", "q-const"):
+        "82b95d92c825eaeba32478d816face9b7147108e1cb360f20cfadb197e8abcfc",
+    ("longrun", "q-const"):
+        "b940ea0c6fd3bfdee661158eec78eeb2d4e4fd901546af0ed08435c21643d6d3",
+}
+
+
+@pytest.mark.parametrize("mode, system", list(MULTILEVEL_MANIFESTS))
+def test_multilevel_manifest_digest(mode, system, tmp_path):
+    # the level record: steps, paths, and each level's means and variances
+    extra = ["--f-scale", "2"] if system == "drift" else ["--q-const"]
+    out = tmp_path / "m.csv"
+    assert run(["spde", mode, "--n", "3", "--dt", "0.0625", "--seed", "2",
+                *_MULTILEVEL_BASE[mode], *extra, "--out", str(out)]) == 0
+    with open(str(out) + ".manifest") as fh:
+        text = "".join(line for line in fh
+                       if not line.startswith(("wall_seconds=", "workers=")))
+    digest = MULTILEVEL_MANIFESTS[mode, system]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_galerkin_manifest_records_projection_floor(tmp_path, capsys):
     flags = ["spde", "galerkin", "--n", "16", "--truncations", "2,4,8",
              "--T", "0.25", "--dt", "0.0625", "--paths", "30", "--seed", "4"]
@@ -1499,6 +1533,26 @@ def test_every_export_has_a_reader():
     readers.append(Path(__file__).with_name("test_acceptance.py"))
     read = set().union(*(_reads(ast.parse(p.read_text())) for p in readers))
     assert not exported - read, f"unread exports {sorted(exported - read)}"
+
+
+# tracer points that name a binding the package no longer has: a traced run
+# warns that each is not found, and the tracer repair takes them
+STALE_TRACE_POINTS = {("cli", "run_mc"), ("moments", "grid_increments"),
+                      ("subordinator", "cp_jump_batch"),
+                      ("cli", "stieltjes_increments")}
+
+
+def test_tracer_points_resolve():
+    # bench/tracing.py traces a layer by rebinding subsing.<module>.<attr>;
+    # a point lost to a refactor would only print a warning in a traced run
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lost = {(mod, attr) for mod, attr, *_ in tracing.POINTS
+            if getattr(importlib.import_module(f"subsing.{mod}"), attr,
+                       None) is None}
+    assert lost <= STALE_TRACE_POINTS, sorted(lost - STALE_TRACE_POINTS)
 
 
 def test_package_runs_without_scipy(tmp_path):

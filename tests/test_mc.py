@@ -238,3 +238,36 @@ def test_median_of_one_block_is_a_domain_error():
         run_mc(lambda r, m: drawn.append(m) or r.standard_normal(m), 1, 1,
                method="median_of_means")
     assert drawn == []
+
+
+def test_one_level_is_its_plain_estimate():
+    rows = np.random.default_rng(0).standard_normal((50, 2))
+    level = mc.Level(0.5, 50, Moments.of(rows))
+    assert mc.multilevel_estimates([level]) == estimate_from_blocks([level.moments])
+
+
+def test_multilevel_estimate_sums_its_levels():
+    # three hand-made levels of 40, 20 and 10 paths, two columns each
+    rng = np.random.default_rng(1)
+    samples = [rng.standard_normal((n, 2)) * 0.5 ** l + l
+               for l, n in enumerate((40, 20, 10))]
+    levels = [mc.Level(2.0 ** -l, len(x), Moments.of(x))
+              for l, x in enumerate(samples)]
+    ests = mc.multilevel_estimates(levels)
+    assert len(ests) == 2
+    for h, est in enumerate(ests):
+        assert est.method == "multilevel" and est.n_samples == 70
+        assert est.mean == pytest.approx(sum(x[:, h].mean() for x in samples),
+                                         rel=1e-12)
+        assert est.std_error == pytest.approx(
+            math.sqrt(sum(x[:, h].var() / len(x) for x in samples)), rel=1e-12)
+
+
+def test_level_paths_halve_down_to_two():
+    assert [mc.level_paths(40, l) for l in range(7)] == [40, 20, 10, 5, 3, 2, 2]
+    assert mc.level_paths(3, 10) == 2
+
+
+def test_level_count_is_the_least_power_of_two_among_the_columns():
+    assert mc.level_count([64, 32, 96]) == 5
+    assert mc.level_count([64, 3]) == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import CorollaryCase, corollary_case_moment
 from subsing import bernstein as bf
 from subsing import integrate as itg
 from subsing import moments as mo
@@ -80,29 +81,29 @@ class TestExactStableMoment:
 
 class TestCorollaryCases:
     def test_degenerate_power_head(self):
-        C = mo.CorollaryCase.POWER_HEAD
-        assert mo.corollary_case_moment(0.5, 1.0, 1.0, C, theta=2.0) == math.inf
-        assert mo.corollary_case_moment(0.5, 0.0, 1.0, C, theta=3.0) == 1.0
-        assert mo.corollary_case_moment(0.5, -1.0, 1.0, C, theta=2.0) == 0.0
+        C = CorollaryCase.POWER_HEAD
+        assert corollary_case_moment(0.5, 1.0, 1.0, C, theta=2.0) == math.inf
+        assert corollary_case_moment(0.5, 0.0, 1.0, C, theta=3.0) == 1.0
+        assert corollary_case_moment(0.5, -1.0, 1.0, C, theta=2.0) == 0.0
 
     def test_exponential_head_value(self):
-        v = mo.corollary_case_moment(0.5, 0.25, 1.0,
-                                     mo.CorollaryCase.EXPONENTIAL_HEAD, lam=1.0)
+        v = corollary_case_moment(0.5, 0.25, 1.0,
+                                  CorollaryCase.EXPONENTIAL_HEAD, lam=1.0)
         assert v == pytest.approx(G_RATIO * ((1 - math.exp(-0.5)) / 0.5) ** 0.5,
                                   rel=1e-12)
 
     def test_power_tail_degenerate(self):
-        C = mo.CorollaryCase.POWER_TAIL
-        assert mo.corollary_case_moment(0.5, 0.5, 1.0, C, theta=1.5) == math.inf
-        assert mo.corollary_case_moment(0.5, 0.0, 1.0, C, theta=1.5) == 1.0
-        assert mo.corollary_case_moment(0.5, -1.0, 1.0, C, theta=1.5) == 0.0
+        C = CorollaryCase.POWER_TAIL
+        assert corollary_case_moment(0.5, 0.5, 1.0, C, theta=1.5) == math.inf
+        assert corollary_case_moment(0.5, 0.0, 1.0, C, theta=1.5) == 1.0
+        assert corollary_case_moment(0.5, -1.0, 1.0, C, theta=1.5) == 0.0
 
     @pytest.mark.parametrize("alpha,p,theta,T", [
         (0.5, 0.25, 0.5, 1.0), (0.5, 0.25, 0.5, 2.0), (0.7, -0.5, 1.0, 0.5),
     ])
     def test_head_consistent_with_general_formula(self, alpha, p, theta, T):
-        a = mo.corollary_case_moment(alpha, p, T, mo.CorollaryCase.POWER_HEAD,
-                                     theta=theta)
+        a = corollary_case_moment(alpha, p, T, CorollaryCase.POWER_HEAD,
+                                  theta=theta)
         b = mo.exact_stable_moment(bf.stable(alpha), p, itg.power_singular(theta),
                                    (0, T))
         assert a == pytest.approx(b, rel=1e-10)
@@ -111,8 +112,8 @@ class TestCorollaryCases:
         (0.5, 0.25, 4.0, 1.0), (0.6, -1.0, 3.0, 2.0),
     ])
     def test_tail_consistent_with_general_formula(self, alpha, p, theta, T):
-        a = mo.corollary_case_moment(alpha, p, T, mo.CorollaryCase.POWER_TAIL,
-                                     theta=theta)
+        a = corollary_case_moment(alpha, p, T, CorollaryCase.POWER_TAIL,
+                                  theta=theta)
         b = mo.exact_stable_moment(bf.stable(alpha), p, itg.power_singular(theta),
                                    (T, math.inf))
         assert a == pytest.approx(b, rel=1e-10)
@@ -121,17 +122,17 @@ class TestCorollaryCases:
         (0.5, 0.25, 1.0, 1.0), (0.7, -0.5, 2.0, 1.5),
     ])
     def test_exp_consistent_with_general_formula(self, alpha, p, lam, T):
-        a = mo.corollary_case_moment(alpha, p, T,
-                                     mo.CorollaryCase.EXPONENTIAL_HEAD, lam=lam)
+        a = corollary_case_moment(alpha, p, T,
+                                  CorollaryCase.EXPONENTIAL_HEAD, lam=lam)
         b = mo.exact_stable_moment(bf.stable(alpha), p, itg.exponential(lam), (0, T))
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_gamma_factor_past_the_double_range(self):
         # Gamma(201) overflows in each case; the product is taken in logs
-        head = mo.corollary_case_moment(0.005, -1.0, 1000.0,
-                                        mo.CorollaryCase.POWER_HEAD, theta=0.0)
-        tail = mo.corollary_case_moment(0.005, -1.0, 0.001,
-                                        mo.CorollaryCase.POWER_TAIL, theta=250.0)
+        head = corollary_case_moment(0.005, -1.0, 1000.0,
+                                     CorollaryCase.POWER_HEAD, theta=0.0)
+        tail = corollary_case_moment(0.005, -1.0, 0.001,
+                                     CorollaryCase.POWER_TAIL, theta=250.0)
         with mpmath.workdps(30):
             g = mpmath.gamma(201) / mpmath.gamma(2)
             ref_head = g * mpmath.mpf(1000.0) ** -200
@@ -141,9 +142,32 @@ class TestCorollaryCases:
         assert head == pytest.approx(float(ref_head), rel=1e-13)
         assert tail == pytest.approx(float(ref_tail), rel=1e-13)
         # about 200! ((1 - e^-0.005) / 0.005)^-200 = 1.3e375: +inf
-        assert mo.corollary_case_moment(0.005, -1.0, 1.0,
-                                        mo.CorollaryCase.EXPONENTIAL_HEAD,
-                                        lam=1.0) == math.inf
+        assert corollary_case_moment(0.005, -1.0, 1.0,
+                                     CorollaryCase.EXPONENTIAL_HEAD,
+                                     lam=1.0) == math.inf
+
+    def test_product_past_the_double_range(self):
+        # Gamma(170) 10^169 overflows; times 0.7^1690 the value is 4.6e211, and
+        # at T = 0.1 it is 2.8e-1217, below the least double
+        C = CorollaryCase.POWER_TAIL
+        v = corollary_case_moment(0.01, -1.69, 0.7, C, theta=1100.0)
+        a, p, T, theta = map(mpmath.mpf, (0.01, -1.69, 0.7, 1100.0))
+        with mpmath.workdps(30):
+            ref = (mpmath.gamma(1 - p / a) / mpmath.gamma(1 - p)
+                   / (a * theta - 1) ** (p / a) * T ** (p * (1 / a - theta)))
+        assert v == pytest.approx(float(ref), rel=1e-13)
+        assert corollary_case_moment(0.01, -1.69, 0.1, C, theta=1100.0) == 0.0
+
+    def test_exponential_scale_where_one_less_the_exponential_rounds_to_zero(self):
+        # 1 - e^(-alpha lam T) is 0 in doubles at lam = 1e-20; the value is
+        # near Gamma(2) / Gamma(3/2) = 2 / sqrt(pi)
+        v = corollary_case_moment(0.5, -0.5, 1.0, CorollaryCase.EXPONENTIAL_HEAD,
+                                  lam=1e-20)
+        a, p, lam = map(mpmath.mpf, (0.5, -0.5, 1e-20))
+        with mpmath.workdps(30):
+            ref = (mpmath.gamma(1 - p / a) / mpmath.gamma(1 - p)
+                   * (-mpmath.expm1(-a * lam) / (a * lam)) ** (p / a))
+        assert v == pytest.approx(float(ref), rel=1e-13)
 
 
 class TestCharFunctional:

@@ -212,7 +212,7 @@ class TestMaximalAndSmallBall:
         assert [(lv.dt, lv.paths) for lv in rep.levels] == [
             (0.5, 300), (0.25, 150), (0.125, 75), (0.0625, 38)]
         for h, est in enumerate(rep.estimates):
-            col = [lv.estimates[h] for lv in rep.levels]
+            col = [estimate_from_blocks([lv.moments])[h] for lv in rep.levels]
             assert est.method == "multilevel" and est.n_samples == 563
             assert est.mean == sum(e.mean for e in col)
             assert est.std_error == math.sqrt(sum(e.std_error ** 2 for e in col))
@@ -226,8 +226,9 @@ class TestMaximalAndSmallBall:
             rep = spde.maximal_inequality_scan(system, ST6, 0.5, [0.5, 1, 2],
                                                300, 5, dt=1 / 16)
             runs.append((rep.estimates, [
-                (lv.dt, lv.paths, lv.estimates, lv.moments.mean.tolist(),
-                 lv.moments.m2.tolist()) for lv in rep.levels]))
+                (lv.dt, lv.paths, estimate_from_blocks([lv.moments]),
+                 lv.moments.mean.tolist(), lv.moments.m2.tolist())
+                for lv in rep.levels]))
         assert runs[0] == runs[1]
 
     def test_level_counts_and_streams_follow_paths_dt_and_horizons(self, monkeypatch):
@@ -446,7 +447,7 @@ class TestLongRun:
                 assert est.mean == pytest.approx(oracle / T, abs=1e-6)
                 partial = 0.0
                 for lv in rep.levels:
-                    partial += lv.estimates[h].mean
+                    partial += estimate_from_blocks([lv.moments])[h].mean
                     ts = np.linspace(1.0, T + 1.0, round(T / lv.dt) + 1)
                     assert partial == pytest.approx(
                         trapezoid(moment(ts), ts) / T, rel=1e-9)
@@ -531,7 +532,7 @@ class TestMultilevelScans:
         ests, levels = self.multilevel(scan, horizons, 300, 3, 1 / 16)
         assert [(lv.dt, lv.paths) for lv in levels] == ladder
         for h, est in enumerate(ests):
-            col = [lv.estimates[h] for lv in levels]
+            col = [estimate_from_blocks([lv.moments])[h] for lv in levels]
             assert est.method == "multilevel"
             assert est.n_samples == sum(paths for _, paths in ladder)
             assert est.mean == sum(e.mean for e in col)
@@ -545,8 +546,9 @@ class TestMultilevelScans:
             monkeypatch.setenv("SUBSING_WORKERS", workers)
             ests, levels = self.multilevel(scan, [0.5, 1.0], 600, 5, 1 / 16)
             runs.append((ests, [
-                (lv.dt, lv.paths, lv.estimates, lv.moments.mean.tolist(),
-                 lv.moments.m2.tolist()) for lv in levels]))
+                (lv.dt, lv.paths, estimate_from_blocks([lv.moments]),
+                 lv.moments.mean.tolist(), lv.moments.m2.tolist())
+                for lv in levels]))
         assert len(runs[0][1]) > 1 and runs[0] == runs[1]
 
     @pytest.mark.parametrize("scan, horizons, N, dt", [
@@ -1270,7 +1272,8 @@ def test_no_thread_rule_changes_a_result(monkeypatch):
         rep = spde.maximal_inequality_scan(system, ST6, 0.5, [1, 2], 600, 1,
                                            dt=1 / 8)
         runs.append((moments.mc_moment(ST6, 0.25, f, 1.0, 3000, 5),
-                     rep.estimates, [level.estimates for level in rep.levels]))
+                     rep.estimates, [estimate_from_blocks([level.moments])
+                                     for level in rep.levels]))
     assert runs[0] == runs[1]
 
 
