@@ -90,8 +90,8 @@ def constant(c: float) -> Integrand:
 
 def time_reversed(inner: Integrand, T: float) -> Integrand:
     """f(t) = inner(T - t) on (0, T)."""
-    if T <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError("horizon must be positive and finite")
 
     def fn(t, g=inner.fn, T=T):
         return g(np.maximum(T - np.asarray(t, dtype=float), 1e-300))

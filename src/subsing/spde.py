@@ -326,96 +326,88 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
     """One replica of the system driven by ``driver`` on a uniform grid,
     drawn from stream (seed, 0) like the first chunk of every scan."""
     times = time_grid(T, dt)
-    rng = stream(seed, 0)
-    d_sub = grid_increments(driver, times, rng, 1)
-    dw = rng.standard_normal((1, len(times) - 1, system.n))
+    d_sub, dw = _draw(system, driver, times, stream(seed, 0), 1)
     X = advance(system, times, d_sub, dw, path="state")
     Z = advance(system, times, d_sub, dw, path="convolution")
     svals = np.concatenate(([0.0], np.cumsum(d_sub[0])))
     return SolutionPath(times, X[0], Z[0], svals)
 
 
-@dataclass(frozen=True)
-class _Task:
-    """One chunk of a Monte Carlo run: ``paths`` replicas on the grid
-    ``times``, drawn from stream (seed, ``index``) and mapped to statistic
-    rows by ``rows(d_sub, dw)``."""
-
-    times: np.ndarray
-    paths: int
-    index: int
-    rows: Callable
-
-
-def _chunk_tasks(system, times, N, rows, *, offset=0) -> list:
-    """The tasks of N paths on ``times``: chunks of at most 256 replicas and
-    about ``CHUNK_DOUBLES`` normals, chunk j from stream (seed, offset + j),
-    the last one ragged when the chunk size does not divide N."""
-    if N < 1:
-        raise DomainError("need a positive number of paths")
+def _draw(system, driver, times, rng, m):
+    """The draws of m replicas on ``times`` from ``rng``: the clock
+    increments (m, K), drawn from the exponent ``driver`` or one frozen (K,)
+    vector shared by every replica, then the (m, K, n) standard normals."""
     K = len(times) - 1
-    chunk = max(1, min(256, CHUNK_DOUBLES // (K * system.n + 1)))
-    return [_Task(times, min(chunk, N - start), offset + j, rows)
-            for j, start in enumerate(range(0, N, chunk))]
+    if isinstance(driver, np.ndarray):
+        d_sub = np.broadcast_to(driver, (m, K))
+    else:
+        d_sub = grid_increments(driver, times, rng, m)
+    return d_sub, rng.standard_normal((m, K, system.n))
 
 
-def _mc_parts(system, driver, seed, tasks) -> list:
-    """The one draw-ahead loop of the SPDE Monte Carlo runs: the
-    :class:`Moments` of each :class:`_Task`'s statistic rows (m,) or
-    (m, n_out), in task order, so the schedule never shows in a result.
-    A statistic steps its chunk itself, through :func:`advance` or
-    :func:`steps`.
+def _mc_parts(system, driver, seed, runs) -> list:
+    """The one draw-ahead loop of the SPDE Monte Carlo runs: one merged
+    :class:`Moments` per run ``(times, N, rows, key)``, of the rows (m,) or
+    (m, n_out) that ``rows(d_sub, dw)`` makes of N paths on ``times``.  A
+    statistic steps its draws itself, through :func:`advance` or
+    :func:`steps`, and derives anything else there, as a level above 0 its
+    :func:`coarsen` draws.
 
-    ``driver`` is an exponent to draw subordinator increments from, or one
-    frozen (K,) vector of increments shared by every replica.  The calling
-    thread draws and runs the last task first, then tasks 0, 1, ... in
-    turn.  When :func:`workers_for` a step slice of the largest task
-    (paths x n doubles) is 2 or more, one helper thread serves the whole
-    run: it draws task 0 while the last one runs, then task i + 1 while the
-    calling thread runs task i.  A draw is a task's clock increments and
-    normals; a statistic derives anything else from them, as a level above
-    0 its :func:`coarsen` draws.  A statistic that overflows, or is nan,
-    raises NumericError.
+    Chunk j of run ``key``, at most 256 replicas and about ``CHUNK_DOUBLES``
+    normals, the last one ragged, draws (:func:`_draw`) from stream
+    (seed, (key << 32) + j); the chunks of every run, in run order, are the
+    tasks.  The calling thread draws and runs the last task first, then
+    tasks 0, 1, ... in turn.  When :func:`workers_for` a step slice of the
+    largest task (paths x n doubles) is 2 or more, one helper thread draws
+    task 0 while the last one runs, then task i + 1 while the calling thread
+    runs task i.  A run's partials merge in chunk order, so the schedule
+    never shows in a result.  A statistic that overflows, or is nan, raises
+    NumericError.
     """
+    tasks, parts = [], []   # tasks (run, replicas, chunk); partials per run
+    for r, (times, N, _, _) in enumerate(runs):
+        if N < 1:
+            raise DomainError("need a positive number of paths")
+        chunk = max(1, min(256, CHUNK_DOUBLES // ((len(times) - 1) * system.n + 1)))
+        starts = range(0, N, chunk)
+        tasks += [(r, min(chunk, N - start), j) for j, start in enumerate(starts)]
+        parts.append([None] * len(starts))
+
     def draw(task):
-        K = len(task.times) - 1
-        rng = stream(seed, task.index)
-        if isinstance(driver, np.ndarray):
-            d_sub = np.broadcast_to(driver, (task.paths, K))
-        else:
-            d_sub = grid_increments(driver, task.times, rng, task.paths)
-        return d_sub, rng.standard_normal((task.paths, K, system.n))
+        r, m, j = task
+        times, _, _, key = runs[r]
+        return _draw(system, driver, times, stream(seed, (key << 32) + j), m)
 
     def run(task, draws):
+        r, _, j = task
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = task.rows(*draws)
+            rows = runs[r][2](*draws)
         if not np.all(np.isfinite(rows)):
             raise NumericError("a path left the range of doubles: the "
                                "statistic is not finite")
-        return Moments.of(rows)
+        parts[r][j] = Moments.of(rows)
 
-    parts, last = [None] * len(tasks), len(tasks) - 1
-    if workers_for(system.n * max(task.paths for task in tasks)) == 1:
+    last = len(tasks) - 1
+    if workers_for(system.n * max(m for _, m, _ in tasks)) == 1:
         for i in (last, *range(last)):
-            parts[i] = run(tasks[i], draw(tasks[i]))
-        return parts
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw, tasks[0]) if last else None
-        parts[last] = run(tasks[last], draw(tasks[last]))
-        for i in range(last):
-            draws = ahead.result()
-            if i + 1 < last:
-                ahead = pool.submit(draw, tasks[i + 1])
-            parts[i] = run(tasks[i], draws)
-    return parts
+            run(tasks[i], draw(tasks[i]))
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            ahead = pool.submit(draw, tasks[0]) if last else None
+            run(tasks[last], draw(tasks[last]))
+            for i in range(last):
+                draws = ahead.result()
+                if i + 1 < last:
+                    ahead = pool.submit(draw, tasks[i + 1])
+                run(tasks[i], draws)
+    return [merge_all(own) for own in parts]
 
 
 def _mc_paths(system, driver, times, N, seed, statistic):
     """One MCEstimate per column of ``statistic(d_sub, dw)`` over N paths on
-    ``times`` (see :func:`_mc_parts`), each chunk one block of
-    :func:`estimate_from_blocks`."""
-    return estimate_from_blocks(_mc_parts(
-        system, driver, seed, _chunk_tasks(system, times, N, statistic)))
+    ``times``: the one run, key 0, of :func:`_mc_parts`."""
+    return estimate_from_blocks(
+        _mc_parts(system, driver, seed, [(times, N, statistic, 0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +447,7 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
     runs it on :func:`level_paths` paths, each stepped on its level's grid
     and, in lock step, on the grid above from the same draws by
     :func:`coarsen`, and takes the difference; its chunk j draws from stream
-    (seed, (l << 32) + j).  Every chunk of every level is one task of one
+    (seed, (l << 32) + j).  Every level is one run, keyed l, of one
     :func:`_mc_parts` loop, in level order.  The level counts and streams
     depend on (N, dt, cols) alone.
     """
@@ -478,16 +470,11 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
             return statistic(fine, here, P) - statistic(coarse, there, Pc)
         return rows
 
-    runs = [_chunk_tasks(system, times, level_paths(N, level),
-                         level_rows(level), offset=level << 32)
-            for level, times in enumerate(grids)]
-    parts = _mc_parts(system, driver, seed, [t for run in runs for t in run])
-    levels = []
-    for level, run in enumerate(runs):
-        own, parts = parts[:len(run)], parts[len(run):]
-        levels.append(Level(dt * 2 ** (L - level), level_paths(N, level),
-                            merge_all(own)))
-    return tuple(levels)
+    parts = _mc_parts(system, driver, seed, [
+        (times, level_paths(N, level), level_rows(level), level)
+        for level, times in enumerate(grids)])
+    return tuple(Level(dt * 2 ** (L - level), level_paths(N, level), part)
+                 for level, part in enumerate(parts))
 
 
 def _norms_in_place(a: np.ndarray) -> np.ndarray:
@@ -495,6 +482,15 @@ def _norms_in_place(a: np.ndarray) -> np.ndarray:
     instead of into a temporary; ``a`` must be a float array."""
     np.multiply(a, a, out=a)
     return np.sqrt(np.add.reduce(a, axis=-1))
+
+
+def _moment_rows(system: GalerkinSystem, p: float, theta: float) -> Callable:
+    """The map of a path's columns P (R, c, n) to |Lambda^theta P|^p (R, c),
+    which weights and squares P in place; the (R, 1, n) weights span each
+    time's contiguous (R, n) slice."""
+    weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
+    return lambda P: _norms_in_place(
+        np.multiply(P, weights((len(P), 1, system.n)), out=P)) ** p
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +527,10 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     _gate(driver, p, theta, stationary=False)
     t_grid = _horizons(t_grid)
     cols = [cell_count(t, dt) for t in t_grid]
-    weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
-
-    def statistic(times, at, Z):
-        # the read columns are weighted and squared in place; the (R, 1, n)
-        # weights span each time's contiguous (R, n) slice
-        Z = Z[:, at, :]
-        Z *= weights((len(Z), 1, system.n))
-        return _norms_in_place(Z) ** p
-
+    moment_rows = _moment_rows(system, p, theta)
     levels = multilevel_paths(system, driver, t_grid[-1], dt, cols, N, seed,
-                              statistic, path="convolution")
+                              lambda times, at, Z: moment_rows(Z[:, at, :]),
+                              path="convolution")
     rhs = tuple(bound_rhs(driver, p / 2, t, theta=2 * theta) for t in t_grid)
     return BoundReport(tuple(t_grid), tuple(multilevel_estimates(levels)), rhs,
                        "convolution/small_time", levels)
@@ -674,15 +663,12 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     Ts = _horizons(horizons)
     j0 = cell_count(1.0, dt)
     cols = [j0] + [j0 + cell_count(T, dt) for T in Ts]
-    weights = mode_rows(np.asarray(system.eigenvalues, dtype=float) ** theta)
+    moment_rows = _moment_rows(system, p, theta)
 
     def statistic(times, at, X):
-        # the columns from t = 1 on are weighted and squared in place; the
-        # (R, 1, n) weights span each time's contiguous (R, n) slice
+        # the columns from t = 1 on
         start, ends = at[0], at[1:]
-        X = X[:, start:, :]
-        X *= weights((len(X), 1, system.n))
-        vals = _norms_in_place(X) ** p
+        vals = moment_rows(X[:, start:, :])
         # the level's own step: dt times a power of two, exactly, where
         # times[1] - times[0] may differ from dt in its last bit
         h = dt * (cols[-1] // (len(times) - 1))

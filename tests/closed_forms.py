@@ -58,8 +58,9 @@ def corollary_case_moment(alpha: float, p: float, T: float, case: CorollaryCase,
         if p >= alpha:
             return math.inf
         # (1 - e^(-alpha lam T)) / (alpha lam), without the cancellation of
-        # 1 - e^(-x) at small x
-        scale = -math.expm1(-alpha * lam * T) / (alpha * lam)
+        # 1 - e^(-x) at small x; its limit T where alpha lam T underflows to 0
+        x = alpha * lam * T
+        scale = -math.expm1(-x) / (alpha * lam) if x > 0 else T
         try:
             value = gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p) * scale ** (p / alpha)
         except OverflowError:

@@ -1263,7 +1263,7 @@ MULTILEVEL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("mode, system", list(MULTILEVEL_RUNS), ids="-".join)
+@pytest.mark.parametrize("mode, system", list(MULTILEVEL_RUNS))
 def test_multilevel_output_digest(mode, system, capsys):
     extra = ["--f-scale", "2"] if system == "drift" else ["--q-const"]
     flags = ["--n", "3", "--dt", "0.0625", "--seed", "2",

@@ -10,6 +10,7 @@ from scipy import integrate as si
 from subsing import bernstein as bf
 from subsing import integrate as itg
 from subsing import subordinator as sub
+from subsing.errors import DomainError
 from subsing.moments import mc_moment
 
 STABLE = bf.stable(0.5)
@@ -326,6 +327,14 @@ def test_time_reversal_moment_equality():
         b = mc_moment(phi, p, fr, 1.0, 30_000, 32, dt=1 / 200)
         half = 2.5758 * math.hypot(a.std_error, b.std_error)
         assert abs(a.mean - b.mean) <= half
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_time_reversed_refuses_a_horizon_not_positive_and_finite(T):
+    # nan and inf were taken: at T = inf the criterion read FINITE 0.0 and
+    # the cell means warned before they refused
+    with pytest.raises(DomainError, match="positive and finite"):
+        itg.time_reversed(itg.exponential(1.0), T)
 
 
 def test_grid_refinement_consistency():

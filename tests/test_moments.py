@@ -169,6 +169,17 @@ class TestCorollaryCases:
                    * (-mpmath.expm1(-a * lam) / (a * lam)) ** (p / a))
         assert v == pytest.approx(float(ref), rel=1e-13)
 
+    def test_exponential_scale_where_alpha_lam_t_underflows(self):
+        # alpha lam T = 5e-331 is 0 in doubles: the scale is its limit T, and
+        # the value near Gamma(2) / Gamma(3/2) / T
+        v = corollary_case_moment(0.5, -0.5, 1e-10, CorollaryCase.EXPONENTIAL_HEAD,
+                                  lam=1e-320)
+        a, p, lam, T = map(mpmath.mpf, (0.5, -0.5, 1e-320, 1e-10))
+        with mpmath.workdps(30):
+            ref = (mpmath.gamma(1 - p / a) / mpmath.gamma(1 - p)
+                   * (-mpmath.expm1(-a * lam * T) / (a * lam)) ** (p / a))
+        assert v == pytest.approx(float(ref), rel=1e-13)
+
 
 class TestCharFunctional:
     def test_exact_values(self):

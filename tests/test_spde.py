@@ -105,6 +105,29 @@ class TestConditionalSampling:
         assert np.array_equal(path.subordinator,
                               np.concatenate(([0.0], np.cumsum(inc))))
 
+    @pytest.mark.parametrize("driver", [ST6, GAMMA])
+    def test_simulation_is_the_one_path_run(self, driver):
+        # the clock, X and Z that advance makes of the draws which a
+        # one-path Monte Carlo run hands its statistic, bit for bit
+        system = TestTimeMajorStepping().state_dependent_system(n=3)
+        times = time_grid(1.0, 1 / 32)
+        handed = []
+
+        def statistic(d_sub, dw):
+            handed.append((d_sub.copy(), dw.copy()))
+            return d_sub.sum(axis=1)
+
+        spde._mc_paths(system, driver, times, 1, 9, statistic)
+        [(d_sub, dw)] = handed
+        path = spde.simulate(system, driver, 1.0, 1 / 32, seed=9)
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.subordinator,
+                              np.concatenate(([0.0], np.cumsum(d_sub[0]))))
+        for got, name in ((path.state, "state"),
+                          (path.convolution, "convolution")):
+            want = spde.advance(system, times, d_sub, dw, path=name)[0]
+            assert np.array_equal(got, want)
+
     def test_simulation_is_deterministic(self):
         system = diagonal_system(3, [1.0, 2.0, 3.0],
                                  q=spde.constant_diagonal_q([0.1, 0.2, 0.3]))
