@@ -90,13 +90,13 @@ def _join(values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
-def _level_facts(levels, estimates) -> dict:
-    """The .manifest record of a multilevel run, its ``levels`` and the
-    ``estimates`` made from them: the estimates' method, each level's step
-    and paths, its mean and sample variance per horizon, and the finest
-    level's correction per horizon, the estimate of the grid's resolution
-    bias beside the SE."""
-    facts = {"method": estimates[0].method,
+def _level_facts(levels) -> dict:
+    """The .manifest record of a multilevel run's ``levels``: the method of
+    :func:`mc.multilevel_estimates` ("multilevel" past one level, else
+    "plain"), each level's step and paths, its mean and sample variance per
+    horizon, and the finest level's correction per horizon, the estimate of
+    the grid's resolution bias beside the SE."""
+    facts = {"method": "multilevel" if len(levels) > 1 else "plain",
              "level_dt": _join(lv.dt for lv in levels),
              "level_paths": _join(lv.paths for lv in levels)}
     for i, lv in enumerate(levels):
@@ -300,12 +300,12 @@ def cmd_spde(args):
         rep = spde.convolution_moment_scan(system, phi, args.p, args.theta,
                                            args.t_grid, args.paths, args.seed,
                                            dt=args.dt)
-        args.manifest.update(_level_facts(rep.levels, rep.estimates))
+        args.manifest.update(_level_facts(rep.levels))
         return _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "maximal":
         rep = spde.maximal_inequality_scan(system, phi, args.p, args.t_grid,
                                            args.paths, args.seed, dt=args.dt)
-        args.manifest.update(_level_facts(rep.levels, rep.estimates))
+        args.manifest.update(_level_facts(rep.levels))
         return _bound_rows(rep, "t,statistic,se,rhs,ratio")
     if args.mode == "smallball":
         res = spde.small_ball(system, phi, args.delta, args.T, args.paths,
@@ -317,7 +317,7 @@ def cmd_spde(args):
         rep = spde.longrun_moment_scan(system, phi, args.p, args.theta,
                                        args.t_grid, args.paths, args.seed,
                                        dt=args.dt)
-        args.manifest.update(_level_facts(rep.levels, rep.averages))
+        args.manifest.update(_level_facts(rep.levels))
         rows = ((T, est.mean, est.std_error) for T, est in zip(rep.horizons, rep.averages))
         return _csv("T,average,se", rows)
     if args.mode == "control":

@@ -373,9 +373,13 @@ def _power_cell_means(theta: float, t: np.ndarray, h: np.ndarray) -> np.ndarray:
 def stieltjes_increments(weights: np.ndarray,
                          increments: np.ndarray) -> np.ndarray:
     """Sums of the weights, the cell averages of f (:func:`cell_means`),
-    times the increments, per replica row (R, K)."""
+    times the increments, per replica row (R, K); a zero weight contributes
+    0, also against an infinite increment."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = increments @ weights
+        nan = np.isnan(out)
+        if nan.any():   # 0 * inf: sum the row again over the positive weights
+            out[nan] = increments[nan][:, weights > 0] @ weights[weights > 0]
     out[out > OVERFLOW_GUARD] = np.inf
     return out
 

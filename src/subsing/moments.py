@@ -92,12 +92,10 @@ def exact_stable_moment(phi: BernsteinFunction, p: float, f: Integrand,
 
 def char_functional_exact(phi: BernsteinFunction, f: Integrand, domain) -> float:
     """exp(-integral of phi(f(t))); 0 when the criterion integral diverges."""
-    res = finiteness_criterion(f, phi, domain)
-    if res.verdict is Verdict.INFINITE:
-        return 0.0
-    if res.verdict is Verdict.UNDETERMINED:
+    exponent = _exponent(finiteness_criterion(f, phi, domain))
+    if math.isnan(exponent):
         raise NumericError("finiteness criterion undetermined")
-    return math.exp(-res.value)
+    return math.exp(-exponent)
 
 
 def _grid_exponent(phi: BernsteinFunction, f: Integrand, times: np.ndarray) -> float:
@@ -161,7 +159,7 @@ def integral_grid(phi: BernsteinFunction, f: Integrand, T: float,
     if f.kind is IntegrandKind.CONSTANT:
         times = np.array([0.0, T])
         return res, times, grid_bias(phi, f, times, exact), 0
-    if f.kind is IntegrandKind.POWER_SINGULAR and f.params[0] > 0:
+    if f.singular_at_zero:
         # grading exponent: decay rate of phi(f(t)) near zero, stable worst case
         theta = f.params[0]
         q = phi.params[0] * theta if phi.kind is Catalog.STABLE \

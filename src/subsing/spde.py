@@ -327,8 +327,9 @@ def simulate(system: GalerkinSystem, driver: BernsteinFunction, T: float,
     drawn from stream (seed, 0) like the first chunk of every scan."""
     times = time_grid(T, dt)
     d_sub, dw = _draw(system, driver, times, stream(seed, 0), 1)
-    X = advance(system, times, d_sub, dw, path="state")
-    Z = advance(system, times, d_sub, dw, path="convolution")
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+        X = advance(system, times, d_sub, dw, path="state")
+        Z = advance(system, times, d_sub, dw, path="convolution")
     svals = np.concatenate(([0.0], np.cumsum(d_sub[0])))
     return SolutionPath(times, X[0], Z[0], svals)
 
@@ -435,11 +436,12 @@ def coarsen(d_sub: np.ndarray, dw: np.ndarray):
 def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
                      N: int, seed: int, statistic, *, path: str) -> tuple:
     """The levels of a multilevel run on the grid of step ``dt`` over [0, T],
-    for ``statistic(times, at, P)``, which maps one grid's path P
-    (:func:`advance` of ``path``, (R, K+1, n)) to per-replica rows read at
-    the grid's columns ``at``; ``cols`` are columns of the grid of step
-    ``dt``, the last of them T's, the grid's end: the largest horizon of
-    ``maximal`` and ``convmom``, the largest horizon plus 1 of ``longrun``.
+    for ``statistic(h, at, P)``, which maps the path P (:func:`advance` of
+    ``path``, (R, K+1, n)) of a grid of step h, its level's ``Level.dt``, to
+    per-replica rows read at the grid's columns ``at``; ``cols`` are columns
+    of the grid of step ``dt``, the last of them T's, the grid's end: the
+    largest horizon of ``maximal`` and ``convmom``, the largest horizon
+    plus 1 of ``longrun``.
 
     Level L, the last, has step ``dt``; level 0 has step ``dt 2^L`` with
     L = :func:`level_count` of ``cols``.  Level 0 runs the statistic on
@@ -452,28 +454,27 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
     depend on (N, dt, cols) alone.
     """
     L = level_count(cols)
-    grids = [time_grid(T, dt * 2 ** (L - l)) for l in range(L + 1)]
-
-    def at(level):
-        return [c >> (L - level) for c in cols]
+    hs = [dt * 2 ** (L - l) for l in range(L + 1)]
+    grids = [time_grid(T, h) for h in hs]
 
     def level_rows(level):
-        here, fine = at(level), grids[level]
+        fine, h = grids[level], hs[level]
+        here = [c >> (L - level) for c in cols]
         if level == 0:
-            return lambda d_sub, dw: statistic(fine, here, advance(
+            return lambda d_sub, dw: statistic(h, here, advance(
                 system, fine, d_sub, dw, path=path))
-        there, coarse = at(level - 1), grids[level - 1]
+        there = [c >> 1 for c in here]      # the grid above: twice the step
 
         def rows(d_sub, dw):
             P, Pc = advance(system, fine, d_sub, dw, path=path,
                             coarse=coarsen(d_sub, dw))
-            return statistic(fine, here, P) - statistic(coarse, there, Pc)
+            return statistic(h, here, P) - statistic(2 * h, there, Pc)
         return rows
 
     parts = _mc_parts(system, driver, seed, [
         (times, level_paths(N, level), level_rows(level), level)
         for level, times in enumerate(grids)])
-    return tuple(Level(dt * 2 ** (L - level), level_paths(N, level), part)
+    return tuple(Level(hs[level], level_paths(N, level), part)
                  for level, part in enumerate(parts))
 
 
@@ -529,7 +530,7 @@ def convolution_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     cols = [cell_count(t, dt) for t in t_grid]
     moment_rows = _moment_rows(system, p, theta)
     levels = multilevel_paths(system, driver, t_grid[-1], dt, cols, N, seed,
-                              lambda times, at, Z: moment_rows(Z[:, at, :]),
+                              lambda h, at, Z: moment_rows(Z[:, at, :]),
                               path="convolution")
     rhs = tuple(bound_rhs(driver, p / 2, t, theta=2 * theta) for t in t_grid)
     return BoundReport(tuple(t_grid), tuple(multilevel_estimates(levels)), rhs,
@@ -553,7 +554,7 @@ def maximal_inequality_scan(system: GalerkinSystem, driver: BernsteinFunction,
     _gate(driver, p, 0.0, stationary=T_grid[0] >= 1)
     cols = [cell_count(T, dt) for T in T_grid]
 
-    def statistic(times, at, Z):
+    def statistic(h, at, Z):
         running = np.maximum.accumulate(_norms_in_place(Z), axis=1)
         return running[:, at] ** p
 
@@ -618,10 +619,11 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
     lo, hi = wilson_interval(k, N)
     lb = None
     if pu is not None:
-        c1 = moment[0].mean * inverse(driver, 1.0 / T) ** pu
+        inv = inverse(driver, 1.0 / T)
+        c1 = moment[0].mean * inv ** pu
         hsb = system.diffusion.hs_bound
         kappa = max(0.0, 1.0 - 9.0 * hsb ** 2 * delta ** 2)
-        base = delta ** 4 * inverse(driver, 1.0 / T)
+        base = delta ** 4 * inv
         if kappa == 0.0:    # the trivial bound, 0.0 and never -0.0
             lb = 0.0
         elif base > 0:
@@ -665,13 +667,10 @@ def longrun_moment_scan(system: GalerkinSystem, driver: BernsteinFunction,
     cols = [j0] + [j0 + cell_count(T, dt) for T in Ts]
     moment_rows = _moment_rows(system, p, theta)
 
-    def statistic(times, at, X):
+    def statistic(h, at, X):
         # the columns from t = 1 on
         start, ends = at[0], at[1:]
         vals = moment_rows(X[:, start:, :])
-        # the level's own step: dt times a power of two, exactly, where
-        # times[1] - times[0] may differ from dt in its last bit
-        h = dt * (cols[-1] // (len(times) - 1))
         running = _running_trapezoid(vals, h)
         return running[:, [e - start for e in ends]] / np.array(Ts)
 

@@ -27,8 +27,8 @@ def corollary_case_moment(alpha: float, p: float, T: float, case: CorollaryCase,
     _require_finite_order(p)
     if not 0 < alpha < 1:
         raise DomainError("stable index must lie in (0, 1)")
-    if T <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError("horizon must be positive and finite")
     if case in (CorollaryCase.POWER_HEAD, CorollaryCase.POWER_TAIL):
         if theta is None:
             raise DomainError("power cases need theta")

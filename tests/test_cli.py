@@ -1669,6 +1669,14 @@ EXTREME_RUNS = {
     "mom-tempered-piece-count-past-the-range": (
         ["moment", "mc", "--phi", "tempered:0.999,1e300", "--f", "const:1",
          "--p", "0.5", "--T", "1e300", "--paths", "40"], 1),
+    # the replica's exponential-Euler steps overflow, refused as a path
+    "sim-overflowing-driver": (["spde", "sim", "--n", "2", "--dt", "0.25", "--T", "1",
+                                "--phi", "stable:1e-300"], 1),
+    # a zero weight times an infinite increment is 0, not nan
+    "integrate-zero-weight-inf-increment": (["integrate", "--phi", "stable:0.01",
+                                             "--f", "exp:1000", "--paths", "2000"], 0),
+    "integrate-zero-integrand-inf-increment": (["integrate", "--phi", "stable:0.01",
+                                                "--f", "const:0", "--paths", "2000"], 0),
 }
 
 

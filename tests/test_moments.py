@@ -180,6 +180,16 @@ class TestCorollaryCases:
                    * (-mpmath.expm1(-a * lam * T) / (a * lam)) ** (p / a))
         assert v == pytest.approx(float(ref), rel=1e-13)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    @pytest.mark.parametrize("case, params", [
+        (CorollaryCase.POWER_HEAD, {"theta": 1.0}),
+        (CorollaryCase.POWER_TAIL, {"theta": 3.0}),
+        (CorollaryCase.EXPONENTIAL_HEAD, {"lam": 1.0}),
+    ], ids=["power_head", "power_tail", "exp_head"])
+    def test_horizon_not_positive_and_finite_is_refused(self, case, params, T):
+        with pytest.raises(DomainError):
+            corollary_case_moment(0.5, 0.25, T, case, **params)
+
 
 class TestCharFunctional:
     def test_exact_values(self):

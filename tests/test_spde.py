@@ -1352,8 +1352,8 @@ class TestOneDrawAheadLoop:
     def test_overflow_in_the_last_task_raises_before_any_other_runs(self):
         ran = []
 
-        def statistic(times, at, path):
-            ran.append((len(times) - 1, len(path)))
+        def statistic(h, at, path):
+            ran.append((round(2.0 / h), len(path)))
             return np.full(len(path), math.inf if len(path) == 75 else 1.0)
 
         threads = threading.active_count()
