@@ -58,8 +58,8 @@ def exact_stable_moment(phi: BernsteinFunction, p: float, f: Integrand,
     exponent phi = s^alpha; any other exponent raises CapabilityError.
 
     Returns +inf for p >= alpha, and for a divergent scale integral returns
-    +inf (p > 0) or 0 (p < 0).  p must be below 1 makes no sense here: any
-    p < alpha is admitted, negative included.
+    +inf (p > 0) or 0 (p < 0).  Any p < alpha is admitted, negative
+    included; alpha < 1, so no separate bound p < 1 is needed.
     """
     _require_finite_order(p)
     if phi.kind is not Catalog.STABLE:

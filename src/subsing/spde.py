@@ -184,20 +184,8 @@ def _aligned_empty(shape) -> np.ndarray:
     return buf[start:start + size].reshape(shape)
 
 
-def _pairs(buf: np.ndarray, fine: int, k: int) -> tuple:
-    """The (2, R, n) views of both paths in a path buffer at fine node k,
-    even, and coarse node k/2, and at the nodes one step on; the buffer's
-    first ``fine`` slices roll over the fine nodes, the others over the
-    coarse ones."""
-    coarse, c = len(buf) - fine, k // 2
-    i, j = k % fine, fine + c % coarse
-    i1, j1 = (k + 1) % fine, fine + (c + 1) % coarse
-    return buf[i:j + 1:j - i], buf[i1:j1 + 1:j1 - i1]
-
-
 def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
-          dw_std: np.ndarray, *, path: str, out: Optional[np.ndarray] = None,
-          coarse: Optional[tuple] = None):
+          dw_std: np.ndarray, *, path: str, out: Optional[np.ndarray] = None):
     """Step replicas through a uniform grid and yield one path's (R, n)
     slice at each grid time k = 0..K: the state X for ``path="state"``, the
     stochastic convolution Z for ``path="convolution"``.  A grid refused by
@@ -208,23 +196,15 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     (R, K, n).  The Gaussian increment over a cell has variance equal to the
     subordinated time increment, the whole of it applied at the left node.
 
-    ``coarse`` optionally holds the draws (R, K/2) and (R, K/2, n) of the
-    grid ``times[::2]``, K even, whose path then steps in lock step with the
-    fine one: at even k the fine and the coarse slice step as one (2, R, n)
-    state, at odd k the fine slice alone, the coarse one left as it is.
-    Only the fine slice is yielded; the coarse path is read from ``out``,
-    so ``coarse`` without ``out`` raises DomainError.
-
-    The path lives in a two-slice rolling buffer, or in ``out``, which then
-    keeps every slice: (K+1, R, n), or with ``coarse`` (K+1 + K/2+1, R, n),
-    the fine path first.  A yielded slice is live state: the caller must not
-    write to it, and without ``out`` it is overwritten two steps on.  The
-    state path never runs the convolution recursion; the convolution path
-    still steps the state, since Q depends on it, in a rolling buffer.  Each
-    step writes into preallocated arrays, on every row in the order
+    The path lives in a two-slice rolling buffer, or in ``out``, (K+1, R, n),
+    which then keeps every slice.  A yielded slice is live state: the caller
+    must not write to it, and without ``out`` it is overwritten two steps
+    on.  The state path never runs the convolution recursion; the
+    convolution path still steps the state, since Q depends on it, in a
+    rolling buffer.  Each step writes into preallocated arrays in the order
     E*x + phi1*f(x) + E*qn and E*(Z + qn), with the factors E and phi1 of
-    the first cell of the row's own grid.  They are full arrays, made once:
-    a broadcast (n,) row would cost numpy one inner loop per replica.  The
+    the grid's first cell.  They are full (R, n) arrays, made once: a
+    broadcast (n,) row would cost numpy one inner loop per replica.  The
     work arrays and rolling buffers start on 64-byte boundaries
     (:func:`_aligned_empty`).  The drift term is skipped for
     :func:`zero_drift`, whose contribution is exactly 0.
@@ -236,81 +216,47 @@ def steps(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
     if not np.allclose(dts, dts[0]):
         raise DomainError("the stepper needs a uniform grid")
     R, K = d_sub.shape
-    n = system.n
     rootd, dw = np.sqrt(d_sub).T, dw_std.transpose(1, 0, 2)
-    cells = [dts[0]]        # the first cell of each path's grid
-    paired = coarse is not None
-    if paired:
-        if out is None:
-            raise DomainError("coarse draws need out, where the coarse path is kept")
-        if K % 2 or K == 0 or np.shape(coarse[0]) != (R, K // 2):
-            raise DomainError("coarse draws need a positive even number of "
-                              "fine cells, two to each coarse one")
-        cells.append(times[2] - times[0])
-        rootc, dwc = np.sqrt(coarse[0]).T, coarse[1].transpose(1, 0, 2)
-    # each buffer holds its fine slices first, fp or fx of them: a rolling
-    # pair, or all K+1; then as many of the coarse path, if any
-    P = _aligned_empty((2, R, n)) if out is None else out
-    X = P if path == "state" else _aligned_empty((2 + 2 * paired, R, n))
+    P = _aligned_empty((2, R, system.n)) if out is None else out
+    X = P if path == "state" else _aligned_empty((2, R, system.n))
     fp = 2 if out is None else K + 1
     fx = fp if X is P else 2
-    P[::fp] = 0.0       # Z_0 of each path; overwritten by x0 when P is X
-    X[::fx] = system.x0
-    E2, phi2, qn2, term2 = (_aligned_empty((len(cells), R, n))
-                            for _ in range(4))
-    for g, h in enumerate(cells):
-        E2[g] = np.exp(-gam * h)
-        phi2[g] = -np.expm1(-gam * h) / gam
-    # the fine path's rows of each work array; a step of both paths takes
-    # the whole of them
-    E, phi1, qn, term = E2[0], phi2[0], qn2[0], term2[0]
+    P[0] = 0.0          # Z_0; overwritten by x0 when P is X
+    X[0] = system.x0
+    E, phi1, qn, term = (_aligned_empty((R, system.n)) for _ in range(4))
+    E[...] = np.exp(-gam * dts[0])
+    phi1[...] = -np.expm1(-gam * dts[0]) / gam
     no_drift = system.drift is zero_drift
     yield P[0]
     for k in range(K):
-        both = paired and k % 2 == 0
-        if both:
-            xk, x_next = _pairs(X, fx, k)
-            np.multiply(dwc[k // 2], rootc[k // 2, :, None], out=qn2[1])
-            Ek, phik, q, tk = E2, phi2, qn2, term2
-        else:
-            xk, x_next = X[k % fx], X[(k + 1) % fx]
-            Ek, phik, q, tk = E, phi1, qn, term
+        xk, x_next = X[k % fx], X[(k + 1) % fx]
         np.multiply(dw[k], rootd[k, :, None], out=qn)
-        np.multiply(system.diffusion.entries(xk), q, out=q)
+        np.multiply(system.diffusion.entries(xk), qn, out=qn)
         if path == "convolution":
-            if both:
-                z, z_next = _pairs(P, fp, k)
-            else:
-                z, z_next = P[k % fp], P[(k + 1) % fp]
-            np.add(z, q, out=z_next)
-            z_next *= Ek
-        np.multiply(Ek, xk, out=x_next)
+            z_next = P[(k + 1) % fp]
+            np.add(P[k % fp], qn, out=z_next)
+            z_next *= E
+        np.multiply(E, xk, out=x_next)
         if not no_drift:
-            x_next += np.multiply(phik, system.drift(xk), out=tk)
-        x_next += np.multiply(Ek, q, out=tk)
+            x_next += np.multiply(phi1, system.drift(xk), out=term)
+        x_next += np.multiply(E, qn, out=term)
         yield P[(k + 1) % fp]
 
 
 def advance(system: GalerkinSystem, times: np.ndarray, d_sub: np.ndarray,
-            dw_std: np.ndarray, *, path: str, coarse: Optional[tuple] = None):
+            dw_std: np.ndarray, *, path: str):
     """Advance replicas through a uniform grid and return one path,
-    (R, K+1, n), with the arguments of :func:`steps`; with ``coarse``, the
-    fine path and the coarse one, (R, K/2+1, n), stepped in lock step.
+    (R, K+1, n), with the arguments of :func:`steps`.
 
-    A path is stored time-major, (K+1, R, n), so that each step reads and
-    writes one contiguous (R, n) slice per path; the returned array is an
-    ``np.moveaxis`` view of that storage in the (R, time, n) order.  The
-    coarse path has a storage of its own nodes, so no fine node shows in it.
+    The path is stored time-major, (K+1, R, n), so that each step reads and
+    writes one contiguous (R, n) slice; the returned array is an
+    ``np.moveaxis`` view of that storage in the (R, time, n) order.
     """
     R, K = d_sub.shape
-    out = _aligned_empty((K + 1 + (0 if coarse is None else K // 2 + 1), R,
-                          system.n))
-    for _ in steps(system, times, d_sub, dw_std, path=path, out=out,
-                   coarse=coarse):
+    out = _aligned_empty((K + 1, R, system.n))
+    for _ in steps(system, times, d_sub, dw_std, path=path, out=out):
         pass
-    if coarse is None:
-        return np.moveaxis(out, 0, 1)
-    return np.moveaxis(out[:K + 1], 0, 1), np.moveaxis(out[K + 1:], 0, 1)
+    return np.moveaxis(out, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -447,9 +393,9 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
     L = :func:`level_count` of ``cols``.  Level 0 runs the statistic on
     N paths from streams (seed, j), as :func:`_mc_paths` does.  Level l >= 1
     runs it on :func:`level_paths` paths, each stepped on its level's grid
-    and, in lock step, on the grid above from the same draws by
-    :func:`coarsen`, and takes the difference; its chunk j draws from stream
-    (seed, (l << 32) + j).  Every level is one run, keyed l, of one
+    and, by a second :func:`advance`, on the grid above from the same draws
+    by :func:`coarsen`, and takes the difference; its chunk j draws from
+    stream (seed, (l << 32) + j).  Every level is one run, keyed l, of one
     :func:`_mc_parts` loop, in level order.  The level counts and streams
     depend on (N, dt, cols) alone.
     """
@@ -457,19 +403,18 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
     hs = [dt * 2 ** (L - l) for l in range(L + 1)]
     grids = [time_grid(T, h) for h in hs]
 
+    def stepped(level, at, d_sub, dw):
+        """The statistic of draws stepped on the grid of ``level``."""
+        return statistic(hs[level], at, advance(system, grids[level], d_sub,
+                                                dw, path=path))
+
     def level_rows(level):
-        fine, h = grids[level], hs[level]
         here = [c >> (L - level) for c in cols]
         if level == 0:
-            return lambda d_sub, dw: statistic(h, here, advance(
-                system, fine, d_sub, dw, path=path))
+            return lambda d_sub, dw: stepped(0, here, d_sub, dw)
         there = [c >> 1 for c in here]      # the grid above: twice the step
-
-        def rows(d_sub, dw):
-            P, Pc = advance(system, fine, d_sub, dw, path=path,
-                            coarse=coarsen(d_sub, dw))
-            return statistic(h, here, P) - statistic(2 * h, there, Pc)
-        return rows
+        return lambda d_sub, dw: (stepped(level, here, d_sub, dw) - stepped(
+            level - 1, there, *coarsen(d_sub, dw)))
 
     parts = _mc_parts(system, driver, seed, [
         (times, level_paths(N, level), level_rows(level), level)
@@ -590,7 +535,7 @@ class SmallBallResult:
     probability: float
     wilson_low: float
     wilson_high: float
-    analytic_lower_bound: Optional[float]
+    analytic_lower_bound: float
 
 
 def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
@@ -598,7 +543,9 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
     """Empirical probability that the convolution stays inside a delta-ball,
     with the analytic lower bound evaluated at an empirical constant: the
     moment of order p = 0.9 log2 inf phi(2s)/phi(s) of S_T, a second column
-    of the same paths."""
+    of the same paths.  Where that infimum is not positive, or the factor
+    kappa = max(0, 1 - 9 |Q|^2 delta^2) is 0, the bound is the trivial 0.0,
+    never -0.0."""
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
     times = time_grid(T, dt)
@@ -617,19 +564,15 @@ def small_ball(system: GalerkinSystem, driver: BernsteinFunction, delta: float,
     est, *moment = _mc_paths(system, driver, times, N, seed, statistic)
     k = int(round(est.mean * N))
     lo, hi = wilson_interval(k, N)
-    lb = None
+    lb = 0.0
     if pu is not None:
         inv = inverse(driver, 1.0 / T)
         c1 = moment[0].mean * inv ** pu
         hsb = system.diffusion.hs_bound
         kappa = max(0.0, 1.0 - 9.0 * hsb ** 2 * delta ** 2)
         base = delta ** 4 * inv
-        if kappa == 0.0:    # the trivial bound, 0.0 and never -0.0
-            lb = 0.0
-        elif base > 0:
-            lb = kappa * (1.0 - c1 * base ** -pu)
-        else:   # underflow: the limit as base -> 0
-            lb = -math.inf
+        if kappa > 0.0:     # an underflowed base takes the limit as base -> 0
+            lb = kappa * (1.0 - c1 * base ** -pu) if base > 0 else -math.inf
     return SmallBallResult(est.mean, lo, hi, lb)
 
 

@@ -1677,6 +1677,10 @@ EXTREME_RUNS = {
                                              "--f", "exp:1000", "--paths", "2000"], 0),
     "integrate-zero-integrand-inf-increment": (["integrate", "--phi", "stable:0.01",
                                                 "--f", "const:0", "--paths", "2000"], 0),
+    # no positive doubling index: the small-ball bound is the trivial 0.0
+    "smallball-no-doubling-index": (["spde", "smallball", "--n", "2", "--dt", "0.25",
+                                     "--T", "1", "--phi", "stable:1e-300",
+                                     "--paths", "20"], 0),
 }
 
 
@@ -1691,12 +1695,17 @@ def test_extreme_input_exits_cleanly(argv, code, capsys):
     else:
         assert err.startswith(("error: ", "refused: ")) and err.count("\n") == 1
     lines = [line for line in out.splitlines() if not line.startswith("#")]
-    if lines and "," in lines[0]:   # a CSV: the SE of a single path is its one nan
+    if lines and "," in lines[0] and "=" not in lines[0]:
+        # a CSV: every cell but the text columns is a float, and the SE of a
+        # single path is its one nan
         columns = lines[0].split(",")
         for line in lines[1:]:
             cells = dict(zip(columns, line.split(",")))
+            assert len(cells) == len(columns) == line.count(",") + 1
+            for text in ("method", "heavy_tail"):
+                cells.pop(text, None)
             if cells.get("n") == "1":
                 del cells["se"]
-            assert "nan" not in cells.values()
+            assert not any(math.isnan(float(v)) for v in cells.values())
     else:                           # key=value lines
         assert not any(line.endswith("=nan") for line in lines)

@@ -1191,7 +1191,7 @@ def test_overflow_in_the_last_chunk_raises_before_any_other_chunk_runs():
     assert threading.active_count() == threads
 
 
-def _lock_step_system(n, drift, q):
+def _level_system(n, drift, q):
     """An n-mode system with the drift of ``TestTimeMajorStepping``, which
     reads mode k - 1, or none, and its state-dependent Q or a constant one."""
     system = TestTimeMajorStepping().state_dependent_system(drift=drift, n=n)
@@ -1205,75 +1205,50 @@ def _lock_step_system(n, drift, q):
 
 
 # a dyadic grid, and one whose coarse first cell, 1.2/6, is not 2 dt = 0.2
-LOCK_STEP_GRIDS = {"dyadic": (1.0, 1 / 32), "last-bit": (1.2, 0.1)}
+LEVEL_GRIDS = {"dyadic": (1.0, 1 / 32), "last-bit": (1.2, 0.1)}
 
 
-class TestLockStep:
-    """A level's fine and coarse paths stepped in lock step are the paths of
-    two separate runs, bit for bit; n = 3 leaves a SIMD tail."""
+@pytest.mark.parametrize("grid", list(LEVEL_GRIDS))
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("q", ["const", "state"])
+@pytest.mark.parametrize("drift", [False, True], ids=["zero_drift", "coupled"])
+@pytest.mark.parametrize("path", ["state", "convolution"])
+def test_level_is_fine_less_separate_coarse(path, drift, q, n, grid,
+                                            monkeypatch):
+    # the partial of every level above 0, bit for bit: the statistic of its
+    # draws on its own grid of step h, less that of a separate advance of
+    # their coarsening on time_grid(T, 2h); n = 3 leaves a SIMD tail
+    system = _level_system(n, drift, q)
+    T, dt = LEVEL_GRIDS[grid]
+    if grid == "last-bit":
+        assert np.diff(time_grid(T, 2 * dt))[0] != 2 * dt
+    K = len(time_grid(T, dt)) - 1
+    cols, drawn, coarsen = [K // 2, K], {}, spde.coarsen
 
-    def draws(self, system, grid, R=7):
-        T, dt = LOCK_STEP_GRIDS[grid]
-        fine, coarse = time_grid(T, dt), time_grid(T, 2 * dt)
-        if grid == "last-bit":
-            assert coarse[1] - coarse[0] != 2 * dt
-        rng = stream(system.n, 0)
-        d_sub = grid_increments(ST6, fine, rng, R)
-        dw = rng.standard_normal((R, len(fine) - 1, system.n))
-        return fine, coarse, d_sub, dw, spde.coarsen(d_sub, dw)
+    def recorded(d_sub, dw):
+        drawn.setdefault(d_sub.shape[1], []).append((d_sub.copy(), dw.copy()))
+        return coarsen(d_sub, dw)
 
-    @pytest.mark.parametrize("grid", list(LOCK_STEP_GRIDS))
-    @pytest.mark.parametrize("n", [3, 8])
-    @pytest.mark.parametrize("q", ["const", "state"])
-    @pytest.mark.parametrize("drift", [False, True],
-                             ids=["zero_drift", "coupled"])
-    @pytest.mark.parametrize("path", ["state", "convolution"])
-    def test_advance_is_two_separate_runs(self, path, drift, q, n, grid):
-        system = _lock_step_system(n, drift, q)
-        fine, coarse, d_sub, dw, (d_c, dw_c) = self.draws(system, grid)
-        got_fine, got_coarse = spde.advance(system, fine, d_sub, dw, path=path,
-                                            coarse=(d_c, dw_c))
-        want_fine = spde.advance(system, fine, d_sub, dw, path=path)
-        want_coarse = spde.advance(system, coarse, d_c, dw_c, path=path)
-        assert got_fine.shape == want_fine.shape
-        assert got_coarse.shape == want_coarse.shape
-        assert np.array_equal(got_fine, want_fine)
-        assert np.array_equal(got_coarse, want_coarse)
+    def statistic(h, at, P):
+        return h * P[:, at].reshape(len(P), -1)
 
-    @pytest.mark.parametrize("path", ["state", "convolution"])
-    def test_steps_yield_both_paths(self, path):
-        # the fine slice at every k, as a separate run; the coarse path is
-        # read from ``out``, after the fine one
-        system = _lock_step_system(3, True, "state")
-        fine, coarse, d_sub, dw, draws = self.draws(system, "last-bit")
-        out = np.empty((13 + 7, 7, 3))
-        slices = [x.copy() for x in spde.steps(system, fine, d_sub, dw, path=path,
-                                               out=out, coarse=draws)]
-        assert all(isinstance(x, np.ndarray) for x in slices)
-        assert np.array_equal(np.stack(slices, axis=1),
-                              spde.advance(system, fine, d_sub, dw, path=path))
-        assert np.array_equal(np.moveaxis(out[13:], 0, 1),
-                              spde.advance(system, coarse, *draws, path=path))
-
-    def test_coarse_draws_need_out(self):
-        # only the fine slice is yielded: a coarse path with nowhere to go
-        # is refused before any step
-        system = _lock_step_system(3, True, "state")
-        fine, _, d_sub, dw, draws = self.draws(system, "last-bit")
-        run = spde.steps(system, fine, d_sub, dw, path="state", coarse=draws)
-        with pytest.raises(DomainError, match="need out"):
-            next(run)
-
-    @pytest.mark.parametrize("cells", [3, 0])
-    def test_coarse_draws_need_an_even_grid(self, cells):
-        system = diagonal_system(2)
-        times = np.arange(cells + 1) / 4
-        d_sub, dw = np.full((2, cells), 0.25), np.zeros((2, cells, 2))
-        # two equal nodes are no grid: the grid check refuses them first
-        with pytest.raises(DomainError,
-                           match="even number" if cells else "increase strictly"):
-            spde.advance(system, times if cells else np.zeros(2), d_sub, dw,
-                         path="state", coarse=(d_sub[:, ::2], dw[:, ::2]))
+    monkeypatch.setattr(spde, "coarsen", recorded)
+    levels = spde.multilevel_paths(system, ST6, T, dt, cols, 64, 3, statistic,
+                                   path=path)
+    L = len(levels) - 1
+    assert L >= 1 and len(drawn) == L
+    for l, level in enumerate(levels[1:], start=1):
+        h, here = level.dt, [c >> (L - l) for c in cols]
+        [(d_sub, dw)] = drawn[here[-1]]     # one chunk per level
+        fine = spde.advance(system, time_grid(T, h), d_sub, dw, path=path)
+        coarse = spde.advance(system, time_grid(T, 2 * h),
+                              *coarsen(d_sub, dw), path=path)
+        want = Moments.of(statistic(h, here, fine)
+                          - statistic(2 * h, [c >> 1 for c in here], coarse))
+        got = level.moments
+        assert got.count == want.count == len(d_sub)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.m2, want.m2)
 
 
 @pytest.mark.parametrize("shape", [(3, 5, 8), (2, 7, 3), (1, 1, 1), (5,)])
