@@ -335,9 +335,10 @@ def cmd_spde(args):
                 for t, l, u in zip(res.times, res.ell, res.control))
         return lines + _csv("t,ell,u_norm", rows)
     # galerkin
-    if not args.truncations or any(m >= args.n for m in args.truncations):
+    if not args.truncations or any(not 0 < m < args.n for m in args.truncations):
         raise PreconditionError(
-            "need one or more truncations, each < reference dimension")
+            f"--truncations {','.join(map(str, args.truncations))!r}: need "
+            f"one or more, each in 1..{args.n - 1}")
     rep = spde.galerkin_error(system, args.truncations, phi, args.T,
                               args.dt, args.paths, args.seed,
                               delta=args.delta)

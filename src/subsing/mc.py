@@ -72,13 +72,40 @@ def _worker_count() -> int:
     return int(raw)
 
 
-def workers_for(doubles: int) -> int:
-    """Threads for a run whose largest vectorized call handles ``doubles``
-    doubles: the worker count, or 1, the calling thread alone, when that
-    count is 1 or the call is under ``THREAD_DOUBLES``.  No thread changes
-    a result; this decides only where the run's blocks or tasks go."""
-    workers = _worker_count()
-    return workers if doubles >= THREAD_DOUBLES else 1
+def run_tasks(count: int, task, doubles: int) -> list:
+    """``[task(i) for i in range(count)]``, on the one thread schedule of
+    every Monte Carlo run, whose largest vectorized call handles ``doubles``
+    doubles.  Below ``THREAD_DOUBLES`` doubles, or at one worker, the
+    calling thread runs the tasks in index order.  Otherwise it and
+    min(workers, count) - 1 helper threads take indices from one shared
+    iterator (each ``next`` holds the interpreter lock, so every task is
+    taken once) and store each result by its index.  No thread changes a
+    result.  An error raised in a task empties the iterator, so no thread
+    takes a further task, and is raised here once every thread has stopped.
+    """
+    results = [None] * count
+    todo = iter(range(count))
+
+    def work() -> None:
+        try:
+            for i in todo:
+                results[i] = task(i)
+        except BaseException:
+            for _ in todo:      # the other threads take no further task
+                pass
+            raise
+
+    workers = _worker_count()      # read, and checked, on every run
+    helpers = min(workers if doubles >= THREAD_DOUBLES else 1, count) - 1
+    if helpers < 1:
+        work()
+    else:
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            done = [pool.submit(work) for _ in range(helpers)]
+            work()
+        for future in done:
+            future.result()
+    return results
 
 
 @dataclass(frozen=True)
@@ -188,13 +215,8 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
     min(DEFAULT_BLOCKS, n_samples) draws from ``stream(seed, b)`` in chunks
     of at most max(8, min(4096, CHUNK_DOUBLES // width)) samples and the
     block partials merge in block order, so no worker count changes the
-    result.  The calling thread and :func:`workers_for` (one chunk's
-    doubles) - 1 helper threads take block indices from one shared iterator
-    (each ``next`` holds the interpreter lock, so every block is taken
-    once) and store each block's partial by its index; with no helper the
-    calling thread runs the blocks in block order.  An error raised in a
-    block empties the iterator, so no thread takes a further block, and is
-    raised here once every thread has stopped.
+    result.  The blocks are the tasks of :func:`run_tasks`, measured by one
+    chunk's doubles.
     """
     if n_samples <= 0:
         raise DomainError("need a positive sample count")
@@ -204,34 +226,17 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
 
     chunk = max(8, min(4096, CHUNK_DOUBLES // width))
 
-    parts = [None] * blocks
-    todo = iter(range(blocks))
+    def block(b: int) -> Moments:
+        rng = stream(seed, b)
+        left = n_samples // blocks + (b < n_samples % blocks)
+        chunks = []
+        while left > 0:
+            m = min(left, chunk)
+            chunks.append(Moments.of(sampler(rng, m)))
+            left -= m
+        return merge_all(chunks)
 
-    def run_blocks() -> None:
-        try:
-            for b in todo:
-                rng = stream(seed, b)
-                left = n_samples // blocks + (b < n_samples % blocks)
-                chunks = []
-                while left > 0:
-                    m = min(left, chunk)
-                    chunks.append(Moments.of(sampler(rng, m)))
-                    left -= m
-                parts[b] = merge_all(chunks)
-        except BaseException:
-            for _ in todo:      # the other threads take no further block
-                pass
-            raise
-
-    helpers = workers_for(min(chunk, -(-n_samples // blocks)) * width) - 1
-    if helpers == 0:
-        run_blocks()
-    else:
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            done = [pool.submit(run_blocks) for _ in range(helpers)]
-            run_blocks()
-        for future in done:
-            future.result()
+    parts = run_tasks(blocks, block, min(chunk, -(-n_samples // blocks)) * width)
     return estimate_from_blocks(parts, method)
 
 

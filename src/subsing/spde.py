@@ -13,7 +13,6 @@ conditional experiments.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -25,7 +24,7 @@ from .errors import (CapabilityError, DomainError, NumericError,
 from .integrate import Verdict, finiteness_criterion, power_singular
 from .mc import (CHUNK_DOUBLES, Level, Moments, estimate_from_blocks,
                  level_count, level_paths, merge_all, multilevel_estimates,
-                 wilson_interval, workers_for)
+                 run_tasks, wilson_interval)
 from .moments import (BoundReport, _horizons, bound_rhs, small_time_gate,
                       stationary_gate)
 from .rng import stream
@@ -293,61 +292,42 @@ def _draw(system, driver, times, rng, m):
 
 
 def _mc_parts(system, driver, seed, runs) -> list:
-    """The one draw-ahead loop of the SPDE Monte Carlo runs: one merged
-    :class:`Moments` per run ``(times, N, rows, key)``, of the rows (m,) or
-    (m, n_out) that ``rows(d_sub, dw)`` makes of N paths on ``times``.  A
-    statistic steps its draws itself, through :func:`advance` or
-    :func:`steps`, and derives anything else there, as a level above 0 its
-    :func:`coarsen` draws.
+    """The SPDE Monte Carlo runs: one merged :class:`Moments` per run
+    ``(times, N, rows, key)``, of the rows (m,) or (m, n_out) that
+    ``rows(d_sub, dw)`` makes of N paths on ``times``.  A statistic steps
+    its draws itself, through :func:`advance` or :func:`steps`, and derives
+    anything else there, as a level above 0 its :func:`coarsen` draws.
 
     Chunk j of run ``key``, at most 256 replicas and about ``CHUNK_DOUBLES``
-    normals, the last one ragged, draws (:func:`_draw`) from stream
-    (seed, (key << 32) + j); the chunks of every run, in run order, are the
-    tasks.  The calling thread draws and runs the last task first, then
-    tasks 0, 1, ... in turn.  When :func:`workers_for` a step slice of the
-    largest task (paths x n doubles) is 2 or more, one helper thread draws
-    task 0 while the last one runs, then task i + 1 while the calling thread
-    runs task i.  A run's partials merge in chunk order, so the schedule
-    never shows in a result.  A statistic that overflows, or is nan, raises
-    NumericError.
+    normals, the last one ragged, is one task of :func:`run_tasks`: it draws
+    (:func:`_draw`) from stream (seed, (key << 32) + j), steps and returns
+    its partial.  The chunks of every run, in run order, are the tasks,
+    measured by a step slice of the largest (paths x n doubles).  A run's
+    partials merge in chunk order, so the schedule never shows in a result.
+    A statistic that overflows, or is nan, raises NumericError.
     """
-    tasks, parts = [], []   # tasks (run, replicas, chunk); partials per run
+    tasks = []      # (run, replicas, chunk)
     for r, (times, N, _, _) in enumerate(runs):
         if N < 1:
             raise DomainError("need a positive number of paths")
         chunk = max(1, min(256, CHUNK_DOUBLES // ((len(times) - 1) * system.n + 1)))
         starts = range(0, N, chunk)
         tasks += [(r, min(chunk, N - start), j) for j, start in enumerate(starts)]
-        parts.append([None] * len(starts))
 
-    def draw(task):
-        r, m, j = task
-        times, _, _, key = runs[r]
-        return _draw(system, driver, times, stream(seed, (key << 32) + j), m)
-
-    def run(task, draws):
-        r, _, j = task
+    def task(i):
+        r, m, j = tasks[i]
+        times, _, rows, key = runs[r]
+        draws = _draw(system, driver, times, stream(seed, (key << 32) + j), m)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = runs[r][2](*draws)
-        if not np.all(np.isfinite(rows)):
+            values = rows(*draws)
+        if not np.all(np.isfinite(values)):
             raise NumericError("a path left the range of doubles: the "
                                "statistic is not finite")
-        parts[r][j] = Moments.of(rows)
+        return Moments.of(values)
 
-    last = len(tasks) - 1
-    if workers_for(system.n * max(m for _, m, _ in tasks)) == 1:
-        for i in (last, *range(last)):
-            run(tasks[i], draw(tasks[i]))
-    else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            ahead = pool.submit(draw, tasks[0]) if last else None
-            run(tasks[last], draw(tasks[last]))
-            for i in range(last):
-                draws = ahead.result()
-                if i + 1 < last:
-                    ahead = pool.submit(draw, tasks[i + 1])
-                run(tasks[i], draws)
-    return [merge_all(own) for own in parts]
+    parts = run_tasks(len(tasks), task, system.n * max(m for _, m, _ in tasks))
+    return [merge_all(p for (owner, _, _), p in zip(tasks, parts) if owner == r)
+            for r in range(len(runs))]
 
 
 def _mc_paths(system, driver, times, N, seed, statistic):

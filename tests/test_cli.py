@@ -135,11 +135,13 @@ def test_galerkin_default_truncations(tmp_path):
     assert [row.split(",")[0] for row in body[1].splitlines()] == ["1", "2", "4"]
 
 
-@pytest.mark.parametrize("truncations", ["8", ""])
+@pytest.mark.parametrize("truncations", ["8", "", "0", "-1"])
 def test_galerkin_bad_truncations_refused(truncations, capsys):
+    # every truncation outside 1..n-1 is refused by name, before any draw
     assert run(["spde", "galerkin", "--n", "8", "--truncations", truncations,
                 "--paths", "2", "--T", "0.25", "--dt", "0.0625"]) == 2
-    assert "truncation" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"refused: --truncations {truncations!r}: need one or more, each in 1..7\n")
 
 
 def test_spde_header_omits_unused_truncations(tmp_path):
@@ -245,8 +247,9 @@ def test_byte_identity(tmp_path):
       "--delta", "0.5", "--dt", "0.0625", "--paths", "600"], 3)],
     ids=["maximal", "galerkin", "longrun", "convmom", "smallball"])
 def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv, chunks):
-    # with two workers each chunk after the first is drawn on a helper thread
-    # while the chunk before it is stepped
+    # with two workers, galerkin (a step of 256 replicas x 16 modes reaches
+    # THREAD_DOUBLES) shares its chunks between the calling thread and a
+    # helper; the n = 4 scans run on the calling thread
     indices = set()
 
     def recorded(seed, index):
@@ -267,8 +270,8 @@ def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv, chunks):
 
 
 def test_spde_draw_error_surfaces_under_any_worker_count(monkeypatch, capsys):
-    # ratio:0.5 has no exact grid sampler, so every chunk's draw raises; with
-    # two workers the first raise happens on the helper thread
+    # ratio:0.5 has no exact grid sampler: one refusal at any worker count,
+    # and no thread left
     errs = []
     threads = threading.active_count()
     for workers in ("1", "2"):

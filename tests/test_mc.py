@@ -1,5 +1,7 @@
+import inspect
 import math
 import os
+import pathlib
 import sys
 import threading
 import time
@@ -7,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import subsing
 from subsing import mc
 from subsing.errors import DomainError, NumericError
 from subsing.mc import Moments, estimate_from_blocks, merge_all, run_mc
@@ -163,6 +166,47 @@ def test_blocks_take_the_pool_only_from_thread_doubles(monkeypatch, workers,
     else:
         assert drawn == [(b, here) for b in range(32)]
         assert seen == set()
+
+
+def test_no_more_helpers_than_blocks(monkeypatch):
+    # four workers and two blocks of one 5,000-double sample, above
+    # THREAD_DOUBLES: one helper at most.  Each draw waits 50 ms, so any
+    # further helper would start while a block runs and be seen
+    monkeypatch.setenv("SUBSING_WORKERS", "4")
+    before = _threads()
+    seen = set()
+
+    def sampler(r, m):
+        time.sleep(0.05)
+        seen.update(_threads() - before)
+        return r.standard_normal(m)
+
+    run_mc(sampler, 2, 1, width=5000)
+    assert len(seen) <= 1
+    assert _threads() == before
+
+
+def test_malformed_worker_count_raises_under_thread_doubles(monkeypatch):
+    # the setting is checked on every run, also on one that takes no thread
+    monkeypatch.setenv("SUBSING_WORKERS", "abc")
+    with pytest.raises(DomainError, match="SUBSING_WORKERS"):
+        run_mc(lambda r, m: r.standard_normal(m), 10, 1)
+
+
+# spellings that start a thread
+THREAD_STARTERS = ("ThreadPoolExecutor", "concurrent.futures", "threading.Thread")
+
+
+def test_only_run_tasks_starts_a_thread():
+    # mc.py alone may start a thread, and only in run_tasks: every Monte
+    # Carlo run takes its one schedule.  A threading.local is allowed
+    for module in sorted(pathlib.Path(subsing.__file__).parent.glob("*.py")):
+        if module.name == "mc.py":
+            continue
+        text = module.read_text()
+        assert not [w for w in THREAD_STARTERS if w in text], module.name
+    starts = inspect.getsource(mc).count("ThreadPoolExecutor(")
+    assert starts == 1 and "ThreadPoolExecutor(" in inspect.getsource(mc.run_tasks)
 
 
 @pytest.mark.parametrize("method", ["plain", "median_of_means"])

@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -176,10 +178,12 @@ class TestMaximalAndSmallBall:
                                            np.ones(len(times)), 10, 1)
 
     def test_conditional_maximal_ignores_worker_count(self, monkeypatch):
-        # 600 replicas on 32 cells of 4 modes are three chunks of at most 256
+        # 600 replicas on 32 cells of 4 modes are three chunks of at most
+        # 256, which two workers share at a threshold of 0 doubles
         system = diagonal_system(4, q=spde.constant_diagonal_q([0.5] * 4))
         times = time_grid(1.0, 1 / 32)
         d_sub = grid_increments(ST6, times, stream(3, 0), 1)[0]
+        monkeypatch.setattr(mc, "THREAD_DOUBLES", 0)
         threads = threading.active_count()
         results = []
         for workers in ("1", "2"):
@@ -241,8 +245,10 @@ class TestMaximalAndSmallBall:
             assert est.std_error == math.sqrt(sum(e.std_error ** 2 for e in col))
 
     def test_multilevel_maximal_ignores_worker_count(self, monkeypatch):
-        # four levels; level 0 is two chunks, the helper draws one ahead
+        # four levels; level 0 is two chunks; at a threshold of 0 doubles
+        # two workers share the tasks
         system = diagonal_system(4, q=spde.constant_diagonal_q([0.5] * 4))
+        monkeypatch.setattr(mc, "THREAD_DOUBLES", 0)
         runs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("SUBSING_WORKERS", workers)
@@ -563,16 +569,25 @@ class TestMultilevelScans:
 
     @pytest.mark.parametrize("scan", ["convmom", "longrun"])
     def test_levels_ignore_worker_count(self, scan, monkeypatch):
-        # level 0 is three chunks of 600 paths, the helper draws ahead
+        # level 0 is three chunks of 600 paths; at a threshold of 0
+        # doubles two or three workers share the tasks, more threads than
+        # cores, switching often, while every thread reads the shared
+        # mode_rows caches of the weights and of Q
+        monkeypatch.setattr(mc, "THREAD_DOUBLES", 0)
         runs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("SUBSING_WORKERS", workers)
-            ests, levels = self.multilevel(scan, [0.5, 1.0], 600, 5, 1 / 16)
-            runs.append((ests, [
-                (lv.dt, lv.paths, estimate_from_blocks([lv.moments]),
-                 lv.moments.mean.tolist(), lv.moments.m2.tolist())
-                for lv in levels]))
-        assert len(runs[0][1]) > 1 and runs[0] == runs[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in ("1", "2", "3"):
+                monkeypatch.setenv("SUBSING_WORKERS", workers)
+                ests, levels = self.multilevel(scan, [0.5, 1.0], 600, 5, 1 / 16)
+                runs.append((ests, [
+                    (lv.dt, lv.paths, estimate_from_blocks([lv.moments]),
+                     lv.moments.mean.tolist(), lv.moments.m2.tolist())
+                    for lv in levels]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs[0][1]) > 1 and runs[1] == runs[0] == runs[2]
 
     @pytest.mark.parametrize("scan, horizons, N, dt", [
         ("convmom", [0.25, 0.5, 1.0], 4000, 1 / 64),
@@ -1109,34 +1124,41 @@ def test_zero_drift_galerkin_steps_only_the_reference(drift, monkeypatch):
     assert rep.truncations_stepped == len(per_chunk) - 1
 
 
+def _threads() -> set:
+    return {t.ident for t in threading.enumerate()}
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_chunks_take_the_helper_only_from_thread_doubles(monkeypatch, workers):
-    # 600 replicas in chunks of 256, 256 and the ragged 88: the calling
-    # thread draws the last chunk first.  With two or more workers and a
-    # step slice of at least THREAD_DOUBLES doubles (256 x n), a helper
-    # draws the others ahead; else the calling thread draws them in order
+    # 600 replicas in chunks of 256, 256 and the ragged 88.  With two
+    # workers and a step slice of at least THREAD_DOUBLES doubles (256 x n),
+    # the calling thread and one helper share the chunks, each drawn once,
+    # and every draw sees the helper alive; else the calling thread draws
+    # them in chunk order and no thread is started
     times = time_grid(0.5, 1 / 16)
     below, above = mc.THREAD_DOUBLES // 256 - 1, -(-mc.THREAD_DOUBLES // 256)
     monkeypatch.setenv("SUBSING_WORKERS", workers)
-    here = threading.get_ident()
+    here, before = threading.get_ident(), _threads()
     for n in (below, above):
         system = diagonal_system(n, q=spde.constant_diagonal_q([0.5] * n))
-        drawn = []
+        drawn, seen = [], set()
 
         def recorded(driver, times, rng, m):
             drawn.append((m, threading.get_ident()))
+            seen.update(_threads() - before)
             return grid_increments(driver, times, rng, m)
 
         monkeypatch.setattr(spde, "grid_increments", recorded)
-        threads = threading.active_count()
         spde._mc_paths(system, ST6, times, 600, 3,
                        lambda d_sub, dw: d_sub.sum(axis=1))
-        assert threading.active_count() == threads
+        assert _threads() == before
         if n == above and workers == "2":
-            assert [m for m, ident in drawn if ident == here] == [88]
-            assert [m for m, ident in drawn if ident != here] == [256, 256]
+            assert sorted(m for m, _ in drawn) == [88, 256, 256]
+            assert len(seen) == 1
+            assert {ident for _, ident in drawn} <= seen | {here}
         else:
-            assert drawn == [(88, here), (256, here), (256, here)]
+            assert drawn == [(256, here), (256, here), (88, here)]
+            assert seen == set()
 
 
 def _sequential_mc_paths(system, driver, times, N, seed, statistic):
@@ -1174,20 +1196,22 @@ def test_mc_paths_equals_the_sequential_loop(N, frozen):
     assert got == _sequential_mc_paths(system, driver, times, N, 4, statistic)
 
 
-def test_overflow_in_the_last_chunk_raises_before_any_other_chunk_runs():
-    # 600 replicas: the calling thread runs the ragged last chunk, of 88, first
+def test_overflow_in_a_chunk_raises_before_any_later_chunk_runs():
+    # 600 replicas of 2 modes, under THREAD_DOUBLES a step: the calling
+    # thread runs the chunks of 256, 256 and 88 in order, and the second
+    # overflows
     system = diagonal_system(2)
     times = time_grid(0.5, 1 / 16)
     ran = []
 
     def statistic(d_sub, dw):
         ran.append(len(d_sub))
-        return np.full(len(d_sub), math.inf if len(d_sub) == 88 else 1.0)
+        return np.full(len(d_sub), math.inf if len(ran) == 2 else 1.0)
 
     threads = threading.active_count()
     with pytest.raises(NumericError):
         spde._mc_paths(system, ST6, times, 600, 3, statistic)
-    assert ran == [88]
+    assert ran == [256, 256]
     assert threading.active_count() == threads
 
 
@@ -1275,25 +1299,28 @@ def test_no_thread_rule_changes_a_result(monkeypatch):
     assert runs[0] == runs[1]
 
 
-class TestOneDrawAheadLoop:
-    """Every chunk of every level is a task of one ``_mc_parts`` loop: at
-    steps 1, 1/2, 1/4 and 1/8 a run on 600 paths has levels of 600, 300, 150
-    and 75 paths, in chunks of at most 256."""
+class TestOneTaskQueue:
+    """Every chunk of every level is a task of one ``_mc_parts`` call on
+    ``mc.run_tasks``: at steps 1, 1/2, 1/4 and 1/8 a run on 600 paths has
+    levels of 600, 300, 150 and 75 paths, in chunks of at most 256."""
 
     system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
     tasks = [0, 1, 2, 1 << 32, (1 << 32) + 1, 2 << 32, 3 << 32]
+    # the stream of each task above level 0, by its replicas
+    coarse = {256: 1 << 32, 44: (1 << 32) + 1, 150: 2 << 32, 75: 3 << 32}
 
     @pytest.mark.parametrize("threshold", [512, 513], ids=["helper", "serial"])
     def test_one_helper_from_thread_doubles(self, monkeypatch, threshold):
         # the largest task steps 256 replicas of n = 2 modes, 512 doubles a
-        # step: one helper draws all but the last task when that reaches
-        # THREAD_DOUBLES, else the calling thread draws every task, the
-        # last one first
-        here = threading.get_ident()
-        drawn, coarsened = [], []
+        # step: at two workers the calling thread and one helper share the
+        # tasks when that reaches THREAD_DOUBLES, else the calling thread
+        # runs every task, in order
+        here, before = threading.get_ident(), _threads()
+        drawn, coarsened, seen = [], [], set()
 
         def recorded_stream(seed, index):
             drawn.append((index, threading.get_ident()))
+            seen.update(_threads() - before)
             return stream(seed, index)
 
         def recorded_coarsen(d_sub, dw):
@@ -1305,36 +1332,63 @@ class TestOneDrawAheadLoop:
         monkeypatch.setattr(mc, "THREAD_DOUBLES", threshold)
         monkeypatch.setattr(spde, "stream", recorded_stream)
         monkeypatch.setattr(spde, "coarsen", recorded_coarsen)
-        threads = threading.active_count()
         spde.maximal_inequality_scan(self.system, ST6, 0.5, [1, 2], 600, 1,
                                      dt=1 / 8)
-        assert threading.active_count() == threads
-        # a draw is the streams' clock and normals alone: each task above
-        # level 0 coarsens its draws where it steps them, on the calling
-        # thread, in the order the tasks run
-        assert coarsened == [(75, here), (256, here), (44, here), (150, here)]
-        if threshold == 513:
-            order = [self.tasks[-1], *self.tasks[:-1]]
-            assert drawn == [(index, here) for index in order]
-            return
-        # each stream exactly once; the calling thread draws the last task
-        # alone
+        assert _threads() == before
+        # each stream exactly once, and a task above level 0 coarsens its
+        # draws on the thread that drew them and steps them
         assert sorted(index for index, _ in drawn) == self.tasks
-        assert [index for index, ident in drawn if ident == here] == [3 << 32]
-        helpers = {ident for index, ident in drawn if ident != here}
-        assert len(helpers) == 1
+        drew_on = dict(drawn)
+        assert sorted(m for m, _ in coarsened) == sorted(self.coarse)
+        assert all(ident == drew_on[self.coarse[m]] for m, ident in coarsened)
+        if threshold == 513:
+            assert drawn == [(index, here) for index in self.tasks]
+            assert coarsened == [(m, here) for m in self.coarse]
+            assert seen == set()
+        else:
+            assert len(seen) == 1
+            assert {ident for _, ident in drawn} <= seen | {here}
 
-    def test_overflow_in_the_last_task_raises_before_any_other_runs(self):
+    def test_overflow_in_a_task_raises_before_any_later_task_runs(self):
+        # on the calling thread, the ragged last chunk of level 0 overflows:
+        # no task of a finer level runs
         ran = []
 
         def statistic(h, at, path):
             ran.append((round(2.0 / h), len(path)))
-            return np.full(len(path), math.inf if len(path) == 75 else 1.0)
+            return np.full(len(path), math.inf if len(path) == 88 else 1.0)
 
         threads = threading.active_count()
         with pytest.raises(NumericError):
             spde.multilevel_paths(self.system, ST6, 2.0, 1 / 8, [8, 16], 600,
                                   1, statistic, path="convolution")
-        # the finest level's one chunk, on its grid and on the one above
-        assert ran == [(16, 75), (8, 75)]
+        assert ran == [(2, 256), (2, 256), (2, 88)]
         assert threading.active_count() == threads
+
+    def test_overflow_on_the_calling_thread_stops_the_helper(self,
+                                                             monkeypatch):
+        # two workers share the tasks at a threshold of 0 doubles; the
+        # calling thread's first task overflows at once while each helper
+        # task takes 20 ms: the helper finishes the task it holds and takes
+        # no further one, so fewer than the seven tasks are drawn
+        here, before = threading.get_ident(), _threads()
+        drawn = []
+
+        def recorded_stream(seed, index):
+            drawn.append(index)
+            return stream(seed, index)
+
+        def statistic(h, at, path):
+            if threading.get_ident() == here:
+                return np.full(len(path), math.inf)
+            time.sleep(0.02)
+            return np.ones(len(path))
+
+        monkeypatch.setenv("SUBSING_WORKERS", "2")
+        monkeypatch.setattr(mc, "THREAD_DOUBLES", 0)
+        monkeypatch.setattr(spde, "stream", recorded_stream)
+        with pytest.raises(NumericError):
+            spde.multilevel_paths(self.system, ST6, 2.0, 1 / 8, [8, 16], 600,
+                                  1, statistic, path="convolution")
+        assert len(drawn) < len(self.tasks)
+        assert _threads() == before
