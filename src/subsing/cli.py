@@ -98,7 +98,7 @@ def _level_facts(levels) -> dict:
     the grid's resolution bias beside the SE."""
     facts = {"method": "multilevel" if len(levels) > 1 else "plain",
              "level_dt": _join(lv.dt for lv in levels),
-             "level_paths": _join(lv.paths for lv in levels)}
+             "level_paths": _join(lv.moments.count for lv in levels)}
     for i, lv in enumerate(levels):
         m = lv.moments
         var = m.m2 / (m.count - 1) if m.count > 1 else m.m2 * math.nan
@@ -375,8 +375,8 @@ def _domain(text: str):
 # the flags that it reads, in order.  A flag entry is a flag, a (flag, default)
 # pair where the command sets its own default (a required flag so becomes
 # optional), or "--a|--b": exactly one of two flags, each defaulting to None.
-# A command with modes gives each mode its handler and its flags, ahead of
-# the mode's own.
+# A command with modes maps each mode to its own flags, which follow the
+# command's, and its one handler dispatches on ``args.mode``.
 FLAGS = {
     "--config": dict(default=None, help="INI file with a [run] section"),
     "--phi": dict(required=True),

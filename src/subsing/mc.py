@@ -1,9 +1,9 @@
-"""Chunked Monte Carlo engine with order-independent aggregation.
+"""The Monte Carlo engine, with order-independent aggregation.
 
-Samples are produced in blocks, one derived random stream per block, and the
-block partials are combined in fixed block order.  This makes every estimate
-reproducible regardless of how blocks are scheduled, and the block structure
-doubles as the median-of-means partition for heavy-tailed integrands.
+Every run, integral blocks or SPDE chunks, is tasks of :func:`run_parts`,
+one derived random stream per task, whose partials combine in fixed task
+order.  So every estimate is reproducible however its tasks are scheduled,
+and the blocks double as the median-of-means partition of heavy tails.
 """
 
 from __future__ import annotations
@@ -70,42 +70,6 @@ def _worker_count() -> int:
     if not (raw.isdecimal() and int(raw) > 0):
         raise DomainError(f"SUBSING_WORKERS must be a positive integer, got {raw!r}")
     return int(raw)
-
-
-def run_tasks(count: int, task, doubles: int) -> list:
-    """``[task(i) for i in range(count)]``, on the one thread schedule of
-    every Monte Carlo run, whose largest vectorized call handles ``doubles``
-    doubles.  Below ``THREAD_DOUBLES`` doubles, or at one worker, the
-    calling thread runs the tasks in index order.  Otherwise it and
-    min(workers, count) - 1 helper threads take indices from one shared
-    iterator (each ``next`` holds the interpreter lock, so every task is
-    taken once) and store each result by its index.  No thread changes a
-    result.  An error raised in a task empties the iterator, so no thread
-    takes a further task, and is raised here once every thread has stopped.
-    """
-    results = [None] * count
-    todo = iter(range(count))
-
-    def work() -> None:
-        try:
-            for i in todo:
-                results[i] = task(i)
-        except BaseException:
-            for _ in todo:      # the other threads take no further task
-                pass
-            raise
-
-    workers = _worker_count()      # read, and checked, on every run
-    helpers = min(workers if doubles >= THREAD_DOUBLES else 1, count) - 1
-    if helpers < 1:
-        work()
-    else:
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            done = [pool.submit(work) for _ in range(helpers)]
-            work()
-        for future in done:
-            future.result()
-    return results
 
 
 @dataclass(frozen=True)
@@ -184,12 +148,11 @@ def level_paths(N: int, level: int) -> int:
 
 @dataclass(frozen=True)
 class Level:
-    """One level of a multilevel run: its grid step, its paths, and the
-    merged :class:`Moments` of its statistic, per column: the plain
+    """One level of a multilevel run: its grid step and the merged
+    :class:`Moments` of its statistic over its paths, per column: the plain
     statistic on level 0, the fine less the coarse one above it."""
 
     dt: float
-    paths: int
     moments: Moments
 
 
@@ -201,42 +164,77 @@ def multilevel_estimates(levels: Sequence[Level]) -> list:
     terms = [estimate_from_blocks([lv.moments]) for lv in levels]
     if len(levels) == 1:
         return terms[0]
-    paths = sum(lv.paths for lv in levels)
+    paths = sum(lv.moments.count for lv in levels)
     return [MCEstimate(paths, sum(e.mean for e in col),
                        math.sqrt(sum(e.std_error * e.std_error for e in col)),
                        "multilevel")
             for col in zip(*terms)]
 
 
+def run_parts(seed: int, runs, doubles: int) -> list:
+    """One list of task partials per run ``(key, sizes, cap, sample)``:
+    task j draws ``sizes[j]`` samples of ``sample(rng, m) -> (m,) or (m,
+    d)``, m <= cap, from ``stream(seed, (key << 32) + j)`` and merges their
+    :class:`Moments` in draw order.  At one worker, or where the largest
+    vectorized call handles ``doubles`` < ``THREAD_DOUBLES``, the calling
+    thread runs the tasks in run and task order.  Otherwise it and
+    min(workers, tasks) - 1 helpers take tasks from one shared iterator
+    (each ``next`` holds the interpreter lock, so every task is taken once)
+    and store each partial in its place.  An error in a task empties the
+    iterator and is raised once every thread has stopped.
+    """
+    parts = [[None] * len(sizes) for _, sizes, _, _ in runs]
+    tasks = [(r, j) for r, part in enumerate(parts) for j in range(len(part))]
+    todo = iter(tasks)
+
+    def work() -> None:
+        try:
+            for r, j in todo:
+                key, sizes, cap, sample = runs[r]
+                rng = stream(seed, (key << 32) + j)
+                chunks, left = [], sizes[j]
+                while left > 0:
+                    m = min(left, cap)
+                    chunks.append(Moments.of(sample(rng, m)))
+                    left -= m
+                parts[r][j] = merge_all(chunks)
+        except BaseException:
+            for _ in todo:      # the other threads take no further task
+                pass
+            raise
+
+    workers = _worker_count()      # read, and checked, on every run
+    helpers = min(workers if doubles >= THREAD_DOUBLES else 1, len(tasks)) - 1
+    if helpers < 1:
+        work()
+    else:
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            done = [pool.submit(work) for _ in range(helpers)]
+            work()
+        for future in done:
+            future.result()
+    return parts
+
+
 def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
            width: int = 1) -> list:
     """One :class:`MCEstimate` per column of ``sampler(rng, m) -> (m,) or
     (m, d)``, whose samples take ``width`` doubles each to draw.  Block b of
-    min(DEFAULT_BLOCKS, n_samples) draws from ``stream(seed, b)`` in chunks
-    of at most max(8, min(4096, CHUNK_DOUBLES // width)) samples and the
-    block partials merge in block order, so no worker count changes the
-    result.  The blocks are the tasks of :func:`run_tasks`, measured by one
-    chunk's doubles.
+    min(DEFAULT_BLOCKS, n_samples), near-equal in size, is task b of the one
+    run, key 0, of :func:`run_parts`: it draws from ``stream(seed, b)`` in
+    chunks of at most max(8, min(4096, CHUNK_DOUBLES // width)) samples, and
+    the block partials merge in block order, so no worker count changes the
+    result.
     """
     if n_samples <= 0:
         raise DomainError("need a positive sample count")
     blocks = min(DEFAULT_BLOCKS, n_samples)
     if method == "median_of_means" and blocks < 2:
         raise DomainError("median of means needs two or more paths")
-
     chunk = max(8, min(4096, CHUNK_DOUBLES // width))
-
-    def block(b: int) -> Moments:
-        rng = stream(seed, b)
-        left = n_samples // blocks + (b < n_samples % blocks)
-        chunks = []
-        while left > 0:
-            m = min(left, chunk)
-            chunks.append(Moments.of(sampler(rng, m)))
-            left -= m
-        return merge_all(chunks)
-
-    parts = run_tasks(blocks, block, min(chunk, -(-n_samples // blocks)) * width)
+    sizes = [n_samples // blocks + (b < n_samples % blocks) for b in range(blocks)]
+    [parts] = run_parts(seed, [(0, sizes, chunk, sampler)],
+                        min(chunk, sizes[0]) * width)
     return estimate_from_blocks(parts, method)
 
 

@@ -12,6 +12,7 @@ conditional experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -22,9 +23,9 @@ from .bernstein import BernsteinFunction, doubling_indices, inverse
 from .errors import (CapabilityError, DomainError, NumericError,
                      PreconditionError)
 from .integrate import Verdict, finiteness_criterion, power_singular
-from .mc import (CHUNK_DOUBLES, Level, Moments, estimate_from_blocks,
-                 level_count, level_paths, merge_all, multilevel_estimates,
-                 run_tasks, wilson_interval)
+from .mc import (CHUNK_DOUBLES, Level, estimate_from_blocks, level_count,
+                 level_paths, merge_all, multilevel_estimates, run_parts,
+                 wilson_interval)
 from .moments import (BoundReport, _horizons, bound_rhs, small_time_gate,
                       stationary_gate)
 from .rng import stream
@@ -292,49 +293,43 @@ def _draw(system, driver, times, rng, m):
 
 
 def _mc_parts(system, driver, seed, runs) -> list:
-    """The SPDE Monte Carlo runs: one merged :class:`Moments` per run
+    """The SPDE Monte Carlo runs: one list of chunk partials per run
     ``(times, N, rows, key)``, of the rows (m,) or (m, n_out) that
     ``rows(d_sub, dw)`` makes of N paths on ``times``.  A statistic steps
     its draws itself, through :func:`advance` or :func:`steps`, and derives
     anything else there, as a level above 0 its :func:`coarsen` draws.
 
-    Chunk j of run ``key``, at most 256 replicas and about ``CHUNK_DOUBLES``
-    normals, the last one ragged, is one task of :func:`run_tasks`: it draws
-    (:func:`_draw`) from stream (seed, (key << 32) + j), steps and returns
-    its partial.  The chunks of every run, in run order, are the tasks,
-    measured by a step slice of the largest (paths x n doubles).  A run's
-    partials merge in chunk order, so the schedule never shows in a result.
-    A statistic that overflows, or is nan, raises NumericError.
+    A run is cut into chunks of at most 256 replicas and about
+    ``CHUNK_DOUBLES`` normals, the last one ragged.  Chunk j is task j of
+    the run under ``key`` of one :func:`run_parts` call, drawn in one call
+    (:func:`_draw`) and stepped; the tasks are measured by a step slice of
+    the largest chunk (paths x n doubles).  A statistic that overflows, or
+    is nan, raises NumericError.
     """
-    tasks = []      # (run, replicas, chunk)
-    for r, (times, N, _, _) in enumerate(runs):
-        if N < 1:
-            raise DomainError("need a positive number of paths")
-        chunk = max(1, min(256, CHUNK_DOUBLES // ((len(times) - 1) * system.n + 1)))
-        starts = range(0, N, chunk)
-        tasks += [(r, min(chunk, N - start), j) for j, start in enumerate(starts)]
-
-    def task(i):
-        r, m, j = tasks[i]
-        times, _, rows, key = runs[r]
-        draws = _draw(system, driver, times, stream(seed, (key << 32) + j), m)
+    def sample(times, rows, rng, m):
+        draws = _draw(system, driver, times, rng, m)
         with np.errstate(over="ignore", invalid="ignore"):
             values = rows(*draws)
         if not np.all(np.isfinite(values)):
             raise NumericError("a path left the range of doubles: the "
                                "statistic is not finite")
-        return Moments.of(values)
+        return values
 
-    parts = run_tasks(len(tasks), task, system.n * max(m for _, m, _ in tasks))
-    return [merge_all(p for (owner, _, _), p in zip(tasks, parts) if owner == r)
-            for r in range(len(runs))]
+    mc_runs = []
+    for times, N, rows, key in runs:
+        if N < 1:
+            raise DomainError("need a positive number of paths")
+        chunk = max(1, min(256, CHUNK_DOUBLES // ((len(times) - 1) * system.n + 1)))
+        sizes = [min(chunk, N - start) for start in range(0, N, chunk)]
+        mc_runs.append((key, sizes, chunk, functools.partial(sample, times, rows)))
+    return run_parts(seed, mc_runs, system.n * max(r[1][0] for r in mc_runs))
 
 
 def _mc_paths(system, driver, times, N, seed, statistic):
     """One MCEstimate per column of ``statistic(d_sub, dw)`` over N paths on
-    ``times``: the one run, key 0, of :func:`_mc_parts`."""
-    return estimate_from_blocks(
-        _mc_parts(system, driver, seed, [(times, N, statistic, 0)]))
+    ``times``: the partials of the one run, key 0, of :func:`_mc_parts`."""
+    [parts] = _mc_parts(system, driver, seed, [(times, N, statistic, 0)])
+    return estimate_from_blocks(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +369,10 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
     N paths from streams (seed, j), as :func:`_mc_paths` does.  Level l >= 1
     runs it on :func:`level_paths` paths, each stepped on its level's grid
     and, by a second :func:`advance`, on the grid above from the same draws
-    by :func:`coarsen`, and takes the difference; its chunk j draws from
-    stream (seed, (l << 32) + j).  Every level is one run, keyed l, of one
-    :func:`_mc_parts` loop, in level order.  The level counts and streams
-    depend on (N, dt, cols) alone.
+    by :func:`coarsen`, and takes the difference.  Every level is one run,
+    keyed l, of one :func:`_mc_parts` call, in level order, and its
+    partials merge in chunk order.  The level counts and streams depend on
+    (N, dt, cols) alone.
     """
     L = level_count(cols)
     hs = [dt * 2 ** (L - l) for l in range(L + 1)]
@@ -399,8 +394,7 @@ def multilevel_paths(system, driver, T: float, dt: float, cols: Sequence[int],
     parts = _mc_parts(system, driver, seed, [
         (times, level_paths(N, level), level_rows(level), level)
         for level, times in enumerate(grids)])
-    return tuple(Level(hs[level], level_paths(N, level), part)
-                 for level, part in enumerate(parts))
+    return tuple(Level(h, merge_all(p)) for h, p in zip(hs, parts))
 
 
 def _norms_in_place(a: np.ndarray) -> np.ndarray:
@@ -644,11 +638,13 @@ def verify_a4(system: GalerkinSystem, *,
     ys = stream(0, 0).normal(0.0, 5.0, (16, system.n))
     for t in ts:
         decay = np.exp(-t * system.eigenvalues)
+        with np.errstate(over="ignore"):    # past the doubles: +inf
+            bound = C * t ** (-dlt) * (1 + 1e-9)
         for y in ys:
             # operator norm of Q(y)^-1 diag(decay); a zero entry makes it inf
             with np.errstate(divide="ignore"):
                 nrm = float(np.max(decay / np.abs(system.diffusion.entries(y))))
-            if nrm > C * t ** (-dlt) * (1 + 1e-9):
+            if nrm > bound:
                 raise PreconditionError(
                     f"inverse-diffusion probe failed at t={t:g}: "
                     f"{nrm:g} > {C:g} * t^-{dlt:g}")

@@ -256,7 +256,7 @@ def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv, chunks):
         indices.add(index)
         return stream(seed, index)
 
-    monkeypatch.setattr(spde, "stream", recorded)
+    monkeypatch.setattr(mc, "stream", recorded)
     threads = threading.active_count()
     outs = []
     for workers in ("1", "2"):
@@ -1619,6 +1619,14 @@ def test_readme_command_lines_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
+def test_readme_layout_names_every_module():
+    # the README's Layout block names every module of the package
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = text.split("## Layout", 1)[1].split("```")[1].split()
+    modules = sorted(m.name for m in Path(cli.__file__).parent.glob("*.py"))
+    assert [m for m in modules if m not in layout] == []
+
+
 def test_every_declared_flag_is_taken_by_a_parser():
     # with test_every_flag_has_a_reader: the flag table declares no flag
     # that no command reads
@@ -1684,6 +1692,10 @@ EXTREME_RUNS = {
     "smallball-no-doubling-index": (["spde", "smallball", "--n", "2", "--dt", "0.25",
                                      "--T", "1", "--phi", "stable:1e-300",
                                      "--paths", "20"], 0),
+    # the probe bound C t^-delta past the double range is +inf, which no
+    # probe exceeds
+    "control-overflowing-a4-bound": (["spde", "control", "--a4-c", "1e308",
+                                      "--T", "0.5", "--dt", "0.25", "--n", "1"], 0),
 }
 
 

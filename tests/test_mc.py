@@ -197,16 +197,20 @@ def test_malformed_worker_count_raises_under_thread_doubles(monkeypatch):
 THREAD_STARTERS = ("ThreadPoolExecutor", "concurrent.futures", "threading.Thread")
 
 
-def test_only_run_tasks_starts_a_thread():
-    # mc.py alone may start a thread, and only in run_tasks: every Monte
-    # Carlo run takes its one schedule.  A threading.local is allowed
+def test_only_run_parts_starts_a_thread_or_packs_a_task_stream():
+    # mc.py alone may start a thread, and only in run_parts: every Monte
+    # Carlo run takes its one schedule.  A threading.local is allowed.  No
+    # other module spells the task-stream index (key << 32) + j either
     for module in sorted(pathlib.Path(subsing.__file__).parent.glob("*.py")):
         if module.name == "mc.py":
             continue
         text = module.read_text()
         assert not [w for w in THREAD_STARTERS if w in text], module.name
-    starts = inspect.getsource(mc).count("ThreadPoolExecutor(")
-    assert starts == 1 and "ThreadPoolExecutor(" in inspect.getsource(mc.run_tasks)
+        assert "<< 32" not in text, module.name
+    source, run_parts = inspect.getsource(mc), inspect.getsource(mc.run_parts)
+    assert source.count("ThreadPoolExecutor(") == 1
+    assert "ThreadPoolExecutor(" in run_parts
+    assert "stream(seed, (key << 32) + j)" in run_parts
 
 
 @pytest.mark.parametrize("method", ["plain", "median_of_means"])
@@ -286,7 +290,7 @@ def test_median_of_one_block_is_a_domain_error():
 
 def test_one_level_is_its_plain_estimate():
     rows = np.random.default_rng(0).standard_normal((50, 2))
-    level = mc.Level(0.5, 50, Moments.of(rows))
+    level = mc.Level(0.5, Moments.of(rows))
     assert mc.multilevel_estimates([level]) == estimate_from_blocks([level.moments])
 
 
@@ -295,7 +299,7 @@ def test_multilevel_estimate_sums_its_levels():
     rng = np.random.default_rng(1)
     samples = [rng.standard_normal((n, 2)) * 0.5 ** l + l
                for l, n in enumerate((40, 20, 10))]
-    levels = [mc.Level(2.0 ** -l, len(x), Moments.of(x))
+    levels = [mc.Level(2.0 ** -l, Moments.of(x))
               for l, x in enumerate(samples)]
     ests = mc.multilevel_estimates(levels)
     assert len(ests) == 2

@@ -236,7 +236,7 @@ class TestMaximalAndSmallBall:
         system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
         rep = spde.maximal_inequality_scan(system, ST6, 0.5, [0.5, 1.0], 300, 3,
                                            dt=1 / 16)
-        assert [(lv.dt, lv.paths) for lv in rep.levels] == [
+        assert [(lv.dt, lv.moments.count) for lv in rep.levels] == [
             (0.5, 300), (0.25, 150), (0.125, 75), (0.0625, 38)]
         for h, est in enumerate(rep.estimates):
             col = [estimate_from_blocks([lv.moments])[h] for lv in rep.levels]
@@ -255,7 +255,7 @@ class TestMaximalAndSmallBall:
             rep = spde.maximal_inequality_scan(system, ST6, 0.5, [0.5, 1, 2],
                                                300, 5, dt=1 / 16)
             runs.append((rep.estimates, [
-                (lv.dt, lv.paths, estimate_from_blocks([lv.moments]),
+                (lv.dt, lv.moments.count, estimate_from_blocks([lv.moments]),
                  lv.moments.mean.tolist(), lv.moments.m2.tolist())
                 for lv in rep.levels]))
         assert runs[0] == runs[1]
@@ -276,7 +276,7 @@ class TestMaximalAndSmallBall:
                 drawn.append((m, len(times) - 1))
                 return grid_increments(driver, times, rng, m)
 
-            monkeypatch.setattr(spde, "stream", recorded_stream)
+            monkeypatch.setattr(mc, "stream", recorded_stream)
             monkeypatch.setattr(spde, "grid_increments", recorded_draw)
             spde.maximal_inequality_scan(system, driver, 0.5, [1, 2], 600, seed,
                                          dt=1 / 8)
@@ -559,7 +559,7 @@ class TestMultilevelScans:
     ])
     def test_estimate_is_the_sum_of_its_levels(self, scan, horizons, ladder):
         ests, levels = self.multilevel(scan, horizons, 300, 3, 1 / 16)
-        assert [(lv.dt, lv.paths) for lv in levels] == ladder
+        assert [(lv.dt, lv.moments.count) for lv in levels] == ladder
         for h, est in enumerate(ests):
             col = [estimate_from_blocks([lv.moments])[h] for lv in levels]
             assert est.method == "multilevel"
@@ -582,7 +582,7 @@ class TestMultilevelScans:
                 monkeypatch.setenv("SUBSING_WORKERS", workers)
                 ests, levels = self.multilevel(scan, [0.5, 1.0], 600, 5, 1 / 16)
                 runs.append((ests, [
-                    (lv.dt, lv.paths, estimate_from_blocks([lv.moments]),
+                    (lv.dt, lv.moments.count, estimate_from_blocks([lv.moments]),
                      lv.moments.mean.tolist(), lv.moments.m2.tolist())
                     for lv in levels]))
         finally:
@@ -1301,7 +1301,7 @@ def test_no_thread_rule_changes_a_result(monkeypatch):
 
 class TestOneTaskQueue:
     """Every chunk of every level is a task of one ``_mc_parts`` call on
-    ``mc.run_tasks``: at steps 1, 1/2, 1/4 and 1/8 a run on 600 paths has
+    ``mc.run_parts``: at steps 1, 1/2, 1/4 and 1/8 a run on 600 paths has
     levels of 600, 300, 150 and 75 paths, in chunks of at most 256."""
 
     system = diagonal_system(2, q=spde.constant_diagonal_q([0.3, 0.2]))
@@ -1330,7 +1330,7 @@ class TestOneTaskQueue:
         spde_coarsen = spde.coarsen
         monkeypatch.setenv("SUBSING_WORKERS", "2")
         monkeypatch.setattr(mc, "THREAD_DOUBLES", threshold)
-        monkeypatch.setattr(spde, "stream", recorded_stream)
+        monkeypatch.setattr(mc, "stream", recorded_stream)
         monkeypatch.setattr(spde, "coarsen", recorded_coarsen)
         spde.maximal_inequality_scan(self.system, ST6, 0.5, [1, 2], 600, 1,
                                      dt=1 / 8)
@@ -1386,7 +1386,7 @@ class TestOneTaskQueue:
 
         monkeypatch.setenv("SUBSING_WORKERS", "2")
         monkeypatch.setattr(mc, "THREAD_DOUBLES", 0)
-        monkeypatch.setattr(spde, "stream", recorded_stream)
+        monkeypatch.setattr(mc, "stream", recorded_stream)
         with pytest.raises(NumericError):
             spde.multilevel_paths(self.system, ST6, 2.0, 1 / 8, [8, 16], 600,
                                   1, statistic, path="convolution")
