@@ -171,17 +171,20 @@ def multilevel_estimates(levels: Sequence[Level]) -> list:
             for col in zip(*terms)]
 
 
-def run_parts(seed: int, runs, doubles: int) -> list:
+def run_parts(streams, runs, doubles: int) -> list:
     """One list of task partials per run ``(key, sizes, cap, sample)``:
     task j draws ``sizes[j]`` samples of ``sample(rng, m) -> (m,) or (m,
-    d)``, m <= cap, from ``stream(seed, (key << 32) + j)`` and merges their
-    :class:`Moments` in draw order.  At one worker, or where the largest
-    vectorized call handles ``doubles`` < ``THREAD_DOUBLES``, the calling
-    thread runs the tasks in run and task order.  Otherwise it and
-    min(workers, tasks) - 1 helpers take tasks from one shared iterator
-    (each ``next`` holds the interpreter lock, so every task is taken once)
-    and store each partial in its place.  An error in a task empties the
-    iterator and is raised once every thread has stopped.
+    d)``, m <= cap, from ``streams((key << 32) + j)`` and merges their
+    :class:`Moments` in draw order.  ``streams`` is the caller's
+    ``functools.partial(stream, seed)``: a stream is drawn through the
+    caller's own ``stream`` name, so a trace of mc's counts run_mc's blocks
+    alone.  At one worker, or where the largest vectorized call handles
+    ``doubles`` < ``THREAD_DOUBLES``, the calling thread runs the tasks in
+    run and task order.  Otherwise it and min(workers, tasks) - 1 helpers
+    take tasks from one shared iterator (each ``next`` holds the
+    interpreter lock, so every task is taken once) and store each partial
+    in its place.  An error in a task empties the iterator and is raised
+    once every thread has stopped.
     """
     parts = [[None] * len(sizes) for _, sizes, _, _ in runs]
     tasks = [(r, j) for r, part in enumerate(parts) for j in range(len(part))]
@@ -191,7 +194,7 @@ def run_parts(seed: int, runs, doubles: int) -> list:
         try:
             for r, j in todo:
                 key, sizes, cap, sample = runs[r]
-                rng = stream(seed, (key << 32) + j)
+                rng = streams((key << 32) + j)
                 chunks, left = [], sizes[j]
                 while left > 0:
                     m = min(left, cap)
@@ -233,8 +236,8 @@ def run_mc(sampler, n_samples: int, seed: int, *, method: str = "plain",
         raise DomainError("median of means needs two or more paths")
     chunk = max(8, min(4096, CHUNK_DOUBLES // width))
     sizes = [n_samples // blocks + (b < n_samples % blocks) for b in range(blocks)]
-    [parts] = run_parts(seed, [(0, sizes, chunk, sampler)],
-                        min(chunk, sizes[0]) * width)
+    [parts] = run_parts(functools.partial(stream, seed),
+                        [(0, sizes, chunk, sampler)], min(chunk, sizes[0]) * width)
     return estimate_from_blocks(parts, method)
 
 

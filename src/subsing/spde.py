@@ -301,10 +301,10 @@ def _mc_parts(system, driver, seed, runs) -> list:
 
     A run is cut into chunks of at most 256 replicas and about
     ``CHUNK_DOUBLES`` normals, the last one ragged.  Chunk j is task j of
-    the run under ``key`` of one :func:`run_parts` call, drawn in one call
-    (:func:`_draw`) and stepped; the tasks are measured by a step slice of
-    the largest chunk (paths x n doubles).  A statistic that overflows, or
-    is nan, raises NumericError.
+    the run under ``key`` of one :func:`run_parts` call on the streams of
+    ``seed``, drawn in one call (:func:`_draw`) and stepped; the tasks are
+    measured by a step slice of the largest chunk (paths x n doubles).  A
+    statistic that overflows, or is nan, raises NumericError.
     """
     def sample(times, rows, rng, m):
         draws = _draw(system, driver, times, rng, m)
@@ -322,7 +322,8 @@ def _mc_parts(system, driver, seed, runs) -> list:
         chunk = max(1, min(256, CHUNK_DOUBLES // ((len(times) - 1) * system.n + 1)))
         sizes = [min(chunk, N - start) for start in range(0, N, chunk)]
         mc_runs.append((key, sizes, chunk, functools.partial(sample, times, rows)))
-    return run_parts(seed, mc_runs, system.n * max(r[1][0] for r in mc_runs))
+    return run_parts(functools.partial(stream, seed), mc_runs,
+                     system.n * max(r[1][0] for r in mc_runs))
 
 
 def _mc_paths(system, driver, times, N, seed, statistic):

@@ -256,7 +256,7 @@ def test_spde_output_ignores_worker_count(tmp_path, monkeypatch, argv, chunks):
         indices.add(index)
         return stream(seed, index)
 
-    monkeypatch.setattr(mc, "stream", recorded)
+    monkeypatch.setattr(spde, "stream", recorded)
     threads = threading.active_count()
     outs = []
     for workers in ("1", "2"):

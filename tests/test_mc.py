@@ -210,7 +210,7 @@ def test_only_run_parts_starts_a_thread_or_packs_a_task_stream():
     source, run_parts = inspect.getsource(mc), inspect.getsource(mc.run_parts)
     assert source.count("ThreadPoolExecutor(") == 1
     assert "ThreadPoolExecutor(" in run_parts
-    assert "stream(seed, (key << 32) + j)" in run_parts
+    assert "streams((key << 32) + j)" in run_parts
 
 
 @pytest.mark.parametrize("method", ["plain", "median_of_means"])

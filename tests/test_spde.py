@@ -276,7 +276,7 @@ class TestMaximalAndSmallBall:
                 drawn.append((m, len(times) - 1))
                 return grid_increments(driver, times, rng, m)
 
-            monkeypatch.setattr(mc, "stream", recorded_stream)
+            monkeypatch.setattr(spde, "stream", recorded_stream)
             monkeypatch.setattr(spde, "grid_increments", recorded_draw)
             spde.maximal_inequality_scan(system, driver, 0.5, [1, 2], 600, seed,
                                          dt=1 / 8)
@@ -1330,7 +1330,7 @@ class TestOneTaskQueue:
         spde_coarsen = spde.coarsen
         monkeypatch.setenv("SUBSING_WORKERS", "2")
         monkeypatch.setattr(mc, "THREAD_DOUBLES", threshold)
-        monkeypatch.setattr(mc, "stream", recorded_stream)
+        monkeypatch.setattr(spde, "stream", recorded_stream)
         monkeypatch.setattr(spde, "coarsen", recorded_coarsen)
         spde.maximal_inequality_scan(self.system, ST6, 0.5, [1, 2], 600, 1,
                                      dt=1 / 8)
@@ -1386,7 +1386,7 @@ class TestOneTaskQueue:
 
         monkeypatch.setenv("SUBSING_WORKERS", "2")
         monkeypatch.setattr(mc, "THREAD_DOUBLES", 0)
-        monkeypatch.setattr(mc, "stream", recorded_stream)
+        monkeypatch.setattr(spde, "stream", recorded_stream)
         with pytest.raises(NumericError):
             spde.multilevel_paths(self.system, ST6, 2.0, 1 / 8, [8, 16], 600,
                                   1, statistic, path="convolution")
